@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -29,16 +29,13 @@ from .walk import (
     walk_spectrum_residuals,
 )
 
-THREADS_ENV = "ARC_WALK_THREADS"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run options shared by the subcommands.
 
-    Exactly one of ``builtin`` / ``edges`` names the graph. ``threads`` is
-    the cap read from ARC_WALK_THREADS; execution at these problem sizes
-    is sequential, which always respects the cap.
+    Exactly one of ``builtin`` / ``edges`` names the graph. Numbers are
+    finite, tolerances, ``epsilon`` and ``t_max`` positive, ``budget`` at
+    least 0 and ``relation_bound`` at least 1.
     """
 
     command: str
@@ -56,35 +53,18 @@ class RunConfig:
     tau_flat: float
     tau_rel: float
     emit_matrix: bool
-    threads: int | None
-
-
-def _read_threads() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if (args.builtin is None) == (args.edges is None):
         raise ValueError("specify exactly one graph source: --builtin or --edges")
-    epsilon = getattr(args, "epsilon", 1e-2)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return RunConfig(
+    cfg = RunConfig(
         command=args.command,
         builtin=args.builtin,
         edges=args.edges,
         fmt=args.format,
         vertex=getattr(args, "vertex", 0),
-        epsilon=epsilon,
+        epsilon=getattr(args, "epsilon", 1e-2),
         mode=getattr(args, "mode", M.MODE_INTEGER),
         simultaneous=getattr(args, "simultaneous", False),
         t=getattr(args, "t", 1.0),
@@ -94,8 +74,23 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         tau_flat=getattr(args, "tau_flat", M.TAU_FLAT),
         tau_rel=getattr(args, "tau_rel", M.TAU_REL),
         emit_matrix=getattr(args, "emit_matrix", False),
-        threads=_read_threads(),
     )
+    for name, positive in (
+        ("epsilon", True), ("t", False), ("t_max", True), ("tau_flat", True), ("tau_rel", True)
+    ):
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+        if positive and value <= 0:
+            raise ValueError(f"{flag} must be positive, got {value}")
+    if cfg.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {cfg.budget}")
+    if cfg.relation_bound < 1:
+        raise ValueError(f"--relation-bound must be >= 1, got {cfg.relation_bound}")
+    return cfg
 
 
 _HADAMARD_4 = np.ones((4, 4), dtype=np.int64) - 2 * np.eye(4, dtype=np.int64)
@@ -260,12 +255,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
     xt = evolve(ws, x, cfg.t)
     closed = entry_formula(dec, arcs, cfg.vertex, cfg.t)
     agreement = float(np.abs(xt.amplitudes - closed.amplitudes).max())
+    arc_list = arcs.arcs
 
     payload = {
         "graph": g.name or f"n{g.n}",
         "vertex": cfg.vertex,
         "t": cfg.t,
-        "arcs": [[u, v] for u, v in arcs.arcs],
+        "arcs": [[u, v] for u, v in arc_list],
         "state": state_to_json(xt),
         "flatness_deficit": flatness_deficit(xt),
         "realness_deficit": realness_deficit(xt),
@@ -288,7 +284,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     top = np.argsort(dist)[::-1][:5]
     lines.append("top arc probabilities:")
     for i in top:
-        u, v = arcs.arcs[i]
+        u, v = arc_list[i]
         lines.append(f"  ({u} -> {v}): {dist[i]:.6f}")
     _emit(payload, cfg.fmt, lines)
     return 0

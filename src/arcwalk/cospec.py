@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import SpectralDecomposition, eigenvalue_support
-from .walk import ArcSpace, State, WalkSpectrum
+from .walk import ArcSpace, State, WalkSpectrum, tail_sum
 
 #: tolerance for cospectrality residuals and phase consistency
 TAU_COSP = 1e-8
@@ -177,8 +177,9 @@ def check_strong_cospectrality(
     if len(y) != arc_space.num_arcs:
         raise ValueError("target state lives on the wrong number of arcs")
     sqrt_k = np.sqrt(dec.k)
-    Ty = arc_space.tail_incidence @ y.amplitudes
-    Hy = arc_space.head_incidence @ y.amplitudes
+    Ty = tail_sum(arc_space, y.amplitudes)
+    # an arc's head is the tail of its reverse
+    Hy = tail_sum(arc_space, y.amplitudes[arc_space.reversal_perm])
     support = set(eigenvalue_support(dec, a))
     residuals: dict[str, float] = {}
 

@@ -216,13 +216,14 @@ def petersen_graph(name: str = "petersen") -> Graph:
     return graph_from_adjacency(adj, name=name)
 
 
-def srg_from_regular_hadamard(H: np.ndarray, name: str = "") -> Graph:
-    """Build the graph with adjacency (J - delta*H) / 2 from a regular
-    symmetric Hadamard matrix H with constant diagonal delta.
+def check_regular_hadamard(H: np.ndarray) -> tuple[np.ndarray, int]:
+    """Check exactly, in integer arithmetic, that H is a regular Hadamard
+    matrix; return it as a read-only int64 copy with its row sum.
 
-    The input must be a symmetric +-1 matrix with H H^T = nI, constant
-    row sums, and constant diagonal. Each condition is checked exactly in
-    integer arithmetic and violations are reported by name.
+    Conditions, each reported by name in a ValueError: square and integer
+    valued, +-1 entries, H H^T = nI, order 1, 2 or divisible by 4,
+    constant row sums, and |row sum| = sqrt(n), which forces a square
+    order.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -233,13 +234,34 @@ def srg_from_regular_hadamard(H: np.ndarray, name: str = "") -> Graph:
     n = H.shape[0]
     if not np.isin(H, (-1, 1)).all():
         raise ValueError("Hadamard matrix entries must be +1 or -1")
-    if not np.array_equal(H, H.T):
-        raise ValueError("Hadamard matrix must be symmetric")
     if not np.array_equal(H @ H.T, n * np.eye(n, dtype=np.int64)):
         raise ValueError("matrix fails H H^T = nI, not a Hadamard matrix")
+    if n not in (1, 2) and n % 4 != 0:
+        raise ValueError(f"order {n} is not 1, 2, or divisible by 4")
     row_sums = H.sum(axis=1)
     if not np.all(row_sums == row_sums[0]):
-        raise ValueError("Hadamard matrix must have constant row sums (regular)")
+        raise ValueError("row sums are not constant, matrix is not regular")
+    s = int(row_sums[0])
+    if s * s != n:
+        raise ValueError(
+            f"regular Hadamard matrix of order {n} must have |row sum| sqrt(n), got {s}"
+        )
+    H.setflags(write=False)
+    return H, s
+
+
+def srg_from_regular_hadamard(H: np.ndarray, name: str = "") -> Graph:
+    """Build the graph with adjacency (J - delta*H) / 2 from a regular
+    symmetric Hadamard matrix H with constant diagonal delta.
+
+    Symmetry is checked first, then :func:`check_regular_hadamard`, then
+    the constant diagonal; each violation is reported by name.
+    """
+    H = np.asarray(H)
+    if H.ndim == 2 and not np.array_equal(H, H.T):
+        raise ValueError("Hadamard matrix must be symmetric")
+    H, _ = check_regular_hadamard(H)
+    n = H.shape[0]
     diag = np.diag(H)
     if not np.all(diag == diag[0]):
         raise ValueError("Hadamard matrix must have constant diagonal")

@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .cospec import SignPattern
-from .graphs import NOT_SRG, Graph, validate_srg
+from .cospec import TAU_FLAT, SignPattern
+from .graphs import NOT_SRG, Graph, check_regular_hadamard, validate_srg
 from .spectra import (
     SpectralDecomposition,
     eigendecompose_symmetric,
@@ -44,8 +44,6 @@ from .walk import (
 
 logger = logging.getLogger(__name__)
 
-#: flatness tolerance for sign-pattern combinations, per entry against +-1
-TAU_FLAT = 1e-6
 #: integer-relation residual tolerance
 TAU_REL = 1e-9
 #: default coefficient bound for the relation scan
@@ -130,41 +128,14 @@ def certificate_from_json(data: dict) -> HadamardCertificate:
 
 
 def regular_hadamard_validate(H: np.ndarray) -> HadamardCertificate:
-    """Check that H is a regular Hadamard matrix and certify it.
-
-    Conditions checked exactly in integer arithmetic, each reported by
-    name on failure: +-1 entries, H H^T = nI, order in {1, 2} or divisible
-    by 4, constant row sums, and the consequence that the order is then a
-    perfect square with |row sum| = sqrt(order).
-    """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"Hadamard matrix must be square, got shape {H.shape}")
-    if not np.all(H == H.astype(np.int64)):
-        raise ValueError("Hadamard matrix must be integer valued")
-    H = H.astype(np.int64)
-    n = H.shape[0]
-    if not np.isin(H, (-1, 1)).all():
-        raise ValueError("entries must be +1 or -1")
-    if not np.array_equal(H @ H.T, n * np.eye(n, dtype=np.int64)):
-        raise ValueError("fails H H^T = nI")
-    if n not in (1, 2) and n % 4 != 0:
-        raise ValueError(f"order {n} is not 1, 2, or divisible by 4")
-    row_sums = H.sum(axis=1)
-    if not np.all(row_sums == row_sums[0]):
-        raise ValueError("row sums are not constant, matrix is not regular")
-    s = int(row_sums[0])
-    root = math.isqrt(n)
-    if root * root != n or abs(s) != root:
-        raise ValueError(
-            f"regular Hadamard matrix of order {n} must have |row sum| sqrt(n), got {s}"
-        )
-    H = H.copy()
-    H.setflags(write=False)
+    """Certify a regular Hadamard matrix. The conditions are those of
+    :func:`arcwalk.graphs.check_regular_hadamard`, checked exactly in
+    integer arithmetic; a failure raises ValueError naming the condition."""
+    H, row_sum = check_regular_hadamard(H)
     return HadamardCertificate(
         matrix=H,
-        order=n,
-        row_sum=s,
+        order=H.shape[0],
+        row_sum=row_sum,
         symmetric=bool(np.array_equal(H, H.T)),
         pattern=None,
     )
@@ -178,7 +149,9 @@ def hadamard_search(
     Each canonical pattern (valency sign +1; the negated twin is the same
     certificate) is tested by forming M = sqrt(n) sum_r c_r E_r and
     accepting iff every entry is within ``tau_flat`` of +-1. Accepted
-    matrices are rounded to integers and re-verified exactly. Certificates
+    matrices are rounded to integers and re-verified exactly by
+    :func:`arcwalk.graphs.check_regular_hadamard`; a rounded matrix that
+    fails is logged with the failed condition and skipped. Certificates
     come back ordered by pattern encoding.
     """
     d = dec.num_classes - 1
@@ -197,35 +170,13 @@ def hadamard_search(
         M = sqrt_n * M
         if float(np.abs(np.abs(M) - 1.0).max()) > tau_flat:
             continue
-        H = np.rint(M).astype(np.int64)
-        if not np.isin(H, (-1, 1)).all():
-            logger.warning("pattern %s rounded outside +-1, skipped", pattern.label())
+        try:
+            cert = regular_hadamard_validate(np.rint(M))
+        except ValueError as exc:
+            logger.warning("pattern %s skipped: %s", pattern.label(), exc)
             continue
-        if not np.array_equal(H @ H.T, n * np.eye(n, dtype=np.int64)):
-            logger.warning("pattern %s failed exact H H^T = nI, skipped", pattern.label())
-            continue
-        row_sums = H.sum(axis=1)
-        if not np.all(row_sums == row_sums[0]):
-            logger.warning("pattern %s has non-constant row sums, skipped", pattern.label())
-            continue
-        H.setflags(write=False)
-        certificates.append(
-            HadamardCertificate(
-                matrix=H,
-                order=n,
-                row_sum=int(row_sums[0]),
-                symmetric=bool(np.array_equal(H, H.T)),
-                pattern=pattern,
-            )
-        )
+        certificates.append(replace(cert, pattern=pattern))
     certificates.sort(key=lambda c: c.pattern.encode())
-    if certificates:
-        root = math.isqrt(n)
-        if root * root != n or (n > 2 and n % 4 != 0):
-            raise RuntimeError(
-                f"flat certificate found on order {n}, which admits no regular "
-                "Hadamard matrix; idempotents are inconsistent"
-            )
     return certificates
 
 
@@ -295,6 +246,28 @@ def _canonical_half_chunks(bound: int, d: int):
             yield block[keep]
 
 
+def _integer_root(x: int, d: int) -> int:
+    """Largest r >= 0 with r**d <= x, exact for any integer size."""
+    lo, hi = 0, 1 << (x.bit_length() // d + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**d <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def relation_scan_bound(bound: int, d: int, max_enumeration: int) -> int:
+    """Largest B in [1, bound] whose half box ((2B+1)^d - 1) // 2 of
+    relation vectors fits the enumeration cap, or 1 when none does.
+
+    (2B+1)^d is odd, so the cap condition is (2B+1)^d <= 2 cap + 1.
+    """
+    fits = (_integer_root(2 * max_enumeration + 1, d) - 1) // 2
+    return max(1, min(bound, fits))
+
+
 def phase_condition_check(
     angles,
     sigmas,
@@ -327,9 +300,7 @@ def phase_condition_check(
             relations=(), violating=None,
         )
 
-    effective = bound
-    while effective > 1 and ((2 * effective + 1) ** d - 1) // 2 > max_enumeration:
-        effective -= 1
+    effective = relation_scan_bound(bound, d, max_enumeration)
     if effective < bound:
         logger.info(
             "relation scan bound reduced %d -> %d to respect enumeration cap",
@@ -849,8 +820,7 @@ def simultaneous_mixing_check(
         )
 
     angles_all = np.array([float(th) for th in dec.angles[1:]])
-    T = arcs.tail_incidence.astype(complex)
-    start_block = T.T / np.sqrt(arcs.k)
+    start_block = np.eye(g.n, dtype=complex)[arcs.tails] / np.sqrt(arcs.k)
     fallback: MixingReport | None = None
     for cert in certificates:
         sigmas_all = np.array(cert.pattern.sigmas, dtype=np.int64)
@@ -878,7 +848,7 @@ def simultaneous_mixing_check(
             budget=budget, t_max=t_max, phase_status=kron.status,
         )
         evolved = evolve_operator(ws, start_block, search.t)
-        target = T.T @ cert.matrix.astype(complex) / np.sqrt(g.n * arcs.k)
+        target = cert.matrix[arcs.tails].astype(complex) / np.sqrt(g.n * arcs.k)
         inner = complex(np.trace(target.conj().T @ evolved))
         gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
         residual = float(np.linalg.norm(evolved - gamma * target))

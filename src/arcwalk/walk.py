@@ -42,98 +42,92 @@ class WalkSpectrumError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ArcSpace:
-    """Indexed arcs of a regular graph with incidence and reversal operators.
+    """Arcs of a k-regular graph as index arrays.
 
-    Arcs are ordered lexicographically by (tail, head). ``tail_incidence``
-    and ``head_incidence`` are n x nk 0/1 matrices; ``reversal`` is the
-    nk x nk permutation matrix swapping (u, v) with (v, u).
+    Arcs are ordered lexicographically by (tail, head), so arc i has tail
+    i // k and the arcs leaving vertex u fill the block u*k .. u*k + k - 1.
+    ``reversal_perm[i]`` is the position of the reverse of arc i; the
+    reversal operator acts on an arc vector x as x[reversal_perm].
     """
 
     n: int
     k: int
-    arcs: tuple[tuple[int, int], ...]
-    tail_incidence: np.ndarray
-    head_incidence: np.ndarray
-    reversal: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
     reversal_perm: np.ndarray
 
     @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.tails)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
 
     def arc_index(self, u: int, v: int) -> int:
         """Position of arc (u, v); raises KeyError for a non-arc."""
-        idx = self._index.get((u, v))
-        if idx is None:
-            raise KeyError(f"({u}, {v}) is not an arc of the graph")
-        return idx
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {arc: i for i, arc in enumerate(self.arcs)}
-        )
+        if 0 <= u < self.n:
+            block = self.heads[u * self.k : (u + 1) * self.k]
+            j = int(np.searchsorted(block, v))
+            if j < self.k and block[j] == v:
+                return u * self.k + j
+        raise KeyError(f"({u}, {v}) is not an arc of the graph")
 
 
 def build_arc_space(g: Graph) -> ArcSpace:
-    """Enumerate arcs of a regular graph and build the incidence operators.
+    """Enumerate the arcs of a regular graph as index arrays.
 
-    The exact identities T T^T = H H^T = kI, T H^T = A, R^2 = I, and
-    R T^T = H^T (arc reversal swaps tails with heads) are asserted in
-    integer arithmetic before returning.
+    The identities T T^T = H H^T = kI, T H^T = A, R^2 = I, and R T^T = H^T
+    (arc reversal swaps tails with heads) of the tail incidence T, head
+    incidence H and reversal R are checked exactly on the index arrays
+    before returning.
     """
     if g.degree is None:
         raise ValueError("arc space requires a regular graph")
     if g.degree < 1:
         raise ValueError("arc space requires valency at least 1")
     n, k = g.n, g.degree
-    arcs = [
-        (u, int(v)) for u in range(n) for v in np.flatnonzero(g.adjacency[u])
-    ]
-    m = len(arcs)
+    A = g.adjacency
+    tails, heads = np.nonzero(A)
+    m = len(tails)
+    # the reverse of (u, v) sits in block v at the rank of u among v's neighbours
+    rank = np.cumsum(A, axis=1) - 1
+    perm = heads * k + rank[heads, tails]
 
-    tails = np.zeros((n, m), dtype=np.int64)
-    heads = np.zeros((n, m), dtype=np.int64)
-    index = {arc: i for i, arc in enumerate(arcs)}
-    perm = np.zeros(m, dtype=np.int64)
-    for i, (u, v) in enumerate(arcs):
-        tails[u, i] = 1
-        heads[v, i] = 1
-        perm[i] = index[(v, u)]
-    reversal = np.zeros((m, m), dtype=np.int64)
-    reversal[perm, np.arange(m)] = 1
-
-    eye = np.eye(m, dtype=np.int64)
     checks = {
-        "tail gram": np.array_equal(tails @ tails.T, k * np.eye(n, dtype=np.int64)),
-        "head gram": np.array_equal(heads @ heads.T, k * np.eye(n, dtype=np.int64)),
-        "tail-head product": np.array_equal(tails @ heads.T, g.adjacency),
-        "reversal involution": np.array_equal(reversal @ reversal, eye),
-        "reversal swaps incidence": np.array_equal(reversal @ tails.T, heads.T),
+        "tail gram": np.array_equal(np.bincount(tails, minlength=n), np.full(n, k)),
+        "head gram": np.array_equal(np.bincount(heads, minlength=n), np.full(n, k)),
+        "tail-head product": m == n * k and bool(np.all(A[tails, heads] == 1)),
+        "reversal involution": np.array_equal(perm[perm], np.arange(m)),
+        "reversal swaps incidence": np.array_equal(heads[perm], tails),
     }
     bad = [name for name, ok in checks.items() if not ok]
     if bad:
         raise RuntimeError(f"arc space identities failed: {', '.join(bad)}")
 
-    tails.setflags(write=False)
-    heads.setflags(write=False)
-    reversal.setflags(write=False)
-    perm.setflags(write=False)
-    return ArcSpace(
-        n=n,
-        k=k,
-        arcs=tuple(arcs),
-        tail_incidence=tails,
-        head_incidence=heads,
-        reversal=reversal,
-        reversal_perm=perm,
-    )
+    for arr in (tails, heads, perm):
+        arr.setflags(write=False)
+    return ArcSpace(n=n, k=k, tails=tails, heads=heads, reversal_perm=perm)
+
+
+def tail_sum(arc_space: ArcSpace, x: np.ndarray) -> np.ndarray:
+    """T x: sum an arc vector (or the rows of an arc matrix) over each
+    vertex's block of k outgoing arcs."""
+    x = np.asarray(x)
+    return x.reshape(arc_space.n, arc_space.k, *x.shape[1:]).sum(axis=1)
+
+
+def apply_walk(arc_space: ArcSpace, x: np.ndarray) -> np.ndarray:
+    """U x = R (2/k T^T T - I) x in O(m) per column: Grover coin on each
+    tail block, then arc reversal."""
+    x = np.asarray(x)
+    spread = np.repeat(tail_sum(arc_space, x), arc_space.k, axis=0)
+    return ((2.0 / arc_space.k) * spread - x)[arc_space.reversal_perm]
 
 
 def transition_matrix(arc_space: ArcSpace) -> np.ndarray:
     """One-step walk operator U = R (2/k * T^T T - I), real orthogonal."""
-    T = arc_space.tail_incidence.astype(float)
-    coin = (2.0 / arc_space.k) * (T.T @ T) - np.eye(arc_space.num_arcs)
-    return arc_space.reversal.astype(float) @ coin
+    return apply_walk(arc_space, np.eye(arc_space.num_arcs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +178,10 @@ def walk_spectrum_residuals(
         bipartite = dec.has_minus_k
     m = arc_space.num_arcs
     k = arc_space.k
-    T = arc_space.tail_incidence.astype(float)
+
+    def tail_project(P):
+        # T P T^T, summing rows then columns over the tail blocks
+        return tail_sum(arc_space, tail_sum(arc_space, P).T).T
 
     projections = [ws.proj_plus1, ws.proj_minus1]
     projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.minus))
@@ -205,13 +202,13 @@ def walk_spectrum_residuals(
     resolution = float(np.abs(recon - U).max())
 
     correspondence = float(
-        np.abs(T @ ws.proj_plus1 @ T.T - k * dec.idempotents[0]).max()
+        np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max()
     )
     for pair in ws.pairs:
         E = dec.idempotents[pair.index]
         for P in (pair.plus, pair.minus):
             correspondence = max(
-                correspondence, float(np.abs(T @ P @ T.T - (k / 2.0) * E).max())
+                correspondence, float(np.abs(tail_project(P) - (k / 2.0) * E).max())
             )
 
     residuals = {
@@ -224,7 +221,7 @@ def walk_spectrum_residuals(
     }
     if bipartite:
         residuals["minus_one_correspondence"] = float(
-            np.abs(T @ ws.proj_minus1 @ T.T - k * dec.idempotents[-1]).max()
+            np.abs(tail_project(ws.proj_minus1) - k * dec.idempotents[-1]).max()
         )
     return residuals
 
@@ -249,8 +246,7 @@ def walk_spectrum(
     the incidence maps.
     """
     k = arc_space.k
-    T = arc_space.tail_incidence.astype(float)
-    H = arc_space.head_incidence.astype(float)
+    tails, heads = arc_space.tails, arc_space.heads
     m = arc_space.num_arcs
 
     pairs = []
@@ -260,26 +256,28 @@ def walk_spectrum(
             continue
         E = dec.idempotents[r]
         phase = np.exp(1j * theta)
-        left = T.T - phase * H.T
-        right = T - np.conj(phase) * H
-        plus = (left @ E @ right) / (2.0 * k * np.sin(theta) ** 2)
+        # rows of (T^T - e^{i theta} H^T) E, then its columns gathered by
+        # (T - e^{-i theta} H)
+        left = E[tails] - phase * E[heads]
+        plus = (left[:, tails] - np.conj(phase) * left[:, heads]) / (
+            2.0 * k * np.sin(theta) ** 2
+        )
         minus = plus.conj()
         plus.setflags(write=False)
         minus.setflags(write=False)
         pairs.append(EigenphasePair(index=r, theta=theta, plus=plus, minus=minus))
 
-    U = transition_matrix(arc_space)
     residual = np.eye(m, dtype=complex)
     for pair in pairs:
         residual = residual - pair.plus - pair.minus
-    plus1 = (residual + U @ residual) / 2.0
+    plus1 = (residual + apply_walk(arc_space, residual)) / 2.0
     minus1 = residual - plus1
     plus1.setflags(write=False)
     minus1.setflags(write=False)
 
     ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, pairs=tuple(pairs))
     if verify:
-        residuals = walk_spectrum_residuals(dec, arc_space, ws, U=U)
+        residuals = walk_spectrum_residuals(dec, arc_space, ws)
         bad = {name: val for name, val in residuals.items() if val > tau}
         if bad:
             raise WalkSpectrumError(
@@ -315,7 +313,9 @@ def initial_state(arc_space: ArcSpace, a: int) -> State:
     """Uniform superposition over the arcs leaving vertex a."""
     if not 0 <= a < arc_space.n:
         raise ValueError(f"vertex {a} out of range [0, {arc_space.n})")
-    amp = arc_space.tail_incidence[a].astype(complex) / np.sqrt(arc_space.k)
+    k = arc_space.k
+    amp = np.zeros(arc_space.num_arcs, dtype=complex)
+    amp[a * k : (a + 1) * k] = 1.0 / np.sqrt(k)
     return State(amp)
 
 
@@ -326,7 +326,7 @@ def flat_arc_state(arc_space: ArcSpace, w: np.ndarray) -> State:
         raise ValueError(f"sign vector must have shape ({arc_space.n},)")
     if not np.isin(w, (-1, 1)).all():
         raise ValueError("sign vector entries must be +1 or -1")
-    amp = arc_space.tail_incidence.T.astype(complex) @ w.astype(complex)
+    amp = w[arc_space.tails].astype(complex)
     return State(amp / np.sqrt(arc_space.n * arc_space.k))
 
 
@@ -385,10 +385,7 @@ def entry_formula(
         column = dec.idempotents[r][:, a]
         head_part = head_part + (np.sin(t * theta) / np.sin(theta)) * column
         tail_part = tail_part - (np.sin((t - 1) * theta) / np.sin(theta)) * column
-    amp = (
-        arc_space.tail_incidence.T @ tail_part
-        + arc_space.head_incidence.T @ head_part
-    ) / np.sqrt(k)
+    amp = (tail_part[arc_space.tails] + head_part[arc_space.heads]) / np.sqrt(k)
     return State(amp)
 
 
@@ -421,8 +418,9 @@ def imaginary_flatness_deficit(
     if not g.is_bipartite or g.color_class is None:
         raise ValueError("imaginary flatness profile requires a bipartite graph")
     chi = g.color_class
-    tails = np.array([arc[0] for arc in arc_space.arcs])
-    predicted = np.sin(np.pi * t) * chi[tails] * chi[a] / (g.n * np.sqrt(arc_space.k))
+    predicted = (
+        np.sin(np.pi * t) * chi[arc_space.tails] * chi[a] / (g.n * np.sqrt(arc_space.k))
+    )
     return float(np.abs(x.amplitudes.imag - predicted).max())
 
 

@@ -32,6 +32,21 @@ NON_BIPARTITE = ("k4", "k5", "petersen", "rook3", "rook4")
 ALL_GRAPHS = tuple(GRAPH_BUILDERS)
 
 
+def dense_incidence(arcs: ArcSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense oracle for the index arrays: the n x m tail and head incidence
+    matrices T, H and the m x m reversal permutation R, all int64, with
+    R x = x[reversal_perm]."""
+    m = arcs.num_arcs
+    cols = np.arange(m)
+    T = np.zeros((arcs.n, m), dtype=np.int64)
+    H = np.zeros((arcs.n, m), dtype=np.int64)
+    R = np.zeros((m, m), dtype=np.int64)
+    T[arcs.tails, cols] = 1
+    H[arcs.heads, cols] = 1
+    R[arcs.reversal_perm, cols] = 1
+    return T, H, R
+
+
 @dataclass(frozen=True, eq=False)
 class Bundle:
     graph: Graph

@@ -32,7 +32,7 @@ from arcwalk.cospec import ColumnTarget
 from arcwalk.mixing import HOLDS
 from arcwalk.walk import State
 
-from conftest import ALL_GRAPHS, GRAPH_BUILDERS, NON_BIPARTITE, get_bundle
+from conftest import ALL_GRAPHS, GRAPH_BUILDERS, NON_BIPARTITE, dense_incidence, get_bundle
 
 
 @contextlib.contextmanager
@@ -64,7 +64,7 @@ def test_criterion_02_projection_correspondence():
     with criterion(2, "idempotent-correspondence"):
         for name in ALL_GRAPHS:
             b = get_bundle(name)
-            T = b.arcs.tail_incidence
+            T = dense_incidence(b.arcs)[0]
             k = b.graph.degree
             for pair in b.ws.pairs:
                 E = b.dec.idempotents[pair.index]
@@ -74,7 +74,7 @@ def test_criterion_02_projection_correspondence():
             dev0 = np.abs(T @ b.ws.proj_plus1 @ T.T - k * b.dec.idempotents[0]).max()
             assert dev0 < 1e-9, (name, dev0)
         c4 = get_bundle("c4")
-        T = c4.arcs.tail_incidence
+        T = dense_incidence(c4.arcs)[0]
         dev = np.abs(
             T @ c4.ws.proj_minus1 @ T.T - c4.graph.degree * c4.dec.idempotents[-1]
         ).max()
@@ -124,7 +124,7 @@ def test_criterion_05_k4_uniform_mixing_instant():
         xt = evolve(b.ws, initial_state(b.arcs, 0), t)
         assert flatness_deficit(xt) < 1e-9
         H = np.ones((4, 4)) - 2 * np.eye(4)
-        y = b.arcs.tail_incidence.T @ H[:, 0] / np.sqrt(12)
+        y = dense_incidence(b.arcs)[0].T @ H[:, 0] / np.sqrt(12)
         inner = np.vdot(y, xt.amplitudes)
         gamma = inner / abs(inner)
         assert np.linalg.norm(xt.amplitudes - gamma * y) < 1e-9
@@ -193,7 +193,7 @@ def _curated_pairs(name):
         for a in (0, 1):
             target = flat_target_profile(b.dec, a, cert.pattern)
             assert isinstance(target, ColumnTarget) and target.flat
-            y = b.arcs.tail_incidence.T @ target.vector / np.sqrt(b.graph.degree)
+            y = dense_incidence(b.arcs)[0].T @ target.vector / np.sqrt(b.graph.degree)
             pairs.append((a, State(y)))
     rng = np.random.default_rng(11)
     for _ in range(20):

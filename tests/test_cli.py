@@ -183,16 +183,29 @@ def test_graph_sources_are_exclusive(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_threads_env_round_trip(monkeypatch, capsys):
-    monkeypatch.setenv("ARC_WALK_THREADS", "8")
-    code, _, _ = run_cli(["analyze", "--builtin", "k4"], capsys)
-    assert code == 0
-    monkeypatch.setenv("ARC_WALK_THREADS", "abc")
-    code, _, err = run_cli(["analyze", "--builtin", "k4"], capsys)
-    assert code == 2 and "ARC_WALK_THREADS" in err
-    monkeypatch.setenv("ARC_WALK_THREADS", "0")
-    code, _, err = run_cli(["analyze", "--builtin", "k4"], capsys)
-    assert code == 2 and "ARC_WALK_THREADS" in err
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("evolve", "--t", "inf"),
+        ("evolve", "--t", "nan"),
+        ("mix", "--epsilon", "nan"),
+        ("mix", "--epsilon", "inf"),
+        ("mix", "--epsilon", "-0.1"),
+        ("mix", "--t-max", "inf"),
+        ("mix", "--t-max", "-1"),
+        ("mix", "--tau-flat", "nan"),
+        ("mix", "--tau-flat", "0"),
+        ("mix", "--tau-rel", "inf"),
+        ("mix", "--tau-rel", "-1e-9"),
+        ("mix", "--budget", "-5"),
+        ("mix", "--relation-bound", "0"),
+    ],
+)
+def test_bad_numbers_exit_two(command, flag, value, capsys):
+    code, out, err = run_cli([command, "--builtin", "k4", f"{flag}={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err
 
 
 @pytest.mark.parametrize(

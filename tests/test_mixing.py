@@ -23,9 +23,9 @@ from arcwalk import (
     simultaneous_mixing_check,
     time_search,
 )
-from arcwalk.mixing import HOLDS, INCONCLUSIVE, VIOLATED
+from arcwalk.mixing import HOLDS, INCONCLUSIVE, VIOLATED, relation_scan_bound
 
-from conftest import GRAPH_BUILDERS, get_bundle
+from conftest import ALL_GRAPHS, GRAPH_BUILDERS, get_bundle
 
 H4 = np.ones((4, 4), int) - 2 * np.eye(4, dtype=int)
 
@@ -61,6 +61,20 @@ def test_hadamard_certificates_survive_revalidation():
         again = regular_hadamard_validate(cert.matrix)
         assert again.row_sum == cert.row_sum
         assert again.symmetric == cert.symmetric
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_hadamard_search_loose_tolerance_keeps_only_valid_certificates(name, caplog):
+    # every pattern passes a flatness tolerance of 10, so the exact
+    # validator alone decides; it must skip, never raise
+    dec = get_bundle(name).dec
+    certs = hadamard_search(dec, tau_flat=10.0)
+    for cert in certs:
+        again = regular_hadamard_validate(cert.matrix)
+        assert again.row_sum == cert.row_sum and again.symmetric == cert.symmetric
+    strict = [c.pattern for c in hadamard_search(dec)]
+    assert [c.pattern for c in certs] == strict
+    assert len(caplog.records) == 2 ** (dec.num_classes - 1) - len(strict)
 
 
 def test_regular_hadamard_validate_rejections():
@@ -121,6 +135,31 @@ def test_phase_condition_inconclusive_when_bound_reduced():
     )
     assert verdict.status == INCONCLUSIVE
     assert verdict.bound < verdict.requested_bound == 20
+
+
+def test_phase_condition_huge_bound_returns_at_once():
+    angles = [1.0, np.sqrt(2), np.sqrt(3), np.sqrt(5), np.sqrt(7)]
+    verdict = phase_condition_check(
+        angles, [0] * 5, "integer", bound=10**9, max_enumeration=100_000
+    )
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.requested_bound == 10**9
+    assert verdict.bound == relation_scan_bound(20, 5, 100_000)
+
+
+def test_relation_scan_bound_matches_brute_force():
+    def reference(bound, d, cap):
+        effective = bound
+        while effective > 1 and ((2 * effective + 1) ** d - 1) // 2 > cap:
+            effective -= 1
+        return effective
+
+    for cap in (0, 1, 13, 100_000, 5_000_000):
+        for d in range(1, 9):
+            for bound in range(1, 41):
+                assert relation_scan_bound(bound, d, cap) == reference(bound, d, cap), (
+                    bound, d, cap,
+                )
 
 
 def test_phase_condition_input_checks():

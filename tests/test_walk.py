@@ -23,7 +23,7 @@ from arcwalk import (
     walk_spectrum_residuals,
 )
 
-from conftest import ALL_GRAPHS, NON_BIPARTITE, get_bundle
+from conftest import ALL_GRAPHS, NON_BIPARTITE, dense_incidence, get_bundle
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -33,7 +33,7 @@ def test_arc_space_shapes_and_identities(name):
     m = g.n * g.degree
     assert arcs.num_arcs == m
     assert list(arcs.arcs) == sorted(arcs.arcs)  # lexicographic order
-    T, H, R = arcs.tail_incidence, arcs.head_incidence, arcs.reversal
+    T, H, R = dense_incidence(arcs)
     k = g.degree
     assert np.array_equal(T @ T.T, k * np.eye(g.n, dtype=int))
     assert np.array_equal(H @ H.T, k * np.eye(g.n, dtype=int))
@@ -70,8 +70,7 @@ def test_projection_ranks_on_k4():
     # incidence-kernel components, computed here by an SVD rank oracle
     b = get_bundle("k4")
     m = b.arcs.num_arcs
-    R = b.arcs.reversal.astype(float)
-    T = b.arcs.tail_incidence.astype(float)
+    T, _, R = (M.astype(float) for M in dense_incidence(b.arcs))
     dim_anti = m - np.linalg.matrix_rank(np.vstack([np.eye(m) + R, T]))
     dim_sym = m - np.linalg.matrix_rank(np.vstack([np.eye(m) - R, T]))
     assert round(np.trace(b.ws.proj_plus1).real) == 1 + dim_anti
