@@ -100,7 +100,9 @@ def resolve_builtin(label: str) -> G.Graph:
     """Map a builtin name to a graph.
 
     Recognized: k4 (or k<n>, kn:<n>), c<n> / cycle:<n>, rook:<q>,
-    petersen, hadamard-srg:<m> for m <= 2, and complement:<builtin>.
+    petersen, hadamard-srg:<m> for m in 1, 2, 4, 8, 16 (order 4 m^2, from
+    Kronecker powers of the order-4 Hadamard matrix J - 2I), and
+    complement:<builtin>.
     """
     s = label.strip().lower()
     if s == "petersen":
@@ -123,9 +125,11 @@ def resolve_builtin(label: str) -> G.Graph:
     match = re.fullmatch(r"hadamard-srg:(\d+)", s)
     if match:
         m = int(match.group(1))
-        if m < 1 or m > 2:
-            raise ValueError(f"hadamard-srg supports m in {{1, 2}}, got {m}")
-        H = _HADAMARD_4 if m == 1 else np.kron(_HADAMARD_4, _HADAMARD_4)
+        if m not in (1, 2, 4, 8, 16):
+            raise ValueError(f"hadamard-srg supports m in 1, 2, 4, 8, 16, got {m}")
+        H = _HADAMARD_4
+        for _ in range(m.bit_length() - 1):
+            H = np.kron(H, _HADAMARD_4)
         return G.srg_from_regular_hadamard(H, name=s)
     raise ValueError(f"unknown builtin graph {label!r}")
 
@@ -239,6 +243,8 @@ def cmd_mix(cfg: RunConfig) -> int:
         lines.append(f"gamma = {report.gamma.real:+.12g} {report.gamma.imag:+.12g}j")
     if report.residual is not None:
         lines.append(f"residual = {report.residual:.6e}")
+    if report.walk_residual is not None:
+        lines.append(f"walk residual = {report.walk_residual:.3e}")
     lines.append(f"support: {list(report.support) if report.support else None}")
     for note in report.notes:
         lines.append(f"note: {note}")
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--builtin", help="builtin graph, e.g. k4, cycle:5, rook:4, petersen, complement:k4, hadamard-srg:2")
+        src.add_argument("--builtin", help="builtin graph, e.g. k4, cycle:5, rook:4, petersen, complement:k4, hadamard-srg:M with M in 1, 2, 4, 8, 16")
         src.add_argument("--edges", help="path to an edge-list file ('n m' header, 'u v' lines)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -217,8 +217,8 @@ def petersen_graph(name: str = "petersen") -> Graph:
 
 
 def check_regular_hadamard(H: np.ndarray) -> tuple[np.ndarray, int]:
-    """Check exactly, in integer arithmetic, that H is a regular Hadamard
-    matrix; return it as a read-only int64 copy with its row sum.
+    """Check exactly that H is a regular Hadamard matrix; return it as a
+    read-only int64 copy with its row sum.
 
     Conditions, each reported by name in a ValueError: square and integer
     valued, +-1 entries, H H^T = nI, order 1, 2 or divisible by 4,
@@ -234,7 +234,9 @@ def check_regular_hadamard(H: np.ndarray) -> tuple[np.ndarray, int]:
     n = H.shape[0]
     if not np.isin(H, (-1, 1)).all():
         raise ValueError("Hadamard matrix entries must be +1 or -1")
-    if not np.array_equal(H @ H.T, n * np.eye(n, dtype=np.int64)):
+    # float64 (BLAS) products are exact: every entry is an integer of size <= n
+    F = H.astype(float)
+    if not np.array_equal(F @ F.T, n * np.eye(n)):
         raise ValueError("matrix fails H H^T = nI, not a Hadamard matrix")
     if n not in (1, 2) and n % 4 != 0:
         raise ValueError(f"order {n} is not 1, 2, or divisible by 4")
@@ -290,7 +292,9 @@ def validate_srg(g: Graph):
         raise ValueError("validate_srg requires a connected graph")
     A = g.adjacency.astype(np.int64)
     n, k = g.n, g.degree
-    A2 = A @ A
+    # float64 (BLAS) product, exact: every entry is an integer of size <= n
+    F = g.adjacency.astype(float)
+    A2 = (F @ F).astype(np.int64)
     adjacent = A == 1
     nonadjacent = (A == 0) & ~np.eye(n, dtype=bool)
     if not nonadjacent.any():

@@ -12,10 +12,19 @@ to align near 1 for every eigenvalue class in the vertex support. An
 integer-relation scan over the angles decides whether alignment to any
 precision is possible (the phase condition); a grid or integer scan then
 finds an explicit time within the requested epsilon.
+
+The search runs on the n x n adjacency layer, so a graph with no flat
+pattern is refused before any arc is enumerated. U^t on the start block
+comes from :func:`arcwalk.walk.entry_block`, whose eigen-components are
+checked once, for every t, against the O(m) walk on the arc arrays by
+:func:`arcwalk.walk.check_closed_form`. Both work on chunks of start
+vertices, so a simultaneous check holds O(BLOCK_ENTRIES) amplitudes, not
+all m x n.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -31,16 +40,7 @@ from .spectra import (
     eigendecompose_symmetric,
     eigenvalue_support,
 )
-from .walk import (
-    ArcSpace,
-    WalkSpectrum,
-    build_arc_space,
-    evolve,
-    evolve_operator,
-    flat_arc_state,
-    initial_state,
-    walk_spectrum,
-)
+from .walk import build_arc_space, check_closed_form, entry_block, start_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +129,8 @@ def certificate_from_json(data: dict) -> HadamardCertificate:
 
 def regular_hadamard_validate(H: np.ndarray) -> HadamardCertificate:
     """Certify a regular Hadamard matrix. The conditions are those of
-    :func:`arcwalk.graphs.check_regular_hadamard`, checked exactly in
-    integer arithmetic; a failure raises ValueError naming the condition."""
+    :func:`arcwalk.graphs.check_regular_hadamard`, checked exactly; a
+    failure raises ValueError naming the condition."""
     H, row_sum = check_regular_hadamard(H)
     return HadamardCertificate(
         matrix=H,
@@ -571,7 +571,8 @@ class MixingReport:
     ``vertex`` is None for simultaneous checks. ``support`` lists the
     eigenvalue classes of the start vertex (all classes when simultaneous).
     ``verdict`` is one of success, no-flat-target, phase-obstruction,
-    budget-exhausted.
+    budget-exhausted. ``walk_residual`` is the largest closed-form defect
+    (:func:`arcwalk.walk.check_closed_form`), None without a certificate.
     """
 
     graph: str
@@ -583,6 +584,7 @@ class MixingReport:
     t: float | None
     gamma: complex | None
     residual: float | None
+    walk_residual: float | None
     verdict: str
     support: tuple[int, ...] | None
     notes: tuple[str, ...]
@@ -602,6 +604,7 @@ class MixingReport:
             if self.gamma is None
             else [float(self.gamma.real), float(self.gamma.imag)],
             "residual": self.residual,
+            "walk_residual": self.walk_residual,
             "verdict": self.verdict,
             "support": None if self.support is None else list(self.support),
             "notes": list(self.notes),
@@ -610,7 +613,8 @@ class MixingReport:
 
 def report_from_json(data: dict) -> MixingReport:
     """Rebuild a report from its JSON dict; the certificate matrix is
-    recovered only when it was emitted."""
+    recovered only when it was emitted, and a missing ``walk_residual``
+    reads as None."""
     return MixingReport(
         graph=data["graph"],
         vertex=None if data["vertex"] is None else int(data["vertex"]),
@@ -623,13 +627,38 @@ def report_from_json(data: dict) -> MixingReport:
         t=None if data["t"] is None else float(data["t"]),
         gamma=None if data["gamma"] is None else complex(data["gamma"][0], data["gamma"][1]),
         residual=None if data["residual"] is None else float(data["residual"]),
+        walk_residual=None if data.get("walk_residual") is None else float(data["walk_residual"]),
         verdict=data["verdict"],
         support=None if data["support"] is None else tuple(int(r) for r in data["support"]),
         notes=tuple(data["notes"]),
     )
 
 
-def _prepare(g: Graph):
+def _distance_to_target(dec, arcs, H, starts, t) -> tuple[complex, float]:
+    """gamma and || U^t X - gamma Y ||_F for the start block X = T^T E_s /
+    sqrt(k) and its lifted flat target Y = T^T H E_s / sqrt(nk), one chunk
+    of start columns s at a time: one pass finds gamma, a second the norm."""
+
+    def blocks():
+        for chunk in start_chunks(arcs, starts):
+            target = H[:, chunk][arcs.tails] / np.sqrt(dec.n * arcs.k)
+            yield entry_block(dec, arcs, chunk, t), target
+
+    inner = sum(complex(np.vdot(target, state)) for state, target in blocks())
+    gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
+    squares = sum(np.linalg.norm(state - gamma * target) ** 2 for state, target in blocks())
+    return gamma, float(np.sqrt(squares))
+
+
+def _mixing_report(
+    g, a, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel, graph_name
+) -> MixingReport:
+    """The one pipeline behind :func:`local_mixing_report` (start vertex a)
+    and :func:`simultaneous_mixing_check` (a is None: every vertex starts)."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if mode not in (MODE_INTEGER, MODE_REAL):
+        raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
     if g.degree is None:
         raise ValueError("mixing analysis requires a regular graph")
     if not g.is_connected:
@@ -639,23 +668,88 @@ def _prepare(g: Graph):
             "mixing analysis requires a non-bipartite graph; bipartite walks "
             "never reach a flat real target"
         )
+    if a is not None and not 0 <= a < g.n:
+        raise ValueError(f"vertex {a} out of range [0, {g.n})")
     dec = eigendecompose_symmetric(g)
-    arcs = build_arc_space(g)
-    ws = walk_spectrum(dec, arcs)
-    return dec, arcs, ws
-
-
-def _scheme_note(g: Graph) -> str | None:
-    try:
-        verdict = validate_srg(g)
-    except ValueError:
-        return None
-    if verdict == NOT_SRG:
-        return None
-    return (
-        "graph is strongly regular or complete, so the certificate and "
-        "mixing time do not depend on the start vertex"
+    notes = []
+    if validate_srg(g) != NOT_SRG:
+        notes.append(
+            "graph is strongly regular or complete, so the certificate and "
+            "mixing time do not depend on the start vertex"
+        )
+    full = tuple(range(dec.num_classes))
+    if a is None:
+        starts, support, slack = np.arange(g.n), full, C_SLACK * epsilon * np.sqrt(g.n)
+        thin = {b: s for b in range(g.n) if (s := eigenvalue_support(dec, b)) != full}
+        if thin:
+            notes.append(
+                "per-vertex supports are not uniform: "
+                + ", ".join(f"{b}: {list(s)}" for b, s in thin.items())
+            )
+    else:
+        starts, support, slack = np.array([a]), eigenvalue_support(dec, a), C_SLACK * epsilon
+        outside = [r for r in full[1:] if r not in support]
+        if outside:
+            notes.append(
+                f"classes {outside} lie outside the support of vertex {a}; their "
+                "sign bits are unconstrained"
+            )
+    classes = [r for r in support if r != 0]
+    report = functools.partial(
+        MixingReport,
+        graph=graph_name if graph_name is not None else (g.name or f"n{g.n}-k{g.degree}"),
+        vertex=a, mode=mode, epsilon=epsilon, support=support,
     )
+
+    certificates = hadamard_search(dec, tau_flat=tau_flat)
+    if not certificates:
+        root = math.isqrt(g.n)
+        if root * root != g.n:
+            notes.append(
+                f"order {g.n} is not a perfect square, so no flat sign "
+                "combination can exist"
+            )
+        return report(
+            certificate=None, kronecker=None, t=None, gamma=None, residual=None,
+            walk_residual=None, verdict=NO_FLAT_TARGET, notes=tuple(notes),
+        )
+
+    arcs = build_arc_space(g)
+    walk_residual = max(check_closed_form(dec, arcs, starts).values())
+    angles = np.array([float(dec.angles[r]) for r in classes])
+    fallback: MixingReport | None = None
+    for cert in certificates:
+        sigmas = np.array([cert.pattern.sigmas[r - 1] for r in classes], dtype=np.int64)
+        kron = phase_condition_check(
+            angles, sigmas, mode, bound=relation_bound, tau_rel=tau_rel
+        )
+        cert_notes = list(notes)
+        if kron.status == INCONCLUSIVE:
+            cert_notes.append(
+                f"relation scan stopped at bound {kron.bound} below the "
+                f"requested {kron.requested_bound}"
+            )
+        t = gamma = residual = None
+        if kron.status == VIOLATED:
+            verdict = PHASE_OBSTRUCTION
+        else:
+            search = time_search(
+                angles, sigmas, epsilon, mode,
+                budget=budget, t_max=t_max, phase_status=kron.status,
+            )
+            t = search.t
+            gamma, residual = _distance_to_target(dec, arcs, cert.matrix, starts, t)
+            verdict = SUCCESS if search.success and residual <= slack else BUDGET_EXHAUSTED
+            if verdict == BUDGET_EXHAUSTED:
+                cert_notes.append(f"best alignment deficit {search.deficit:.3e} at t={t}")
+        outcome = report(
+            certificate=cert, kronecker=kron, t=t, gamma=gamma, residual=residual,
+            walk_residual=walk_residual, verdict=verdict, notes=tuple(cert_notes),
+        )
+        if verdict == SUCCESS:
+            return outcome
+        fallback = fallback or outcome
+    return fallback
 
 
 def local_mixing_report(
@@ -672,103 +766,19 @@ def local_mixing_report(
 ) -> MixingReport:
     """Decide epsilon-uniform mixing from vertex a and assemble the report.
 
-    Pipeline: enumerate Hadamard certificates; for each, restrict the sign
-    bits to the eigenvalue support of a, run the integer-relation phase
-    check, search for an alignment time, and verify by direct evolution
-    that || U^t x_a - gamma y || <= C_SLACK * epsilon for the lifted flat
-    target y. The first certificate (lowest pattern encoding) that reaches
-    success wins; otherwise the first certificate's failure is reported.
+    Pipeline: enumerate Hadamard certificates (none: ``no-flat-target``,
+    before any arc work); build U^t x_a in closed form over the support of
+    a and check its eigen-components against the O(m) walk; then per
+    certificate, restrict the sign bits to the support, run the
+    integer-relation phase check, search for an alignment time, and
+    require || U^t x_a - gamma y || <= C_SLACK * epsilon for the lifted
+    flat target y. The first certificate (lowest pattern encoding) that
+    reaches success wins; otherwise the first certificate's failure is
+    reported.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if mode not in (MODE_INTEGER, MODE_REAL):
-        raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
-    dec, arcs, ws = _prepare(g)
-    if not 0 <= a < g.n:
-        raise ValueError(f"vertex {a} out of range [0, {g.n})")
-    name = graph_name if graph_name is not None else (g.name or f"n{g.n}-k{g.degree}")
-
-    notes: list[str] = []
-    scheme = _scheme_note(g)
-    if scheme:
-        notes.append(scheme)
-
-    support = eigenvalue_support(dec, a)
-    rs = [r for r in support if r != 0]
-    outside = sorted(set(range(1, dec.num_classes)) - set(rs))
-    if outside:
-        notes.append(
-            f"classes {outside} lie outside the support of vertex {a}; their "
-            "sign bits are unconstrained"
-        )
-
-    certificates = hadamard_search(dec, tau_flat=tau_flat)
-    if not certificates:
-        root = math.isqrt(g.n)
-        if root * root != g.n:
-            notes.append(
-                f"order {g.n} is not a perfect square, so no flat sign "
-                "combination can exist"
-            )
-        return MixingReport(
-            graph=name, vertex=a, mode=mode, epsilon=epsilon,
-            certificate=None, kronecker=None, t=None, gamma=None,
-            residual=None, verdict=NO_FLAT_TARGET, support=support,
-            notes=tuple(notes),
-        )
-
-    angles_sub = np.array([float(dec.angles[r]) for r in rs])
-    x0 = initial_state(arcs, a)
-    fallback: MixingReport | None = None
-    for cert in certificates:
-        sigmas_sub = np.array([cert.pattern.sigmas[r - 1] for r in rs], dtype=np.int64)
-        kron = phase_condition_check(
-            angles_sub, sigmas_sub, mode, bound=relation_bound, tau_rel=tau_rel
-        )
-        cert_notes = list(notes)
-        if kron.status == INCONCLUSIVE:
-            cert_notes.append(
-                f"relation scan stopped at bound {kron.bound} below the "
-                f"requested {kron.requested_bound}"
-            )
-        if kron.status == VIOLATED:
-            report = MixingReport(
-                graph=name, vertex=a, mode=mode, epsilon=epsilon,
-                certificate=cert, kronecker=kron, t=None, gamma=None,
-                residual=None, verdict=PHASE_OBSTRUCTION, support=support,
-                notes=tuple(cert_notes),
-            )
-            if fallback is None:
-                fallback = report
-            continue
-        search = time_search(
-            angles_sub, sigmas_sub, epsilon, mode,
-            budget=budget, t_max=t_max, phase_status=kron.status,
-        )
-        xt = evolve(ws, x0, search.t)
-        y = flat_arc_state(arcs, cert.matrix[:, a])
-        inner = complex(np.vdot(y.amplitudes, xt.amplitudes))
-        gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
-        residual = float(np.linalg.norm(xt.amplitudes - gamma * y.amplitudes))
-        if search.success and residual <= C_SLACK * epsilon:
-            return MixingReport(
-                graph=name, vertex=a, mode=mode, epsilon=epsilon,
-                certificate=cert, kronecker=kron, t=search.t, gamma=gamma,
-                residual=residual, verdict=SUCCESS, support=support,
-                notes=tuple(cert_notes),
-            )
-        cert_notes.append(
-            f"best alignment deficit {search.deficit:.3e} at t={search.t}"
-        )
-        report = MixingReport(
-            graph=name, vertex=a, mode=mode, epsilon=epsilon,
-            certificate=cert, kronecker=kron, t=search.t, gamma=gamma,
-            residual=residual, verdict=BUDGET_EXHAUSTED, support=support,
-            notes=tuple(cert_notes),
-        )
-        if fallback is None:
-            fallback = report
-    return fallback
+    return _mixing_report(
+        g, a, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel, graph_name
+    )
 
 
 def simultaneous_mixing_check(
@@ -784,90 +794,13 @@ def simultaneous_mixing_check(
 ) -> MixingReport:
     """Decide epsilon-uniform mixing simultaneously from every vertex.
 
-    All eigenvalue classes constrain the alignment (a class is in the
-    support of some vertex whenever its idempotent is nonzero), and the
-    verification residual is Frobenius over all start vertices at once:
+    The pipeline of :func:`local_mixing_report` with every vertex as a
+    start column. All eigenvalue classes constrain the alignment (a class
+    is in the support of some vertex whenever its idempotent is nonzero),
+    and the residual is Frobenius over all start vertices at once:
     || U^t T^T / sqrt(k) - gamma Y ||_F <= C_SLACK * epsilon * sqrt(n)
     with Y = T^T H / sqrt(nk).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if mode not in (MODE_INTEGER, MODE_REAL):
-        raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
-    dec, arcs, ws = _prepare(g)
-    name = graph_name if graph_name is not None else (g.name or f"n{g.n}-k{g.degree}")
-
-    notes: list[str] = []
-    scheme = _scheme_note(g)
-    if scheme:
-        notes.append(scheme)
-    supports = [eigenvalue_support(dec, a) for a in range(g.n)]
-    full = tuple(range(dec.num_classes))
-    if any(s != full for s in supports):
-        thin = {a: s for a, s in enumerate(supports) if s != full}
-        notes.append(
-            "per-vertex supports are not uniform: "
-            + ", ".join(f"{a}: {list(s)}" for a, s in sorted(thin.items()))
-        )
-
-    certificates = hadamard_search(dec, tau_flat=tau_flat)
-    if not certificates:
-        return MixingReport(
-            graph=name, vertex=None, mode=mode, epsilon=epsilon,
-            certificate=None, kronecker=None, t=None, gamma=None,
-            residual=None, verdict=NO_FLAT_TARGET, support=full,
-            notes=tuple(notes),
-        )
-
-    angles_all = np.array([float(th) for th in dec.angles[1:]])
-    start_block = np.eye(g.n, dtype=complex)[arcs.tails] / np.sqrt(arcs.k)
-    fallback: MixingReport | None = None
-    for cert in certificates:
-        sigmas_all = np.array(cert.pattern.sigmas, dtype=np.int64)
-        kron = phase_condition_check(
-            angles_all, sigmas_all, mode, bound=relation_bound, tau_rel=tau_rel
-        )
-        cert_notes = list(notes)
-        if kron.status == INCONCLUSIVE:
-            cert_notes.append(
-                f"relation scan stopped at bound {kron.bound} below the "
-                f"requested {kron.requested_bound}"
-            )
-        if kron.status == VIOLATED:
-            report = MixingReport(
-                graph=name, vertex=None, mode=mode, epsilon=epsilon,
-                certificate=cert, kronecker=kron, t=None, gamma=None,
-                residual=None, verdict=PHASE_OBSTRUCTION, support=full,
-                notes=tuple(cert_notes),
-            )
-            if fallback is None:
-                fallback = report
-            continue
-        search = time_search(
-            angles_all, sigmas_all, epsilon, mode,
-            budget=budget, t_max=t_max, phase_status=kron.status,
-        )
-        evolved = evolve_operator(ws, start_block, search.t)
-        target = cert.matrix[arcs.tails].astype(complex) / np.sqrt(g.n * arcs.k)
-        inner = complex(np.trace(target.conj().T @ evolved))
-        gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
-        residual = float(np.linalg.norm(evolved - gamma * target))
-        if search.success and residual <= C_SLACK * epsilon * np.sqrt(g.n):
-            return MixingReport(
-                graph=name, vertex=None, mode=mode, epsilon=epsilon,
-                certificate=cert, kronecker=kron, t=search.t, gamma=gamma,
-                residual=residual, verdict=SUCCESS, support=full,
-                notes=tuple(cert_notes),
-            )
-        cert_notes.append(
-            f"best alignment deficit {search.deficit:.3e} at t={search.t}"
-        )
-        report = MixingReport(
-            graph=name, vertex=None, mode=mode, epsilon=epsilon,
-            certificate=cert, kronecker=kron, t=search.t, gamma=gamma,
-            residual=residual, verdict=BUDGET_EXHAUSTED, support=full,
-            notes=tuple(cert_notes),
-        )
-        if fallback is None:
-            fallback = report
-    return fallback
+    return _mixing_report(
+        g, None, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel, graph_name
+    )

@@ -357,10 +357,24 @@ def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def entry_formula(
-    dec: SpectralDecomposition, arc_space: ArcSpace, a: int, t: float
-) -> State:
-    """Closed form for U^t x_a from adjacency idempotents alone.
+def _class_weights(theta: float) -> tuple[complex, complex]:
+    """Head and tail weights of the e^{i theta} eigen-component of U on the
+    adjacency class with angle theta in [0, pi): for X = E_r x it is
+    p = (head X[heads] + tail X[tails]) / sqrt(k), and class r adds
+    2 Re(e^{i t theta} p) to U^t x. The valency class (theta = 0) has
+    p = X[tails] / (2 sqrt(k)). :func:`entry_block` evaluates with these
+    weights and :func:`check_closed_form` certifies them."""
+    if theta == 0.0:
+        return 0.0, 0.5
+    head = 1.0 / (2j * np.sin(theta))
+    return head, -np.exp(-1j * theta) * head
+
+
+def entry_block(
+    dec: SpectralDecomposition, arc_space: ArcSpace, starts, t: float
+) -> np.ndarray:
+    """Closed form for U^t x_a from adjacency idempotents alone, for one
+    start vertex a (shape (m,)) or a 1-D array of them (shape (m, c)).
 
     The amplitude on arc (u, v) is
 
@@ -368,25 +382,85 @@ def entry_formula(
                       - sin((t-1) theta_r) (E_r)_{ua} ] / sin(theta_r)
                       + (E_0)_{ua} + (-1)^t (E_{-k})_{ua} )
 
-    with the bipartite term present only when -k is an eigenvalue. Real t
-    uses the principal branch, matching :func:`evolve`.
+    with the bipartite term present only when -k is an eigenvalue. The
+    class sums (see :func:`_class_weights`) run on n x c vertex arrays,
+    gathered to arcs once. Real t uses the principal branch, matching
+    :func:`evolve`.
     """
+    head_part = np.zeros((dec.n,) + np.shape(starts), dtype=complex)
+    tail_part = head_part.copy()
+    if dec.has_minus_k:
+        tail_part += _minus_one_power(t) * dec.idempotents[-1][:, starts]
+    for r in range(dec.num_classes - dec.has_minus_k):
+        theta = dec.angles[r]
+        phase = 2.0 * np.exp(1j * t * theta)
+        head, tail = _class_weights(theta)
+        column = dec.idempotents[r][:, starts]
+        head_part += (phase * head).real * column
+        tail_part += (phase * tail).real * column
+    return (tail_part[arc_space.tails] + head_part[arc_space.heads]) / np.sqrt(arc_space.k)
+
+
+def entry_formula(
+    dec: SpectralDecomposition, arc_space: ArcSpace, a: int, t: float
+) -> State:
+    """:func:`entry_block` for the single start vertex a, as a State."""
     if not 0 <= a < dec.n:
         raise ValueError(f"vertex {a} out of range [0, {dec.n})")
-    k = arc_space.k
-    tail_part = dec.idempotents[0][:, a].astype(complex)
+    return State(entry_block(dec, arc_space, a, t))
+
+
+#: most arc amplitudes (m times the start vertices) held in one block
+BLOCK_ENTRIES = 2**19
+
+
+def start_chunks(arc_space: ArcSpace, starts) -> list[np.ndarray]:
+    """Split start vertices into chunks of at most BLOCK_ENTRIES // m (and
+    at least one) vertices."""
+    starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
+    size = max(1, BLOCK_ENTRIES // arc_space.num_arcs)
+    return [starts[i : i + size] for i in range(0, len(starts), size)]
+
+
+def check_closed_form(
+    dec: SpectralDecomposition, arc_space: ArcSpace, starts
+) -> dict[str, float]:
+    """Frobenius-norm defects of the eigen-components p_r behind
+    :func:`entry_block` on the start block x_a, a in ``starts``, built one
+    class and one :func:`start_chunks` chunk at a time and checked with the
+    O(m) :func:`apply_walk`; WalkSpectrumError when one exceeds TAU_WALK.
+
+    - ``eigen``: the largest ||U p_r - e^{i theta_r} p_r|| over the classes;
+    - ``start``: ||sum_r 2 Re p_r - x||, the t = 0 identity.
+
+    At integer t >= 0, U^t x then differs from :func:`entry_block` by at
+    most start + (2d + 1) t eigen, for d angle classes.
+    """
     if dec.has_minus_k:
-        tail_part = tail_part + _minus_one_power(t) * dec.idempotents[-1][:, a]
-    head_part = np.zeros(dec.n, dtype=complex)
-    for r in range(1, dec.num_classes):
-        if dec.has_minus_k and r == dec.num_classes - 1:
-            continue
-        theta = dec.angles[r]
-        column = dec.idempotents[r][:, a]
-        head_part = head_part + (np.sin(t * theta) / np.sin(theta)) * column
-        tail_part = tail_part - (np.sin((t - 1) * theta) / np.sin(theta)) * column
-    amp = (tail_part[arc_space.tails] + head_part[arc_space.heads]) / np.sqrt(k)
-    return State(amp)
+        raise ValueError("closed-form check requires a non-bipartite graph")
+    tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
+    eigen_sq = np.zeros(dec.num_classes)
+    start_sq = 0.0
+    for chunk in start_chunks(arc_space, starts):
+        total = (tails[:, None] == chunk) / -root_k
+        for r in range(dec.num_classes):
+            theta = dec.angles[r]
+            head, tail = _class_weights(theta)
+            X = dec.idempotents[r][:, chunk]
+            p = (head * X[heads] + tail * X[tails]) / root_k
+            drift = apply_walk(arc_space, p) - np.exp(1j * theta) * p
+            eigen_sq[r] += np.linalg.norm(drift) ** 2
+            total += 2.0 * p.real
+        start_sq += np.linalg.norm(total) ** 2
+    residuals = {"eigen": float(np.sqrt(eigen_sq.max())), "start": float(np.sqrt(start_sq))}
+    bad = {name: val for name, val in residuals.items() if not val <= TAU_WALK}
+    if bad:
+        raise WalkSpectrumError(
+            "closed-form certificate failed: "
+            + ", ".join(f"{name}={val:.3e}" for name, val in bad.items()),
+            residuals,
+        )
+    return residuals
 
 
 def arc_distribution(x: State) -> np.ndarray:

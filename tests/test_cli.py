@@ -1,8 +1,12 @@
+import importlib.util
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arcwalk import cli, mixing, walk
 from arcwalk.cli import main, resolve_builtin
 
 
@@ -219,6 +223,8 @@ def test_bad_numbers_exit_two(command, flag, value, capsys):
         ("petersen", 10, 3),
         ("hadamard-srg:1", 4, 3),
         ("hadamard-srg:2", 16, 6),
+        ("hadamard-srg:4", 64, 36),
+        ("hadamard-srg:8", 256, 120),
     ],
 )
 def test_builtin_catalogue(spec, n, k):
@@ -237,7 +243,77 @@ def test_complement_builtin(capsys):
 
 
 def test_unknown_builtins_rejected(capsys):
-    for spec in ("hadamard-srg:3", "mystery", "rook:x", "kn:0"):
+    for spec in ("hadamard-srg:3", "hadamard-srg:32", "hadamard-srg:1024", "mystery", "rook:x", "kn:0"):
         code, _, err = run_cli(["analyze", "--builtin", spec], capsys)
         assert code == 2, spec
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "spec, simultaneous, t, residual_per_vertex",
+    [
+        ("hadamard-srg:4", False, 663.0, 0.00827),
+        ("hadamard-srg:4", True, 663.0, 0.00827),
+        ("hadamard-srg:8", False, 871.0, 0.00968),
+    ],
+)
+def test_mix_large_hadamard_srg_under_a_second(spec, simultaneous, t, residual_per_vertex, capsys):
+    args = ["mix", "--builtin", spec, "--epsilon", "0.01", "--format", "json"]
+    if simultaneous:
+        args.append("--simultaneous")
+    code, out, _ = run_cli(args, capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "success"
+    assert doc["t"] == t
+    # the simultaneous residual is Frobenius over all n start vertices
+    scale = np.sqrt(doc["certificate"]["order"]) if simultaneous else 1.0
+    assert doc["residual"] / scale == pytest.approx(residual_per_vertex, abs=1e-5)
+    assert doc["walk_residual"] <= 1e-9
+    # time the certification alone; building the graph is not part of it
+    g = resolve_builtin(spec)
+    start = time.perf_counter()
+    if simultaneous:
+        mixing.simultaneous_mixing_check(g, 0.01, "integer")
+    else:
+        mixing.local_mixing_report(g, 0, 0.01, "integer")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mix_simultaneous_notes_non_square_order(capsys):
+    code, out, _ = run_cli(
+        ["mix", "--builtin", "petersen", "--simultaneous", "--format", "json"], capsys
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "no-flat-target"
+    assert "order 10 is not a perfect square, so no flat sign combination can exist" in doc["notes"]
+    assert doc["walk_residual"] is None
+
+
+def load_expected():
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected.py"
+    spec = importlib.util.spec_from_file_location("bench_expected", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mix_never_builds_the_dense_walk(monkeypatch, capsys):
+    expected = load_expected()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense walk called on the mix path")
+
+    for module in (walk, mixing, cli):
+        for name in ("walk_spectrum", "transition_matrix", "evolve", "evolve_operator"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for spec in expected.FLAT + expected.NOT_FLAT:
+        want, status = expected.mix_verdict(spec, "integer", 0.1)
+        for extra in ([], ["--simultaneous"]):
+            code, out, _ = run_cli(
+                ["mix", "--builtin", spec, "--epsilon", "0.1", "--format", "json", *extra], capsys
+            )
+            doc = json.loads(out)
+            assert doc["verdict"] == want, (spec, extra)
+            if status is not None:
+                assert doc["kronecker"]["status"] == status, (spec, extra)

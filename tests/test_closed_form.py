@@ -1,0 +1,170 @@
+"""The closed form of the mixing path against slow paths.
+
+``entry_block`` gives U^t on the vertex start states from the adjacency
+idempotents alone. It is compared with the dense walk projections
+(``evolve`` and ``evolve_operator``) at integer and half-integer t and
+with U stepped by ``apply_walk`` at integer t, on the curated
+non-bipartite graphs and on random regular graphs with at most 200 arcs.
+Mutated closed forms must fail ``check_closed_form``.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from numpy.testing import assert_allclose
+
+from arcwalk import (
+    WalkSpectrumError,
+    build_arc_space,
+    eigendecompose_symmetric,
+    evolve,
+    evolve_operator,
+    hadamard_search,
+    initial_state,
+    local_mixing_report,
+    mixing,
+    simultaneous_mixing_check,
+    walk,
+    walk_spectrum,
+)
+from arcwalk.cli import resolve_builtin
+from arcwalk.walk import apply_walk, check_closed_form, entry_block, start_chunks
+
+from conftest import GRAPH_BUILDERS, NON_BIPARTITE, get_bundle
+from test_arc_index import random_regular_graphs
+
+ATOL = 1e-10
+DENSE_TIMES = (0, 1, 2, 7, 40, 0.5, 3.5, 12.5)
+MAX_STEPS = 40
+
+
+def start_block(arcs):
+    return np.eye(arcs.n)[arcs.tails] / np.sqrt(arcs.k)
+
+
+def check_against_oracles(dec, arcs, ws):
+    everyone = np.arange(arcs.n)
+    residuals = check_closed_form(dec, arcs, everyone)
+    assert max(residuals.values()) <= 1e-12
+    X = start_block(arcs)
+    vertices = sorted({0, arcs.n // 2, arcs.n - 1})
+    for t in DENSE_TIMES:
+        got = entry_block(dec, arcs, everyone, t)
+        assert_allclose(got, evolve_operator(ws, X, t), atol=ATOL)
+        for a in vertices:
+            assert_allclose(got[:, a], evolve(ws, initial_state(arcs, a), t).amplitudes, atol=ATOL)
+            assert_allclose(entry_block(dec, arcs, [a], t), got[:, [a]], atol=1e-14)
+    stepped = X
+    for t in range(MAX_STEPS + 1):
+        assert_allclose(entry_block(dec, arcs, everyone, t), stepped, atol=ATOL)
+        stepped = apply_walk(arcs, stepped)
+
+
+@pytest.mark.parametrize("name", NON_BIPARTITE)
+def test_closed_form_matches_dense_walk_and_stepping(name):
+    b = get_bundle(name)
+    check_against_oracles(b.dec, b.arcs, b.ws)
+
+
+@settings(deadline=None, max_examples=25)
+@given(g=random_regular_graphs())
+def test_closed_form_on_random_regular_graphs(g):
+    assume(not g.is_bipartite)
+    dec = eigendecompose_symmetric(g)
+    arcs = build_arc_space(g)
+    check_against_oracles(dec, arcs, walk_spectrum(dec, arcs, verify=False))
+
+
+CLASS_WEIGHTS = walk._class_weights
+
+
+def flipped_weights(theta):
+    """The class weights with e^{+i theta} where the closed form has e^{-i theta}."""
+    head, tail = CLASS_WEIGHTS(theta)
+    return head, np.exp(2j * theta) * tail
+
+
+def without_class(dec, r):
+    idempotents = list(dec.idempotents)
+    idempotents[r] = np.zeros_like(idempotents[r])
+    return dataclasses.replace(dec, idempotents=tuple(idempotents))
+
+
+@pytest.mark.parametrize("name", NON_BIPARTITE)
+def test_component_check_catches_a_flipped_phase(name, monkeypatch):
+    b = get_bundle(name)
+    monkeypatch.setattr(walk, "_class_weights", flipped_weights)
+    with pytest.raises(WalkSpectrumError) as info:
+        check_closed_form(b.dec, b.arcs, np.arange(b.arcs.n))
+    assert info.value.residuals["eigen"] > 1e-3
+
+
+@pytest.mark.parametrize("name", NON_BIPARTITE)
+def test_component_check_catches_a_dropped_fixed_part(name):
+    b = get_bundle(name)
+    with pytest.raises(WalkSpectrumError) as info:
+        check_closed_form(without_class(b.dec, 0), b.arcs, np.arange(b.arcs.n))
+    assert info.value.residuals["start"] > 1e-3
+
+
+def test_component_check_catches_a_dropped_class():
+    b = get_bundle("rook4")
+    with pytest.raises(WalkSpectrumError, match="start"):
+        check_closed_form(without_class(b.dec, 2), b.arcs, [0])
+
+
+def test_chunked_blocks_match_one_block(monkeypatch):
+    """Start columns split into chunks give the same defects and reports."""
+    b = get_bundle("rook4")
+    everyone = np.arange(b.arcs.n)
+    whole = check_closed_form(b.dec, b.arcs, everyone)
+    local = local_mixing_report(b.graph, 3, 0.1, "integer")
+    joint = simultaneous_mixing_check(b.graph, 0.1, "integer")
+    monkeypatch.setattr(walk, "BLOCK_ENTRIES", 3 * b.arcs.num_arcs)
+    assert [len(c) for c in start_chunks(b.arcs, everyone)] == [3, 3, 3, 3, 3, 1]
+    chunked = check_closed_form(b.dec, b.arcs, everyone)
+    for name, value in whole.items():
+        assert chunked[name] == pytest.approx(value, abs=1e-15)
+    for before, after in (
+        (local, local_mixing_report(b.graph, 3, 0.1, "integer")),
+        (joint, simultaneous_mixing_check(b.graph, 0.1, "integer")),
+    ):
+        assert (after.verdict, after.t) == (before.verdict, before.t)
+        assert after.residual == pytest.approx(before.residual, abs=1e-13)
+        assert after.gamma == pytest.approx(before.gamma, abs=1e-13)
+        assert after.walk_residual == pytest.approx(before.walk_residual, abs=1e-15)
+
+
+def test_simultaneous_blocks_hold_one_chunk_at_a_time(monkeypatch):
+    """Memory of the simultaneous check and residual follows BLOCK_ENTRIES,
+    not the m x n start block (a quarter of it is the bound here)."""
+    g = resolve_builtin("hadamard-srg:4")
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    H = hadamard_search(dec)[0].matrix
+    everyone = np.arange(g.n)
+    full_block = arcs.num_arcs * g.n * np.dtype(complex).itemsize
+    monkeypatch.setattr(walk, "BLOCK_ENTRIES", arcs.num_arcs)
+    assert len(start_chunks(arcs, everyone)) == g.n
+    tracemalloc.start()
+    try:
+        check_closed_form(dec, arcs, everyone)
+        _, peak_check = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gamma, residual = mixing._distance_to_target(dec, arcs, H, everyone, 663.0)
+        _, peak_residual = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual / np.sqrt(g.n) == pytest.approx(0.00827, abs=1e-5)
+    assert max(peak_check, peak_residual) < full_block / 4
+
+
+def test_closed_form_input_checks():
+    c4 = get_bundle("c4")
+    with pytest.raises(ValueError, match="non-bipartite"):
+        check_closed_form(c4.dec, c4.arcs, [0])
+    k4 = GRAPH_BUILDERS["k4"]()
+    with pytest.raises(ValueError, match="out of range"):
+        walk.entry_formula(eigendecompose_symmetric(k4), build_arc_space(k4), 4, 1.0)

@@ -330,6 +330,17 @@ def test_report_json_round_trip_with_and_without_matrix():
     assert np.array_equal(np.array(with_matrix["certificate"]["H"]), report.certificate.matrix)
 
 
+def test_report_carries_walk_residual_and_reads_old_json():
+    report = local_mixing_report(GRAPH_BUILDERS["rook4"](), 0, 0.1, "integer")
+    assert 0.0 <= report.walk_residual <= 1e-9
+    payload = report.to_json_dict()
+    assert payload["walk_residual"] == report.walk_residual
+    del payload["walk_residual"]
+    back = report_from_json(json.loads(json.dumps(payload)))
+    assert back.walk_residual is None
+    assert back.residual == report.residual and back.t == report.t
+
+
 def test_reports_are_deterministic():
     g1 = GRAPH_BUILDERS["rook4"]()
     g2 = GRAPH_BUILDERS["rook4"]()
