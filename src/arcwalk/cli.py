@@ -13,7 +13,7 @@ import numpy as np
 
 from . import graphs as G
 from . import mixing as M
-from .spectra import decomposition_residuals, eigendecompose_symmetric, eigenvalue_support
+from .spectra import eigendecompose_symmetric, eigenvalue_support
 from .walk import (
     arc_distribution,
     build_arc_space,
@@ -24,9 +24,7 @@ from .walk import (
     initial_state,
     realness_deficit,
     state_to_json,
-    transition_matrix,
     walk_spectrum,
-    walk_spectrum_residuals,
 )
 
 @dataclass(frozen=True)
@@ -151,14 +149,11 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
 def cmd_analyze(cfg: RunConfig) -> int:
     g = load_graph(cfg)
     dec = eigendecompose_symmetric(g)
-    arcs = build_arc_space(g)
-    U = transition_matrix(arcs)
-    ws = walk_spectrum(dec, arcs)
-    residuals = decomposition_residuals(dec, g.adjacency.astype(float))
-    residuals.update(walk_spectrum_residuals(dec, arcs, ws, U=U))
-    residuals["unitarity"] = float(
-        np.abs(U @ U.T - np.eye(arcs.num_arcs)).max()
-    )
+    ws = walk_spectrum(dec, build_arc_space(g))
+    # both suites name completeness, idempotency and orthogonality
+    residuals = {**dec.residuals, **ws.residuals}
+    shared = dec.residuals.keys() & ws.residuals.keys()
+    residuals.update((f"adjacency_{key}", dec.residuals[key]) for key in shared)
     srg = G.validate_srg(g)
     srg_out = list(srg.as_tuple()) if isinstance(srg, G.SRGParams) else srg
     supports = {a: list(eigenvalue_support(dec, a)) for a in range(g.n)}

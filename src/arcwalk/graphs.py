@@ -21,6 +21,8 @@ logger = logging.getLogger(__name__)
 #: string verdicts returned by :func:`validate_srg` alongside ``SRGParams``
 COMPLETE = "complete"
 NOT_SRG = "not SRG"
+#: most vertices a graph builder accepts
+MAX_ORDER = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +52,6 @@ class Graph:
     is_bipartite: bool
     color_class: np.ndarray | None = None
     name: str = ""
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[v])
 
     @property
     def num_edges(self) -> int:
@@ -144,6 +143,12 @@ def graph_from_adjacency(adjacency: np.ndarray, name: str = "") -> Graph:
     )
 
 
+def _check_order(n: int) -> None:
+    """Refuse, before any n x n allocation, an order above MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise ValueError(f"graph order {n} exceeds the limit of {MAX_ORDER} vertices")
+
+
 def from_edge_list(edges, n: int, name: str = "") -> Graph:
     """Build a graph from an iterable of (u, v) pairs on vertices 0..n-1.
 
@@ -152,6 +157,7 @@ def from_edge_list(edges, n: int, name: str = "") -> Graph:
     """
     if n < 1:
         raise ValueError("graph must have at least one vertex")
+    _check_order(n)
     adj = np.zeros((n, n), dtype=np.int64)
     duplicates = 0
     for edge in edges:
@@ -171,6 +177,7 @@ def from_edge_list(edges, n: int, name: str = "") -> Graph:
 def complete_graph(n: int, name: str = "") -> Graph:
     if n < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
+    _check_order(n)
     adj = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return graph_from_adjacency(adj, name=name or f"kn:{n}")
 
@@ -178,6 +185,7 @@ def complete_graph(n: int, name: str = "") -> Graph:
 def cycle_graph(n: int, name: str = "") -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_order(n)
     adj = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1
@@ -190,6 +198,7 @@ def rook_graph(q: int, name: str = "") -> Graph:
     if q < 2:
         raise ValueError(f"rook graph needs q >= 2, got {q}")
     n = q * q
+    _check_order(n)
     adj = np.zeros((n, n), dtype=np.int64)
     for i in range(q):
         for j in range(q):

@@ -57,6 +57,8 @@ INTEGER_BUDGET = 10**6
 T_MAX_FACTOR = 1e4
 #: cap on enumerated lattice vectors in the relation scan
 MAX_ENUMERATION = 5_000_000
+#: most relation vectors the scan holds in one block
+SCAN_ROWS = 2**18
 #: cap on real-time grid evaluations
 MAX_GRID_POINTS = 50_000_000
 #: sign patterns are enumerated only up to this many non-valency classes
@@ -225,9 +227,12 @@ def kronecker_from_json(data: dict) -> KroneckerVerdict:
 
 def _canonical_half_chunks(bound: int, d: int):
     """Yield integer vectors in [-bound, bound]^d with first nonzero entry
-    positive, in deterministic blocks."""
+    positive, in lexicographic order. A block fixes the leading coordinates
+    and spans the most trailing ones (at least one) that fit SCAN_ROWS."""
     span = np.arange(-bound, bound + 1)
-    inner = min(d, 3)
+    inner = 1
+    while inner < d and len(span) ** (inner + 1) <= SCAN_ROWS:
+        inner += 1
     outer = d - inner
     grid = np.stack(
         np.meshgrid(*([span] * inner), indexing="ij"), axis=-1

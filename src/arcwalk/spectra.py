@@ -9,7 +9,7 @@ theta = pi is present exactly when the graph is bipartite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class SpectralDecomposition:
 
     Index 0 always refers to the valency eigenvalue k. ``has_minus_k``
     marks a bipartite graph, in which case the last index carries
-    eigenvalue -k and angle pi.
+    eigenvalue -k and angle pi. ``residuals`` is the idempotent suite it passed.
     """
 
     n: int
@@ -54,6 +54,7 @@ class SpectralDecomposition:
     angles: np.ndarray
     idempotents: tuple[np.ndarray, ...]
     has_minus_k: bool
+    residuals: dict[str, float] = field(default_factory=dict)
 
     @property
     def num_classes(self) -> int:
@@ -155,6 +156,7 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     )
 
     residuals = decomposition_residuals(dec, A)
+    dec.residuals.update(residuals)
     failed = residuals["completeness"] > COMPLETENESS_TOL or any(
         residuals[key] > TAU_SPEC
         for key in ("idempotency", "orthogonality", "reconstruction", "e0_vs_uniform")
@@ -176,18 +178,15 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     return dec
 
 
-def eigenvalue_support(
-    dec: SpectralDecomposition, a: int, tau_support: float | None = None
-) -> tuple[int, ...]:
-    """Indices r with ||E_r e_a|| above the support cutoff.
+def eigenvalue_support(dec: SpectralDecomposition, a: int) -> tuple[int, ...]:
+    """Indices r with ||E_r e_a|| above the support cutoff 1e-10 * sqrt(n).
 
-    The cutoff defaults to 1e-10 * sqrt(n). Index 0 is always in the
-    support of a connected graph since E_0 e_a = 1/n * ones.
+    Index 0 is always in the support of a connected graph since
+    E_0 e_a = 1/n * ones.
     """
     if not 0 <= a < dec.n:
         raise ValueError(f"vertex {a} out of range [0, {dec.n})")
-    if tau_support is None:
-        tau_support = TAU_SUPPORT_FACTOR * np.sqrt(dec.n)
+    tau_support = TAU_SUPPORT_FACTOR * np.sqrt(dec.n)
     return tuple(
         r
         for r, E in enumerate(dec.idempotents)

@@ -19,7 +19,7 @@ projection, so (-1)^t means e^{i pi t}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .spectra import SpectralDecomposition
 TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
+#: most bytes the dense projections of :func:`walk_spectrum` may take
+MAX_SPECTRUM_BYTES = 2**29
 
 
 class WalkSpectrumError(ValueError):
@@ -147,11 +149,13 @@ class EigenphasePair:
 @dataclass(frozen=True, eq=False)
 class WalkSpectrum:
     """Spectral projections of U: the +-1 projections and one conjugate
-    pair per adjacency angle in (0, pi)."""
+    pair per adjacency angle in (0, pi). ``residuals`` is the projection
+    suite they passed, empty when they were built without verification."""
 
     proj_plus1: np.ndarray
     proj_minus1: np.ndarray
     pairs: tuple[EigenphasePair, ...]
+    residuals: dict[str, float] = field(default_factory=dict)
 
     @property
     def num_arcs(self) -> int:
@@ -159,23 +163,16 @@ class WalkSpectrum:
 
 
 def walk_spectrum_residuals(
-    dec: SpectralDecomposition,
-    arc_space: ArcSpace,
-    ws: WalkSpectrum,
-    U: np.ndarray | None = None,
-    bipartite: bool | None = None,
+    dec: SpectralDecomposition, arc_space: ArcSpace, ws: WalkSpectrum
 ) -> dict[str, float]:
     """Max-norm residuals of the walk projection suite.
 
-    Covers hermiticity, idempotency, pairwise orthogonality, completeness,
-    spectral resolution of U, and the tail-incidence correspondence
-    T F_{+-theta} T^T = (k/2) E_r, T F_{+1} T^T = k E_0, and on bipartite
-    graphs T F_{-1} T^T = k E_{-k}.
+    Covers unitarity of U, hermiticity, idempotency, pairwise
+    orthogonality, completeness, spectral resolution of U, and the
+    tail-incidence correspondence T F_{+-theta} T^T = (k/2) E_r,
+    T F_{+1} T^T = k E_0, and on bipartite graphs T F_{-1} T^T = k E_{-k}.
     """
-    if U is None:
-        U = transition_matrix(arc_space)
-    if bipartite is None:
-        bipartite = dec.has_minus_k
+    U = transition_matrix(arc_space)
     m = arc_space.num_arcs
     k = arc_space.k
 
@@ -218,8 +215,9 @@ def walk_spectrum_residuals(
         "completeness": completeness,
         "resolution": resolution,
         "correspondence": correspondence,
+        "unitarity": float(np.abs(U @ U.T - np.eye(m)).max()),
     }
-    if bipartite:
+    if dec.has_minus_k:
         residuals["minus_one_correspondence"] = float(
             np.abs(tail_project(ws.proj_minus1) - k * dec.idempotents[-1]).max()
         )
@@ -227,10 +225,7 @@ def walk_spectrum_residuals(
 
 
 def walk_spectrum(
-    dec: SpectralDecomposition,
-    arc_space: ArcSpace,
-    verify: bool = True,
-    tau: float = TAU_WALK,
+    dec: SpectralDecomposition, arc_space: ArcSpace, verify: bool = True
 ) -> WalkSpectrum:
     """Build the walk projections from the adjacency decomposition.
 
@@ -244,10 +239,20 @@ def walk_spectrum(
     into F_{+1} = (P + UP)/2 and F_{-1} = (P - UP)/2; this captures both
     the lifts of the +-k adjacency classes and the kernel components of
     the incidence maps.
+
+    Projections that would take more than MAX_SPECTRUM_BYTES are refused
+    with a ValueError before any is allocated.
     """
     k = arc_space.k
     tails, heads = arc_space.tails, arc_space.heads
     m = arc_space.num_arcs
+    # the +-1 projections and two per angle in (0, pi), complex128 m x m each
+    size = 16 * (2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)) * m * m
+    if size > MAX_SPECTRUM_BYTES:
+        raise ValueError(
+            f"dense walk spectrum on {m} arcs needs {size >> 20} MiB, over the "
+            f"limit of {MAX_SPECTRUM_BYTES >> 20} MiB"
+        )
 
     pairs = []
     for r in range(1, dec.num_classes):
@@ -277,13 +282,13 @@ def walk_spectrum(
 
     ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, pairs=tuple(pairs))
     if verify:
-        residuals = walk_spectrum_residuals(dec, arc_space, ws)
-        bad = {name: val for name, val in residuals.items() if val > tau}
+        ws.residuals.update(walk_spectrum_residuals(dec, arc_space, ws))
+        bad = {name: val for name, val in ws.residuals.items() if val > TAU_WALK}
         if bad:
             raise WalkSpectrumError(
                 "walk projection suite failed: "
                 + ", ".join(f"{name}={val:.3e}" for name, val in bad.items()),
-                residuals,
+                ws.residuals,
             )
     return ws
 
@@ -339,16 +344,11 @@ def _minus_one_power(t: float) -> complex:
 
 def evolve(ws: WalkSpectrum, x: State, t: float) -> State:
     """Apply U^t through the spectral projections (principal branch)."""
-    amp = x.amplitudes
-    out = ws.proj_plus1 @ amp + _minus_one_power(t) * (ws.proj_minus1 @ amp)
-    for pair in ws.pairs:
-        out = out + np.exp(1j * pair.theta * t) * (pair.plus @ amp)
-        out = out + np.exp(-1j * pair.theta * t) * (pair.minus @ amp)
-    return State(out)
+    return State(evolve_operator(ws, x.amplitudes, t))
 
 
 def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
-    """Apply U^t to each column of a matrix, same branch as :func:`evolve`."""
+    """Apply U^t to a vector or to each column of a matrix (principal branch)."""
     M = np.asarray(M, dtype=complex)
     out = ws.proj_plus1 @ M + _minus_one_power(t) * (ws.proj_minus1 @ M)
     for pair in ws.pairs:

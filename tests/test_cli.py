@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcwalk import cli, mixing, walk
+from arcwalk import cli, mixing, spectra, walk
 from arcwalk.cli import main, resolve_builtin
 
 
@@ -46,6 +47,60 @@ def test_analyze_cycle_reports_no_srg(capsys):
     doc = json.loads(out)
     assert doc["srg"] == "not SRG"
     assert doc["bipartite"] is True
+
+
+def test_analyze_verifies_each_spectrum_once(monkeypatch, capsys):
+    calls = Counter()
+    targets = (
+        (walk, "walk_spectrum_residuals"),
+        (walk, "transition_matrix"),
+        (spectra, "decomposition_residuals"),
+    )
+    for module, name in targets:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(["analyze", "--builtin", "petersen", "--format", "json"], capsys)
+    assert code == 0
+    assert calls == {name: 1 for _, name in targets}
+
+
+def test_analyze_reports_both_suites(capsys):
+    code, out, _ = run_cli(["analyze", "--builtin", "petersen", "--format", "json"], capsys)
+    assert code == 0
+    residuals = json.loads(out)["residuals"]
+    adjacency = spectra.eigendecompose_symmetric(resolve_builtin("petersen")).residuals
+    assert set(residuals) == {
+        "completeness", "idempotency", "orthogonality", "reconstruction", "e0_vs_uniform",
+        "hermiticity", "resolution", "correspondence", "unitarity",
+        "adjacency_completeness", "adjacency_idempotency", "adjacency_orthogonality",
+    }
+    for key in ("completeness", "idempotency", "orthogonality"):
+        assert residuals[f"adjacency_{key}"] == adjacency[key]
+    assert residuals["reconstruction"] == adjacency["reconstruction"]
+    assert residuals["adjacency_completeness"] <= spectra.COMPLETENESS_TOL
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--edges", "HUGE"],
+        ["analyze", "--builtin", "cycle:100000000"],
+        ["analyze", "--builtin", "kn:100000000"],
+        ["evolve", "--builtin", "rook:100000"],
+        ["analyze", "--builtin", "hadamard-srg:8"],
+        ["evolve", "--builtin", "hadamard-srg:8"],
+    ],
+)
+def test_oversized_graphs_exit_two_before_allocating(args, tmp_path, capsys):
+    huge = tmp_path / "huge.edges"
+    huge.write_text("100000000 0\n")
+    code, out, err = run_cli([str(huge) if a == "HUGE" else a for a in args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_mix_success_exit_zero(capsys):

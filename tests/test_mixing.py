@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from arcwalk import (
     hadamard_search,
     initial_state,
     local_mixing_report,
+    mixing,
     phase_alignment_deficit,
     phase_condition_check,
     realness_deficit,
@@ -160,6 +163,31 @@ def test_relation_scan_bound_matches_brute_force():
                 assert relation_scan_bound(bound, d, cap) == reference(bound, d, cap), (
                     bound, d, cap,
                 )
+
+
+@pytest.mark.parametrize("rows", [1, 5, 50, 2**18])
+def test_relation_scan_blocks_are_the_lexicographic_half_box(rows, monkeypatch):
+    monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    for d in range(1, 5):
+        for bound in range(1, 4):
+            blocks = list(mixing._canonical_half_chunks(bound, d))
+            assert all(len(block) <= max(rows, 2 * bound + 1) for block in blocks)
+            scanned = [tuple(v) for block in blocks for v in block.tolist()]
+            box = itertools.product(range(-bound, bound + 1), repeat=d)
+            expected = [v for v in box if any(v) and next(x for x in v if x) > 0]
+            assert scanned == expected, (rows, d, bound)
+
+
+def test_relation_scan_at_the_enumeration_cap_stays_small():
+    tracemalloc.start()
+    try:
+        verdict = phase_condition_check([1.0, np.sqrt(2)], [0, 0], "real", bound=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == INCONCLUSIVE and verdict.bound == 1580
+    assert verdict.relations == ()
+    assert peak < 16 * 2**20
 
 
 def test_phase_condition_input_checks():

@@ -20,10 +20,13 @@ from arcwalk import (
     state_from_json,
     state_to_json,
     transition_matrix,
+    walk_spectrum,
     walk_spectrum_residuals,
 )
+from arcwalk.spectra import decomposition_residuals
 
 from conftest import ALL_GRAPHS, NON_BIPARTITE, dense_incidence, get_bundle
+from test_closed_form import DENSE_TIMES
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -60,9 +63,17 @@ def test_transition_matrix_is_orthogonal(name):
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_walk_projection_suite(name):
     b = get_bundle(name)
-    res = walk_spectrum_residuals(b.dec, b.arcs, b.ws, U=b.U)
+    res = walk_spectrum_residuals(b.dec, b.arcs, b.ws)
     for key, val in res.items():
         assert val < 1e-9, (key, val)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_builders_keep_the_residuals_they_verified(name):
+    b = get_bundle(name)
+    assert b.dec.residuals == decomposition_residuals(b.dec, b.graph.adjacency.astype(float))
+    assert b.ws.residuals == walk_spectrum_residuals(b.dec, b.arcs, b.ws)
+    assert walk_spectrum(b.dec, b.arcs, verify=False).residuals == {}
 
 
 def test_projection_ranks_on_k4():
@@ -77,6 +88,22 @@ def test_projection_ranks_on_k4():
     assert round(np.trace(b.ws.proj_minus1).real) == 0 + dim_sym
     assert len(b.ws.pairs) == 1
     assert_allclose(b.ws.pairs[0].theta, np.arccos(-1 / 3), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_evolve_is_one_column_of_evolve_operator(name):
+    b = get_bundle(name)
+    starts = [initial_state(b.arcs, a) for a in range(b.graph.n)]
+    block = np.stack([x.amplitudes for x in starts], axis=1)
+    for t in DENSE_TIMES:
+        whole = evolve_operator(b.ws, block, t)
+        for a, x in enumerate(starts):
+            state = evolve(b.ws, x, t).amplitudes
+            column = evolve_operator(b.ws, x.amplitudes[:, None], t)[:, 0]
+            assert np.array_equal(state, column), (t, a)
+            # a matrix-matrix product may sum in another order than a
+            # matrix-vector product, so the wide block agrees to rounding
+            assert_allclose(state, whole[:, a], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["k4", "c4", "petersen"])
