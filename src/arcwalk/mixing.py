@@ -228,7 +228,10 @@ def kronecker_from_json(data: dict) -> KroneckerVerdict:
 def _canonical_half_chunks(bound: int, d: int):
     """Yield integer vectors in [-bound, bound]^d with first nonzero entry
     positive, in lexicographic order. A block fixes the leading coordinates
-    and spans the most trailing ones (at least one) that fit SCAN_ROWS."""
+    (the head) and spans the most trailing ones (at least one) that fit
+    SCAN_ROWS. Only canonical rows are built: a head whose first nonzero
+    entry is negative is skipped, the all-zero head takes the rows after
+    the middle (all-zero) row of the grid, any other head the whole grid."""
     span = np.arange(-bound, bound + 1)
     inner = 1
     while inner < d and len(span) ** (inner + 1) <= SCAN_ROWS:
@@ -237,18 +240,16 @@ def _canonical_half_chunks(bound: int, d: int):
     grid = np.stack(
         np.meshgrid(*([span] * inner), indexing="ij"), axis=-1
     ).reshape(-1, inner)
-    heads = itertools.product(span.tolist(), repeat=outer) if outer else [()]
-    for head in heads:
-        block = np.empty((grid.shape[0], d), dtype=np.int64)
-        if outer:
-            block[:, :outer] = head
-        block[:, outer:] = grid
-        nonzero = block != 0
-        has_any = nonzero.any(axis=1)
-        first = block[np.arange(len(block)), np.argmax(nonzero, axis=1)]
-        keep = has_any & (first > 0)
-        if keep.any():
-            yield block[keep]
+    upper = grid[len(grid) // 2 + 1 :]
+    for head in itertools.product(span.tolist(), repeat=outer):
+        first = next((x for x in head if x), 0)
+        if first < 0:
+            continue
+        rows = grid if first > 0 else upper
+        block = np.empty((len(rows), d), dtype=np.int64)
+        block[:, :outer] = head
+        block[:, outer:] = rows
+        yield block
 
 
 def _integer_root(x: int, d: int) -> int:
@@ -273,6 +274,22 @@ def relation_scan_bound(bound: int, d: int, max_enumeration: int) -> int:
     return max(1, min(bound, fits))
 
 
+def _phase_inputs(angles, sigmas, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check the inputs shared by the relation scan and the time search:
+    a known mode, and 1-D finite angles and sigmas of equal length."""
+    if mode not in (MODE_INTEGER, MODE_REAL):
+        raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
+    angles, sigmas = np.asarray(angles, dtype=float), np.asarray(sigmas, dtype=float)
+    for name, value in (("angles", angles), ("sigmas", sigmas)):
+        if value.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value.tolist()}")
+    if len(angles) != len(sigmas):
+        raise ValueError("angles and sigmas must have matching length")
+    return angles, sigmas.astype(np.int64)
+
+
 def phase_condition_check(
     angles,
     sigmas,
@@ -288,14 +305,10 @@ def phase_condition_check(
     with exact relations sum l_r theta_r = 0 (no 2 pi slack). One violation
     makes alignment impossible at any precision; no violation up to the
     scanned bound reports ``holds`` (or ``inconclusive`` when the
-    enumeration cap forced a smaller bound than requested).
+    enumeration cap forced a smaller bound than requested). Angles and
+    sigmas must be 1-D, finite and of equal length; otherwise ValueError.
     """
-    if mode not in (MODE_INTEGER, MODE_REAL):
-        raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
-    angles = np.asarray(angles, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=np.int64)
-    if angles.shape != sigmas.shape:
-        raise ValueError("angles and sigmas must have matching length")
+    angles, sigmas = _phase_inputs(angles, sigmas, mode)
     d = len(angles)
     if bound < 1:
         raise ValueError(f"relation bound must be >= 1, got {bound}")
@@ -319,28 +332,26 @@ def phase_condition_check(
             l0 = -np.rint(s / (2 * np.pi)).astype(np.int64)
             resid = np.abs(s + 2 * np.pi * l0)
         else:
-            l0 = np.zeros(len(block), dtype=np.int64)
             resid = np.abs(s)
         hits = np.flatnonzero(resid <= tau_rel)
         if hits.size == 0:
             continue
-        parity = (block[hits] @ sigmas) % 2
-        for pos, j in enumerate(hits):
-            vec = block[j]
-            full = tuple(int(v) for v in vec)
-            if mode == MODE_INTEGER:
-                full = full + (int(l0[j]),)
-            if parity[pos] == 1:
-                return KroneckerVerdict(
-                    mode=mode,
-                    status=VIOLATED,
-                    bound=effective,
-                    requested_bound=bound,
-                    relations=tuple(relations),
-                    violating=full,
-                )
-            if math.gcd(*(abs(v) for v in full)) == 1:
-                relations.append(full)
+        found = block[hits]
+        odd = np.flatnonzero((found @ sigmas) % 2)
+        if mode == MODE_INTEGER:
+            found = np.column_stack([found, l0[hits]])
+        even = found[: odd[0]] if odd.size else found
+        primitive = np.gcd.reduce(np.abs(even), axis=1) == 1
+        relations.extend(map(tuple, even[primitive].tolist()))
+        if odd.size:
+            return KroneckerVerdict(
+                mode=mode,
+                status=VIOLATED,
+                bound=effective,
+                requested_bound=bound,
+                relations=tuple(relations),
+                violating=tuple(found[odd[0]].tolist()),
+            )
     status = HOLDS if effective == bound else INCONCLUSIVE
     return KroneckerVerdict(
         mode=mode,
@@ -459,9 +470,18 @@ class TimeSearchResult:
         return self.success
 
 
-def _refine_real_time(angles, sigmas, t0: float, radius: float) -> tuple[float, float]:
-    lo, hi = max(t0 - radius, 0.0), t0 + radius
-    best_t, best_val = t0, float(phase_alignment_deficit(angles, sigmas, t0))
+#: points in the first chunk of a time-search grid; later chunks double up
+#: to a cap per mode, so an early hit costs little
+FIRST_CHUNK = 1024
+
+
+def _refine_real_time(
+    angles, sigmas, t0: float, val0: float, radius: float, horizon: float
+) -> tuple[float, float]:
+    """Zoom three times on 201 points around t0 (deficit val0), within
+    [0, horizon]; only a strictly smaller deficit replaces t0."""
+    lo, hi = max(t0 - radius, 0.0), min(t0 + radius, horizon)
+    best_t, best_val = t0, val0
     for _ in range(3):
         ts = np.linspace(lo, hi, 201)
         vals = phase_alignment_deficit(angles, sigmas, ts)
@@ -469,8 +489,76 @@ def _refine_real_time(angles, sigmas, t0: float, radius: float) -> tuple[float, 
         if vals[i] < best_val:
             best_t, best_val = float(ts[i]), float(vals[i])
         span = (hi - lo) / 50.0
-        lo, hi = max(best_t - span, 0.0), best_t + span
+        lo, hi = max(best_t - span, 0.0), min(best_t + span, horizon)
     return best_t, best_val
+
+
+def _misalignment(ts, turns, halves, work) -> np.ndarray:
+    """max_r dist(t turn_r + half_r, Z) at every t, one class at a time in
+    place. With turn_r = theta_r / 2 pi and half_r = sigma_r / 2 (mod 1),
+    the phase alignment deficit at t is 2 sin(pi w) of this value w, so no
+    sine is taken per point. ``work`` is scratch of shape (3, >= len(ts)),
+    reused across chunks; the result is a view of its first row."""
+    worst, x, nearest = work[:, : len(ts)]
+    worst.fill(0.0)
+    for turn, half in zip(turns, halves):
+        np.multiply(ts, turn, out=x)
+        x += half
+        np.rint(x, out=nearest)
+        x -= nearest
+        np.maximum(worst, np.abs(x, out=x), out=worst)
+    return worst
+
+
+def _misalignment_at_most(deficit: float) -> float:
+    """Largest w in [0, 1/2] with 2 sin(pi w) <= deficit."""
+    return math.asin(min(deficit / 2.0, 1.0)) / math.pi
+
+
+def _scan_times(
+    angles, sigmas, epsilon, step, horizon, start, stop, cap
+) -> tuple[float, float, bool]:
+    """Scan the grid t_i = min(i step, horizon), i in [start, stop): return
+    the first point with deficit below epsilon and True, or else the first
+    point of least deficit (t = 0 included) and False.
+
+    Chunks start at FIRST_CHUNK points and double up to ``cap``. Each chunk
+    is screened by :func:`_misalignment`. Only the points that screen within
+    a rounding margin of epsilon, or of the chunk's least deficit, are
+    passed to :func:`phase_alignment_deficit`, so every returned deficit
+    comes from the exact form. The margin, 1e-12 times the largest phase
+    in the chunk, is far above the rounding gap between the two forms; it
+    is added on both sides of the conversion between deficit and w.
+    """
+    turns = angles / (2.0 * np.pi)
+    halves = (sigmas % 2) / 2.0
+    top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
+    best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
+    width = min(cap, stop - start)
+    index, grid, work = np.arange(width, dtype=float), np.empty(width), np.empty((3, width))
+    lo, size = start, min(FIRST_CHUNK, cap)
+    while lo < stop:
+        n = min(size, stop - lo)
+        ts = np.add(index[:n], lo, out=grid[:n])
+        ts *= step
+        np.minimum(ts, horizon, out=ts)
+        worst = _misalignment(ts, turns, halves, work)
+        margin = 1e-12 * (1.0 + float(ts[-1]) * top + reach)
+        near = np.flatnonzero(worst <= _misalignment_at_most(epsilon + margin) + margin)
+        if near.size:
+            exact = phase_alignment_deficit(angles, sigmas, ts[near])
+            below = np.flatnonzero(exact < epsilon)
+            if below.size:
+                j = int(below[0])
+                return float(ts[near[j]]), float(exact[j]), True
+        least = 2.0 * math.sin(math.pi * float(worst.min()))
+        near = np.flatnonzero(worst <= _misalignment_at_most(least + margin) + margin)
+        exact = phase_alignment_deficit(angles, sigmas, ts[near])
+        j = int(np.argmin(exact))
+        if exact[j] < best_val:
+            best_t, best_val = float(ts[near[j]]), float(exact[j])
+        lo, size = lo + n, min(2 * size, cap)
+    return best_t, best_val, False
 
 
 def time_search(
@@ -485,23 +573,27 @@ def time_search(
     """Find t with phase alignment deficit below epsilon.
 
     Integer mode scans t = 0, 1, .., ``budget``. Real mode uses a closed
-    form for a single angle and otherwise a coarse grid of step
-    epsilon / (4 max theta) over [0, t_max] with local refinement. The
-    smallest acceptable t wins. On failure the best time seen and its
+    form for a single angle when it lies within t_max, and otherwise a
+    coarse grid of step epsilon / (4 max theta) over [0, t_max] with
+    local refinement; the result never lies past t_max (by default
+    T_MAX_FACTOR / min theta). The smallest acceptable t wins. On failure the best time seen and its
     deficit are returned with ``success=False``.
 
-    Callers are expected to have seen ``phase_condition_check`` report
-    ``holds``; passing any other status only logs a warning since the scan
-    itself is still well defined.
+    Angles must be positive and finite, epsilon positive and finite,
+    ``budget`` >= 0 and ``t_max`` positive and finite; a bad value raises
+    ValueError naming it. Callers are expected to have seen
+    ``phase_condition_check`` report ``holds``; passing any other status
+    only logs a warning since the scan itself is still well defined.
     """
-    if mode not in (MODE_INTEGER, MODE_REAL):
-        raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    angles = np.asarray(angles, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=np.int64)
-    if angles.shape != sigmas.shape:
-        raise ValueError("angles and sigmas must have matching length")
+    angles, sigmas = _phase_inputs(angles, sigmas, mode)
+    if not (angles > 0).all():
+        raise ValueError(f"angles must be positive, got {angles.tolist()}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if t_max is not None and not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if phase_status is not None and phase_status != HOLDS:
         logger.warning(
             "time_search invoked with phase condition status %r; alignment "
@@ -513,31 +605,21 @@ def time_search(
         return TimeSearchResult(success=True, t=0.0, deficit=0.0, mode=mode)
 
     if mode == MODE_INTEGER:
-        best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
-        chunk = 100_000
-        for lo in range(1, budget + 1, chunk):
-            ts = np.arange(lo, min(lo + chunk, budget + 1), dtype=float)
-            vals = phase_alignment_deficit(angles, sigmas, ts)
-            hits = np.flatnonzero(vals < epsilon)
-            if hits.size:
-                j = int(hits[0])
-                return TimeSearchResult(
-                    success=True, t=float(ts[j]), deficit=float(vals[j]), mode=mode
-                )
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_t, best_val = float(ts[j]), float(vals[j])
-        return TimeSearchResult(success=False, t=best_t, deficit=best_val, mode=mode)
+        t, deficit, hit = _scan_times(
+            angles, sigmas, epsilon, 1.0, float(budget), 1, budget + 1, 100_000
+        )
+        return TimeSearchResult(success=hit, t=t, deficit=deficit, mode=mode)
 
     # real mode
+    horizon = t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
     if angles.size == 1:
         t = float(np.pi * sigmas[0] / angles[0])
-        deficit = float(phase_alignment_deficit(angles, sigmas, t))
-        return TimeSearchResult(
-            success=deficit < epsilon, t=t, deficit=deficit, mode=mode
-        )
+        if t <= horizon:
+            deficit = float(phase_alignment_deficit(angles, sigmas, t))
+            return TimeSearchResult(
+                success=deficit < epsilon, t=t, deficit=deficit, mode=mode
+            )
 
-    horizon = t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
     step = epsilon / (4.0 * float(angles.max()))
     total = int(np.ceil(horizon / step)) + 1
     if total > MAX_GRID_POINTS:
@@ -545,28 +627,9 @@ def time_search(
         total = MAX_GRID_POINTS + 1
         logger.info("real-time grid coarsened to %d points over [0, %g]", total, horizon)
 
-    best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
-    chunk = 500_000
-    for lo in range(0, total, chunk):
-        ts = np.arange(lo, min(lo + chunk, total), dtype=float) * step
-        vals = phase_alignment_deficit(angles, sigmas, ts)
-        hits = np.flatnonzero(vals < epsilon)
-        if hits.size:
-            j = int(hits[0])
-            t_ref, val_ref = _refine_real_time(angles, sigmas, float(ts[j]), step)
-            if val_ref < epsilon:
-                return TimeSearchResult(
-                    success=True, t=t_ref, deficit=val_ref, mode=mode
-                )
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_t, best_val = float(ts[j]), float(vals[j])
-    t_ref, val_ref = _refine_real_time(angles, sigmas, best_t, step)
-    if val_ref < best_val:
-        best_t, best_val = t_ref, val_ref
-    return TimeSearchResult(
-        success=best_val < epsilon, t=best_t, deficit=best_val, mode=mode
-    )
+    t, deficit, _ = _scan_times(angles, sigmas, epsilon, step, horizon, 0, total, 500_000)
+    t, deficit = _refine_real_time(angles, sigmas, t, deficit, step, horizon)
+    return TimeSearchResult(success=deficit < epsilon, t=t, deficit=deficit, mode=mode)
 
 
 @dataclass(frozen=True, eq=False)

@@ -197,6 +197,41 @@ def test_phase_condition_input_checks():
         phase_condition_check([1.0], [0, 1], "integer")
     with pytest.raises(ValueError, match="bound"):
         phase_condition_check([1.0], [0], "integer", bound=0)
+    with pytest.raises(ValueError, match="angles must be finite"):
+        phase_condition_check([np.nan, 1.0], [1, 1], "real")
+    with pytest.raises(ValueError, match="angles must be finite"):
+        phase_condition_check([np.inf], [1], "integer")
+    with pytest.raises(ValueError, match="sigmas must be finite"):
+        phase_condition_check([1.0], [np.nan], "integer")
+    with pytest.raises(ValueError, match="angles must be 1-D"):
+        phase_condition_check([[0.5, 1.0]], [[1, 1]], "real")
+    with pytest.raises(ValueError, match="sigmas must be 1-D"):
+        phase_condition_check([0.5], 1, "real")
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        (([1.0], [0], 0.1, "both"), {}, "mode"),
+        (([1.0], [0, 1], 0.1, "real"), {}, "matching"),
+        (([[0.5, 1.0]], [[1, 1]], 0.1, "real"), {}, "angles must be 1-D"),
+        (([np.nan, 1.0], [1, 1], 0.1, "real"), {}, "angles must be finite"),
+        (([1.0, 2.0], [1, np.inf], 0.1, "integer"), {}, "sigmas must be finite"),
+        (([0.0, 1.0], [1, 1], 0.1, "real"), {}, "angles must be positive"),
+        (([-1.0, 1.0], [1, 1], 0.1, "integer"), {}, "angles must be positive"),
+        (([0.5, 1.0], [1, 1], np.nan, "real"), {}, "epsilon"),
+        (([0.5, 1.0], [1, 1], np.inf, "integer"), {}, "epsilon"),
+        (([0.5, 1.0], [1, 1], 0.0, "integer"), {}, "epsilon"),
+        (([0.5, 1.0], [1, 1], 0.1, "integer"), {"budget": -3}, "budget"),
+        (([0.5, 1.0], [1, 1], 0.1, "real"), {"t_max": 0.0}, "t_max"),
+        (([0.5, 1.0], [1, 1], 0.1, "real"), {"t_max": -1.0}, "t_max"),
+        (([0.5, 1.0], [1, 1], 0.1, "real"), {"t_max": np.inf}, "t_max"),
+        (([0.5, 1.0], [1, 1], 0.1, "real"), {"t_max": np.nan}, "t_max"),
+    ],
+)
+def test_time_search_input_checks(args, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        time_search(*args, **kwargs)
 
 
 @pytest.mark.parametrize("family", ["+", "-"])
@@ -277,6 +312,17 @@ def test_time_search_reports_best_on_exhaustion():
     assert not result.success
     assert 1 <= result.t <= 10
     assert result.deficit >= 0.1
+
+
+@pytest.mark.parametrize(
+    "angles, sigmas",
+    [([0.5, 1.0], [1, 1]), ([0.5], [1]), ([0.3, 1.1, 2.9], [1, 0, 1])],
+)
+@pytest.mark.parametrize("t_max", [1e-3, 0.05, 1.0, 7.3, 40.0])
+def test_real_time_search_stays_within_t_max(angles, sigmas, t_max):
+    result = time_search(angles, sigmas, 0.1, "real", t_max=t_max)
+    assert 0.0 <= result.t <= t_max
+    assert result.deficit == phase_alignment_deficit(angles, sigmas, result.t)
 
 
 def test_local_mixing_k4_real_mode():
