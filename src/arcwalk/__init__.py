@@ -31,6 +31,7 @@ from .spectra import (
     decomposition_residuals,
     eigendecompose_symmetric,
     eigenvalue_support,
+    eigenvalue_supports,
 )
 from .walk import (
     ArcSpace,
@@ -40,13 +41,17 @@ from .walk import (
     WalkSpectrumError,
     arc_distribution,
     build_arc_space,
+    check_closed_form,
+    coin_unitarity,
     entry_formula,
     evolve,
+    evolve_by_projections,
     evolve_operator,
     flat_arc_state,
     flatness_deficit,
     imaginary_flatness_deficit,
     initial_state,
+    probe_block,
     realness_deficit,
     state_from_json,
     state_to_json,

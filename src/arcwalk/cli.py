@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -13,19 +14,22 @@ import numpy as np
 
 from . import graphs as G
 from . import mixing as M
-from .spectra import eigendecompose_symmetric, eigenvalue_support
+from .spectra import eigendecompose_symmetric, eigenvalue_supports
 from .walk import (
     arc_distribution,
     build_arc_space,
+    check_closed_form,
+    coin_unitarity,
     entry_formula,
-    evolve,
+    evolve_by_projections,
     flatness_deficit,
     imaginary_flatness_deficit,
     initial_state,
+    probe_block,
     realness_deficit,
     state_to_json,
-    walk_spectrum,
 )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -138,25 +142,25 @@ def load_graph(cfg: RunConfig) -> G.Graph:
     return G.read_edge_list(cfg.edges)
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
+def _emit(payload: dict, fmt: str, render) -> None:
+    """Print the payload as JSON, or the lines ``render()`` returns as text."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
+        for line in render():
             print(line)
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
     g = load_graph(cfg)
     dec = eigendecompose_symmetric(g)
-    ws = walk_spectrum(dec, build_arc_space(g))
-    # both suites name completeness, idempotency and orthogonality
-    residuals = {**dec.residuals, **ws.residuals}
-    shared = dec.residuals.keys() & ws.residuals.keys()
-    residuals.update((f"adjacency_{key}", dec.residuals[key]) for key in shared)
+    arcs = build_arc_space(g)
+    residuals = {f"adjacency_{key}": val for key, val in dec.residuals.items()}
+    residuals.update(check_closed_form(dec, arcs, probe_block(g.n)))
+    residuals["unitarity"] = coin_unitarity(arcs.k)
     srg = G.validate_srg(g)
     srg_out = list(srg.as_tuple()) if isinstance(srg, G.SRGParams) else srg
-    supports = {a: list(eigenvalue_support(dec, a)) for a in range(g.n)}
+    supports = [list(s) for s in eigenvalue_supports(dec)]
 
     payload = {
         "graph": g.name or f"n{g.n}",
@@ -168,29 +172,30 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "eigenvalues": [float(v) for v in dec.eigenvalues],
         "multiplicities": [int(m) for m in dec.multiplicities],
         "angles": [float(a) for a in dec.angles],
-        "supports": {str(a): s for a, s in supports.items()},
+        "supports": {str(a): s for a, s in enumerate(supports)},
         "residuals": {key: float(val) for key, val in residuals.items()},
     }
-    uniform = all(s == supports[0] for s in supports.values())
-    lines = [
-        f"graph {payload['graph']}: n={g.n} k={g.degree} "
-        f"connected={g.is_connected} bipartite={g.is_bipartite}",
-        f"strongly regular: {srg_out}",
-        "eigenvalues (multiplicity, angle):",
-    ]
-    for val, mult, ang in zip(
-        payload["eigenvalues"], payload["multiplicities"], payload["angles"]
-    ):
-        lines.append(f"  {val:+.12g}  x{mult}  theta={ang:.12g}")
-    if uniform:
-        lines.append(f"eigenvalue support (all vertices): {supports[0]}")
-    else:
-        for a, s in supports.items():
-            lines.append(f"support[{a}]: {s}")
-    lines.append("residuals:")
-    for key in sorted(residuals):
-        lines.append(f"  {key}: {residuals[key]:.3e}")
-    _emit(payload, cfg.fmt, lines)
+
+    def render():
+        lines = [
+            f"graph {payload['graph']}: n={g.n} k={g.degree} "
+            f"connected={g.is_connected} bipartite={g.is_bipartite}",
+            f"strongly regular: {srg_out}",
+            "eigenvalues (multiplicity, angle):",
+        ]
+        for val, mult, ang in zip(
+            payload["eigenvalues"], payload["multiplicities"], payload["angles"]
+        ):
+            lines.append(f"  {val:+.12g}  x{mult}  theta={ang:.12g}")
+        if all(s == supports[0] for s in supports):
+            lines.append(f"eigenvalue support (all vertices): {supports[0]}")
+        else:
+            lines.extend(f"support[{a}]: {s}" for a, s in enumerate(supports))
+        lines.append("residuals:")
+        lines.extend(f"  {key}: {residuals[key]:.3e}" for key in sorted(residuals))
+        return lines
+
+    _emit(payload, cfg.fmt, render)
     return 0
 
 
@@ -209,41 +214,45 @@ def cmd_mix(cfg: RunConfig) -> int:
         report = M.local_mixing_report(g, cfg.vertex, cfg.epsilon, cfg.mode, **kwargs)
 
     payload = report.to_json_dict(emit_matrix=cfg.emit_matrix)
-    lines = [
-        f"graph {report.graph}: verdict {report.verdict}",
-        f"mode={report.mode} epsilon={report.epsilon} vertex={report.vertex}",
-    ]
-    if report.certificate is not None:
-        cert = report.certificate
-        pattern = cert.pattern.label() if cert.pattern else "?"
-        lines.append(
-            f"certificate: order {cert.order}, pattern {pattern}, "
-            f"row sum {cert.row_sum}, symmetric {cert.symmetric}"
-        )
-        if cfg.emit_matrix and cert.matrix is not None and cert.order <= 20:
-            for row in cert.matrix:
-                lines.append("  " + " ".join(f"{int(v):+d}" for v in row))
-    if report.kronecker is not None:
-        kron = report.kronecker
-        lines.append(
-            f"phase condition [{kron.mode}]: {kron.status} up to bound {kron.bound}"
-        )
-        for rel in kron.relations:
-            lines.append(f"  relation {rel}")
-        if kron.violating is not None:
-            lines.append(f"  violating relation {kron.violating}")
-    if report.t is not None:
-        lines.append(f"t = {report.t}")
-    if report.gamma is not None:
-        lines.append(f"gamma = {report.gamma.real:+.12g} {report.gamma.imag:+.12g}j")
-    if report.residual is not None:
-        lines.append(f"residual = {report.residual:.6e}")
-    if report.walk_residual is not None:
-        lines.append(f"walk residual = {report.walk_residual:.3e}")
-    lines.append(f"support: {list(report.support) if report.support else None}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    _emit(payload, cfg.fmt, lines)
+
+    def render():
+        lines = [
+            f"graph {report.graph}: verdict {report.verdict}",
+            f"mode={report.mode} epsilon={report.epsilon} vertex={report.vertex}",
+        ]
+        if report.certificate is not None:
+            cert = report.certificate
+            pattern = cert.pattern.label() if cert.pattern else "?"
+            lines.append(
+                f"certificate: order {cert.order}, pattern {pattern}, "
+                f"row sum {cert.row_sum}, symmetric {cert.symmetric}"
+            )
+            if cfg.emit_matrix and cert.matrix is not None and cert.order <= 20:
+                for row in cert.matrix:
+                    lines.append("  " + " ".join(f"{int(v):+d}" for v in row))
+        if report.kronecker is not None:
+            kron = report.kronecker
+            lines.append(
+                f"phase condition [{kron.mode}]: {kron.status} up to bound {kron.bound}"
+            )
+            for rel in kron.relations:
+                lines.append(f"  relation {rel}")
+            if kron.violating is not None:
+                lines.append(f"  violating relation {kron.violating}")
+        if report.t is not None:
+            lines.append(f"t = {report.t}")
+        if report.gamma is not None:
+            lines.append(f"gamma = {report.gamma.real:+.12g} {report.gamma.imag:+.12g}j")
+        if report.residual is not None:
+            lines.append(f"residual = {report.residual:.6e}")
+        if report.walk_residual is not None:
+            lines.append(f"walk residual = {report.walk_residual:.3e}")
+        lines.append(f"support: {list(report.support) if report.support else None}")
+        for note in report.notes:
+            lines.append(f"note: {note}")
+        return lines
+
+    _emit(payload, cfg.fmt, render)
     return 0 if report.verdict == M.SUCCESS else 1
 
 
@@ -251,11 +260,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     g = load_graph(cfg)
     dec = eigendecompose_symmetric(g)
     arcs = build_arc_space(g)
-    ws = walk_spectrum(dec, arcs)
-    x = initial_state(arcs, cfg.vertex)
-    xt = evolve(ws, x, cfg.t)
-    closed = entry_formula(dec, arcs, cfg.vertex, cfg.t)
-    agreement = float(np.abs(xt.amplitudes - closed.amplitudes).max())
+    xt = entry_formula(dec, arcs, cfg.vertex, cfg.t)
+    residuals = check_closed_form(dec, arcs, [cfg.vertex])
+    x = initial_state(arcs, cfg.vertex).amplitudes.real
+    projected = evolve_by_projections(dec, arcs, x, cfg.t)
+    agreement = float(np.abs(projected - xt.amplitudes).max())
     arc_list = arcs.arcs
 
     payload = {
@@ -267,27 +276,33 @@ def cmd_evolve(cfg: RunConfig) -> int:
         "flatness_deficit": flatness_deficit(xt),
         "realness_deficit": realness_deficit(xt),
         "entry_formula_agreement": agreement,
+        "residuals": residuals,
     }
-    lines = [
-        f"graph {payload['graph']}: U^t x_{cfg.vertex} at t={cfg.t}",
-        f"flatness deficit:  {payload['flatness_deficit']:.6e}",
-        f"realness deficit:  {payload['realness_deficit']:.6e}",
-        f"entry formula agreement: {agreement:.3e}",
-    ]
     if g.is_bipartite:
         payload["imaginary_flatness_deficit"] = imaginary_flatness_deficit(
             g, arcs, xt, cfg.vertex, cfg.t
         )
-        lines.append(
-            f"imaginary flatness deficit: {payload['imaginary_flatness_deficit']:.6e}"
-        )
-    dist = arc_distribution(xt)
-    top = np.argsort(dist)[::-1][:5]
-    lines.append("top arc probabilities:")
-    for i in top:
-        u, v = arc_list[i]
-        lines.append(f"  ({u} -> {v}): {dist[i]:.6f}")
-    _emit(payload, cfg.fmt, lines)
+
+    def render():
+        lines = [
+            f"graph {payload['graph']}: U^t x_{cfg.vertex} at t={cfg.t}",
+            f"flatness deficit:  {payload['flatness_deficit']:.6e}",
+            f"realness deficit:  {payload['realness_deficit']:.6e}",
+            f"entry formula agreement: {agreement:.3e}",
+            f"closed-form residuals: eigen {residuals['eigen']:.3e}, start {residuals['start']:.3e}",
+        ]
+        if g.is_bipartite:
+            lines.append(
+                f"imaginary flatness deficit: {payload['imaginary_flatness_deficit']:.6e}"
+            )
+        dist = arc_distribution(xt)
+        lines.append("top arc probabilities:")
+        for i in np.argsort(dist)[::-1][:5]:
+            u, v = arc_list[i]
+            lines.append(f"  ({u} -> {v}): {dist[i]:.6f}")
+        return lines
+
+    _emit(payload, cfg.fmt, render)
     return 0
 
 
@@ -331,9 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         if cfg.command == "analyze":

@@ -39,6 +39,7 @@ from .spectra import (
     SpectralDecomposition,
     eigendecompose_symmetric,
     eigenvalue_support,
+    eigenvalue_supports,
 )
 from .walk import build_arc_space, check_closed_form, entry_block, start_chunks
 
@@ -572,11 +573,12 @@ def time_search(
 ) -> TimeSearchResult:
     """Find t with phase alignment deficit below epsilon.
 
-    Integer mode scans t = 0, 1, .., ``budget``. Real mode uses a closed
-    form for a single angle when it lies within t_max, and otherwise a
-    coarse grid of step epsilon / (4 max theta) over [0, t_max] with
-    local refinement; the result never lies past t_max (by default
-    T_MAX_FACTOR / min theta). The smallest acceptable t wins. On failure the best time seen and its
+    Integer mode scans t = 0, 1, .., ``budget``. Real mode uses the closed
+    form t = pi (sigma mod 2) / theta, the least time >= 0 that aligns a
+    single angle, when it lies within t_max, and otherwise a coarse grid of
+    step epsilon / (4 max theta) over [0, t_max] with local refinement; the
+    result never lies past t_max (by default T_MAX_FACTOR / min theta). The
+    smallest acceptable t wins. On failure the best time seen and its
     deficit are returned with ``success=False``.
 
     Angles must be positive and finite, epsilon positive and finite,
@@ -613,7 +615,7 @@ def time_search(
     # real mode
     horizon = t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
     if angles.size == 1:
-        t = float(np.pi * sigmas[0] / angles[0])
+        t = float(np.pi * (sigmas[0] % 2) / angles[0])
         if t <= horizon:
             deficit = float(phase_alignment_deficit(angles, sigmas, t))
             return TimeSearchResult(
@@ -748,7 +750,7 @@ def _mixing_report(
     full = tuple(range(dec.num_classes))
     if a is None:
         starts, support, slack = np.arange(g.n), full, C_SLACK * epsilon * np.sqrt(g.n)
-        thin = {b: s for b in range(g.n) if (s := eigenvalue_support(dec, b)) != full}
+        thin = {b: s for b, s in enumerate(eigenvalue_supports(dec)) if s != full}
         if thin:
             notes.append(
                 "per-vertex supports are not uniform: "

@@ -178,6 +178,12 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     return dec
 
 
+def _supports(dec: SpectralDecomposition, columns) -> list[tuple[int, ...]]:
+    tau_support = TAU_SUPPORT_FACTOR * np.sqrt(dec.n)
+    norms = np.array([np.linalg.norm(E[:, columns], axis=0) for E in dec.idempotents])
+    return [tuple(np.flatnonzero(inside).tolist()) for inside in (norms > tau_support).T]
+
+
 def eigenvalue_support(dec: SpectralDecomposition, a: int) -> tuple[int, ...]:
     """Indices r with ||E_r e_a|| above the support cutoff 1e-10 * sqrt(n).
 
@@ -186,9 +192,10 @@ def eigenvalue_support(dec: SpectralDecomposition, a: int) -> tuple[int, ...]:
     """
     if not 0 <= a < dec.n:
         raise ValueError(f"vertex {a} out of range [0, {dec.n})")
-    tau_support = TAU_SUPPORT_FACTOR * np.sqrt(dec.n)
-    return tuple(
-        r
-        for r, E in enumerate(dec.idempotents)
-        if float(np.linalg.norm(E[:, a])) > tau_support
-    )
+    return _supports(dec, [a])[0]
+
+
+def eigenvalue_supports(dec: SpectralDecomposition) -> list[tuple[int, ...]]:
+    """:func:`eigenvalue_support` of every vertex, in one vectorised pass
+    of column norms per idempotent."""
+    return _supports(dec, slice(None))

@@ -30,8 +30,12 @@ from .spectra import SpectralDecomposition
 TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
-#: most bytes the dense projections of :func:`walk_spectrum` may take
+#: most bytes a build of :func:`walk_spectrum` may peak at
 MAX_SPECTRUM_BYTES = 2**29
+#: complex m x m arrays a build of :func:`walk_spectrum` holds beyond the
+#: stored projections at its peak, without and with verification (traced
+#: on rook:8: 2.1 and 5.1)
+WORKSPACE_ARRAYS = (3, 6)
 
 
 class WalkSpectrumError(ValueError):
@@ -240,14 +244,16 @@ def walk_spectrum(
     the lifts of the +-k adjacency classes and the kernel components of
     the incidence maps.
 
-    Projections that would take more than MAX_SPECTRUM_BYTES are refused
-    with a ValueError before any is allocated.
+    A build whose peak, the projections plus WORKSPACE_ARRAYS, would take
+    more than MAX_SPECTRUM_BYTES is refused with a ValueError before any
+    projection is allocated.
     """
     k = arc_space.k
     tails, heads = arc_space.tails, arc_space.heads
     m = arc_space.num_arcs
     # the +-1 projections and two per angle in (0, pi), complex128 m x m each
-    size = 16 * (2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)) * m * m
+    stored = 2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)
+    size = 16 * (stored + WORKSPACE_ARRAYS[verify]) * m * m
     if size > MAX_SPECTRUM_BYTES:
         raise ValueError(
             f"dense walk spectrum on {m} arcs needs {size >> 20} MiB, over the "
@@ -357,6 +363,32 @@ def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def evolve_by_projections(
+    dec: SpectralDecomposition, arc_space: ArcSpace, x: np.ndarray, t: float
+) -> np.ndarray:
+    """:func:`evolve_operator` on one real arc vector x, with each projection
+    of :func:`walk_spectrum` applied to x without being formed, in
+    O(d n^2 + d m) for d angle classes: F_{+theta} x = (T - e^{i theta} H)^T y
+    with y = E (T x - e^{-i theta} H x) / (2 k sin^2 theta), F_{-theta} x is
+    its conjugate, and the rest P x = x - sum 2 Re F_{+theta} x splits into
+    F_{+1} x = (P x + U P x) / 2 and F_{-1} x = P x - F_{+1} x.
+    """
+    x = np.asarray(x, dtype=float)
+    k, tails, heads = arc_space.k, arc_space.tails, arc_space.heads
+    tail_x = tail_sum(arc_space, x)
+    head_x = tail_sum(arc_space, x[arc_space.reversal_perm])  # H x = T R x
+    rest, out = x.copy(), np.zeros(len(x), dtype=complex)
+    for r in range(1, dec.num_classes - dec.has_minus_k):
+        theta = float(dec.angles[r])
+        phase = np.exp(1j * theta)
+        y = dec.idempotents[r] @ (tail_x - np.conj(phase) * head_x)
+        plus = (y[tails] - phase * y[heads]) / (2.0 * k * np.sin(theta) ** 2)
+        rest -= 2.0 * plus.real
+        out += 2.0 * (np.exp(1j * theta * t) * plus).real
+    plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
+    return out + plus1 + _minus_one_power(t) * (rest - plus1)
+
+
 def _class_weights(theta: float) -> tuple[complex, complex]:
     """Head and tail weights of the e^{i theta} eigen-component of U on the
     adjacency class with angle theta in [0, pi): for X = E_r x it is
@@ -422,35 +454,62 @@ def start_chunks(arc_space: ArcSpace, starts) -> list[np.ndarray]:
     return [starts[i : i + size] for i in range(0, len(starts), size)]
 
 
+def _start_blocks(arc_space: ArcSpace, columns):
+    """Chunks of at most BLOCK_ENTRIES // m start columns, each an n x c
+    block of vertex vectors: slices of a 2-D ``columns``, or the one-hot
+    columns of the start vertices that a 1-D ``columns`` lists."""
+    columns = np.asarray(columns)
+    if columns.ndim == 2:
+        if columns.shape[0] != arc_space.n:
+            raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {arc_space.n}")
+        for chunk in start_chunks(arc_space, np.arange(columns.shape[1])):
+            yield columns[:, chunk]
+        return
+    for chunk in start_chunks(arc_space, columns):
+        block = np.zeros((arc_space.n, len(chunk)))
+        block[chunk, np.arange(len(chunk))] = 1.0
+        yield block
+
+
 def check_closed_form(
-    dec: SpectralDecomposition, arc_space: ArcSpace, starts
+    dec: SpectralDecomposition, arc_space: ArcSpace, columns
 ) -> dict[str, float]:
     """Frobenius-norm defects of the eigen-components p_r behind
-    :func:`entry_block` on the start block x_a, a in ``starts``, built one
-    class and one :func:`start_chunks` chunk at a time and checked with the
-    O(m) :func:`apply_walk`; WalkSpectrumError when one exceeds TAU_WALK.
+    :func:`entry_block` on the arc states x = T^T v / sqrt(k) of the vertex
+    vectors v in ``columns`` (an n x c block, or a 1-D list of start
+    vertices standing for their one-hot columns), built one class and one
+    :func:`start_chunks` chunk at a time and checked with the O(m)
+    :func:`apply_walk`; WalkSpectrumError when one exceeds TAU_WALK.
 
-    - ``eigen``: the largest ||U p_r - e^{i theta_r} p_r|| over the classes;
-    - ``start``: ||sum_r 2 Re p_r - x||, the t = 0 identity.
+    - ``eigen``: the largest ||U p_r - mu_r p_r|| over the classes, with
+      mu_r = e^{i theta_r}, and mu = -1 for the bipartite class -k, whose
+      component is p = (E_{-k} v)[tails] / sqrt(k);
+    - ``start``: ||sum_r 2 Re p_r + p_{-k} - x||, the t = 0 identity.
 
     At integer t >= 0, U^t x then differs from :func:`entry_block` by at
-    most start + (2d + 1) t eigen, for d angle classes.
+    most start + (2d + 1) t eigen, for d angle classes. Both identities are
+    linear in v, so on the seeded random columns of :func:`probe_block`
+    they check the whole start block at once (Freivalds' check).
     """
-    if dec.has_minus_k:
-        raise ValueError("closed-form check requires a non-bipartite graph")
     tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
     eigen_sq = np.zeros(dec.num_classes)
     start_sq = 0.0
-    for chunk in start_chunks(arc_space, starts):
-        total = (tails[:, None] == chunk) / -root_k
+    for block in _start_blocks(arc_space, columns):
+        total = block[tails] / -root_k
         for r in range(dec.num_classes):
-            theta = dec.angles[r]
-            head, tail = _class_weights(theta)
-            X = dec.idempotents[r][:, chunk]
-            p = (head * X[heads] + tail * X[tails]) / root_k
-            drift = apply_walk(arc_space, p) - np.exp(1j * theta) * p
+            X = dec.idempotents[r] @ block
+            if dec.has_minus_k and r == dec.num_classes - 1:
+                p, mu = X[tails] / root_k, -1.0
+                total += p
+            else:
+                head, tail = _class_weights(dec.angles[r])
+                p, mu = (head * X[heads] + tail * X[tails]) / root_k, np.exp(1j * dec.angles[r])
+                total += 2.0 * p.real
+            # kept bound until the next class so the allocator reuses its
+            # pages: unbound, the all-columns check on hadamard-srg:8 ran
+            # 20% slower (2-vCPU Xeon VM, one BLAS thread)
+            drift = apply_walk(arc_space, p) - mu * p
             eigen_sq[r] += np.linalg.norm(drift) ** 2
-            total += 2.0 * p.real
         start_sq += np.linalg.norm(total) ** 2
     residuals = {"eigen": float(np.sqrt(eigen_sq.max())), "start": float(np.sqrt(start_sq))}
     bad = {name: val for name, val in residuals.items() if not val <= TAU_WALK}
@@ -461,6 +520,34 @@ def check_closed_form(
             residuals,
         )
     return residuals
+
+
+#: seeded random vertex vectors on which ``analyze`` checks the closed form
+PROBES = 4
+
+
+def probe_block(n: int) -> np.ndarray:
+    """n x PROBES block of seeded Gaussian vertex vectors of unit norm.
+
+    Their arc states T^T w / sqrt(k) are the combinations X w of the start
+    block X, so :func:`check_closed_form` on them costs O(d (n^2 + m)) per
+    probe and still sees every start column: a defect map that is not zero
+    has a random w in its kernel with probability 0 (R. Freivalds, IFIP
+    1977).
+    """
+    w = np.random.default_rng(0).standard_normal((n, PROBES))
+    return w / np.linalg.norm(w, axis=0)
+
+
+def coin_unitarity(k: int) -> float:
+    """max |U U^T - I| from the k x k Grover coin G = 2/k J - I alone.
+
+    U = R C with the reversal R a permutation (checked exactly by
+    :func:`build_arc_space`) and C block diagonal with blocks G, so
+    U U^T - I = R (C C^T - I) R^T holds the entries of G G^T - I.
+    """
+    G = np.full((k, k), 2.0 / k) - np.eye(k)
+    return float(np.abs(G @ G.T - np.eye(k)).max())
 
 
 def arc_distribution(x: State) -> np.ndarray:

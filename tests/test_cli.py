@@ -4,11 +4,15 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from arcwalk import cli, mixing, spectra, walk
 from arcwalk.cli import main, resolve_builtin
+from arcwalk.graphs import graph_from_adjacency, write_edge_list
+
+from conftest import GRAPH_BUILDERS
 
 
 def run_cli(args, capsys):
@@ -52,9 +56,13 @@ def test_analyze_cycle_reports_no_srg(capsys):
 def test_analyze_verifies_each_spectrum_once(monkeypatch, capsys):
     calls = Counter()
     targets = (
+        (spectra, "decomposition_residuals"),
+        (cli, "check_closed_form"),
+        (cli, "eigenvalue_supports"),
+        (walk, "walk_spectrum"),
         (walk, "walk_spectrum_residuals"),
         (walk, "transition_matrix"),
-        (spectra, "decomposition_residuals"),
+        (spectra, "eigenvalue_support"),
     )
     for module, name in targets:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
@@ -64,23 +72,30 @@ def test_analyze_verifies_each_spectrum_once(monkeypatch, capsys):
         monkeypatch.setattr(module, name, counted)
     code, _, _ = run_cli(["analyze", "--builtin", "petersen", "--format", "json"], capsys)
     assert code == 0
-    assert calls == {name: 1 for _, name in targets}
+    assert calls == {"decomposition_residuals": 1, "check_closed_form": 1, "eigenvalue_supports": 1}
 
 
 def test_analyze_reports_both_suites(capsys):
     code, out, _ = run_cli(["analyze", "--builtin", "petersen", "--format", "json"], capsys)
     assert code == 0
     residuals = json.loads(out)["residuals"]
-    adjacency = spectra.eigendecompose_symmetric(resolve_builtin("petersen")).residuals
+    g = resolve_builtin("petersen")
+    dec = spectra.eigendecompose_symmetric(g)
+    arcs = walk.build_arc_space(g)
     assert set(residuals) == {
-        "completeness", "idempotency", "orthogonality", "reconstruction", "e0_vs_uniform",
-        "hermiticity", "resolution", "correspondence", "unitarity",
         "adjacency_completeness", "adjacency_idempotency", "adjacency_orthogonality",
+        "adjacency_reconstruction", "adjacency_e0_vs_uniform", "eigen", "start", "unitarity",
     }
-    for key in ("completeness", "idempotency", "orthogonality"):
-        assert residuals[f"adjacency_{key}"] == adjacency[key]
-    assert residuals["reconstruction"] == adjacency["reconstruction"]
+    for key, value in dec.residuals.items():
+        assert residuals[f"adjacency_{key}"] == value
     assert residuals["adjacency_completeness"] <= spectra.COMPLETENESS_TOL
+    probes = walk.check_closed_form(dec, arcs, walk.probe_block(g.n))
+    assert {key: residuals[key] for key in ("eigen", "start")} == probes
+    # U = R C with R a permutation: the coin block gives max |U U^T - I|
+    U = walk.transition_matrix(arcs)
+    assert residuals["unitarity"] == walk.coin_unitarity(3)
+    assert residuals["unitarity"] == pytest.approx(np.abs(U @ U.T - np.eye(len(U))).max(), abs=1e-15)
+    assert max(residuals.values()) <= walk.TAU_WALK
 
 
 @pytest.mark.parametrize(
@@ -90,8 +105,6 @@ def test_analyze_reports_both_suites(capsys):
         ["analyze", "--builtin", "cycle:100000000"],
         ["analyze", "--builtin", "kn:100000000"],
         ["evolve", "--builtin", "rook:100000"],
-        ["analyze", "--builtin", "hadamard-srg:8"],
-        ["evolve", "--builtin", "hadamard-srg:8"],
     ],
 )
 def test_oversized_graphs_exit_two_before_allocating(args, tmp_path, capsys):
@@ -101,6 +114,20 @@ def test_oversized_graphs_exit_two_before_allocating(args, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["evolve", "--t", "2.5"]], ids=["analyze", "evolve"])
+def test_hadamard_srg_8_analyze_and_evolve_exit_zero(command, capsys):
+    """m = 30720 arcs: the dense projections would take 86400 MiB."""
+    code, out, _ = run_cli(
+        [*command[:1], "--builtin", "hadamard-srg:8", "--format", "json", *command[1:]], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert max(doc["residuals"].values()) <= walk.TAU_WALK
+    if command[0] == "evolve":
+        assert len(doc["state"]) == 30720
+        assert doc["entry_formula_agreement"] <= walk.TAU_WALK
 
 
 def test_mix_success_exit_zero(capsys):
@@ -372,3 +399,97 @@ def test_mix_never_builds_the_dense_walk(monkeypatch, capsys):
             assert doc["verdict"] == want, (spec, extra)
             if status is not None:
                 assert doc["kronecker"]["status"] == status, (spec, extra)
+
+
+def walk_graphs(tmp_path):
+    """CLI sources for analyze and evolve: the curated graphs through
+    --edges, cycle:8 and cycle:12 (bipartite), and random regular graphs
+    of the benchmark's sizes through --edges."""
+    graphs = {name: build() for name, build in GRAPH_BUILDERS.items()}
+    for n, k in ((16, 3), (20, 4), (24, 3), (28, 4)):
+        seed = 0
+        while not nx.is_connected(h := nx.random_regular_graph(k, n, seed=seed)):
+            seed += 1
+        graphs[f"random-{n}-{k}"] = graph_from_adjacency(nx.to_numpy_array(h, dtype=np.int64))
+    sources = {}
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.edges"
+        path.write_text(write_edge_list(g))
+        sources[name] = (["--edges", str(path)], g)
+    for name in ("cycle:8", "cycle:12"):
+        sources[name] = (["--builtin", name], resolve_builtin(name))
+    return sources
+
+
+EVOLVE_POINTS = ((0, 0.0), (1, 1.0), (2, 2.5), (3, 7.0), (1, 13.5))
+
+
+def test_analyze_and_evolve_never_build_the_dense_walk(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense walk called on the analyze or evolve path")
+
+    sources = walk_graphs(tmp_path)
+    for module in (walk, mixing, cli):
+        for name in ("walk_spectrum", "walk_spectrum_residuals", "transition_matrix",
+                     "evolve", "evolve_operator"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for name, (source, _) in sources.items():
+        code, out, _ = run_cli(["analyze", *source, "--format", "json"], capsys)
+        assert code == 0, name
+        assert max(json.loads(out)["residuals"].values()) <= walk.TAU_WALK, name
+        for a, t in EVOLVE_POINTS:
+            code, out, _ = run_cli(
+                ["evolve", *source, "--vertex", str(a), "--t", repr(t), "--format", "json"], capsys
+            )
+            doc = json.loads(out)
+            assert code == 0, (name, a, t)
+            assert max(doc["residuals"].values()) <= walk.TAU_WALK, (name, a, t)
+            assert doc["entry_formula_agreement"] <= 1e-12, (name, a, t)
+
+
+def test_evolve_state_matches_the_dense_oracle(tmp_path, capsys):
+    for name, (source, g) in walk_graphs(tmp_path).items():
+        dec, arcs = spectra.eigendecompose_symmetric(g), walk.build_arc_space(g)
+        ws = walk.walk_spectrum(dec, arcs)
+        for a, t in EVOLVE_POINTS:
+            code, out, _ = run_cli(
+                ["evolve", *source, "--vertex", str(a), "--t", repr(t), "--format", "json"], capsys
+            )
+            assert code == 0
+            state = np.array([complex(re, im) for re, im in json.loads(out)["state"]])
+            dense = walk.evolve(ws, walk.initial_state(arcs, a), t).amplitudes
+            np.testing.assert_allclose(state, dense, rtol=0, atol=1e-12, err_msg=f"{name} {a} {t}")
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = Counter()
+    original = cli.build_parser
+
+    def counted():
+        built["parser"] += 1
+        return original()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for _ in range(3):
+            assert run_cli(["analyze", "--builtin", "k4", "--format", "json"], capsys)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built["parser"] == 1
+
+
+def test_json_output_renders_no_text(monkeypatch, capsys):
+    rendered = []
+    original = cli._emit
+
+    def spy(payload, fmt, render):
+        original(payload, fmt, lambda: rendered.append(payload) or render())
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for command in (["mix", "--emit-matrix"], ["analyze"], ["evolve"]):
+        run_cli([command[0], "--builtin", "rook:4", "--format", "json", *command[1:]], capsys)
+    assert rendered == []
+    code, out, _ = run_cli(["mix", "--builtin", "k4", "--emit-matrix", "--epsilon", "0.1"], capsys)
+    assert len(rendered) == 1 and code == 0
+    assert "  -1 +1 +1 +1" in out.splitlines()

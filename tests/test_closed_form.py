@@ -3,12 +3,14 @@
 ``entry_block`` gives U^t on the vertex start states from the adjacency
 idempotents alone. It is compared with the dense walk projections
 (``evolve`` and ``evolve_operator``) at integer and half-integer t and
-with U stepped by ``apply_walk`` at integer t, on the curated
-non-bipartite graphs and on random regular graphs with at most 200 arcs.
-Mutated closed forms must fail ``check_closed_form``.
+with U stepped by ``apply_walk`` at integer t, on the curated graphs, on
+the bipartite cycles C_8 and C_12 and on random regular graphs with at
+most 200 arcs. Mutated closed forms must fail ``check_closed_form``, on
+every start column and on the random probe columns alike.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -21,11 +23,13 @@ from arcwalk import (
     build_arc_space,
     eigendecompose_symmetric,
     evolve,
+    evolve_by_projections,
     evolve_operator,
     hadamard_search,
     initial_state,
     local_mixing_report,
     mixing,
+    probe_block,
     simultaneous_mixing_check,
     walk,
     walk_spectrum,
@@ -33,7 +37,7 @@ from arcwalk import (
 from arcwalk.cli import resolve_builtin
 from arcwalk.walk import apply_walk, check_closed_form, entry_block, start_chunks
 
-from conftest import GRAPH_BUILDERS, NON_BIPARTITE, get_bundle
+from conftest import ALL_GRAPHS, GRAPH_BUILDERS, NON_BIPARTITE, get_bundle
 from test_arc_index import random_regular_graphs
 
 ATOL = 1e-10
@@ -162,9 +166,88 @@ def test_simultaneous_blocks_hold_one_chunk_at_a_time(monkeypatch):
 
 
 def test_closed_form_input_checks():
-    c4 = get_bundle("c4")
-    with pytest.raises(ValueError, match="non-bipartite"):
-        check_closed_form(c4.dec, c4.arcs, [0])
-    k4 = GRAPH_BUILDERS["k4"]()
+    k4 = get_bundle("k4")
+    with pytest.raises(ValueError, match="3 rows, expected 4"):
+        check_closed_form(k4.dec, k4.arcs, np.ones((3, 2)))
     with pytest.raises(ValueError, match="out of range"):
-        walk.entry_formula(eigendecompose_symmetric(k4), build_arc_space(k4), 4, 1.0)
+        walk.entry_formula(k4.dec, k4.arcs, 4, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def walk_inputs(name):
+    """dec, arcs and the dense walk spectrum of a curated graph or of a
+    longer cycle (both bipartite)."""
+    if name in GRAPH_BUILDERS:
+        b = get_bundle(name)
+        return b.dec, b.arcs, b.ws
+    g = resolve_builtin(name)
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    return dec, arcs, walk_spectrum(dec, arcs)
+
+
+BIPARTITE = ("c4", "cycle:8", "cycle:12")
+WALK_GRAPHS = ALL_GRAPHS + BIPARTITE[1:]
+
+
+@pytest.mark.parametrize("name", BIPARTITE)
+def test_closed_form_matches_dense_walk_on_bipartite_graphs(name):
+    check_against_oracles(*walk_inputs(name))
+
+
+def defects(dec, arcs, columns):
+    """The closed-form defects, and whether they passed."""
+    try:
+        return check_closed_form(dec, arcs, columns), True
+    except WalkSpectrumError as exc:
+        return exc.residuals, False
+
+
+@pytest.mark.parametrize("name", WALK_GRAPHS)
+def test_probe_check_agrees_with_all_columns(name):
+    dec, arcs, _ = walk_inputs(name)
+    everyone = np.arange(arcs.n)
+    columns = check_closed_form(dec, arcs, everyone)
+    assert max(check_closed_form(dec, arcs, probe_block(arcs.n)).values()) <= 1e-12
+    assert max(columns.values()) <= 1e-12
+    # a list of start vertices stands for their one-hot columns
+    assert check_closed_form(dec, arcs, np.eye(arcs.n)) == columns
+
+
+def flipped(monkeypatch):
+    monkeypatch.setattr(walk, "_class_weights", flipped_weights)
+
+
+MUTATIONS = {
+    "flipped phase": lambda dec, monkeypatch: flipped(monkeypatch) or dec,
+    "dropped class": lambda dec, monkeypatch: without_class(dec, 1),
+    "dropped -1 class": lambda dec, monkeypatch: without_class(dec, dec.num_classes - 1),
+}
+MUTATED = [(mutation, name) for mutation in MUTATIONS for name in WALK_GRAPHS
+           if mutation != "dropped -1 class" or name in BIPARTITE]
+
+
+@pytest.mark.parametrize("mutation, name", MUTATED)
+def test_probe_check_fails_where_all_columns_fail(mutation, name, monkeypatch):
+    """A probe is a unit combination of start columns, so each probe defect
+    is at most sqrt(PROBES) times its all-columns (Frobenius) defect."""
+    dec, arcs, _ = walk_inputs(name)
+    dec = MUTATIONS[mutation](dec, monkeypatch)
+    columns, columns_pass = defects(dec, arcs, np.arange(arcs.n))
+    probes, probes_pass = defects(dec, arcs, probe_block(arcs.n))
+    assert not columns_pass and not probes_pass
+    assert max(probes.values()) > 1e-3
+    for key, value in probes.items():
+        assert value <= np.sqrt(walk.PROBES) * columns[key] * (1 + 1e-9) + 1e-15, key
+
+
+@pytest.mark.parametrize("name", WALK_GRAPHS)
+def test_projections_applied_to_a_vector_match_the_dense_ones(name):
+    dec, arcs, ws = walk_inputs(name)
+    rng = np.random.default_rng(3)
+    vectors = [initial_state(arcs, 0).amplitudes.real, rng.standard_normal(arcs.num_arcs)]
+    for x in vectors:
+        for t in DENSE_TIMES:
+            assert_allclose(
+                evolve_by_projections(dec, arcs, x, t), evolve_operator(ws, x, t),
+                rtol=0, atol=1e-12,
+            )

@@ -285,6 +285,20 @@ def test_time_search_single_angle_closed_form():
     assert result.deficit < 1e-12
 
 
+@pytest.mark.parametrize("sigma, t", [(-1, np.pi), (0, 0.0), (1, np.pi), (2, 0.0), (3, np.pi)])
+def test_single_angle_real_time_is_the_least_nonnegative_one(sigma, t):
+    result = time_search([1.0], [sigma], 0.1, "real")
+    assert result.success and result.t == t
+    assert result.deficit == phase_alignment_deficit([1.0], [sigma], t) < 1e-15
+
+
+@pytest.mark.parametrize("sigma", [-1, 1, 3])
+def test_single_angle_real_time_past_t_max_falls_to_the_grid(sigma):
+    result = time_search([1.0], [sigma], 0.1, "real", t_max=2.0)
+    assert not result.success and 0.0 <= result.t <= 2.0
+    assert time_search([1.0], [sigma], 0.1, "real", t_max=4.0).t == np.pi
+
+
 def test_time_search_integer_mode_first_hit():
     b = get_bundle("rook4")
     angles = b.dec.angles[1:]

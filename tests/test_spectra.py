@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +8,9 @@ from arcwalk import (
     decomposition_residuals,
     eigendecompose_symmetric,
     eigenvalue_support,
+    eigenvalue_supports,
     from_edge_list,
+    graph_from_adjacency,
     validate_srg,
 )
 
@@ -85,6 +88,26 @@ def test_eigenvalue_support_full_on_transitive_graphs(name):
     full = tuple(range(b.dec.num_classes))
     for a in range(b.graph.n):
         assert eigenvalue_support(b.dec, a) == full
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS + (8, 10, 12))
+def test_supports_of_every_vertex_in_one_pass(name):
+    """Against the column norms one vertex at a time. The random cubic
+    graphs on 8, 10 and 12 vertices (networkx seed 0) have vertices
+    outside some classes."""
+    if name in GRAPH_BUILDERS:
+        dec = get_bundle(name).dec
+    else:
+        h = nx.random_regular_graph(3, name, seed=0)
+        dec = eigendecompose_symmetric(graph_from_adjacency(nx.to_numpy_array(h, dtype=np.int64)))
+        assert any(len(s) < dec.num_classes for s in eigenvalue_supports(dec))
+    cutoff = 1e-10 * np.sqrt(dec.n)
+    oracle = [
+        tuple(r for r, E in enumerate(dec.idempotents) if np.linalg.norm(E[:, a]) > cutoff)
+        for a in range(dec.n)
+    ]
+    assert eigenvalue_supports(dec) == oracle
+    assert [eigenvalue_support(dec, a) for a in range(dec.n)] == oracle
 
 
 def test_eigenvalue_support_rejects_bad_vertex():

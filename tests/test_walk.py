@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from arcwalk import (
     State,
     arc_distribution,
     build_arc_space,
+    eigendecompose_symmetric,
     entry_formula,
     evolve,
     evolve_operator,
@@ -20,9 +23,11 @@ from arcwalk import (
     state_from_json,
     state_to_json,
     transition_matrix,
+    walk,
     walk_spectrum,
     walk_spectrum_residuals,
 )
+from arcwalk.cli import resolve_builtin
 from arcwalk.spectra import decomposition_residuals
 
 from conftest import ALL_GRAPHS, NON_BIPARTITE, dense_incidence, get_bundle
@@ -248,3 +253,31 @@ def test_evolution_group_property(t, s):
     two_step = evolve(b.ws, evolve(b.ws, x, t), s)
     assert abs(np.linalg.norm(one_shot.amplitudes) - 1) < 1e-11
     assert_allclose(two_step.amplitudes, one_shot.amplitudes, atol=1e-10)
+
+
+def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
+    """complement:rook:4 (m = 144) holds 6 complex m x m projections. With
+    room for 10, the unverified build fits and the verified one, which
+    needs room for 12, is refused before it allocates; each admitted build
+    peaks within its limit."""
+    g = resolve_builtin("complement:rook:4")
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    unit = 16 * arcs.num_arcs**2
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 10 * unit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the limit"):
+            walk_spectrum(dec, arcs)
+        _, refused_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        walk_spectrum(dec, arcs, verify=False)
+        _, unverified_peak = tracemalloc.get_traced_memory()
+        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 12 * unit)
+        tracemalloc.reset_peak()
+        walk_spectrum(dec, arcs)
+        _, verified_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused_peak < unit / 4
+    assert unverified_peak <= 10 * unit
+    assert verified_peak <= 12 * unit
