@@ -212,16 +212,18 @@ def check_strong_cospectrality(
 
         E_col = E[:, a]
         theta = float(dec.angles[r])
+        # cosines are tested in the unit of the residuals: an error c in a
+        # cosine moves its equation by c * sqrt(k) ||E_r e_a||
+        scale = sqrt_k * float(np.linalg.norm(E_col))
         ct = _projected_ratio(E_col, proj_tail) / sqrt_k
         ch = _projected_ratio(E_col, proj_head) / sqrt_k
-        if abs(ct.imag) > tau or abs(ch.imag) > tau:
+        if scale * max(abs(ct.imag), abs(ch.imag)) > tau:
             return NOT_COSPECTRAL
         cos_tail, cos_head = ct.real, ch.real
-        if abs(cos_tail) > 1.0 + tau or abs(cos_head) > 1.0 + tau:
+        if scale * (max(abs(cos_tail), abs(cos_head)) - 1.0) > tau:
             return NOT_COSPECTRAL
         res_tail = float(np.linalg.norm(proj_tail - sqrt_k * cos_tail * E_col))
-        res_head = float(np.linalg.norm(proj_head - sqrt_k * cos_head * E_col))
-        if max(res_tail, res_head) > tau:
+        if res_tail > tau:
             return NOT_COSPECTRAL
 
         base = float(np.arccos(np.clip(cos_tail, -1.0, 1.0)))
@@ -233,9 +235,9 @@ def check_strong_cospectrality(
             err_plus = abs(np.cos(base + theta) - cos_head)
             err_minus = abs(np.cos(-base + theta) - cos_head)
             delta = base if err_plus <= err_minus else -base
-        head_err = abs(np.cos(delta + theta) - cos_head)
-        residuals[f"class{r}"] = max(res_tail, res_head, head_err)
-        if head_err > tau:
+        res_head = float(np.linalg.norm(proj_head - sqrt_k * np.cos(delta + theta) * E_col))
+        residuals[f"class{r}"] = max(res_tail, res_head)
+        if res_head > tau:
             return NOT_COSPECTRAL
         deltas[r] = delta
 
@@ -257,13 +259,9 @@ def check_strong_cospectrality_direct(
     """
     if len(x) != ws.num_arcs or len(y) != ws.num_arcs:
         raise ValueError("states live on the wrong number of arcs")
-    labels_and_projs: list[tuple[str, np.ndarray]] = [
-        ("plus1", ws.proj_plus1),
-        ("minus1", ws.proj_minus1),
-    ]
+    labels_and_projs = [("plus1", ws.proj_plus1), ("minus1", ws.proj_minus1)]
     for pair in ws.pairs:
-        labels_and_projs.append((f"pair{pair.index}+", pair.plus))
-        labels_and_projs.append((f"pair{pair.index}-", pair.minus))
+        labels_and_projs += [(f"pair{pair.index}+", pair.plus), (f"pair{pair.index}-", pair.minus)]
 
     phases: dict[str, float | None] = {}
     worst = 0.0

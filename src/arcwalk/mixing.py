@@ -15,11 +15,11 @@ finds an explicit time within the requested epsilon.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
 pattern is refused before any arc is enumerated. U^t on the start block
-comes from :func:`arcwalk.walk.entry_block`, whose eigen-components are
-checked once, for every t, against the O(m) walk on the arc arrays by
-:func:`arcwalk.walk.check_closed_form`. Both work on chunks of start
-vertices, so a simultaneous check holds O(BLOCK_ENTRIES) amplitudes, not
-all m x n.
+and its distance to the flat target are taken in n x n form from
+:func:`arcwalk.walk.entry_parts`. Its eigen-components are checked once,
+for every t, against the O(m) walk by :func:`arcwalk.walk.check_closed_form`:
+on the start column of a local run, on the seeded probes of
+:func:`arcwalk.walk.probe_block` for a simultaneous one.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ from fractions import Fraction
 import numpy as np
 
 from .cospec import TAU_FLAT, SignPattern
-from .graphs import NOT_SRG, Graph, check_regular_hadamard, validate_srg
+from .graphs import Graph, check_regular_hadamard
 from .spectra import (
     SpectralDecomposition,
     eigendecompose_symmetric,
     eigenvalue_support,
     eigenvalue_supports,
+    walk_regular,
 )
-from .walk import build_arc_space, check_closed_form, entry_block, start_chunks
+from .walk import build_arc_space, check_closed_form, entry_parts, probe_block
 
 logger = logging.getLogger(__name__)
 
@@ -411,25 +412,22 @@ def family_parity_check(m: int, family: str) -> FamilyParity:
         f"family {family}, m={m}: parameters {params}, non-valency eigenvalues +-{m}",
         f"cos(theta) = m/k = {ratio}, second angle is pi - theta",
     ]
+    verdict = functools.partial(
+        FamilyParity, family=family, m=m, srg_params=params, cos_ratio=ratio
+    )
     if ratio == 1:
         conditions.append(
             "degenerate member: eigenvalue m equals the valency, so every "
             "component is a single edge and no connected member exists; the "
             "phase condition holds vacuously"
         )
-        return FamilyParity(
-            family=family, m=m, srg_params=params, cos_ratio=ratio,
-            vacuous=True, holds=True, conditions=tuple(conditions),
-        )
+        return verdict(vacuous=True, holds=True, conditions=tuple(conditions))
     if not (0 < ratio < Fraction(1, 2)):
         conditions.append(
             f"ratio {ratio} falls outside (0, 1/2); the irrationality "
             "argument does not apply"
         )
-        return FamilyParity(
-            family=family, m=m, srg_params=params, cos_ratio=ratio,
-            vacuous=False, holds=False, conditions=tuple(conditions),
-        )
+        return verdict(vacuous=False, holds=False, conditions=tuple(conditions))
     conditions.extend(
         [
             f"0 < {ratio} < 1/2, so theta = arccos({ratio}) is an irrational "
@@ -441,10 +439,7 @@ def family_parity_check(m: int, family: str) -> FamilyParity:
             "assignment, so the phase condition holds for all patterns",
         ]
     )
-    return FamilyParity(
-        family=family, m=m, srg_params=params, cos_ratio=ratio,
-        vacuous=False, holds=True, conditions=tuple(conditions),
-    )
+    return verdict(vacuous=False, holds=True, conditions=tuple(conditions))
 
 
 def phase_alignment_deficit(angles, sigmas, t) -> np.ndarray | float:
@@ -642,7 +637,9 @@ class MixingReport:
     eigenvalue classes of the start vertex (all classes when simultaneous).
     ``verdict`` is one of success, no-flat-target, phase-obstruction,
     budget-exhausted. ``walk_residual`` is the largest closed-form defect
-    (:func:`arcwalk.walk.check_closed_form`), None without a certificate.
+    (:func:`arcwalk.walk.check_closed_form`) on the start column, or on the
+    seeded probes of every start column when simultaneous; None without a
+    certificate.
     """
 
     graph: str
@@ -704,20 +701,22 @@ def report_from_json(data: dict) -> MixingReport:
     )
 
 
-def _distance_to_target(dec, arcs, H, starts, t) -> tuple[complex, float]:
-    """gamma and || U^t X - gamma Y ||_F for the start block X = T^T E_s /
-    sqrt(k) and its lifted flat target Y = T^T H E_s / sqrt(nk), one chunk
-    of start columns s at a time: one pass finds gamma, a second the norm."""
-
-    def blocks():
-        for chunk in start_chunks(arcs, starts):
-            target = H[:, chunk][arcs.tails] / np.sqrt(dec.n * arcs.k)
-            yield entry_block(dec, arcs, chunk, t), target
-
-    inner = sum(complex(np.vdot(target, state)) for state, target in blocks())
+def _distance_to_target(dec, H, starts, t) -> tuple[complex, float]:
+    """gamma and ||U^t X - gamma Y||_F for the start block X = T^T E_S / sqrt(k)
+    and its flat target Y = T^T H E_S / sqrt(nk), in n x |S| form. With
+    U^t X = a[tails] + b[heads] (:func:`entry_parts` over sqrt(k)) and
+    Y = y[tails], y = H E_S / sqrt(nk): <Y, U^t X> = k <y, a> + <y, A b> and
+    ||U^t X - gamma Y||^2 = k ||a - gamma y||^2 + k ||b||^2 + 2 Re <a - gamma y, A b>,
+    clamped at 0, since an exact hit leaves rounding noise of either sign."""
+    root_k = np.sqrt(dec.k)
+    a, b = (part / root_k for part in entry_parts(dec, starts, t))
+    Ab = entry_parts(dec, starts, t, scale=dec.eigenvalues)[1] / root_k
+    y = H[:, starts] / np.sqrt(dec.n * dec.k)
+    inner = dec.k * complex(np.vdot(y, a)) + complex(np.vdot(y, Ab))
     gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
-    squares = sum(np.linalg.norm(state - gamma * target) ** 2 for state, target in blocks())
-    return gamma, float(np.sqrt(squares))
+    c = a - gamma * y
+    square = dec.k * (np.vdot(c, c).real + np.vdot(b, b).real) + 2.0 * np.vdot(c, Ab).real
+    return gamma, float(np.sqrt(max(square, 0.0)))
 
 
 def _mixing_report(
@@ -742,10 +741,11 @@ def _mixing_report(
         raise ValueError(f"vertex {a} out of range [0, {g.n})")
     dec = eigendecompose_symmetric(g)
     notes = []
-    if validate_srg(g) != NOT_SRG:
+    if walk_regular(dec):
         notes.append(
-            "graph is strongly regular or complete, so the certificate and "
-            "mixing time do not depend on the start vertex"
+            "graph is walk-regular (every spectral idempotent has a constant "
+            "diagonal), so the certificate, mixing time and residual do not "
+            "depend on the start vertex"
         )
     full = tuple(range(dec.num_classes))
     if a is None:
@@ -785,7 +785,8 @@ def _mixing_report(
         )
 
     arcs = build_arc_space(g)
-    walk_residual = max(check_closed_form(dec, arcs, starts).values())
+    columns = starts if a is not None else probe_block(g.n)
+    walk_residual = max(check_closed_form(dec, arcs, columns).values())
     angles = np.array([float(dec.angles[r]) for r in classes])
     fallback: MixingReport | None = None
     for cert in certificates:
@@ -808,7 +809,7 @@ def _mixing_report(
                 budget=budget, t_max=t_max, phase_status=kron.status,
             )
             t = search.t
-            gamma, residual = _distance_to_target(dec, arcs, cert.matrix, starts, t)
+            gamma, residual = _distance_to_target(dec, cert.matrix, starts, t)
             verdict = SUCCESS if search.success and residual <= slack else BUDGET_EXHAUSTED
             if verdict == BUDGET_EXHAUSTED:
                 cert_notes.append(f"best alignment deficit {search.deficit:.3e} at t={t}")

@@ -199,3 +199,10 @@ def eigenvalue_supports(dec: SpectralDecomposition) -> list[tuple[int, ...]]:
     """:func:`eigenvalue_support` of every vertex, in one vectorised pass
     of column norms per idempotent."""
     return _supports(dec, slice(None))
+
+
+def walk_regular(dec: SpectralDecomposition) -> bool:
+    """Whether the graph is walk-regular: every E_r has a constant diagonal
+    (E_r)_aa = ||E_r e_a||^2, the norms equal within the support cutoff."""
+    norms = np.sqrt(np.clip([np.diagonal(E) for E in dec.idempotents], 0.0, None))
+    return bool(np.ptp(norms, axis=1).max() <= TAU_SUPPORT_FACTOR * np.sqrt(dec.n))

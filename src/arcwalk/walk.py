@@ -30,12 +30,19 @@ from .spectra import SpectralDecomposition
 TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
-#: most bytes a build of :func:`walk_spectrum` may peak at
+#: most bytes a :func:`walk_spectrum` build or :func:`check_closed_form` block takes
 MAX_SPECTRUM_BYTES = 2**29
-#: complex m x m arrays a build of :func:`walk_spectrum` holds beyond the
-#: stored projections at its peak, without and with verification (traced
-#: on rook:8: 2.1 and 5.1)
-WORKSPACE_ARRAYS = (3, 6)
+#: complex (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond
+#: the stored projections at its peak, without and with verification (traced:
+#: m x m on rook:8, 2.1 and 5.1; m x n on k4, 3.7 and 7.0, fixed costs included)
+WORKSPACE_ARRAYS = ((3, 5), (6, 8))
+
+
+def _within_limit(size: int, what: str) -> None:
+    if size > MAX_SPECTRUM_BYTES:
+        raise ValueError(
+            f"{what} needs {size >> 20} MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB"
+        )
 
 
 class WalkSpectrumError(ValueError):
@@ -253,12 +260,9 @@ def walk_spectrum(
     m = arc_space.num_arcs
     # the +-1 projections and two per angle in (0, pi), complex128 m x m each
     stored = 2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)
-    size = 16 * (stored + WORKSPACE_ARRAYS[verify]) * m * m
-    if size > MAX_SPECTRUM_BYTES:
-        raise ValueError(
-            f"dense walk spectrum on {m} arcs needs {size >> 20} MiB, over the "
-            f"limit of {MAX_SPECTRUM_BYTES >> 20} MiB"
-        )
+    square, columns = WORKSPACE_ARRAYS[verify]
+    _within_limit(16 * ((stored + square) * m + columns * arc_space.n) * m,
+                  f"dense walk spectrum on {m} arcs")
 
     pairs = []
     for r in range(1, dec.num_classes):
@@ -394,7 +398,7 @@ def _class_weights(theta: float) -> tuple[complex, complex]:
     adjacency class with angle theta in [0, pi): for X = E_r x it is
     p = (head X[heads] + tail X[tails]) / sqrt(k), and class r adds
     2 Re(e^{i t theta} p) to U^t x. The valency class (theta = 0) has
-    p = X[tails] / (2 sqrt(k)). :func:`entry_block` evaluates with these
+    p = X[tails] / (2 sqrt(k)). :func:`entry_parts` evaluates with these
     weights and :func:`check_closed_form` certifies them."""
     if theta == 0.0:
         return 0.0, 0.5
@@ -402,35 +406,45 @@ def _class_weights(theta: float) -> tuple[complex, complex]:
     return head, -np.exp(-1j * theta) * head
 
 
-def entry_block(
-    dec: SpectralDecomposition, arc_space: ArcSpace, starts, t: float
-) -> np.ndarray:
-    """Closed form for U^t x_a from adjacency idempotents alone, for one
-    start vertex a (shape (m,)) or a 1-D array of them (shape (m, c)).
-
-    The amplitude on arc (u, v) is
+def entry_parts(
+    dec: SpectralDecomposition, starts, t: float, scale=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n x c vertex arrays (tail, head) of U^t on the start vertices
+    ``starts`` (one, or a 1-D array), U^t x_a = (tail[tails] + head[heads])
+    / sqrt(k), in closed form. The amplitude on arc (u, v) is
 
         1/sqrt(k) * ( sum_{theta_r in (0, pi)} [ sin(t theta_r) (E_r)_{va}
                       - sin((t-1) theta_r) (E_r)_{ua} ] / sin(theta_r)
                       + (E_0)_{ua} + (-1)^t (E_{-k})_{ua} )
 
-    with the bipartite term present only when -k is an eigenvalue. The
-    class sums (see :func:`_class_weights`) run on n x c vertex arrays,
-    gathered to arcs once. Real t uses the principal branch, matching
-    :func:`evolve`.
+    with the bipartite term present only when -k is an eigenvalue: sums of
+    E_r[:, starts] with the weights of :func:`_class_weights`, each class
+    also scaled by ``scale[r]`` if given (``dec.eigenvalues`` gives
+    (A tail, A head)). Real t uses the principal branch, like :func:`evolve`.
     """
-    head_part = np.zeros((dec.n,) + np.shape(starts), dtype=complex)
-    tail_part = head_part.copy()
+    scale = np.ones(dec.num_classes) if scale is None else scale
+    head = np.zeros((dec.n,) + np.shape(starts), dtype=complex)
+    tail = head.copy()
     if dec.has_minus_k:
-        tail_part += _minus_one_power(t) * dec.idempotents[-1][:, starts]
+        tail += _minus_one_power(t) * scale[-1] * dec.idempotents[-1][:, starts]
     for r in range(dec.num_classes - dec.has_minus_k):
         theta = dec.angles[r]
-        phase = 2.0 * np.exp(1j * t * theta)
-        head, tail = _class_weights(theta)
+        phase = 2.0 * scale[r] * np.exp(1j * t * theta)
+        head_weight, tail_weight = _class_weights(theta)
         column = dec.idempotents[r][:, starts]
-        head_part += (phase * head).real * column
-        tail_part += (phase * tail).real * column
-    return (tail_part[arc_space.tails] + head_part[arc_space.heads]) / np.sqrt(arc_space.k)
+        head += (phase * head_weight).real * column
+        tail += (phase * tail_weight).real * column
+    return tail, head
+
+
+def entry_block(
+    dec: SpectralDecomposition, arc_space: ArcSpace, starts, t: float
+) -> np.ndarray:
+    """U^t x_a in closed form from adjacency idempotents alone, for one start
+    vertex a (shape (m,)) or a 1-D array of them (shape (m, c)): the
+    :func:`entry_parts` gathered onto the arcs."""
+    tail, head = entry_parts(dec, starts, t)
+    return (tail[arc_space.tails] + head[arc_space.heads]) / np.sqrt(arc_space.k)
 
 
 def entry_formula(
@@ -442,44 +456,15 @@ def entry_formula(
     return State(entry_block(dec, arc_space, a, t))
 
 
-#: most arc amplitudes (m times the start vertices) held in one block
-BLOCK_ENTRIES = 2**19
-
-
-def start_chunks(arc_space: ArcSpace, starts) -> list[np.ndarray]:
-    """Split start vertices into chunks of at most BLOCK_ENTRIES // m (and
-    at least one) vertices."""
-    starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-    size = max(1, BLOCK_ENTRIES // arc_space.num_arcs)
-    return [starts[i : i + size] for i in range(0, len(starts), size)]
-
-
-def _start_blocks(arc_space: ArcSpace, columns):
-    """Chunks of at most BLOCK_ENTRIES // m start columns, each an n x c
-    block of vertex vectors: slices of a 2-D ``columns``, or the one-hot
-    columns of the start vertices that a 1-D ``columns`` lists."""
-    columns = np.asarray(columns)
-    if columns.ndim == 2:
-        if columns.shape[0] != arc_space.n:
-            raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {arc_space.n}")
-        for chunk in start_chunks(arc_space, np.arange(columns.shape[1])):
-            yield columns[:, chunk]
-        return
-    for chunk in start_chunks(arc_space, columns):
-        block = np.zeros((arc_space.n, len(chunk)))
-        block[chunk, np.arange(len(chunk))] = 1.0
-        yield block
-
-
 def check_closed_form(
     dec: SpectralDecomposition, arc_space: ArcSpace, columns
 ) -> dict[str, float]:
     """Frobenius-norm defects of the eigen-components p_r behind
     :func:`entry_block` on the arc states x = T^T v / sqrt(k) of the vertex
     vectors v in ``columns`` (an n x c block, or a 1-D list of start
-    vertices standing for their one-hot columns), built one class and one
-    :func:`start_chunks` chunk at a time and checked with the O(m)
-    :func:`apply_walk`; WalkSpectrumError when one exceeds TAU_WALK.
+    vertices standing for their one-hot columns), built one class at a time
+    and checked with the O(m) :func:`apply_walk`; WalkSpectrumError when one
+    exceeds TAU_WALK.
 
     - ``eigen``: the largest ||U p_r - mu_r p_r|| over the classes, with
       mu_r = e^{i theta_r}, and mu = -1 for the bipartite class -k, whose
@@ -489,29 +474,37 @@ def check_closed_form(
     At integer t >= 0, U^t x then differs from :func:`entry_block` by at
     most start + (2d + 1) t eigen, for d angle classes. Both identities are
     linear in v, so on the seeded random columns of :func:`probe_block`
-    they check the whole start block at once (Freivalds' check).
+    they check the whole start block at once (Freivalds' check). The check
+    holds about six complex m x c arrays (traced 5.5 to 6.5 on rook:6 and
+    hadamard-srg:4/8); a block where eight would pass MAX_SPECTRUM_BYTES
+    raises ValueError before any is allocated.
     """
+    n, m = arc_space.n, arc_space.num_arcs
+    columns = np.asarray(columns)
+    if columns.ndim == 1:
+        columns = (np.arange(n)[:, None] == columns).astype(float)
+    if columns.shape[0] != n:
+        raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {n}")
+    _within_limit(16 * 8 * m * columns.shape[1],
+                  f"closed-form check of {columns.shape[1]} columns on {m} arcs")
     tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
-    eigen_sq = np.zeros(dec.num_classes)
-    start_sq = 0.0
-    for block in _start_blocks(arc_space, columns):
-        total = block[tails] / -root_k
-        for r in range(dec.num_classes):
-            X = dec.idempotents[r] @ block
-            if dec.has_minus_k and r == dec.num_classes - 1:
-                p, mu = X[tails] / root_k, -1.0
-                total += p
-            else:
-                head, tail = _class_weights(dec.angles[r])
-                p, mu = (head * X[heads] + tail * X[tails]) / root_k, np.exp(1j * dec.angles[r])
-                total += 2.0 * p.real
-            # kept bound until the next class so the allocator reuses its
-            # pages: unbound, the all-columns check on hadamard-srg:8 ran
-            # 20% slower (2-vCPU Xeon VM, one BLAS thread)
-            drift = apply_walk(arc_space, p) - mu * p
-            eigen_sq[r] += np.linalg.norm(drift) ** 2
-        start_sq += np.linalg.norm(total) ** 2
-    residuals = {"eigen": float(np.sqrt(eigen_sq.max())), "start": float(np.sqrt(start_sq))}
+    eigen = np.zeros(dec.num_classes)
+    total = columns[tails] / -root_k
+    for r in range(dec.num_classes):
+        X = dec.idempotents[r] @ columns
+        if dec.has_minus_k and r == dec.num_classes - 1:
+            p, mu = X[tails] / root_k, -1.0
+            total += p
+        else:
+            head, tail = _class_weights(dec.angles[r])
+            p, mu = (head * X[heads] + tail * X[tails]) / root_k, np.exp(1j * dec.angles[r])
+            total += 2.0 * p.real
+        # kept bound until the next class so the allocator reuses its
+        # pages: unbound, the all-columns check on hadamard-srg:8 ran
+        # 20% slower (2-vCPU Xeon VM, one BLAS thread)
+        drift = apply_walk(arc_space, p) - mu * p
+        eigen[r] = np.linalg.norm(drift) ** 2
+    residuals = {"eigen": float(np.sqrt(eigen.max())), "start": float(np.linalg.norm(total))}
     bad = {name: val for name, val in residuals.items() if not val <= TAU_WALK}
     if bad:
         raise WalkSpectrumError(

@@ -29,6 +29,17 @@ GRAPH_BUILDERS = {
 }
 
 NON_BIPARTITE = ("k4", "k5", "petersen", "rook3", "rook4")
+
+#: a random connected 4-regular graph on 20 vertices with 20 distinct
+#: eigenvalues, not walk-regular; its class 3 barely touches vertex 16
+#: (||E_3 e_16|| = 5.8e-7)
+RANDOM_20_4_EDGES = (
+    (0, 1), (0, 6), (0, 10), (0, 15), (1, 6), (1, 17), (1, 18), (2, 6), (2, 9),
+    (2, 10), (2, 13), (3, 7), (3, 8), (3, 12), (3, 16), (4, 9), (4, 11), (4, 17),
+    (4, 19), (5, 11), (5, 13), (5, 14), (5, 16), (6, 12), (7, 14), (7, 17),
+    (7, 19), (8, 13), (8, 14), (8, 16), (9, 10), (9, 16), (10, 12), (11, 18),
+    (11, 19), (12, 15), (13, 15), (14, 19), (15, 18), (17, 18),
+)
 ALL_GRAPHS = tuple(GRAPH_BUILDERS)
 
 

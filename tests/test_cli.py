@@ -337,6 +337,7 @@ def test_unknown_builtins_rejected(capsys):
         ("hadamard-srg:4", False, 663.0, 0.00827),
         ("hadamard-srg:4", True, 663.0, 0.00827),
         ("hadamard-srg:8", False, 871.0, 0.00968),
+        ("hadamard-srg:8", True, 871.0, 0.00968),
     ],
 )
 def test_mix_large_hadamard_srg_under_a_second(spec, simultaneous, t, residual_per_vertex, capsys):

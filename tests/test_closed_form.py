@@ -35,7 +35,7 @@ from arcwalk import (
     walk_spectrum,
 )
 from arcwalk.cli import resolve_builtin
-from arcwalk.walk import apply_walk, check_closed_form, entry_block, start_chunks
+from arcwalk.walk import apply_walk, check_closed_form, entry_block
 
 from conftest import ALL_GRAPHS, GRAPH_BUILDERS, NON_BIPARTITE, get_bundle
 from test_arc_index import random_regular_graphs
@@ -120,49 +120,74 @@ def test_component_check_catches_a_dropped_class():
         check_closed_form(without_class(b.dec, 2), b.arcs, [0])
 
 
-def test_chunked_blocks_match_one_block(monkeypatch):
-    """Start columns split into chunks give the same defects and reports."""
-    b = get_bundle("rook4")
-    everyone = np.arange(b.arcs.n)
-    whole = check_closed_form(b.dec, b.arcs, everyone)
-    local = local_mixing_report(b.graph, 3, 0.1, "integer")
-    joint = simultaneous_mixing_check(b.graph, 0.1, "integer")
-    monkeypatch.setattr(walk, "BLOCK_ENTRIES", 3 * b.arcs.num_arcs)
-    assert [len(c) for c in start_chunks(b.arcs, everyone)] == [3, 3, 3, 3, 3, 1]
-    chunked = check_closed_form(b.dec, b.arcs, everyone)
-    for name, value in whole.items():
-        assert chunked[name] == pytest.approx(value, abs=1e-15)
-    for before, after in (
-        (local, local_mixing_report(b.graph, 3, 0.1, "integer")),
-        (joint, simultaneous_mixing_check(b.graph, 0.1, "integer")),
-    ):
-        assert (after.verdict, after.t) == (before.verdict, before.t)
-        assert after.residual == pytest.approx(before.residual, abs=1e-13)
-        assert after.gamma == pytest.approx(before.gamma, abs=1e-13)
-        assert after.walk_residual == pytest.approx(before.walk_residual, abs=1e-15)
+FLAT_GRAPHS = ("k4", "rook:4", "hadamard-srg:2", "complement:rook:4", "hadamard-srg:4")
 
 
-def test_simultaneous_blocks_hold_one_chunk_at_a_time(monkeypatch):
-    """Memory of the simultaneous check and residual follows BLOCK_ENTRIES,
-    not the m x n start block (a quarter of it is the bound here)."""
-    g = resolve_builtin("hadamard-srg:4")
+def arc_distance(dec, arcs, H, starts, t):
+    """gamma and || U^t X - gamma Y ||_F with both blocks on the arcs."""
+    state = entry_block(dec, arcs, starts, t)
+    target = H[:, starts][arcs.tails] / np.sqrt(dec.n * arcs.k)
+    inner = complex(np.vdot(target, state))
+    gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
+    return gamma, float(np.linalg.norm(state - gamma * target))
+
+
+@pytest.mark.parametrize("name", FLAT_GRAPHS)
+def test_vertex_form_distance_matches_the_arc_form(name):
+    """The n x n distance of the mix path against the arc arrays, from every
+    vertex and from all vertices at once, for every certificate, within
+    1e-12 absolute or relative (the simultaneous distance reaches 10.6)."""
+    g = resolve_builtin(name)
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
-    H = hadamard_search(dec)[0].matrix
-    everyone = np.arange(g.n)
-    full_block = arcs.num_arcs * g.n * np.dtype(complex).itemsize
-    monkeypatch.setattr(walk, "BLOCK_ENTRIES", arcs.num_arcs)
-    assert len(start_chunks(arcs, everyone)) == g.n
+    blocks = [np.array([a]) for a in range(g.n)] + [np.arange(g.n)]
+    for cert in hadamard_search(dec):
+        for t in (0, 1, 7, 2.5, 663):
+            for starts in blocks:
+                want = arc_distance(dec, arcs, cert.matrix, starts, t)
+                got = mixing._distance_to_target(dec, cert.matrix, starts, t)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", FLAT_GRAPHS[:4])
+def test_simultaneous_check_catches_a_flipped_weight(name, monkeypatch):
+    g = resolve_builtin(name)
+    monkeypatch.setattr(walk, "_class_weights", flipped_weights)
+    with pytest.raises(WalkSpectrumError, match="eigen"):
+        simultaneous_mixing_check(g, 0.1, "integer")
+
+
+def test_simultaneous_run_holds_no_arc_block():
+    """A simultaneous run checks four probe columns and measures its
+    distance in n x n form, so it peaks below a quarter of the m x n start
+    block."""
+    g = resolve_builtin("hadamard-srg:8")
+    full_block = g.n * g.degree * g.n * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        check_closed_form(dec, arcs, everyone)
-        _, peak_check = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        gamma, residual = mixing._distance_to_target(dec, arcs, H, everyone, 663.0)
-        _, peak_residual = tracemalloc.get_traced_memory()
+        report = simultaneous_mixing_check(g, 0.01, "integer")
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert residual / np.sqrt(g.n) == pytest.approx(0.00827, abs=1e-5)
-    assert max(peak_check, peak_residual) < full_block / 4
+    assert (report.verdict, report.t) == ("success", 871.0)
+    assert report.residual / np.sqrt(g.n) == pytest.approx(0.00968, abs=1e-5)
+    assert peak < full_block / 4
+
+
+def test_oversized_block_is_refused_before_allocating():
+    """All 256 start columns of hadamard-srg:8 would take eight complex
+    m x 256 arrays, 960 MiB, over MAX_SPECTRUM_BYTES."""
+    g = resolve_builtin("hadamard-srg:8")
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    one_array = 16 * arcs.num_arcs * g.n
+    assert 8 * one_array > walk.MAX_SPECTRUM_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the limit"):
+            check_closed_form(dec, arcs, np.arange(g.n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_array / 100
 
 
 def test_closed_form_input_checks():

@@ -8,15 +8,21 @@ from arcwalk import (
     DirectWitness,
     SignPattern,
     State,
+    build_arc_space,
     check_strong_cospectrality,
     check_strong_cospectrality_direct,
     flat_arc_state,
+    eigendecompose_symmetric,
     flat_target_profile,
+    from_edge_list,
     hadamard_search,
     initial_state,
+    walk_spectrum,
 )
 
-from conftest import get_bundle
+from arcwalk.walk import apply_walk
+
+from conftest import RANDOM_20_4_EDGES, get_bundle
 
 
 def test_sign_pattern_validation_and_order():
@@ -144,6 +150,23 @@ def test_both_routes_agree_on_curated_pairs(name):
             assert np.cos(plus1) == pytest.approx(adj.sign_e0, abs=1e-6)
         agreements += 1
     assert agreements == len(pairs)
+
+
+def test_routes_agree_on_a_class_that_barely_touches_the_start():
+    """U^t x_16 is cospectral with x_16 by definition. Class 3 has
+    ||E_3 e_16|| = 5.8e-7, so an error in its head cosine must be weighed
+    in the unit of the residuals, not against TAU_COSP as it stands."""
+    g = from_edge_list(RANDOM_20_4_EDGES, 20)
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    assert np.linalg.norm(dec.idempotents[3][:, 16]) == pytest.approx(5.8e-7, rel=0.01)
+    ws = walk_spectrum(dec, arcs)
+    x = initial_state(arcs, 16)
+    y = x.amplitudes.real
+    for t in range(1, 41):
+        y = apply_walk(arcs, y)
+        target = State(y / np.linalg.norm(y))
+        assert check_strong_cospectrality(dec, arcs, 16, target) != NOT_COSPECTRAL, t
+        assert check_strong_cospectrality_direct(ws, x, target) != NOT_COSPECTRAL, t
 
 
 def test_accepted_flat_targets_are_real_up_to_phase():

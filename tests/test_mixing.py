@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from arcwalk import (
     BUDGET_EXHAUSTED,
     NO_FLAT_TARGET,
+    eigendecompose_symmetric,
+    from_edge_list,
     SUCCESS,
     evolve,
     family_parity_check,
@@ -27,8 +29,11 @@ from arcwalk import (
     time_search,
 )
 from arcwalk.mixing import HOLDS, INCONCLUSIVE, VIOLATED, relation_scan_bound
+from arcwalk.spectra import walk_regular
 
-from conftest import ALL_GRAPHS, GRAPH_BUILDERS, get_bundle
+from arcwalk.cli import resolve_builtin
+
+from conftest import ALL_GRAPHS, GRAPH_BUILDERS, RANDOM_20_4_EDGES, get_bundle
 
 H4 = np.ones((4, 4), int) - 2 * np.eye(4, dtype=int)
 
@@ -403,6 +408,61 @@ def test_simultaneous_mixing_k4_and_rook4():
 def test_simultaneous_mixing_petersen_negative():
     rep = simultaneous_mixing_check(GRAPH_BUILDERS["petersen"](), 0.1, "integer")
     assert rep.verdict == NO_FLAT_TARGET
+
+
+WALK_REGULAR_NOTE = "graph is walk-regular"
+
+
+def walk_regular_noted(report):
+    return any(note.startswith(WALK_REGULAR_NOTE) for note in report.notes)
+
+
+@pytest.mark.parametrize("name", ["k4", "rook:4", "hadamard-srg:2", "complement:rook:4"])
+def test_flat_srg_reports_do_not_depend_on_the_start_vertex(name):
+    g = resolve_builtin(name)
+    reports = [local_mixing_report(g, a, 0.05, "integer") for a in range(g.n)]
+    first = reports[0]
+    assert first.verdict == SUCCESS and walk_regular_noted(first)
+    for report in reports[1:]:
+        assert (report.verdict, report.t, report.support, report.notes) == (
+            first.verdict, first.t, first.support, first.notes
+        )
+        assert report.certificate.pattern == first.certificate.pattern
+        assert report.gamma == first.gamma
+        assert report.residual == pytest.approx(first.residual, rel=1e-9)
+
+
+def test_walk_regular_note_on_a_graph_that_is_not_strongly_regular():
+    for report in (
+        local_mixing_report(resolve_builtin("cycle:9"), 4, 0.1, "integer"),
+        simultaneous_mixing_check(resolve_builtin("cycle:9"), 0.1, "integer"),
+    ):
+        assert walk_regular_noted(report)
+    # 19 non-valency classes put this graph past the Hadamard search limit,
+    # so its mix exits early; the test behind the note says no
+    dec = eigendecompose_symmetric(from_edge_list(RANDOM_20_4_EDGES, 20))
+    assert not walk_regular(dec)
+    assert all(walk_regular(get_bundle(name).dec) for name in ALL_GRAPHS)
+
+
+def hamming_3_4():
+    words = list(itertools.product(range(4), repeat=3))
+    edges = [(i, j) for i, j in itertools.combinations(range(64), 2)
+             if sum(x != y for x, y in zip(words[i], words[j])) == 1]
+    return from_edge_list(edges, 64)
+
+
+def test_real_horizon_can_fall_short_of_an_integer_success():
+    """The README's H(3, 4) example: the default real horizon T_MAX_FACTOR /
+    min theta lies before the first integer success, and t_max lifts it."""
+    g = hamming_3_4()
+    horizon = mixing.T_MAX_FACTOR / eigendecompose_symmetric(g).angles[1:].min()
+    integer = local_mixing_report(g, 0, 0.1, "integer")
+    assert integer.verdict == SUCCESS and integer.t == 23222.0 > horizon
+    real = local_mixing_report(g, 0, 0.1, "real")
+    assert real.verdict == BUDGET_EXHAUSTED and real.t <= horizon
+    lifted = local_mixing_report(g, 0, 0.1, "real", t_max=integer.t)
+    assert lifted.verdict == SUCCESS and horizon < lifted.t <= integer.t
 
 
 def test_report_json_round_trip_with_and_without_matrix():

@@ -258,7 +258,7 @@ def test_evolution_group_property(t, s):
 def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
     """complement:rook:4 (m = 144) holds 6 complex m x m projections. With
     room for 10, the unverified build fits and the verified one, which
-    needs room for 12, is refused before it allocates; each admitted build
+    needs room for 12.9, is refused before it allocates; each admitted build
     peaks within its limit."""
     g = resolve_builtin("complement:rook:4")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
@@ -272,7 +272,7 @@ def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
         tracemalloc.reset_peak()
         walk_spectrum(dec, arcs, verify=False)
         _, unverified_peak = tracemalloc.get_traced_memory()
-        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 12 * unit)
+        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 13 * unit)
         tracemalloc.reset_peak()
         walk_spectrum(dec, arcs)
         _, verified_peak = tracemalloc.get_traced_memory()
@@ -280,4 +280,29 @@ def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
         tracemalloc.stop()
     assert refused_peak < unit / 4
     assert unverified_peak <= 10 * unit
-    assert verified_peak <= 12 * unit
+    assert verified_peak <= 13 * unit
+
+
+@pytest.mark.parametrize("name", ["cycle:8", "k4", "rook:4", "petersen", "rook:6"])
+@pytest.mark.parametrize("verify", [False, True])
+def test_spectrum_build_peaks_within_its_counted_size(name, verify, monkeypatch):
+    """With the limit set to the size the refusal counts, the build is
+    admitted and its traced peak stays within it."""
+    g = resolve_builtin(name)
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    m, n = arcs.num_arcs, g.n
+    stored = 2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)
+    square, columns = walk.WORKSPACE_ARRAYS[verify]
+    counted = 16 * ((stored + square) * m * m + columns * m * n)
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", counted)
+    walk_spectrum(dec, arcs, verify=verify)  # first calls allocate caches
+    tracemalloc.start()
+    try:
+        walk_spectrum(dec, arcs, verify=verify)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", counted - 1)
+    with pytest.raises(ValueError, match="over the limit"):
+        walk_spectrum(dec, arcs, verify=verify)
