@@ -145,7 +145,7 @@ def load_graph(cfg: RunConfig) -> G.Graph:
 def _emit(payload: dict, fmt: str, render) -> None:
     """Print the payload as JSON, or the lines ``render()`` returns as text."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in render():
             print(line)

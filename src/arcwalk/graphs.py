@@ -9,7 +9,6 @@ a bipartition (when one exists) are computed at construction time.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -76,29 +75,27 @@ class SRGParams:
 
 
 def _color_components(adj: np.ndarray) -> tuple[bool, bool, np.ndarray]:
-    """BFS 2-coloring over all components.
+    """Frontier BFS 2-coloring over all components: each vertex gets
+    (-1)^level, its distance from the first vertex of its component.
 
     Returns (is_connected, is_bipartite, colors) where colors is a +-1
     vector; the coloring is proper only when the graph is bipartite.
     """
-    n = adj.shape[0]
-    colors = np.zeros(n, dtype=np.int64)
+    colors = np.zeros(adj.shape[0], dtype=np.int64)
     bipartite = True
     components = 0
-    for start in range(n):
-        if colors[start] != 0:
-            continue
+    while (uncolored := np.flatnonzero(colors == 0)).size:
         components += 1
-        colors[start] = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in np.flatnonzero(adj[u]):
-                if colors[v] == 0:
-                    colors[v] = -colors[u]
-                    queue.append(int(v))
-                elif colors[v] == colors[u]:
-                    bipartite = False
+        frontier, color = uncolored[:1], 1
+        colors[frontier] = color
+        while frontier.size:
+            rows = adj[frontier]
+            # a BFS edge joins two levels or lies inside one, and only the
+            # latter joins two vertices of one colour
+            bipartite = bipartite and not rows[:, frontier].any()
+            color = -color
+            frontier = np.flatnonzero(rows.any(axis=0) & (colors == 0))
+            colors[frontier] = color
     return components == 1, bipartite, colors
 
 

@@ -34,8 +34,9 @@ STATE_NORM_TOL = 1e-12
 MAX_SPECTRUM_BYTES = 2**29
 #: complex (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond
 #: the stored projections at its peak, without and with verification (traced:
-#: m x m on rook:8, 2.1 and 5.1; m x n on k4, 3.7 and 7.0, fixed costs included)
-WORKSPACE_ARRAYS = ((3, 5), (6, 8))
+#: m x m on rook:8, 2.1 and 2.6; m x n on k4, 3.5 and 5.4 beside the m x m
+#: counts, fixed costs included)
+WORKSPACE_ARRAYS = ((3, 5), (4, 7))
 
 
 def _within_limit(size: int, what: str) -> None:
@@ -176,15 +177,39 @@ class WalkSpectrum:
 def walk_spectrum_residuals(
     dec: SpectralDecomposition, arc_space: ArcSpace, ws: WalkSpectrum
 ) -> dict[str, float]:
-    """Max-norm residuals of the walk projection suite.
+    """Residuals of the walk projection suite, in the max norm but for
+    ``eigen`` (Frobenius) and ``orthogonality`` (a bound).
 
-    Covers unitarity of U, hermiticity, idempotency, pairwise
-    orthogonality, completeness, spectral resolution of U, and the
-    tail-incidence correspondence T F_{+-theta} T^T = (k/2) E_r,
-    T F_{+1} T^T = k E_0, and on bipartite graphs T F_{-1} T^T = k E_{-k}.
+    Covers unitarity of U (from the k x k coin, :func:`coin_unitarity`),
+    hermiticity, idempotency, the eigen-defect, pairwise orthogonality,
+    completeness, spectral resolution of U, and the tail-incidence
+    correspondence T F_{+-theta} T^T = (k/2) E_r, T F_{+1} T^T = k E_0, and
+    on bipartite graphs T F_{-1} T^T = k E_{-k}.
+
+    ``eigen`` is the largest f_i = ||e_i||_F with e_i = U P_i - mu_i P_i,
+    for mu_i the eigenvalue 1, -1 or e^{+-i theta} of projection P_i,
+    taken in O(m^2) per projection like :func:`apply_walk`, but in place
+    (:func:`_eigen_defect`). Orthogonality follows from it without the
+    O(p^2 m^3) pairwise products of p projections: since
+    (U P_i)^* U P_j = P_i^* U^T U P_j,
+
+        (1 - conj(mu_i) mu_j) P_i^* P_j = conj(mu_i) P_i^* e_j + mu_j e_i^* P_j
+                                          + e_i^* e_j + P_i^* (I - U^T U) P_j
+
+    where |1 - conj(mu_i) mu_j| = |mu_i - mu_j|. With h_i = ||P_i - P_i^*||_F,
+    N_i = 1 + ||P_i^2 - P_i||_F + h_i, which bounds ||P_i||_2 (from
+    ||P||^2 = ||P^* P|| <= ||P^2 - P|| + ||P|| + h ||P||), and
+    u = k coin_unitarity(k), which bounds ||U^T U - I||_2,
+
+        max |P_i P_j| <= (N_i f_j + f_i N_j + f_i f_j + N_i N_j u) / |mu_i - mu_j|
+                         + h_i N_j
+
+    using P_i P_j = P_i^* P_j + (P_i - P_i^*) P_j. ``orthogonality`` is the
+    largest of these bounds over the pairs i < j, except that a pair whose
+    bound exceeds TAU_WALK (nearly equal eigenvalues, or theta near 0 or
+    pi against +-1) contributes its measured max |P_i P_j| instead. It is
+    never below the measured maximum.
     """
-    U = transition_matrix(arc_space)
-    m = arc_space.num_arcs
     k = arc_space.k
 
     def tail_project(P):
@@ -193,21 +218,51 @@ def walk_spectrum_residuals(
 
     projections = [ws.proj_plus1, ws.proj_minus1]
     projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.minus))
+    eigenvalues = np.array(
+        [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
+    )
 
-    herm = max(float(np.abs(P - P.conj().T).max()) for P in projections)
-    idem = max(float(np.abs(P @ P - P).max()) for P in projections)
-    orth = 0.0
-    for i, P in enumerate(projections):
-        for Q in projections[i + 1 :]:
-            orth = max(orth, float(np.abs(P @ Q).max()))
-    total = sum(projections)
-    completeness = float(np.abs(total - np.eye(m)).max())
+    herm = idem = 0.0
+    skew, norm_bound, defect = np.zeros((3, len(projections)))
+    for i, (P, mu) in enumerate(zip(projections, eigenvalues)):
+        # each m x m working array is freed before the next is made, so the
+        # loop holds one beside the projections
+        D = P.T.conj()
+        np.subtract(P, D, out=D)
+        herm = max(herm, float(np.abs(D).max()))
+        skew[i] = np.linalg.norm(D)
+        del D
+        D = P @ P
+        D -= P
+        idem = max(idem, float(np.abs(D).max()))
+        norm_bound[i] = 1.0 + np.linalg.norm(D) + skew[i]
+        del D
+        defect[i] = np.linalg.norm(_eigen_defect(arc_space, P, mu))
 
-    recon = ws.proj_plus1.astype(complex) - ws.proj_minus1
-    for pair in ws.pairs:
-        recon = recon + np.exp(1j * pair.theta) * pair.plus
-        recon = recon + np.exp(-1j * pair.theta) * pair.minus
-    resolution = float(np.abs(recon - U).max())
+    unitarity = coin_unitarity(k)
+    gap = np.abs(eigenvalues[:, None] - eigenvalues)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (
+            np.outer(norm_bound, defect) + np.outer(defect, norm_bound)
+            + np.outer(defect, defect) + k * unitarity * np.outer(norm_bound, norm_bound)
+        ) / gap + np.outer(skew, norm_bound)
+    for i, j in zip(*np.nonzero(np.triu(~(bound <= TAU_WALK), 1))):
+        bound[i, j] = np.abs(projections[i] @ projections[j]).max()
+    orth = float(bound[np.triu_indices(len(projections), 1)].max())
+
+    total = projections[0] + projections[1]
+    for P in projections[2:]:
+        total += P
+    total -= np.eye(arc_space.num_arcs)
+    completeness = float(np.abs(total).max())
+    del total
+
+    U = transition_matrix(arc_space)
+    recon = ws.proj_plus1 - ws.proj_minus1
+    for P, mu in zip(projections[2:], eigenvalues[2:]):
+        recon += mu * P
+    recon -= U
+    resolution = float(np.abs(recon).max())
 
     correspondence = float(
         np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max()
@@ -222,17 +277,29 @@ def walk_spectrum_residuals(
     residuals = {
         "hermiticity": herm,
         "idempotency": idem,
+        "eigen": float(defect.max()),
         "orthogonality": orth,
         "completeness": completeness,
         "resolution": resolution,
         "correspondence": correspondence,
-        "unitarity": float(np.abs(U @ U.T - np.eye(m)).max()),
+        "unitarity": unitarity,
     }
     if dec.has_minus_k:
         residuals["minus_one_correspondence"] = float(
             np.abs(tail_project(ws.proj_minus1) - k * dec.idempotents[-1]).max()
         )
     return residuals
+
+
+def _eigen_defect(arc_space: ArcSpace, P: np.ndarray, mu: complex) -> np.ndarray:
+    """R (U P - mu P) = C P - mu R P, with C = 2/k T^T T - I the coin, in one
+    m x m array: it has the Frobenius norm of U P - mu P."""
+    E = P[arc_space.reversal_perm]
+    E *= -mu
+    E -= P
+    blocks = E.reshape(arc_space.n, arc_space.k, -1)
+    blocks += (2.0 / arc_space.k) * tail_sum(arc_space, P)[:, None]
+    return E
 
 
 def walk_spectrum(
@@ -286,7 +353,8 @@ def walk_spectrum(
     for pair in pairs:
         residual = residual - pair.plus - pair.minus
     plus1 = (residual + apply_walk(arc_space, residual)) / 2.0
-    minus1 = residual - plus1
+    residual -= plus1
+    minus1 = residual
     plus1.setflags(write=False)
     minus1.setflags(write=False)
 

@@ -79,3 +79,15 @@ def get_bundle(name: str) -> Bundle:
 @pytest.fixture(scope="session")
 def bundle():
     return get_bundle
+
+
+def pairwise_orthogonality(ws: WalkSpectrum) -> float:
+    """Oracle for the ``orthogonality`` residual: max |P Q| over every pair
+    of walk projections, each product formed densely."""
+    projections = [ws.proj_plus1, ws.proj_minus1]
+    projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.minus))
+    orth = 0.0
+    for i, P in enumerate(projections):
+        for Q in projections[i + 1 :]:
+            orth = max(orth, float(np.abs(P @ Q).max()))
+    return orth

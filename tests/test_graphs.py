@@ -1,5 +1,7 @@
 import itertools
+from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from arcwalk import (
     validate_srg,
     write_edge_list,
 )
+from arcwalk import graphs
+from arcwalk.cli import resolve_builtin
 
 
 def count_srg_params(g):
@@ -227,3 +231,70 @@ def test_from_edge_list_properties(data):
     # serialize and re-ingest
     n2, edges2 = parse_edge_list(write_edge_list(g))
     assert np.array_equal(from_edge_list(edges2, n2).adjacency, g.adjacency)
+
+
+def queue_color_components(adj):
+    """Oracle for ``graphs._color_components``: a BFS with a Python queue,
+    one vertex at a time."""
+    n = adj.shape[0]
+    colors = np.zeros(n, dtype=np.int64)
+    bipartite = True
+    components = 0
+    for start in range(n):
+        if colors[start] != 0:
+            continue
+        components += 1
+        colors[start] = 1
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in np.flatnonzero(adj[u]):
+                if colors[v] == 0:
+                    colors[v] = -colors[u]
+                    queue.append(int(v))
+                elif colors[v] == colors[u]:
+                    bipartite = False
+    return components == 1, bipartite, colors
+
+
+def disjoint_union(*adjacencies):
+    n = sum(len(A) for A in adjacencies)
+    out, at = np.zeros((n, n), dtype=np.int64), 0
+    for A in adjacencies:
+        out[at : at + len(A), at : at + len(A)] = A
+        at += len(A)
+    return out
+
+
+BFS_BUILTINS = (
+    "k2", "k4", "k5", "cycle:3", "cycle:4", "cycle:9", "cycle:12", "rook:3", "rook:4",
+    "rook:8", "petersen", "hadamard-srg:1", "hadamard-srg:2", "hadamard-srg:4",
+    "hadamard-srg:8", "complement:k4", "complement:cycle:4", "complement:cycle:6",
+    "complement:rook:3", "complement:petersen",
+)
+
+
+def bfs_cases():
+    for name in BFS_BUILTINS:
+        yield name, resolve_builtin(name).adjacency
+    for n, k, seed in ((12, 3, 0), (16, 3, 1), (20, 4, 2), (24, 3, 3), (28, 4, 4), (10, 2, 5)):
+        A = nx.to_numpy_array(nx.random_regular_graph(k, n, seed=seed), nodelist=range(n))
+        yield f"random-{n}-{k}-{seed}", A.astype(np.int64)
+    yield "odd-and-even-cycles", disjoint_union(*(cycle_graph(n).adjacency for n in (4, 5, 6)))
+    yield "isolated-vertices", disjoint_union(np.zeros((2, 2), dtype=np.int64),
+                                              cycle_graph(4).adjacency)
+    yield "rook-and-petersen", disjoint_union(rook_graph(3).adjacency, petersen_graph().adjacency)
+
+
+BFS_CASES = dict(bfs_cases())
+
+
+@pytest.mark.parametrize("name", BFS_CASES)
+def test_frontier_bfs_matches_the_queue_bfs(name):
+    adjacency = BFS_CASES[name]
+    connected, bipartite, colors = graphs._color_components(adjacency)
+    want_connected, want_bipartite, want_colors = queue_color_components(adjacency)
+    assert (connected, bipartite) == (want_connected, want_bipartite)
+    assert np.array_equal(colors, want_colors)
+    g = graph_from_adjacency(adjacency)
+    assert (g.is_connected, g.is_bipartite) == (connected, bipartite)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,14 @@ from arcwalk import (
 from arcwalk.cli import resolve_builtin
 from arcwalk.spectra import decomposition_residuals
 
-from conftest import ALL_GRAPHS, NON_BIPARTITE, dense_incidence, get_bundle
+from conftest import (
+    ALL_GRAPHS,
+    NON_BIPARTITE,
+    RANDOM_20_4_EDGES,
+    dense_incidence,
+    get_bundle,
+    pairwise_orthogonality,
+)
 from test_closed_form import DENSE_TIMES
 
 
@@ -79,6 +87,94 @@ def test_builders_keep_the_residuals_they_verified(name):
     assert b.dec.residuals == decomposition_residuals(b.dec, b.graph.adjacency.astype(float))
     assert b.ws.residuals == walk_spectrum_residuals(b.dec, b.arcs, b.ws)
     assert walk_spectrum(b.dec, b.arcs, verify=False).residuals == {}
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_orthogonality_bound_covers_the_pairwise_products(name):
+    b = get_bundle(name)
+    res = b.ws.residuals
+    assert pairwise_orthogonality(b.ws) <= res["orthogonality"] <= walk.TAU_WALK
+    assert res["eigen"] <= walk.TAU_WALK
+    assert res["unitarity"] == walk.coin_unitarity(b.arcs.k)
+
+
+def test_orthogonality_bound_on_forty_projections():
+    """random-20-4 has 20 classes, so 40 projections and 780 pairs, some
+    with eigenvalues 0.021 apart."""
+    g = from_edge_list(RANDOM_20_4_EDGES, 20)
+    ws = walk_spectrum(eigendecompose_symmetric(g), build_arc_space(g))
+    assert len(ws.pairs) == 19
+    assert pairwise_orthogonality(ws) <= ws.residuals["orthogonality"] <= walk.TAU_WALK
+
+
+def test_a_projection_off_its_eigenspace_fails_the_suite(monkeypatch):
+    """Turning petersen's first e^{i theta} projection by 1e-6 in the plane
+    of two arcs keeps it a Hermitian idempotent, but U P = mu P fails, and
+    with it the orthogonality to the other projections, which the bound
+    can no longer certify."""
+    b = get_bundle("petersen")
+    turn = np.eye(b.arcs.num_arcs)
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    turn[np.ix_([0, 1], [0, 1])] = [[c, -s], [s, c]]
+    made, pair_type = [], walk.EigenphasePair
+
+    def turned_pair(index, theta, plus, minus):
+        if not made:
+            plus = turn @ plus @ turn.T
+        made.append(index)
+        return pair_type(index=index, theta=theta, plus=plus, minus=minus)
+
+    monkeypatch.setattr(walk, "EigenphasePair", turned_pair)
+    with pytest.raises(walk.WalkSpectrumError, match="eigen") as info:
+        walk_spectrum(b.dec, b.arcs)
+    assert made
+    residuals = info.value.residuals
+    assert residuals["eigen"] > 1e-7
+    assert residuals["orthogonality"] > walk.TAU_WALK
+
+
+def test_an_oblique_projection_keeps_the_bound_above_its_products():
+    """P + P X (I - P) is an idempotent with the range of P, so U P = mu P
+    still holds, but it is not Hermitian and no longer annihilates the
+    other eigenspaces; the h_i N_j term keeps the bound above the products."""
+    b = get_bundle("k4")
+    pair = b.ws.pairs[0]
+    m = b.arcs.num_arcs
+    X = 1e-6 * np.random.default_rng(0).standard_normal((m, m))
+    oblique = pair.plus + pair.plus @ X @ (np.eye(m) - pair.plus)
+    ws = dataclasses.replace(b.ws, pairs=(dataclasses.replace(pair, plus=oblique),), residuals={})
+    res = walk_spectrum_residuals(b.dec, b.arcs, ws)
+    assert res["eigen"] < 1e-12
+    assert res["orthogonality"] >= pairwise_orthogonality(ws) > walk.TAU_WALK
+
+
+def test_nearly_equal_eigenvalues_fall_back_to_the_direct_product():
+    """k4's e^{i theta} projection has rank 3. Split into a rank-1 and a
+    rank-2 projection on angles 1e-12 apart, its pieces are too close in
+    eigenvalue for the bound (which divides by |mu_i - mu_j|), so the suite
+    measures their product instead and still certifies them. Two copies of
+    one piece are caught the same way."""
+    b = get_bundle("k4")
+    pair = b.ws.pairs[0]
+    values, vectors = np.linalg.eigh(pair.plus)
+    kept = vectors[:, values > 0.5]
+    assert kept.shape[1] == 3
+    pieces = [kept[:, :1] @ kept[:, :1].conj().T, kept[:, 1:] @ kept[:, 1:].conj().T]
+
+    def split(first, second):
+        pairs = tuple(
+            walk.EigenphasePair(index=pair.index, theta=pair.theta + shift, plus=P, minus=P.conj())
+            for shift, P in ((0.0, first), (1e-12, second))
+        )
+        return dataclasses.replace(b.ws, pairs=pairs, residuals={})
+
+    ws = split(*pieces)
+    orth = walk_spectrum_residuals(b.dec, b.arcs, ws)["orthogonality"]
+    assert pairwise_orthogonality(ws) <= orth <= walk.TAU_WALK
+
+    ws = split(pieces[0], pieces[0])
+    orth = walk_spectrum_residuals(b.dec, b.arcs, ws)["orthogonality"]
+    assert orth == pairwise_orthogonality(ws) > 0.1
 
 
 def test_projection_ranks_on_k4():
@@ -258,7 +354,7 @@ def test_evolution_group_property(t, s):
 def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
     """complement:rook:4 (m = 144) holds 6 complex m x m projections. With
     room for 10, the unverified build fits and the verified one, which
-    needs room for 12.9, is refused before it allocates; each admitted build
+    needs room for 10.8, is refused before it allocates; each admitted build
     peaks within its limit."""
     g = resolve_builtin("complement:rook:4")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
