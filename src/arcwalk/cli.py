@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import math
 import re
 import sys
@@ -94,6 +95,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"--relation-bound must be >= 1, got {cfg.relation_bound}")
     return cfg
 
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 _HADAMARD_4 = np.ones((4, 4), dtype=np.int64) - 2 * np.eye(4, dtype=np.int64)
 
@@ -321,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--builtin", help="builtin graph, e.g. k4, cycle:5, rook:4, petersen, complement:k4, hadamard-srg:M with M in 1, 2, 4, 8, 16")
         src.add_argument("--edges", help="path to an edge-list file ('n m' header, 'u v' lines)")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--log-level", dest="log_level", choices=LOG_LEVELS, default="warning",
+                       help="least severe log record written to stderr")
 
     p_analyze = sub.add_parser("analyze", help="spectrum, angles, supports, SRG check, residuals")
     add_common(p_analyze)
@@ -351,8 +356,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler that writes to ``sys.stderr`` as it is at each
+    record, so output redirected after set-up still reaches the redirect."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+def configure_logging(level: str) -> None:
+    """Send the package's log records at ``level`` and above to stderr. The
+    handler is added once per process; later calls only set the level."""
+    log = logging.getLogger(__package__)
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+    log.setLevel(level.upper())
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    configure_logging(args.log_level)
     try:
         cfg = config_from_args(args)
         if cfg.command == "analyze":

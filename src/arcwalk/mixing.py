@@ -59,7 +59,8 @@ INTEGER_BUDGET = 10**6
 T_MAX_FACTOR = 1e4
 #: cap on enumerated lattice vectors in the relation scan
 MAX_ENUMERATION = 5_000_000
-#: most relation vectors the scan holds in one block
+#: most inner sums the relation scan screens at a time; the 2B+1 sums of
+#: one coordinate are screened together even when they are more
 SCAN_ROWS = 2**18
 #: cap on real-time grid evaluations
 MAX_GRID_POINTS = 50_000_000
@@ -227,31 +228,30 @@ def kronecker_from_json(data: dict) -> KroneckerVerdict:
     )
 
 
-def _canonical_half_chunks(bound: int, d: int):
-    """Yield integer vectors in [-bound, bound]^d with first nonzero entry
-    positive, in lexicographic order. A block fixes the leading coordinates
-    (the head) and spans the most trailing ones (at least one) that fit
-    SCAN_ROWS. Only canonical rows are built: a head whose first nonzero
-    entry is negative is skipped, the all-zero head takes the rows after
-    the middle (all-zero) row of the grid, any other head the whole grid."""
-    span = np.arange(-bound, bound + 1)
-    inner = 1
-    while inner < d and len(span) ** (inner + 1) <= SCAN_ROWS:
-        inner += 1
-    outer = d - inner
-    grid = np.stack(
-        np.meshgrid(*([span] * inner), indexing="ij"), axis=-1
-    ).reshape(-1, inner)
-    upper = grid[len(grid) // 2 + 1 :]
-    for head in itertools.product(span.tolist(), repeat=outer):
-        first = next((x for x in head if x), 0)
-        if first < 0:
-            continue
-        rows = grid if first > 0 else upper
-        block = np.empty((len(rows), d), dtype=np.int64)
-        block[:, :outer] = head
-        block[:, outer:] = rows
-        yield block
+def _screen(sums, shift, width, integer, buf):
+    """Positions i with |sums[i] + shift| <= width, the distance taken to
+    the nearest integer when ``integer``. ``buf`` is a work array at least
+    as long as ``sums``."""
+    buf = buf[: len(sums)]
+    np.add(sums, shift, out=buf)
+    if integer:
+        buf -= np.rint(buf)
+    np.abs(buf, out=buf)
+    return np.flatnonzero(buf <= width)
+
+
+def _relation_residuals(block, angles, integer):
+    """|sum_j l_j theta_j| for each row l of ``block``, with 2 pi l_0 added
+    for the nearest integer l_0 when ``integer`` (else l_0 is None). The sum
+    runs column by column, so a row's residual is the same whatever rows
+    share its block."""
+    s = np.zeros(len(block))
+    for column, theta in zip(block.T, angles):
+        s += column * theta
+    if not integer:
+        return np.abs(s), None
+    l0 = -np.rint(s / (2 * np.pi)).astype(np.int64)
+    return np.abs(s + 2 * np.pi * l0), l0
 
 
 def _integer_root(x: int, d: int) -> int:
@@ -327,24 +327,57 @@ def phase_condition_check(
             bound, effective,
         )
 
+    # A vector splits into a head (the leading ``outer`` coordinates) and
+    # an inner part (the most trailing coordinates, at least one, whose grid
+    # fits SCAN_ROWS). The inner sums are formed once, in C order; a head
+    # only shifts them, so each canonical head is screened in one pass and
+    # only its candidate rows are built and decided by the exact residual.
+    # The margin is far above the rounding of either sum, so the screen
+    # keeps every row the exact test accepts.
+    span = np.arange(-effective, effective + 1)
+    inner = 1
+    while inner < d and len(span) ** (inner + 1) <= SCAN_ROWS:
+        inner += 1
+    outer = d - inner
+    sums = span * angles[outer]
+    for theta in angles[outer + 1 :]:
+        sums = np.add.outer(sums, span * theta).ravel()
+    sums_max = effective * float(np.abs(angles[outer:]).sum())
+    integer = mode == MODE_INTEGER
+    if integer:
+        sums = sums / (2 * np.pi)
+        sums -= np.rint(sums)
+    width = tau_rel / (2 * np.pi) if integer else tau_rel
+    middle = len(sums) // 2
+    buf = np.empty_like(sums)
+
     relations: list[tuple[int, ...]] = []
-    for block in _canonical_half_chunks(effective, d):
-        s = block @ angles
-        if mode == MODE_INTEGER:
-            l0 = -np.rint(s / (2 * np.pi)).astype(np.int64)
-            resid = np.abs(s + 2 * np.pi * l0)
-        else:
-            resid = np.abs(s)
+    for head in itertools.product(span.tolist(), repeat=outer):
+        first = next((x for x in head if x), 0)
+        if first < 0:
+            continue
+        start = 0 if first > 0 else middle + 1
+        h = float(np.dot(head, angles[:outer]))
+        margin = 1e-12 * (1.0 + abs(h) + sums_max)
+        shift = h / (2 * np.pi) if integer else h
+        rows = start + _screen(sums[start:], shift, width + margin, integer, buf)
+        if rows.size == 0:
+            continue
+        block = np.empty((rows.size, d), dtype=np.int64)
+        block[:, :outer] = head
+        block[:, outer:] = np.column_stack(np.unravel_index(rows, (len(span),) * inner))
+        block[:, outer:] -= effective
+        resid, l0 = _relation_residuals(block, angles, integer)
         hits = np.flatnonzero(resid <= tau_rel)
         if hits.size == 0:
             continue
         found = block[hits]
         odd = np.flatnonzero((found @ sigmas) % 2)
-        if mode == MODE_INTEGER:
+        if integer:
             found = np.column_stack([found, l0[hits]])
         even = found[: odd[0]] if odd.size else found
         primitive = np.gcd.reduce(np.abs(even), axis=1) == 1
-        relations.extend(map(tuple, even[primitive].tolist()))
+        relations.extend(zip(*even[primitive].T.tolist()))
         if odd.size:
             return KroneckerVerdict(
                 mode=mode,

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,3 +93,45 @@ def pairwise_orthogonality(ws: WalkSpectrum) -> float:
         for Q in projections[i + 1 :]:
             orth = max(orth, float(np.abs(P @ Q).max()))
     return orth
+
+
+def block_relation_scan(angles, sigmas, mode, bound, tau_rel=1e-9):
+    """Oracle for the relation scan: (status, relations, violating) from the
+    canonical half box built in full, one int64 block per head of leading
+    coordinates, in lexicographic order, each block run through
+    ``block @ angles``. A block spans the most trailing coordinates (at
+    least one) whose grid has at most 2^18 rows."""
+    angles, sigmas = np.asarray(angles, dtype=float), np.asarray(sigmas, dtype=np.int64)
+    d = len(angles)
+    span = np.arange(-bound, bound + 1)
+    inner = 1
+    while inner < d and len(span) ** (inner + 1) <= 2**18:
+        inner += 1
+    outer = d - inner
+    grid = np.stack(np.meshgrid(*([span] * inner), indexing="ij"), axis=-1).reshape(-1, inner)
+    relations = []
+    for head in itertools.product(span.tolist(), repeat=outer):
+        first = next((x for x in head if x), 0)
+        if first < 0:
+            continue
+        rows = grid if first > 0 else grid[len(grid) // 2 + 1 :]
+        block = np.empty((len(rows), d), dtype=np.int64)
+        block[:, :outer] = head
+        block[:, outer:] = rows
+        s = block @ angles
+        if mode == "integer":
+            l0 = -np.rint(s / (2 * np.pi)).astype(np.int64)
+            resid = np.abs(s + 2 * np.pi * l0)
+        else:
+            resid = np.abs(s)
+        hits = np.flatnonzero(resid <= tau_rel)
+        found = block[hits]
+        odd = np.flatnonzero((found @ sigmas) % 2)
+        if mode == "integer":
+            found = np.column_stack([found, l0[hits]])
+        for i, vec in enumerate(found.tolist()):
+            if i == (odd[0] if odd.size else -1):
+                return "violated", tuple(relations), tuple(vec)
+            if math.gcd(*vec) == 1:
+                relations.append(tuple(vec))
+    return "holds", tuple(relations), None

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import logging
 import time
 from collections import Counter
 from pathlib import Path
@@ -494,3 +495,26 @@ def test_json_output_renders_no_text(monkeypatch, capsys):
     code, out, _ = run_cli(["mix", "--builtin", "k4", "--emit-matrix", "--epsilon", "0.1"], capsys)
     assert len(rendered) == 1 and code == 0
     assert "  -1 +1 +1 +1" in out.splitlines()
+
+
+def test_log_notices_reach_stderr_at_info_only(tmp_path, capsys):
+    """--log-level info writes the duplicate-edge and bound-reduction notices
+    to stderr, once each however often main runs in one process; the default
+    level writes neither."""
+    path = tmp_path / "triangle.edges"
+    path.write_text("3 4\n0 1\n1 2\n2 0\n0 1\n")
+    analyze = ["analyze", "--edges", str(path), "--format", "json"]
+    mix = ["mix", "--builtin", "rook:4", "--relation-bound", "1600", "--format", "json"]
+    for _ in range(2):
+        code, _, err = run_cli([*analyze, "--log-level", "info"], capsys)
+        assert code == 0
+        assert err.splitlines() == ["INFO arcwalk.graphs: from_edge_list: collapsed 1 duplicate edge(s)"]
+    code, _, err = run_cli([*mix, "--log-level", "info"], capsys)
+    assert err.count("relation scan bound reduced 1600 -> 1580") == 1
+    code, _, err = run_cli(analyze, capsys)
+    assert code == 0 and err == ""
+    code, _, err = run_cli(mix, capsys)
+    assert "INFO" not in err and "bound reduced" not in err
+    log = logging.getLogger("arcwalk")
+    assert sum(isinstance(h, cli._StderrHandler) for h in log.handlers) == 1
+    assert log.level == logging.WARNING

@@ -148,6 +148,32 @@ def test_vertex_form_distance_matches_the_arc_form(name):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, mode, horizon",
+    [("hadamard-srg:2", "integer", {}), ("complement:rook:4", "real", {"t_max": 1.2e5})],
+)
+def test_vertex_form_distance_holds_near_a_hit(name, mode, horizon):
+    """Near a hit the n x n square is a sum of O(1) terms that cancel, so
+    its rounding could swamp a small distance. At the time search's success
+    for epsilon 1e-4 (t = 32471 and t = 106389.06), where the head part b of
+    U^t x_a does not vanish, it agrees with the arc form within 1e-12 from
+    every vertex and from all at once."""
+    g = resolve_builtin(name)
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    cert = hadamard_search(dec)[0]
+    search = mixing.time_search(dec.angles[1:], cert.pattern.sigmas, 1e-4, mode, **horizon)
+    assert search.success
+    t = search.t
+    blocks = [np.array([a]) for a in range(g.n)] + [np.arange(g.n)]
+    for starts in blocks:
+        head = walk.entry_parts(dec, starts, t)[1]
+        assert np.abs(head).max() > 1e-6
+        want_gamma, want = arc_distance(dec, arcs, cert.matrix, starts, t)
+        gamma, got = mixing._distance_to_target(dec, cert.matrix, starts, t)
+        assert want < 1e-3 * np.sqrt(len(starts))
+        assert abs(gamma - want_gamma) < 1e-12 and abs(got - want) < 1e-12
+
+
 @pytest.mark.parametrize("name", FLAT_GRAPHS[:4])
 def test_simultaneous_check_catches_a_flipped_weight(name, monkeypatch):
     g = resolve_builtin(name)

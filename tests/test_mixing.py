@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -172,15 +173,58 @@ def test_relation_scan_bound_matches_brute_force():
 
 @pytest.mark.parametrize("rows", [1, 5, 50, 2**18])
 def test_relation_scan_blocks_are_the_lexicographic_half_box(rows, monkeypatch):
+    """With a tolerance that accepts every row, the scan screens each row of
+    the canonical half box once, at most max(SCAN_ROWS, 2B+1) sums at a
+    time, and reports every primitive row in lexicographic order."""
     monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    screened = []
+    screen = mixing._screen
+
+    def counted(sums, *args):
+        screened.append(len(sums))
+        return screen(sums, *args)
+
+    monkeypatch.setattr(mixing, "_screen", counted)
+    angles = [0.7, 1.3, 2.9, 0.2]
     for d in range(1, 5):
         for bound in range(1, 4):
-            blocks = list(mixing._canonical_half_chunks(bound, d))
-            assert all(len(block) <= max(rows, 2 * bound + 1) for block in blocks)
-            scanned = [tuple(v) for block in blocks for v in block.tolist()]
+            screened.clear()
+            verdict = phase_condition_check(
+                angles[:d], [0] * d, "real", bound=bound, tau_rel=np.inf
+            )
+            assert all(n <= max(rows, 2 * bound + 1) for n in screened)
+            assert sum(screened) == ((2 * bound + 1) ** d - 1) // 2
             box = itertools.product(range(-bound, bound + 1), repeat=d)
-            expected = [v for v in box if any(v) and next(x for x in v if x) > 0]
-            assert scanned == expected, (rows, d, bound)
+            expected = [
+                v for v in box if any(v) and next(x for x in v if x) > 0 and math.gcd(*v) == 1
+            ]
+            assert list(verdict.relations) == expected, (rows, d, bound)
+
+
+@pytest.mark.parametrize("rows", [81, 2**18])
+@pytest.mark.parametrize("mode", ["integer", "real"])
+def test_screen_keeps_a_row_at_exactly_the_tolerance(mode, rows, monkeypatch):
+    """tau_rel set to one row's own exact residual, or one ulp above it: the
+    row is reported, so the screen never drops a row the exact test takes.
+    At SCAN_ROWS = 81 two head coordinates shift the inner sums, so the
+    screen adds in another order than the exact residual; without the
+    screen's margin some rows are lost in both modes."""
+    monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(0.3, 3.0, 4)
+    tried = 0
+    while tried < 40:
+        vec = rng.integers(-4, 5, 4)
+        if not vec.any() or np.gcd.reduce(vec) != 1:
+            continue
+        vec = vec if vec[np.flatnonzero(vec)[0]] > 0 else -vec
+        resid, l0 = mixing._relation_residuals(vec[None, :], angles, mode == "integer")
+        resid = float(resid[0])
+        want = tuple(vec.tolist()) + (() if l0 is None else (int(l0[0]),))
+        for tau in (resid, np.nextafter(resid, np.inf)):
+            verdict = phase_condition_check(angles, [0] * 4, mode, bound=4, tau_rel=tau)
+            assert want in verdict.relations, (want, tau)
+        tried += 1
 
 
 def test_relation_scan_at_the_enumeration_cap_stays_small():
