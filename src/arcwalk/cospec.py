@@ -256,32 +256,40 @@ def check_strong_cospectrality_direct(
     Returns a :class:`DirectWitness` or ``"not cospectral"``. Projections
     annihilating both states are unconstrained; a projection annihilating
     exactly one of them is a rejection.
+
+    Only the stored half F = F_{+theta} of each conjugate pair is read:
+    F_{-theta} z = conj(F conj(z)) = conj(F Re z) + i conj(F Im z), so one
+    product of the (d, m, m) block with the real and imaginary parts of x
+    and y gives both halves' images, and all projections are tested at once.
     """
     if len(x) != ws.num_arcs or len(y) != ws.num_arcs:
         raise ValueError("states live on the wrong number of arcs")
-    labels_and_projs = [("plus1", ws.proj_plus1), ("minus1", ws.proj_minus1)]
-    for pair in ws.pairs:
-        labels_and_projs += [(f"pair{pair.index}+", pair.plus), (f"pair{pair.index}-", pair.minus)]
+    labels = ["plus1", "minus1"]
+    labels += [f"pair{pair.index}{sign}" for pair in ws.pairs for sign in "+-"]
+    d, m = len(ws.thetas), ws.num_arcs
+    x, y = x.amplitudes, y.amplitudes
+    V = np.stack([x.real, x.imag, y.real, y.imag], axis=1)
+    signs = np.stack([ws.proj_plus1 @ V, ws.proj_minus1 @ V])
+    turned = (ws.plus_block.reshape(d * m, m) @ V).reshape(d, m, 4)
+    # images of x (column 0) and y (column 1) under each projection, in label order
+    images = np.empty((2 + 2 * d, m, 2), dtype=complex)
+    images[:2] = signs[..., 0::2] + 1j * signs[..., 1::2]
+    images[2::2] = turned[..., 0::2] + 1j * turned[..., 1::2]
+    images[3::2] = turned[..., 0::2].conj() + 1j * turned[..., 1::2].conj()
+    Px, Py = images[..., 0], images[..., 1]
 
-    phases: dict[str, float | None] = {}
-    worst = 0.0
-    for label, P in labels_and_projs:
-        Px = P @ x.amplitudes
-        Py = P @ y.amplitudes
-        nx = float(np.linalg.norm(Px))
-        ny = float(np.linalg.norm(Py))
-        if nx <= tau and ny <= tau:
-            phases[label] = None
-            continue
-        if min(nx, ny) <= tau < max(nx, ny):
-            return NOT_COSPECTRAL
-        inner = complex(np.vdot(Py, Px))
-        if abs(inner) == 0.0:
-            return NOT_COSPECTRAL
-        phase = inner / abs(inner)
-        res = float(np.linalg.norm(Px - phase * Py))
-        worst = max(worst, res)
-        if res > tau:
-            return NOT_COSPECTRAL
-        phases[label] = float(np.angle(phase))
-    return DirectWitness(phases=phases, max_residual=worst)
+    nx, ny = np.linalg.norm(Px, axis=1), np.linalg.norm(Py, axis=1)
+    free = (nx <= tau) & (ny <= tau)
+    if ((np.minimum(nx, ny) <= tau) & (tau < np.maximum(nx, ny))).any():
+        return NOT_COSPECTRAL
+    Px, Py = Px[~free], Py[~free]
+    inner = (Py.conj() * Px).sum(axis=1)
+    if (np.abs(inner) == 0.0).any():
+        return NOT_COSPECTRAL
+    phase = inner / np.abs(inner)
+    res = np.linalg.norm(Px - phase[:, None] * Py, axis=1)
+    if (res > tau).any():
+        return NOT_COSPECTRAL
+    angles = iter(np.angle(phase).tolist())
+    phases = {label: None if skip else next(angles) for label, skip in zip(labels, free)}
+    return DirectWitness(phases=phases, max_residual=float(res.max(initial=0.0)))

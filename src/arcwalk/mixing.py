@@ -332,61 +332,73 @@ def phase_condition_check(
     # fits SCAN_ROWS). The inner sums are formed once, in C order; a head
     # only shifts them, so each canonical head is screened in one pass and
     # only its candidate rows are built and decided by the exact residual.
-    # The margin is far above the rounding of either sum, so the screen
-    # keeps every row the exact test accepts.
-    span = np.arange(-effective, effective + 1)
+    # A single inner coordinate whose span exceeds SCAN_ROWS is screened in
+    # slices of SCAN_ROWS rows, each formed when it is screened. The margin
+    # is far above the rounding of either sum, so the screen keeps every
+    # row the exact test accepts.
+    width = 2 * effective + 1
     inner = 1
-    while inner < d and len(span) ** (inner + 1) <= SCAN_ROWS:
+    while inner < d and width ** (inner + 1) <= SCAN_ROWS:
         inner += 1
     outer = d - inner
-    sums = span * angles[outer]
-    for theta in angles[outer + 1 :]:
-        sums = np.add.outer(sums, span * theta).ravel()
-    sums_max = effective * float(np.abs(angles[outer:]).sum())
+    rows_total = width**inner
     integer = mode == MODE_INTEGER
-    if integer:
-        sums = sums / (2 * np.pi)
-        sums -= np.rint(sums)
-    width = tau_rel / (2 * np.pi) if integer else tau_rel
-    middle = len(sums) // 2
-    buf = np.empty_like(sums)
+
+    def inner_sums(lo: int, hi: int) -> np.ndarray:
+        # the inner sums whose first inner coefficient is lo - B .. hi - 1 - B,
+        # in C order, in fractional turns in integer mode
+        sums = np.arange(lo - effective, hi - effective) * angles[outer]
+        for theta in angles[outer + 1 :]:
+            sums = np.add.outer(sums, np.arange(-effective, effective + 1) * theta).ravel()
+        if integer:
+            sums /= 2 * np.pi
+            sums -= np.rint(sums)
+        return sums
+
+    whole = inner_sums(0, width) if rows_total <= SCAN_ROWS else None
+    sums_max = effective * float(np.abs(angles[outer:]).sum())
+    tolerance = tau_rel / (2 * np.pi) if integer else tau_rel
+    middle = rows_total // 2
+    buf = np.empty(min(rows_total, SCAN_ROWS))
 
     relations: list[tuple[int, ...]] = []
-    for head in itertools.product(span.tolist(), repeat=outer):
+    for head in itertools.product(range(-effective, effective + 1), repeat=outer):
         first = next((x for x in head if x), 0)
         if first < 0:
             continue
-        start = 0 if first > 0 else middle + 1
         h = float(np.dot(head, angles[:outer]))
         margin = 1e-12 * (1.0 + abs(h) + sums_max)
         shift = h / (2 * np.pi) if integer else h
-        rows = start + _screen(sums[start:], shift, width + margin, integer, buf)
-        if rows.size == 0:
-            continue
-        block = np.empty((rows.size, d), dtype=np.int64)
-        block[:, :outer] = head
-        block[:, outer:] = np.column_stack(np.unravel_index(rows, (len(span),) * inner))
-        block[:, outer:] -= effective
-        resid, l0 = _relation_residuals(block, angles, integer)
-        hits = np.flatnonzero(resid <= tau_rel)
-        if hits.size == 0:
-            continue
-        found = block[hits]
-        odd = np.flatnonzero((found @ sigmas) % 2)
-        if integer:
-            found = np.column_stack([found, l0[hits]])
-        even = found[: odd[0]] if odd.size else found
-        primitive = np.gcd.reduce(np.abs(even), axis=1) == 1
-        relations.extend(zip(*even[primitive].T.tolist()))
-        if odd.size:
-            return KroneckerVerdict(
-                mode=mode,
-                status=VIOLATED,
-                bound=effective,
-                requested_bound=bound,
-                relations=tuple(relations),
-                violating=tuple(found[odd[0]].tolist()),
-            )
+        for lo in range(0 if first > 0 else middle + 1, rows_total, SCAN_ROWS):
+            hi = min(lo + SCAN_ROWS, rows_total)
+            sums = whole[lo:hi] if whole is not None else inner_sums(lo, hi)
+            rows = lo + _screen(sums, shift, tolerance + margin, integer, buf)
+            if rows.size == 0:
+                continue
+            block = np.empty((rows.size, d), dtype=np.int64)
+            block[:, :outer] = head
+            block[:, outer:] = np.column_stack(np.unravel_index(rows, (width,) * inner))
+            block[:, outer:] -= effective
+            resid, l0 = _relation_residuals(block, angles, integer)
+            hits = np.flatnonzero(resid <= tau_rel)
+            if hits.size == 0:
+                continue
+            found = block[hits]
+            odd = np.flatnonzero((found @ sigmas) % 2)
+            if integer:
+                found = np.column_stack([found, l0[hits]])
+            even = found[: odd[0]] if odd.size else found
+            primitive = np.gcd.reduce(np.abs(even), axis=1) == 1
+            relations.extend(zip(*even[primitive].T.tolist()))
+            if odd.size:
+                return KroneckerVerdict(
+                    mode=mode,
+                    status=VIOLATED,
+                    bound=effective,
+                    requested_bound=bound,
+                    relations=tuple(relations),
+                    violating=tuple(found[odd[0]].tolist()),
+                )
     status = HOLDS if effective == bound else INCONCLUSIVE
     return KroneckerVerdict(
         mode=mode,
@@ -782,7 +794,8 @@ def _mixing_report(
         )
     full = tuple(range(dec.num_classes))
     if a is None:
-        starts, support, slack = np.arange(g.n), full, C_SLACK * epsilon * np.sqrt(g.n)
+        # every start: the slice keeps entry_parts from gathering the idempotents
+        starts, support, slack = slice(None), full, C_SLACK * epsilon * np.sqrt(g.n)
         thin = {b: s for b, s in enumerate(eigenvalue_supports(dec)) if s != full}
         if thin:
             notes.append(

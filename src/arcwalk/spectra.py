@@ -44,7 +44,9 @@ class SpectralDecomposition:
 
     Index 0 always refers to the valency eigenvalue k. ``has_minus_k``
     marks a bipartite graph, in which case the last index carries
-    eigenvalue -k and angle pi. ``residuals`` is the idempotent suite it passed.
+    eigenvalue -k and angle pi. ``idempotents`` is one read-only (d, n, n)
+    array, E_r = ``idempotents[r]`` (a sequence of n x n arrays is stacked
+    into one). ``residuals`` is the idempotent suite it passed.
     """
 
     n: int
@@ -52,9 +54,16 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     angles: np.ndarray
-    idempotents: tuple[np.ndarray, ...]
+    idempotents: np.ndarray
     has_minus_k: bool
     residuals: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        E = self.idempotents
+        if not (isinstance(E, np.ndarray) and E.dtype == float and not E.flags.writeable):
+            E = np.array(E, dtype=float)
+            E.setflags(write=False)
+            object.__setattr__(self, "idempotents", E)
 
     @property
     def num_classes(self) -> int:
@@ -123,15 +132,15 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
 
     eigenvalues = []
     multiplicities = []
-    idempotents = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+    idempotents = np.empty((len(boundaries) - 1, g.n, g.n))
+    for E, lo, hi in zip(idempotents, boundaries[:-1], boundaries[1:]):
         block = vectors[:, lo:hi]
-        E = block @ block.T
-        E = (E + E.T) / 2.0
-        E.setflags(write=False)
-        idempotents.append(E)
+        S = block @ block.T
+        np.add(S, S.T, out=E)
+        E /= 2.0
         eigenvalues.append(float(values[lo:hi].mean()))
         multiplicities.append(hi - lo)
+    idempotents.setflags(write=False)
 
     if abs(eigenvalues[0] - k) > tau_group:
         raise DecompositionError(
@@ -151,7 +160,7 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
         eigenvalues=np.array(eigenvalues),
         multiplicities=np.array(multiplicities, dtype=np.int64),
         angles=angles,
-        idempotents=tuple(idempotents),
+        idempotents=idempotents,
         has_minus_k=has_minus_k,
     )
 
@@ -180,7 +189,7 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
 
 def _supports(dec: SpectralDecomposition, columns) -> list[tuple[int, ...]]:
     tau_support = TAU_SUPPORT_FACTOR * np.sqrt(dec.n)
-    norms = np.array([np.linalg.norm(E[:, columns], axis=0) for E in dec.idempotents])
+    norms = np.linalg.norm(dec.idempotents[:, :, columns], axis=1)
     return [tuple(np.flatnonzero(inside).tolist()) for inside in (norms > tau_support).T]
 
 
@@ -204,5 +213,5 @@ def eigenvalue_supports(dec: SpectralDecomposition) -> list[tuple[int, ...]]:
 def walk_regular(dec: SpectralDecomposition) -> bool:
     """Whether the graph is walk-regular: every E_r has a constant diagonal
     (E_r)_aa = ||E_r e_a||^2, the norms equal within the support cutoff."""
-    norms = np.sqrt(np.clip([np.diagonal(E) for E in dec.idempotents], 0.0, None))
+    norms = np.sqrt(np.clip(np.diagonal(dec.idempotents, axis1=1, axis2=2), 0.0, None))
     return bool(np.ptp(norms, axis=1).max() <= TAU_SUPPORT_FACTOR * np.sqrt(dec.n))

@@ -19,6 +19,7 @@ projection, so (-1)^t means e^{i pi t}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,9 @@ STATE_NORM_TOL = 1e-12
 MAX_SPECTRUM_BYTES = 2**29
 #: complex (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond
 #: the stored projections at its peak, without and with verification (traced:
-#: m x m on rook:8, 2.1 and 2.6; m x n on k4, 3.5 and 5.4 beside the m x m
+#: m x m on rook:8, 1.0 and 2.0; m x n on k4, 5.7 and 9.3 beside the m x m
 #: counts, fixed costs included)
-WORKSPACE_ARRAYS = ((3, 5), (4, 7))
+WORKSPACE_ARRAYS = ((1, 6), (2, 10))
 
 
 def _within_limit(size: int, what: str) -> None:
@@ -148,26 +149,61 @@ def transition_matrix(arc_space: ArcSpace) -> np.ndarray:
 class EigenphasePair:
     """Conjugate projection pair for walk eigenvalues e^{+-i theta}.
 
-    ``index`` is the position of the source eigenvalue class in the
-    adjacency decomposition.
+    Only ``plus`` = F_{+theta} is stored; ``minus`` = F_{-theta} is its
+    conjugate, formed afresh on each access. ``index`` is the position of
+    the source eigenvalue class in the adjacency decomposition.
     """
 
     index: int
     theta: float
     plus: np.ndarray
-    minus: np.ndarray
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.plus.conj()
+
+
+def _rows_of(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The array whose rows, in order, are the views ``arrays``, if any."""
+    base = arrays[0].base if arrays else None
+    if isinstance(base, np.ndarray) and len(base) == len(arrays) and all(
+        a.base is base and a.__array_interface__ == row.__array_interface__
+        for a, row in zip(arrays, base)
+    ):
+        return base
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class WalkSpectrum:
-    """Spectral projections of U: the +-1 projections and one conjugate
-    pair per adjacency angle in (0, pi). ``residuals`` is the projection
-    suite they passed, empty when they were built without verification."""
+    """Spectral projections of U: the real +-1 projections and the stored
+    half F_{+theta} of the conjugate pair of each adjacency angle in (0, pi).
+    ``residuals`` is the projection suite they passed, empty when they were
+    built without verification.
+
+    ``plus_block`` is the read-only (d, m, m) array the pairs' ``plus``
+    projections are rows of (the one :func:`walk_spectrum` wrote them into,
+    or a stacked copy for pairs made elsewhere) and ``thetas`` their angles.
+    """
 
     proj_plus1: np.ndarray
     proj_minus1: np.ndarray
     pairs: tuple[EigenphasePair, ...]
     residuals: dict[str, float] = field(default_factory=dict)
+    plus_block: np.ndarray = field(init=False, repr=False)
+    thetas: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        plus = [pair.plus for pair in self.pairs]
+        block = _rows_of(plus)
+        if block is None:
+            m = self.proj_plus1.shape[0]
+            block = np.stack(plus) if plus else np.zeros((0, m, m), dtype=complex)
+            block.setflags(write=False)
+        thetas = np.array([pair.theta for pair in self.pairs], dtype=float)
+        thetas.setflags(write=False)
+        object.__setattr__(self, "plus_block", block)
+        object.__setattr__(self, "thetas", thetas)
 
     @property
     def num_arcs(self) -> int:
@@ -209,6 +245,14 @@ def walk_spectrum_residuals(
     bound exceeds TAU_WALK (nearly equal eigenvalues, or theta near 0 or
     pi against +-1) contributes its measured max |P_i P_j| instead. It is
     never below the measured maximum.
+
+    Only the stored half of each conjugate pair is read. U, T and the E_r
+    are real and F_{-theta} = conj(F_{+theta}), so each defect, product,
+    sum and tail projection of F_{-theta} is the conjugate of that of
+    F_{+theta}: h, N and f are taken once per stored projection, the
+    bound runs over the full list with them repeated, and completeness and
+    resolution add the real part of each term twice, as the full sums do
+    (their imaginary parts cancel exactly).
     """
     k = arc_space.k
 
@@ -216,18 +260,19 @@ def walk_spectrum_residuals(
         # T P T^T, summing rows then columns over the tail blocks
         return tail_sum(arc_space, tail_sum(arc_space, P).T).T
 
-    projections = [ws.proj_plus1, ws.proj_minus1]
-    projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.minus))
+    stored = [ws.proj_plus1, ws.proj_minus1, *ws.plus_block]
+    # the full list: F_{+1}, F_{-1}, then F_{+theta}, F_{-theta} per pair
     eigenvalues = np.array(
-        [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
+        [1.0, -1.0] + [np.exp(s * 1j * theta) for theta in ws.thetas for s in (1, -1)]
     )
+    source = np.concatenate(([0, 1], np.repeat(np.arange(2, len(stored)), 2)))
 
     herm = idem = 0.0
-    skew, norm_bound, defect = np.zeros((3, len(projections)))
-    for i, (P, mu) in enumerate(zip(projections, eigenvalues)):
+    skew, norm_bound, defect = np.zeros((3, len(stored)))
+    for i, (P, mu) in enumerate(zip(stored, [1.0, -1.0, *eigenvalues[2::2]])):
         # each m x m working array is freed before the next is made, so the
         # loop holds one beside the projections
-        D = P.T.conj()
+        D = np.conjugate(P.T)
         np.subtract(P, D, out=D)
         herm = max(herm, float(np.abs(D).max()))
         skew[i] = np.linalg.norm(D)
@@ -238,6 +283,11 @@ def walk_spectrum_residuals(
         norm_bound[i] = 1.0 + np.linalg.norm(D) + skew[i]
         del D
         defect[i] = np.linalg.norm(_eigen_defect(arc_space, P, mu))
+    skew, norm_bound, defect = skew[source], norm_bound[source], defect[source]
+
+    def projection(i):
+        P = stored[source[i]]
+        return P.conj() if i > 2 and i % 2 else P
 
     unitarity = coin_unitarity(k)
     gap = np.abs(eigenvalues[:, None] - eigenvalues)
@@ -247,32 +297,36 @@ def walk_spectrum_residuals(
             + np.outer(defect, defect) + k * unitarity * np.outer(norm_bound, norm_bound)
         ) / gap + np.outer(skew, norm_bound)
     for i, j in zip(*np.nonzero(np.triu(~(bound <= TAU_WALK), 1))):
-        bound[i, j] = np.abs(projections[i] @ projections[j]).max()
-    orth = float(bound[np.triu_indices(len(projections), 1)].max())
+        bound[i, j] = np.abs(projection(i) @ projection(j)).max()
+    orth = float(bound[np.triu_indices(len(eigenvalues), 1)].max())
 
-    total = projections[0] + projections[1]
-    for P in projections[2:]:
-        total += P
+    total = ws.proj_plus1 + ws.proj_minus1
+    for F in ws.plus_block:
+        total += F.real
+        total += F.real
     total -= np.eye(arc_space.num_arcs)
     completeness = float(np.abs(total).max())
     del total
 
     U = transition_matrix(arc_space)
     recon = ws.proj_plus1 - ws.proj_minus1
-    for P, mu in zip(projections[2:], eigenvalues[2:]):
-        recon += mu * P
+    for F, mu in zip(ws.plus_block, eigenvalues[2::2]):
+        part = (mu * F).real
+        recon += part
+        recon += part
+        del part
     recon -= U
     resolution = float(np.abs(recon).max())
+    del recon, U
 
     correspondence = float(
         np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max()
     )
     for pair in ws.pairs:
         E = dec.idempotents[pair.index]
-        for P in (pair.plus, pair.minus):
-            correspondence = max(
-                correspondence, float(np.abs(tail_project(P) - (k / 2.0) * E).max())
-            )
+        correspondence = max(
+            correspondence, float(np.abs(tail_project(pair.plus) - (k / 2.0) * E).max())
+        )
 
     residuals = {
         "hermiticity": herm,
@@ -291,10 +345,14 @@ def walk_spectrum_residuals(
     return residuals
 
 
-def _eigen_defect(arc_space: ArcSpace, P: np.ndarray, mu: complex) -> np.ndarray:
+def _eigen_defect(
+    arc_space: ArcSpace, P: np.ndarray, mu: complex, out: np.ndarray | None = None
+) -> np.ndarray:
     """R (U P - mu P) = C P - mu R P, with C = 2/k T^T T - I the coin, in one
-    m x m array: it has the Frobenius norm of U P - mu P."""
-    E = P[arc_space.reversal_perm]
+    array shaped like P (written into ``out`` if given): it has the
+    Frobenius norm of U P - mu P."""
+    # mode='clip' (the indices are in range) lets take write into out unbuffered
+    E = np.take(P, arc_space.reversal_perm, axis=0, out=out, mode="clip")
     E *= -mu
     E -= P
     blocks = E.reshape(arc_space.n, arc_space.k, -1)
@@ -312,9 +370,11 @@ def walk_spectrum(
         F_{+theta} = (T - e^{+i theta} H)^T E (T - e^{-i theta} H)
                      / (2 k sin^2 theta)
 
-    and F_{-theta} is its conjugate. The +-1 projections are recovered by
+    is written into one read-only complex (d, m, m) array, and F_{-theta},
+    its conjugate, is not stored. The +-1 projections are recovered by
     splitting the residual complement P = I - sum(F_{+theta} + F_{-theta})
-    into F_{+1} = (P + UP)/2 and F_{-1} = (P - UP)/2; this captures both
+    = I - sum 2 Re F_{+theta}, which is real, into F_{+1} = (P + UP)/2 and
+    F_{-1} = (P - UP)/2, both stored as real arrays; this captures both
     the lifts of the +-k adjacency classes and the kernel components of
     the incidence maps.
 
@@ -325,40 +385,46 @@ def walk_spectrum(
     k = arc_space.k
     tails, heads = arc_space.tails, arc_space.heads
     m = arc_space.num_arcs
-    # the +-1 projections and two per angle in (0, pi), complex128 m x m each
-    stored = 2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)
+    classes = range(1, dec.num_classes - dec.has_minus_k)
+    # one complex m x m array per angle in (0, pi), and two real ones
+    stored = len(classes) + 1
     square, columns = WORKSPACE_ARRAYS[verify]
     _within_limit(16 * ((stored + square) * m + columns * arc_space.n) * m,
                   f"dense walk spectrum on {m} arcs")
 
-    pairs = []
-    for r in range(1, dec.num_classes):
+    block = np.empty((len(classes), m, m), dtype=complex)
+    for F, r in zip(block, classes):
         theta = float(dec.angles[r])
-        if dec.has_minus_k and r == dec.num_classes - 1:
-            continue
         E = dec.idempotents[r]
         phase = np.exp(1j * theta)
         # rows of (T^T - e^{i theta} H^T) E, then its columns gathered by
         # (T - e^{-i theta} H)
         left = E[tails] - phase * E[heads]
-        plus = (left[:, tails] - np.conj(phase) * left[:, heads]) / (
-            2.0 * k * np.sin(theta) ** 2
-        )
-        minus = plus.conj()
-        plus.setflags(write=False)
-        minus.setflags(write=False)
-        pairs.append(EigenphasePair(index=r, theta=theta, plus=plus, minus=minus))
+        np.take(left, tails, axis=1, out=F, mode="clip")
+        gathered = left[:, heads]
+        gathered *= np.conj(phase)
+        F -= gathered
+        del left, gathered
+        F /= 2.0 * k * np.sin(theta) ** 2
+    block.setflags(write=False)
+    pairs = tuple(
+        EigenphasePair(index=r, theta=float(dec.angles[r]), plus=F)
+        for F, r in zip(block, classes)
+    )
 
-    residual = np.eye(m, dtype=complex)
-    for pair in pairs:
-        residual = residual - pair.plus - pair.minus
-    plus1 = (residual + apply_walk(arc_space, residual)) / 2.0
+    residual = np.eye(m)
+    for F in block:
+        residual -= F.real
+        residual -= F.real
+    plus1 = apply_walk(arc_space, residual)
+    plus1 += residual
+    plus1 /= 2.0
     residual -= plus1
     minus1 = residual
     plus1.setflags(write=False)
     minus1.setflags(write=False)
 
-    ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, pairs=tuple(pairs))
+    ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, pairs=pairs)
     if verify:
         ws.residuals.update(walk_spectrum_residuals(dec, arc_space, ws))
         bad = {name: val for name, val in ws.residuals.items() if val > TAU_WALK}
@@ -426,13 +492,28 @@ def evolve(ws: WalkSpectrum, x: State, t: float) -> State:
 
 
 def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
-    """Apply U^t to a vector or to each column of a matrix (principal branch)."""
-    M = np.asarray(M, dtype=complex)
-    out = ws.proj_plus1 @ M + _minus_one_power(t) * (ws.proj_minus1 @ M)
-    for pair in ws.pairs:
-        out = out + np.exp(1j * pair.theta * t) * (pair.plus @ M)
-        out = out + np.exp(-1j * pair.theta * t) * (pair.minus @ M)
-    return out
+    """Apply U^t to a vector or to each column of a matrix (principal branch).
+
+    U is real and F_{-theta} = conj(F_{+theta}), so for a real v
+
+        U^t v = F_{+1} v + e^{i pi t} F_{-1} v + 2 Re sum_theta e^{i t theta} F_{+theta} v
+
+    and only the stored half is read, in one product with the (d, m, m)
+    block. A complex M goes through as its real and imaginary parts side
+    by side, the imaginary part only when it is not all zero.
+    """
+    M = np.asarray(M)
+    parts = [M.real]
+    if np.iscomplexobj(M) and M.imag.any():
+        parts.append(M.imag)
+    V = np.stack(parts, axis=-1).reshape(len(M), -1)
+    d, m = len(ws.thetas), ws.num_arcs
+    turned = (ws.plus_block.reshape(d * m, m) @ V).reshape(d, V.size)
+    out = ws.proj_plus1 @ V
+    out += 2.0 * (np.exp(1j * t * ws.thetas) @ turned).real.reshape(V.shape)
+    out = out + _minus_one_power(t) * (ws.proj_minus1 @ V)
+    out = out.reshape(M.shape + (len(parts),))
+    return out[..., 0] if len(parts) == 1 else out[..., 0] + 1j * out[..., 1]
 
 
 def evolve_by_projections(
@@ -461,47 +542,58 @@ def evolve_by_projections(
     return out + plus1 + _minus_one_power(t) * (rest - plus1)
 
 
-def _class_weights(theta: float) -> tuple[complex, complex]:
-    """Head and tail weights of the e^{i theta} eigen-component of U on the
-    adjacency class with angle theta in [0, pi): for X = E_r x it is
-    p = (head X[heads] + tail X[tails]) / sqrt(k), and class r adds
-    2 Re(e^{i t theta} p) to U^t x. The valency class (theta = 0) has
-    p = X[tails] / (2 sqrt(k)). :func:`entry_parts` evaluates with these
-    weights and :func:`check_closed_form` certifies them."""
-    if theta == 0.0:
-        return 0.0, 0.5
-    head = 1.0 / (2j * np.sin(theta))
-    return head, -np.exp(-1j * theta) * head
+def _class_weights(theta: np.ndarray) -> np.ndarray:
+    """Head and tail weights (rows 0 and 1) of the e^{i theta} eigen-component
+    of U on the adjacency classes with angles theta in [0, pi) (a 1-D
+    array): for X = E_r x it is p = (head X[heads] + tail X[tails]) / sqrt(k),
+    and class r adds 2 Re(e^{i t theta} p) to U^t x. The valency class
+    (theta = 0) has p = X[tails] / (2 sqrt(k)). :func:`entry_parts`
+    evaluates with these weights and :func:`check_closed_form` certifies
+    them. They depend on the angles alone, so each set is formed once."""
+    return _weights_of(np.asarray(theta, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _weights_of(angles: bytes) -> np.ndarray:
+    theta = np.frombuffer(angles)
+    weights = np.zeros((2, len(theta)), dtype=complex)
+    valency = theta == 0.0
+    np.divide(-0.5j, np.sin(theta), out=weights[0], where=~valency)
+    np.multiply(-np.exp(-1j * theta), weights[0], out=weights[1])
+    weights[1, valency] = 0.5
+    weights.setflags(write=False)
+    return weights
 
 
 def entry_parts(
     dec: SpectralDecomposition, starts, t: float, scale=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n x c vertex arrays (tail, head) of U^t on the start vertices
-    ``starts`` (one, or a 1-D array), U^t x_a = (tail[tails] + head[heads])
+    ``starts`` (one, a 1-D array, or ``slice(None)`` for all), U^t x_a = (tail[tails] + head[heads])
     / sqrt(k), in closed form. The amplitude on arc (u, v) is
 
         1/sqrt(k) * ( sum_{theta_r in (0, pi)} [ sin(t theta_r) (E_r)_{va}
                       - sin((t-1) theta_r) (E_r)_{ua} ] / sin(theta_r)
                       + (E_0)_{ua} + (-1)^t (E_{-k})_{ua} )
 
-    with the bipartite term present only when -k is an eigenvalue: sums of
-    E_r[:, starts] with the weights of :func:`_class_weights`, each class
-    also scaled by ``scale[r]`` if given (``dec.eigenvalues`` gives
-    (A tail, A head)). Real t uses the principal branch, like :func:`evolve`.
+    with the bipartite term present only when -k is an eigenvalue: the
+    class weights of :func:`_class_weights`, each class also scaled by
+    ``scale[r]`` if given (``dec.eigenvalues`` gives (A tail, A head)),
+    contracted with the rows E_r[starts] (E_r is symmetric) over all
+    classes in one product. Real t uses the principal branch, like
+    :func:`evolve`.
     """
-    scale = np.ones(dec.num_classes) if scale is None else scale
-    head = np.zeros((dec.n,) + np.shape(starts), dtype=complex)
-    tail = head.copy()
+    live = dec.num_classes - dec.has_minus_k
+    angles = dec.angles[:live]
+    phase = np.exp(1j * t * angles)
+    phase *= 2.0 if scale is None else 2.0 * scale[:live]
+    weights = (phase * _class_weights(angles)[::-1]).real
+    rows = dec.idempotents[:live, starts]
+    parts = (weights @ rows.reshape(live, -1)).reshape((2,) + rows.shape[1:])
+    tail, head = np.moveaxis(parts, -1, 1)
     if dec.has_minus_k:
-        tail += _minus_one_power(t) * scale[-1] * dec.idempotents[-1][:, starts]
-    for r in range(dec.num_classes - dec.has_minus_k):
-        theta = dec.angles[r]
-        phase = 2.0 * scale[r] * np.exp(1j * t * theta)
-        head_weight, tail_weight = _class_weights(theta)
-        column = dec.idempotents[r][:, starts]
-        head += (phase * head_weight).real * column
-        tail += (phase * tail_weight).real * column
+        factor = _minus_one_power(t) * (1.0 if scale is None else scale[-1])
+        tail = tail + factor * dec.idempotents[-1][:, starts]
     return tail, head
 
 
@@ -542,10 +634,11 @@ def check_closed_form(
     At integer t >= 0, U^t x then differs from :func:`entry_block` by at
     most start + (2d + 1) t eigen, for d angle classes. Both identities are
     linear in v, so on the seeded random columns of :func:`probe_block`
-    they check the whole start block at once (Freivalds' check). The check
-    holds about six complex m x c arrays (traced 5.5 to 6.5 on rook:6 and
-    hadamard-srg:4/8); a block where eight would pass MAX_SPECTRUM_BYTES
-    raises ValueError before any is allocated.
+    they check the whole start block at once (Freivalds' check). Each p_r
+    and its drift are built in place in two complex m x c arrays that every
+    class reuses, so the check holds about three (traced 2.6 to 3.3 on all
+    start columns of rook:6, rook:8 and hadamard-srg:4); a block where eight
+    would pass MAX_SPECTRUM_BYTES raises ValueError before any is allocated.
     """
     n, m = arc_space.n, arc_space.num_arcs
     columns = np.asarray(columns)
@@ -556,22 +649,29 @@ def check_closed_form(
     _within_limit(16 * 8 * m * columns.shape[1],
                   f"closed-form check of {columns.shape[1]} columns on {m} arcs")
     tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
+    live = dec.num_classes - dec.has_minus_k
+    head_weights, tail_weights = _class_weights(dec.angles[:live])
     eigen = np.zeros(dec.num_classes)
     total = columns[tails] / -root_k
+    # p and its drift are built in place, in two arrays reused by every class
+    p = np.empty((m, columns.shape[1]), dtype=complex)
+    drift = np.empty_like(p)
     for r in range(dec.num_classes):
         X = dec.idempotents[r] @ columns
-        if dec.has_minus_k and r == dec.num_classes - 1:
-            p, mu = X[tails] / root_k, -1.0
-            total += p
+        if r < live:
+            # (head X)[heads] + (tail X)[tails], weighted on the vertices
+            np.take(head_weights[r] * X, heads, axis=0, out=p, mode="clip")
+            p += np.take(tail_weights[r] * X, tails, axis=0, out=drift, mode="clip")
+            p /= root_k
+            mu = np.exp(1j * dec.angles[r])
+            total += p.real
+            total += p.real
         else:
-            head, tail = _class_weights(dec.angles[r])
-            p, mu = (head * X[heads] + tail * X[tails]) / root_k, np.exp(1j * dec.angles[r])
-            total += 2.0 * p.real
-        # kept bound until the next class so the allocator reuses its
-        # pages: unbound, the all-columns check on hadamard-srg:8 ran
-        # 20% slower (2-vCPU Xeon VM, one BLAS thread)
-        drift = apply_walk(arc_space, p) - mu * p
-        eigen[r] = np.linalg.norm(drift) ** 2
+            np.take((X / root_k).astype(complex), tails, axis=0, out=p, mode="clip")
+            mu = -1.0
+            total += p.real
+        _eigen_defect(arc_space, p, mu, out=drift)
+        eigen[r] = np.vdot(drift, drift).real
     residuals = {"eigen": float(np.sqrt(eigen.max())), "start": float(np.linalg.norm(total))}
     bad = {name: val for name, val in residuals.items() if not val <= TAU_WALK}
     if bad:

@@ -19,7 +19,7 @@ from arcwalk import (
     transition_matrix,
     walk_spectrum,
 )
-from arcwalk.walk import ArcSpace
+from arcwalk.walk import TAU_WALK, ArcSpace, _eigen_defect, coin_unitarity, tail_sum
 
 GRAPH_BUILDERS = {
     "k4": lambda: complete_graph(4),
@@ -93,6 +93,72 @@ def pairwise_orthogonality(ws: WalkSpectrum) -> float:
         for Q in projections[i + 1 :]:
             orth = max(orth, float(np.abs(P @ Q).max()))
     return orth
+
+
+def full_walk_spectrum_residuals(dec, arcs, ws) -> dict[str, float]:
+    """Oracle for ``walk_spectrum_residuals``: the projection suite over the
+    full list F_{+1}, F_{-1}, F_{+theta}, F_{-theta}, ..., with each
+    F_{-theta} = conj(F_{+theta}) formed here and checked on its own, as
+    the suite was before the walk spectrum stored one half of each pair."""
+    k = arcs.k
+
+    def tail_project(P):
+        return tail_sum(arcs, tail_sum(arcs, P).T).T
+
+    projections = [ws.proj_plus1, ws.proj_minus1]
+    projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.plus.conj()))
+    eigenvalues = np.array(
+        [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
+    )
+    herm = idem = 0.0
+    skew, norm_bound, defect = np.zeros((3, len(projections)))
+    for i, (P, mu) in enumerate(zip(projections, eigenvalues)):
+        D = P - P.T.conj()
+        herm = max(herm, float(np.abs(D).max()))
+        skew[i] = np.linalg.norm(D)
+        D = P @ P - P
+        idem = max(idem, float(np.abs(D).max()))
+        norm_bound[i] = 1.0 + np.linalg.norm(D) + skew[i]
+        # the in-place eigen-defect of the suite, as R (U P - mu P)
+        defect[i] = np.linalg.norm(_eigen_defect(arcs, P, mu.real if np.isrealobj(P) else mu))
+    unitarity = coin_unitarity(k)
+    gap = np.abs(eigenvalues[:, None] - eigenvalues)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (
+            np.outer(norm_bound, defect) + np.outer(defect, norm_bound)
+            + np.outer(defect, defect) + k * unitarity * np.outer(norm_bound, norm_bound)
+        ) / gap + np.outer(skew, norm_bound)
+    for i, j in zip(*np.nonzero(np.triu(~(bound <= TAU_WALK), 1))):
+        bound[i, j] = np.abs(projections[i] @ projections[j]).max()
+    orth = float(bound[np.triu_indices(len(projections), 1)].max())
+    total = projections[0] + projections[1]
+    for P in projections[2:]:
+        total = total + P
+    U = transition_matrix(arcs)
+    recon = ws.proj_plus1 - ws.proj_minus1
+    for P, mu in zip(projections[2:], eigenvalues[2:]):
+        recon = recon + mu * P
+    correspondence = float(np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max())
+    for pair, P in zip([pair for pair in ws.pairs for _ in (0, 1)], projections[2:]):
+        E = dec.idempotents[pair.index]
+        correspondence = max(
+            correspondence, float(np.abs(tail_project(P) - (k / 2.0) * E).max())
+        )
+    residuals = {
+        "hermiticity": herm,
+        "idempotency": idem,
+        "eigen": float(defect.max()),
+        "orthogonality": orth,
+        "completeness": float(np.abs(total - np.eye(arcs.num_arcs)).max()),
+        "resolution": float(np.abs(recon - U).max()),
+        "correspondence": correspondence,
+        "unitarity": unitarity,
+    }
+    if dec.has_minus_k:
+        residuals["minus_one_correspondence"] = float(
+            np.abs(tail_project(ws.proj_minus1) - k * dec.idempotents[-1]).max()
+        )
+    return residuals
 
 
 def block_relation_scan(angles, sigmas, mode, bound, tau_rel=1e-9):

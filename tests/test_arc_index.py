@@ -47,7 +47,7 @@ def dense_walk_spectrum(dec, arcs) -> WalkSpectrum:
         phase = np.exp(1j * theta)
         plus = (T.T - phase * H.T) @ dec.idempotents[r] @ (T - np.conj(phase) * H)
         plus = plus / (2.0 * k * np.sin(theta) ** 2)
-        pairs.append(EigenphasePair(index=r, theta=theta, plus=plus, minus=plus.conj()))
+        pairs.append(EigenphasePair(index=r, theta=theta, plus=plus))
     U = R @ ((2.0 / k) * T.T @ T - np.eye(m))
     residual = np.eye(m, dtype=complex) - sum(p.plus + p.minus for p in pairs)
     plus1 = (residual + U @ residual) / 2.0

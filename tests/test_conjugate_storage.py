@@ -1,0 +1,372 @@
+"""The walk spectrum stores one half of each conjugate pair.
+
+``walk_spectrum`` keeps F_{+theta} for each angle in one read-only complex
+(d, m, m) block and the +-1 projections as real arrays; F_{-theta} =
+conj(F_{+theta}) is derived. The read path (``evolve_operator``), the
+residual suite and the direct cospectrality route use only the stored half.
+They are checked here against independent slow paths: U stepped by
+``apply_walk``, the projections applied without being formed
+(``evolve_by_projections``), and the residual suite over both halves.
+"""
+
+import functools
+import tracemalloc
+
+import networkx as nx
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from arcwalk import (
+    build_arc_space,
+    from_edge_list,
+    check_strong_cospectrality_direct,
+    eigendecompose_symmetric,
+    evolve,
+    evolve_by_projections,
+    evolve_operator,
+    initial_state,
+    mixing,
+    walk,
+    walk_spectrum,
+    walk_spectrum_residuals,
+)
+from arcwalk.cli import resolve_builtin
+from arcwalk.graphs import graph_from_adjacency
+from arcwalk.walk import State, apply_walk, check_closed_form
+
+from conftest import (
+    ALL_GRAPHS,
+    RANDOM_20_4_EDGES,
+    full_walk_spectrum_residuals,
+    get_bundle,
+    pairwise_orthogonality,
+)
+
+
+def random_regular(n, k):
+    """A connected non-bipartite k-regular graph on n vertices with n
+    distinct eigenvalues, so n eigenvalue classes."""
+    seed = 0
+    while True:
+        A = nx.to_numpy_array(nx.random_regular_graph(k, n, seed=seed), dtype=np.int64)
+        values = np.linalg.eigvalsh(A.astype(float))
+        g = graph_from_adjacency(A)
+        if g.is_connected and not g.is_bipartite and np.diff(values).min() > 1e-6:
+            return g
+        seed += 1
+
+
+@functools.lru_cache(maxsize=None)
+def inputs(name):
+    """dec, arcs and the verified walk spectrum of a builtin, of the fixed
+    random-20-4 graph, or of a random-n-k graph drawn by ``random_regular``."""
+    if name == "random-20-4":
+        g = from_edge_list(RANDOM_20_4_EDGES, 20)
+    elif name.startswith("random-"):
+        g = random_regular(*map(int, name.split("-")[1:]))
+    else:
+        g = resolve_builtin(name)
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    return dec, arcs, walk_spectrum(dec, arcs)
+
+
+def test_verified_spectrum_stores_one_complex_array_per_angle():
+    """random-28-4 has 28 classes: 27 complex and 2 real m x m arrays
+    (5.6 MB), where both halves of each pair took 56 complex ones (11.2 MB)."""
+    dec, arcs, ws = inputs("random-28-4")
+    m, d = arcs.num_arcs, len(ws.pairs)
+    assert (dec.num_classes, d, m) == (28, 27, 112)
+    assert ws.residuals and max(ws.residuals.values()) <= walk.TAU_WALK
+    assert ws.proj_plus1.dtype == ws.proj_minus1.dtype == np.float64
+    assert ws.plus_block.shape == (d, m, m) and ws.plus_block.dtype == np.complex128
+    assert not ws.plus_block.flags.writeable
+    for i, pair in enumerate(ws.pairs):
+        assert pair.plus.base is ws.plus_block
+        assert np.shares_memory(pair.plus, ws.plus_block[i])
+    stored = ws.plus_block.nbytes + ws.proj_plus1.nbytes + ws.proj_minus1.nbytes
+    assert stored == (16 * d + 2 * 8) * m * m == 5_619_712
+    # the m x m arrays the spectrum shows (its dense_bytes) are those bytes
+    shown = [ws.proj_plus1, ws.proj_minus1] + [pair.plus for pair in ws.pairs]
+    assert sum(a.nbytes for a in shown) == stored
+
+
+def test_minus_is_the_conjugate_of_plus():
+    ws = get_bundle("petersen").ws
+    for pair in ws.pairs:
+        assert np.array_equal(pair.minus, pair.plus.conj())
+
+
+def test_pairs_made_elsewhere_are_stacked():
+    """Pairs that are not rows of one block, as the tests build them, get a
+    stacked copy; views of the block are reused as they are."""
+    ws = get_bundle("k4").ws
+    again = walk.WalkSpectrum(ws.proj_plus1, ws.proj_minus1, ws.pairs)
+    assert again.plus_block is ws.plus_block
+    copied = tuple(walk.EigenphasePair(p.index, p.theta, p.plus.copy()) for p in ws.pairs)
+    stacked = walk.WalkSpectrum(ws.proj_plus1, ws.proj_minus1, copied)
+    assert stacked.plus_block is not ws.plus_block
+    assert np.array_equal(stacked.plus_block, ws.plus_block)
+    assert np.array_equal(stacked.thetas, ws.thetas)
+
+
+PARITY_GRAPHS = ("cycle:8", "petersen", "random-24-3")
+INTEGER_TIMES = range(13)
+HALF_TIMES = (0.5, 1.5, 2.5, 7.5, 12.5)
+
+
+def vectors(arcs):
+    """A start state, a real Gaussian vector and a complex one with a
+    nonzero imaginary part."""
+    rng = np.random.default_rng(7)
+    m = arcs.num_arcs
+    return [
+        initial_state(arcs, 0).amplitudes,
+        rng.standard_normal(m),
+        rng.standard_normal(m) + 1j * rng.standard_normal(m),
+    ]
+
+
+def start_block(arcs):
+    return np.eye(arcs.n)[arcs.tails] / np.sqrt(arcs.k)
+
+
+@pytest.mark.parametrize("name", PARITY_GRAPHS)
+def test_evolve_operator_matches_stepping_at_integer_times(name):
+    dec, arcs, ws = inputs(name)
+    for x in vectors(arcs) + [start_block(arcs)]:
+        stepped = np.asarray(x, dtype=complex)
+        for t in INTEGER_TIMES:
+            assert_allclose(evolve_operator(ws, x, t), stepped, rtol=0, atol=1e-12)
+            stepped = apply_walk(arcs, stepped)
+
+
+def by_projections(dec, arcs, x, t):
+    """U^t x from the projections applied without being formed, column by
+    column and part by part (that path takes one real vector)."""
+    x = np.asarray(x)
+    if x.ndim == 2:
+        return np.stack([by_projections(dec, arcs, col, t) for col in x.T], axis=1)
+    return evolve_by_projections(dec, arcs, x.real, t) + 1j * evolve_by_projections(
+        dec, arcs, x.imag, t
+    )
+
+
+@pytest.mark.parametrize("name", PARITY_GRAPHS)
+def test_evolve_operator_matches_the_unformed_projections_at_half_times(name):
+    dec, arcs, ws = inputs(name)
+    for x in vectors(arcs) + [start_block(arcs)]:
+        for t in HALF_TIMES:
+            assert_allclose(
+                evolve_operator(ws, x, t), by_projections(dec, arcs, x, t), rtol=0, atol=1e-12
+            )
+
+
+def test_complex_states_use_both_parts():
+    """A state with an imaginary part goes through as two real parts; the
+    result is linear in the state."""
+    dec, arcs, ws = inputs("petersen")
+    rng = np.random.default_rng(1)
+    re, im = rng.standard_normal((2, arcs.num_arcs))
+    for t in (3, 2.5):
+        whole = evolve_operator(ws, re + 1j * im, t)
+        parts = evolve_operator(ws, re, t) + 1j * evolve_operator(ws, im, t)
+        assert_allclose(whole, parts, rtol=0, atol=1e-14)
+        x = State((re + 1j * im) / np.linalg.norm(re + 1j * im))
+        assert_allclose(evolve(ws, x, t).amplitudes, whole / np.linalg.norm(re + 1j * im),
+                        rtol=0, atol=1e-14)
+
+
+SUITE_GRAPHS = ALL_GRAPHS + ("cycle:8", "cycle:12", "random-20-4", "random-28-4")
+
+
+@pytest.mark.parametrize("name", SUITE_GRAPHS)
+def test_residual_suite_matches_the_suite_over_both_halves(name):
+    if name in ALL_GRAPHS:
+        b = get_bundle(name)
+        dec, arcs, ws = b.dec, b.arcs, b.ws
+    else:
+        dec, arcs, ws = inputs(name)
+    half = walk_spectrum_residuals(dec, arcs, ws)
+    full = full_walk_spectrum_residuals(dec, arcs, ws)
+    assert half.keys() == full.keys()
+    for key in full:
+        assert abs(half[key] - full[key]) <= 1e-15, (key, half[key], full[key])
+
+
+@pytest.mark.parametrize("name", ("petersen", "cycle:8"))
+def test_direct_products_take_the_conjugate_half_where_it_stands(name, monkeypatch):
+    """With TAU_WALK below every bound, each pair of the full list takes
+    its product directly, F_{-theta} included, and ``orthogonality`` is
+    the measured pairwise maximum."""
+    dec, arcs, ws = inputs(name)
+    monkeypatch.setattr(walk, "TAU_WALK", -1.0)
+    orth = walk_spectrum_residuals(dec, arcs, ws)["orthogonality"]
+    assert orth == pairwise_orthogonality(ws) < 1e-12
+
+
+def test_the_conjugate_half_is_never_formed(monkeypatch):
+    """With ``EigenphasePair.minus`` made to raise, a verified build, both
+    evolution calls and the direct cospectrality route still run."""
+
+    def refuse(self):
+        raise AssertionError("the conjugate half was formed")
+
+    monkeypatch.setattr(walk.EigenphasePair, "minus", property(refuse))
+    for name in ("petersen", "cycle:8", "rook:4"):
+        g = resolve_builtin(name)
+        dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+        ws = walk_spectrum(dec, arcs)
+        x = initial_state(arcs, 0)
+        y = evolve(ws, x, 3)
+        evolve_operator(ws, start_block(arcs), 2.5)
+        assert not isinstance(check_strong_cospectrality_direct(ws, x, y), str)
+    with pytest.raises(AssertionError, match="conjugate half"):
+        ws.pairs[0].minus
+
+
+def test_closed_form_check_holds_under_four_block_arrays():
+    """check_closed_form builds each component p and its drift in place in
+    two reused complex m x c arrays; on rook:6, all 36 start columns, it
+    peaks under 3.5 such arrays (5.7 when it made them afresh)."""
+    g = resolve_builtin("rook:6")
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    columns = np.arange(g.n)
+    check_closed_form(dec, arcs, columns)  # first calls allocate caches
+    tracemalloc.start()
+    try:
+        residuals = check_closed_form(dec, arcs, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(residuals.values()) <= 1e-12
+    assert peak < 3.5 * 16 * arcs.num_arcs * g.n
+
+
+SLICED_SCANS = [
+    ([2 * np.pi / 3], [0], "integer", 50_000, 1000),
+    ([2 * np.pi / 3], [1], "integer", 50_000, 1000),
+    ([2.0], [0], "integer", 50_000, 1000),
+    ([np.pi / 2], [0], "real", 50_000, 1000),
+    ([1.0, np.sqrt(2)], [0, 1], "real", 100, 50),
+    ([2 * np.pi / 5, 4 * np.pi / 5], [0, 0], "integer", 100, 50),
+    ([2 * np.pi / 5, 4 * np.pi / 5], [1, 1], "integer", 100, 50),
+]
+
+
+@pytest.mark.parametrize("angles, sigmas, mode, bound, rows", SLICED_SCANS)
+def test_relation_scan_screens_a_long_coordinate_in_slices(angles, sigmas, mode, bound, rows,
+                                                           monkeypatch):
+    """A single coordinate's span longer than SCAN_ROWS is screened in
+    slices of SCAN_ROWS rows: the verdict, bound, relations and violating
+    vector are those of the unsliced scan, and a one-angle scan peaks far
+    below one array of the whole span."""
+    whole = mixing.phase_condition_check(angles, sigmas, mode, bound=bound)
+    monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    tracemalloc.start()
+    try:
+        sliced = mixing.phase_condition_check(angles, sigmas, mode, bound=bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sliced.status, sliced.bound, sliced.requested_bound) == (
+        whole.status, whole.bound, whole.requested_bound)
+    assert sliced.relations == whole.relations
+    assert sliced.violating == whole.violating
+    if len(angles) == 1:
+        assert peak < 8 * (2 * bound + 1) / 8  # an eighth of one float array of the span
+
+
+def test_single_angle_scan_at_the_enumeration_cap_stays_small():
+    """One angle at bound 10**7 (cut to 5,000,000) used to screen all 10^7
+    sums at once (565 MB RSS); in slices of SCAN_ROWS it holds about four
+    float arrays of SCAN_ROWS."""
+    tracemalloc.start()
+    try:
+        verdict = mixing.phase_condition_check([2.0], [0], "integer", bound=10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.bound, verdict.relations) == ("inconclusive", 5_000_000, ())
+    assert peak < 6 * 8 * mixing.SCAN_ROWS
+
+
+def direct_cospectrality_loop(ws, x, y, tau=1e-8):
+    """Reference for ``check_strong_cospectrality_direct``: one projection
+    at a time over both halves of every pair, F_{-theta} formed here."""
+    projections = [("plus1", ws.proj_plus1), ("minus1", ws.proj_minus1)]
+    for pair in ws.pairs:
+        projections += [(f"pair{pair.index}+", pair.plus),
+                        (f"pair{pair.index}-", pair.plus.conj())]
+    phases, worst = {}, 0.0
+    for label, P in projections:
+        Px, Py = P @ x.amplitudes, P @ y.amplitudes
+        nx, ny = float(np.linalg.norm(Px)), float(np.linalg.norm(Py))
+        if nx <= tau and ny <= tau:
+            phases[label] = None
+            continue
+        if min(nx, ny) <= tau < max(nx, ny):
+            return "not cospectral"
+        inner = complex(np.vdot(Py, Px))
+        if abs(inner) == 0.0:
+            return "not cospectral"
+        phase = inner / abs(inner)
+        res = float(np.linalg.norm(Px - phase * Py))
+        worst = max(worst, res)
+        if res > tau:
+            return "not cospectral"
+        phases[label] = float(np.angle(phase))
+    return phases, worst
+
+
+@pytest.mark.parametrize("name", ("petersen", "rook:4", "cycle:8", "random-20-4"))
+def test_direct_cospectrality_matches_the_loop_over_both_halves(name):
+    """Targets: U^t x_a (cospectral), x_b (mostly not), and U^t x_a turned by
+    a global phase, which the walk-level route accepts."""
+    dec, arcs, ws = inputs(name)
+    for a, b in ((0, 1), (2, 5)):
+        x = initial_state(arcs, a)
+        turned = State(np.exp(0.7j) * evolve(ws, x, 3).amplitudes)
+        for y in (evolve(ws, x, 3), evolve(ws, x, 4.5), initial_state(arcs, b), turned):
+            got, want = check_strong_cospectrality_direct(ws, x, y), direct_cospectrality_loop(ws, x, y)
+            assert isinstance(got, str) == isinstance(want, str), (a, b)
+            if not isinstance(got, str):
+                assert got.phases.keys() == want[0].keys()
+                for label, phase in want[0].items():
+                    assert (got.phases[label] is None) == (phase is None), label
+                    if phase is not None:
+                        assert abs(np.exp(1j * got.phases[label]) - np.exp(1j * phase)) < 1e-12
+                assert abs(got.max_residual - want[1]) < 1e-12
+
+
+def entry_parts_loop(dec, starts, t, scale=None):
+    """Reference for ``entry_parts``: the class sums one class at a time."""
+    scale = np.ones(dec.num_classes) if scale is None else scale
+    head = np.zeros((dec.n,) + np.shape(starts), dtype=complex)
+    tail = head.copy()
+    if dec.has_minus_k:
+        tail += walk._minus_one_power(t) * scale[-1] * dec.idempotents[-1][:, starts]
+    for r in range(dec.num_classes - dec.has_minus_k):
+        theta = dec.angles[r]
+        head_weight, tail_weight = (
+            (0.0, 0.5) if theta == 0.0 else
+            (1.0 / (2j * np.sin(theta)), -np.exp(-1j * theta) / (2j * np.sin(theta)))
+        )
+        phase = 2.0 * scale[r] * np.exp(1j * t * theta)
+        column = dec.idempotents[r][:, starts]
+        head += (phase * head_weight).real * column
+        tail += (phase * tail_weight).real * column
+    return tail, head
+
+
+@pytest.mark.parametrize("name", ("k4", "rook:4", "hadamard-srg:2", "cycle:8", "random-20-4"))
+def test_entry_parts_matches_the_loop_over_classes(name):
+    dec, _, _ = inputs(name)
+    for starts in (0, np.array([dec.n - 1]), np.arange(dec.n), slice(None)):
+        for t in (0, 1, 7, 2.5, 663, 106389.06):
+            for scale in (None, dec.eigenvalues):
+                every = isinstance(starts, slice)
+                want = entry_parts_loop(dec, np.arange(dec.n) if every else starts, t, scale)
+                got = walk.entry_parts(dec, starts, t, scale)
+                for g, w in zip(got, want):
+                    assert_allclose(g, w, rtol=0, atol=1e-12 * max(1.0, abs(t)))

@@ -118,11 +118,11 @@ def test_a_projection_off_its_eigenspace_fails_the_suite(monkeypatch):
     turn[np.ix_([0, 1], [0, 1])] = [[c, -s], [s, c]]
     made, pair_type = [], walk.EigenphasePair
 
-    def turned_pair(index, theta, plus, minus):
+    def turned_pair(index, theta, plus):
         if not made:
             plus = turn @ plus @ turn.T
         made.append(index)
-        return pair_type(index=index, theta=theta, plus=plus, minus=minus)
+        return pair_type(index=index, theta=theta, plus=plus)
 
     monkeypatch.setattr(walk, "EigenphasePair", turned_pair)
     with pytest.raises(walk.WalkSpectrumError, match="eigen") as info:
@@ -163,7 +163,7 @@ def test_nearly_equal_eigenvalues_fall_back_to_the_direct_product():
 
     def split(first, second):
         pairs = tuple(
-            walk.EigenphasePair(index=pair.index, theta=pair.theta + shift, plus=P, minus=P.conj())
+            walk.EigenphasePair(index=pair.index, theta=pair.theta + shift, plus=P)
             for shift, P in ((0.0, first), (1e-12, second))
         )
         return dataclasses.replace(b.ws, pairs=pairs, residuals={})
@@ -352,14 +352,15 @@ def test_evolution_group_property(t, s):
 
 
 def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
-    """complement:rook:4 (m = 144) holds 6 complex m x m projections. With
-    room for 10, the unverified build fits and the verified one, which
-    needs room for 10.8, is refused before it allocates; each admitted build
-    peaks within its limit."""
+    """complement:rook:4 (m = 144) stores 2 complex and 2 real m x m
+    projections, 3 complex arrays' worth. With room for 5, the unverified
+    build (counted 4.7, traced 4.0) fits and the verified one (counted 6.1,
+    traced 5.0) is refused before it allocates; each admitted build peaks
+    within its limit."""
     g = resolve_builtin("complement:rook:4")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     unit = 16 * arcs.num_arcs**2
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 10 * unit)
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 5 * unit)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the limit"):
@@ -368,15 +369,15 @@ def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
         tracemalloc.reset_peak()
         walk_spectrum(dec, arcs, verify=False)
         _, unverified_peak = tracemalloc.get_traced_memory()
-        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 13 * unit)
+        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", int(6.2 * unit))
         tracemalloc.reset_peak()
         walk_spectrum(dec, arcs)
         _, verified_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert refused_peak < unit / 4
-    assert unverified_peak <= 10 * unit
-    assert verified_peak <= 13 * unit
+    assert unverified_peak <= 5 * unit
+    assert verified_peak <= 6.2 * unit
 
 
 @pytest.mark.parametrize("name", ["cycle:8", "k4", "rook:4", "petersen", "rook:6"])
@@ -387,7 +388,7 @@ def test_spectrum_build_peaks_within_its_counted_size(name, verify, monkeypatch)
     g = resolve_builtin(name)
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     m, n = arcs.num_arcs, g.n
-    stored = 2 + 2 * (dec.num_classes - 1 - dec.has_minus_k)
+    stored = dec.num_classes - dec.has_minus_k
     square, columns = walk.WORKSPACE_ARRAYS[verify]
     counted = 16 * ((stored + square) * m * m + columns * m * n)
     monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", counted)
