@@ -146,6 +146,14 @@ def regular_hadamard_validate(H: np.ndarray) -> HadamardCertificate:
     )
 
 
+def _regular_hadamard_order(n: int) -> bool:
+    """Whether a regular Hadamard matrix of order n can exist by the
+    conditions of :func:`arcwalk.graphs.check_regular_hadamard`: n is 1 or
+    4u^2 for an integer u."""
+    root = math.isqrt(n)
+    return n == 1 or (root * root == n and root % 2 == 0)
+
+
 def hadamard_search(
     dec: SpectralDecomposition, tau_flat: float = TAU_FLAT
 ) -> list[HadamardCertificate]:
@@ -158,13 +166,22 @@ def hadamard_search(
     :func:`arcwalk.graphs.check_regular_hadamard`; a rounded matrix that
     fails is logged with the failed condition and skipped. Certificates
     come back ordered by pattern encoding.
+
+    More than MAX_CLASSES non-valency classes raise ValueError, but only at
+    an order where a certificate can exist. The conditions
+    :func:`arcwalk.graphs.check_regular_hadamard` enforces make the order 1,
+    2 or divisible by 4 and its row sum sqrt(n) an integer, which leaves 1
+    and the even squares 4u^2; at any other order no pattern can pass the
+    validator, so the answer is no certificate whatever the class count.
     """
+    n = dec.n
     d = dec.num_classes - 1
     if d > MAX_CLASSES:
+        if not _regular_hadamard_order(n):
+            return []
         raise ValueError(
             f"{d} non-valency eigenvalue classes exceed the search limit {MAX_CLASSES}"
         )
-    n = dec.n
     sqrt_n = np.sqrt(n)
     certificates: list[HadamardCertificate] = []
     for bits in itertools.product((0, 1), repeat=d):
@@ -512,8 +529,15 @@ class TimeSearchResult:
 
 
 #: points in the first chunk of a time-search grid; later chunks double up
-#: to a cap per mode, so an early hit costs little
+#: to RUN_CHUNK, so an early hit costs little
 FIRST_CHUNK = 1024
+#: most points in a chunk taken along runs
+RUN_CHUNK = 2**19
+#: most points in a chunk screened at every point; its work rows stay in cache
+DENSE_CHUNK = 2**16
+#: a chunk is screened at every point when its misalignment bound is above
+#: this, since most points would survive the runs of the slowest class
+RUN_WIDTH = 0.3
 
 
 def _refine_real_time(
@@ -556,50 +580,147 @@ def _misalignment_at_most(deficit: float) -> float:
     return math.asin(min(deficit / 2.0, 1.0)) / math.pi
 
 
+def _run_offsets(lo, n, step, turn, half, width) -> np.ndarray:
+    """Offsets i in [0, n), ascending, at which the class of the given turn
+    and half can lie within ``width`` of an integer on the grid points
+    lo + i.
+
+    At offset i the class sits at a + i delta with a = lo step turn + half
+    and delta = step turn, so it is near the integer j on the run of
+    offsets [(j - width - a) / delta, (j + width - a) / delta]. Each run is
+    widened by one offset on each side, clipped to the chunk (in floats
+    first, so a slow class cannot overflow the integers) and cut where it
+    overlaps the one before. The widening also covers the last grid point,
+    clamped to the horizon: it lies less than one step, so less than delta,
+    before its place on the line.
+    """
+    delta = step * turn
+    a = float(lo) * step * turn + half
+    near = np.arange(math.ceil(a - width), math.floor(a + (n - 1) * delta + width) + 1)
+    first = np.ceil(np.clip((near - width - a) / delta, -1, n)).astype(np.int64) - 1
+    last = np.floor(np.clip((near + width - a) / delta, -1, n)).astype(np.int64) + 1
+    first, last = np.maximum(first, 0), np.minimum(last, n - 1)
+    first[1:] = np.maximum(first[1:], last[:-1] + 1)
+    counts = np.maximum(last - first + 1, 0)
+    offsets = np.repeat(first - np.cumsum(counts) + counts, counts)
+    offsets += np.arange(len(offsets))
+    return offsets
+
+
+def _chunk_best(angles, sigmas, epsilon, ts, worst, margin) -> tuple[float, float, bool] | None:
+    """Among the points ``ts`` with screened misalignment ``worst``: the
+    first with deficit below epsilon and True, else the first of least
+    deficit and False, or None when there are no points. Only the points
+    that screen within the margin of epsilon, or of the least screened
+    value, are passed to :func:`phase_alignment_deficit`."""
+    near = np.flatnonzero(worst <= _misalignment_at_most(epsilon + margin) + margin)
+    if near.size:
+        exact = phase_alignment_deficit(angles, sigmas, ts[near])
+        below = np.flatnonzero(exact < epsilon)
+        if below.size:
+            j = int(below[0])
+            return float(ts[near[j]]), float(exact[j]), True
+    if not worst.size:
+        return None
+    least = 2.0 * math.sin(math.pi * float(worst.min()))
+    near = np.flatnonzero(worst <= _misalignment_at_most(least + margin) + margin)
+    exact = phase_alignment_deficit(angles, sigmas, ts[near])
+    j = int(np.argmin(exact))
+    return float(ts[near[j]]), float(exact[j]), False
+
+
 def _scan_times(
-    angles, sigmas, epsilon, step, horizon, start, stop, cap
+    angles, sigmas, epsilon, step, horizon, start, stop
 ) -> tuple[float, float, bool]:
     """Scan the grid t_i = min(i step, horizon), i in [start, stop): return
     the first point with deficit below epsilon and True, or else the first
     point of least deficit (t = 0 included) and False.
 
-    Chunks start at FIRST_CHUNK points and double up to ``cap``. Each chunk
-    is screened by :func:`_misalignment`. Only the points that screen within
-    a rounding margin of epsilon, or of the chunk's least deficit, are
-    passed to :func:`phase_alignment_deficit`, so every returned deficit
-    comes from the exact form. The margin, 1e-12 times the largest phase
-    in the chunk, is far above the rounding gap between the two forms; it
-    is added on both sides of the conversion between deficit and w.
+    A point can matter only if its deficit is below max(epsilon, best so
+    far), that is if its misalignment (see :func:`_misalignment`) is within
+    the bound w of that deficit on every class. When w <= RUN_WIDTH and the
+    slowest class moves at most w / 4 per step, a chunk takes only the runs
+    along which the slowest class is within w (:func:`_run_offsets`) and
+    drops the points past w on each other class in turn. Otherwise every
+    point of the chunk is screened. Either way :func:`_chunk_best` decides
+    among the points left, so every returned deficit comes from the exact
+    form. Chunks start at FIRST_CHUNK points and double up to RUN_CHUNK; a
+    chunk screened at every point stops at DENSE_CHUNK. The margin, 1e-12
+    times the largest phase the chunk can reach, is far above the rounding gap
+    between the two forms; it is added on both sides of the conversion
+    between deficit and w, and once more to the run width, against the
+    rounding of the line along which the runs are laid.
     """
     turns = angles / (2.0 * np.pi)
     halves = (sigmas % 2) / 2.0
     top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
+    slow = int(np.argmin(turns))
+    others = [r for r in range(len(turns)) if r != slow]
+    delta = step * float(turns[slow])
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
-    width = min(cap, stop - start)
-    index, grid, work = np.arange(width, dtype=float), np.empty(width), np.empty((3, width))
-    lo, size = start, min(FIRST_CHUNK, cap)
+    index, work = np.empty(0), np.empty((4, 0))
+    lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
     while lo < stop:
         n = min(size, stop - lo)
-        ts = np.add(index[:n], lo, out=grid[:n])
-        ts *= step
-        np.minimum(ts, horizon, out=ts)
-        worst = _misalignment(ts, turns, halves, work)
-        margin = 1e-12 * (1.0 + float(ts[-1]) * top + reach)
-        near = np.flatnonzero(worst <= _misalignment_at_most(epsilon + margin) + margin)
-        if near.size:
-            exact = phase_alignment_deficit(angles, sigmas, ts[near])
-            below = np.flatnonzero(exact < epsilon)
-            if below.size:
-                j = int(below[0])
-                return float(ts[near[j]]), float(exact[j]), True
-        least = 2.0 * math.sin(math.pi * float(worst.min()))
-        near = np.flatnonzero(worst <= _misalignment_at_most(least + margin) + margin)
-        exact = phase_alignment_deficit(angles, sigmas, ts[near])
-        j = int(np.argmin(exact))
-        if exact[j] < best_val:
-            best_t, best_val = float(ts[near[j]]), float(exact[j])
-        lo, size = lo + n, min(2 * size, cap)
+        margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + reach)
+        width = _misalignment_at_most(max(epsilon, best_val) + margin) + margin
+        if width > RUN_WIDTH or not 0.0 < 4.0 * delta <= width:
+            n = min(n, DENSE_CHUNK)
+            if len(index) < n:
+                # the times and _misalignment's three rows of work; the old
+                # buffers (ts and worst are views of work) go first
+                index = work = ts = worst = None
+                index, work = np.arange(n, dtype=float), np.empty((4, n))
+            ts = np.add(index[:n], lo, out=work[0, :n])
+            ts *= step
+            np.minimum(ts, horizon, out=ts)
+            worst = _misalignment(ts, turns, halves, work[1:])
+        else:
+            offsets = _run_offsets(
+                lo, n, step, float(turns[slow]), float(halves[slow]), width + margin
+            )
+            ts = (offsets + lo).astype(float)
+            ts *= step
+            np.minimum(ts, horizon, out=ts)
+            for r in others:
+                x = ts * turns[r]
+                x += halves[r]
+                x -= np.rint(x)
+                ts = ts[np.abs(x, out=x) <= width]
+            worst = _misalignment(ts, turns, halves, np.empty((3, len(ts))))
+        found = _chunk_best(angles, sigmas, epsilon, ts, worst, margin)
+        if found is not None:
+            t, val, hit = found
+            if hit:
+                return t, val, True
+            if val < best_val:
+                best_t, best_val = t, val
+        lo, size = lo + n, min(2 * size, RUN_CHUNK)
     return best_t, best_val, False
+
+
+def _real_grid(angles, epsilon: float, t_max: float | None) -> tuple[float, float, int]:
+    """(horizon, step, points) of the real-mode time grid. The horizon is
+    t_max, by default T_MAX_FACTOR / min theta. The step epsilon /
+    (4 max theta) resolves the deficit to epsilon / 8; when that needs more
+    than MAX_GRID_POINTS points, the step is coarsened to horizon /
+    MAX_GRID_POINTS and the grid has MAX_GRID_POINTS + 1 points."""
+    horizon = t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
+    step = epsilon / (4.0 * float(angles.max()))
+    points = int(np.ceil(horizon / step)) + 1
+    if points > MAX_GRID_POINTS:
+        return horizon, horizon / MAX_GRID_POINTS, MAX_GRID_POINTS + 1
+    return horizon, step, points
+
+
+def _single_angle_time(angles, sigmas, horizon: float) -> float | None:
+    """t = pi (sigma mod 2) / theta, the least time >= 0 that aligns a
+    single angle, when there is one angle and that time is within the
+    horizon; else None."""
+    if angles.size != 1:
+        return None
+    t = float(np.pi * (sigmas[0] % 2) / angles[0])
+    return t if t <= horizon else None
 
 
 def time_search(
@@ -615,9 +736,9 @@ def time_search(
 
     Integer mode scans t = 0, 1, .., ``budget``. Real mode uses the closed
     form t = pi (sigma mod 2) / theta, the least time >= 0 that aligns a
-    single angle, when it lies within t_max, and otherwise a coarse grid of
-    step epsilon / (4 max theta) over [0, t_max] with local refinement; the
-    result never lies past t_max (by default T_MAX_FACTOR / min theta). The
+    single angle, when it lies within t_max, and otherwise the grid of
+    :func:`_real_grid` over [0, t_max] with local refinement; the result
+    never lies past t_max (by default T_MAX_FACTOR / min theta). The
     smallest acceptable t wins. On failure the best time seen and its
     deficit are returned with ``success=False``.
 
@@ -648,30 +769,44 @@ def time_search(
 
     if mode == MODE_INTEGER:
         t, deficit, hit = _scan_times(
-            angles, sigmas, epsilon, 1.0, float(budget), 1, budget + 1, 100_000
+            angles, sigmas, epsilon, 1.0, float(budget), 1, budget + 1
         )
         return TimeSearchResult(success=hit, t=t, deficit=deficit, mode=mode)
 
     # real mode
-    horizon = t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
-    if angles.size == 1:
-        t = float(np.pi * (sigmas[0] % 2) / angles[0])
-        if t <= horizon:
-            deficit = float(phase_alignment_deficit(angles, sigmas, t))
-            return TimeSearchResult(
-                success=deficit < epsilon, t=t, deficit=deficit, mode=mode
-            )
+    horizon, step, points = _real_grid(angles, epsilon, t_max)
+    t = _single_angle_time(angles, sigmas, horizon)
+    if t is not None:
+        deficit = float(phase_alignment_deficit(angles, sigmas, t))
+        return TimeSearchResult(success=deficit < epsilon, t=t, deficit=deficit, mode=mode)
+    if points > MAX_GRID_POINTS:
+        logger.info("real-time grid coarsened to %d points over [0, %g]", points, horizon)
 
-    step = epsilon / (4.0 * float(angles.max()))
-    total = int(np.ceil(horizon / step)) + 1
-    if total > MAX_GRID_POINTS:
-        step = horizon / MAX_GRID_POINTS
-        total = MAX_GRID_POINTS + 1
-        logger.info("real-time grid coarsened to %d points over [0, %g]", total, horizon)
-
-    t, deficit, _ = _scan_times(angles, sigmas, epsilon, step, horizon, 0, total, 500_000)
+    t, deficit, _ = _scan_times(angles, sigmas, epsilon, step, horizon, 0, points)
     t, deficit = _refine_real_time(angles, sigmas, t, deficit, step, horizon)
     return TimeSearchResult(success=deficit < epsilon, t=t, deficit=deficit, mode=mode)
+
+
+def _exhausted_note(angles, sigmas, epsilon: float, mode: str, t_max, search) -> str:
+    """The best deficit of a failed time search and where it was found; in
+    real mode also the grid step scanned, and whether MAX_GRID_POINTS
+    coarsened it past epsilon resolution, epsilon / (4 max theta)."""
+    note = f"best alignment deficit {search.deficit:.3e} at t={search.t}"
+    if mode != MODE_REAL or not sigmas.any():
+        return note
+    horizon, step, points = _real_grid(angles, epsilon, t_max)
+    if _single_angle_time(angles, sigmas, horizon) is not None:
+        return note
+    fine = epsilon / (4.0 * float(angles.max()))
+    if points > MAX_GRID_POINTS:
+        return note + (
+            f" on a real-time grid of step {step:.3e} over [0, {horizon:g}], coarsened "
+            f"past epsilon / (4 max theta) = {fine:.3e} to fit MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+    return note + (
+        f" on a real-time grid of step {step:.3e} = epsilon / (4 max theta) "
+        f"over [0, {horizon:g}]"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -825,6 +960,11 @@ def _mixing_report(
                 f"order {g.n} is not a perfect square, so no flat sign "
                 "combination can exist"
             )
+        elif not _regular_hadamard_order(g.n):
+            notes.append(
+                f"order {g.n} is an odd square above 1, and a regular Hadamard "
+                "matrix has order 1 or 4u^2, so no flat sign combination can exist"
+            )
         return report(
             certificate=None, kronecker=None, t=None, gamma=None, residual=None,
             walk_residual=None, verdict=NO_FLAT_TARGET, notes=tuple(notes),
@@ -858,7 +998,9 @@ def _mixing_report(
             gamma, residual = _distance_to_target(dec, cert.matrix, starts, t)
             verdict = SUCCESS if search.success and residual <= slack else BUDGET_EXHAUSTED
             if verdict == BUDGET_EXHAUSTED:
-                cert_notes.append(f"best alignment deficit {search.deficit:.3e} at t={t}")
+                cert_notes.append(
+                    _exhausted_note(angles, sigmas, epsilon, mode, t_max, search)
+                )
         outcome = report(
             certificate=cert, kronecker=kron, t=t, gamma=gamma, residual=residual,
             walk_residual=walk_residual, verdict=verdict, notes=tuple(cert_notes),

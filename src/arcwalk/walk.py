@@ -581,8 +581,12 @@ def entry_parts(
     ``scale[r]`` if given (``dec.eigenvalues`` gives (A tail, A head)),
     contracted with the rows E_r[starts] (E_r is symmetric) over all
     classes in one product. Real t uses the principal branch, like
-    :func:`evolve`.
+    :func:`evolve`. An array of all n starts in order is read as
+    ``slice(None)``, so the rows are a view, not a gathered (d, n, n) copy.
     """
+    if isinstance(starts, np.ndarray) and starts.dtype.kind in "iu":
+        if starts.shape == (dec.n,) and np.array_equal(starts, np.arange(dec.n)):
+            starts = slice(None)
     live = dec.num_classes - dec.has_minus_k
     angles = dec.angles[:live]
     phase = np.exp(1j * t * angles)

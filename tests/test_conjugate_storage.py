@@ -370,3 +370,27 @@ def test_entry_parts_matches_the_loop_over_classes(name):
                 got = walk.entry_parts(dec, starts, t, scale)
                 for g, w in zip(got, want):
                     assert_allclose(g, w, rtol=0, atol=1e-12 * max(1.0, abs(t)))
+
+
+@pytest.mark.parametrize("name", ("rook:4", "cycle:8", "hadamard-srg:8"))
+def test_entry_parts_reads_every_start_in_order_as_the_slice(name):
+    """An explicit array of all n starts in order gives the bits of
+    slice(None), and on hadamard-srg:8 its peak allocation stays below one
+    (d, n, n) copy of the idempotent rows, which a gather would make."""
+    dec = eigendecompose_symmetric(resolve_builtin(name))
+    every = np.arange(dec.n)
+    for t in (0, 7, 2.5, 663):
+        for scale in (None, dec.eigenvalues):
+            for got, want in zip(walk.entry_parts(dec, every, t, scale),
+                                 walk.entry_parts(dec, slice(None), t, scale)):
+                assert np.array_equal(got, want), (t, scale is None)
+    if name == "hadamard-srg:8":
+        live = dec.num_classes - dec.has_minus_k
+        copy = live * dec.n * dec.n * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            walk.entry_parts(dec, every, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy

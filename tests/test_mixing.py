@@ -550,3 +550,43 @@ def test_verdict_strings_are_stable():
     assert NO_FLAT_TARGET == "no-flat-target"
     assert PHASE_OBSTRUCTION == "phase-obstruction"
     assert BUDGET_EXHAUSTED == "budget-exhausted"
+
+
+def test_budget_exhausted_note_states_the_real_grid_step(monkeypatch):
+    """A real-mode failure names the grid step it scanned, and says when
+    MAX_GRID_POINTS coarsened it past epsilon / (4 max theta); an integer
+    failure has no grid to name."""
+    g = GRAPH_BUILDERS["rook4"]()
+    fine = 1e-3 / (4.0 * eigendecompose_symmetric(g).angles[1:].max())
+    report = local_mixing_report(g, 0, 1e-3, "real", t_max=100.0)
+    assert report.verdict == BUDGET_EXHAUSTED
+    note = report.notes[-1]
+    assert "deficit" in note and f"step {fine:.3e} = epsilon / (4 max theta)" in note
+    assert "coarsened" not in note
+    monkeypatch.setattr(mixing, "MAX_GRID_POINTS", 1000)
+    report = local_mixing_report(g, 0, 1e-3, "real", t_max=100.0)
+    assert report.verdict == BUDGET_EXHAUSTED
+    note = report.notes[-1]
+    assert f"step {100.0 / 1000:.3e} over [0, 100], coarsened" in note
+    assert f"epsilon / (4 max theta) = {fine:.3e}" in note
+    report = local_mixing_report(g, 0, 1e-3, "integer", budget=100)
+    assert report.verdict == BUDGET_EXHAUSTED and "grid" not in report.notes[-1]
+
+
+@pytest.mark.parametrize("epsilon, t_max", [(0.1, 3.0), (1e-4, 100.0), (1e-4, 1e9)])
+def test_real_grid_is_the_one_time_search_scans(epsilon, t_max, monkeypatch):
+    """The grid the note states is the grid the search scans: same step,
+    same number of points."""
+    angles, sigmas = np.array([0.7, 1.9, 2.3]), np.array([1, 0, 1])
+    scans = []
+    scan = mixing._scan_times
+
+    def recorded(angles, sigmas, epsilon, step, horizon, start, stop):
+        scans.append((step, horizon, stop))
+        return scan(angles, sigmas, epsilon, step, horizon, start, min(stop, 10_000))
+
+    monkeypatch.setattr(mixing, "_scan_times", recorded)
+    time_search(angles, sigmas, epsilon, "real", t_max=t_max)
+    horizon, step, points = mixing._real_grid(angles, epsilon, t_max)
+    assert scans == [(step, horizon, points)]
+    assert (points > mixing.MAX_GRID_POINTS) == (t_max == 1e9)

@@ -14,6 +14,7 @@ grid to the exact deficit.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,3 +312,174 @@ def test_failing_real_search_confirms_few_grid_points(monkeypatch):
     points = math.ceil(mixing.T_MAX_FACTOR / angles.min() / step) + 1
     assert points > 10**6
     assert sum(evaluated) < points / 100
+
+
+def run_chunks(monkeypatch):
+    """Patch the run route of the time search to record (lo, n) for every
+    chunk it takes along runs."""
+    calls = []
+    runs = mixing._run_offsets
+
+    def counted(lo, n, *args):
+        calls.append((lo, n))
+        return runs(lo, n, *args)
+
+    monkeypatch.setattr(mixing, "_run_offsets", counted)
+    return calls
+
+
+def grid_results(monkeypatch):
+    """Patch the grid scan to record what it returns, before refinement."""
+    results = []
+    scan = mixing._scan_times
+
+    def recorded(*args):
+        results.append(scan(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mixing, "_scan_times", recorded)
+    return results
+
+
+
+def aligned_angles(rng, d, t_align):
+    """d angles in (0.2, 3) and sign bits, the first bit set, that align
+    exactly at t_align: theta_j = (2 k_j - sigma_j) pi / t_align."""
+    sigmas = rng.integers(0, 2, d)
+    sigmas[0] = 1
+    angles = []
+    for sigma in sigmas:
+        ks = [k for k in range(1, 40) if 0.2 < (2 * k - sigma) * np.pi / t_align < 3.0]
+        angles.append((2 * int(rng.choice(ks)) - sigma) * np.pi / t_align)
+    return np.array(angles), sigmas
+
+
+@pytest.mark.parametrize("first", [1, 5, 1024])
+@pytest.mark.parametrize("epsilon", [1e-3, 3e-3, 1e-2])
+def test_real_hits_several_chunks_in_match_the_dense_grid(epsilon, first, monkeypatch):
+    """Real-mode hits past the first two chunks, in a chunk taken along
+    runs: angles that align exactly at a time in [10, 40], with t_max a
+    little past it."""
+    monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
+    rng = np.random.default_rng(round(1 / epsilon) + first)
+    for case in range(4):
+        t_align = float(rng.uniform(10.0, 40.0))
+        angles, sigmas = aligned_angles(rng, 2 + case % 3, t_align)
+        t_max = t_align + float(rng.uniform(0.5, 1.0))
+        calls, scanned = run_chunks(monkeypatch), grid_results(monkeypatch)
+        want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
+        got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
+        assert got == want and got.success, case
+        (t, _, hit), = scanned
+        step = epsilon / (4.0 * angles.max())
+        i = round(t / step)
+        assert hit and i * step == t and i >= 3 * first, case
+        assert any(lo <= i < lo + n for lo, n in calls), case
+
+
+@pytest.mark.parametrize("first", [1, 5, 1024])
+def test_clamped_last_point_is_found_along_runs(first, monkeypatch):
+    """t_max falls between grid points, and the deficit falls all the way to
+    it, so the answer is the last grid point clamped to t = t_max; the chunk
+    holding it is taken along runs."""
+    monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
+    calls = run_chunks(monkeypatch)
+    angles, sigmas, epsilon, t_max = [1.0, 0.9], [1, 1], 0.01, 3.0001234
+    step = epsilon / (4.0 * max(angles))
+    points = math.ceil(t_max / step) + 1
+    assert (points - 1) * step > t_max
+    want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
+    got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
+    assert got == want
+    assert not got.success and got.t == t_max
+    assert any(lo + n == points for lo, n in calls)
+
+
+@pytest.mark.parametrize("first", [1, 5, 1024])
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-3])
+def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
+    """Failing scans start screening every point, while the deficit 2 at
+    t = 0 puts the bound above RUN_WIDTH, and go on along runs once the
+    best deficit falls: the first chunk is not a run chunk, later ones are.
+    Two angles in (1.2, 3) get both phases within 0.3 of a turn of
+    alignment (deficit 1.62) early on; t_max keeps the dense oracle under
+    5e5 points."""
+    monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
+    rng = np.random.default_rng(round(1 / epsilon) + first)
+    for case in range(6):
+        angles = rng.uniform(1.2, 3.0, 2)
+        sigmas = np.ones(2, dtype=np.int64)
+        t_max = float(rng.uniform(2.5, 4.0)) * epsilon / 1e-4
+        calls = run_chunks(monkeypatch)
+        want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
+        got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
+        assert got == want and not got.success, case
+        assert calls and calls[0][0] > 0, case
+
+
+def test_integer_scans_on_coarse_grids_screen_every_point(monkeypatch):
+    """In integer mode the slowest cycle:17 class moves 1/17 of a turn per
+    step, more than a quarter of the bound at epsilon 0.1, so every chunk
+    is screened point by point, and the result is the dense grid's."""
+    calls = run_chunks(monkeypatch)
+    angles = cycle_angles(17, 8)
+    sigmas = [1, 0, 0, 1, 0, 0, 0, 0]
+    want = dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
+    assert time_search(angles, sigmas, 0.1, "integer", budget=20_000) == want
+    assert not calls
+
+
+@pytest.mark.parametrize("mode, angles, sigmas", [
+    ("integer", [math.acos(1 / 3), math.acos(-1 / 3)], [1, 0]),
+    ("real", cycle_angles(9, 4), [1, 0, 1, 0]),
+])
+def test_time_search_hit_in_the_first_chunk_allocates_little(mode, angles, sigmas):
+    """An early hit (rook:4 at t = 23, cycle:9 near t = 4.5) allocates work
+    for its first chunk only, not for the largest chunk (4 MB in integer
+    mode and 20 MB in real mode before)."""
+    angles = np.asarray(angles)
+    result = time_search(angles, sigmas, 0.1, mode)
+    step = 1.0 if mode == "integer" else 0.1 / (4.0 * angles.max())
+    assert result.success and result.t < mixing.FIRST_CHUNK * step
+    tracemalloc.start()
+    try:
+        assert time_search(angles, sigmas, 0.1, mode) == result
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("slow", [1e-9, 1e-15, 1e-250, 5e-324])
+def test_a_class_too_slow_to_leave_its_run_matches_the_dense_grid(slow, monkeypatch):
+    """A slowest class that barely moves over a chunk lays one run across
+    it, however far the run's ends lie outside the chunk; at 5e-324 its
+    turn per step underflows to zero and every chunk is screened point by
+    point."""
+    calls = run_chunks(monkeypatch)
+    angles, sigmas = [slow, 2.1, 2.9], [0, 1, 1]
+    want = dense_time_search(angles, sigmas, 1e-3, "real", 0, 30.0)
+    assert time_search(angles, sigmas, 1e-3, "real", t_max=30.0) == want
+    assert bool(calls) == (slow > 1e-300)
+
+
+def test_runs_cover_every_point_within_the_width():
+    """Brute force over small chunks: every offset at which the class, taken
+    as the screen takes it, is within the width of an integer lies on the
+    runs, the last grid point included when it is clamped to a horizon
+    between grid points. Runs come back ascending, without repeats, inside
+    the chunk."""
+    rng = np.random.default_rng(17)
+    for case in range(3000):
+        n, lo = int(rng.integers(1, 300)), int(rng.integers(0, 10**6))
+        width = float(rng.uniform(1e-3, mixing.RUN_WIDTH))
+        turn = float(rng.uniform(1e-3, 0.5))
+        step = float(rng.uniform(0.01, 0.25)) * width / turn
+        half = float(rng.integers(0, 2)) / 2.0
+        horizon = (lo + n - 1 - float(rng.uniform(0.0, 1.0))) * step
+        ts = np.minimum((np.arange(n, dtype=float) + lo) * step, horizon)
+        x = ts * turn + half
+        want = np.flatnonzero(np.abs(x - np.rint(x)) <= width)
+        got = mixing._run_offsets(lo, n, step, turn, half, width)
+        assert np.isin(want, got).all(), case
+        assert (np.diff(got) > 0).all() and (got >= 0).all() and (got < n).all(), case
