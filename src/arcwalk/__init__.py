@@ -53,7 +53,6 @@ from .walk import (
     initial_state,
     probe_block,
     realness_deficit,
-    state_from_json,
     state_to_json,
     transition_matrix,
     walk_spectrum,
@@ -61,13 +60,10 @@ from .walk import (
 )
 from .cospec import (
     NOT_COSPECTRAL,
-    ColumnTarget,
     CospectralityWitness,
     DirectWitness,
-    SignPattern,
     check_strong_cospectrality,
     check_strong_cospectrality_direct,
-    flat_target_profile,
 )
 from .mixing import (
     BUDGET_EXHAUSTED,
@@ -78,14 +74,14 @@ from .mixing import (
     NO_FLAT_TARGET,
     PHASE_OBSTRUCTION,
     SUCCESS,
+    SignPattern,
+    TAU_FLAT,
     TimeSearchResult,
     family_parity_check,
     hadamard_search,
     local_mixing_report,
     phase_alignment_deficit,
     phase_condition_check,
-    regular_hadamard_validate,
-    report_from_json,
     simultaneous_mixing_check,
     time_search,
 )

@@ -9,7 +9,6 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,56 +31,15 @@ from .walk import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by the subcommands.
-
-    Exactly one of ``builtin`` / ``edges`` names the graph. Numbers are
-    finite, tolerances, ``epsilon`` and ``t_max`` positive, ``budget`` at
-    least 0 and ``relation_bound`` at least 1.
-    """
-
-    command: str
-    builtin: str | None
-    edges: str | None
-    fmt: str
-    vertex: int
-    epsilon: float
-    mode: str
-    simultaneous: bool
-    t: float
-    relation_bound: int
-    budget: int
-    t_max: float | None
-    tau_flat: float
-    tau_rel: float
-    emit_matrix: bool
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if (args.builtin is None) == (args.edges is None):
-        raise ValueError("specify exactly one graph source: --builtin or --edges")
-    cfg = RunConfig(
-        command=args.command,
-        builtin=args.builtin,
-        edges=args.edges,
-        fmt=args.format,
-        vertex=getattr(args, "vertex", 0),
-        epsilon=getattr(args, "epsilon", 1e-2),
-        mode=getattr(args, "mode", M.MODE_INTEGER),
-        simultaneous=getattr(args, "simultaneous", False),
-        t=getattr(args, "t", 1.0),
-        relation_bound=getattr(args, "relation_bound", M.RELATION_BOUND),
-        budget=getattr(args, "budget", M.INTEGER_BUDGET),
-        t_max=getattr(args, "t_max", None),
-        tau_flat=getattr(args, "tau_flat", M.TAU_FLAT),
-        tau_rel=getattr(args, "tau_rel", M.TAU_REL),
-        emit_matrix=getattr(args, "emit_matrix", False),
-    )
+def check_args(args: argparse.Namespace) -> None:
+    """Reject a non-finite number, a non-positive ``--epsilon``, ``--t-max``,
+    ``--tau-flat`` or ``--tau-rel``, a negative ``--budget`` and a
+    ``--relation-bound`` below 1 with a ValueError naming the flag. Options
+    the subcommand does not take are skipped."""
     for name, positive in (
         ("epsilon", True), ("t", False), ("t_max", True), ("tau_flat", True), ("tau_rel", True)
     ):
-        value = getattr(cfg, name)
+        value = getattr(args, name, None)
         if value is None:
             continue
         flag = "--" + name.replace("_", "-")
@@ -89,11 +47,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{flag} must be finite, got {value}")
         if positive and value <= 0:
             raise ValueError(f"{flag} must be positive, got {value}")
-    if cfg.budget < 0:
-        raise ValueError(f"--budget must be >= 0, got {cfg.budget}")
-    if cfg.relation_bound < 1:
-        raise ValueError(f"--relation-bound must be >= 1, got {cfg.relation_bound}")
-    return cfg
+    for name, least in (("budget", 0), ("relation_bound", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
 
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -139,10 +96,10 @@ def resolve_builtin(label: str) -> G.Graph:
     raise ValueError(f"unknown builtin graph {label!r}")
 
 
-def load_graph(cfg: RunConfig) -> G.Graph:
-    if cfg.builtin is not None:
-        return resolve_builtin(cfg.builtin)
-    return G.read_edge_list(cfg.edges)
+def load_graph(args: argparse.Namespace) -> G.Graph:
+    if args.builtin is not None:
+        return resolve_builtin(args.builtin)
+    return G.read_edge_list(args.edges)
 
 
 def _emit(payload: dict, fmt: str, render) -> None:
@@ -154,8 +111,8 @@ def _emit(payload: dict, fmt: str, render) -> None:
             print(line)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    g = load_graph(cfg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    g = load_graph(args)
     dec = eigendecompose_symmetric(g)
     arcs = build_arc_space(g)
     residuals = {f"adjacency_{key}": val for key, val in dec.residuals.items()}
@@ -198,25 +155,25 @@ def cmd_analyze(cfg: RunConfig) -> int:
         lines.extend(f"  {key}: {residuals[key]:.3e}" for key in sorted(residuals))
         return lines
 
-    _emit(payload, cfg.fmt, render)
+    _emit(payload, args.format, render)
     return 0
 
 
-def cmd_mix(cfg: RunConfig) -> int:
-    g = load_graph(cfg)
+def cmd_mix(args: argparse.Namespace) -> int:
+    g = load_graph(args)
     kwargs = dict(
-        relation_bound=cfg.relation_bound,
-        budget=cfg.budget,
-        t_max=cfg.t_max,
-        tau_flat=cfg.tau_flat,
-        tau_rel=cfg.tau_rel,
+        relation_bound=args.relation_bound,
+        budget=args.budget,
+        t_max=args.t_max,
+        tau_flat=args.tau_flat,
+        tau_rel=args.tau_rel,
     )
-    if cfg.simultaneous:
-        report = M.simultaneous_mixing_check(g, cfg.epsilon, cfg.mode, **kwargs)
+    if args.simultaneous:
+        report = M.simultaneous_mixing_check(g, args.epsilon, args.mode, **kwargs)
     else:
-        report = M.local_mixing_report(g, cfg.vertex, cfg.epsilon, cfg.mode, **kwargs)
+        report = M.local_mixing_report(g, args.vertex, args.epsilon, args.mode, **kwargs)
 
-    payload = report.to_json_dict(emit_matrix=cfg.emit_matrix)
+    payload = report.to_json_dict(emit_matrix=args.emit_matrix)
 
     def render():
         lines = [
@@ -225,12 +182,11 @@ def cmd_mix(cfg: RunConfig) -> int:
         ]
         if report.certificate is not None:
             cert = report.certificate
-            pattern = cert.pattern.label() if cert.pattern else "?"
             lines.append(
-                f"certificate: order {cert.order}, pattern {pattern}, "
+                f"certificate: order {cert.order}, pattern {cert.pattern.label()}, "
                 f"row sum {cert.row_sum}, symmetric {cert.symmetric}"
             )
-            if cfg.emit_matrix and cert.matrix is not None and cert.order <= 20:
+            if args.emit_matrix and cert.order <= 20:
                 for row in cert.matrix:
                     lines.append("  " + " ".join(f"{int(v):+d}" for v in row))
         if report.kronecker is not None:
@@ -255,25 +211,25 @@ def cmd_mix(cfg: RunConfig) -> int:
             lines.append(f"note: {note}")
         return lines
 
-    _emit(payload, cfg.fmt, render)
+    _emit(payload, args.format, render)
     return 0 if report.verdict == M.SUCCESS else 1
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    g = load_graph(cfg)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    g = load_graph(args)
     dec = eigendecompose_symmetric(g)
     arcs = build_arc_space(g)
-    xt = entry_formula(dec, arcs, cfg.vertex, cfg.t)
-    residuals = check_closed_form(dec, arcs, [cfg.vertex])
-    x = initial_state(arcs, cfg.vertex).amplitudes.real
-    projected = evolve_by_projections(dec, arcs, x, cfg.t)
+    xt = entry_formula(dec, arcs, args.vertex, args.t)
+    residuals = check_closed_form(dec, arcs, [args.vertex])
+    x = initial_state(arcs, args.vertex).amplitudes.real
+    projected = evolve_by_projections(dec, arcs, x, args.t)
     agreement = float(np.abs(projected - xt.amplitudes).max())
     arc_list = arcs.arcs
 
     payload = {
         "graph": g.name or f"n{g.n}",
-        "vertex": cfg.vertex,
-        "t": cfg.t,
+        "vertex": args.vertex,
+        "t": args.t,
         "arcs": [[u, v] for u, v in arc_list],
         "state": state_to_json(xt),
         "flatness_deficit": flatness_deficit(xt),
@@ -283,12 +239,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     }
     if g.is_bipartite:
         payload["imaginary_flatness_deficit"] = imaginary_flatness_deficit(
-            g, arcs, xt, cfg.vertex, cfg.t
+            g, arcs, xt, args.vertex, args.t
         )
 
     def render():
         lines = [
-            f"graph {payload['graph']}: U^t x_{cfg.vertex} at t={cfg.t}",
+            f"graph {payload['graph']}: U^t x_{args.vertex} at t={args.t}",
             f"flatness deficit:  {payload['flatness_deficit']:.6e}",
             f"realness deficit:  {payload['realness_deficit']:.6e}",
             f"entry formula agreement: {agreement:.3e}",
@@ -305,7 +261,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
             lines.append(f"  ({u} -> {v}): {dist[i]:.6f}")
         return lines
 
-    _emit(payload, cfg.fmt, render)
+    _emit(payload, args.format, render)
     return 0
 
 
@@ -384,14 +340,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     configure_logging(args.log_level)
     try:
-        cfg = config_from_args(args)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "mix":
-            return cmd_mix(cfg)
-        if cfg.command == "evolve":
-            return cmd_evolve(cfg)
-        raise ValueError(f"unknown command {cfg.command!r}")
+        check_args(args)
+        command = {"analyze": cmd_analyze, "mix": cmd_mix, "evolve": cmd_evolve}[args.command]
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,97 +34,8 @@ TAU_COSP = 1e-8
 #: below this |sin delta| the sign of delta is unobservable and it is
 #: snapped to 0 or pi
 SIN_SNAP = 1e-6
-#: flatness tolerance for candidate targets, max entrywise deviation from +-1
-TAU_FLAT = 1e-6
 
 NOT_COSPECTRAL = "not cospectral"
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Sign assignment over eigenvalue classes: a global sign on the
-    valency class and a parity bit sigma_r per remaining class, encoding
-    the coefficient (-1)^{sigma_r}."""
-
-    sign_e0: int
-    sigmas: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.sign_e0 not in (-1, 1):
-            raise ValueError(f"sign_e0 must be +1 or -1, got {self.sign_e0}")
-        if any(s not in (0, 1) for s in self.sigmas):
-            raise ValueError(f"sigmas must be 0/1 bits, got {self.sigmas}")
-        object.__setattr__(self, "sigmas", tuple(int(s) for s in self.sigmas))
-
-    def encode(self) -> int:
-        """Total order key: sign bit then sigma bits, most significant first."""
-        code = 0 if self.sign_e0 == 1 else 1
-        for s in self.sigmas:
-            code = (code << 1) | s
-        return code
-
-    def negated(self) -> "SignPattern":
-        return SignPattern(-self.sign_e0, tuple(1 - s for s in self.sigmas))
-
-    def canonical(self) -> "SignPattern":
-        """Representative of the {p, -p} orbit with the smaller encoding."""
-        other = self.negated()
-        return self if self.encode() <= other.encode() else other
-
-    def label(self) -> str:
-        """Compact sign string, one character per class starting with E_0."""
-        bits = [self.sign_e0] + [1 - 2 * s for s in self.sigmas]
-        return "".join("+" if b == 1 else "-" for b in bits)
-
-    def signs(self) -> np.ndarray:
-        """Coefficients (+-1) for all classes including the valency class."""
-        return np.array([self.sign_e0] + [1 - 2 * s for s in self.sigmas])
-
-
-@dataclass(frozen=True, eq=False)
-class ColumnTarget:
-    """Candidate flat-target profile built from a sign pattern.
-
-    ``vector`` is v = (+-E_0 + sum_r (-1)^{sigma_r} E_r) e_a on vertices.
-    ``flat`` reports whether sqrt(n) v is entrywise +-1 within tolerance;
-    when it is, ``sign_vector`` holds the rounded +-1 vector whose arc
-    lift T^T sign_vector / sqrt(nk) is the unit flat target.
-    """
-
-    vector: np.ndarray
-    flat: bool
-    deviation: float
-    sign_vector: np.ndarray | None
-
-
-def flat_target_profile(
-    dec: SpectralDecomposition,
-    a: int,
-    signs: SignPattern,
-    tau_flat: float = TAU_FLAT,
-) -> ColumnTarget:
-    """Evaluate the signed idempotent combination at vertex a and test
-    flatness of sqrt(n) v against +-1 entries."""
-    if len(signs.sigmas) != dec.num_classes - 1:
-        raise ValueError(
-            f"pattern has {len(signs.sigmas)} sigma bits, "
-            f"decomposition has {dec.num_classes - 1} non-valency classes"
-        )
-    if not 0 <= a < dec.n:
-        raise ValueError(f"vertex {a} out of range [0, {dec.n})")
-    coeffs = signs.signs()
-    v = np.zeros(dec.n)
-    for r, E in enumerate(dec.idempotents):
-        v = v + coeffs[r] * E[:, a]
-    scaled = np.sqrt(dec.n) * v
-    deviation = float(np.abs(np.abs(scaled) - 1.0).max())
-    flat = deviation <= tau_flat
-    sign_vector = None
-    if flat:
-        sign_vector = np.where(scaled >= 0, 1, -1).astype(np.int64)
-        sign_vector.setflags(write=False)
-    v.setflags(write=False)
-    return ColumnTarget(vector=v, flat=flat, deviation=deviation, sign_vector=sign_vector)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,12 +28,11 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cospec import TAU_FLAT, SignPattern
 from .graphs import Graph, check_regular_hadamard
 from .spectra import (
     SpectralDecomposition,
@@ -48,6 +47,8 @@ logger = logging.getLogger(__name__)
 
 #: integer-relation residual tolerance
 TAU_REL = 1e-9
+#: flatness tolerance for sign combinations, max entrywise deviation from +-1
+TAU_FLAT = 1e-6
 #: default coefficient bound for the relation scan
 RELATION_BOUND = 20
 #: residual slack factor: success requires residual <= C_SLACK * epsilon
@@ -80,76 +81,73 @@ MODE_INTEGER = "integer"
 MODE_REAL = "real"
 
 
+@dataclass(frozen=True)
+class SignPattern:
+    """Sign assignment over eigenvalue classes: a global sign on the
+    valency class and a parity bit sigma_r per remaining class, encoding
+    the coefficient (-1)^{sigma_r}."""
+
+    sign_e0: int
+    sigmas: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.sign_e0 not in (-1, 1):
+            raise ValueError(f"sign_e0 must be +1 or -1, got {self.sign_e0}")
+        if any(s not in (0, 1) for s in self.sigmas):
+            raise ValueError(f"sigmas must be 0/1 bits, got {self.sigmas}")
+        object.__setattr__(self, "sigmas", tuple(int(s) for s in self.sigmas))
+
+    def encode(self) -> int:
+        """Total order key: sign bit then sigma bits, most significant first."""
+        code = 0 if self.sign_e0 == 1 else 1
+        for s in self.sigmas:
+            code = (code << 1) | s
+        return code
+
+    def label(self) -> str:
+        """Compact sign string, one character per class starting with E_0."""
+        bits = [self.sign_e0] + [1 - 2 * s for s in self.sigmas]
+        return "".join("+" if b == 1 else "-" for b in bits)
+
+    def signs(self) -> np.ndarray:
+        """Coefficients (+-1) for all classes including the valency class."""
+        return np.array([self.sign_e0] + [1 - 2 * s for s in self.sigmas])
+
+
 @dataclass(frozen=True, eq=False)
 class HadamardCertificate:
-    """A +-1 matrix certifying flat targets, with its provenance pattern.
+    """A regular Hadamard matrix certifying flat targets, with the sign
+    pattern it was assembled from. ``row_sum`` is the constant row sum
+    (+sqrt(n), as the search fixes sign_e0 = +1). The flat target at
+    vertex a is column a of ``matrix``."""
 
-    ``matrix`` may be None on reports parsed from JSON that omitted it.
-    ``row_sum`` is the constant row sum (+sqrt(n) for canonical patterns).
-    """
-
-    matrix: np.ndarray | None
+    matrix: np.ndarray
     order: int
     row_sum: int
     symmetric: bool
-    pattern: SignPattern | None
+    pattern: SignPattern
 
     def to_json_dict(self, emit_matrix: bool = False) -> dict:
         out = {
             "order": self.order,
             "row_sum": self.row_sum,
             "symmetric": self.symmetric,
-            "pattern": None
-            if self.pattern is None
-            else {
+            "pattern": {
                 "sign_e0": self.pattern.sign_e0,
                 "sigmas": list(self.pattern.sigmas),
                 "label": self.pattern.label(),
             },
         }
-        if emit_matrix and self.matrix is not None:
-            out["H"] = [[int(v) for v in row] for row in self.matrix]
+        if emit_matrix:
+            out["H"] = self.matrix.tolist()
         return out
-
-
-def certificate_from_json(data: dict) -> HadamardCertificate:
-    pattern = None
-    if data.get("pattern") is not None:
-        pattern = SignPattern(
-            sign_e0=int(data["pattern"]["sign_e0"]),
-            sigmas=tuple(int(s) for s in data["pattern"]["sigmas"]),
-        )
-    matrix = None
-    if "H" in data:
-        matrix = np.array(data["H"], dtype=np.int64)
-        matrix.setflags(write=False)
-    return HadamardCertificate(
-        matrix=matrix,
-        order=int(data["order"]),
-        row_sum=int(data["row_sum"]),
-        symmetric=bool(data["symmetric"]),
-        pattern=pattern,
-    )
-
-
-def regular_hadamard_validate(H: np.ndarray) -> HadamardCertificate:
-    """Certify a regular Hadamard matrix. The conditions are those of
-    :func:`arcwalk.graphs.check_regular_hadamard`, checked exactly; a
-    failure raises ValueError naming the condition."""
-    H, row_sum = check_regular_hadamard(H)
-    return HadamardCertificate(
-        matrix=H,
-        order=H.shape[0],
-        row_sum=row_sum,
-        symmetric=bool(np.array_equal(H, H.T)),
-        pattern=None,
-    )
 
 
 def _regular_hadamard_order(n: int) -> bool:
     """Whether a regular Hadamard matrix of order n can exist by the
     conditions of :func:`arcwalk.graphs.check_regular_hadamard`: n is 1 or
-    4u^2 for an integer u."""
+    4u^2 for an integer u. Order 1, 2 or divisible by 4 and an integer row
+    sum sqrt(n) leave 1 and the even squares."""
     root = math.isqrt(n)
     return n == 1 or (root * root == n and root % 2 == 0)
 
@@ -159,46 +157,44 @@ def hadamard_search(
 ) -> list[HadamardCertificate]:
     """Enumerate sign patterns over the idempotents and keep the flat ones.
 
-    Each canonical pattern (valency sign +1; the negated twin is the same
-    certificate) is tested by forming M = sqrt(n) sum_r c_r E_r and
-    accepting iff every entry is within ``tau_flat`` of +-1. Accepted
-    matrices are rounded to integers and re-verified exactly by
+    At an order other than 1 or 4u^2 (:func:`_regular_hadamard_order`) no
+    pattern can pass the validator, so the answer is no certificate, at any
+    class count and before any combination is formed. Otherwise more than
+    MAX_CLASSES non-valency classes raise ValueError.
+
+    Each pattern with valency sign +1 (its negated twin is the same
+    certificate) is tested by forming M = sqrt(n) sum_r c_r E_r in one
+    contraction and accepting iff every entry is within ``tau_flat`` of
+    +-1. Accepted matrices are rounded to integers and certified exactly by
     :func:`arcwalk.graphs.check_regular_hadamard`; a rounded matrix that
     fails is logged with the failed condition and skipped. Certificates
-    come back ordered by pattern encoding.
-
-    More than MAX_CLASSES non-valency classes raise ValueError, but only at
-    an order where a certificate can exist. The conditions
-    :func:`arcwalk.graphs.check_regular_hadamard` enforces make the order 1,
-    2 or divisible by 4 and its row sum sqrt(n) an integer, which leaves 1
-    and the even squares 4u^2; at any other order no pattern can pass the
-    validator, so the answer is no certificate whatever the class count.
+    come back in pattern encoding order, the order of the enumeration.
     """
     n = dec.n
     d = dec.num_classes - 1
+    if not _regular_hadamard_order(n):
+        return []
     if d > MAX_CLASSES:
-        if not _regular_hadamard_order(n):
-            return []
         raise ValueError(
             f"{d} non-valency eigenvalue classes exceed the search limit {MAX_CLASSES}"
         )
     sqrt_n = np.sqrt(n)
+    idempotents = dec.idempotents.reshape(d + 1, n * n)
     certificates: list[HadamardCertificate] = []
     for bits in itertools.product((0, 1), repeat=d):
         pattern = SignPattern(sign_e0=1, sigmas=bits)
-        M = np.zeros((n, n))
-        for r, coeff in enumerate(pattern.signs()):
-            M = M + coeff * dec.idempotents[r]
-        M = sqrt_n * M
+        M = sqrt_n * (pattern.signs() @ idempotents).reshape(n, n)
         if float(np.abs(np.abs(M) - 1.0).max()) > tau_flat:
             continue
         try:
-            cert = regular_hadamard_validate(np.rint(M))
+            H, row_sum = check_regular_hadamard(np.rint(M))
         except ValueError as exc:
             logger.warning("pattern %s skipped: %s", pattern.label(), exc)
             continue
-        certificates.append(replace(cert, pattern=pattern))
-    certificates.sort(key=lambda c: c.pattern.encode())
+        certificates.append(HadamardCertificate(
+            matrix=H, order=n, row_sum=row_sum,
+            symmetric=bool(np.array_equal(H, H.T)), pattern=pattern,
+        ))
     return certificates
 
 
@@ -230,19 +226,6 @@ class KroneckerVerdict:
             "relations": [list(rel) for rel in self.relations],
             "violating": None if self.violating is None else list(self.violating),
         }
-
-
-def kronecker_from_json(data: dict) -> KroneckerVerdict:
-    return KroneckerVerdict(
-        mode=data["mode"],
-        status=data["status"],
-        bound=int(data["bound"]),
-        requested_bound=int(data["requested_bound"]),
-        relations=tuple(tuple(int(v) for v in rel) for rel in data["relations"]),
-        violating=None
-        if data["violating"] is None
-        else tuple(int(v) for v in data["violating"]),
-    )
 
 
 def _screen(sums, shift, width, integer, buf):
@@ -730,7 +713,6 @@ def time_search(
     mode: str,
     budget: int = INTEGER_BUDGET,
     t_max: float | None = None,
-    phase_status: str | None = None,
 ) -> TimeSearchResult:
     """Find t with phase alignment deficit below epsilon.
 
@@ -744,9 +726,9 @@ def time_search(
 
     Angles must be positive and finite, epsilon positive and finite,
     ``budget`` >= 0 and ``t_max`` positive and finite; a bad value raises
-    ValueError naming it. Callers are expected to have seen
-    ``phase_condition_check`` report ``holds``; passing any other status
-    only logs a warning since the scan itself is still well defined.
+    ValueError naming it. The scan is well defined whatever the phase
+    condition says; a caller that searches after an ``inconclusive`` scan
+    says so in its own report.
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     if not (angles > 0).all():
@@ -757,12 +739,6 @@ def time_search(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if t_max is not None and not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if phase_status is not None and phase_status != HOLDS:
-        logger.warning(
-            "time_search invoked with phase condition status %r; alignment "
-            "may be impossible at this precision",
-            phase_status,
-        )
 
     if angles.size == 0 or not sigmas.any():
         return TimeSearchResult(success=True, t=0.0, deficit=0.0, mode=mode)
@@ -858,29 +834,6 @@ class MixingReport:
         }
 
 
-def report_from_json(data: dict) -> MixingReport:
-    """Rebuild a report from its JSON dict; the certificate matrix is
-    recovered only when it was emitted, and a missing ``walk_residual``
-    reads as None."""
-    return MixingReport(
-        graph=data["graph"],
-        vertex=None if data["vertex"] is None else int(data["vertex"]),
-        mode=data["mode"],
-        epsilon=float(data["epsilon"]),
-        certificate=None
-        if data["certificate"] is None
-        else certificate_from_json(data["certificate"]),
-        kronecker=None if data["kronecker"] is None else kronecker_from_json(data["kronecker"]),
-        t=None if data["t"] is None else float(data["t"]),
-        gamma=None if data["gamma"] is None else complex(data["gamma"][0], data["gamma"][1]),
-        residual=None if data["residual"] is None else float(data["residual"]),
-        walk_residual=None if data.get("walk_residual") is None else float(data["walk_residual"]),
-        verdict=data["verdict"],
-        support=None if data["support"] is None else tuple(int(r) for r in data["support"]),
-        notes=tuple(data["notes"]),
-    )
-
-
 def _distance_to_target(dec, H, starts, t) -> tuple[complex, float]:
     """gamma and ||U^t X - gamma Y||_F for the start block X = T^T E_S / sqrt(k)
     and its flat target Y = T^T H E_S / sqrt(nk), in n x |S| form. With
@@ -954,16 +907,10 @@ def _mixing_report(
 
     certificates = hadamard_search(dec, tau_flat=tau_flat)
     if not certificates:
-        root = math.isqrt(g.n)
-        if root * root != g.n:
+        if not _regular_hadamard_order(g.n):
             notes.append(
-                f"order {g.n} is not a perfect square, so no flat sign "
-                "combination can exist"
-            )
-        elif not _regular_hadamard_order(g.n):
-            notes.append(
-                f"order {g.n} is an odd square above 1, and a regular Hadamard "
-                "matrix has order 1 or 4u^2, so no flat sign combination can exist"
+                f"order {g.n} is not 1 or an even square 4u^2, the orders of "
+                "regular Hadamard matrices, so no flat sign combination can exist"
             )
         return report(
             certificate=None, kronecker=None, t=None, gamma=None, residual=None,
@@ -990,10 +937,7 @@ def _mixing_report(
         if kron.status == VIOLATED:
             verdict = PHASE_OBSTRUCTION
         else:
-            search = time_search(
-                angles, sigmas, epsilon, mode,
-                budget=budget, t_max=t_max, phase_status=kron.status,
-            )
+            search = time_search(angles, sigmas, epsilon, mode, budget=budget, t_max=t_max)
             t = search.t
             gamma, residual = _distance_to_target(dec, cert.matrix, starts, t)
             verdict = SUCCESS if search.success and residual <= slack else BUDGET_EXHAUSTED

@@ -640,8 +640,9 @@ def check_closed_form(
     linear in v, so on the seeded random columns of :func:`probe_block`
     they check the whole start block at once (Freivalds' check). Each p_r
     and its drift are built in place in two complex m x c arrays that every
-    class reuses, so the check holds about three (traced 2.6 to 3.3 on all
-    start columns of rook:6, rook:8 and hadamard-srg:4); a block where eight
+    class reuses, so the check holds about three at its peak (traced with
+    tracemalloc: 2.6 to 3.3 on all start columns of rook:6, rook:8 and
+    hadamard-srg:4, 3.4 to 3.8 on their four probes); a block where four
     would pass MAX_SPECTRUM_BYTES raises ValueError before any is allocated.
     """
     n, m = arc_space.n, arc_space.num_arcs
@@ -650,7 +651,7 @@ def check_closed_form(
         columns = (np.arange(n)[:, None] == columns).astype(float)
     if columns.shape[0] != n:
         raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {n}")
-    _within_limit(16 * 8 * m * columns.shape[1],
+    _within_limit(16 * 4 * m * columns.shape[1],
                   f"closed-form check of {columns.shape[1]} columns on {m} arcs")
     tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
     live = dec.num_classes - dec.has_minus_k
@@ -753,9 +754,3 @@ def imaginary_flatness_deficit(
 def state_to_json(x: State) -> list[list[float]]:
     """Serialize amplitudes as [re, im] pairs in arc order."""
     return [[float(z.real), float(z.imag)] for z in x.amplitudes]
-
-
-def state_from_json(data) -> State:
-    """Inverse of :func:`state_to_json`."""
-    amp = np.array([complex(re, im) for re, im in data])
-    return State(amp)

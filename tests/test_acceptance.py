@@ -19,7 +19,7 @@ from arcwalk import (
     entry_formula,
     evolve,
     family_parity_check,
-    flat_target_profile,
+    flat_arc_state,
     flatness_deficit,
     hadamard_search,
     initial_state,
@@ -28,7 +28,6 @@ from arcwalk import (
     simultaneous_mixing_check,
     walk_spectrum_residuals,
 )
-from arcwalk.cospec import ColumnTarget
 from arcwalk.mixing import HOLDS
 from arcwalk.walk import State
 
@@ -191,10 +190,7 @@ def _curated_pairs(name):
         pairs.append((a, initial_state(b.arcs, other)))
     for cert in hadamard_search(b.dec):
         for a in (0, 1):
-            target = flat_target_profile(b.dec, a, cert.pattern)
-            assert isinstance(target, ColumnTarget) and target.flat
-            y = dense_incidence(b.arcs)[0].T @ target.vector / np.sqrt(b.graph.degree)
-            pairs.append((a, State(y)))
+            pairs.append((a, flat_arc_state(b.arcs, cert.matrix[:, a])))
     rng = np.random.default_rng(11)
     for _ in range(20):
         y = rng.standard_normal(nk) + 1j * rng.standard_normal(nk)

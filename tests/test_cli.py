@@ -370,7 +370,10 @@ def test_mix_simultaneous_notes_non_square_order(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["verdict"] == "no-flat-target"
-    assert "order 10 is not a perfect square, so no flat sign combination can exist" in doc["notes"]
+    assert (
+        "order 10 is not 1 or an even square 4u^2, the orders of regular "
+        "Hadamard matrices, so no flat sign combination can exist"
+    ) in doc["notes"]
     assert doc["walk_residual"] is None
 
 

@@ -199,13 +199,14 @@ def test_simultaneous_run_holds_no_arc_block():
     assert peak < full_block / 4
 
 
-def test_oversized_block_is_refused_before_allocating():
-    """All 256 start columns of hadamard-srg:8 would take eight complex
-    m x 256 arrays, 960 MiB, over MAX_SPECTRUM_BYTES."""
+def test_oversized_block_is_refused_before_allocating(monkeypatch):
+    """With MAX_SPECTRUM_BYTES one byte short of four complex m x 256
+    arrays, all 256 start columns of hadamard-srg:8 are refused before
+    any of them is allocated."""
     g = resolve_builtin("hadamard-srg:8")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     one_array = 16 * arcs.num_arcs * g.n
-    assert 8 * one_array > walk.MAX_SPECTRUM_BYTES
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 4 * one_array - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the limit"):
@@ -214,6 +215,27 @@ def test_oversized_block_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < one_array / 100
+
+
+def test_a_block_at_the_limit_is_accepted_and_stays_within_it(monkeypatch):
+    """With MAX_SPECTRUM_BYTES at exactly four complex m x 64 arrays, all 64
+    start columns of hadamard-srg:4 are checked, and the traced peak of the
+    check stays under that limit; one byte less refuses them."""
+    g = resolve_builtin("hadamard-srg:4")
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    limit = 4 * 16 * arcs.num_arcs * g.n
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", limit)
+    tracemalloc.start()
+    try:
+        residuals = check_closed_form(dec, arcs, np.arange(g.n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(residuals.values()) <= walk.TAU_WALK
+    assert peak <= limit
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", limit - 1)
+    with pytest.raises(ValueError, match="over the limit"):
+        check_closed_form(dec, arcs, np.arange(g.n))
 
 
 def test_closed_form_input_checks():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from arcwalk import (
     NOT_COSPECTRAL,
@@ -13,7 +12,6 @@ from arcwalk import (
     check_strong_cospectrality_direct,
     flat_arc_state,
     eigendecompose_symmetric,
-    flat_target_profile,
     from_edge_list,
     hadamard_search,
     initial_state,
@@ -32,37 +30,8 @@ def test_sign_pattern_validation_and_order():
         SignPattern(1, (2,))
     p = SignPattern(1, (1, 0))
     assert p.encode() == 0b010
-    assert p.negated() == SignPattern(-1, (0, 1))
-    assert p.canonical() == p
-    assert p.negated().canonical() == p
     assert p.label() == "+-+"
     assert list(p.signs()) == [1, -1, 1]
-
-
-def test_flat_target_profile_k4():
-    dec = get_bundle("k4").dec
-    hit = flat_target_profile(dec, 0, SignPattern(1, (1,)))
-    assert hit.flat and hit.deviation < 1e-12
-    assert list(hit.sign_vector) == [-1, 1, 1, 1]
-    # the identity pattern reproduces e_a, which is nowhere near flat
-    miss = flat_target_profile(dec, 0, SignPattern(1, (0,)))
-    assert not miss.flat
-    assert_allclose(miss.vector, np.eye(4)[0], atol=1e-12)
-    assert miss.deviation == pytest.approx(1.0, abs=1e-9)
-
-
-def test_flat_target_profile_petersen_has_none():
-    dec = get_bundle("petersen").dec
-    for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        assert not flat_target_profile(dec, 0, SignPattern(1, bits)).flat
-
-
-def test_flat_target_profile_input_checks():
-    dec = get_bundle("k4").dec
-    with pytest.raises(ValueError, match="sigma bits"):
-        flat_target_profile(dec, 0, SignPattern(1, (0, 1)))
-    with pytest.raises(ValueError, match="out of range"):
-        flat_target_profile(dec, 9, SignPattern(1, (0,)))
 
 
 def test_k4_flat_target_witness_values():

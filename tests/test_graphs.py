@@ -197,6 +197,20 @@ def test_srg_from_regular_hadamard_order_16():
     assert count_srg_params(g) == (16, 6, 2, 2)
 
 
+def test_check_regular_hadamard_rejections():
+    H4 = np.ones((4, 4), int) - 2 * np.eye(4, dtype=int)
+    with pytest.raises(ValueError, match="\\+1 or -1"):
+        graphs.check_regular_hadamard(np.zeros((4, 4), int))
+    with pytest.raises(ValueError, match="nI"):
+        graphs.check_regular_hadamard(np.ones((4, 4), int))
+    # order-2 Hadamard matrices have row sums 2 and 0
+    with pytest.raises(ValueError, match="row sums"):
+        graphs.check_regular_hadamard(np.array([[1, 1], [1, -1]]))
+    assert graphs.check_regular_hadamard(np.array([[1]]))[1] == 1
+    H, row_sum = graphs.check_regular_hadamard(np.kron(H4, H4))
+    assert row_sum == 4 and H.dtype == np.int64 and not H.flags.writeable
+
+
 def test_srg_from_regular_hadamard_rejections():
     H4 = np.ones((4, 4), int) - 2 * np.eye(4, dtype=int)
     with pytest.raises(ValueError, match="symmetric"):

@@ -1,10 +1,10 @@
 """The order test in front of the Hadamard search against full enumeration.
 
 A regular Hadamard matrix has order 1 or 4u^2, so at any other order the
-search returns no certificate even past MAX_CLASSES, where it used to
-refuse. Here every sign pattern is enumerated regardless of MAX_CLASSES,
-and the flat ones are compared with the search: none at the excluded
-orders, the same patterns at 4u^2.
+search returns no certificate, even past MAX_CLASSES. Here every sign
+pattern is enumerated regardless of MAX_CLASSES, and the flat ones are
+compared with the search: none at the excluded orders, the same patterns
+at 4u^2.
 """
 
 import itertools
@@ -14,7 +14,7 @@ import pytest
 
 from arcwalk import eigendecompose_symmetric, graph_from_adjacency, hadamard_search, mixing
 from arcwalk.cli import main, resolve_builtin
-from arcwalk.cospec import TAU_FLAT
+from arcwalk.mixing import TAU_FLAT
 
 #: one enumerated product holds this many patterns
 BLOCK = 1024
@@ -124,17 +124,38 @@ def test_search_matches_the_enumeration_on_random_regular_graphs():
 
 def test_mix_on_cycle_31_is_no_flat_target(capsys):
     """cycle:31 has 15 non-valency classes, past MAX_CLASSES; its order
-    decides the verdict, where the class limit used to exit with code 2."""
+    decides the verdict before the class limit is consulted."""
     assert main(["mix", "--builtin", "c31", "--format", "json"]) == 1
     out = capsys.readouterr().out
     assert '"verdict":"no-flat-target"' in out.replace(" ", "")
-    assert "order 31 is not a perfect square" in out
+    assert "order 31 is not 1 or an even square 4u^2" in out
 
 
 def test_an_odd_square_order_is_noted():
     report = mixing.local_mixing_report(resolve_builtin("rook:3"), 0, 0.1, "integer")
     assert report.verdict == mixing.NO_FLAT_TARGET
-    assert any("odd square" in note and "4u^2" in note for note in report.notes)
+    assert any(note.startswith("order 9 is not 1 or an even square 4u^2") for note in report.notes)
+
+
+class NoIdempotents:
+    """The sizes of a decomposition whose idempotents may not be read."""
+
+    def __init__(self, dec):
+        self.n, self.num_classes = dec.n, dec.num_classes
+
+    @property
+    def idempotents(self):
+        raise AssertionError("a sign combination was formed")
+
+
+@pytest.mark.parametrize("name", ["k5", "petersen", "rook:3", "cycle:25"])
+def test_excluded_orders_form_no_combination(name):
+    """At an order other than 1 or 4u^2 the search answers from the order
+    alone, without reading an idempotent, however loose the tolerance."""
+    dec = eigendecompose_symmetric(resolve_builtin(name))
+    assert not mixing._regular_hadamard_order(dec.n)
+    assert hadamard_search(NoIdempotents(dec), tau_flat=10.0) == []
+    assert flat_patterns(dec) == []
 
 
 def test_the_class_limit_still_holds_at_orders_4u2():

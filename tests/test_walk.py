@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from arcwalk import (
     imaginary_flatness_deficit,
     initial_state,
     realness_deficit,
-    state_from_json,
     state_to_json,
     transition_matrix,
     walk,
@@ -327,8 +327,8 @@ def test_state_json_round_trip():
     x = evolve(b.ws, initial_state(b.arcs, 0), 1.7)
     data = state_to_json(x)
     assert all(len(pair) == 2 for pair in data)
-    back = state_from_json(data)
-    assert_allclose(back.amplitudes, x.amplitudes, atol=0)
+    back = np.array([complex(re, im) for re, im in json.loads(json.dumps(data))])
+    assert_allclose(back, x.amplitudes, atol=0)
 
 
 def test_arc_space_requires_regular_graph():
