@@ -168,20 +168,29 @@ def check_strong_cospectrality_direct(
     annihilating both states are unconstrained; a projection annihilating
     exactly one of them is a rejection.
 
-    Only the stored half F = F_{+theta} of each conjugate pair is read:
-    F_{-theta} z = conj(F conj(z)) = conj(F Re z) + i conj(F Im z), so one
-    product of the (d, m, m) block with the real and imaginary parts of x
-    and y gives both halves' images, and all projections are tested at once.
+    Neither half of a conjugate pair is formed. F = F_{+theta} = W_r W_r^H
+    for the pair's factor W_r, so F z = W_r (W_r^H z): one product of W^H
+    with the real and imaginary parts of x and y gives the coefficients of
+    every pair, and each pair's images are its factor times its block of
+    them, in O(m N) for all pairs. F_{-theta} z = conj(F conj(z))
+    = conj(F Re z) + i conj(F Im z), so the same images give both halves,
+    and all projections are tested at once.
     """
     if len(x) != ws.num_arcs or len(y) != ws.num_arcs:
         raise ValueError("states live on the wrong number of arcs")
     labels = ["plus1", "minus1"]
     labels += [f"pair{pair.index}{sign}" for pair in ws.pairs for sign in "+-"]
-    d, m = len(ws.thetas), ws.num_arcs
+    d, m = len(ws.pairs), ws.num_arcs
     x, y = x.amplitudes, y.amplitudes
     V = np.stack([x.real, x.imag, y.real, y.imag], axis=1)
     signs = np.stack([ws.proj_plus1 @ V, ws.proj_minus1 @ V])
-    turned = (ws.plus_block.reshape(d * m, m) @ V).reshape(d, m, 4)
+    coeffs = ws.factors.conj().T @ V
+    turned = np.empty((d, m, 4), dtype=complex)
+    start = 0
+    for pair, out in zip(ws.pairs, turned):
+        stop = start + pair.factor.shape[1]
+        np.matmul(pair.factor, coeffs[start:stop], out=out)
+        start = stop
     # images of x (column 0) and y (column 1) under each projection, in label order
     images = np.empty((2 + 2 * d, m, 2), dtype=complex)
     images[:2] = signs[..., 0::2] + 1j * signs[..., 1::2]

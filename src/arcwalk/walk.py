@@ -8,10 +8,11 @@ vertex followed by arc reversal:
 
 where T is the n x nk tail incidence matrix and R the reversal
 permutation. U decomposes into eigenprojections derived from the
-adjacency idempotents: a projection for eigenvalue +1, one for -1
+adjacency spectrum: a projection for eigenvalue +1, one for -1
 (nonzero on bipartite graphs and on cycles of the reversal structure),
 and a conjugate pair for each adjacency angle theta in (0, pi) with
-walk eigenvalues e^{+-i theta}.
+walk eigenvalues e^{+-i theta}, held as the arc eigenvectors that
+span it.
 
 Real powers U^t are taken with the principal branch, e^{i t theta} per
 projection, so (-1)^t means e^{i pi t}.
@@ -34,10 +35,10 @@ STATE_NORM_TOL = 1e-12
 #: most bytes a :func:`walk_spectrum` build or :func:`check_closed_form` block takes
 MAX_SPECTRUM_BYTES = 2**29
 #: complex (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond
-#: the stored projections at its peak, without and with verification (traced:
-#: m x m on rook:8, 1.0 and 2.0; m x n on k4, 5.7 and 9.3 beside the m x m
-#: counts, fixed costs included)
-WORKSPACE_ARRAYS = ((1, 6), (2, 10))
+#: the stored arrays at its peak, without and with verification (traced with
+#: tracemalloc: m x m on rook:8, 1.0 and 3.5; m x n on cycle:4, 9.2 and 13.1
+#: beside the m x m counts, fixed costs included)
+WORKSPACE_ARRAYS = ((1, 10), (4, 14))
 
 
 def _within_limit(size: int, what: str) -> None:
@@ -149,61 +150,55 @@ def transition_matrix(arc_space: ArcSpace) -> np.ndarray:
 class EigenphasePair:
     """Conjugate projection pair for walk eigenvalues e^{+-i theta}.
 
-    Only ``plus`` = F_{+theta} is stored; ``minus`` = F_{-theta} is its
-    conjugate, formed afresh on each access. ``index`` is the position of
-    the source eigenvalue class in the adjacency decomposition.
+    ``factor`` is an m x m_r complex array with orthonormal columns that
+    span the e^{i theta} eigenspace of U, a view of the spectrum's
+    ``factors``, so F_{+theta} = factor factor^H. ``plus`` = F_{+theta} and
+    ``minus`` = F_{-theta}, its conjugate, are formed afresh on each
+    access; no library path but the residual suite reads them. ``index``
+    is the position of the source eigenvalue class in the adjacency
+    decomposition.
     """
 
     index: int
     theta: float
-    plus: np.ndarray
+    factor: np.ndarray
+
+    @property
+    def plus(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
 
     @property
     def minus(self) -> np.ndarray:
         return self.plus.conj()
 
 
-def _rows_of(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The array whose rows, in order, are the views ``arrays``, if any."""
-    base = arrays[0].base if arrays else None
-    if isinstance(base, np.ndarray) and len(base) == len(arrays) and all(
-        a.base is base and a.__array_interface__ == row.__array_interface__
-        for a, row in zip(arrays, base)
-    ):
-        return base
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class WalkSpectrum:
-    """Spectral projections of U: the real +-1 projections and the stored
-    half F_{+theta} of the conjugate pair of each adjacency angle in (0, pi).
-    ``residuals`` is the projection suite they passed, empty when they were
-    built without verification.
+    """Spectral projections of U: the real +-1 projections F_{+1}, F_{-1}
+    (m x m) and, for each adjacency angle theta_r in (0, pi), the factor W_r
+    of F_{+theta_r} = W_r W_r^H. ``residuals`` is the projection suite they
+    passed, empty when they were built without verification.
 
-    ``plus_block`` is the read-only (d, m, m) array the pairs' ``plus``
-    projections are rows of (the one :func:`walk_spectrum` wrote them into,
-    or a stacked copy for pairs made elsewhere) and ``thetas`` their angles.
+    ``factors`` is the read-only complex (m, N) array W whose column blocks
+    are the pairs' factors, in pair order, N = sum m_r <= n - 1 columns in
+    all, and ``column_thetas`` holds the angle of each column of W. On
+    random-28-4 (m = 112, N = 27) W takes 48,384 B and the two real
+    projections 200,704 B.
     """
 
     proj_plus1: np.ndarray
     proj_minus1: np.ndarray
+    factors: np.ndarray
     pairs: tuple[EigenphasePair, ...]
     residuals: dict[str, float] = field(default_factory=dict)
-    plus_block: np.ndarray = field(init=False, repr=False)
-    thetas: np.ndarray = field(init=False, repr=False)
+    column_thetas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        plus = [pair.plus for pair in self.pairs]
-        block = _rows_of(plus)
-        if block is None:
-            m = self.proj_plus1.shape[0]
-            block = np.stack(plus) if plus else np.zeros((0, m, m), dtype=complex)
-            block.setflags(write=False)
-        thetas = np.array([pair.theta for pair in self.pairs], dtype=float)
-        thetas.setflags(write=False)
-        object.__setattr__(self, "plus_block", block)
-        object.__setattr__(self, "thetas", thetas)
+        column_thetas = np.array(
+            [pair.theta for pair in self.pairs for _ in range(pair.factor.shape[1])], dtype=float
+        )
+        column_thetas.setflags(write=False)
+        object.__setattr__(self, "column_thetas", column_thetas)
 
     @property
     def num_arcs(self) -> int:
@@ -246,13 +241,15 @@ def walk_spectrum_residuals(
     pi against +-1) contributes its measured max |P_i P_j| instead. It is
     never below the measured maximum.
 
-    Only the stored half of each conjugate pair is read. U, T and the E_r
-    are real and F_{-theta} = conj(F_{+theta}), so each defect, product,
-    sum and tail projection of F_{-theta} is the conjugate of that of
-    F_{+theta}: h, N and f are taken once per stored projection, the
-    bound runs over the full list with them repeated, and completeness and
-    resolution add the real part of each term twice, as the full sums do
-    (their imaginary parts cancel exactly).
+    Only F_{+theta} of each conjugate pair is read, formed from its factor
+    (``pair.plus``) one pair at a time, so the suite holds one complex m x m
+    projection beside F_{+-1}. U, T and the E_r are real and F_{-theta} =
+    conj(F_{+theta}), so each defect, product, sum and tail projection of
+    F_{-theta} is the conjugate of that of F_{+theta}: h, N and f are taken
+    once per pair, the bound runs over the full list with them repeated,
+    and completeness and resolution add the real part of each term twice,
+    as the full sums do (their imaginary parts cancel exactly). A pair is
+    formed again only for a direct product where its bound fails.
     """
     k = arc_space.k
 
@@ -260,18 +257,28 @@ def walk_spectrum_residuals(
         # T P T^T, summing rows then columns over the tail blocks
         return tail_sum(arc_space, tail_sum(arc_space, P).T).T
 
-    stored = [ws.proj_plus1, ws.proj_minus1, *ws.plus_block]
+    def checked(i):
+        # F_{+1}, F_{-1}, then F_{+theta} of each pair, formed from its factor
+        return (ws.proj_plus1, ws.proj_minus1)[i] if i < 2 else ws.pairs[i - 2].plus
+
     # the full list: F_{+1}, F_{-1}, then F_{+theta}, F_{-theta} per pair
     eigenvalues = np.array(
-        [1.0, -1.0] + [np.exp(s * 1j * theta) for theta in ws.thetas for s in (1, -1)]
+        [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
     )
-    source = np.concatenate(([0, 1], np.repeat(np.arange(2, len(stored)), 2)))
+    count = 2 + len(ws.pairs)
+    source = np.concatenate(([0, 1], np.repeat(np.arange(2, count), 2)))
 
     herm = idem = 0.0
-    skew, norm_bound, defect = np.zeros((3, len(stored)))
-    for i, (P, mu) in enumerate(zip(stored, [1.0, -1.0, *eigenvalues[2::2]])):
+    skew, norm_bound, defect = np.zeros((3, count))
+    total = ws.proj_plus1 + ws.proj_minus1
+    recon = ws.proj_plus1 - ws.proj_minus1
+    correspondence = float(
+        np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max()
+    )
+    for i, mu in enumerate([1.0, -1.0, *eigenvalues[2::2]]):
+        P = checked(i)
         # each m x m working array is freed before the next is made, so the
-        # loop holds one beside the projections
+        # loop holds one beside the projection and the two sums
         D = np.conjugate(P.T)
         np.subtract(P, D, out=D)
         herm = max(herm, float(np.abs(D).max()))
@@ -283,10 +290,29 @@ def walk_spectrum_residuals(
         norm_bound[i] = 1.0 + np.linalg.norm(D) + skew[i]
         del D
         defect[i] = np.linalg.norm(_eigen_defect(arc_space, P, mu))
+        if i >= 2:
+            total += P.real
+            total += P.real
+            part = (mu * P).real
+            recon += part
+            recon += part
+            del part
+            E = dec.idempotents[ws.pairs[i - 2].index]
+            correspondence = max(
+                correspondence, float(np.abs(tail_project(P) - (k / 2.0) * E).max())
+            )
+        del P
     skew, norm_bound, defect = skew[source], norm_bound[source], defect[source]
 
+    total -= np.eye(arc_space.num_arcs)
+    completeness = float(np.abs(total).max())
+    del total
+    recon -= transition_matrix(arc_space)
+    resolution = float(np.abs(recon).max())
+    del recon
+
     def projection(i):
-        P = stored[source[i]]
+        P = checked(source[i])
         return P.conj() if i > 2 and i % 2 else P
 
     unitarity = coin_unitarity(k)
@@ -299,34 +325,6 @@ def walk_spectrum_residuals(
     for i, j in zip(*np.nonzero(np.triu(~(bound <= TAU_WALK), 1))):
         bound[i, j] = np.abs(projection(i) @ projection(j)).max()
     orth = float(bound[np.triu_indices(len(eigenvalues), 1)].max())
-
-    total = ws.proj_plus1 + ws.proj_minus1
-    for F in ws.plus_block:
-        total += F.real
-        total += F.real
-    total -= np.eye(arc_space.num_arcs)
-    completeness = float(np.abs(total).max())
-    del total
-
-    U = transition_matrix(arc_space)
-    recon = ws.proj_plus1 - ws.proj_minus1
-    for F, mu in zip(ws.plus_block, eigenvalues[2::2]):
-        part = (mu * F).real
-        recon += part
-        recon += part
-        del part
-    recon -= U
-    resolution = float(np.abs(recon).max())
-    del recon, U
-
-    correspondence = float(
-        np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max()
-    )
-    for pair in ws.pairs:
-        E = dec.idempotents[pair.index]
-        correspondence = max(
-            correspondence, float(np.abs(tail_project(pair.plus) - (k / 2.0) * E).max())
-        )
 
     residuals = {
         "hermiticity": herm,
@@ -363,59 +361,55 @@ def _eigen_defect(
 def walk_spectrum(
     dec: SpectralDecomposition, arc_space: ArcSpace, verify: bool = True
 ) -> WalkSpectrum:
-    """Build the walk projections from the adjacency decomposition.
+    """Build the walk spectrum from the adjacency eigenvectors.
 
-    For each adjacency angle theta in (0, pi) with idempotent E,
+    For each adjacency angle theta in (0, pi) with orthonormal eigenvectors
+    V_r (its class's columns of ``dec.vectors``), the e^{i theta} eigenspace
+    of U has the orthonormal basis
 
-        F_{+theta} = (T - e^{+i theta} H)^T E (T - e^{-i theta} H)
-                     / (2 k sin^2 theta)
+        W_r = (T - e^{i theta} H)^T V_r / (sqrt(2k) sin theta)
 
-    is written into one read-only complex (d, m, m) array, and F_{-theta},
-    its conjugate, is not stored. The +-1 projections are recovered by
-    splitting the residual complement P = I - sum(F_{+theta} + F_{-theta})
-    = I - sum 2 Re F_{+theta}, which is real, into F_{+1} = (P + UP)/2 and
-    F_{-1} = (P - UP)/2, both stored as real arrays; this captures both
-    the lifts of the +-k adjacency classes and the kernel components of
-    the incidence maps.
+    (the spectral mapping theorem; Higuchi, Konno, Sato and Segawa,
+    J. Funct. Anal. 267, 2014), so F_{+theta} = W_r W_r^H. The W_r fill one
+    read-only complex (m, N) array W, N = sum m_r <= n - 1, in O(m N);
+    neither F_{+theta} nor its conjugate F_{-theta} is stored. The +-1
+    projections are recovered by splitting the residual complement
+    P = I - sum(F_{+theta} + F_{-theta}) = I - 2 Re W W^H, which is real,
+    into F_{+1} = (P + UP)/2 and F_{-1} = (P - UP)/2, both stored as real
+    arrays; this captures both the lifts of the +-k adjacency classes and
+    the kernel components of the incidence maps.
 
-    A build whose peak, the projections plus WORKSPACE_ARRAYS, would take
-    more than MAX_SPECTRUM_BYTES is refused with a ValueError before any
-    projection is allocated.
+    A build whose peak, W and the two real projections plus
+    WORKSPACE_ARRAYS, would take more than MAX_SPECTRUM_BYTES is refused
+    with a ValueError before any array is allocated.
     """
-    k = arc_space.k
-    tails, heads = arc_space.tails, arc_space.heads
-    m = arc_space.num_arcs
-    classes = range(1, dec.num_classes - dec.has_minus_k)
-    # one complex m x m array per angle in (0, pi), and two real ones
-    stored = len(classes) + 1
-    square, columns = WORKSPACE_ARRAYS[verify]
-    _within_limit(16 * ((stored + square) * m + columns * arc_space.n) * m,
-                  f"dense walk spectrum on {m} arcs")
+    k, m = arc_space.k, arc_space.num_arcs
+    live = dec.num_classes - dec.has_minus_k
+    sizes = dec.multiplicities[1:live]
+    first, columns = int(dec.multiplicities[0]), int(sizes.sum())
+    # the two real m x m projections are one complex array's worth
+    square, workspace = WORKSPACE_ARRAYS[verify]
+    _within_limit(16 * m * ((1 + square) * m + columns + workspace * arc_space.n),
+                  f"walk spectrum on {m} arcs")
 
-    block = np.empty((len(classes), m, m), dtype=complex)
-    for F, r in zip(block, classes):
-        theta = float(dec.angles[r])
-        E = dec.idempotents[r]
-        phase = np.exp(1j * theta)
-        # rows of (T^T - e^{i theta} H^T) E, then its columns gathered by
-        # (T - e^{-i theta} H)
-        left = E[tails] - phase * E[heads]
-        np.take(left, tails, axis=1, out=F, mode="clip")
-        gathered = left[:, heads]
-        gathered *= np.conj(phase)
-        F -= gathered
-        del left, gathered
-        F /= 2.0 * k * np.sin(theta) ** 2
-    block.setflags(write=False)
+    V = dec.vectors[:, first : first + columns]
+    theta = np.repeat(dec.angles[1:live], sizes)
+    W = V[arc_space.tails] - np.exp(1j * theta) * V[arc_space.heads]
+    W /= np.sqrt(2.0 * k) * np.sin(theta)
+    W.setflags(write=False)
     pairs = tuple(
-        EigenphasePair(index=r, theta=float(dec.angles[r]), plus=F)
-        for F, r in zip(block, classes)
+        EigenphasePair(index=r, theta=float(dec.angles[r]), factor=W[:, lo : lo + size])
+        for r, lo, size in zip(range(1, live), dec.class_starts[1:live] - first, sizes)
     )
 
-    residual = np.eye(m)
-    for F in block:
-        residual -= F.real
-        residual -= F.real
+    # Re W W^H from the real and imaginary parts, two real products
+    part = np.ascontiguousarray(W.real)
+    residual = part @ part.T
+    part = np.ascontiguousarray(W.imag)
+    residual += part @ part.T
+    del part
+    residual *= -2.0
+    residual[np.diag_indices(m)] += 1.0
     plus1 = apply_walk(arc_space, residual)
     plus1 += residual
     plus1 /= 2.0
@@ -424,7 +418,7 @@ def walk_spectrum(
     plus1.setflags(write=False)
     minus1.setflags(write=False)
 
-    ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, pairs=pairs)
+    ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, factors=W, pairs=pairs)
     if verify:
         ws.residuals.update(walk_spectrum_residuals(dec, arc_space, ws))
         bad = {name: val for name, val in ws.residuals.items() if val > TAU_WALK}
@@ -494,23 +488,26 @@ def evolve(ws: WalkSpectrum, x: State, t: float) -> State:
 def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
     """Apply U^t to a vector or to each column of a matrix (principal branch).
 
-    U is real and F_{-theta} = conj(F_{+theta}), so for a real v
+    U is real and F_{-theta} = conj(F_{+theta}), F_{+theta} = W_r W_r^H, so
+    for a real v
 
-        U^t v = F_{+1} v + e^{i pi t} F_{-1} v + 2 Re sum_theta e^{i t theta} F_{+theta} v
+        U^t v = F_{+1} v + e^{i pi t} F_{-1} v + 2 Re W (e^{i t theta} . W^H v)
 
-    and only the stored half is read, in one product with the (d, m, m)
-    block. A complex M goes through as its real and imaginary parts side
-    by side, the imaginary part only when it is not all zero.
+    with e^{i t theta} the phase of each column of W: O(m N) per column
+    beside the two real m x m products, and no projection is formed. A
+    complex M goes through as its real and imaginary parts side by side,
+    the imaginary part only when it is not all zero.
     """
     M = np.asarray(M)
     parts = [M.real]
     if np.iscomplexobj(M) and M.imag.any():
         parts.append(M.imag)
     V = np.stack(parts, axis=-1).reshape(len(M), -1)
-    d, m = len(ws.thetas), ws.num_arcs
-    turned = (ws.plus_block.reshape(d * m, m) @ V).reshape(d, V.size)
+    W = ws.factors
+    turned = W.conj().T @ V
+    turned *= np.exp(1j * t * ws.column_thetas)[:, None]
     out = ws.proj_plus1 @ V
-    out += 2.0 * (np.exp(1j * t * ws.thetas) @ turned).real.reshape(V.shape)
+    out += 2.0 * (W @ turned).real
     out = out + _minus_one_power(t) * (ws.proj_minus1 @ V)
     out = out.reshape(M.shape + (len(parts),))
     return out[..., 0] if len(parts) == 1 else out[..., 0] + 1j * out[..., 1]

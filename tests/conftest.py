@@ -83,6 +83,33 @@ def bundle():
     return get_bundle
 
 
+def dense_decomposition_residuals(
+    dec: SpectralDecomposition, adjacency: np.ndarray
+) -> dict[str, float]:
+    """Oracle for ``decomposition_residuals``: the idempotent suite measured
+    on the stored E_r, with the product E_r E_s formed for every pair of
+    classes, O(d^2 n^3)."""
+    n = dec.n
+    total = np.zeros((n, n))
+    idem = 0.0
+    orth = 0.0
+    for r, E in enumerate(dec.idempotents):
+        total += E
+        idem = max(idem, float(np.abs(E @ E - E).max()))
+        for s in range(r + 1, dec.num_classes):
+            orth = max(orth, float(np.abs(E @ dec.idempotents[s]).max()))
+    recon = sum(
+        dec.k * np.cos(dec.angles[r]) * dec.idempotents[r] for r in range(dec.num_classes)
+    )
+    return {
+        "completeness": float(np.abs(total - np.eye(n)).max()),
+        "idempotency": idem,
+        "orthogonality": orth,
+        "reconstruction": float(np.abs(recon - adjacency).max()),
+        "e0_vs_uniform": float(np.abs(dec.idempotents[0] - np.ones((n, n)) / n).max()),
+    }
+
+
 def pairwise_orthogonality(ws: WalkSpectrum) -> float:
     """Oracle for the ``orthogonality`` residual: max |P Q| over every pair
     of walk projections, each product formed densely."""

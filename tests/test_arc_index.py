@@ -34,24 +34,32 @@ ATOL = 1e-12
 
 
 def dense_walk_spectrum(dec, arcs) -> WalkSpectrum:
-    """Walk projections by the dense formula
-    (T^T - e^{i theta} H^T) E (T - e^{-i theta} H) / (2k sin^2 theta), with
-    the +-1 projections split from the complement by the dense U."""
+    """Walk spectrum by the dense formula: each factor is
+    (T^T - e^{i theta} H^T) Q / (sqrt(2k) sin theta) for an orthonormal basis
+    Q of the range of E, taken from an eigh of E, so F_{+theta} =
+    (T^T - e^{i theta} H^T) E (T - e^{-i theta} H) / (2k sin^2 theta); the
+    +-1 projections are split from the complement by the dense U."""
     T, H, R = (M.astype(float) for M in dense_incidence(arcs))
     k, m = arcs.k, arcs.num_arcs
-    pairs = []
+    classes, factors = [], []
     for r in range(1, dec.num_classes):
         if dec.has_minus_k and r == dec.num_classes - 1:
             continue
         theta = float(dec.angles[r])
-        phase = np.exp(1j * theta)
-        plus = (T.T - phase * H.T) @ dec.idempotents[r] @ (T - np.conj(phase) * H)
-        plus = plus / (2.0 * k * np.sin(theta) ** 2)
-        pairs.append(EigenphasePair(index=r, theta=theta, plus=plus))
+        values, vectors = np.linalg.eigh(dec.idempotents[r])
+        Q = vectors[:, values > 0.5]
+        factors.append((T.T - np.exp(1j * theta) * H.T) @ Q / (np.sqrt(2.0 * k) * np.sin(theta)))
+        classes.append((r, theta))
+    W = np.concatenate(factors, axis=1) if factors else np.zeros((m, 0), dtype=complex)
+    starts = np.cumsum([0] + [F.shape[1] for F in factors])
+    pairs = tuple(
+        EigenphasePair(index=r, theta=theta, factor=W[:, lo:hi])
+        for (r, theta), lo, hi in zip(classes, starts[:-1], starts[1:])
+    )
     U = R @ ((2.0 / k) * T.T @ T - np.eye(m))
     residual = np.eye(m, dtype=complex) - sum(p.plus + p.minus for p in pairs)
     plus1 = (residual + U @ residual) / 2.0
-    return WalkSpectrum(proj_plus1=plus1, proj_minus1=residual - plus1, pairs=tuple(pairs))
+    return WalkSpectrum(proj_plus1=plus1, proj_minus1=residual - plus1, factors=W, pairs=pairs)
 
 
 def check_tail_sum(arcs):

@@ -1,12 +1,16 @@
-"""The walk spectrum stores one half of each conjugate pair.
+"""The walk spectrum stores the arc eigenvectors, not the projections.
 
-``walk_spectrum`` keeps F_{+theta} for each angle in one read-only complex
-(d, m, m) block and the +-1 projections as real arrays; F_{-theta} =
-conj(F_{+theta}) is derived. The read path (``evolve_operator``), the
-residual suite and the direct cospectrality route use only the stored half.
-They are checked here against independent slow paths: U stepped by
-``apply_walk``, the projections applied without being formed
-(``evolve_by_projections``), and the residual suite over both halves.
+``walk_spectrum`` keeps, for the angles in (0, pi), one read-only complex
+(m, N) array W of orthonormal eigenvectors of U, N = sum m_r <= n - 1, of
+which each pair's ``factor`` W_r is a column block, and the +-1 projections
+as real arrays. F_{+theta} = W_r W_r^H and F_{-theta} = conj(F_{+theta})
+are formed only when read: on random-28-4 a build stores 249,088 B where
+one complex m x m array per angle took 5,619,712 B. The read path
+(``evolve_operator``) and the direct cospectrality route use W alone, and
+the residual suite forms F_{+theta} one pair at a time. They are checked
+here against independent slow paths: U stepped by ``apply_walk``, the
+projections applied without being formed (``evolve_by_projections``), and
+the residual suite over both halves.
 """
 
 import functools
@@ -71,24 +75,26 @@ def inputs(name):
     return dec, arcs, walk_spectrum(dec, arcs)
 
 
-def test_verified_spectrum_stores_one_complex_array_per_angle():
-    """random-28-4 has 28 classes: 27 complex and 2 real m x m arrays
-    (5.6 MB), where both halves of each pair took 56 complex ones (11.2 MB)."""
+def test_verified_spectrum_stores_the_arc_eigenvectors_once():
+    """random-28-4 has 28 classes of multiplicity 1, so W is 112 x 27
+    complex (48,384 B) beside the two real m x m projections (200,704 B):
+    249,088 B, where one complex m x m array per angle took 5,619,712 B."""
     dec, arcs, ws = inputs("random-28-4")
     m, d = arcs.num_arcs, len(ws.pairs)
-    assert (dec.num_classes, d, m) == (28, 27, 112)
+    N = int(dec.multiplicities[1:].sum())
+    assert (dec.num_classes, d, m, N) == (28, 27, 112, 27)
     assert ws.residuals and max(ws.residuals.values()) <= walk.TAU_WALK
     assert ws.proj_plus1.dtype == ws.proj_minus1.dtype == np.float64
-    assert ws.plus_block.shape == (d, m, m) and ws.plus_block.dtype == np.complex128
-    assert not ws.plus_block.flags.writeable
+    W = ws.factors
+    assert W.shape == (m, N) and W.dtype == np.complex128
+    assert not W.flags.writeable
     for i, pair in enumerate(ws.pairs):
-        assert pair.plus.base is ws.plus_block
-        assert np.shares_memory(pair.plus, ws.plus_block[i])
-    stored = ws.plus_block.nbytes + ws.proj_plus1.nbytes + ws.proj_minus1.nbytes
-    assert stored == (16 * d + 2 * 8) * m * m == 5_619_712
-    # the m x m arrays the spectrum shows (its dense_bytes) are those bytes
-    shown = [ws.proj_plus1, ws.proj_minus1] + [pair.plus for pair in ws.pairs]
-    assert sum(a.nbytes for a in shown) == stored
+        assert pair.factor.base is W
+        assert pair.factor.__array_interface__ == W[:, i : i + 1].__array_interface__
+    assert_allclose(W.conj().T @ W, np.eye(N), rtol=0, atol=1e-12)
+    real = ws.proj_plus1.nbytes + ws.proj_minus1.nbytes
+    assert (W.nbytes, real) == (48_384, 200_704)
+    assert W.nbytes + real == 249_088 < (16 * d + 2 * 8) * m * m == 5_619_712
 
 
 def test_minus_is_the_conjugate_of_plus():
@@ -97,20 +103,27 @@ def test_minus_is_the_conjugate_of_plus():
         assert np.array_equal(pair.minus, pair.plus.conj())
 
 
-def test_pairs_made_elsewhere_are_stacked():
-    """Pairs that are not rows of one block, as the tests build them, get a
-    stacked copy; views of the block are reused as they are."""
-    ws = get_bundle("k4").ws
-    again = walk.WalkSpectrum(ws.proj_plus1, ws.proj_minus1, ws.pairs)
-    assert again.plus_block is ws.plus_block
-    copied = tuple(walk.EigenphasePair(p.index, p.theta, p.plus.copy()) for p in ws.pairs)
-    stacked = walk.WalkSpectrum(ws.proj_plus1, ws.proj_minus1, copied)
-    assert stacked.plus_block is not ws.plus_block
-    assert np.array_equal(stacked.plus_block, ws.plus_block)
-    assert np.array_equal(stacked.thetas, ws.thetas)
+@pytest.mark.parametrize("name", ("k4", "cycle:8", "rook:6"))
+def test_each_pair_is_a_column_block_of_the_factor_array(name):
+    """A class of multiplicity m_r takes m_r adjacent columns of W, in class
+    order (rook:6 has multiplicities 1, 10 and 25, cycle:8 is bipartite), and
+    W has orthonormal columns: eigenvectors of the unitary U for distinct
+    eigenvalues."""
+    dec, arcs, ws = inputs(name)
+    live = dec.num_classes - dec.has_minus_k
+    sizes = dec.multiplicities[1:live]
+    W = ws.factors
+    assert W.shape == (arcs.num_arcs, sizes.sum()) and W.dtype == np.complex128
+    assert not W.flags.writeable
+    assert [pair.index for pair in ws.pairs] == list(range(1, live))
+    for pair, lo, size in zip(ws.pairs, np.cumsum(sizes) - sizes, sizes):
+        assert pair.factor.base is W
+        assert pair.factor.__array_interface__ == W[:, lo : lo + size].__array_interface__
+    assert np.array_equal(ws.column_thetas, np.repeat([pair.theta for pair in ws.pairs], sizes))
+    assert_allclose(W.conj().T @ W, np.eye(W.shape[1]), rtol=0, atol=1e-12)
 
 
-PARITY_GRAPHS = ("cycle:8", "petersen", "random-24-3")
+PARITY_GRAPHS = ("cycle:8", "petersen", "random-24-3", "rook:6", "random-28-4")
 INTEGER_TIMES = range(13)
 HALF_TIMES = (0.5, 1.5, 2.5, 7.5, 12.5)
 
@@ -206,23 +219,32 @@ def test_direct_products_take_the_conjugate_half_where_it_stands(name, monkeypat
 
 
 def test_the_conjugate_half_is_never_formed(monkeypatch):
-    """With ``EigenphasePair.minus`` made to raise, a verified build, both
-    evolution calls and the direct cospectrality route still run."""
+    """With ``EigenphasePair.minus`` made to raise, a verified build runs;
+    with ``plus`` made to raise too, both evolution calls and the direct
+    cospectrality route still run, so they form no projection at all."""
 
     def refuse(self):
         raise AssertionError("the conjugate half was formed")
 
+    def refuse_plus(self):
+        raise AssertionError("a projection was formed")
+
     monkeypatch.setattr(walk.EigenphasePair, "minus", property(refuse))
+    built = []
     for name in ("petersen", "cycle:8", "rook:4"):
         g = resolve_builtin(name)
         dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
-        ws = walk_spectrum(dec, arcs)
+        built.append((arcs, walk_spectrum(dec, arcs)))
+    monkeypatch.setattr(walk.EigenphasePair, "plus", property(refuse_plus))
+    for arcs, ws in built:
         x = initial_state(arcs, 0)
         y = evolve(ws, x, 3)
         evolve_operator(ws, start_block(arcs), 2.5)
         assert not isinstance(check_strong_cospectrality_direct(ws, x, y), str)
     with pytest.raises(AssertionError, match="conjugate half"):
         ws.pairs[0].minus
+    with pytest.raises(AssertionError, match="projection was formed"):
+        ws.pairs[0].plus
 
 
 def test_closed_form_check_holds_under_four_block_arrays():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from arcwalk import (
     validate_srg,
 )
 
-from conftest import ALL_GRAPHS, GRAPH_BUILDERS, get_bundle
+from arcwalk.spectra import TAU_SPEC
+
+from conftest import ALL_GRAPHS, GRAPH_BUILDERS, dense_decomposition_residuals, get_bundle
+from test_conjugate_storage import inputs
 
 
 def srg_spectrum_oracle(n, k, a, c):
@@ -60,6 +65,46 @@ def test_idempotent_suite_residuals(name):
     assert res["completeness"] < 1e-10
     for key in ("idempotency", "orthogonality", "reconstruction", "e0_vs_uniform"):
         assert res[key] < 1e-9, (key, res[key])
+
+
+def adjacency_of(arcs):
+    A = np.zeros((arcs.n, arcs.n))
+    A[arcs.tails, arcs.heads] = 1.0
+    return A
+
+
+@pytest.mark.parametrize(
+    "name", ALL_GRAPHS + ("cycle:8", "cycle:12", "random-20-4", "random-28-4")
+)
+def test_gram_bounds_cover_the_dense_suite(name):
+    """``idempotency`` and ``orthogonality``, bounded from V^T V - I, are
+    never below the maxima the dense suite measures over every E_r E_s, and
+    the measured keys agree with it (random-28-4 has 28 classes)."""
+    if name in ALL_GRAPHS:
+        dec, arcs = get_bundle(name).dec, get_bundle(name).arcs
+    else:
+        dec, arcs, _ = inputs(name)
+    A = adjacency_of(arcs)
+    got, want = decomposition_residuals(dec, A), dense_decomposition_residuals(dec, A)
+    assert got.keys() == want.keys()
+    for key in ("idempotency", "orthogonality"):
+        assert want[key] <= got[key] <= TAU_SPEC, (key, got[key], want[key])
+    for key in ("completeness", "reconstruction", "e0_vs_uniform"):
+        assert abs(got[key] - want[key]) <= 1e-14, (key, got[key], want[key])
+
+
+def test_gram_bounds_see_eigenvectors_that_are_not_orthonormal():
+    """Idempotents formed from eigenvectors skewed by 1e-6 fail idempotency
+    and orthogonality in the dense suite, and the bounds stay above it."""
+    dec = get_bundle("petersen").dec
+    V = dec.vectors + 1e-6 * np.random.default_rng(0).standard_normal((dec.n, dec.n))
+    E = [V[:, lo : lo + size] @ V[:, lo : lo + size].T
+         for lo, size in zip(dec.class_starts, dec.multiplicities)]
+    skewed = dataclasses.replace(dec, vectors=V, idempotents=E)
+    A = get_bundle("petersen").graph.adjacency.astype(float)
+    got, want = decomposition_residuals(skewed, A), dense_decomposition_residuals(skewed, A)
+    for key in ("idempotency", "orthogonality"):
+        assert TAU_SPEC < want[key] <= got[key], (key, got[key], want[key])
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
