@@ -194,8 +194,8 @@ def cmd_mix(args: argparse.Namespace) -> int:
             lines.append(
                 f"phase condition [{kron.mode}]: {kron.status} up to bound {kron.bound}"
             )
-            for rel in kron.relations:
-                lines.append(f"  relation {rel}")
+            for rel in kron.relations.tolist():
+                lines.append(f"  relation {tuple(rel)}")
             if kron.violating is not None:
                 lines.append(f"  violating relation {kron.violating}")
         if report.t is not None:

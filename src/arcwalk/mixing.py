@@ -60,9 +60,14 @@ INTEGER_BUDGET = 10**6
 T_MAX_FACTOR = 1e4
 #: cap on enumerated lattice vectors in the relation scan
 MAX_ENUMERATION = 5_000_000
-#: most inner sums the relation scan screens at a time; the 2B+1 sums of
-#: one coordinate are screened together even when they are more
+#: about the most array entries the relation scan works on at once: it
+#: locates heads in batches of SCAN_ROWS // 16, whose work arrays stay in
+#: cache, and builds at most about SCAN_ROWS // d candidate rows of d
+#: entries a step
 SCAN_ROWS = 2**18
+#: candidate rows in the first step of a relation scan; later steps double,
+#: so that a scan that stops at an early odd relation costs little
+FIRST_ROWS = 1024
 #: cap on real-time grid evaluations
 MAX_GRID_POINTS = 50_000_000
 #: sign patterns are enumerated only up to this many non-valency classes
@@ -198,23 +203,27 @@ def hadamard_search(
     return certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KroneckerVerdict:
     """Outcome of the integer-relation scan over walk angles.
 
-    ``relations`` holds primitive integer vectors: in integer mode each is
-    (l_1..l_d, l_0) with sum l_r theta_r + 2 pi l_0 = 0, in real mode just
-    (l_1..l_d) with sum l_r theta_r = 0. ``bound`` is the coefficient bound
-    actually scanned; it is smaller than ``requested_bound`` only when the
-    enumeration cap forced a reduction, in which case a clean scan reports
-    ``inconclusive`` rather than ``holds``.
+    ``relations`` holds the primitive relations found, in lexicographic
+    order, as one read-only int64 array with a relation per row: in integer
+    mode a row is (l_1..l_d, l_0) with sum l_r theta_r + 2 pi l_0 = 0, so
+    the shape is (r, d + 1); in real mode it is (l_1..l_d) with
+    sum l_r theta_r = 0, shape (r, d). ``violating`` is the first relation
+    of odd parity as a tuple of ints, or None. ``bound`` is the coefficient
+    bound actually scanned; it is smaller than ``requested_bound`` only
+    when the enumeration cap forced a reduction, in which case a clean scan
+    reports ``inconclusive`` rather than ``holds``. Verdicts compare by
+    identity; compare ``relations.tolist()`` for their contents.
     """
 
     mode: str
     status: str
     bound: int
     requested_bound: int
-    relations: tuple[tuple[int, ...], ...]
+    relations: np.ndarray
     violating: tuple[int, ...] | None
 
     def to_json_dict(self) -> dict:
@@ -223,21 +232,9 @@ class KroneckerVerdict:
             "status": self.status,
             "bound": self.bound,
             "requested_bound": self.requested_bound,
-            "relations": [list(rel) for rel in self.relations],
+            "relations": self.relations.tolist(),
             "violating": None if self.violating is None else list(self.violating),
         }
-
-
-def _screen(sums, shift, width, integer, buf):
-    """Positions i with |sums[i] + shift| <= width, the distance taken to
-    the nearest integer when ``integer``. ``buf`` is a work array at least
-    as long as ``sums``."""
-    buf = buf[: len(sums)]
-    np.add(sums, shift, out=buf)
-    if integer:
-        buf -= np.rint(buf)
-    np.abs(buf, out=buf)
-    return np.flatnonzero(buf <= width)
 
 
 def _relation_residuals(block, angles, integer):
@@ -252,6 +249,96 @@ def _relation_residuals(block, angles, integer):
         return np.abs(s), None
     l0 = -np.rint(s / (2 * np.pi)).astype(np.int64)
     return np.abs(s + 2 * np.pi * l0), l0
+
+
+@functools.lru_cache(maxsize=16)
+def _box_rows(start: int, stop: int, span: int, cols: int) -> np.ndarray:
+    """Rows start..stop-1, in C order, of the grid [-B, B]^cols with
+    span = 2B + 1, as a read-only int64 (stop - start, cols) table. Scans
+    of one size ask for the same tables, so the last few are kept."""
+    index = np.arange(start, stop, dtype=np.int64)
+    table = np.empty((stop - start, cols), dtype=np.int64)
+    for j in range(cols - 1, 0, -1):
+        np.divmod(index, span, out=(index, table[:, j]))
+    table[:, 1:] -= span // 2
+    if cols:
+        np.subtract(index, span // 2, out=table[:, 0])
+    table.flags.writeable = False
+    return table
+
+
+def _table_sums(table, angles, integer):
+    """sum_j table[:, j] theta_j for each row; in integer mode in turns
+    (theta_j / 2 pi) less their nearest integer."""
+    if not integer:
+        return table @ angles
+    sums = table @ (angles / (2 * np.pi))
+    sums -= np.rint(sums)
+    return sums
+
+
+def _locate(lower, upper, targets, rows):
+    """For each target x, the run [lo, lo + count) of the sorted sums s with
+    |s - x| <= w, given ``lower`` = s + w and ``upper`` = s - w for a
+    w >= 0; a run is cut to at most ``rows`` entries."""
+    lo = lower.searchsorted(targets, side="left")
+    count = upper.searchsorted(targets, side="right")
+    count -= lo
+    np.minimum(count, rows, out=count)
+    return lo, count
+
+
+def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows):
+    """The candidate rows of the canonical half box, in lexicographic order.
+
+    A vector is a head (the leading ``len(head_angles)`` coordinates) and an
+    inner row; ``sums`` are minus the inner sums, sorted, and ``order``
+    their rows in C order. The canonical heads are the C-order heads from
+    the all-zero head on, made in batches of SCAN_ROWS // 16, and each
+    head's candidates are the run of ``sums`` within ``width`` of its own
+    sum (:func:`_locate`). A batch's candidates are yielded in steps of
+    whole heads, sorted by (head, row): about FIRST_ROWS rows in the first
+    step, twice as many in each next one up to ``step_rows``. The all-zero
+    head keeps only the rows after the middle row, and a step left with no
+    row is skipped. Each step is (heads, local, row, reserve): the step's
+    head table, each candidate's index into it and its inner row, and the
+    candidate count of the whole batch on a batch's first step, else 0.
+    """
+    rows, outer = len(order), len(head_angles)
+    lower, upper = sums + width, sums - width
+    total, batch = span**outer, max(1, SCAN_ROWS // 16)
+    zero, size = total // 2, FIRST_ROWS
+    for start in range(zero, total, batch):
+        heads = _box_rows(start, min(start + batch, total), span, outer)
+        lo, count = _locate(lower, upper, _table_sums(heads, head_angles, integer), rows)
+        if start == zero and count[0] == 1:
+            count[0] = 0  # the zero vector alone; its sum 0 is always in the window
+        ends = count.cumsum()
+        reserve = todo = int(ends[-1])
+        if not todo:
+            continue
+        # the batch's candidate j, counted over its heads in order, is
+        # entry j + shift of the sorted sums
+        shift = lo - ends + count
+        done = 0
+        while done < todo:
+            first = int(ends.searchsorted(done, side="right"))
+            cut = done + min(size, step_rows)
+            last = max(first + 1, int(ends.searchsorted(cut, side="right")))
+            runs = count[first:last]
+            pos = shift[first:last].repeat(runs)
+            pos += np.arange(done, int(ends[last - 1]))
+            pos %= rows
+            keys = (np.arange(last - first) * rows).repeat(runs)
+            keys += order[pos]
+            keys.sort()
+            if start == zero and first == 0:
+                keys = keys[keys.searchsorted(rows // 2, side="right") :]
+            if keys.size:
+                local, row = np.divmod(keys, rows)
+                yield heads[first:last], local, row, reserve
+                reserve = 0
+            done, size = int(ends[last - 1]), 2 * size
 
 
 def _integer_root(x: int, d: int) -> int:
@@ -309,16 +396,32 @@ def phase_condition_check(
     scanned bound reports ``holds`` (or ``inconclusive`` when the
     enumeration cap forced a smaller bound than requested). Angles and
     sigmas must be 1-D, finite and of equal length; otherwise ValueError.
+
+    The scan covers the canonical half of the box [-B, B]^d (first nonzero
+    coefficient positive) in lexicographic order, and meets in the middle:
+    the trailing d // 2 coefficients form an inner grid whose sums are
+    formed once and sorted, with copies shifted by -1 and +1 turn in
+    integer mode so that a window that wraps is one run. Each canonical
+    head of leading coefficients then finds its candidate rows with two
+    binary searches, in a window of ``tau_rel`` plus a margin of
+    1e-12 (1 + B sum |theta_r|), far above the rounding of either sum. The
+    candidates, sorted by (head, row), are decided by the exact residual
+    (:func:`_relation_residuals`), then by parity, a stop at the first odd
+    relation, and primitivity from per-head and per-row gcds. The
+    relations are written into one int64 array, grown once per batch of
+    heads by that batch's candidate count, so the scan costs about its
+    output, (relations x d) entries, plus the inner grid.
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     d = len(angles)
     if bound < 1:
         raise ValueError(f"relation bound must be >= 1, got {bound}")
+    integer = mode == MODE_INTEGER
+    verdict = functools.partial(KroneckerVerdict, mode=mode, requested_bound=bound)
     if d == 0:
-        return KroneckerVerdict(
-            mode=mode, status=HOLDS, bound=bound, requested_bound=bound,
-            relations=(), violating=None,
-        )
+        relations = np.empty((0, integer), dtype=np.int64)
+        relations.flags.writeable = False
+        return verdict(status=HOLDS, bound=bound, relations=relations, violating=None)
 
     effective = relation_scan_bound(bound, d, max_enumeration)
     if effective < bound:
@@ -327,87 +430,63 @@ def phase_condition_check(
             bound, effective,
         )
 
-    # A vector splits into a head (the leading ``outer`` coordinates) and
-    # an inner part (the most trailing coordinates, at least one, whose grid
-    # fits SCAN_ROWS). The inner sums are formed once, in C order; a head
-    # only shifts them, so each canonical head is screened in one pass and
-    # only its candidate rows are built and decided by the exact residual.
-    # A single inner coordinate whose span exceeds SCAN_ROWS is screened in
-    # slices of SCAN_ROWS rows, each formed when it is screened. The margin
-    # is far above the rounding of either sum, so the screen keeps every
-    # row the exact test accepts.
-    width = 2 * effective + 1
-    inner = 1
-    while inner < d and width ** (inner + 1) <= SCAN_ROWS:
-        inner += 1
-    outer = d - inner
-    rows_total = width**inner
-    integer = mode == MODE_INTEGER
+    span = 2 * effective + 1
+    outer = d - d // 2
+    grid = _box_rows(0, span ** (d // 2), span, d // 2)
+    inner_sums = _table_sums(grid, -angles[outer:], integer)
+    order = inner_sums.argsort()
+    sums = inner_sums[order]
+    if integer:
+        sums = np.add.outer((-1.0, 0.0, 1.0), sums).ravel()
+    row_parity = sigmas[outer:] @ grid.T
+    row_gcd = None  # formed at the first hit; violated scans rarely need it
+    margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
+    # a negative tau_rel accepts no row, so the window is at least the margin
+    width = max(tau_rel / (2 * np.pi) if integer else tau_rel, 0.0) + margin
 
-    def inner_sums(lo: int, hi: int) -> np.ndarray:
-        # the inner sums whose first inner coefficient is lo - B .. hi - 1 - B,
-        # in C order, in fractional turns in integer mode
-        sums = np.arange(lo - effective, hi - effective) * angles[outer]
-        for theta in angles[outer + 1 :]:
-            sums = np.add.outer(sums, np.arange(-effective, effective + 1) * theta).ravel()
-        if integer:
-            sums /= 2 * np.pi
-            sums -= np.rint(sums)
-        return sums
-
-    whole = inner_sums(0, width) if rows_total <= SCAN_ROWS else None
-    sums_max = effective * float(np.abs(angles[outer:]).sum())
-    tolerance = tau_rel / (2 * np.pi) if integer else tau_rel
-    middle = rows_total // 2
-    buf = np.empty(min(rows_total, SCAN_ROWS))
-
-    relations: list[tuple[int, ...]] = []
-    for head in itertools.product(range(-effective, effective + 1), repeat=outer):
-        first = next((x for x in head if x), 0)
-        if first < 0:
-            continue
-        h = float(np.dot(head, angles[:outer]))
-        margin = 1e-12 * (1.0 + abs(h) + sums_max)
-        shift = h / (2 * np.pi) if integer else h
-        for lo in range(0 if first > 0 else middle + 1, rows_total, SCAN_ROWS):
-            hi = min(lo + SCAN_ROWS, rows_total)
-            sums = whole[lo:hi] if whole is not None else inner_sums(lo, hi)
-            rows = lo + _screen(sums, shift, tolerance + margin, integer, buf)
-            if rows.size == 0:
-                continue
-            block = np.empty((rows.size, d), dtype=np.int64)
-            block[:, :outer] = head
-            block[:, outer:] = np.column_stack(np.unravel_index(rows, (width,) * inner))
-            block[:, outer:] -= effective
-            resid, l0 = _relation_residuals(block, angles, integer)
-            hits = np.flatnonzero(resid <= tau_rel)
-            if hits.size == 0:
-                continue
-            found = block[hits]
-            odd = np.flatnonzero((found @ sigmas) % 2)
-            if integer:
-                found = np.column_stack([found, l0[hits]])
-            even = found[: odd[0]] if odd.size else found
-            primitive = np.gcd.reduce(np.abs(even), axis=1) == 1
-            relations.extend(zip(*even[primitive].T.tolist()))
-            if odd.size:
-                return KroneckerVerdict(
-                    mode=mode,
-                    status=VIOLATED,
-                    bound=effective,
-                    requested_bound=bound,
-                    relations=tuple(relations),
-                    violating=tuple(found[odd[0]].tolist()),
-                )
-    status = HOLDS if effective == bound else INCONCLUSIVE
-    return KroneckerVerdict(
-        mode=mode,
-        status=status,
-        bound=effective,
-        requested_bound=bound,
-        relations=tuple(relations),
-        violating=None,
+    # candidates are built in place after the relations kept so far, and
+    # the kept ones are moved down over the rest
+    relations = np.empty((0, d + integer), dtype=np.int64)
+    used, violating = 0, None
+    steps = _candidate_steps(
+        angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d)
     )
+    for heads, local, row, reserve in steps:
+        if used + reserve > len(relations):
+            grown = np.empty((used + reserve, d + integer), dtype=np.int64)
+            grown[:used] = relations[:used]
+            relations = grown
+        block = relations[used : used + len(row)]
+        block[:, :outer] = heads[local]
+        block[:, outer:d] = grid[row]
+        resid, l0 = _relation_residuals(block[:, :d], angles, integer)
+        hit = (resid <= tau_rel).nonzero()[0]
+        if hit.size == 0:
+            continue
+        local, row = local[hit], row[hit]
+        odd = (((heads @ sigmas[:outer])[local] + row_parity[row]) % 2).nonzero()[0]
+        end = odd[0] if odd.size else hit.size
+        if row_gcd is None:
+            row_gcd = np.gcd.reduce(np.abs(grid), axis=1)
+        common = np.gcd(np.gcd.reduce(np.abs(heads), axis=1)[local[:end]], row_gcd[row[:end]])
+        if integer:
+            block[:, d] = l0
+            common = np.gcd(common, l0[hit[:end]])
+        keep = hit[:end][common == 1]
+        if odd.size:
+            violating = tuple(block[hit[odd[0]]].tolist())
+        if keep.size < len(block):
+            block[: keep.size] = block[keep]
+        used += keep.size
+        if violating is not None:
+            break
+    relations.resize((used, d + integer), refcheck=False)
+    relations.flags.writeable = False
+    if violating is not None:
+        status = VIOLATED
+    else:
+        status = HOLDS if effective == bound else INCONCLUSIVE
+    return verdict(status=status, bound=effective, relations=relations, violating=violating)
 
 
 @dataclass(frozen=True)

@@ -279,10 +279,10 @@ SLICED_SCANS = [
 @pytest.mark.parametrize("angles, sigmas, mode, bound, rows", SLICED_SCANS)
 def test_relation_scan_screens_a_long_coordinate_in_slices(angles, sigmas, mode, bound, rows,
                                                            monkeypatch):
-    """A single coordinate's span longer than SCAN_ROWS is screened in
-    slices of SCAN_ROWS rows: the verdict, bound, relations and violating
-    vector are those of the unsliced scan, and a one-angle scan peaks far
-    below one array of the whole span."""
+    """A single coordinate's span longer than SCAN_ROWS is located in
+    batches of heads: the verdict, bound, relations and violating vector are
+    those of the scan at the default SCAN_ROWS, and a one-angle scan peaks
+    far below one array of the whole span."""
     whole = mixing.phase_condition_check(angles, sigmas, mode, bound=bound)
     monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
     tracemalloc.start()
@@ -293,7 +293,7 @@ def test_relation_scan_screens_a_long_coordinate_in_slices(angles, sigmas, mode,
         tracemalloc.stop()
     assert (sliced.status, sliced.bound, sliced.requested_bound) == (
         whole.status, whole.bound, whole.requested_bound)
-    assert sliced.relations == whole.relations
+    assert sliced.relations.tolist() == whole.relations.tolist()
     assert sliced.violating == whole.violating
     if len(angles) == 1:
         assert peak < 8 * (2 * bound + 1) / 8  # an eighth of one float array of the span
@@ -301,15 +301,16 @@ def test_relation_scan_screens_a_long_coordinate_in_slices(angles, sigmas, mode,
 
 def test_single_angle_scan_at_the_enumeration_cap_stays_small():
     """One angle at bound 10**7 (cut to 5,000,000) used to screen all 10^7
-    sums at once (565 MB RSS); in slices of SCAN_ROWS it holds about four
-    float arrays of SCAN_ROWS."""
+    sums at once (565 MB RSS); in batches of heads it holds far less than
+    six int64 arrays of SCAN_ROWS."""
     tracemalloc.start()
     try:
         verdict = mixing.phase_condition_check([2.0], [0], "integer", bound=10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (verdict.status, verdict.bound, verdict.relations) == ("inconclusive", 5_000_000, ())
+    assert (verdict.status, verdict.bound, verdict.relations.tolist()) == (
+        "inconclusive", 5_000_000, [])
     assert peak < 6 * 8 * mixing.SCAN_ROWS
 
 

@@ -3,10 +3,10 @@
 The relation scan is compared with exact-integer scans of the half box
 on cycle angles 2 pi j / c, where sum l_j theta_j + 2 pi l_0 = 0 exactly
 when sum l_j j = -c l_0: one in pure Python at small sizes, one in numpy
-at the benchmark's sizes. On random angles it is compared with the
-block scan it replaced (``conftest.block_relation_scan``). The time
+at the benchmark's sizes. On random angles, up to d = 12, it is compared
+with the block scan it replaced (``conftest.block_relation_scan``). The time
 search is compared with a dense grid that evaluates d sines at every
-point in one pass. Work-count guards check that the scan screens each
+point in one pass. Work-count guards check that the scan locates each
 canonical head once, passes only its hits to the exact residual on clean
 cycle scans, and that the time search passes only a small share of its
 grid to the exact deficit.
@@ -29,6 +29,12 @@ from conftest import block_relation_scan
 
 def cycle_angles(c, d):
     return 2.0 * np.pi * np.arange(1, d + 1) / c
+
+
+def scan_result(verdict):
+    """(status, relations, violating) of a verdict, in the tuples the
+    oracles return."""
+    return verdict.status, tuple(map(tuple, verdict.relations.tolist())), verdict.violating
 
 
 def exact_relation_scan(c, sigmas, mode, bound):
@@ -65,11 +71,11 @@ def test_relation_scan_matches_exact_integer_oracle(d, mode):
             for bound in range(1, 5):
                 verdict = phase_condition_check(angles, bits, mode, bound=bound)
                 want = exact_relation_scan(c, bits.tolist(), mode, bound)
-                got = (verdict.status, verdict.relations, verdict.violating)
-                assert got == want, (c, bits, mode, bound)
+                assert scan_result(verdict) == want, (c, bits, mode, bound)
                 assert verdict.bound == bound
-                entries = itertools.chain(*verdict.relations, verdict.violating or ())
-                assert all(type(v) is int for v in entries)
+                assert verdict.relations.dtype == np.int64
+                assert not verdict.relations.flags.writeable
+                assert all(type(v) is int for v in verdict.violating or ())
 
 
 def exact_cycle_scan(c, sigmas, mode, bound):
@@ -129,7 +135,7 @@ def test_relation_scan_matches_exact_oracle_at_benchmark_sizes(c, bound, mode):
         verdict = phase_condition_check(cycle_angles(c, d), bits, mode, bound=bound)
         want = exact_cycle_scan(c, bits, mode, bound)
         assert want[0] == (VIOLATED if bits.any() else HOLDS)
-        assert (verdict.status, verdict.relations, verdict.violating) == want, (bits, mode)
+        assert scan_result(verdict) == want, (bits, mode)
         assert verdict.bound == bound
 
 
@@ -149,7 +155,27 @@ def test_relation_scan_matches_the_block_scan_on_random_angles():
         tau = (1e-9, 1e-3, 0.05, 0.3)[case % 5 % 4]
         verdict = phase_condition_check(angles, bits, mode, bound=bound, tau_rel=tau)
         want = block_relation_scan(angles, bits, mode, bound, tau)
-        assert (verdict.status, verdict.relations, verdict.violating) == want, case
+        assert scan_result(verdict) == want, case
+
+
+@pytest.mark.parametrize("d", range(7, 13))
+def test_relation_scan_matches_the_block_scan_past_six_angles(d):
+    """Random angles at d = 7..12, each with a planted relation, against the
+    block scan: at the bound the enumeration cap allows (tau_rel 1e-9, zero
+    and random bits) and at bound 1 with loose tolerances."""
+    rng = np.random.default_rng(100 + d)
+    cap = relation_scan_bound(mixing.RELATION_BOUND, d, mixing.MAX_ENUMERATION)
+    for mode in ("integer", "real"):
+        angles = rng.uniform(0.05, 3.1, d)
+        total = rng.integers(-1, 2, d - 1) @ angles[:-1]
+        angles[-1] = (total % (2 * np.pi) if mode == "integer" else abs(total)) or 1.0
+        cases = [(cap, 1e-9, np.zeros(d, int)), (cap, 1e-9, rng.integers(0, 2, d)),
+                 (1, 0.05, rng.integers(0, 2, d)), (1, 0.3, np.zeros(d, int))]
+        for bound, tau, bits in cases:
+            verdict = phase_condition_check(angles, bits, mode, bound=bound, tau_rel=tau)
+            want = block_relation_scan(angles, bits, mode, bound, tau)
+            assert scan_result(verdict) == want, (mode, bound, tau, bits)
+            assert verdict.bound == bound
 
 
 def dense_time_search(angles, sigmas, epsilon, mode, budget, t_max):
@@ -204,8 +230,8 @@ def test_time_search_matches_dense_grid(angles, bits, epsilon, mode, budget, t_m
 
 def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
     """Scan verdicts and search results are the same at any SCAN_ROWS and
-    FIRST_CHUNK. The clean cycle:13 scans at bound 2 fit one head at the
-    default SCAN_ROWS and take one coordinate per screen at SCAN_ROWS = 1."""
+    FIRST_CHUNK. At SCAN_ROWS = 1 every batch holds one head and every step
+    one head's candidates."""
     rng = np.random.default_rng(3)
     scans = [(cycle_angles(c, (c - 1) // 2), rng.integers(0, 2, (c - 1) // 2), mode, 6)
              for c in (9, 13) for mode in ("integer", "real")]
@@ -220,7 +246,7 @@ def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
     def run():
         verdicts = [phase_condition_check(a, s, m, bound=b) for a, s, m, b in scans]
         results = [time_search(a, s, e, m, **kw) for a, s, e, m, kw in searches]
-        return verdicts, results
+        return [(scan_result(v), v.bound, v.requested_bound) for v in verdicts], results
 
     reference = run()
     for rows, first in [(1, 1), (7, 3), (300, 10**6)]:
@@ -229,44 +255,53 @@ def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
         assert run() == reference, (rows, first)
 
 
-def screen_calls(monkeypatch):
-    """Patch the scan's screen to record (rows screened, shift, candidates)
-    for every call."""
-    calls = []
-    screen = mixing._screen
+def scan_calls(monkeypatch):
+    """Patch the relation scan to record the targets of every batch of
+    heads it locates, and (rows, hits at TAU_REL) of every block it hands
+    to the exact residual."""
+    located, decided = [], []
+    locate, residuals = mixing._locate, mixing._relation_residuals
 
-    def counted(sums, shift, *args):
-        rows = screen(sums, shift, *args)
-        calls.append((len(sums), shift, len(rows)))
-        return rows
+    def counted_locate(lower, upper, targets, rows):
+        located.append(targets.copy())
+        return locate(lower, upper, targets, rows)
 
-    monkeypatch.setattr(mixing, "_screen", counted)
-    return calls
+    def counted_residuals(block, angles, integer):
+        resid, l0 = residuals(block, angles, integer)
+        decided.append((block.copy(), int((resid <= mixing.TAU_REL).sum())))
+        return resid, l0
+
+    monkeypatch.setattr(mixing, "_locate", counted_locate)
+    monkeypatch.setattr(mixing, "_relation_residuals", counted_residuals)
+    return located, decided
 
 
 @pytest.mark.parametrize("c, bound", [(9, 20), (13, 20), (7, 3)])
 def test_relation_scan_hands_each_half_box_row_over_once(c, bound, monkeypatch):
-    """Each canonical head (first nonzero entry positive, or all zero) is
-    screened once, over the whole inner grid or, for the all-zero head, the
-    rows after its middle; so the screened rows add up to the half box."""
-    calls = screen_calls(monkeypatch)
+    """Each canonical head (first nonzero entry positive, or all zero) of
+    the leading d - d // 2 coordinates is located exactly once, in batches
+    of at most SCAN_ROWS heads. The rows handed to the exact residual come
+    first in a small step, at most FIRST_ROWS rows and one head's run over,
+    and are canonical and strictly increasing in lexicographic order, so no
+    row is decided twice."""
+    located, decided = scan_calls(monkeypatch)
     d = (c - 1) // 2
     angles = cycle_angles(c, d)
     verdict = phase_condition_check(angles, np.zeros(d, int), "real", bound=bound)
     assert verdict.status != VIOLATED
-    span = 2 * verdict.bound + 1
-    grid = 2 * min(rows for rows, _, _ in calls) + 1
-    inner = round(math.log(grid, span))
-    assert span**inner == grid <= max(mixing.SCAN_ROWS, span)
-    heads = [h for h in itertools.product(range(-verdict.bound, verdict.bound + 1), repeat=d - inner)
+    outer = d - d // 2
+    heads = [h for h in itertools.product(range(-verdict.bound, verdict.bound + 1), repeat=outer)
              if next((x for x in h if x), 0) >= 0]
-    assert len(calls) == len(heads)
-    assert sorted(rows for rows, _, _ in calls) == sorted(
-        grid if any(h) else (grid - 1) // 2 for h in heads
-    )
-    shifts = sorted(float(np.dot(h, angles[: d - inner])) if h else 0.0 for h in heads)
-    assert sorted(shift for _, shift, _ in calls) == pytest.approx(shifts, abs=1e-12)
-    assert sum(rows for rows, _, _ in calls) == (span**d - 1) // 2
+    assert all(len(targets) <= mixing.SCAN_ROWS for targets in located)
+    targets = np.concatenate(located)
+    assert len(targets) == len(heads)
+    want = sorted(float(np.dot(h, angles[:outer])) for h in heads)
+    assert np.sort(targets) == pytest.approx(want, abs=1e-12)
+    assert len(decided[0][0]) <= mixing.FIRST_ROWS + (2 * verdict.bound + 1) ** (d // 2)
+    rows = np.concatenate([block for block, _ in decided])
+    assert (rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] > 0).all()
+    as_tuples = list(map(tuple, rows.tolist()))
+    assert all(a < b for a, b in zip(as_tuples, as_tuples[1:]))
 
 
 def cycle_relation_rows(c, d, bound, mode):
@@ -287,13 +322,16 @@ def cycle_relation_rows(c, d, bound, mode):
 @pytest.mark.parametrize("mode", ["integer", "real"])
 @pytest.mark.parametrize("c, bound", [(9, 20), (13, 6)])
 def test_clean_scan_passes_only_its_hits_to_the_exact_residual(c, bound, mode, monkeypatch):
-    """On a clean cycle scan the screen lets through exactly the relation
-    rows, so no row is built for the exact residual in vain."""
-    calls = screen_calls(monkeypatch)
+    """On a clean cycle scan the windows around the heads take in the
+    relation rows and, within a handful, nothing else, so almost no row is
+    built for the exact residual in vain."""
+    _, decided = scan_calls(monkeypatch)
     d = (c - 1) // 2
     verdict = phase_condition_check(cycle_angles(c, d), np.zeros(d, int), mode, bound=bound)
     assert verdict.status == HOLDS
-    assert sum(found for _, _, found in calls) == cycle_relation_rows(c, d, bound, mode)
+    hits = sum(found for _, found in decided)
+    assert hits == cycle_relation_rows(c, d, bound, mode)
+    assert sum(len(block) for block, _ in decided) <= hits + 4
 
 
 def test_failing_real_search_confirms_few_grid_points(monkeypatch):
