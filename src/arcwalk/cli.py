@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--mode", choices=(M.MODE_INTEGER, M.MODE_REAL), default=M.MODE_INTEGER)
     p_mix.add_argument("--simultaneous", action="store_true", help="require one time for every start vertex")
     p_mix.add_argument("--relation-bound", dest="relation_bound", type=int, default=M.RELATION_BOUND)
-    p_mix.add_argument("--budget", type=int, default=M.INTEGER_BUDGET, help="integer-time scan budget")
+    p_mix.add_argument("--budget", type=int, default=M.INTEGER_BUDGET, help=f"integer-time scan budget, cut to {M.MAX_GRID_POINTS}")
     p_mix.add_argument("--t-max", dest="t_max", type=float, default=None, help="real-time search horizon")
     p_mix.add_argument("--tau-flat", dest="tau_flat", type=float, default=M.TAU_FLAT)
     p_mix.add_argument("--tau-rel", dest="tau_rel", type=float, default=M.TAU_REL)

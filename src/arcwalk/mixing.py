@@ -68,7 +68,8 @@ SCAN_ROWS = 2**18
 #: candidate rows in the first step of a relation scan; later steps double,
 #: so that a scan that stops at an early odd relation costs little
 FIRST_ROWS = 1024
-#: cap on real-time grid evaluations
+#: cap on time-search grid points: the real grid is coarsened and the
+#: integer budget cut to fit it
 MAX_GRID_POINTS = 50_000_000
 #: sign patterns are enumerated only up to this many non-valency classes
 MAX_CLASSES = 12
@@ -566,16 +567,28 @@ def family_parity_check(m: int, family: str) -> FamilyParity:
     return verdict(vacuous=False, holds=True, conditions=tuple(conditions))
 
 
+def _half_sines(phases) -> np.ndarray:
+    """|sin(phase / 2)| in place over ``phases``; the deficit of a class is
+    twice this. Every sine of the time search is taken here."""
+    phases /= 2.0
+    np.sin(phases, out=phases)
+    return np.abs(phases, out=phases)
+
+
 def phase_alignment_deficit(angles, sigmas, t) -> np.ndarray | float:
-    """Max over classes of |e^{i(t theta + sigma pi)} - 1|, vectorized in t."""
+    """Max over classes of |e^{i(t theta + sigma pi)} - 1|, vectorized in t.
+
+    The phases t theta_r + sigma_r pi are laid out as one (d, ...) array,
+    class first, so the max runs over the leading axis."""
     angles = np.asarray(angles, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     ts = np.asarray(t, dtype=float)
     if angles.size == 0:
         out = np.zeros(ts.shape)
         return float(out) if ts.ndim == 0 else out
-    phases = np.multiply.outer(ts, angles) + np.pi * sigmas
-    out = 2.0 * np.abs(np.sin(phases / 2.0)).max(axis=-1)
+    phases = np.multiply.outer(angles, ts)
+    phases += (np.pi * sigmas).reshape((-1,) + (1,) * ts.ndim)
+    out = 2.0 * _half_sines(phases).max(axis=0)
     return float(out) if ts.ndim == 0 else out
 
 
@@ -669,26 +682,91 @@ def _run_offsets(lo, n, step, turn, half, width) -> np.ndarray:
     return offsets
 
 
-def _chunk_best(angles, sigmas, epsilon, ts, worst, margin) -> tuple[float, float, bool] | None:
+def _within(ts, turns, halves, classes, width) -> np.ndarray:
+    """The points of ``ts`` at which every one of ``classes`` lies within
+    ``width`` of an integer, as :func:`_misalignment` takes it; the points
+    past it are dropped one class at a time, so later classes see fewer."""
+    for r in classes:
+        x = ts * turns[r]
+        x += halves[r]
+        x -= np.rint(x)
+        ts = ts[np.abs(x, out=x) <= width]
+    return ts
+
+
+#: a candidate set that would take fewer sines than this takes them all:
+#: the passes that pick the classes cost more than the sines they save
+RESTRICT_SINES = 2048
+#: a point whose screened misalignment exceeds this (deficit above
+#: 2 sin(0.499 pi), within 2e-5 of 2) takes the sine of every class; see
+#: :func:`_candidate_deficits`
+FLAT_TOP = 0.499
+
+
+def _candidate_deficits(angles, sigmas, turns, halves, ts, margin) -> np.ndarray:
+    """:func:`phase_alignment_deficit` at the points ``ts``, bit for bit,
+    with sines taken only for the classes that screen within 4 margins of
+    the point's worst class.
+
+    Why that is exact. At one point let s_r be the screened misalignment
+    of class r, W = max_r s_r (at class q), w_r the misalignment of the
+    phase the exact form takes and E_r = 2 |sin(phase_r / 2)| as computed.
+    The margin m >= 1e-12 bounds |s_r - w_r|, and libm's sine puts E_r
+    within rho of 2 sin(pi w_r), rho a few units of 1e-16. Take a class
+    with s_r < W - 4 m and set a = s_r + m, b = W - m: then w_r <= a,
+    b <= w_q, b <= 1/2 and b - a > 2 m. 2 sin(pi x) rises and is concave
+    on [0, 1/2], and cos(pi x) >= 1 - 2 x there, so
+        2 sin(pi b) - 2 sin(pi a) >= (b - a) 2 pi cos(pi b) > 4 pi m (1 - 2 W).
+    Hence E_r <= 2 sin(pi a) + rho < E_q + 2 rho - 4 pi m (1 - 2 W). While
+    W <= FLAT_TOP = 0.499 the last term is at least 2.5e-14, far above
+    2 rho, so E_r < E_q: class r is not where the max sits, and the max
+    over the kept classes is the same element with the same bits. Past
+    FLAT_TOP the sine flattens out and every class is kept. A set of
+    points that would take fewer than RESTRICT_SINES sines takes them all.
+    """
+    if len(ts) * len(angles) < RESTRICT_SINES:
+        return phase_alignment_deficit(angles, sigmas, ts)
+    x = np.multiply.outer(turns, ts)
+    x += halves[:, None]
+    x -= np.rint(x)
+    np.abs(x, out=x)
+    worst = x.max(axis=0)
+    floor = worst - 4.0 * margin
+    floor[worst > FLAT_TOP] = -1.0
+    kept = np.flatnonzero(x >= floor)
+    # the phases of phase_alignment_deficit, in the same (d, len(ts)) array;
+    # the classes left out read 0, below the max
+    phases = np.multiply.outer(angles, ts, out=x)
+    phases += (np.pi * sigmas)[:, None]
+    deficits = _half_sines(phases.ravel()[kept])
+    phases.fill(0.0)
+    phases.ravel()[kept] = deficits
+    return 2.0 * phases.max(axis=0)
+
+
+def _chunk_best(
+    angles, sigmas, turns, halves, epsilon, ts, worst, margin
+) -> tuple[float, float, bool] | None:
     """Among the points ``ts`` with screened misalignment ``worst``: the
     first with deficit below epsilon and True, else the first of least
     deficit and False, or None when there are no points. Only the points
     that screen within the margin of epsilon, or of the least screened
-    value, are passed to :func:`phase_alignment_deficit`."""
+    value, are passed to the exact form (:func:`_candidate_deficits`)."""
+    exact = functools.partial(_candidate_deficits, angles, sigmas, turns, halves, margin=margin)
     near = np.flatnonzero(worst <= _misalignment_at_most(epsilon + margin) + margin)
     if near.size:
-        exact = phase_alignment_deficit(angles, sigmas, ts[near])
-        below = np.flatnonzero(exact < epsilon)
+        deficits = exact(ts[near])
+        below = np.flatnonzero(deficits < epsilon)
         if below.size:
             j = int(below[0])
-            return float(ts[near[j]]), float(exact[j]), True
+            return float(ts[near[j]]), float(deficits[j]), True
     if not worst.size:
         return None
     least = 2.0 * math.sin(math.pi * float(worst.min()))
     near = np.flatnonzero(worst <= _misalignment_at_most(least + margin) + margin)
-    exact = phase_alignment_deficit(angles, sigmas, ts[near])
-    j = int(np.argmin(exact))
-    return float(ts[near[j]]), float(exact[j]), False
+    deficits = exact(ts[near])
+    j = int(np.argmin(deficits))
+    return float(ts[near[j]]), float(deficits[j]), False
 
 
 def _scan_times(
@@ -703,12 +781,17 @@ def _scan_times(
     the bound w of that deficit on every class. When w <= RUN_WIDTH and the
     slowest class moves at most w / 4 per step, a chunk takes only the runs
     along which the slowest class is within w (:func:`_run_offsets`) and
-    drops the points past w on each other class in turn. Otherwise every
-    point of the chunk is screened. Either way :func:`_chunk_best` decides
-    among the points left, so every returned deficit comes from the exact
-    form. Chunks start at FIRST_CHUNK points and double up to RUN_CHUNK; a
-    chunk screened at every point stops at DENSE_CHUNK. The margin, 1e-12
-    times the largest phase the chunk can reach, is far above the rounding gap
+    drops the points past w on each other class in turn (:func:`_within`).
+    Otherwise every point of the chunk is screened; a full DENSE_CHUNK
+    chunk with w below 1/2 is first filtered class by class the same way,
+    when even its fastest class moves at most w / 4 per step. Its drops then
+    come in runs, which are cheap to gather; scattered drops, or the fixed
+    cost of seven array passes per class on a small chunk, would cost more
+    than screening the points. Either way :func:`_chunk_best` decides among
+    the points left, so every returned deficit comes from the exact form.
+    Chunks start at FIRST_CHUNK points and double up to RUN_CHUNK; a chunk
+    screened at every point stops at DENSE_CHUNK. The margin, 1e-12 times
+    the largest phase the chunk can reach, is far above the rounding gap
     between the two forms; it is added on both sides of the conversion
     between deficit and w, and once more to the run width, against the
     rounding of the line along which the runs are laid.
@@ -718,7 +801,7 @@ def _scan_times(
     top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
     slow = int(np.argmin(turns))
     others = [r for r in range(len(turns)) if r != slow]
-    delta = step * float(turns[slow])
+    delta, fast = step * float(turns[slow]), step * float(turns.max())
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
     index, work = np.empty(0), np.empty((4, 0))
     lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
@@ -736,21 +819,18 @@ def _scan_times(
             ts = np.add(index[:n], lo, out=work[0, :n])
             ts *= step
             np.minimum(ts, horizon, out=ts)
+            if n == DENSE_CHUNK and 4.0 * fast <= width < 0.5:
+                ts = _within(ts, turns, halves, range(len(turns)), width)
             worst = _misalignment(ts, turns, halves, work[1:])
         else:
             offsets = _run_offsets(
                 lo, n, step, float(turns[slow]), float(halves[slow]), width + margin
             )
-            ts = (offsets + lo).astype(float)
-            ts *= step
-            np.minimum(ts, horizon, out=ts)
-            for r in others:
-                x = ts * turns[r]
-                x += halves[r]
-                x -= np.rint(x)
-                ts = ts[np.abs(x, out=x) <= width]
+            # the times go in as a temporary, so that the filter can free
+            # each array it has dropped points from
+            ts = _within(np.minimum((offsets + lo) * step, horizon), turns, halves, others, width)
             worst = _misalignment(ts, turns, halves, np.empty((3, len(ts))))
-        found = _chunk_best(angles, sigmas, epsilon, ts, worst, margin)
+        found = _chunk_best(angles, sigmas, turns, halves, epsilon, ts, worst, margin)
         if found is not None:
             t, val, hit = found
             if hit:
@@ -795,13 +875,15 @@ def time_search(
 ) -> TimeSearchResult:
     """Find t with phase alignment deficit below epsilon.
 
-    Integer mode scans t = 0, 1, .., ``budget``. Real mode uses the closed
-    form t = pi (sigma mod 2) / theta, the least time >= 0 that aligns a
-    single angle, when it lies within t_max, and otherwise the grid of
-    :func:`_real_grid` over [0, t_max] with local refinement; the result
-    never lies past t_max (by default T_MAX_FACTOR / min theta). The
-    smallest acceptable t wins. On failure the best time seen and its
-    deficit are returned with ``success=False``.
+    Integer mode scans t = 0, 1, .., ``budget``; a budget above
+    MAX_GRID_POINTS is cut to it, as the real grid is coarsened to fit, so
+    a bound too large to scan can only miss a success, never invent one.
+    Real mode uses the closed form t = pi (sigma mod 2) / theta, the least
+    time >= 0 that aligns a single angle, when it lies within t_max, and
+    otherwise the grid of :func:`_real_grid` over [0, t_max] with local
+    refinement; the result never lies past t_max (by default
+    T_MAX_FACTOR / min theta). The smallest acceptable t wins. On failure
+    the best time seen and its deficit are returned with ``success=False``.
 
     Angles must be positive and finite, epsilon positive and finite,
     ``budget`` >= 0 and ``t_max`` positive and finite; a bad value raises
@@ -823,6 +905,11 @@ def time_search(
         return TimeSearchResult(success=True, t=0.0, deficit=0.0, mode=mode)
 
     if mode == MODE_INTEGER:
+        if budget > MAX_GRID_POINTS:
+            logger.info(
+                "integer time budget cut %d -> %d to fit MAX_GRID_POINTS", budget, MAX_GRID_POINTS
+            )
+            budget = MAX_GRID_POINTS
         t, deficit, hit = _scan_times(
             angles, sigmas, epsilon, 1.0, float(budget), 1, budget + 1
         )
@@ -842,12 +929,22 @@ def time_search(
     return TimeSearchResult(success=deficit < epsilon, t=t, deficit=deficit, mode=mode)
 
 
-def _exhausted_note(angles, sigmas, epsilon: float, mode: str, t_max, search) -> str:
+def _exhausted_note(
+    angles, sigmas, epsilon: float, mode: str, budget: int, t_max, search
+) -> str:
     """The best deficit of a failed time search and where it was found; in
-    real mode also the grid step scanned, and whether MAX_GRID_POINTS
-    coarsened it past epsilon resolution, epsilon / (4 max theta)."""
+    integer mode also whether MAX_GRID_POINTS cut the budget, in real mode
+    the grid step scanned, and whether MAX_GRID_POINTS coarsened it past
+    epsilon resolution, epsilon / (4 max theta)."""
     note = f"best alignment deficit {search.deficit:.3e} at t={search.t}"
-    if mode != MODE_REAL or not sigmas.any():
+    if not sigmas.any():
+        return note
+    if mode == MODE_INTEGER:
+        if budget > MAX_GRID_POINTS:
+            note += (
+                f" after the integer budget {budget} was cut to fit "
+                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
         return note
     horizon, step, points = _real_grid(angles, epsilon, t_max)
     if _single_angle_time(angles, sigmas, horizon) is not None:
@@ -1022,7 +1119,7 @@ def _mixing_report(
             verdict = SUCCESS if search.success and residual <= slack else BUDGET_EXHAUSTED
             if verdict == BUDGET_EXHAUSTED:
                 cert_notes.append(
-                    _exhausted_note(angles, sigmas, epsilon, mode, t_max, search)
+                    _exhausted_note(angles, sigmas, epsilon, mode, budget, t_max, search)
                 )
         outcome = report(
             certificate=cert, kronecker=kron, t=t, gamma=gamma, residual=residual,

@@ -110,6 +110,21 @@ def dense_decomposition_residuals(
     }
 
 
+def dense_phase_alignment_deficit(angles, sigmas, t):
+    """Oracle for ``phase_alignment_deficit``: the phases laid out time
+    first, as (..., d), and the max over classes taken on the trailing
+    axis."""
+    angles = np.asarray(angles, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    if angles.size == 0:
+        out = np.zeros(ts.shape)
+        return float(out) if ts.ndim == 0 else out
+    phases = np.multiply.outer(ts, angles) + np.pi * sigmas
+    out = 2.0 * np.abs(np.sin(phases / 2.0)).max(axis=-1)
+    return float(out) if ts.ndim == 0 else out
+
+
 def pairwise_orthogonality(ws: WalkSpectrum) -> float:
     """Oracle for the ``orthogonality`` residual: max |P Q| over every pair
     of walk projections, each product formed densely."""

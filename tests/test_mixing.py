@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -602,6 +603,32 @@ def test_budget_exhausted_note_states_the_real_grid_step(monkeypatch):
     assert f"epsilon / (4 max theta) = {fine:.3e}" in note
     report = local_mixing_report(g, 0, 1e-3, "integer", budget=100)
     assert report.verdict == BUDGET_EXHAUSTED and "grid" not in report.notes[-1]
+
+
+def test_integer_budget_past_the_grid_cap_is_cut(monkeypatch, caplog):
+    """An integer budget too large to scan is cut to MAX_GRID_POINTS, as the
+    real grid is coarsened to fit: the search is the one at that budget,
+    the cut is logged, and a budget-exhausted note states it. Cycle:9
+    angles with bits 1111 never align in integer mode."""
+    monkeypatch.setattr(mixing, "MAX_GRID_POINTS", 10**4)
+    angles, sigmas = 2.0 * np.pi * np.arange(1, 5) / 9, np.ones(4, dtype=np.int64)
+    with caplog.at_level("INFO", logger="arcwalk.mixing"):
+        result = time_search(angles, sigmas, 0.1, "integer", budget=10**12)
+    assert "integer time budget cut 1000000000000 -> 10000" in caplog.text
+    assert result == time_search(angles, sigmas, 0.1, "integer", budget=10**4)
+    assert not result.success and 0 < result.t <= 10**4
+    note = functools.partial(mixing._exhausted_note, angles, sigmas, 0.1, "integer")
+    assert note(10**12, None, result).endswith(
+        "after the integer budget 1000000000000 was cut to fit MAX_GRID_POINTS = 10000"
+    )
+    assert "cut" not in note(10**4, None, result)
+    g = GRAPH_BUILDERS["rook4"]()
+    monkeypatch.setattr(mixing, "MAX_GRID_POINTS", 100)
+    report = local_mixing_report(g, 0, 1e-3, "integer", budget=10**12)
+    assert report.verdict == BUDGET_EXHAUSTED
+    assert report.notes[-1].endswith(
+        "after the integer budget 1000000000000 was cut to fit MAX_GRID_POINTS = 100"
+    )
 
 
 @pytest.mark.parametrize("epsilon, t_max", [(0.1, 3.0), (1e-4, 100.0), (1e-4, 1e9)])

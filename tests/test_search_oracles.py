@@ -6,12 +6,14 @@ when sum l_j j = -c l_0: one in pure Python at small sizes, one in numpy
 at the benchmark's sizes. On random angles, up to d = 12, it is compared
 with the block scan it replaced (``conftest.block_relation_scan``). The time
 search is compared with a dense grid that evaluates d sines at every
-point in one pass. Work-count guards check that the scan locates each
-canonical head once, passes only its hits to the exact residual on clean
-cycle scans, and that the time search passes only a small share of its
-grid to the exact deficit.
+point in one pass, through its own (..., d) form of the deficit
+(``conftest.dense_phase_alignment_deficit``). Work-count guards check
+that the scan locates each canonical head once, passes only its hits to
+the exact residual on clean cycle scans, and that the time search takes
+sines at only a small share of its grid, about one per tied point.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from arcwalk import mixing, phase_condition_check, time_search
 from arcwalk.mixing import HOLDS, VIOLATED, TimeSearchResult, relation_scan_bound
 
-from conftest import block_relation_scan
+from conftest import block_relation_scan, dense_phase_alignment_deficit
 
 
 def cycle_angles(c, d):
@@ -178,32 +180,71 @@ def test_relation_scan_matches_the_block_scan_past_six_angles(d):
             assert verdict.bound == bound
 
 
+#: grid points the dense oracle evaluates at once, which bounds its memory
+ORACLE_BLOCK = 2**16
+
+
+def dense_refine(angles, sigmas, t0, val0, radius, horizon):
+    """The refinement of ``mixing._refine_real_time`` on the oracle's
+    deficit: three zooms on 201 points; only a smaller deficit moves t0."""
+    lo, hi = max(t0 - radius, 0.0), min(t0 + radius, horizon)
+    best_t, best_val = t0, val0
+    for _ in range(3):
+        ts = np.linspace(lo, hi, 201)
+        vals = dense_phase_alignment_deficit(angles, sigmas, ts)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_t, best_val = float(ts[i]), float(vals[i])
+        span = (hi - lo) / 50.0
+        lo, hi = max(best_t - span, 0.0), min(best_t + span, horizon)
+    return best_t, best_val
+
+
 def dense_time_search(angles, sigmas, epsilon, mode, budget, t_max):
-    """The time search as one dense pass with d sines per grid point: the
-    first point below epsilon, else the first point of least deficit;
-    real mode clamps its grid to t_max and then refines."""
+    """The time search as one dense pass with d sines per grid point, in
+    blocks of ORACLE_BLOCK points: the first point below epsilon, else the
+    first point of least deficit; real mode clamps its grid to t_max and
+    then refines."""
     angles, sigmas = np.asarray(angles, float), np.asarray(sigmas)
-    best_t, best_val = 0.0, float(mixing.phase_alignment_deficit(angles, sigmas, 0.0))
+    best_t, best_val = 0.0, dense_phase_alignment_deficit(angles, sigmas, 0.0)
     if mode == "integer":
         ts = np.arange(1, budget + 1, dtype=float)
     else:
         step = epsilon / (4.0 * float(angles.max()))
         total = int(np.ceil(t_max / step)) + 1
         ts = np.minimum(np.arange(total, dtype=float) * step, t_max)
-    vals = mixing.phase_alignment_deficit(angles, sigmas, ts)
-    hits = np.flatnonzero(vals < epsilon)
-    if hits.size:
-        best_t, best_val = float(ts[hits[0]]), float(vals[hits[0]])
-    elif ts.size and vals.min() < best_val:
+    for lo in range(0, len(ts), ORACLE_BLOCK):
+        block = ts[lo : lo + ORACLE_BLOCK]
+        vals = dense_phase_alignment_deficit(angles, sigmas, block)
+        hits = np.flatnonzero(vals < epsilon)
+        if hits.size:
+            best_t, best_val = float(block[hits[0]]), float(vals[hits[0]])
+            break
         j = int(np.argmin(vals))
-        best_t, best_val = float(ts[j]), float(vals[j])
+        if vals[j] < best_val:
+            best_t, best_val = float(block[j]), float(vals[j])
     if mode == "real":
-        best_t, best_val = mixing._refine_real_time(
-            angles, sigmas, best_t, best_val, step, t_max
-        )
+        best_t, best_val = dense_refine(angles, sigmas, best_t, best_val, step, t_max)
     return TimeSearchResult(
         success=best_val < epsilon, t=best_t, deficit=best_val, mode=mode
     )
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_phase_alignment_deficit_is_the_dense_form_bit_for_bit(d):
+    """The class-first layout takes the same elementwise steps as the
+    (..., d) oracle, so scalar, 1-D and 2-D times give the same bits."""
+    rng = np.random.default_rng(300 + d)
+    angles, sigmas = rng.uniform(0.01, 3.1, d), rng.integers(-3, 4, d)
+    times = [0.0, 7, float(rng.uniform(0.0, 1e6)), np.arange(0.0, 1e6, 4999.0),
+             rng.uniform(0.0, 1e6, 1000), rng.uniform(0.0, 1e6, (17, 31)),
+             np.arange(20.0).reshape(4, 5) * 50_000.0]
+    for t in times:
+        got = mixing.phase_alignment_deficit(angles, sigmas, t)
+        want = dense_phase_alignment_deficit(angles, sigmas, t)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == np.shape(t)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), t
 
 
 @settings(deadline=None, max_examples=60)
@@ -334,22 +375,136 @@ def test_clean_scan_passes_only_its_hits_to_the_exact_residual(c, bound, mode, m
     assert sum(len(block) for block, _ in decided) <= hits + 4
 
 
+def sine_calls(monkeypatch):
+    """Patch the time search to record the number of sines of every call
+    that takes them, and the size of every candidate set handed to the
+    exact form."""
+    sines, candidates = [], []
+    half_sines, exact = mixing._half_sines, mixing._candidate_deficits
+
+    def counted_sines(phases):
+        sines.append(phases.size)
+        return half_sines(phases)
+
+    def counted_candidates(angles, sigmas, turns, halves, ts, margin):
+        candidates.append(len(ts))
+        return exact(angles, sigmas, turns, halves, ts, margin=margin)
+
+    monkeypatch.setattr(mixing, "_half_sines", counted_sines)
+    monkeypatch.setattr(mixing, "_candidate_deficits", counted_candidates)
+    return sines, candidates
+
+
 def test_failing_real_search_confirms_few_grid_points(monkeypatch):
-    evaluated = []
-    exact = mixing.phase_alignment_deficit
-
-    def counted(angles, sigmas, t):
-        evaluated.append(np.size(t))
-        return exact(angles, sigmas, t)
-
-    monkeypatch.setattr(mixing, "phase_alignment_deficit", counted)
+    sines, _ = sine_calls(monkeypatch)
     angles = cycle_angles(17, 8)
     result = time_search(angles, [1, 0, 0, 0, 0, 0, 0, 0], 0.1, "real")
     assert not result.success
     step = 0.1 / (4.0 * angles.max())
     points = math.ceil(mixing.T_MAX_FACTOR / angles.min() / step) + 1
     assert points > 10**6
-    assert sum(evaluated) < points / 100
+    assert sum(sines) < points / 100
+
+
+def test_tied_candidates_take_about_one_sine_each(monkeypatch):
+    """A failing integer cycle:9 search ties at thousands of points of its
+    periodic orbit, and each tied point is handed to the exact form; the
+    sine is taken only for the classes where the max can sit, about one
+    per point against d = 4 for the whole form. The result is the dense
+    grid's."""
+    sines, candidates = sine_calls(monkeypatch)
+    angles, sigmas = cycle_angles(9, 4), [1, 1, 1, 1]
+    result = time_search(angles, sigmas, 0.1, "integer", budget=20_000)
+    assert result == dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
+    assert not result.success
+    assert sum(candidates) > 10_000
+    assert sum(sines) < 2 * sum(candidates)
+
+
+def violated_bits(rng, d, mode):
+    while lattice_parity_holds((bits := rng.integers(0, 2, d)).tolist(), mode):
+        pass
+    return bits
+
+
+@functools.lru_cache(maxsize=None)
+def tie_shapes(c):
+    """The time-search shapes of the benchmark on cycle:c: violated bits in
+    both modes at epsilon 0.1, alternating bits in real mode at 0.01 and
+    0.003, on a budget of 20,000 or t_max 300, each with the dense grid's
+    answer."""
+    d = (c - 1) // 2
+    rng = np.random.default_rng(c)
+    alternating = np.arange(1, d + 1) % 2
+    shapes = [(violated_bits(rng, d, "integer"), 0.1, "integer"),
+              (violated_bits(rng, d, "real"), 0.1, "real"),
+              (alternating, 0.01, "real"), (alternating, 0.003, "real")]
+    return [(bits, epsilon, mode,
+             dense_time_search(cycle_angles(c, d), bits, epsilon, mode, 20_000, 300.0))
+            for bits, epsilon, mode in shapes]
+
+
+@pytest.mark.parametrize("first", [1, 5, 1024])
+@pytest.mark.parametrize("c", [9, 13, 17])
+def test_cycle_searches_full_of_exact_ties_match_the_dense_grid(c, first, monkeypatch):
+    """Periodic cycle orbits tie at thousands of grid points, and rounding
+    decides which is the first of least: a sine left out where the max
+    sits would show here as another t or deficit."""
+    monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
+    angles = cycle_angles(c, (c - 1) // 2)
+    for bits, epsilon, mode, want in tie_shapes(c):
+        got = time_search(angles, bits, epsilon, mode, budget=20_000, t_max=300.0)
+        assert got == want, (bits, epsilon, mode)
+
+
+@pytest.mark.parametrize("bits", ["1101", "1111"])
+def test_integer_cycle_search_at_the_benchmark_budget_matches_the_dense_grid(bits):
+    """A failing integer cycle:9 search over the benchmark's 10^6 steps:
+    the phases reach 3e6, where the exact and screened forms part by the
+    most, and ties of the least deficit run through the whole orbit."""
+    angles, bits = cycle_angles(9, 4), [int(b) for b in bits]
+    want = dense_time_search(angles, bits, 0.1, "integer", 10**6, None)
+    assert time_search(angles, bits, 0.1, "integer", budget=10**6) == want
+
+
+def test_candidate_deficits_are_the_exact_form_near_the_flat_top():
+    """Points where several classes sit near half a turn, with deficits
+    within 1e-9 of 2 where the sine is flattest, and points on cycle
+    orbits: the restricted form gives the exact form's bits."""
+    rng = np.random.default_rng(23)
+    cases = [(np.array([1e-9, 3e-9, 2.0, 2.5e-9]), np.ones(4, dtype=np.int64),
+              rng.uniform(0.0, 10.0, 3000)),
+             (cycle_angles(17, 8), rng.integers(0, 2, 8), np.arange(0.0, 4000.0)),
+             (rng.uniform(0.05, 3.1, 12), rng.integers(-2, 3, 12), rng.uniform(0.0, 1e6, 500))]
+    for angles, sigmas, ts in cases:
+        assert len(ts) * len(angles) >= mixing.RESTRICT_SINES
+        turns, halves = angles / (2.0 * np.pi), (sigmas % 2) / 2.0
+        margin = 1e-12 * (1.0 + ts.max() * angles.max() + np.pi * np.abs(sigmas).max())
+        got = mixing._candidate_deficits(angles, sigmas, turns, halves, ts, margin=margin)
+        want = dense_phase_alignment_deficit(angles, sigmas, ts)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c, bits", [(13, "001000"), (17, "00010000"), (17, "01010101")])
+def test_full_dense_chunks_filtered_class_by_class_match_the_dense_grid(c, bits, monkeypatch):
+    """Failing real cycle searches whose best misalignment stays between
+    the run width and 1/2 (1/3, 1/3 and 7/18 over [0, 1500]): their full
+    DENSE_CHUNK chunks are filtered on every class in turn, and the answer
+    is the dense grid's."""
+    filtered = []
+    within = mixing._within
+
+    def recorded(ts, turns, halves, classes, width):
+        if len(classes) == len(turns):
+            filtered.append(len(ts))
+        return within(ts, turns, halves, classes, width)
+
+    monkeypatch.setattr(mixing, "_within", recorded)
+    angles, bits = cycle_angles(c, len(bits)), [int(b) for b in bits]
+    want = dense_time_search(angles, bits, 0.1, "real", 0, 1500.0)
+    got = time_search(angles, bits, 0.1, "real", t_max=1500.0)
+    assert got == want and not got.success
+    assert filtered and set(filtered) == {mixing.DENSE_CHUNK}
 
 
 def run_chunks(monkeypatch):
