@@ -575,21 +575,29 @@ def _half_sines(phases) -> np.ndarray:
     return np.abs(phases, out=phases)
 
 
+def _phases(angles, sigmas, ts, out=None) -> np.ndarray:
+    """The phases t theta_r + sigma_r pi at the points of the 1-D ``ts`` as
+    one (d, len(ts)) array, class first, written to ``out`` when given.
+    Every deficit of the time search is taken from phases built here, so
+    that its forms agree bit for bit."""
+    phases = np.multiply.outer(angles, ts, out=out)
+    phases += (np.pi * sigmas)[:, None]
+    return phases
+
+
 def phase_alignment_deficit(angles, sigmas, t) -> np.ndarray | float:
     """Max over classes of |e^{i(t theta + sigma pi)} - 1|, vectorized in t.
 
-    The phases t theta_r + sigma_r pi are laid out as one (d, ...) array,
-    class first, so the max runs over the leading axis."""
+    The phases (:func:`_phases`) are laid out class first, so the max runs
+    over the leading axis."""
     angles = np.asarray(angles, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     ts = np.asarray(t, dtype=float)
     if angles.size == 0:
         out = np.zeros(ts.shape)
         return float(out) if ts.ndim == 0 else out
-    phases = np.multiply.outer(angles, ts)
-    phases += (np.pi * sigmas).reshape((-1,) + (1,) * ts.ndim)
-    out = 2.0 * _half_sines(phases).max(axis=0)
-    return float(out) if ts.ndim == 0 else out
+    out = _half_sines(_phases(angles, sigmas, ts.ravel())).max(axis=0)
+    return 2.0 * float(out[0]) if ts.ndim == 0 else 2.0 * out.reshape(ts.shape)
 
 
 @dataclass(frozen=True)
@@ -682,21 +690,29 @@ def _run_offsets(lo, n, step, turn, half, width) -> np.ndarray:
     return offsets
 
 
+def _screened(turns, halves, ts) -> np.ndarray:
+    """dist(t turn_r + half_r, Z) at every t, the steps of
+    :func:`_misalignment` taken at once: class first, (d, len(ts)) for
+    arrays of turns and halves, len(ts) for one class."""
+    x = np.multiply.outer(turns, ts)
+    x += np.reshape(halves, np.shape(turns) + (1,))
+    x -= np.rint(x)
+    return np.abs(x, out=x)
+
+
 def _within(ts, turns, halves, classes, width) -> np.ndarray:
     """The points of ``ts`` at which every one of ``classes`` lies within
     ``width`` of an integer, as :func:`_misalignment` takes it; the points
     past it are dropped one class at a time, so later classes see fewer."""
     for r in classes:
-        x = ts * turns[r]
-        x += halves[r]
-        x -= np.rint(x)
-        ts = ts[np.abs(x, out=x) <= width]
+        ts = ts[_screened(turns[r], halves[r], ts) <= width]
     return ts
 
 
 #: a candidate set that would take fewer sines than this takes them all:
-#: the passes that pick the classes cost more than the sines they save
-RESTRICT_SINES = 2048
+#: picking the classes costs about 10 us more per set, which the sines it
+#: saves repay only from about 3,000-4,000 sines on (d = 4, 8 and 12)
+RESTRICT_SINES = 4096
 #: a point whose screened misalignment exceeds this (deficit above
 #: 2 sin(0.499 pi), within 2e-5 of 2) takes the sine of every class; see
 #: :func:`_candidate_deficits`
@@ -726,18 +742,14 @@ def _candidate_deficits(angles, sigmas, turns, halves, ts, margin) -> np.ndarray
     """
     if len(ts) * len(angles) < RESTRICT_SINES:
         return phase_alignment_deficit(angles, sigmas, ts)
-    x = np.multiply.outer(turns, ts)
-    x += halves[:, None]
-    x -= np.rint(x)
-    np.abs(x, out=x)
+    x = _screened(turns, halves, ts)
     worst = x.max(axis=0)
     floor = worst - 4.0 * margin
     floor[worst > FLAT_TOP] = -1.0
     kept = np.flatnonzero(x >= floor)
     # the phases of phase_alignment_deficit, in the same (d, len(ts)) array;
     # the classes left out read 0, below the max
-    phases = np.multiply.outer(angles, ts, out=x)
-    phases += (np.pi * sigmas)[:, None]
+    phases = _phases(angles, sigmas, ts, out=x)
     deficits = _half_sines(phases.ravel()[kept])
     phases.fill(0.0)
     phases.ravel()[kept] = deficits
@@ -752,10 +764,9 @@ def _chunk_best(
     deficit and False, or None when there are no points. Only the points
     that screen within the margin of epsilon, or of the least screened
     value, are passed to the exact form (:func:`_candidate_deficits`)."""
-    exact = functools.partial(_candidate_deficits, angles, sigmas, turns, halves, margin=margin)
     near = np.flatnonzero(worst <= _misalignment_at_most(epsilon + margin) + margin)
     if near.size:
-        deficits = exact(ts[near])
+        deficits = _candidate_deficits(angles, sigmas, turns, halves, ts[near], margin)
         below = np.flatnonzero(deficits < epsilon)
         if below.size:
             j = int(below[0])
@@ -764,7 +775,7 @@ def _chunk_best(
         return None
     least = 2.0 * math.sin(math.pi * float(worst.min()))
     near = np.flatnonzero(worst <= _misalignment_at_most(least + margin) + margin)
-    deficits = exact(ts[near])
+    deficits = _candidate_deficits(angles, sigmas, turns, halves, ts[near], margin)
     j = int(np.argmin(deficits))
     return float(ts[near[j]]), float(deficits[j]), False
 
@@ -801,7 +812,7 @@ def _scan_times(
     top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
     slow = int(np.argmin(turns))
     others = [r for r in range(len(turns)) if r != slow]
-    delta, fast = step * float(turns[slow]), step * float(turns.max())
+    delta, fast = step * float(turns[slow]), step * (top / (2.0 * np.pi))
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
     index, work = np.empty(0), np.empty((4, 0))
     lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
