@@ -61,12 +61,6 @@ class DirectWitness:
     max_residual: float
 
 
-def _projected_ratio(E_col: np.ndarray, vec: np.ndarray) -> complex:
-    """Least-squares coefficient c with vec ~ c * E_col."""
-    denom = float(E_col @ E_col)
-    return complex(np.vdot(E_col, vec)) / denom
-
-
 def check_strong_cospectrality(
     dec: SpectralDecomposition,
     arc_space: ArcSpace,
@@ -80,6 +74,13 @@ def check_strong_cospectrality(
     within ``tau``, the string ``"not cospectral"`` otherwise. Bipartite
     graphs are rejected with ValueError since the head equation for the
     -k class degenerates there.
+
+    Every class is decided at once in the coordinates of ``dec.vectors``:
+    E_r = V_r V_r^T with V_r orthonormal, so ||E_r z|| = ||V_r^T z|| and
+    <E_r e_a, E_r z> = <V_r^T e_a, V_r^T z>. The three coefficient vectors
+    V^T e_a = V[a], V^T T y and V^T H y give each class's projected ratio
+    (the least-squares cosine of its equation) and residual as block sums
+    over the class's columns, in O(n^2 + m) for all classes.
     """
     if dec.has_minus_k:
         raise ValueError("adjacency-level check is restricted to non-bipartite graphs")
@@ -87,71 +88,51 @@ def check_strong_cospectrality(
         raise ValueError(f"vertex {a} out of range [0, {dec.n})")
     if len(y) != arc_space.num_arcs:
         raise ValueError("target state lives on the wrong number of arcs")
-    sqrt_k = np.sqrt(dec.k)
-    Ty = tail_sum(arc_space, y.amplitudes)
-    # an arc's head is the tail of its reverse
-    Hy = tail_sum(arc_space, y.amplitudes[arc_space.reversal_perm])
-    support = set(eigenvalue_support(dec, a))
-    residuals: dict[str, float] = {}
+    sqrt_k, starts, d = np.sqrt(dec.k), dec.class_starts, dec.num_classes
+    y = y.amplitudes
+    # T y and H y, an arc's head being the tail of its reverse
+    images = np.stack([tail_sum(arc_space, y), tail_sum(arc_space, y[arc_space.reversal_perm])], 1)
+    parts = dec.vectors.T @ np.hstack([images.real, images.imag])
+    coeffs = parts[:, :2] + 1j * parts[:, 2:]  # V^T T y, V^T H y
+    v = dec.vectors[a]
+    norms = np.add.reduceat(v * v, starts)[:, None]  # ||E_r e_a||^2
+    support = np.zeros(d, dtype=bool)
+    support[list(eigenvalue_support(dec, a))] = True
+    # per class, (tail, head) ratios c with V_r^T (T y, H y) ~ sqrt(k) c V_r^T e_a,
+    # zero outside the support of a
+    dots = np.add.reduceat(v[:, None] * coeffs, starts)
+    ratio = np.divide(dots, sqrt_k * norms, out=np.zeros_like(dots), where=support[:, None])
 
     # valency class: sqrt(k) E_0 e_a = +- E_0 T y = +- E_0 H y, same sign
-    e0_col = dec.idempotents[0][:, a]
-    ratio = _projected_ratio(e0_col, Ty) / sqrt_k
-    if abs(ratio.imag) > tau or abs(abs(ratio.real) - 1.0) > tau:
+    lead = ratio[0, 0]
+    sign_e0 = 1 if lead.real > 0 else -1
+    # the other cosines are real and at most 1 in modulus, in the unit of the
+    # residuals: an error c in a cosine moves its equation by c sqrt(k) ||E_r e_a||
+    excess = np.maximum(np.abs(ratio[1:].imag), np.abs(ratio[1:].real) - 1.0)
+    rejected = (
+        abs(lead.imag) > tau or abs(abs(lead.real) - 1.0) > tau
+        or (sqrt_k * np.sqrt(norms[1:]) * excess > tau).any()
+    )
+
+    ratio[0] = sign_e0  # the valency class is held to its sign, delta_0 = 0 or pi
+    cos_tail, cos_head = ratio.real.T
+    base = np.arccos(np.clip(cos_tail, -1.0, 1.0))
+    # the head equation disambiguates the sign of delta, unless |sin delta|
+    # is too small to observe it and delta snaps to 0 or pi
+    err_plus = np.abs(np.cos(base + dec.angles) - cos_head)
+    err_minus = np.abs(np.cos(-base + dec.angles) - cos_head)
+    delta = np.where(np.abs(np.sin(base)) < SIN_SNAP, np.where(cos_tail > 0, 0.0, np.pi),
+                     np.where(err_plus <= err_minus, base, -base))
+    # the images each class should have: sqrt(k) (cos delta, cos(delta + theta))
+    # times V_r^T e_a on the support, zero outside it, where the class must
+    # annihilate the target's incidence images as it does e_a
+    expected = np.stack([cos_tail, np.cos(delta + dec.angles)], axis=1) * support[:, None]
+    misfit = coeffs - sqrt_k * np.repeat(expected, dec.multiplicities, axis=0) * v[:, None]
+    residual = np.sqrt(np.add.reduceat(np.abs(misfit) ** 2, starts)).max(axis=1)
+    if rejected or (residual > tau).any():
         return NOT_COSPECTRAL
-    sign_e0 = 1 if ratio.real > 0 else -1
-    res_tail = float(np.linalg.norm(dec.idempotents[0] @ Ty - sign_e0 * sqrt_k * e0_col))
-    res_head = float(np.linalg.norm(dec.idempotents[0] @ Hy - sign_e0 * sqrt_k * e0_col))
-    residuals["class0"] = max(res_tail, res_head)
-    if residuals["class0"] > tau:
-        return NOT_COSPECTRAL
-
-    deltas: dict[int, float | None] = {}
-    for r in range(1, dec.num_classes):
-        E = dec.idempotents[r]
-        proj_tail = E @ Ty
-        proj_head = E @ Hy
-        if r not in support:
-            # no constraint on delta_r, but the class must annihilate the
-            # target's incidence images as it does e_a
-            off = max(float(np.linalg.norm(proj_tail)), float(np.linalg.norm(proj_head)))
-            residuals[f"class{r}"] = off
-            if off > tau:
-                return NOT_COSPECTRAL
-            deltas[r] = None
-            continue
-
-        E_col = E[:, a]
-        theta = float(dec.angles[r])
-        # cosines are tested in the unit of the residuals: an error c in a
-        # cosine moves its equation by c * sqrt(k) ||E_r e_a||
-        scale = sqrt_k * float(np.linalg.norm(E_col))
-        ct = _projected_ratio(E_col, proj_tail) / sqrt_k
-        ch = _projected_ratio(E_col, proj_head) / sqrt_k
-        if scale * max(abs(ct.imag), abs(ch.imag)) > tau:
-            return NOT_COSPECTRAL
-        cos_tail, cos_head = ct.real, ch.real
-        if scale * (max(abs(cos_tail), abs(cos_head)) - 1.0) > tau:
-            return NOT_COSPECTRAL
-        res_tail = float(np.linalg.norm(proj_tail - sqrt_k * cos_tail * E_col))
-        if res_tail > tau:
-            return NOT_COSPECTRAL
-
-        base = float(np.arccos(np.clip(cos_tail, -1.0, 1.0)))
-        if abs(np.sin(base)) < SIN_SNAP:
-            # sign of delta unobservable here; snap to 0 or pi
-            delta = 0.0 if cos_tail > 0 else np.pi
-        else:
-            # head equation disambiguates the sign of delta
-            err_plus = abs(np.cos(base + theta) - cos_head)
-            err_minus = abs(np.cos(-base + theta) - cos_head)
-            delta = base if err_plus <= err_minus else -base
-        res_head = float(np.linalg.norm(proj_head - sqrt_k * np.cos(delta + theta) * E_col))
-        residuals[f"class{r}"] = max(res_tail, res_head)
-        if res_head > tau:
-            return NOT_COSPECTRAL
-        deltas[r] = delta
-
+    deltas = dict(zip(range(1, d), np.where(support, delta, None)[1:].tolist()))
+    residuals = dict(zip(map("class{}".format, range(d)), residual.tolist()))
     return CospectralityWitness(sign_e0=sign_e0, deltas=deltas, residuals=residuals)
 
 

@@ -396,7 +396,8 @@ def phase_condition_check(
     makes alignment impossible at any precision; no violation up to the
     scanned bound reports ``holds`` (or ``inconclusive`` when the
     enumeration cap forced a smaller bound than requested). Angles and
-    sigmas must be 1-D, finite and of equal length; otherwise ValueError.
+    sigmas must be 1-D, finite and of equal length, and ``tau_rel`` must be
+    non-negative (inf is allowed); otherwise ValueError.
 
     The scan covers the canonical half of the box [-B, B]^d (first nonzero
     coefficient positive) in lexicographic order, and meets in the middle:
@@ -417,6 +418,8 @@ def phase_condition_check(
     d = len(angles)
     if bound < 1:
         raise ValueError(f"relation bound must be >= 1, got {bound}")
+    if not tau_rel >= 0:  # NaN too: a tolerance that accepts nothing says `holds`
+        raise ValueError(f"tau_rel must be non-negative, got {tau_rel}")
     integer = mode == MODE_INTEGER
     verdict = functools.partial(KroneckerVerdict, mode=mode, requested_bound=bound)
     if d == 0:
@@ -442,8 +445,7 @@ def phase_condition_check(
     row_parity = sigmas[outer:] @ grid.T
     row_gcd = None  # formed at the first hit; violated scans rarely need it
     margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
-    # a negative tau_rel accepts no row, so the window is at least the margin
-    width = max(tau_rel / (2 * np.pi) if integer else tau_rel, 0.0) + margin
+    width = (tau_rel / (2 * np.pi) if integer else tau_rel) + margin
 
     # candidates are built in place after the relations kept so far, and
     # the kept ones are moved down over the rest

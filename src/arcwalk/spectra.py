@@ -24,6 +24,8 @@ COMPLETENESS_TOL = 1e-10
 TAU_GROUP_FACTOR = 1e-8
 #: support cutoff factor, scaled by sqrt(n)
 TAU_SUPPORT_FACTOR = 1e-10
+#: most bytes an idempotent stack, a walk spectrum build or a closed-form check takes
+MAX_SPECTRUM_BYTES = 2**29
 
 
 class DecompositionError(ValueError):
@@ -138,7 +140,8 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     Raises
     ------
     ValueError
-        For non-regular or disconnected input.
+        For non-regular, disconnected or edgeless input, and before a
+        (classes, n, n) idempotent stack over MAX_SPECTRUM_BYTES is allocated.
     DecompositionError
         When the verification suite fails, with residual diagnostics.
     """
@@ -147,8 +150,10 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     if not g.is_connected:
         raise ValueError("eigendecomposition requires a connected graph")
     k = g.degree
+    if k < 1:
+        raise ValueError("eigendecomposition requires valency at least 1")
     if tau_group is None:
-        tau_group = TAU_GROUP_FACTOR * max(k, 1)
+        tau_group = TAU_GROUP_FACTOR * k
 
     A = g.adjacency.astype(float)
     values, vectors = np.linalg.eigh(A)
@@ -157,15 +162,15 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     vectors.setflags(write=False)
 
     # Chain consecutive eigenvalues closer than tau_group into one class.
-    boundaries = [0]
-    for i in range(1, g.n):
-        if values[i - 1] - values[i] > tau_group:
-            boundaries.append(i)
-    boundaries.append(g.n)
-
+    boundaries = [0, *(np.flatnonzero(-np.diff(values) > tau_group) + 1).tolist(), g.n]
+    classes = len(boundaries) - 1
+    size = 8 * classes * g.n**2
+    if size > MAX_SPECTRUM_BYTES:
+        raise ValueError(f"idempotents of {classes} classes on {g.n} vertices need {size >> 20} "
+                         f"MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB")
     eigenvalues = []
     multiplicities = []
-    idempotents = np.empty((len(boundaries) - 1, g.n, g.n))
+    idempotents = np.empty((classes, g.n, g.n))
     for E, lo, hi in zip(idempotents, boundaries[:-1], boundaries[1:]):
         block = vectors[:, lo:hi]
         S = block @ block.T

@@ -26,14 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectra import SpectralDecomposition
+from .spectra import MAX_SPECTRUM_BYTES, SpectralDecomposition
 
 #: tolerance for the walk projection suite and spectral resolution of U
 TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
-#: most bytes a :func:`walk_spectrum` build or :func:`check_closed_form` block takes
-MAX_SPECTRUM_BYTES = 2**29
 #: complex (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond
 #: the stored arrays at its peak, without and with verification (traced with
 #: tracemalloc: m x m on rook:8, 1.0 and 3.5; m x n on cycle:4, 9.2 and 13.1
@@ -358,6 +356,14 @@ def _eigen_defect(
     return E
 
 
+def _angle_columns(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``dec.vectors`` whose classes have an angle theta in
+    (0, pi), a view, and the angle of each column."""
+    live = dec.num_classes - dec.has_minus_k
+    first, stop = dec.multiplicities[0], dec.n - dec.has_minus_k * dec.multiplicities[-1]
+    return dec.vectors[:, first:stop], np.repeat(dec.angles[1:live], dec.multiplicities[1:live])
+
+
 def walk_spectrum(
     dec: SpectralDecomposition, arc_space: ArcSpace, verify: bool = True
 ) -> WalkSpectrum:
@@ -384,22 +390,19 @@ def walk_spectrum(
     with a ValueError before any array is allocated.
     """
     k, m = arc_space.k, arc_space.num_arcs
-    live = dec.num_classes - dec.has_minus_k
-    sizes = dec.multiplicities[1:live]
-    first, columns = int(dec.multiplicities[0]), int(sizes.sum())
+    V, theta = _angle_columns(dec)
     # the two real m x m projections are one complex array's worth
     square, workspace = WORKSPACE_ARRAYS[verify]
-    _within_limit(16 * m * ((1 + square) * m + columns + workspace * arc_space.n),
+    _within_limit(16 * m * ((1 + square) * m + V.shape[1] + workspace * arc_space.n),
                   f"walk spectrum on {m} arcs")
 
-    V = dec.vectors[:, first : first + columns]
-    theta = np.repeat(dec.angles[1:live], sizes)
     W = V[arc_space.tails] - np.exp(1j * theta) * V[arc_space.heads]
     W /= np.sqrt(2.0 * k) * np.sin(theta)
     W.setflags(write=False)
     pairs = tuple(
         EigenphasePair(index=r, theta=float(dec.angles[r]), factor=W[:, lo : lo + size])
-        for r, lo, size in zip(range(1, live), dec.class_starts[1:live] - first, sizes)
+        for r, lo, size in zip(range(1, dec.num_classes - dec.has_minus_k),
+                               dec.class_starts[1:] - dec.multiplicities[0], dec.multiplicities[1:])
     )
 
     # Re W W^H from the real and imaginary parts, two real products
@@ -442,7 +445,7 @@ class State:
         if amp.ndim != 1:
             raise ValueError(f"state must be a vector, got shape {amp.shape}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {STATE_NORM_TOL}")
         amp = amp.copy()
         amp.setflags(write=False)
@@ -517,26 +520,31 @@ def evolve_by_projections(
     dec: SpectralDecomposition, arc_space: ArcSpace, x: np.ndarray, t: float
 ) -> np.ndarray:
     """:func:`evolve_operator` on one real arc vector x, with each projection
-    of :func:`walk_spectrum` applied to x without being formed, in
-    O(d n^2 + d m) for d angle classes: F_{+theta} x = (T - e^{i theta} H)^T y
-    with y = E (T x - e^{-i theta} H x) / (2 k sin^2 theta), F_{-theta} x is
-    its conjugate, and the rest P x = x - sum 2 Re F_{+theta} x splits into
-    F_{+1} x = (P x + U P x) / 2 and F_{-1} x = P x - F_{+1} x.
+    of :func:`walk_spectrum` applied to x without being formed, in O(n N + m)
+    for the N columns V of ``dec.vectors`` with an angle theta in (0, pi).
+    F_{+theta_r} x = (T - e^{i theta} H)^T V_r V_r^T (T x - e^{-i theta} H x)
+    / (2 k sin^2 theta), so with c = (V^T T x - e^{-i theta} V^T H x) /
+    (2 k sin^2 theta), one coefficient per column,
+
+        sum_r e^{i t theta_r} F_{+theta_r} x = (V c_t)[tails] - (V (e^{i theta} c_t))[heads]
+
+    for c_t = e^{i t theta} c: one product of V with four columns, t = 0 and
+    t. F_{-theta} x is the conjugate, and the rest P x = x - sum 2 Re F_{+theta} x
+    splits into F_{+1} x = (P x + U P x) / 2 and F_{-1} x = P x - F_{+1} x.
     """
     x = np.asarray(x, dtype=float)
-    k, tails, heads = arc_space.k, arc_space.tails, arc_space.heads
-    tail_x = tail_sum(arc_space, x)
-    head_x = tail_sum(arc_space, x[arc_space.reversal_perm])  # H x = T R x
-    rest, out = x.copy(), np.zeros(len(x), dtype=complex)
-    for r in range(1, dec.num_classes - dec.has_minus_k):
-        theta = float(dec.angles[r])
-        phase = np.exp(1j * theta)
-        y = dec.idempotents[r] @ (tail_x - np.conj(phase) * head_x)
-        plus = (y[tails] - phase * y[heads]) / (2.0 * k * np.sin(theta) ** 2)
-        rest -= 2.0 * plus.real
-        out += 2.0 * (np.exp(1j * theta * t) * plus).real
+    V, theta = _angle_columns(dec)
+    phase = np.exp(1j * theta)
+    tail_c = V.T @ tail_sum(arc_space, x)
+    head_c = V.T @ tail_sum(arc_space, x[arc_space.reversal_perm])  # H x = T R x
+    c = (tail_c - phase.conj() * head_c) / (2.0 * arc_space.k * np.sin(theta) ** 2)
+    turned = np.exp(1j * t * theta) * c
+    # only real parts reach 2 Re F_{+theta} x, so the four vertex arrays are real
+    tail, head, tail_t, head_t = np.stack([c, phase * c, turned, phase * turned]).real @ V.T
+    tails, heads = arc_space.tails, arc_space.heads
+    rest = x - 2.0 * (tail[tails] - head[heads])
     plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
-    return out + plus1 + _minus_one_power(t) * (rest - plus1)
+    return 2.0 * (tail_t[tails] - head_t[heads]) + plus1 + _minus_one_power(t) * (rest - plus1)
 
 
 def _class_weights(theta: np.ndarray) -> np.ndarray:
@@ -645,6 +653,9 @@ def check_closed_form(
     n, m = arc_space.n, arc_space.num_arcs
     columns = np.asarray(columns)
     if columns.ndim == 1:
+        outside = columns[(columns < 0) | (columns >= n)]
+        if outside.size:
+            raise ValueError(f"vertex {outside[0]} out of range [0, {n})")
         columns = (np.arange(n)[:, None] == columns).astype(float)
     if columns.shape[0] != n:
         raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {n}")

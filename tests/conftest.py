@@ -19,7 +19,17 @@ from arcwalk import (
     transition_matrix,
     walk_spectrum,
 )
-from arcwalk.walk import TAU_WALK, ArcSpace, _eigen_defect, coin_unitarity, tail_sum
+from arcwalk.cospec import NOT_COSPECTRAL, SIN_SNAP, TAU_COSP, CospectralityWitness
+from arcwalk.spectra import eigenvalue_support
+from arcwalk.walk import (
+    TAU_WALK,
+    ArcSpace,
+    _eigen_defect,
+    _minus_one_power,
+    apply_walk,
+    coin_unitarity,
+    tail_sum,
+)
 
 GRAPH_BUILDERS = {
     "k4": lambda: complete_graph(4),
@@ -243,3 +253,106 @@ def block_relation_scan(angles, sigmas, mode, bound, tau_rel=1e-9):
             if math.gcd(*vec) == 1:
                 relations.append(tuple(vec))
     return "holds", tuple(relations), None
+
+
+def _projected_ratio(E_col: np.ndarray, vec: np.ndarray) -> complex:
+    """Least-squares coefficient c with vec ~ c * E_col."""
+    denom = float(E_col @ E_col)
+    return complex(np.vdot(E_col, vec)) / denom
+
+
+def per_class_cospectrality(dec, arc_space, a, y, tau=TAU_COSP):
+    """Oracle for ``check_strong_cospectrality``: the adjacency-level
+    equations decided one eigenvalue class at a time on the dense
+    idempotents E_r, with an early return at the first failed equation."""
+    if dec.has_minus_k:
+        raise ValueError("adjacency-level check is restricted to non-bipartite graphs")
+    if not 0 <= a < dec.n:
+        raise ValueError(f"vertex {a} out of range [0, {dec.n})")
+    if len(y) != arc_space.num_arcs:
+        raise ValueError("target state lives on the wrong number of arcs")
+    sqrt_k = np.sqrt(dec.k)
+    Ty = tail_sum(arc_space, y.amplitudes)
+    # an arc's head is the tail of its reverse
+    Hy = tail_sum(arc_space, y.amplitudes[arc_space.reversal_perm])
+    support = set(eigenvalue_support(dec, a))
+    residuals: dict[str, float] = {}
+
+    # valency class: sqrt(k) E_0 e_a = +- E_0 T y = +- E_0 H y, same sign
+    e0_col = dec.idempotents[0][:, a]
+    ratio = _projected_ratio(e0_col, Ty) / sqrt_k
+    if abs(ratio.imag) > tau or abs(abs(ratio.real) - 1.0) > tau:
+        return NOT_COSPECTRAL
+    sign_e0 = 1 if ratio.real > 0 else -1
+    res_tail = float(np.linalg.norm(dec.idempotents[0] @ Ty - sign_e0 * sqrt_k * e0_col))
+    res_head = float(np.linalg.norm(dec.idempotents[0] @ Hy - sign_e0 * sqrt_k * e0_col))
+    residuals["class0"] = max(res_tail, res_head)
+    if residuals["class0"] > tau:
+        return NOT_COSPECTRAL
+
+    deltas: dict[int, float | None] = {}
+    for r in range(1, dec.num_classes):
+        E = dec.idempotents[r]
+        proj_tail = E @ Ty
+        proj_head = E @ Hy
+        if r not in support:
+            # no constraint on delta_r, but the class must annihilate the
+            # target's incidence images as it does e_a
+            off = max(float(np.linalg.norm(proj_tail)), float(np.linalg.norm(proj_head)))
+            residuals[f"class{r}"] = off
+            if off > tau:
+                return NOT_COSPECTRAL
+            deltas[r] = None
+            continue
+
+        E_col = E[:, a]
+        theta = float(dec.angles[r])
+        # cosines are tested in the unit of the residuals: an error c in a
+        # cosine moves its equation by c * sqrt(k) ||E_r e_a||
+        scale = sqrt_k * float(np.linalg.norm(E_col))
+        ct = _projected_ratio(E_col, proj_tail) / sqrt_k
+        ch = _projected_ratio(E_col, proj_head) / sqrt_k
+        if scale * max(abs(ct.imag), abs(ch.imag)) > tau:
+            return NOT_COSPECTRAL
+        cos_tail, cos_head = ct.real, ch.real
+        if scale * (max(abs(cos_tail), abs(cos_head)) - 1.0) > tau:
+            return NOT_COSPECTRAL
+        res_tail = float(np.linalg.norm(proj_tail - sqrt_k * cos_tail * E_col))
+        if res_tail > tau:
+            return NOT_COSPECTRAL
+
+        base = float(np.arccos(np.clip(cos_tail, -1.0, 1.0)))
+        if abs(np.sin(base)) < SIN_SNAP:
+            # sign of delta unobservable here; snap to 0 or pi
+            delta = 0.0 if cos_tail > 0 else np.pi
+        else:
+            # head equation disambiguates the sign of delta
+            err_plus = abs(np.cos(base + theta) - cos_head)
+            err_minus = abs(np.cos(-base + theta) - cos_head)
+            delta = base if err_plus <= err_minus else -base
+        res_head = float(np.linalg.norm(proj_head - sqrt_k * np.cos(delta + theta) * E_col))
+        residuals[f"class{r}"] = max(res_tail, res_head)
+        if res_head > tau:
+            return NOT_COSPECTRAL
+        deltas[r] = delta
+
+    return CospectralityWitness(sign_e0=sign_e0, deltas=deltas, residuals=residuals)
+
+
+def per_class_evolve_by_projections(dec, arc_space, x, t):
+    """Oracle for ``evolve_by_projections``: each class's F_{+theta} x
+    formed from its dense n x n idempotent, one class at a time."""
+    x = np.asarray(x, dtype=float)
+    k, tails, heads = arc_space.k, arc_space.tails, arc_space.heads
+    tail_x = tail_sum(arc_space, x)
+    head_x = tail_sum(arc_space, x[arc_space.reversal_perm])  # H x = T R x
+    rest, out = x.copy(), np.zeros(len(x), dtype=complex)
+    for r in range(1, dec.num_classes - dec.has_minus_k):
+        theta = float(dec.angles[r])
+        phase = np.exp(1j * theta)
+        y = dec.idempotents[r] @ (tail_x - np.conj(phase) * head_x)
+        plus = (y[tails] - phase * y[heads]) / (2.0 * k * np.sin(theta) ** 2)
+        rest -= 2.0 * plus.real
+        out += 2.0 * (np.exp(1j * theta * t) * plus).real
+    plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
+    return out + plus1 + _minus_one_power(t) * (rest - plus1)

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import logging
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -115,6 +116,28 @@ def test_oversized_graphs_exit_two_before_allocating(args, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oversized_idempotent_stack_exits_two(tmp_path, capsys):
+    """A random cubic graph of order 512 has 512 classes, an idempotent stack
+    of 1 GiB, over the 512 MiB limit: refused after eigh, before the stack."""
+    h = nx.random_regular_graph(3, 512, seed=1)
+    assert nx.is_connected(h)
+    path = tmp_path / "cubic-512.edges"
+    path.write_text(write_edge_list(graph_from_adjacency(nx.to_numpy_array(h, dtype=np.int64))))
+    code, out, err = run_cli(["analyze", "--edges", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: idempotents of 512 classes on 512 vertices need 1024 MiB, over the limit of 512 MiB\n"
+
+
+def test_one_vertex_graph_exits_two_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "one.edges"
+    path.write_text("1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["analyze", "--edges", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: eigendecomposition requires valency at least 1\n"
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["evolve", "--t", "2.5"]], ids=["analyze", "evolve"])

@@ -244,6 +244,10 @@ def test_closed_form_input_checks():
         check_closed_form(k4.dec, k4.arcs, np.ones((3, 2)))
     with pytest.raises(ValueError, match="out of range"):
         walk.entry_formula(k4.dec, k4.arcs, 4, 1.0)
+    petersen = get_bundle("petersen")
+    for vertex in (10, -1):
+        with pytest.raises(ValueError, match=rf"vertex {vertex} out of range \[0, 10\)"):
+            check_closed_form(petersen.dec, petersen.arcs, [0, vertex])
 
 
 @functools.lru_cache(maxsize=None)

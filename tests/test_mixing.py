@@ -294,6 +294,18 @@ def test_phase_condition_input_checks():
         phase_condition_check([0.5], 1, "real")
 
 
+def test_phase_condition_refuses_nan_or_negative_tau_rel():
+    """1 + 2 - 3 = 0 has odd parity, so the scan is violated; a tolerance
+    that accepts no relation would turn it into a silent `holds`."""
+    assert phase_condition_check([1.0, 2.0, 3.0], [0, 1, 0], "real").status == VIOLATED
+    for tau in (float("nan"), -1e-9):
+        for mode in ("real", "integer"):
+            with pytest.raises(ValueError, match="tau_rel"):
+                phase_condition_check([1.0, 2.0, 3.0], [0, 1, 0], mode, tau_rel=tau)
+    verdict = phase_condition_check([1.0, 2.0, 3.0], [0, 1, 0], "real", tau_rel=0.0)
+    assert verdict.status == VIOLATED
+
+
 @pytest.mark.parametrize(
     "args, kwargs, match",
     [

@@ -16,6 +16,7 @@ from arcwalk import (
     validate_srg,
 )
 
+from arcwalk import spectra
 from arcwalk.spectra import TAU_SPEC
 
 from conftest import ALL_GRAPHS, GRAPH_BUILDERS, dense_decomposition_residuals, get_bundle
@@ -168,6 +169,21 @@ def test_rejects_irregular_and_disconnected():
     pair = from_edge_list([(0, 1), (2, 3)], 4)
     with pytest.raises(ValueError, match="connected"):
         eigendecompose_symmetric(pair)
+
+
+def test_valency_zero_is_refused():
+    with pytest.raises(ValueError, match="valency"):
+        eigendecompose_symmetric(from_edge_list([], 1))
+
+
+def test_idempotent_stack_over_the_limit_is_refused(monkeypatch):
+    """Petersen has 3 classes on 10 vertices: a stack of 2400 bytes."""
+    g = GRAPH_BUILDERS["petersen"]()
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 10 * 10 * 8 - 1)
+    with pytest.raises(ValueError, match="3 classes on 10 vertices"):
+        eigendecompose_symmetric(g)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 10 * 10 * 8)
+    assert eigendecompose_symmetric(g).idempotents.nbytes == 2400
 
 
 def test_oversized_grouping_tolerance_fails_loudly():

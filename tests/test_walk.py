@@ -296,6 +296,11 @@ def test_state_validation_and_freezing():
     s = State(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0
+    with pytest.raises(ValueError, match="norm nan"):
+        State(np.full(4, np.nan))
+    b = get_bundle("petersen")
+    with pytest.raises(ValueError, match="norm nan"):
+        entry_formula(b.dec, b.arcs, 0, float("nan"))
 
 
 def test_initial_state_entries():
