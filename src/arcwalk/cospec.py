@@ -11,7 +11,7 @@ space equations
 with T, H the tail and head incidence maps, one phase delta_r per
 eigenvalue class in the support of a. Classes outside the support must
 annihilate T y as well. The walk-level route checks F x_a = e^{i delta}
-F y directly on each walk projection F.
+F y directly on each walk projection F, applied without being formed.
 
 Targets of interest are real up to a global sign; the adjacency-level
 equations are stated with real coefficients, so a target carrying a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import SpectralDecomposition, eigenvalue_support
-from .walk import ArcSpace, State, WalkSpectrum, tail_sum
+from .walk import ArcSpace, State, WalkSpectrum, _sign_parts, tail_sum
 
 #: tolerance for cospectrality residuals and phase consistency
 TAU_COSP = 1e-8
@@ -73,7 +73,7 @@ def check_strong_cospectrality(
     Returns a :class:`CospectralityWitness` when every equation holds
     within ``tau``, the string ``"not cospectral"`` otherwise. Bipartite
     graphs are rejected with ValueError since the head equation for the
-    -k class degenerates there.
+    -k class degenerates there, and so is a NaN or negative ``tau``.
 
     Every class is decided at once in the coordinates of ``dec.vectors``:
     E_r = V_r V_r^T with V_r orthonormal, so ||E_r z|| = ||V_r^T z|| and
@@ -84,6 +84,8 @@ def check_strong_cospectrality(
     """
     if dec.has_minus_k:
         raise ValueError("adjacency-level check is restricted to non-bipartite graphs")
+    if not tau >= 0:  # NaN too: no residual compares above NaN, so any target would pass
+        raise ValueError(f"tau must be non-negative, got {tau}")
     if not 0 <= a < dec.n:
         raise ValueError(f"vertex {a} out of range [0, {dec.n})")
     if len(y) != arc_space.num_arcs:
@@ -147,36 +149,39 @@ def check_strong_cospectrality_direct(
 
     Returns a :class:`DirectWitness` or ``"not cospectral"``. Projections
     annihilating both states are unconstrained; a projection annihilating
-    exactly one of them is a rejection.
+    exactly one of them is a rejection. A NaN or negative ``tau`` raises
+    ValueError.
 
-    Neither half of a conjugate pair is formed. F = F_{+theta} = W_r W_r^H
-    for the pair's factor W_r, so F z = W_r (W_r^H z): one product of W^H
-    with the real and imaginary parts of x and y gives the coefficients of
-    every pair, and each pair's images are its factor times its block of
-    them, in O(m N) for all pairs. F_{-theta} z = conj(F conj(z))
-    = conj(F Re z) + i conj(F Im z), so the same images give both halves,
-    and all projections are tested at once.
+    No projection is formed. F = F_{+theta} = W_r W_r^H for the pair's
+    factor W_r, so F z = W_r (W_r^H z), and F_{-theta} z =
+    conj(W_r (W_r^H conj(z))): one product of W^T with x, y and their
+    conjugates gives the coefficients of every pair, and each pair's
+    images are its factor times its block of them, in O(m N) for all
+    pairs. The images under F_{+-1} are split from the rest
+    z - sum (F_{+theta} + F_{-theta}) z (:func:`walk._sign_parts`), and
+    all projections are tested at once.
     """
+    if not tau >= 0:  # NaN too, as in check_strong_cospectrality
+        raise ValueError(f"tau must be non-negative, got {tau}")
     if len(x) != ws.num_arcs or len(y) != ws.num_arcs:
         raise ValueError("states live on the wrong number of arcs")
     labels = ["plus1", "minus1"]
     labels += [f"pair{pair.index}{sign}" for pair in ws.pairs for sign in "+-"]
-    d, m = len(ws.pairs), ws.num_arcs
-    x, y = x.amplitudes, y.amplitudes
-    V = np.stack([x.real, x.imag, y.real, y.imag], axis=1)
-    signs = np.stack([ws.proj_plus1 @ V, ws.proj_minus1 @ V])
-    coeffs = ws.factors.conj().T @ V
+    d, m, x, y = len(ws.pairs), ws.num_arcs, x.amplitudes, y.amplitudes
+    Z = np.stack([x.conj(), y.conj(), x, y], axis=1)
+    # per column of W: W^H x, W^H y, conj(W^T x) and conj(W^T y), which each
+    # pair's factor maps to F_{+theta} x, F_{+theta} y, conj(F_{-theta} x), conj(F_{-theta} y)
+    coeffs = (ws.factors.T @ Z).conj()
     turned = np.empty((d, m, 4), dtype=complex)
-    start = 0
-    for pair, out in zip(ws.pairs, turned):
-        stop = start + pair.factor.shape[1]
-        np.matmul(pair.factor, coeffs[start:stop], out=out)
-        start = stop
+    ends = np.cumsum([pair.factor.shape[1] for pair in ws.pairs], dtype=int)
+    for pair, c, out in zip(ws.pairs, np.split(coeffs, ends[:-1]), turned):
+        np.matmul(pair.factor, c, out=out)
+    lifted = ws.factors @ coeffs  # the sums over the pairs
     # images of x (column 0) and y (column 1) under each projection, in label order
     images = np.empty((2 + 2 * d, m, 2), dtype=complex)
-    images[:2] = signs[..., 0::2] + 1j * signs[..., 1::2]
-    images[2::2] = turned[..., 0::2] + 1j * turned[..., 1::2]
-    images[3::2] = turned[..., 0::2].conj() + 1j * turned[..., 1::2].conj()
+    images[:2] = _sign_parts(ws.arc_space, Z[:, 2:] - lifted[:, :2] - lifted[:, 2:].conj())
+    images[2::2] = turned[..., :2]
+    images[3::2] = turned[..., 2:].conj()
     Px, Py = images[..., 0], images[..., 1]
 
     nx, ny = np.linalg.norm(Px, axis=1), np.linalg.norm(Py, axis=1)

@@ -7,12 +7,12 @@ vertex followed by arc reversal:
     U = R (2/k * T^T T - I)
 
 where T is the n x nk tail incidence matrix and R the reversal
-permutation. U decomposes into eigenprojections derived from the
-adjacency spectrum: a projection for eigenvalue +1, one for -1
-(nonzero on bipartite graphs and on cycles of the reversal structure),
-and a conjugate pair for each adjacency angle theta in (0, pi) with
-walk eigenvalues e^{+-i theta}, held as the arc eigenvectors that
-span it.
+permutation. For each adjacency angle theta in (0, pi) the e^{i theta}
+eigenspace of U is lifted from the adjacency eigenvectors and held as the
+arc eigenvectors that span it; its conjugate gives e^{-i theta}. What is
+left is the +-1 eigenspace of U (the lifts of the +-k adjacency classes
+and the kernel components of the incidence maps). Its projections are
+never stored: they are applied from the eigenvectors and U alone.
 
 Real powers U^t are taken with the principal branch, e^{i t theta} per
 projection, so (-1)^t means e^{i pi t}.
@@ -28,15 +28,16 @@ import numpy as np
 from .graphs import Graph
 from .spectra import MAX_SPECTRUM_BYTES, SpectralDecomposition
 
-#: tolerance for the walk projection suite and spectral resolution of U
+#: tolerance for the walk spectrum certificate and the closed-form check
 TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
-#: complex (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond
-#: the stored arrays at its peak, without and with verification (traced with
-#: tracemalloc: m x m on rook:8, 1.0 and 3.5; m x n on cycle:4, 9.2 and 13.1
-#: beside the m x m counts, fixed costs included)
-WORKSPACE_ARRAYS = ((1, 10), (4, 14))
+#: real (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond W
+#: at its peak, without and with verification, besides 8 KiB of Python
+#: objects and ufunc buffers (traced with tracemalloc: 1.6 to 4.9 and 6.1 to
+#: 8.0 m x n arrays from rook:4 to rook:8 and on cycle:12, the one m x m
+#: array that of ``sign``; the 8 KiB covers k4 and cycle:8)
+WORKSPACE_ARRAYS = ((0, 5), (1, 8))
 
 
 def _within_limit(size: int, what: str) -> None:
@@ -47,7 +48,8 @@ def _within_limit(size: int, what: str) -> None:
 
 
 class WalkSpectrumError(ValueError):
-    """Walk projections failed verification; carries residual diagnostics."""
+    """The walk spectrum or the closed form failed its certificate; carries
+    the residuals."""
 
     def __init__(self, message: str, residuals: dict | None = None):
         super().__init__(message)
@@ -152,9 +154,8 @@ class EigenphasePair:
     span the e^{i theta} eigenspace of U, a view of the spectrum's
     ``factors``, so F_{+theta} = factor factor^H. ``plus`` = F_{+theta} and
     ``minus`` = F_{-theta}, its conjugate, are formed afresh on each
-    access; no library path but the residual suite reads them. ``index``
-    is the position of the source eigenvalue class in the adjacency
-    decomposition.
+    access; no library path reads them. ``index`` is the position of the
+    source eigenvalue class in the adjacency decomposition.
     """
 
     index: int
@@ -172,173 +173,103 @@ class EigenphasePair:
 
 @dataclass(frozen=True, eq=False)
 class WalkSpectrum:
-    """Spectral projections of U: the real +-1 projections F_{+1}, F_{-1}
-    (m x m) and, for each adjacency angle theta_r in (0, pi), the factor W_r
-    of F_{+theta_r} = W_r W_r^H. ``residuals`` is the projection suite they
-    passed, empty when they were built without verification.
+    """Spectrum of U on ``arc_space``: for each adjacency angle theta_r in
+    (0, pi), the factor W_r of F_{+theta_r} = W_r W_r^H. Nothing m x m is
+    stored: the rest of the arc space is the +-1 eigenspace of U, and
+    F_{+1} and F_{-1} are applied from W and U (:func:`evolve_operator`).
+    ``residuals`` is the certificate W passed
+    (:func:`walk_spectrum_residuals`), empty when it was built without
+    verification.
 
     ``factors`` is the read-only complex (m, N) array W whose column blocks
     are the pairs' factors, in pair order, N = sum m_r <= n - 1 columns in
     all, and ``column_thetas`` holds the angle of each column of W. On
-    random-28-4 (m = 112, N = 27) W takes 48,384 B and the two real
-    projections 200,704 B.
+    random-28-4 (m = 112, N = 27) W takes 48,384 B.
     """
 
-    proj_plus1: np.ndarray
-    proj_minus1: np.ndarray
+    arc_space: ArcSpace
     factors: np.ndarray
     pairs: tuple[EigenphasePair, ...]
     residuals: dict[str, float] = field(default_factory=dict)
     column_thetas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        column_thetas = np.array(
-            [pair.theta for pair in self.pairs for _ in range(pair.factor.shape[1])], dtype=float
-        )
+        column_thetas = np.repeat([pair.theta for pair in self.pairs],
+                                  [pair.factor.shape[1] for pair in self.pairs])
         column_thetas.setflags(write=False)
         object.__setattr__(self, "column_thetas", column_thetas)
 
     @property
     def num_arcs(self) -> int:
-        return self.proj_plus1.shape[0]
+        return self.arc_space.num_arcs
 
 
 def walk_spectrum_residuals(
     dec: SpectralDecomposition, arc_space: ArcSpace, ws: WalkSpectrum
 ) -> dict[str, float]:
-    """Residuals of the walk projection suite, in the max norm but for
-    ``eigen`` (Frobenius) and ``orthogonality`` (a bound).
+    """Certificate of the arc eigenvectors W = ``ws.factors``, in the max
+    norm, with theta the angle of each column:
 
-    Covers unitarity of U (from the k x k coin, :func:`coin_unitarity`),
-    hermiticity, idempotency, the eigen-defect, pairwise orthogonality,
-    completeness, spectral resolution of U, and the tail-incidence
-    correspondence T F_{+-theta} T^T = (k/2) E_r, T F_{+1} T^T = k E_0, and
-    on bipartite graphs T F_{-1} T^T = k E_{-k}.
+    - ``gram``: max |W^H W - I| and max |W^T W|, so the columns of W and
+      of conj(W) are orthonormal together;
+    - ``eigen``: the largest column norm of U W - W diag(e^{i theta}),
+      with U applied by :func:`apply_walk`;
+    - ``correspondence``: max |T W_r - sqrt(k/2) (sin theta - i cos theta) V_r|
+      over the pairs, V_r the columns of ``dec.vectors`` of the pair's
+      class, an n x N check;
+    - ``sign``: max |(U^2 - I) - 2 Re W diag(e^{2i theta} - 1) W^H|, so
+      U^2 = I on the complement of W and of conj(W): that complement is
+      exactly the +-1 eigenspace of U;
+    - ``unitarity``: max |U U^T - I| from the k x k coin
+      (:func:`coin_unitarity`).
 
-    ``eigen`` is the largest f_i = ||e_i||_F with e_i = U P_i - mu_i P_i,
-    for mu_i the eigenvalue 1, -1 or e^{+-i theta} of projection P_i,
-    taken in O(m^2) per projection like :func:`apply_walk`, but in place
-    (:func:`_eigen_defect`). Orthogonality follows from it without the
-    O(p^2 m^3) pairwise products of p projections: since
-    (U P_i)^* U P_j = P_i^* U^T U P_j,
+    These imply the projection suite on F_{+-theta} = W_r W_r^H and its
+    conjugate and on F_{+-1} = (P +- U P) / 2, P = I - 2 Re W W^H.
+    Hermiticity and completeness hold by construction. Idempotency and
+    orthogonality follow from ``gram`` and ``sign``, and the resolution of
+    U from ``eigen``. The correspondences T F T^T = (k/2) E_r, k E_0 and,
+    on bipartite graphs, k E_{-k} follow from ``correspondence``, the exact
+    identity T U T^T = A and the adjacency completeness.
 
-        (1 - conj(mu_i) mu_j) P_i^* P_j = conj(mu_i) P_i^* e_j + mu_j e_i^* P_j
-                                          + e_i^* e_j + P_i^* (I - U^T U) P_j
-
-    where |1 - conj(mu_i) mu_j| = |mu_i - mu_j|. With h_i = ||P_i - P_i^*||_F,
-    N_i = 1 + ||P_i^2 - P_i||_F + h_i, which bounds ||P_i||_2 (from
-    ||P||^2 = ||P^* P|| <= ||P^2 - P|| + ||P|| + h ||P||), and
-    u = k coin_unitarity(k), which bounds ||U^T U - I||_2,
-
-        max |P_i P_j| <= (N_i f_j + f_i N_j + f_i f_j + N_i N_j u) / |mu_i - mu_j|
-                         + h_i N_j
-
-    using P_i P_j = P_i^* P_j + (P_i - P_i^*) P_j. ``orthogonality`` is the
-    largest of these bounds over the pairs i < j, except that a pair whose
-    bound exceeds TAU_WALK (nearly equal eigenvalues, or theta near 0 or
-    pi against +-1) contributes its measured max |P_i P_j| instead. It is
-    never below the measured maximum.
-
-    Only F_{+theta} of each conjugate pair is read, formed from its factor
-    (``pair.plus``) one pair at a time, so the suite holds one complex m x m
-    projection beside F_{+-1}. U, T and the E_r are real and F_{-theta} =
-    conj(F_{+theta}), so each defect, product, sum and tail projection of
-    F_{-theta} is the conjugate of that of F_{+theta}: h, N and f are taken
-    once per pair, the bound runs over the full list with them repeated,
-    and completeness and resolution add the real part of each term twice,
-    as the full sums do (their imaginary parts cancel exactly). A pair is
-    formed again only for a direct product where its bound fails.
+    ``sign`` holds the one m x m array, real, formed by one real product
+    and corrected in place by U^2 - I = (4/k^2) H^T A T
+    - (2/k) (H^T H + T^T T), read off the index arrays.
     """
-    k = arc_space.k
+    k, n, m = arc_space.k, arc_space.n, arc_space.num_arcs
+    W, theta = ws.factors, ws.column_thetas
+    gram = max(float(np.abs(W.conj().T @ W - np.eye(W.shape[1])).max(initial=0.0)),
+               float(np.abs(W.T @ W).max(initial=0.0)))
+    drift = apply_walk(arc_space, W) - W * np.exp(1j * theta)
+    eigen = float(np.linalg.norm(drift, axis=0).max(initial=0.0))
+    del drift
+    # each pair's columns of W against its class's columns of V, in order
+    sizes = np.array([pair.factor.shape[1] for pair in ws.pairs], dtype=int)
+    first = dec.class_starts[[pair.index for pair in ws.pairs]] - np.cumsum(sizes) + sizes
+    V = dec.vectors[:, np.repeat(first, sizes) + np.arange(len(theta))]
+    lifted = np.sqrt(k / 2.0) * (np.sin(theta) - 1j * np.cos(theta)) * V
+    correspondence = float(np.abs(tail_sum(arc_space, W) - lifted).max(initial=0.0))
 
-    def tail_project(P):
-        # T P T^T, summing rows then columns over the tail blocks
-        return tail_sum(arc_space, tail_sum(arc_space, P).T).T
-
-    def checked(i):
-        # F_{+1}, F_{-1}, then F_{+theta} of each pair, formed from its factor
-        return (ws.proj_plus1, ws.proj_minus1)[i] if i < 2 else ws.pairs[i - 2].plus
-
-    # the full list: F_{+1}, F_{-1}, then F_{+theta}, F_{-theta} per pair
-    eigenvalues = np.array(
-        [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
-    )
-    count = 2 + len(ws.pairs)
-    source = np.concatenate(([0, 1], np.repeat(np.arange(2, count), 2)))
-
-    herm = idem = 0.0
-    skew, norm_bound, defect = np.zeros((3, count))
-    total = ws.proj_plus1 + ws.proj_minus1
-    recon = ws.proj_plus1 - ws.proj_minus1
-    correspondence = float(
-        np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max()
-    )
-    for i, mu in enumerate([1.0, -1.0, *eigenvalues[2::2]]):
-        P = checked(i)
-        # each m x m working array is freed before the next is made, so the
-        # loop holds one beside the projection and the two sums
-        D = np.conjugate(P.T)
-        np.subtract(P, D, out=D)
-        herm = max(herm, float(np.abs(D).max()))
-        skew[i] = np.linalg.norm(D)
-        del D
-        D = P @ P
-        D -= P
-        idem = max(idem, float(np.abs(D).max()))
-        norm_bound[i] = 1.0 + np.linalg.norm(D) + skew[i]
-        del D
-        defect[i] = np.linalg.norm(_eigen_defect(arc_space, P, mu))
-        if i >= 2:
-            total += P.real
-            total += P.real
-            part = (mu * P).real
-            recon += part
-            recon += part
-            del part
-            E = dec.idempotents[ws.pairs[i - 2].index]
-            correspondence = max(
-                correspondence, float(np.abs(tail_project(P) - (k / 2.0) * E).max())
-            )
-        del P
-    skew, norm_bound, defect = skew[source], norm_bound[source], defect[source]
-
-    total -= np.eye(arc_space.num_arcs)
-    completeness = float(np.abs(total).max())
-    del total
-    recon -= transition_matrix(arc_space)
-    resolution = float(np.abs(recon).max())
-    del recon
-
-    def projection(i):
-        P = checked(source[i])
-        return P.conj() if i > 2 and i % 2 else P
-
-    unitarity = coin_unitarity(k)
-    gap = np.abs(eigenvalues[:, None] - eigenvalues)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (
-            np.outer(norm_bound, defect) + np.outer(defect, norm_bound)
-            + np.outer(defect, defect) + k * unitarity * np.outer(norm_bound, norm_bound)
-        ) / gap + np.outer(skew, norm_bound)
-    for i, j in zip(*np.nonzero(np.triu(~(bound <= TAU_WALK), 1))):
-        bound[i, j] = np.abs(projection(i) @ projection(j)).max()
-    orth = float(bound[np.triu_indices(len(eigenvalues), 1)].max())
-
-    residuals = {
-        "hermiticity": herm,
-        "idempotency": idem,
-        "eigen": float(defect.max()),
-        "orthogonality": orth,
-        "completeness": completeness,
-        "resolution": resolution,
+    # 2 Re (W D) W^H as one real product, so it makes one m x m array
+    turned = W * (2.0 * (np.exp(2j * theta) - 1.0))
+    sign = np.hstack([turned.real, turned.imag]) @ np.hstack([W.real, W.imag]).T
+    del turned
+    A = np.zeros((n, n))
+    A[arc_space.tails, arc_space.heads] = 1.0
+    # (H^T A T)_{ij} = A[head i, tail j], over the column blocks of each tail
+    blocks = sign.reshape(m, n, k)
+    blocks -= (4.0 / k**2) * A[arc_space.heads][:, :, None]
+    # [tail i = tail j] and [head i = head j]: the arcs leaving, then
+    # entering, each vertex
+    for block in (np.arange(m).reshape(n, k), arc_space.reversal_perm.reshape(n, k)):
+        sign[block[:, :, None], block[:, None, :]] += 2.0 / k
+    sign = float(np.abs(sign, out=sign).max())
+    return {
+        "gram": gram,
+        "eigen": eigen,
         "correspondence": correspondence,
-        "unitarity": unitarity,
+        "sign": sign,
+        "unitarity": coin_unitarity(k),
     }
-    if dec.has_minus_k:
-        residuals["minus_one_correspondence"] = float(
-            np.abs(tail_project(ws.proj_minus1) - k * dec.idempotents[-1]).max()
-        )
-    return residuals
 
 
 def _eigen_defect(
@@ -378,25 +309,22 @@ def walk_spectrum(
     (the spectral mapping theorem; Higuchi, Konno, Sato and Segawa,
     J. Funct. Anal. 267, 2014), so F_{+theta} = W_r W_r^H. The W_r fill one
     read-only complex (m, N) array W, N = sum m_r <= n - 1, in O(m N);
-    neither F_{+theta} nor its conjugate F_{-theta} is stored. The +-1
-    projections are recovered by splitting the residual complement
-    P = I - sum(F_{+theta} + F_{-theta}) = I - 2 Re W W^H, which is real,
-    into F_{+1} = (P + UP)/2 and F_{-1} = (P - UP)/2, both stored as real
-    arrays; this captures both the lifts of the +-k adjacency classes and
-    the kernel components of the incidence maps.
+    no projection is stored. The rest of the arc space, the complement of
+    W and conj(W), is the +-1 eigenspace of U, which ``verify`` certifies
+    with the rest of W (:func:`walk_spectrum_residuals`).
 
-    A build whose peak, W and the two real projections plus
-    WORKSPACE_ARRAYS, would take more than MAX_SPECTRUM_BYTES is refused
-    with a ValueError before any array is allocated.
+    A build whose peak, W plus WORKSPACE_ARRAYS, would take more than
+    MAX_SPECTRUM_BYTES is refused with a ValueError before any array is
+    allocated.
     """
     k, m = arc_space.k, arc_space.num_arcs
     V, theta = _angle_columns(dec)
-    # the two real m x m projections are one complex array's worth
-    square, workspace = WORKSPACE_ARRAYS[verify]
-    _within_limit(16 * m * ((1 + square) * m + V.shape[1] + workspace * arc_space.n),
+    square, columns = WORKSPACE_ARRAYS[verify]
+    _within_limit(8 * m * (2 * V.shape[1] + square * m + columns * arc_space.n) + 8192,
                   f"walk spectrum on {m} arcs")
 
-    W = V[arc_space.tails] - np.exp(1j * theta) * V[arc_space.heads]
+    W = V[arc_space.heads] * -np.exp(1j * theta)
+    W += V[arc_space.tails]
     W /= np.sqrt(2.0 * k) * np.sin(theta)
     W.setflags(write=False)
     pairs = tuple(
@@ -405,29 +333,13 @@ def walk_spectrum(
                                dec.class_starts[1:] - dec.multiplicities[0], dec.multiplicities[1:])
     )
 
-    # Re W W^H from the real and imaginary parts, two real products
-    part = np.ascontiguousarray(W.real)
-    residual = part @ part.T
-    part = np.ascontiguousarray(W.imag)
-    residual += part @ part.T
-    del part
-    residual *= -2.0
-    residual[np.diag_indices(m)] += 1.0
-    plus1 = apply_walk(arc_space, residual)
-    plus1 += residual
-    plus1 /= 2.0
-    residual -= plus1
-    minus1 = residual
-    plus1.setflags(write=False)
-    minus1.setflags(write=False)
-
-    ws = WalkSpectrum(proj_plus1=plus1, proj_minus1=minus1, factors=W, pairs=pairs)
+    ws = WalkSpectrum(arc_space=arc_space, factors=W, pairs=pairs)
     if verify:
         ws.residuals.update(walk_spectrum_residuals(dec, arc_space, ws))
-        bad = {name: val for name, val in ws.residuals.items() if val > TAU_WALK}
+        bad = {name: val for name, val in ws.residuals.items() if not val <= TAU_WALK}
         if bad:
             raise WalkSpectrumError(
-                "walk projection suite failed: "
+                "walk spectrum certificate failed: "
                 + ", ".join(f"{name}={val:.3e}" for name, val in bad.items()),
                 ws.residuals,
             )
@@ -494,26 +406,30 @@ def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
     U is real and F_{-theta} = conj(F_{+theta}), F_{+theta} = W_r W_r^H, so
     for a real v
 
-        U^t v = F_{+1} v + e^{i pi t} F_{-1} v + 2 Re W (e^{i t theta} . W^H v)
+        U^t v = 2 Re W (e^{i t theta} . W^H v) + F_{+1} v + e^{i pi t} F_{-1} v
 
-    with e^{i t theta} the phase of each column of W: O(m N) per column
-    beside the two real m x m products, and no projection is formed. A
-    complex M goes through as its real and imaginary parts side by side,
-    the imaginary part only when it is not all zero.
+    with e^{i t theta} the phase of each column of W, and F_{+-1} v split
+    by :func:`_sign_parts` from the rest v - 2 Re W W^H v: O(m N) per
+    column, and no m x m array. A complex M goes through as its real and
+    imaginary parts, the imaginary part only when it is not all zero.
     """
     M = np.asarray(M)
-    parts = [M.real]
     if np.iscomplexobj(M) and M.imag.any():
-        parts.append(M.imag)
-    V = np.stack(parts, axis=-1).reshape(len(M), -1)
-    W = ws.factors
-    turned = W.conj().T @ V
-    turned *= np.exp(1j * t * ws.column_thetas)[:, None]
-    out = ws.proj_plus1 @ V
-    out += 2.0 * (W @ turned).real
-    out = out + _minus_one_power(t) * (ws.proj_minus1 @ V)
-    out = out.reshape(M.shape + (len(parts),))
-    return out[..., 0] if len(parts) == 1 else out[..., 0] + 1j * out[..., 1]
+        return evolve_operator(ws, M.real, t) + 1j * evolve_operator(ws, M.imag, t)
+    V, W = M.real, ws.factors
+    coeffs = (W.T @ V).conj()  # W^H V for a real V, without a conjugate copy of W
+    turned = W @ (coeffs.T * np.exp(1j * t * ws.column_thetas)).T
+    plus1, minus1 = _sign_parts(ws.arc_space, V - 2.0 * (W @ coeffs).real)
+    return 2.0 * turned.real + plus1 + _minus_one_power(t) * minus1
+
+
+def _sign_parts(arc_space: ArcSpace, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F_{+1} x and F_{-1} x from the part rest = x - sum_r (F_{+theta_r} +
+    F_{-theta_r}) x of x (a vector or the columns of a matrix), which lies
+    in the +-1 eigenspace of U: F_{+1} x = (rest + U rest) / 2 and
+    F_{-1} x = rest - F_{+1} x. For a real x, rest = x - 2 Re W W^H x."""
+    plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
+    return plus1, rest - plus1
 
 
 def evolve_by_projections(
@@ -529,8 +445,8 @@ def evolve_by_projections(
         sum_r e^{i t theta_r} F_{+theta_r} x = (V c_t)[tails] - (V (e^{i theta} c_t))[heads]
 
     for c_t = e^{i t theta} c: one product of V with four columns, t = 0 and
-    t. F_{-theta} x is the conjugate, and the rest P x = x - sum 2 Re F_{+theta} x
-    splits into F_{+1} x = (P x + U P x) / 2 and F_{-1} x = P x - F_{+1} x.
+    t. F_{-theta} x is the conjugate, and the rest x - sum 2 Re F_{+theta} x
+    gives F_{+-1} x by :func:`_sign_parts`.
     """
     x = np.asarray(x, dtype=float)
     V, theta = _angle_columns(dec)
@@ -542,9 +458,8 @@ def evolve_by_projections(
     # only real parts reach 2 Re F_{+theta} x, so the four vertex arrays are real
     tail, head, tail_t, head_t = np.stack([c, phase * c, turned, phase * turned]).real @ V.T
     tails, heads = arc_space.tails, arc_space.heads
-    rest = x - 2.0 * (tail[tails] - head[heads])
-    plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
-    return 2.0 * (tail_t[tails] - head_t[heads]) + plus1 + _minus_one_power(t) * (rest - plus1)
+    plus1, minus1 = _sign_parts(arc_space, x - 2.0 * (tail[tails] - head[heads]))
+    return 2.0 * (tail_t[tails] - head_t[heads]) + plus1 + _minus_one_power(t) * minus1
 
 
 def _class_weights(theta: np.ndarray) -> np.ndarray:

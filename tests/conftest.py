@@ -135,30 +135,80 @@ def dense_phase_alignment_deficit(angles, sigmas, t):
     return float(out) if ts.ndim == 0 else out
 
 
-def pairwise_orthogonality(ws: WalkSpectrum) -> float:
-    """Oracle for the ``orthogonality`` residual: max |P Q| over every pair
-    of walk projections, each product formed densely."""
-    projections = [ws.proj_plus1, ws.proj_minus1]
-    projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.minus))
-    orth = 0.0
-    for i, P in enumerate(projections):
-        for Q in projections[i + 1 :]:
-            orth = max(orth, float(np.abs(P @ Q).max()))
-    return orth
+def sign_projections(ws: WalkSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Dense F_{+1} and F_{-1}, real m x m: the complement P = I - 2 Re W W^H
+    of the arc eigenvectors split into (P + U P) / 2 and P - F_{+1}, by the
+    operations ``walk_spectrum`` used when it stored them."""
+    W, m = ws.factors, ws.num_arcs
+    part = np.ascontiguousarray(W.real)
+    residual = part @ part.T
+    part = np.ascontiguousarray(W.imag)
+    residual += part @ part.T
+    residual *= -2.0
+    residual[np.diag_indices(m)] += 1.0
+    plus1 = apply_walk(ws.arc_space, residual)
+    plus1 += residual
+    plus1 /= 2.0
+    residual -= plus1
+    return plus1, residual
+
+
+def walk_projections(ws: WalkSpectrum) -> list[tuple[str, np.ndarray]]:
+    """Every walk projection formed densely, labelled as the direct
+    cospectrality route labels them: F_{+1}, F_{-1}, then F_{+theta} and
+    F_{-theta} = conj(F_{+theta}) of each pair."""
+    plus1, minus1 = sign_projections(ws)
+    projections = [("plus1", plus1), ("minus1", minus1)]
+    for pair in ws.pairs:
+        plus = pair.plus
+        projections += [(f"pair{pair.index}+", plus), (f"pair{pair.index}-", plus.conj())]
+    return projections
+
+
+def direct_cospectrality_loop(projections, x, y, tau=TAU_COSP):
+    """Oracle for ``check_strong_cospectrality_direct``: one dense
+    projection at a time over a labelled list such as
+    :func:`walk_projections`. Returns ``"not cospectral"`` or the phases
+    and the largest residual."""
+    phases, worst = {}, 0.0
+    for label, P in projections:
+        Px, Py = P @ x.amplitudes, P @ y.amplitudes
+        nx, ny = float(np.linalg.norm(Px)), float(np.linalg.norm(Py))
+        if nx <= tau and ny <= tau:
+            phases[label] = None
+            continue
+        if min(nx, ny) <= tau < max(nx, ny):
+            return NOT_COSPECTRAL
+        inner = complex(np.vdot(Py, Px))
+        if abs(inner) == 0.0:
+            return NOT_COSPECTRAL
+        phase = inner / abs(inner)
+        res = float(np.linalg.norm(Px - phase * Py))
+        worst = max(worst, res)
+        if res > tau:
+            return NOT_COSPECTRAL
+        phases[label] = float(np.angle(phase))
+    return phases, worst
 
 
 def full_walk_spectrum_residuals(dec, arcs, ws) -> dict[str, float]:
-    """Oracle for ``walk_spectrum_residuals``: the projection suite over the
-    full list F_{+1}, F_{-1}, F_{+theta}, F_{-theta}, ..., with each
-    F_{-theta} = conj(F_{+theta}) formed here and checked on its own, as
-    the suite was before the walk spectrum stored one half of each pair."""
+    """Oracle for the walk spectrum certificate: the projection suite over
+    the full list F_{+1}, F_{-1}, F_{+theta}, F_{-theta}, ..., each formed
+    densely (:func:`walk_projections`) and checked on its own.
+    ``orthogonality`` is a bound on max |P_i P_j| from the eigen-defects
+    f_i = ||U P_i - mu_i P_i||_F: with h_i = ||P_i - P_i^*||_F, N_i = 1 +
+    ||P_i^2 - P_i||_F + h_i and u = k coin_unitarity(k),
+
+        max |P_i P_j| <= (N_i f_j + f_i N_j + f_i f_j + N_i N_j u) / |mu_i - mu_j|
+                         + h_i N_j,
+
+    and a pair whose bound exceeds TAU_WALK has its product measured."""
     k = arcs.k
 
     def tail_project(P):
         return tail_sum(arcs, tail_sum(arcs, P).T).T
 
-    projections = [ws.proj_plus1, ws.proj_minus1]
-    projections.extend(p for pair in ws.pairs for p in (pair.plus, pair.plus.conj()))
+    projections = [P for _, P in walk_projections(ws)]
     eigenvalues = np.array(
         [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
     )
@@ -187,10 +237,10 @@ def full_walk_spectrum_residuals(dec, arcs, ws) -> dict[str, float]:
     for P in projections[2:]:
         total = total + P
     U = transition_matrix(arcs)
-    recon = ws.proj_plus1 - ws.proj_minus1
+    recon = projections[0] - projections[1]
     for P, mu in zip(projections[2:], eigenvalues[2:]):
         recon = recon + mu * P
-    correspondence = float(np.abs(tail_project(ws.proj_plus1) - k * dec.idempotents[0]).max())
+    correspondence = float(np.abs(tail_project(projections[0]) - k * dec.idempotents[0]).max())
     for pair, P in zip([pair for pair in ws.pairs for _ in (0, 1)], projections[2:]):
         E = dec.idempotents[pair.index]
         correspondence = max(
@@ -208,7 +258,7 @@ def full_walk_spectrum_residuals(dec, arcs, ws) -> dict[str, float]:
     }
     if dec.has_minus_k:
         residuals["minus_one_correspondence"] = float(
-            np.abs(tail_project(ws.proj_minus1) - k * dec.idempotents[-1]).max()
+            np.abs(tail_project(projections[1]) - k * dec.idempotents[-1]).max()
         )
     return residuals
 

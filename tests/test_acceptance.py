@@ -31,7 +31,14 @@ from arcwalk import (
 from arcwalk.mixing import HOLDS
 from arcwalk.walk import State
 
-from conftest import ALL_GRAPHS, GRAPH_BUILDERS, NON_BIPARTITE, dense_incidence, get_bundle
+from conftest import (
+    ALL_GRAPHS,
+    GRAPH_BUILDERS,
+    NON_BIPARTITE,
+    dense_incidence,
+    get_bundle,
+    sign_projections,
+)
 
 
 @contextlib.contextmanager
@@ -51,7 +58,8 @@ def test_criterion_01_unitarity_and_resolution():
             nk = b.arcs.num_arcs
             unitarity = np.abs(b.U.T @ b.U - np.eye(nk)).max()
             assert unitarity < 1e-10, (name, unitarity)
-            recon = b.ws.proj_plus1 - b.ws.proj_minus1
+            plus1, minus1 = sign_projections(b.ws)
+            recon = plus1 - minus1
             for pair in b.ws.pairs:
                 recon = recon + np.exp(1j * pair.theta) * pair.plus
                 recon = recon + np.exp(-1j * pair.theta) * pair.minus
@@ -70,12 +78,12 @@ def test_criterion_02_projection_correspondence():
                 for F in (pair.plus, pair.minus):
                     dev = np.abs(T @ F @ T.T - (k / 2) * E).max()
                     assert dev < 1e-9, (name, pair.index, dev)
-            dev0 = np.abs(T @ b.ws.proj_plus1 @ T.T - k * b.dec.idempotents[0]).max()
+            dev0 = np.abs(T @ sign_projections(b.ws)[0] @ T.T - k * b.dec.idempotents[0]).max()
             assert dev0 < 1e-9, (name, dev0)
         c4 = get_bundle("c4")
         T = dense_incidence(c4.arcs)[0]
         dev = np.abs(
-            T @ c4.ws.proj_minus1 @ T.T - c4.graph.degree * c4.dec.idempotents[-1]
+            T @ sign_projections(c4.ws)[1] @ T.T - c4.graph.degree * c4.dec.idempotents[-1]
         ).max()
         assert dev < 1e-9, dev
 

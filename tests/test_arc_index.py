@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 from arcwalk import (
     NOT_COSPECTRAL,
     State,
-    WalkSpectrum,
     build_arc_space,
     check_strong_cospectrality,
     check_strong_cospectrality_direct,
@@ -26,40 +25,41 @@ from arcwalk import (
     transition_matrix,
     walk_spectrum,
 )
-from arcwalk.walk import EigenphasePair, apply_walk, tail_sum
+from arcwalk.walk import apply_walk, tail_sum
 
-from conftest import ALL_GRAPHS, dense_incidence, get_bundle
+from conftest import (
+    ALL_GRAPHS,
+    dense_incidence,
+    direct_cospectrality_loop,
+    get_bundle,
+    walk_projections,
+)
 
 ATOL = 1e-12
 
 
-def dense_walk_spectrum(dec, arcs) -> WalkSpectrum:
-    """Walk spectrum by the dense formula: each factor is
-    (T^T - e^{i theta} H^T) Q / (sqrt(2k) sin theta) for an orthonormal basis
-    Q of the range of E, taken from an eigh of E, so F_{+theta} =
-    (T^T - e^{i theta} H^T) E (T - e^{-i theta} H) / (2k sin^2 theta); the
-    +-1 projections are split from the complement by the dense U."""
+def dense_walk_projections(dec, arcs):
+    """Walk projections by the dense formula: F_{+theta} =
+    (T^T - e^{i theta} H^T) Q Q^T (T - e^{-i theta} H) / (2k sin^2 theta) for
+    an orthonormal basis Q of the range of E, taken from an eigh of E, and
+    the +-1 projections split from the complement by the dense U. Returns
+    the (class, theta) of each pair and the projections labelled as
+    ``walk_projections`` labels them."""
     T, H, R = (M.astype(float) for M in dense_incidence(arcs))
     k, m = arcs.k, arcs.num_arcs
-    classes, factors = [], []
-    for r in range(1, dec.num_classes):
-        if dec.has_minus_k and r == dec.num_classes - 1:
-            continue
+    classes, pairs = [], []
+    for r in range(1, dec.num_classes - dec.has_minus_k):
         theta = float(dec.angles[r])
         values, vectors = np.linalg.eigh(dec.idempotents[r])
         Q = vectors[:, values > 0.5]
-        factors.append((T.T - np.exp(1j * theta) * H.T) @ Q / (np.sqrt(2.0 * k) * np.sin(theta)))
+        F = (T.T - np.exp(1j * theta) * H.T) @ Q / (np.sqrt(2.0 * k) * np.sin(theta))
+        F = F @ F.conj().T
         classes.append((r, theta))
-    W = np.concatenate(factors, axis=1) if factors else np.zeros((m, 0), dtype=complex)
-    starts = np.cumsum([0] + [F.shape[1] for F in factors])
-    pairs = tuple(
-        EigenphasePair(index=r, theta=theta, factor=W[:, lo:hi])
-        for (r, theta), lo, hi in zip(classes, starts[:-1], starts[1:])
-    )
+        pairs += [(f"pair{r}+", F), (f"pair{r}-", F.conj())]
     U = R @ ((2.0 / k) * T.T @ T - np.eye(m))
-    residual = np.eye(m, dtype=complex) - sum(p.plus + p.minus for p in pairs)
+    residual = np.eye(m, dtype=complex) - sum(P for _, P in pairs)
     plus1 = (residual + U @ residual) / 2.0
-    return WalkSpectrum(proj_plus1=plus1, proj_minus1=residual - plus1, factors=W, pairs=pairs)
+    return classes, [("plus1", plus1), ("minus1", residual - plus1)] + pairs
 
 
 def check_tail_sum(arcs):
@@ -82,20 +82,19 @@ def check_apply_walk(arcs):
 
 
 def check_walk_spectrum(dec, arcs, ws):
-    oracle = dense_walk_spectrum(dec, arcs)
-    assert [(p.index, p.theta) for p in ws.pairs] == [(p.index, p.theta) for p in oracle.pairs]
-    for got, want in zip(ws.pairs, oracle.pairs):
-        assert_allclose(got.plus, want.plus, atol=ATOL)
-        assert_allclose(got.minus, want.minus, atol=ATOL)
-    assert_allclose(ws.proj_plus1, oracle.proj_plus1, atol=ATOL)
-    assert_allclose(ws.proj_minus1, oracle.proj_minus1, atol=ATOL)
+    classes, oracle = dense_walk_projections(dec, arcs)
+    assert [(p.index, p.theta) for p in ws.pairs] == classes
+    got = walk_projections(ws)
+    assert [label for label, _ in got] == [label for label, _ in oracle]
+    for (label, P), (_, want) in zip(got, oracle):
+        assert_allclose(P, want, atol=ATOL, err_msg=label)
 
 
 def check_cospectrality(g, dec, arcs, ws):
     """Verdicts on the index path agree with the direct route over the
     dense-oracle projections: start states, their evolutions, other
     vertices' start states and random states."""
-    oracle = dense_walk_spectrum(dec, arcs)
+    oracle = dense_walk_projections(dec, arcs)[1]
     rng = np.random.default_rng(2)
     for a in sorted({0, g.n - 1}):
         x = initial_state(arcs, a)
@@ -105,12 +104,12 @@ def check_cospectrality(g, dec, arcs, ws):
         y = rng.standard_normal(arcs.num_arcs) + 1j * rng.standard_normal(arcs.num_arcs)
         targets = [x, State(evolved), initial_state(arcs, (a + 1) % g.n), State(y / np.linalg.norm(y))]
         for target in targets:
-            want = check_strong_cospectrality_direct(oracle, x, target) == NOT_COSPECTRAL
+            want = direct_cospectrality_loop(oracle, x, target) == NOT_COSPECTRAL
             assert (check_strong_cospectrality_direct(ws, x, target) == NOT_COSPECTRAL) == want
             if not g.is_bipartite:
                 got = check_strong_cospectrality(dec, arcs, a, target) == NOT_COSPECTRAL
                 assert got == want
-        assert check_strong_cospectrality_direct(oracle, x, x) != NOT_COSPECTRAL
+        assert direct_cospectrality_loop(oracle, x, x) != NOT_COSPECTRAL
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)

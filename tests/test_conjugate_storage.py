@@ -2,15 +2,14 @@
 
 ``walk_spectrum`` keeps, for the angles in (0, pi), one read-only complex
 (m, N) array W of orthonormal eigenvectors of U, N = sum m_r <= n - 1, of
-which each pair's ``factor`` W_r is a column block, and the +-1 projections
-as real arrays. F_{+theta} = W_r W_r^H and F_{-theta} = conj(F_{+theta})
-are formed only when read: on random-28-4 a build stores 249,088 B where
-one complex m x m array per angle took 5,619,712 B. The read path
-(``evolve_operator``) and the direct cospectrality route use W alone, and
-the residual suite forms F_{+theta} one pair at a time. They are checked
-here against independent slow paths: U stepped by ``apply_walk``, the
-projections applied without being formed (``evolve_by_projections``), and
-the residual suite over both halves.
+which each pair's ``factor`` W_r is a column block, and nothing else.
+F_{+theta} = W_r W_r^H and F_{-theta} = conj(F_{+theta}) are formed only
+when read, and F_{+-1} never: on random-28-4 a build stores 48,384 B
+where one complex m x m array per angle took 5,619,712 B. The read path
+(``evolve_operator``) and the direct cospectrality route use W and U
+alone. They are checked here against independent slow paths: U stepped
+by ``apply_walk``, the projections applied without being formed
+(``evolve_by_projections``), and every projection formed densely.
 """
 
 import functools
@@ -33,18 +32,16 @@ from arcwalk import (
     mixing,
     walk,
     walk_spectrum,
-    walk_spectrum_residuals,
 )
 from arcwalk.cli import resolve_builtin
 from arcwalk.graphs import graph_from_adjacency
 from arcwalk.walk import State, apply_walk, check_closed_form
 
 from conftest import (
-    ALL_GRAPHS,
     RANDOM_20_4_EDGES,
-    full_walk_spectrum_residuals,
+    direct_cospectrality_loop,
     get_bundle,
-    pairwise_orthogonality,
+    walk_projections,
 )
 
 
@@ -77,14 +74,15 @@ def inputs(name):
 
 def test_verified_spectrum_stores_the_arc_eigenvectors_once():
     """random-28-4 has 28 classes of multiplicity 1, so W is 112 x 27
-    complex (48,384 B) beside the two real m x m projections (200,704 B):
-    249,088 B, where one complex m x m array per angle took 5,619,712 B."""
+    complex, 48,384 B, and no field holds an m x m array: the two real
+    +-1 projections took 200,704 B more, and one complex m x m array per
+    angle 5,619,712 B."""
     dec, arcs, ws = inputs("random-28-4")
     m, d = arcs.num_arcs, len(ws.pairs)
     N = int(dec.multiplicities[1:].sum())
     assert (dec.num_classes, d, m, N) == (28, 27, 112, 27)
     assert ws.residuals and max(ws.residuals.values()) <= walk.TAU_WALK
-    assert ws.proj_plus1.dtype == ws.proj_minus1.dtype == np.float64
+    assert ws.arc_space is arcs and ws.num_arcs == m
     W = ws.factors
     assert W.shape == (m, N) and W.dtype == np.complex128
     assert not W.flags.writeable
@@ -92,9 +90,7 @@ def test_verified_spectrum_stores_the_arc_eigenvectors_once():
         assert pair.factor.base is W
         assert pair.factor.__array_interface__ == W[:, i : i + 1].__array_interface__
     assert_allclose(W.conj().T @ W, np.eye(N), rtol=0, atol=1e-12)
-    real = ws.proj_plus1.nbytes + ws.proj_minus1.nbytes
-    assert (W.nbytes, real) == (48_384, 200_704)
-    assert W.nbytes + real == 249_088 < (16 * d + 2 * 8) * m * m == 5_619_712
+    assert W.nbytes == 48_384 < (16 * d + 2 * 8) * m * m == 5_619_712
 
 
 def test_minus_is_the_conjugate_of_plus():
@@ -188,34 +184,6 @@ def test_complex_states_use_both_parts():
         x = State((re + 1j * im) / np.linalg.norm(re + 1j * im))
         assert_allclose(evolve(ws, x, t).amplitudes, whole / np.linalg.norm(re + 1j * im),
                         rtol=0, atol=1e-14)
-
-
-SUITE_GRAPHS = ALL_GRAPHS + ("cycle:8", "cycle:12", "random-20-4", "random-28-4")
-
-
-@pytest.mark.parametrize("name", SUITE_GRAPHS)
-def test_residual_suite_matches_the_suite_over_both_halves(name):
-    if name in ALL_GRAPHS:
-        b = get_bundle(name)
-        dec, arcs, ws = b.dec, b.arcs, b.ws
-    else:
-        dec, arcs, ws = inputs(name)
-    half = walk_spectrum_residuals(dec, arcs, ws)
-    full = full_walk_spectrum_residuals(dec, arcs, ws)
-    assert half.keys() == full.keys()
-    for key in full:
-        assert abs(half[key] - full[key]) <= 1e-15, (key, half[key], full[key])
-
-
-@pytest.mark.parametrize("name", ("petersen", "cycle:8"))
-def test_direct_products_take_the_conjugate_half_where_it_stands(name, monkeypatch):
-    """With TAU_WALK below every bound, each pair of the full list takes
-    its product directly, F_{-theta} included, and ``orthogonality`` is
-    the measured pairwise maximum."""
-    dec, arcs, ws = inputs(name)
-    monkeypatch.setattr(walk, "TAU_WALK", -1.0)
-    orth = walk_spectrum_residuals(dec, arcs, ws)["orthogonality"]
-    assert orth == pairwise_orthogonality(ws) < 1e-12
 
 
 def test_the_conjugate_half_is_never_formed(monkeypatch):
@@ -314,34 +282,6 @@ def test_single_angle_scan_at_the_enumeration_cap_stays_small():
     assert peak < 6 * 8 * mixing.SCAN_ROWS
 
 
-def direct_cospectrality_loop(ws, x, y, tau=1e-8):
-    """Reference for ``check_strong_cospectrality_direct``: one projection
-    at a time over both halves of every pair, F_{-theta} formed here."""
-    projections = [("plus1", ws.proj_plus1), ("minus1", ws.proj_minus1)]
-    for pair in ws.pairs:
-        projections += [(f"pair{pair.index}+", pair.plus),
-                        (f"pair{pair.index}-", pair.plus.conj())]
-    phases, worst = {}, 0.0
-    for label, P in projections:
-        Px, Py = P @ x.amplitudes, P @ y.amplitudes
-        nx, ny = float(np.linalg.norm(Px)), float(np.linalg.norm(Py))
-        if nx <= tau and ny <= tau:
-            phases[label] = None
-            continue
-        if min(nx, ny) <= tau < max(nx, ny):
-            return "not cospectral"
-        inner = complex(np.vdot(Py, Px))
-        if abs(inner) == 0.0:
-            return "not cospectral"
-        phase = inner / abs(inner)
-        res = float(np.linalg.norm(Px - phase * Py))
-        worst = max(worst, res)
-        if res > tau:
-            return "not cospectral"
-        phases[label] = float(np.angle(phase))
-    return phases, worst
-
-
 @pytest.mark.parametrize("name", ("petersen", "rook:4", "cycle:8", "random-20-4"))
 def test_direct_cospectrality_matches_the_loop_over_both_halves(name):
     """Targets: U^t x_a (cospectral), x_b (mostly not), and U^t x_a turned by
@@ -351,7 +291,8 @@ def test_direct_cospectrality_matches_the_loop_over_both_halves(name):
         x = initial_state(arcs, a)
         turned = State(np.exp(0.7j) * evolve(ws, x, 3).amplitudes)
         for y in (evolve(ws, x, 3), evolve(ws, x, 4.5), initial_state(arcs, b), turned):
-            got, want = check_strong_cospectrality_direct(ws, x, y), direct_cospectrality_loop(ws, x, y)
+            got = check_strong_cospectrality_direct(ws, x, y)
+            want = direct_cospectrality_loop(walk_projections(ws), x, y)
             assert isinstance(got, str) == isinstance(want, str), (a, b)
             if not isinstance(got, str):
                 assert got.phases.keys() == want[0].keys()

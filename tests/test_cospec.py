@@ -165,3 +165,20 @@ def test_direct_route_rejects_wrong_length():
         check_strong_cospectrality_direct(b.ws, short, short)
     with pytest.raises(ValueError, match="arcs"):
         check_strong_cospectrality(b.dec, b.arcs, 0, short)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), -1e-8])
+def test_both_routes_refuse_a_nan_or_negative_tolerance(tau):
+    """At NaN no residual compares above tau, so both routes accepted any
+    target: petersen's x_0 against a random unit state, which both reject
+    at the default tolerance."""
+    b = get_bundle("petersen")
+    z = np.random.default_rng(5).standard_normal((2, b.arcs.num_arcs))
+    y = State((z[0] + 1j * z[1]) / np.linalg.norm(z[0] + 1j * z[1]))
+    x = initial_state(b.arcs, 0)
+    assert check_strong_cospectrality(b.dec, b.arcs, 0, y) == NOT_COSPECTRAL
+    assert check_strong_cospectrality_direct(b.ws, x, y) == NOT_COSPECTRAL
+    with pytest.raises(ValueError, match="tau"):
+        check_strong_cospectrality(b.dec, b.arcs, 0, y, tau=tau)
+    with pytest.raises(ValueError, match="tau"):
+        check_strong_cospectrality_direct(b.ws, x, y, tau=tau)

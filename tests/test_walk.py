@@ -1,7 +1,5 @@
-import dataclasses
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,10 +33,9 @@ from arcwalk.spectra import decomposition_residuals
 from conftest import (
     ALL_GRAPHS,
     NON_BIPARTITE,
-    RANDOM_20_4_EDGES,
     dense_incidence,
     get_bundle,
-    pairwise_orthogonality,
+    sign_projections,
 )
 from test_closed_form import DENSE_TIMES
 
@@ -78,8 +75,10 @@ def test_transition_matrix_is_orthogonal(name):
 def test_walk_projection_suite(name):
     b = get_bundle(name)
     res = walk_spectrum_residuals(b.dec, b.arcs, b.ws)
+    assert list(res) == ["gram", "eigen", "correspondence", "sign", "unitarity"]
     for key, val in res.items():
         assert val < 1e-9, (key, val)
+    assert res["unitarity"] == walk.coin_unitarity(b.arcs.k)
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -90,98 +89,34 @@ def test_builders_keep_the_residuals_they_verified(name):
     assert walk_spectrum(b.dec, b.arcs, verify=False).residuals == {}
 
 
-@pytest.mark.parametrize("name", ALL_GRAPHS)
-def test_orthogonality_bound_covers_the_pairwise_products(name):
-    b = get_bundle(name)
-    res = b.ws.residuals
-    assert pairwise_orthogonality(b.ws) <= res["orthogonality"] <= walk.TAU_WALK
-    assert res["eigen"] <= walk.TAU_WALK
-    assert res["unitarity"] == walk.coin_unitarity(b.arcs.k)
-
-
-def test_orthogonality_bound_on_forty_projections():
-    """random-20-4 has 20 classes, so 40 projections and 780 pairs, some
-    with eigenvalues 0.021 apart."""
-    g = from_edge_list(RANDOM_20_4_EDGES, 20)
-    ws = walk_spectrum(eigendecompose_symmetric(g), build_arc_space(g))
-    assert len(ws.pairs) == 19
-    assert pairwise_orthogonality(ws) <= ws.residuals["orthogonality"] <= walk.TAU_WALK
-
-
 def test_a_projection_off_its_eigenspace_fails_the_suite(monkeypatch):
-    """Turning petersen's first e^{i theta} projection by 1e-6 in the plane
-    of two arcs keeps it a Hermitian idempotent, but U P = mu P fails, and
-    with it the orthogonality to the other projections, which the bound
-    can no longer certify."""
+    """Lifting petersen's eigenvectors with angles 1e-6 off their classes
+    gives columns W whose W W^H are Hermitian, but U W = W diag(e^{i theta})
+    fails: the verified build raises with the certificate's residuals. A
+    NaN in the eigenvectors fails the build too, since no NaN residual is
+    at most TAU_WALK."""
     b = get_bundle("petersen")
-    turn = np.eye(b.arcs.num_arcs)
-    c, s = np.cos(1e-6), np.sin(1e-6)
-    turn[np.ix_([0, 1], [0, 1])] = [[c, -s], [s, c]]
-    made, pair_type = [], walk.EigenphasePair
+    angle_columns = walk._angle_columns
 
-    def turned_pair(index, theta, factor):
-        if not made:
-            # turn W W^H turn^T = (turn W)(turn W)^H
-            factor = turn @ factor
-        made.append(index)
-        return pair_type(index=index, theta=theta, factor=factor)
+    def shifted(dec):
+        V, theta = angle_columns(dec)
+        return V, theta + 1e-6
 
-    monkeypatch.setattr(walk, "EigenphasePair", turned_pair)
+    monkeypatch.setattr(walk, "_angle_columns", shifted)
     with pytest.raises(walk.WalkSpectrumError, match="eigen") as info:
         walk_spectrum(b.dec, b.arcs)
-    assert made
-    residuals = info.value.residuals
-    assert residuals["eigen"] > 1e-7
-    assert residuals["orthogonality"] > walk.TAU_WALK
+    assert info.value.residuals["eigen"] > 1e-7
 
+    def poisoned(dec):
+        V, theta = angle_columns(dec)
+        V = V.copy()
+        V[0, 0] = np.nan
+        return V, theta
 
-def test_an_oblique_projection_keeps_the_bound_above_its_products():
-    """P + P X (I - P) is an idempotent with the range of P, so U P = mu P
-    still holds, but it is not Hermitian and no longer annihilates the
-    other eigenspaces; the h_i N_j term keeps the bound above the products."""
-    b = get_bundle("k4")
-    pair = b.ws.pairs[0]
-    m = b.arcs.num_arcs
-    X = 1e-6 * np.random.default_rng(0).standard_normal((m, m))
-    oblique = pair.plus + pair.plus @ X @ (np.eye(m) - pair.plus)
-    # no factor W has W W^H oblique, so the suite reads stand-ins for the
-    # pair and the spectrum, which show the dense projection as ``plus``
-    stand_in = SimpleNamespace(index=pair.index, theta=pair.theta, plus=oblique,
-                               minus=oblique.conj())
-    ws = SimpleNamespace(proj_plus1=b.ws.proj_plus1, proj_minus1=b.ws.proj_minus1,
-                         pairs=(stand_in,))
-    res = walk_spectrum_residuals(b.dec, b.arcs, ws)
-    assert res["eigen"] < 1e-12
-    assert res["orthogonality"] >= pairwise_orthogonality(ws) > walk.TAU_WALK
-
-
-def test_nearly_equal_eigenvalues_fall_back_to_the_direct_product():
-    """k4's e^{i theta} projection has rank 3. Split into the rank-1 and
-    rank-2 projections of two column blocks of its factor, on angles 1e-12
-    apart, its pieces are too close in
-    eigenvalue for the bound (which divides by |mu_i - mu_j|), so the suite
-    measures their product instead and still certifies them. Two copies of
-    one piece are caught the same way."""
-    b = get_bundle("k4")
-    pair = b.ws.pairs[0]
-    kept = pair.factor
-    assert kept.shape[1] == 3
-    pieces = [kept[:, :1], kept[:, 1:]]
-
-    def split(first, second):
-        pairs = tuple(
-            walk.EigenphasePair(index=pair.index, theta=pair.theta + shift, factor=F)
-            for shift, F in ((0.0, first), (1e-12, second))
-        )
-        return dataclasses.replace(b.ws, pairs=pairs, residuals={})
-
-    ws = split(*pieces)
-    orth = walk_spectrum_residuals(b.dec, b.arcs, ws)["orthogonality"]
-    assert pairwise_orthogonality(ws) <= orth <= walk.TAU_WALK
-
-    ws = split(pieces[0], pieces[0])
-    orth = walk_spectrum_residuals(b.dec, b.arcs, ws)["orthogonality"]
-    assert orth == pairwise_orthogonality(ws) > 0.1
+    monkeypatch.setattr(walk, "_angle_columns", poisoned)
+    with pytest.raises(walk.WalkSpectrumError, match="gram=nan") as info:
+        walk_spectrum(b.dec, b.arcs)
+    assert np.isnan(info.value.residuals["sign"])
 
 
 def test_projection_ranks_on_k4():
@@ -192,8 +127,9 @@ def test_projection_ranks_on_k4():
     T, _, R = (M.astype(float) for M in dense_incidence(b.arcs))
     dim_anti = m - np.linalg.matrix_rank(np.vstack([np.eye(m) + R, T]))
     dim_sym = m - np.linalg.matrix_rank(np.vstack([np.eye(m) - R, T]))
-    assert round(np.trace(b.ws.proj_plus1).real) == 1 + dim_anti
-    assert round(np.trace(b.ws.proj_minus1).real) == 0 + dim_sym
+    plus1, minus1 = sign_projections(b.ws)
+    assert round(np.trace(plus1).real) == 1 + dim_anti
+    assert round(np.trace(minus1).real) == 0 + dim_sym
     assert len(b.ws.pairs) == 1
     assert_allclose(b.ws.pairs[0].theta, np.arccos(-1 / 3), atol=1e-12)
 
@@ -364,15 +300,15 @@ def test_evolution_group_property(t, s):
 
 
 def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
-    """complement:rook:4 (m = 144, n = 16) stores 2 real m x m projections
-    and a 144 x 15 complex factor array, 1.1 complex m x m arrays' worth.
-    With room for 5, the unverified build (counted 3.2, traced 2.1) fits and
-    the verified one (counted 6.7, traced 4.9) is refused before it
-    allocates; each admitted build peaks within its limit."""
+    """complement:rook:4 (m = 144, n = 16) stores a 144 x 15 complex factor
+    array, a fifth of one real m x m array. With room for one, the
+    unverified build (counted 0.81, traced 0.74) fits and the verified one
+    (counted 2.15, traced 1.89) is refused before it allocates; each
+    admitted build peaks within its limit."""
     g = resolve_builtin("complement:rook:4")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
-    unit = 16 * arcs.num_arcs**2
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 5 * unit)
+    unit = 8 * arcs.num_arcs**2
+    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", unit)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the limit"):
@@ -381,15 +317,15 @@ def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
         tracemalloc.reset_peak()
         walk_spectrum(dec, arcs, verify=False)
         _, unverified_peak = tracemalloc.get_traced_memory()
-        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", int(6.7 * unit))
+        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", int(2.2 * unit))
         tracemalloc.reset_peak()
         walk_spectrum(dec, arcs)
         _, verified_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert refused_peak < unit / 4
-    assert unverified_peak <= 5 * unit
-    assert verified_peak <= 6.7 * unit
+    assert refused_peak < unit / 16
+    assert unverified_peak <= unit
+    assert verified_peak <= 2.2 * unit
 
 
 @pytest.mark.parametrize("name", ["cycle:8", "k4", "rook:4", "petersen", "rook:6"])
@@ -400,11 +336,10 @@ def test_spectrum_build_peaks_within_its_counted_size(name, verify, monkeypatch)
     g = resolve_builtin(name)
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     m, n = arcs.num_arcs, g.n
-    # two real m x m projections and the complex m x N factor array
+    # the complex m x N factor array, the real working arrays and 8 KiB
     N = int(dec.multiplicities[1 : dec.num_classes - dec.has_minus_k].sum())
-    stored = 16 * m * (m + N)
     square, columns = walk.WORKSPACE_ARRAYS[verify]
-    counted = stored + 16 * (square * m * m + columns * m * n)
+    counted = 16 * m * N + 8 * (square * m * m + columns * m * n) + 8192
     monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", counted)
     walk_spectrum(dec, arcs, verify=verify)  # first calls allocate caches
     tracemalloc.start()
