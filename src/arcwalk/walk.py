@@ -33,10 +33,10 @@ TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
 #: real (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond W
-#: at its peak, without and with verification, besides 8 KiB of Python
-#: objects and ufunc buffers (traced with tracemalloc: 1.6 to 4.9 and 6.1 to
-#: 8.0 m x n arrays from rook:4 to rook:8 and on cycle:12, the one m x m
-#: array that of ``sign``; the 8 KiB covers k4 and cycle:8)
+#: at its peak, without and with verification, plus 8 KiB of Python objects
+#: and ufunc buffers. Traced with tracemalloc on rook:4 to rook:8 and
+#: cycle:12: 1.6 to 4.9 m x n arrays unverified, and 6.1 to 8.0 beside the
+#: m x m array of ``sign`` verified; the 8 KiB covers k4 and cycle:8.
 WORKSPACE_ARRAYS = ((0, 5), (1, 8))
 
 
@@ -215,8 +215,8 @@ def walk_spectrum_residuals(
     - ``eigen``: the largest column norm of U W - W diag(e^{i theta}),
       with U applied by :func:`apply_walk`;
     - ``correspondence``: max |T W_r - sqrt(k/2) (sin theta - i cos theta) V_r|
-      over the pairs, V_r the columns of ``dec.vectors`` of the pair's
-      class, an n x N check;
+      over the pairs, V_r the leading columns of ``dec.vectors`` in the
+      pair's class, one per column of W_r: an n x N check;
     - ``sign``: max |(U^2 - I) - 2 Re W diag(e^{2i theta} - 1) W^H|, so
       U^2 = I on the complement of W and of conj(W): that complement is
       exactly the +-1 eigenspace of U;
