@@ -32,6 +32,7 @@ from .spectra import (
     eigendecompose_symmetric,
     eigenvalue_support,
     eigenvalue_supports,
+    srg_decomposition,
 )
 from .walk import (
     ArcSpace,

@@ -70,9 +70,7 @@ def resolve_builtin(label: str) -> G.Graph:
     if s == "petersen":
         return G.petersen_graph()
     if s.startswith("complement:"):
-        inner = resolve_builtin(s[len("complement:"):])
-        g = G.complement(inner)
-        return G.graph_from_adjacency(g.adjacency, name=s)
+        return G.complement(resolve_builtin(s[len("complement:"):]), name=s)
     match = re.fullmatch(r"k(\d+)|kn:(\d+)", s)
     if match:
         n = int(match.group(1) or match.group(2))
@@ -179,6 +177,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
         lines = [
             f"graph {report.graph}: verdict {report.verdict}",
             f"mode={report.mode} epsilon={report.epsilon} vertex={report.vertex}",
+            f"route: {report.route}",
         ]
         if report.certificate is not None:
             cert = report.certificate

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralDecomposition, eigenvalue_support
+from .spectra import SpectralDecomposition, eigenvalue_support, eigenvectors
 from .walk import ArcSpace, State, WalkSpectrum, _sign_parts, tail_sum
 
 #: tolerance for cospectrality residuals and phase consistency
@@ -82,6 +82,7 @@ def check_strong_cospectrality(
     (the least-squares cosine of its equation) and residual as block sums
     over the class's columns, in O(n^2 + m) for all classes.
     """
+    V = eigenvectors(dec, "check_strong_cospectrality")
     if dec.has_minus_k:
         raise ValueError("adjacency-level check is restricted to non-bipartite graphs")
     if not tau >= 0:  # NaN too: no residual compares above NaN, so any target would pass
@@ -94,9 +95,9 @@ def check_strong_cospectrality(
     y = y.amplitudes
     # T y and H y, an arc's head being the tail of its reverse
     images = np.stack([tail_sum(arc_space, y), tail_sum(arc_space, y[arc_space.reversal_perm])], 1)
-    parts = dec.vectors.T @ np.hstack([images.real, images.imag])
+    parts = V.T @ np.hstack([images.real, images.imag])
     coeffs = parts[:, :2] + 1j * parts[:, 2:]  # V^T T y, V^T H y
-    v = dec.vectors[a]
+    v = V[a]
     norms = np.add.reduceat(v * v, starts)[:, None]  # ||E_r e_a||^2
     support = np.zeros(d, dtype=bool)
     support[list(eigenvalue_support(dec, a))] = True

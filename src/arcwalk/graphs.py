@@ -115,7 +115,7 @@ def graph_from_adjacency(adjacency: np.ndarray, name: str = "") -> Graph:
         raise ValueError("graph must have at least one vertex")
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency matrix must be symmetric")
-    if not np.isin(adj, (0, 1)).all():
+    if adj.min() < 0 or adj.max() > 1:
         raise ValueError("adjacency entries must be 0 or 1")
     if np.trace(adj) != 0:
         raise ValueError("adjacency matrix must have zero diagonal (no self-loops)")
@@ -194,18 +194,11 @@ def rook_graph(q: int, name: str = "") -> Graph:
     when they share a row or a column. Regular of valency 2(q-1)."""
     if q < 2:
         raise ValueError(f"rook graph needs q >= 2, got {q}")
-    n = q * q
-    _check_order(n)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            u = i * q + j
-            for jj in range(q):
-                if jj != j:
-                    adj[u, i * q + jj] = 1
-            for ii in range(q):
-                if ii != i:
-                    adj[u, ii * q + j] = 1
+    _check_order(q * q)
+    # cell i * q + j; sharing a row or a column but not both is
+    # kron(I, J - I) + kron(J - I, I), formed here without the Kronecker products
+    row, col = np.divmod(np.arange(q * q), q)
+    adj = ((row[:, None] == row) != (col[:, None] == col)).astype(np.int64)
     return graph_from_adjacency(adj, name=name or f"rook:{q}")
 
 
@@ -238,7 +231,7 @@ def check_regular_hadamard(H: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError("Hadamard matrix must be integer valued")
     H = H.astype(np.int64)
     n = H.shape[0]
-    if not np.isin(H, (-1, 1)).all():
+    if not (np.abs(H) == 1).all():
         raise ValueError("Hadamard matrix entries must be +1 or -1")
     # float64 (BLAS) products are exact: every entry is an integer of size <= n
     F = H.astype(float)
@@ -291,38 +284,62 @@ def validate_srg(g: Graph):
     Returns ``SRGParams`` when A^2 = kI + aA + c(J - I - A) holds exactly,
     the string ``"complete"`` for complete graphs (no non-adjacent pairs,
     so c is undefined), and ``"not SRG"`` otherwise.
+
+    The O(n^2) :func:`srg_screen` runs first; only a graph that passes it
+    pays the exact full product (:func:`srg_identity`).
+    """
+    params = srg_screen(g)
+    if isinstance(params, SRGParams) and not srg_identity(g, params):
+        return NOT_SRG
+    return params
+
+
+def srg_screen(g: Graph):
+    """The first stage of :func:`validate_srg`, in O(n^2): column 0 of A^2,
+    A A e_0, must read a on the neighbours of vertex 0 and c on its other
+    non-neighbours.
+
+    Returns ``"complete"``, ``"not SRG"``, or the ``SRGParams`` that column
+    reads, which only :func:`srg_identity` confirms.
     """
     if g.degree is None:
         raise ValueError("validate_srg requires a regular graph")
     if not g.is_connected:
         raise ValueError("validate_srg requires a connected graph")
-    A = g.adjacency.astype(np.int64)
     n, k = g.n, g.degree
-    # float64 (BLAS) product, exact: every entry is an integer of size <= n
-    F = g.adjacency.astype(float)
-    A2 = (F @ F).astype(np.int64)
-    adjacent = A == 1
-    nonadjacent = (A == 0) & ~np.eye(n, dtype=bool)
-    if not nonadjacent.any():
+    if k == n - 1:
         return COMPLETE
-    a_values = A2[adjacent]
-    c_values = A2[nonadjacent]
-    if a_values.size == 0 or a_values.min() != a_values.max():
+    A = g.adjacency
+    column = A @ A[:, 0]
+    adjacent = A[:, 0] == 1
+    nonadjacent = ~adjacent
+    nonadjacent[0] = False
+    # a connected graph on n >= 2 vertices has k >= 1, and k < n - 1 here,
+    # so neither set is empty
+    a_values, c_values = column[adjacent], column[nonadjacent]
+    if a_values.min() != a_values.max() or c_values.min() != c_values.max():
         return NOT_SRG
-    if c_values.min() != c_values.max():
-        return NOT_SRG
-    a = int(a_values[0])
-    c = int(c_values[0])
-    J = np.ones((n, n), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    if not np.array_equal(A2, k * eye + a * A + c * (J - eye - A)):
-        return NOT_SRG
-    return SRGParams(n=n, k=k, a=a, c=c)
+    return SRGParams(n=n, k=k, a=int(a_values[0]), c=int(c_values[0]))
 
 
-def complement(g: Graph) -> Graph:
+def srg_identity(g: Graph, params: SRGParams) -> bool:
+    """Whether A^2 = kI + aA + c(J - I - A) holds exactly, by one O(n^3)
+    product: float64 (BLAS) is exact, every entry being an integer of size
+    at most n."""
+    k, a, c = params.k, params.a, params.c
+    F = g.adjacency.astype(float)
+    defect = F @ F
+    defect -= (a - c) * F
+    defect -= c
+    defect.flat[:: g.n + 1] -= k - c
+    return not defect.any()
+
+
+def complement(g: Graph, name: str = "") -> Graph:
+    """The complement of g, named ``name`` or else after g's name."""
     adj = np.ones((g.n, g.n), dtype=np.int64) - np.eye(g.n, dtype=np.int64) - g.adjacency
-    name = f"complement:{g.name}" if g.name else ""
+    if not name and g.name:
+        name = f"complement:{g.name}"
     return graph_from_adjacency(adj, name=name)
 
 

@@ -14,7 +14,12 @@ precision is possible (the phase condition); a grid or integer scan then
 finds an explicit time within the requested epsilon.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
-pattern is refused before any arc is enumerated. U^t on the start block
+pattern is refused before any arc is enumerated. A strongly regular or
+complete graph with integer eigenvalues takes the scheme route: its
+decomposition comes from its parameters
+(:func:`arcwalk.spectra.srg_decomposition`), with no eigh. Every other
+graph takes the dense route over eigh; the rest of the pipeline is
+shared. U^t on the start block
 and its distance to the flat target are taken in n x n form from
 :func:`arcwalk.walk.entry_parts`. Its eigen-components are checked once,
 for every t, against the O(m) walk by :func:`arcwalk.walk.check_closed_form`:
@@ -39,6 +44,7 @@ from .spectra import (
     eigendecompose_symmetric,
     eigenvalue_support,
     eigenvalue_supports,
+    srg_decomposition,
     walk_regular,
 )
 from .walk import build_arc_space, check_closed_form, entry_parts, probe_block
@@ -85,6 +91,11 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 MODE_INTEGER = "integer"
 MODE_REAL = "real"
+
+#: the routes of :class:`MixingReport`: the decomposition from the SRG
+#: parameters, or from a dense eigh
+ROUTE_SCHEME = "scheme"
+ROUTE_DENSE = "dense"
 
 
 @dataclass(frozen=True)
@@ -984,7 +995,8 @@ class MixingReport:
     budget-exhausted. ``walk_residual`` is the largest closed-form defect
     (:func:`arcwalk.walk.check_closed_form`) on the start column, or on the
     seeded probes of every start column when simultaneous; None without a
-    certificate.
+    certificate. ``route`` is ``"scheme"`` when the decomposition came from
+    the SRG parameters, ``"dense"`` when from eigh.
     """
 
     graph: str
@@ -1000,6 +1012,7 @@ class MixingReport:
     verdict: str
     support: tuple[int, ...] | None
     notes: tuple[str, ...]
+    route: str
 
     def to_json_dict(self, emit_matrix: bool = False) -> dict:
         return {
@@ -1020,6 +1033,7 @@ class MixingReport:
             "verdict": self.verdict,
             "support": None if self.support is None else list(self.support),
             "notes": list(self.notes),
+            "route": self.route,
         }
 
 
@@ -1061,7 +1075,7 @@ def _mixing_report(
         )
     if a is not None and not 0 <= a < g.n:
         raise ValueError(f"vertex {a} out of range [0, {g.n})")
-    dec = eigendecompose_symmetric(g)
+    dec = srg_decomposition(g) or eigendecompose_symmetric(g)
     notes = []
     if walk_regular(dec):
         notes.append(
@@ -1092,6 +1106,7 @@ def _mixing_report(
         MixingReport,
         graph=graph_name if graph_name is not None else (g.name or f"n{g.n}-k{g.degree}"),
         vertex=a, mode=mode, epsilon=epsilon, support=support,
+        route=ROUTE_SCHEME if dec.vectors is None else ROUTE_DENSE,
     )
 
     certificates = hadamard_search(dec, tau_flat=tau_flat)

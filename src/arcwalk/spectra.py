@@ -5,15 +5,23 @@ A = sum_r lambda_r E_r with orthogonal spectral idempotents E_r, ordered
 by decreasing eigenvalue so that lambda_0 = k and E_0 = J/n. Each
 eigenvalue carries an angle theta_r = arccos(lambda_r / k) in [0, pi];
 theta = pi is present exactly when the graph is bipartite.
+
+Two routes build the decomposition. :func:`eigendecompose_symmetric` runs
+a dense eigh on any connected regular graph. :func:`srg_decomposition`
+takes a strongly regular or complete graph from its parameters alone:
+its idempotents are fixed by the eigenmatrix of the association scheme
+(Delsarte, Philips Res. Rep. Suppl. 10, 1973; Brouwer, Cohen and
+Neumaier, *Distance-Regular Graphs*, 1989), and no eigenvector is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import COMPLETE, NOT_SRG, Graph, srg_identity, srg_screen
 
 #: default tolerance for the idempotent suite (idempotency, orthogonality,
 #: reconstruction of A)
@@ -52,6 +60,9 @@ class SpectralDecomposition:
     ``idempotents`` is one read-only (d, n, n) array, E_r = ``idempotents[r]``
     = V_r V_r^T (a sequence of n x n arrays is stacked into one).
     ``residuals`` is the idempotent suite it passed.
+
+    A record built from SRG parameters (:func:`srg_decomposition`) has no
+    ``vectors`` (None).
     """
 
     n: int
@@ -59,7 +70,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     angles: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     idempotents: np.ndarray
     has_minus_k: bool
     residuals: dict[str, float] = field(default_factory=dict)
@@ -67,6 +78,8 @@ class SpectralDecomposition:
     def __post_init__(self):
         for name in ("vectors", "idempotents"):
             X = getattr(self, name)
+            if X is None:
+                continue
             if not (isinstance(X, np.ndarray) and X.dtype == float and not X.flags.writeable):
                 X = np.array(X, dtype=float)
                 X.setflags(write=False)
@@ -80,6 +93,17 @@ class SpectralDecomposition:
     def class_starts(self) -> np.ndarray:
         """First column of each class in ``vectors``."""
         return np.cumsum(self.multiplicities) - self.multiplicities
+
+
+def eigenvectors(dec: SpectralDecomposition, what: str) -> np.ndarray:
+    """``dec.vectors``, or a ValueError saying that ``what`` needs the
+    eigenvectors, which a record built from SRG parameters does not hold."""
+    if dec.vectors is None:
+        raise ValueError(
+            f"{what}: a decomposition built from SRG parameters holds no "
+            "eigenvectors; use eigendecompose_symmetric"
+        )
+    return dec.vectors
 
 
 def decomposition_residuals(dec: SpectralDecomposition, adjacency: np.ndarray) -> dict[str, float]:
@@ -101,7 +125,7 @@ def decomposition_residuals(dec: SpectralDecomposition, adjacency: np.ndarray) -
     bound is below the measured maximum of those products (a tier-1 test
     compares them with the dense suite).
     """
-    n, V = dec.n, dec.vectors
+    n, V = dec.n, eigenvectors(dec, "decomposition_residuals")
     starts, sizes = dec.class_starts, dec.multiplicities
     total = dec.idempotents.sum(axis=0)
     total.flat[:: n + 1] -= 1.0
@@ -125,6 +149,16 @@ def decomposition_residuals(dec: SpectralDecomposition, adjacency: np.ndarray) -
         "reconstruction": float(np.abs(recon).max()),
         "e0_vs_uniform": float(np.abs(dec.idempotents[0] - 1.0 / n).max()),
     }
+
+
+def _idempotent_stack(classes: int, n: int) -> np.ndarray:
+    """An empty (classes, n, n) stack, or a ValueError before it is
+    allocated when it would pass MAX_SPECTRUM_BYTES."""
+    size = 8 * classes * n**2
+    if size > MAX_SPECTRUM_BYTES:
+        raise ValueError(f"idempotents of {classes} classes on {n} vertices need {size >> 20} "
+                         f"MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB")
+    return np.empty((classes, n, n))
 
 
 def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> SpectralDecomposition:
@@ -164,13 +198,9 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     # Chain consecutive eigenvalues closer than tau_group into one class.
     boundaries = [0, *(np.flatnonzero(-np.diff(values) > tau_group) + 1).tolist(), g.n]
     classes = len(boundaries) - 1
-    size = 8 * classes * g.n**2
-    if size > MAX_SPECTRUM_BYTES:
-        raise ValueError(f"idempotents of {classes} classes on {g.n} vertices need {size >> 20} "
-                         f"MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB")
+    idempotents = _idempotent_stack(classes, g.n)
     eigenvalues = []
     multiplicities = []
-    idempotents = np.empty((classes, g.n, g.n))
     for E, lo, hi in zip(idempotents, boundaries[:-1], boundaries[1:]):
         block = vectors[:, lo:hi]
         S = block @ block.T
@@ -224,6 +254,93 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
             residuals,
         )
     return dec
+
+
+def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
+    """The decomposition of a strongly regular or complete graph from its
+    parameters (n, k, lambda, mu), with no eigh; None for any other graph.
+
+    The graph must be connected, regular and non-bipartite, and pass the
+    exact SRG check of :func:`arcwalk.graphs.validate_srg`. Its eigenvalues
+    are then k > r > s, the roots of x^2 - (lambda - mu) x - (k - mu)
+    beside k, or n - 1 > -1 for K_n. When the discriminant
+    (lambda - mu)^2 + 4 (k - mu) is not a square (a conference graph such as
+    Paley(13)) they are irrational and the answer is None too, so the caller
+    takes the dense route. The discriminant is read from the O(n^2)
+    :func:`arcwalk.graphs.srg_screen` before the exact O(n^3) product.
+
+    The eigenmatrix P of the scheme has rows (1, lambda_r,
+    [r = 0] n - 1 - lambda_r), the eigenvalues of the relations A_0 = I,
+    A_1 = A and A_2 = J - I - A on E_r (the last column only for an SRG).
+    The multiplicities m_r follow from sum_r m_r = n and
+    trace A = sum_r m_r lambda_r = 0, and by the orthogonality relations of
+    the scheme
+
+        E_r = (1/n) sum_i Q[i, r] A_i,   Q[i, r] = m_r P[r, i] / v_i,
+
+    with v_i = P[0, i] the valencies: each E_r is formed in O(n^2) from A.
+    ``residuals`` holds ``completeness`` (sum E_r - I) and
+    ``reconstruction`` (sum lambda_r E_r - A), each O(d n^2), and a value
+    above the tolerances of :func:`eigendecompose_symmetric` raises
+    DecompositionError. A (d + 1, n, n) stack over MAX_SPECTRUM_BYTES is
+    refused with ValueError before it is allocated.
+    """
+    if g.degree is None or not g.is_connected or g.is_bipartite:
+        return None
+    params = srg_screen(g)
+    if params == NOT_SRG:
+        return None
+    n, k = g.n, g.degree
+    if params == COMPLETE:
+        values, multiplicities = [k, -1], [1, n - 1]
+    else:
+        gap = params.a - params.c
+        disc = gap * gap + 4 * (k - params.c)
+        root = math.isqrt(disc)
+        if root * root != disc or not srg_identity(g, params):
+            return None
+        r, s = (gap + root) // 2, (gap - root) // 2
+        # 1 + f + g = n and k + f r + g s = trace A = 0
+        values = [k, r, s]
+        multiplicities = [1, (-k - (n - 1) * s) // (r - s), (k + (n - 1) * r) // (r - s)]
+    d = len(values) - 1
+    P = np.array([[1, lam, (n if j == 0 else 0) - 1 - lam] for j, lam in enumerate(values)],
+                 dtype=np.int64)[:, : d + 1]
+    m = np.array(multiplicities, dtype=np.int64)
+    # row r: Q[i, r] / n, the entry of E_r at relation i (0 past the relations)
+    coefficients = np.zeros((d + 1, 3))
+    coefficients[:, : d + 1] = m[:, None] * P / (n * P[0])
+
+    F = g.adjacency.astype(float)
+    idempotents = _idempotent_stack(d + 1, n)
+    for E, (identity, adjacent, other) in zip(idempotents, coefficients):
+        np.multiply(F, adjacent - other, out=E)
+        E += other
+        E.flat[:: n + 1] = identity
+    idempotents.setflags(write=False)
+    eigenvalues = np.array(values, dtype=float)
+    angles = np.arccos(eigenvalues / k)
+    angles[0] = 0.0
+    angles.setflags(write=False)
+
+    total = idempotents.sum(axis=0)
+    total.flat[:: n + 1] -= 1.0
+    recon = (eigenvalues @ idempotents.reshape(d + 1, -1)).reshape(n, n)
+    recon -= F
+    residuals = {
+        "completeness": float(np.abs(total).max()),
+        "reconstruction": float(np.abs(recon).max()),
+    }
+    if residuals["completeness"] > COMPLETENESS_TOL or residuals["reconstruction"] > TAU_SPEC:
+        raise DecompositionError(
+            "SRG idempotents failed: "
+            + ", ".join(f"{key}={val:.3e}" for key, val in residuals.items()),
+            residuals,
+        )
+    return SpectralDecomposition(
+        n=n, k=k, eigenvalues=eigenvalues, multiplicities=m, angles=angles, vectors=None,
+        idempotents=idempotents, has_minus_k=False, residuals=residuals,
+    )
 
 
 def _supports(dec: SpectralDecomposition, columns) -> list[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectra import MAX_SPECTRUM_BYTES, SpectralDecomposition
+from .spectra import MAX_SPECTRUM_BYTES, SpectralDecomposition, eigenvectors
 
 #: tolerance for the walk spectrum certificate and the closed-form check
 TAU_WALK = 1e-9
@@ -289,10 +289,12 @@ def _eigen_defect(
 
 def _angle_columns(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """The columns of ``dec.vectors`` whose classes have an angle theta in
-    (0, pi), a view, and the angle of each column."""
+    (0, pi), a view, and the angle of each column; a ValueError for a
+    record without eigenvectors."""
     live = dec.num_classes - dec.has_minus_k
     first, stop = dec.multiplicities[0], dec.n - dec.has_minus_k * dec.multiplicities[-1]
-    return dec.vectors[:, first:stop], np.repeat(dec.angles[1:live], dec.multiplicities[1:live])
+    V = eigenvectors(dec, "walk_spectrum and evolve_by_projections")
+    return V[:, first:stop], np.repeat(dec.angles[1:live], dec.multiplicities[1:live])
 
 
 def walk_spectrum(

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from arcwalk import (
+    COMPLETE,
+    NOT_SRG,
     Graph,
+    SRGParams,
     SpectralDecomposition,
     WalkSpectrum,
     build_arc_space,
@@ -19,6 +22,7 @@ from arcwalk import (
     transition_matrix,
     walk_spectrum,
 )
+from arcwalk.cli import resolve_builtin
 from arcwalk.cospec import NOT_COSPECTRAL, SIN_SNAP, TAU_COSP, CospectralityWitness
 from arcwalk.spectra import eigenvalue_support
 from arcwalk.walk import (
@@ -406,3 +410,53 @@ def per_class_evolve_by_projections(dec, arc_space, x, t):
         out += 2.0 * (np.exp(1j * theta * t) * plus).real
     plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
     return out + plus1 + _minus_one_power(t) * (rest - plus1)
+
+
+def loop_rook_adjacency(q: int) -> np.ndarray:
+    """Oracle for ``rook_graph``: each cell i * q + j of the q x q grid joined
+    to the other cells of its row and of its column, one cell at a time."""
+    n = q * q
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(q):
+        for j in range(q):
+            u = i * q + j
+            for jj in range(q):
+                if jj != j:
+                    adj[u, i * q + jj] = 1
+            for ii in range(q):
+                if ii != i:
+                    adj[u, ii * q + j] = 1
+    return adj
+
+
+def loop_builtin_adjacency(label: str) -> np.ndarray:
+    """Oracle for ``resolve_builtin``'s adjacency on rook graphs
+    (:func:`loop_rook_adjacency`) and complements, J - I - A of the inner
+    builtin's oracle; an inner builtin of any other kind is taken as
+    ``resolve_builtin`` builds it."""
+    if label.startswith("complement:"):
+        A = loop_builtin_adjacency(label[len("complement:"):])
+        return 1 - np.eye(len(A), dtype=np.int64) - A
+    if label.startswith("rook:"):
+        return loop_rook_adjacency(int(label[len("rook:"):]))
+    return resolve_builtin(label).adjacency
+
+
+def full_srg_check(g: Graph):
+    """Oracle for ``validate_srg`` without its column screen: the exact
+    product A^2 is formed first, and a and c are read from all of it."""
+    A = g.adjacency.astype(np.int64)
+    F = A.astype(float)
+    A2 = (F @ F).astype(np.int64)  # exact: every entry is an integer of size <= n
+    adjacent = A == 1
+    nonadjacent = (A == 0) & ~np.eye(g.n, dtype=bool)
+    if not nonadjacent.any():
+        return COMPLETE
+    a_values, c_values = A2[adjacent], A2[nonadjacent]
+    if a_values.min() != a_values.max() or c_values.min() != c_values.max():
+        return NOT_SRG
+    a, c = int(a_values[0]), int(c_values[0])
+    J, eye = np.ones_like(A), np.eye(g.n, dtype=np.int64)
+    if not np.array_equal(A2, g.degree * eye + a * A + c * (J - eye - A)):
+        return NOT_SRG
+    return SRGParams(n=g.n, k=g.degree, a=a, c=c)

@@ -26,6 +26,7 @@ from arcwalk import (
 )
 from arcwalk import graphs
 from arcwalk.cli import resolve_builtin
+from conftest import full_srg_check, loop_builtin_adjacency, loop_rook_adjacency
 
 
 def count_srg_params(g):
@@ -312,3 +313,89 @@ def test_frontier_bfs_matches_the_queue_bfs(name):
     assert np.array_equal(colors, want_colors)
     g = graph_from_adjacency(adjacency)
     assert (g.is_connected, g.is_bipartite) == (connected, bipartite)
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_rook_graph_matches_the_loop_form(q):
+    assert np.array_equal(rook_graph(q).adjacency, loop_rook_adjacency(q))
+
+
+BUILTIN_LABELS = (
+    [f"k{n}" for n in range(2, 7)] + [f"cycle:{n}" for n in range(3, 10)]
+    + [f"rook:{q}" for q in range(2, 9)] + ["petersen"]
+    + [f"hadamard-srg:{m}" for m in (1, 2, 4, 8, 16)]
+)
+
+
+#: the builtins whose builder moved off the loop form: rook graphs, and every
+#: complement (built once, under its own name), hadamard-srg:16 left out for size
+LOOP_FORM_LABELS = (
+    [label for label in BUILTIN_LABELS if label.startswith("rook:")]
+    + [f"complement:{label}" for label in BUILTIN_LABELS if label != "hadamard-srg:16"]
+)
+
+
+@pytest.mark.parametrize("label", LOOP_FORM_LABELS)
+def test_builtins_match_the_loop_form(label):
+    g = resolve_builtin(label)
+    want = loop_builtin_adjacency(label)
+    assert g.adjacency.dtype == want.dtype and np.array_equal(g.adjacency, want)
+    assert g.name == label and not g.adjacency.flags.writeable
+
+
+def switched_rook4():
+    """rook:4 with a degree-preserving 2-switch among the cells off vertex
+    0's row and column: A^2 e_0 is unchanged, but the graph is not strongly
+    regular."""
+    A = rook_graph(4).adjacency.copy()
+    # cell (i, j) is 4i + j: (1,1)-(1,2) and (2,3)-(3,3) become (1,1)-(3,3) and (1,2)-(2,3)
+    for u, v, on in ((5, 6, 0), (11, 15, 0), (5, 15, 1), (6, 11, 1)):
+        A[u, v] = A[v, u] = on
+    return graph_from_adjacency(A, name="switched-rook:4")
+
+
+def srg_check_cases():
+    for label in BUILTIN_LABELS:
+        for name in (label, f"complement:{label}"):
+            g = resolve_builtin(name)
+            if g.degree is not None and g.is_connected:
+                yield name, g
+    for n in range(16, 65, 8):
+        for k, seed in ((3, n), (4, n + 1), (6, n + 2)):
+            if n * k % 2 == 0:
+                A = nx.to_numpy_array(nx.random_regular_graph(k, n, seed=seed), nodelist=range(n))
+                g = graph_from_adjacency(A.astype(np.int64), name=f"random-{n}-{k}")
+                if g.is_connected:
+                    yield g.name, g
+    yield "switched-rook:4", switched_rook4()
+
+
+SRG_CHECK_CASES = dict(srg_check_cases())
+
+
+@pytest.mark.parametrize("name", SRG_CHECK_CASES)
+def test_validate_srg_matches_the_full_check(name):
+    g = SRG_CHECK_CASES[name]
+    assert validate_srg(g) == full_srg_check(g)
+
+
+def test_the_full_product_decides_past_the_screen(monkeypatch):
+    """The switched rook passes the column screen, so only the exact full
+    product finds that it is not strongly regular."""
+    g = switched_rook4()
+    A = g.adjacency
+    assert np.array_equal(A @ A[:, 0], rook_graph(4).adjacency @ rook_graph(4).adjacency[:, 0])
+    assert validate_srg(g) == NOT_SRG
+    monkeypatch.setattr(graphs, "srg_identity", lambda *args: True)
+    assert validate_srg(g) != NOT_SRG
+
+
+def test_a_non_srg_graph_of_order_512_never_reaches_the_full_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the full product A^2 was formed")
+
+    A = nx.to_numpy_array(nx.random_regular_graph(5, 512, seed=3), nodelist=range(512))
+    g = graph_from_adjacency(A.astype(np.int64))
+    assert g.is_connected
+    monkeypatch.setattr(graphs, "srg_identity", refuse)
+    assert validate_srg(g) == NOT_SRG

@@ -17,7 +17,7 @@ from arcwalk import (
 )
 
 from arcwalk import spectra
-from arcwalk.spectra import TAU_SPEC
+from arcwalk.spectra import TAU_SPEC, srg_decomposition
 
 from conftest import ALL_GRAPHS, GRAPH_BUILDERS, dense_decomposition_residuals, get_bundle
 from test_conjugate_storage import inputs
@@ -184,6 +184,17 @@ def test_idempotent_stack_over_the_limit_is_refused(monkeypatch):
         eigendecompose_symmetric(g)
     monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 10 * 10 * 8)
     assert eigendecompose_symmetric(g).idempotents.nbytes == 2400
+
+
+def test_scheme_idempotent_stack_over_the_limit_is_refused(monkeypatch):
+    """The scheme route keeps the same limit: rook:4 has 3 classes on 16
+    vertices, a stack of 6144 bytes."""
+    g = GRAPH_BUILDERS["rook4"]()
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 16 * 16 * 8 - 1)
+    with pytest.raises(ValueError, match="3 classes on 16 vertices"):
+        srg_decomposition(g)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 16 * 16 * 8)
+    assert srg_decomposition(g).idempotents.nbytes == 6144
 
 
 def test_oversized_grouping_tolerance_fails_loudly():
