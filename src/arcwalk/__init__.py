@@ -36,7 +36,6 @@ from .spectra import (
 )
 from .walk import (
     ArcSpace,
-    EigenphasePair,
     State,
     WalkSpectrum,
     WalkSpectrumError,
@@ -55,7 +54,6 @@ from .walk import (
     probe_block,
     realness_deficit,
     state_to_json,
-    transition_matrix,
     walk_spectrum,
     walk_spectrum_residuals,
 )

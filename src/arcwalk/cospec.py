@@ -121,11 +121,16 @@ def check_strong_cospectrality(
     cos_tail, cos_head = ratio.real.T
     base = np.arccos(np.clip(cos_tail, -1.0, 1.0))
     # the head equation disambiguates the sign of delta, unless |sin delta|
-    # is too small to observe it and delta snaps to 0 or pi
-    err_plus = np.abs(np.cos(base + dec.angles) - cos_head)
-    err_minus = np.abs(np.cos(-base + dec.angles) - cos_head)
-    delta = np.where(np.abs(np.sin(base)) < SIN_SNAP, np.where(cos_tail > 0, 0.0, np.pi),
-                     np.where(err_plus <= err_minus, base, -base))
+    # is too small to observe it, or 0 or pi fits both equations better than
+    # either sign, and delta snaps to 0 or pi: a tail cosine of +-1 up to
+    # rounding has an arccos of order sqrt(eps) that neither sign fits
+    snap = np.where(cos_tail > 0, 0.0, np.pi)
+    err_plus, err_minus, err_snap = (
+        np.abs(np.cos(c) - cos_tail) + np.abs(np.cos(c + dec.angles) - cos_head)
+        for c in (base, -base, snap)
+    )
+    snapped = (np.abs(np.sin(base)) < SIN_SNAP) | (err_snap < np.minimum(err_plus, err_minus))
+    delta = np.where(snapped, snap, np.where(err_plus <= err_minus, base, -base))
     # the images each class should have: sqrt(k) (cos delta, cos(delta + theta))
     # times V_r^T e_a on the support, zero outside it, where the class must
     # annihilate the target's incidence images as it does e_a
@@ -153,31 +158,32 @@ def check_strong_cospectrality_direct(
     exactly one of them is a rejection. A NaN or negative ``tau`` raises
     ValueError.
 
-    No projection is formed. F = F_{+theta} = W_r W_r^H for the pair's
-    factor W_r, so F z = W_r (W_r^H z), and F_{-theta} z =
-    conj(W_r (W_r^H conj(z))): one product of W^T with x, y and their
-    conjugates gives the coefficients of every pair, and each pair's
-    images are its factor times its block of them, in O(m N) for all
-    pairs. The images under F_{+-1} are split from the rest
-    z - sum (F_{+theta} + F_{-theta}) z (:func:`walk._sign_parts`), and
-    all projections are tested at once.
+    No projection is formed. F = F_{+theta} = W_r W_r^H for the block W_r
+    of the columns of W in class r (``ws.column_classes``), so
+    F z = W_r (W_r^H z), and F_{-theta} z = conj(W_r (W_r^H conj(z))): one
+    product of W^T with x, y and their conjugates gives the coefficients
+    of every class, and each class's images are its block times its
+    coefficients, in O(m N) for all classes. The images under F_{+-1} are
+    split from the rest z - sum (F_{+theta} + F_{-theta}) z
+    (:func:`walk._sign_parts`), and all projections are tested at once.
     """
     if not tau >= 0:  # NaN too, as in check_strong_cospectrality
         raise ValueError(f"tau must be non-negative, got {tau}")
     if len(x) != ws.num_arcs or len(y) != ws.num_arcs:
         raise ValueError("states live on the wrong number of arcs")
+    W, classes = ws.factors, ws.column_classes
+    starts = np.flatnonzero(np.diff(classes, prepend=-1))  # each class's first column
     labels = ["plus1", "minus1"]
-    labels += [f"pair{pair.index}{sign}" for pair in ws.pairs for sign in "+-"]
-    d, m, x, y = len(ws.pairs), ws.num_arcs, x.amplitudes, y.amplitudes
+    labels += [f"pair{classes[lo]}{sign}" for lo in starts for sign in "+-"]
+    d, m, x, y = len(starts), ws.num_arcs, x.amplitudes, y.amplitudes
     Z = np.stack([x.conj(), y.conj(), x, y], axis=1)
     # per column of W: W^H x, W^H y, conj(W^T x) and conj(W^T y), which each
-    # pair's factor maps to F_{+theta} x, F_{+theta} y, conj(F_{-theta} x), conj(F_{-theta} y)
-    coeffs = (ws.factors.T @ Z).conj()
+    # class's block maps to F_{+theta} x, F_{+theta} y, conj(F_{-theta} x), conj(F_{-theta} y)
+    coeffs = (W.T @ Z).conj()
     turned = np.empty((d, m, 4), dtype=complex)
-    ends = np.cumsum([pair.factor.shape[1] for pair in ws.pairs], dtype=int)
-    for pair, c, out in zip(ws.pairs, np.split(coeffs, ends[:-1]), turned):
-        np.matmul(pair.factor, c, out=out)
-    lifted = ws.factors @ coeffs  # the sums over the pairs
+    for lo, hi, out in zip(starts, np.append(starts[1:], len(classes)), turned):
+        np.matmul(W[:, lo:hi], coeffs[lo:hi], out=out)
+    lifted = W @ coeffs  # the sums over the classes
     # images of x (column 0) and y (column 1) under each projection, in label order
     images = np.empty((2 + 2 * d, m, 2), dtype=complex)
     images[:2] = _sign_parts(ws.arc_space, Z[:, 2:] - lifted[:, :2] - lifted[:, 2:].conj())

@@ -151,13 +151,20 @@ def decomposition_residuals(dec: SpectralDecomposition, adjacency: np.ndarray) -
     }
 
 
+def _within_limit(size: int, what: str) -> None:
+    """A ValueError "<what> <size> MiB, over the limit of ..." when ``size``
+    bytes would pass MAX_SPECTRUM_BYTES, read at call time so that one
+    setting governs every allocation it bounds."""
+    if size > MAX_SPECTRUM_BYTES:
+        raise ValueError(
+            f"{what} {size >> 20} MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB"
+        )
+
+
 def _idempotent_stack(classes: int, n: int) -> np.ndarray:
     """An empty (classes, n, n) stack, or a ValueError before it is
     allocated when it would pass MAX_SPECTRUM_BYTES."""
-    size = 8 * classes * n**2
-    if size > MAX_SPECTRUM_BYTES:
-        raise ValueError(f"idempotents of {classes} classes on {n} vertices need {size >> 20} "
-                         f"MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB")
+    _within_limit(8 * classes * n**2, f"idempotents of {classes} classes on {n} vertices need")
     return np.empty((classes, n, n))
 
 

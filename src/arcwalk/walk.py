@@ -12,7 +12,10 @@ eigenspace of U is lifted from the adjacency eigenvectors and held as the
 arc eigenvectors that span it; its conjugate gives e^{-i theta}. What is
 left is the +-1 eigenspace of U (the lifts of the +-k adjacency classes
 and the kernel components of the incidence maps). Its projections are
-never stored: they are applied from the eigenvectors and U alone.
+never stored: they are applied from the eigenvectors and U alone, and
+the certificate checks that complement on seeded probe vectors. No
+function here forms an m x m array; U is applied in O(m) per column
+(:func:`apply_walk`).
 
 Real powers U^t are taken with the principal branch, e^{i t theta} per
 projection, so (-1)^t means e^{i pi t}.
@@ -26,25 +29,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectra import MAX_SPECTRUM_BYTES, SpectralDecomposition, eigenvectors
+from .spectra import SpectralDecomposition, _within_limit, eigenvectors
 
 #: tolerance for the walk spectrum certificate and the closed-form check
 TAU_WALK = 1e-9
 #: unit-norm tolerance enforced by State
 STATE_NORM_TOL = 1e-12
-#: real (m x m, m x n) arrays a build of :func:`walk_spectrum` holds beyond W
-#: at its peak, without and with verification, plus 8 KiB of Python objects
-#: and ufunc buffers. Traced with tracemalloc on rook:4 to rook:8 and
-#: cycle:12: 1.6 to 4.9 m x n arrays unverified, and 6.1 to 8.0 beside the
-#: m x m array of ``sign`` verified; the 8 KiB covers k4 and cycle:8.
-WORKSPACE_ARRAYS = ((0, 5), (1, 8))
-
-
-def _within_limit(size: int, what: str) -> None:
-    if size > MAX_SPECTRUM_BYTES:
-        raise ValueError(
-            f"{what} needs {size >> 20} MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB"
-        )
+#: real m x n arrays a build of :func:`walk_spectrum` and its certificate
+#: hold beyond W at their peak, plus 8 KiB of Python objects. Traced with
+#: tracemalloc on 40 graphs, k4 to rook:12, cycle:300 and random regular
+#: graphs of order 6 to 100: 1.7 to 4.8 m x n arrays. From rook:8 up it is
+#: 2.1 to 2.4, one complex m x N drift and the vertex sums; on a few
+#: hundred arcs the ufunc buffers (up to 128 KiB) weigh as much as W.
+WORKSPACE_ARRAYS = 5
 
 
 class WalkSpectrumError(ValueError):
@@ -141,63 +138,27 @@ def apply_walk(arc_space: ArcSpace, x: np.ndarray) -> np.ndarray:
     return ((2.0 / arc_space.k) * spread - x)[arc_space.reversal_perm]
 
 
-def transition_matrix(arc_space: ArcSpace) -> np.ndarray:
-    """One-step walk operator U = R (2/k * T^T T - I), real orthogonal."""
-    return apply_walk(arc_space, np.eye(arc_space.num_arcs))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenphasePair:
-    """Conjugate projection pair for walk eigenvalues e^{+-i theta}.
-
-    ``factor`` is an m x m_r complex array with orthonormal columns that
-    span the e^{i theta} eigenspace of U, a view of the spectrum's
-    ``factors``, so F_{+theta} = factor factor^H. ``plus`` = F_{+theta} and
-    ``minus`` = F_{-theta}, its conjugate, are formed afresh on each
-    access; no library path reads them. ``index`` is the position of the
-    source eigenvalue class in the adjacency decomposition.
-    """
-
-    index: int
-    theta: float
-    factor: np.ndarray
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.factor @ self.factor.conj().T
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.plus.conj()
-
-
 @dataclass(frozen=True, eq=False)
 class WalkSpectrum:
-    """Spectrum of U on ``arc_space``: for each adjacency angle theta_r in
-    (0, pi), the factor W_r of F_{+theta_r} = W_r W_r^H. Nothing m x m is
-    stored: the rest of the arc space is the +-1 eigenspace of U, and
-    F_{+1} and F_{-1} are applied from W and U (:func:`evolve_operator`).
-    ``residuals`` is the certificate W passed
-    (:func:`walk_spectrum_residuals`), empty when it was built without
-    verification.
+    """Spectrum of U on ``arc_space`` as its arc eigenvectors.
 
-    ``factors`` is the read-only complex (m, N) array W whose column blocks
-    are the pairs' factors, in pair order, N = sum m_r <= n - 1 columns in
-    all, and ``column_thetas`` holds the angle of each column of W. On
-    random-28-4 (m = 112, N = 27) W takes 48,384 B.
+    ``factors`` is the read-only complex (m, N) array W of orthonormal
+    eigenvectors of U for the adjacency angles theta in (0, pi),
+    N = sum m_r <= n - 1. Column j has eigenvalue e^{i column_thetas[j]} and
+    lifts an eigenvector of the adjacency class ``column_classes[j]``; a
+    class r takes adjacent columns W_r, so F_{+theta_r} = W_r W_r^H and
+    F_{-theta_r} is its conjugate. Nothing m x m is stored: the rest of
+    the arc space is the +-1 eigenspace of U, and F_{+1} and F_{-1} are
+    applied from W and U (:func:`evolve_operator`). ``residuals`` is the
+    certificate W passed (:func:`walk_spectrum_residuals`). On random-28-4
+    (m = 112, N = 27) W takes 48,384 B.
     """
 
     arc_space: ArcSpace
     factors: np.ndarray
-    pairs: tuple[EigenphasePair, ...]
+    column_thetas: np.ndarray
+    column_classes: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
-    column_thetas: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        column_thetas = np.repeat([pair.theta for pair in self.pairs],
-                                  [pair.factor.shape[1] for pair in self.pairs])
-        column_thetas.setflags(write=False)
-        object.__setattr__(self, "column_thetas", column_thetas)
 
     @property
     def num_arcs(self) -> int:
@@ -214,12 +175,19 @@ def walk_spectrum_residuals(
       of conj(W) are orthonormal together;
     - ``eigen``: the largest column norm of U W - W diag(e^{i theta}),
       with U applied by :func:`apply_walk`;
-    - ``correspondence``: max |T W_r - sqrt(k/2) (sin theta - i cos theta) V_r|
-      over the pairs, V_r the leading columns of ``dec.vectors`` in the
-      pair's class, one per column of W_r: an n x N check;
-    - ``sign``: max |(U^2 - I) - 2 Re W diag(e^{2i theta} - 1) W^H|, so
-      U^2 = I on the complement of W and of conj(W): that complement is
-      exactly the +-1 eigenspace of U;
+    - ``correspondence``: max |T w - sqrt(k/2) (sin theta - i cos theta) v|
+      over the columns w of W, with v the column of ``dec.vectors`` that w
+      lifts: the i-th column of class r in W against column i mod m_r of
+      the class's block V_r, an n x N check;
+    - ``sign``: the largest column norm of (U^2 - I) rest for the part
+      rest = Z - 2 Re W W^H Z of the seeded unit probes Z =
+      :func:`probe_block` (m) off W and conj(W). Once ``eigen`` holds,
+      this is M Z for M = (U^2 - I) - 2 Re W diag(e^{2i theta} - 1) W^H,
+      and M = 0 says U^2 = I on the complement of W and conj(W), which is
+      then exactly the +-1 eigenspace of U. A nonzero M has a random probe
+      in its kernel with probability 0 (Freivalds' check), and a defect of
+      norm delta spread over the arc space reads about delta / sqrt(m) on a
+      unit probe, where the largest entry of M is about delta / m;
     - ``unitarity``: max |U U^T - I| from the k x k coin
       (:func:`coin_unitarity`).
 
@@ -229,40 +197,30 @@ def walk_spectrum_residuals(
     orthogonality follow from ``gram`` and ``sign``, and the resolution of
     U from ``eigen``. The correspondences T F T^T = (k/2) E_r, k E_0 and,
     on bipartite graphs, k E_{-k} follow from ``correspondence``, the exact
-    identity T U T^T = A and the adjacency completeness.
-
-    ``sign`` holds the one m x m array, real, formed by one real product
-    and corrected in place by U^2 - I = (4/k^2) H^T A T
-    - (2/k) (H^T H + T^T T), read off the index arrays.
+    identity T U T^T = A and the adjacency completeness. ``gram`` costs
+    O(m N^2), every other key O(m N); nothing m x m is formed.
     """
-    k, n, m = arc_space.k, arc_space.n, arc_space.num_arcs
-    W, theta = ws.factors, ws.column_thetas
+    k, m = arc_space.k, arc_space.num_arcs
+    W, theta, classes = ws.factors, ws.column_thetas, ws.column_classes
     gram = max(float(np.abs(W.conj().T @ W - np.eye(W.shape[1])).max(initial=0.0)),
                float(np.abs(W.T @ W).max(initial=0.0)))
-    drift = apply_walk(arc_space, W) - W * np.exp(1j * theta)
-    eigen = float(np.linalg.norm(drift, axis=0).max(initial=0.0))
+    # R (U W - W diag(e^{i theta})) has the column norms of the drift (R
+    # permutes rows); they are summed over a real view, with no second array
+    drift = _eigen_defect(arc_space, W, np.exp(1j * theta)).view(float).reshape(m, -1, 2)
+    eigen = float(np.sqrt(np.einsum("ijk,ijk->j", drift, drift).max(initial=0.0)))
     del drift
-    # each pair's columns of W against its class's columns of V, in order
-    sizes = np.array([pair.factor.shape[1] for pair in ws.pairs], dtype=int)
-    first = dec.class_starts[[pair.index for pair in ws.pairs]] - np.cumsum(sizes) + sizes
-    V = dec.vectors[:, np.repeat(first, sizes) + np.arange(len(theta))]
+    # the rank of each column among the columns of its class, in order
+    order = np.argsort(classes, kind="stable")
+    rank = np.empty(len(classes), dtype=int)
+    rank[order] = np.arange(len(classes)) - np.searchsorted(classes[order], classes[order])
+    V = dec.vectors[:, dec.class_starts[classes] + rank % dec.multiplicities[classes]]
     lifted = np.sqrt(k / 2.0) * (np.sin(theta) - 1j * np.cos(theta)) * V
     correspondence = float(np.abs(tail_sum(arc_space, W) - lifted).max(initial=0.0))
 
-    # 2 Re (W D) W^H as one real product, so it makes one m x m array
-    turned = W * (2.0 * (np.exp(2j * theta) - 1.0))
-    sign = np.hstack([turned.real, turned.imag]) @ np.hstack([W.real, W.imag]).T
-    del turned
-    A = np.zeros((n, n))
-    A[arc_space.tails, arc_space.heads] = 1.0
-    # (H^T A T)_{ij} = A[head i, tail j], over the column blocks of each tail
-    blocks = sign.reshape(m, n, k)
-    blocks -= (4.0 / k**2) * A[arc_space.heads][:, :, None]
-    # [tail i = tail j] and [head i = head j]: the arcs leaving, then
-    # entering, each vertex
-    for block in (np.arange(m).reshape(n, k), arc_space.reversal_perm.reshape(n, k)):
-        sign[block[:, :, None], block[:, None, :]] += 2.0 / k
-    sign = float(np.abs(sign, out=sign).max())
+    probes = probe_block(m)
+    rest = probes - 2.0 * (W @ (W.T @ probes).conj()).real  # W^H Z for a real Z
+    sign = float(np.linalg.norm(apply_walk(arc_space, apply_walk(arc_space, rest)) - rest,
+                                axis=0).max())
     return {
         "gram": gram,
         "eigen": eigen,
@@ -273,11 +231,12 @@ def walk_spectrum_residuals(
 
 
 def _eigen_defect(
-    arc_space: ArcSpace, P: np.ndarray, mu: complex, out: np.ndarray | None = None
+    arc_space: ArcSpace, P: np.ndarray, mu, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """R (U P - mu P) = C P - mu R P, with C = 2/k T^T T - I the coin, in one
-    array shaped like P (written into ``out`` if given): it has the
-    Frobenius norm of U P - mu P."""
+    """R (U P - mu P) = C P - mu R P, with C = 2/k T^T T - I the coin and mu
+    one eigenvalue or one per column of P, in one array shaped like P
+    (written into ``out`` if given): it has the Frobenius norm of
+    U P - mu P."""
     # mode='clip' (the indices are in range) lets take write into out unbuffered
     E = np.take(P, arc_space.reversal_perm, axis=0, out=out, mode="clip")
     E *= -mu
@@ -287,19 +246,21 @@ def _eigen_defect(
     return E
 
 
-def _angle_columns(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+def _angle_columns(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns of ``dec.vectors`` whose classes have an angle theta in
-    (0, pi), a view, and the angle of each column; a ValueError for a
-    record without eigenvectors."""
+    (0, pi), a view, with the angle and the class of each column (both
+    read-only); a ValueError for a record without eigenvectors."""
     live = dec.num_classes - dec.has_minus_k
     first, stop = dec.multiplicities[0], dec.n - dec.has_minus_k * dec.multiplicities[-1]
     V = eigenvectors(dec, "walk_spectrum and evolve_by_projections")
-    return V[:, first:stop], np.repeat(dec.angles[1:live], dec.multiplicities[1:live])
+    sizes = dec.multiplicities[1:live]
+    theta, classes = np.repeat(dec.angles[1:live], sizes), np.repeat(np.arange(1, live), sizes)
+    theta.setflags(write=False)
+    classes.setflags(write=False)
+    return V[:, first:stop], theta, classes
 
 
-def walk_spectrum(
-    dec: SpectralDecomposition, arc_space: ArcSpace, verify: bool = True
-) -> WalkSpectrum:
+def walk_spectrum(dec: SpectralDecomposition, arc_space: ArcSpace) -> WalkSpectrum:
     """Build the walk spectrum from the adjacency eigenvectors.
 
     For each adjacency angle theta in (0, pi) with orthonormal eigenvectors
@@ -312,39 +273,33 @@ def walk_spectrum(
     J. Funct. Anal. 267, 2014), so F_{+theta} = W_r W_r^H. The W_r fill one
     read-only complex (m, N) array W, N = sum m_r <= n - 1, in O(m N);
     no projection is stored. The rest of the arc space, the complement of
-    W and conj(W), is the +-1 eigenspace of U, which ``verify`` certifies
-    with the rest of W (:func:`walk_spectrum_residuals`).
+    W and conj(W), is the +-1 eigenspace of U. Every build is certified,
+    W and that complement alike (:func:`walk_spectrum_residuals`, with
+    no m x m array), and a certificate above TAU_WALK raises
+    WalkSpectrumError.
 
     A build whose peak, W plus WORKSPACE_ARRAYS, would take more than
     MAX_SPECTRUM_BYTES is refused with a ValueError before any array is
     allocated.
     """
     k, m = arc_space.k, arc_space.num_arcs
-    V, theta = _angle_columns(dec)
-    square, columns = WORKSPACE_ARRAYS[verify]
-    _within_limit(8 * m * (2 * V.shape[1] + square * m + columns * arc_space.n) + 8192,
-                  f"walk spectrum on {m} arcs")
+    V, theta, classes = _angle_columns(dec)
+    _within_limit(8 * m * (2 * V.shape[1] + WORKSPACE_ARRAYS * arc_space.n) + 8192,
+                  f"walk spectrum on {m} arcs needs")
 
     W = V[arc_space.heads] * -np.exp(1j * theta)
     W += V[arc_space.tails]
     W /= np.sqrt(2.0 * k) * np.sin(theta)
     W.setflags(write=False)
-    pairs = tuple(
-        EigenphasePair(index=r, theta=float(dec.angles[r]), factor=W[:, lo : lo + size])
-        for r, lo, size in zip(range(1, dec.num_classes - dec.has_minus_k),
-                               dec.class_starts[1:] - dec.multiplicities[0], dec.multiplicities[1:])
-    )
-
-    ws = WalkSpectrum(arc_space=arc_space, factors=W, pairs=pairs)
-    if verify:
-        ws.residuals.update(walk_spectrum_residuals(dec, arc_space, ws))
-        bad = {name: val for name, val in ws.residuals.items() if not val <= TAU_WALK}
-        if bad:
-            raise WalkSpectrumError(
-                "walk spectrum certificate failed: "
-                + ", ".join(f"{name}={val:.3e}" for name, val in bad.items()),
-                ws.residuals,
-            )
+    ws = WalkSpectrum(arc_space=arc_space, factors=W, column_thetas=theta, column_classes=classes)
+    ws.residuals.update(walk_spectrum_residuals(dec, arc_space, ws))
+    bad = {name: val for name, val in ws.residuals.items() if not val <= TAU_WALK}
+    if bad:
+        raise WalkSpectrumError(
+            "walk spectrum certificate failed: "
+            + ", ".join(f"{name}={val:.3e}" for name, val in bad.items()),
+            ws.residuals,
+        )
     return ws
 
 
@@ -437,7 +392,7 @@ def _sign_parts(arc_space: ArcSpace, rest: np.ndarray) -> tuple[np.ndarray, np.n
 def evolve_by_projections(
     dec: SpectralDecomposition, arc_space: ArcSpace, x: np.ndarray, t: float
 ) -> np.ndarray:
-    """:func:`evolve_operator` on one real arc vector x, with each projection
+    """:func:`evolve_operator` on one arc vector x, with each projection
     of :func:`walk_spectrum` applied to x without being formed, in O(n N + m)
     for the N columns V of ``dec.vectors`` with an angle theta in (0, pi).
     F_{+theta_r} x = (T - e^{i theta} H)^T V_r V_r^T (T x - e^{-i theta} H x)
@@ -448,10 +403,15 @@ def evolve_by_projections(
 
     for c_t = e^{i t theta} c: one product of V with four columns, t = 0 and
     t. F_{-theta} x is the conjugate, and the rest x - sum 2 Re F_{+theta} x
-    gives F_{+-1} x by :func:`_sign_parts`.
+    gives F_{+-1} x by :func:`_sign_parts`. A complex x goes through as
+    its real and imaginary parts, as in :func:`evolve_operator`.
     """
-    x = np.asarray(x, dtype=float)
-    V, theta = _angle_columns(dec)
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and x.imag.any():
+        return (evolve_by_projections(dec, arc_space, x.real, t)
+                + 1j * evolve_by_projections(dec, arc_space, x.imag, t))
+    x = np.asarray(x.real, dtype=float)
+    V, theta, _ = _angle_columns(dec)
     phase = np.exp(1j * theta)
     tail_c = V.T @ tail_sum(arc_space, x)
     head_c = V.T @ tail_sum(arc_space, x[arc_space.reversal_perm])  # H x = T R x
@@ -528,7 +488,9 @@ def entry_block(
 ) -> np.ndarray:
     """U^t x_a in closed form from adjacency idempotents alone, for one start
     vertex a (shape (m,)) or a 1-D array of them (shape (m, c)): the
-    :func:`entry_parts` gathered onto the arcs."""
+    :func:`entry_parts` gathered onto the arcs. A start outside [0, n)
+    raises ValueError."""
+    _check_vertices(starts, dec.n)
     tail, head = entry_parts(dec, starts, t)
     return (tail[arc_space.tails] + head[arc_space.heads]) / np.sqrt(arc_space.k)
 
@@ -537,9 +499,19 @@ def entry_formula(
     dec: SpectralDecomposition, arc_space: ArcSpace, a: int, t: float
 ) -> State:
     """:func:`entry_block` for the single start vertex a, as a State."""
-    if not 0 <= a < dec.n:
-        raise ValueError(f"vertex {a} out of range [0, {dec.n})")
     return State(entry_block(dec, arc_space, a, t))
+
+
+def _check_vertices(starts, n: int) -> None:
+    """A ValueError naming the first of the vertices ``starts`` (one, or a
+    1-D array) outside [0, n); a single int is checked without numpy."""
+    if isinstance(starts, (int, np.integer)):
+        outside = [] if 0 <= starts < n else [starts]
+    else:
+        starts = np.asarray(starts)
+        outside = starts[(starts < 0) | (starts >= n)]
+    if len(outside):
+        raise ValueError(f"vertex {outside[0]} out of range [0, {n})")
 
 
 def check_closed_form(
@@ -570,14 +542,12 @@ def check_closed_form(
     n, m = arc_space.n, arc_space.num_arcs
     columns = np.asarray(columns)
     if columns.ndim == 1:
-        outside = columns[(columns < 0) | (columns >= n)]
-        if outside.size:
-            raise ValueError(f"vertex {outside[0]} out of range [0, {n})")
+        _check_vertices(columns, n)
         columns = (np.arange(n)[:, None] == columns).astype(float)
     if columns.shape[0] != n:
         raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {n}")
     _within_limit(16 * 4 * m * columns.shape[1],
-                  f"closed-form check of {columns.shape[1]} columns on {m} arcs")
+                  f"closed-form check of {columns.shape[1]} columns on {m} arcs needs")
     tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
     live = dec.num_classes - dec.has_minus_k
     head_weights, tail_weights = _class_weights(dec.angles[:live])

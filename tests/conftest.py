@@ -19,7 +19,6 @@ from arcwalk import (
     eigendecompose_symmetric,
     petersen_graph,
     rook_graph,
-    transition_matrix,
     walk_spectrum,
 )
 from arcwalk.cli import resolve_builtin
@@ -57,6 +56,12 @@ RANDOM_20_4_EDGES = (
     (11, 19), (12, 15), (13, 15), (14, 19), (15, 18), (17, 18),
 )
 ALL_GRAPHS = tuple(GRAPH_BUILDERS)
+
+
+def transition_matrix(arcs: ArcSpace) -> np.ndarray:
+    """Dense oracle for the walk: the m x m orthogonal U = R (2/k T^T T - I),
+    formed by ``apply_walk`` on the identity."""
+    return apply_walk(arcs, np.eye(arcs.num_arcs))
 
 
 def dense_incidence(arcs: ArcSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,15 +162,27 @@ def sign_projections(ws: WalkSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return plus1, residual
 
 
+def pair_projections(ws: WalkSpectrum) -> list[tuple[int, float, np.ndarray]]:
+    """Dense F_{+theta} = W_r W_r^H, with its class r and angle theta, for
+    each run W_r of adjacent columns of W with one class and one angle:
+    the classes of a built spectrum, in order, and the blocks a corrupted
+    one was cut into. F_{-theta} is the conjugate."""
+    key = np.stack([ws.column_classes, ws.column_thetas])
+    starts = np.flatnonzero(np.diff(key, prepend=-1.0).any(axis=0))
+    return [
+        (int(key[0, lo]), float(key[1, lo]), ws.factors[:, lo:hi] @ ws.factors[:, lo:hi].conj().T)
+        for lo, hi in zip(starts, np.append(starts[1:], key.shape[1]))
+    ]
+
+
 def walk_projections(ws: WalkSpectrum) -> list[tuple[str, np.ndarray]]:
     """Every walk projection formed densely, labelled as the direct
     cospectrality route labels them: F_{+1}, F_{-1}, then F_{+theta} and
-    F_{-theta} = conj(F_{+theta}) of each pair."""
+    F_{-theta} = conj(F_{+theta}) of each class (:func:`pair_projections`)."""
     plus1, minus1 = sign_projections(ws)
     projections = [("plus1", plus1), ("minus1", minus1)]
-    for pair in ws.pairs:
-        plus = pair.plus
-        projections += [(f"pair{pair.index}+", plus), (f"pair{pair.index}-", plus.conj())]
+    for index, _, plus in pair_projections(ws):
+        projections += [(f"pair{index}+", plus), (f"pair{index}-", plus.conj())]
     return projections
 
 
@@ -212,9 +229,10 @@ def full_walk_spectrum_residuals(dec, arcs, ws) -> dict[str, float]:
     def tail_project(P):
         return tail_sum(arcs, tail_sum(arcs, P).T).T
 
-    projections = [P for _, P in walk_projections(ws)]
+    pairs = pair_projections(ws)
+    projections = [*sign_projections(ws), *(P for _, _, F in pairs for P in (F, F.conj()))]
     eigenvalues = np.array(
-        [1.0, -1.0] + [np.exp(s * 1j * pair.theta) for pair in ws.pairs for s in (1, -1)]
+        [1.0, -1.0] + [np.exp(s * 1j * theta) for _, theta, _ in pairs for s in (1, -1)]
     )
     herm = idem = 0.0
     skew, norm_bound, defect = np.zeros((3, len(projections)))
@@ -245,8 +263,8 @@ def full_walk_spectrum_residuals(dec, arcs, ws) -> dict[str, float]:
     for P, mu in zip(projections[2:], eigenvalues[2:]):
         recon = recon + mu * P
     correspondence = float(np.abs(tail_project(projections[0]) - k * dec.idempotents[0]).max())
-    for pair, P in zip([pair for pair in ws.pairs for _ in (0, 1)], projections[2:]):
-        E = dec.idempotents[pair.index]
+    for (index, _, _), P in zip([pair for pair in pairs for _ in (0, 1)], projections[2:]):
+        E = dec.idempotents[index]
         correspondence = max(
             correspondence, float(np.abs(tail_project(P) - (k / 2.0) * E).max())
         )
@@ -376,13 +394,17 @@ def per_class_cospectrality(dec, arc_space, a, y, tau=TAU_COSP):
             return NOT_COSPECTRAL
 
         base = float(np.arccos(np.clip(cos_tail, -1.0, 1.0)))
-        if abs(np.sin(base)) < SIN_SNAP:
-            # sign of delta unobservable here; snap to 0 or pi
-            delta = 0.0 if cos_tail > 0 else np.pi
+        snap = 0.0 if cos_tail > 0 else np.pi
+        err_plus, err_minus, err_snap = (
+            abs(np.cos(c) - cos_tail) + abs(np.cos(c + theta) - cos_head)
+            for c in (base, -base, snap)
+        )
+        if abs(np.sin(base)) < SIN_SNAP or err_snap < min(err_plus, err_minus):
+            # sign of delta unobservable, or 0 or pi fits both equations
+            # better than either sign; snap to 0 or pi
+            delta = snap
         else:
             # head equation disambiguates the sign of delta
-            err_plus = abs(np.cos(base + theta) - cos_head)
-            err_minus = abs(np.cos(-base + theta) - cos_head)
             delta = base if err_plus <= err_minus else -base
         res_head = float(np.linalg.norm(proj_head - sqrt_k * np.cos(delta + theta) * E_col))
         residuals[f"class{r}"] = max(res_tail, res_head)

@@ -37,6 +37,7 @@ from conftest import (
     NON_BIPARTITE,
     dense_incidence,
     get_bundle,
+    pair_projections,
     sign_projections,
 )
 
@@ -60,9 +61,9 @@ def test_criterion_01_unitarity_and_resolution():
             assert unitarity < 1e-10, (name, unitarity)
             plus1, minus1 = sign_projections(b.ws)
             recon = plus1 - minus1
-            for pair in b.ws.pairs:
-                recon = recon + np.exp(1j * pair.theta) * pair.plus
-                recon = recon + np.exp(-1j * pair.theta) * pair.minus
+            for _, theta, plus in pair_projections(b.ws):
+                recon = recon + np.exp(1j * theta) * plus
+                recon = recon + np.exp(-1j * theta) * plus.conj()
             resolution = np.abs(b.U - recon).max()
             assert resolution < 1e-9, (name, resolution)
 
@@ -73,11 +74,11 @@ def test_criterion_02_projection_correspondence():
             b = get_bundle(name)
             T = dense_incidence(b.arcs)[0]
             k = b.graph.degree
-            for pair in b.ws.pairs:
-                E = b.dec.idempotents[pair.index]
-                for F in (pair.plus, pair.minus):
+            for index, _, plus in pair_projections(b.ws):
+                E = b.dec.idempotents[index]
+                for F in (plus, plus.conj()):
                     dev = np.abs(T @ F @ T.T - (k / 2) * E).max()
-                    assert dev < 1e-9, (name, pair.index, dev)
+                    assert dev < 1e-9, (name, index, dev)
             dev0 = np.abs(T @ sign_projections(b.ws)[0] @ T.T - k * b.dec.idempotents[0]).max()
             assert dev0 < 1e-9, (name, dev0)
         c4 = get_bundle("c4")

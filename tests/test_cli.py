@@ -14,7 +14,7 @@ from arcwalk import cli, mixing, spectra, walk
 from arcwalk.cli import main, resolve_builtin
 from arcwalk.graphs import graph_from_adjacency, write_edge_list
 
-from conftest import GRAPH_BUILDERS
+from conftest import GRAPH_BUILDERS, transition_matrix
 
 
 def run_cli(args, capsys):
@@ -63,7 +63,6 @@ def test_analyze_verifies_each_spectrum_once(monkeypatch, capsys):
         (cli, "eigenvalue_supports"),
         (walk, "walk_spectrum"),
         (walk, "walk_spectrum_residuals"),
-        (walk, "transition_matrix"),
         (spectra, "eigenvalue_support"),
     )
     for module, name in targets:
@@ -94,7 +93,7 @@ def test_analyze_reports_both_suites(capsys):
     probes = walk.check_closed_form(dec, arcs, walk.probe_block(g.n))
     assert {key: residuals[key] for key in ("eigen", "start")} == probes
     # U = R C with R a permutation: the coin block gives max |U U^T - I|
-    U = walk.transition_matrix(arcs)
+    U = transition_matrix(arcs)
     assert residuals["unitarity"] == walk.coin_unitarity(3)
     assert residuals["unitarity"] == pytest.approx(np.abs(U @ U.T - np.eye(len(U))).max(), abs=1e-15)
     assert max(residuals.values()) <= walk.TAU_WALK
@@ -415,7 +414,7 @@ def test_mix_never_builds_the_dense_walk(monkeypatch, capsys):
         raise AssertionError("dense walk called on the mix path")
 
     for module in (walk, mixing, cli):
-        for name in ("walk_spectrum", "transition_matrix", "evolve", "evolve_operator"):
+        for name in ("walk_spectrum", "evolve", "evolve_operator"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     for spec in expected.FLAT + expected.NOT_FLAT:
         want, status = expected.mix_verdict(spec, "integer", 0.1)
@@ -458,8 +457,7 @@ def test_analyze_and_evolve_never_build_the_dense_walk(monkeypatch, tmp_path, ca
 
     sources = walk_graphs(tmp_path)
     for module in (walk, mixing, cli):
-        for name in ("walk_spectrum", "walk_spectrum_residuals", "transition_matrix",
-                     "evolve", "evolve_operator"):
+        for name in ("walk_spectrum", "walk_spectrum_residuals", "evolve", "evolve_operator"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     for name, (source, _) in sources.items():
         code, out, _ = run_cli(["analyze", *source, "--format", "json"], capsys)

@@ -31,6 +31,7 @@ from arcwalk import (
     mixing,
     probe_block,
     simultaneous_mixing_check,
+    spectra,
     walk,
     walk_spectrum,
 )
@@ -79,7 +80,7 @@ def test_closed_form_on_random_regular_graphs(g):
     assume(not g.is_bipartite)
     dec = eigendecompose_symmetric(g)
     arcs = build_arc_space(g)
-    check_against_oracles(dec, arcs, walk_spectrum(dec, arcs, verify=False))
+    check_against_oracles(dec, arcs, walk_spectrum(dec, arcs))
 
 
 CLASS_WEIGHTS = walk._class_weights
@@ -206,7 +207,7 @@ def test_oversized_block_is_refused_before_allocating(monkeypatch):
     g = resolve_builtin("hadamard-srg:8")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     one_array = 16 * arcs.num_arcs * g.n
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", 4 * one_array - 1)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 4 * one_array - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the limit"):
@@ -224,7 +225,7 @@ def test_a_block_at_the_limit_is_accepted_and_stays_within_it(monkeypatch):
     g = resolve_builtin("hadamard-srg:4")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     limit = 4 * 16 * arcs.num_arcs * g.n
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", limit)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", limit)
     tracemalloc.start()
     try:
         residuals = check_closed_form(dec, arcs, np.arange(g.n))
@@ -233,7 +234,7 @@ def test_a_block_at_the_limit_is_accepted_and_stays_within_it(monkeypatch):
         tracemalloc.stop()
     assert max(residuals.values()) <= walk.TAU_WALK
     assert peak <= limit
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", limit - 1)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", limit - 1)
     with pytest.raises(ValueError, match="over the limit"):
         check_closed_form(dec, arcs, np.arange(g.n))
 
@@ -248,6 +249,18 @@ def test_closed_form_input_checks():
     for vertex in (10, -1):
         with pytest.raises(ValueError, match=rf"vertex {vertex} out of range \[0, 10\)"):
             check_closed_form(petersen.dec, petersen.arcs, [0, vertex])
+
+
+def test_entry_block_refuses_out_of_range_starts():
+    """-1 and n, alone or inside an array of starts, are refused by
+    entry_block itself (on petersen, -1 used to wrap to vertex 9)."""
+    petersen = get_bundle("petersen")
+    for starts in (-1, 10, np.array([0, -1]), np.array([3, 10, 4]), [2, -1]):
+        bad = np.asarray(starts)
+        first = bad[(bad < 0) | (bad >= 10)][0]
+        with pytest.raises(ValueError, match=rf"vertex {first} out of range \[0, 10\)"):
+            entry_block(petersen.dec, petersen.arcs, starts, 2.0)
+    assert entry_block(petersen.dec, petersen.arcs, np.array([0, 9]), 2.0).shape == (30, 2)
 
 
 @functools.lru_cache(maxsize=None)

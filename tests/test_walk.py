@@ -21,8 +21,8 @@ from arcwalk import (
     imaginary_flatness_deficit,
     initial_state,
     realness_deficit,
+    spectra,
     state_to_json,
-    transition_matrix,
     walk,
     walk_spectrum,
     walk_spectrum_residuals,
@@ -38,6 +38,7 @@ from conftest import (
     sign_projections,
 )
 from test_closed_form import DENSE_TIMES
+from test_conjugate_storage import random_regular
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -86,7 +87,6 @@ def test_builders_keep_the_residuals_they_verified(name):
     b = get_bundle(name)
     assert b.dec.residuals == decomposition_residuals(b.dec, b.graph.adjacency.astype(float))
     assert b.ws.residuals == walk_spectrum_residuals(b.dec, b.arcs, b.ws)
-    assert walk_spectrum(b.dec, b.arcs, verify=False).residuals == {}
 
 
 def test_a_projection_off_its_eigenspace_fails_the_suite(monkeypatch):
@@ -99,8 +99,8 @@ def test_a_projection_off_its_eigenspace_fails_the_suite(monkeypatch):
     angle_columns = walk._angle_columns
 
     def shifted(dec):
-        V, theta = angle_columns(dec)
-        return V, theta + 1e-6
+        V, theta, classes = angle_columns(dec)
+        return V, theta + 1e-6, classes
 
     monkeypatch.setattr(walk, "_angle_columns", shifted)
     with pytest.raises(walk.WalkSpectrumError, match="eigen") as info:
@@ -108,10 +108,10 @@ def test_a_projection_off_its_eigenspace_fails_the_suite(monkeypatch):
     assert info.value.residuals["eigen"] > 1e-7
 
     def poisoned(dec):
-        V, theta = angle_columns(dec)
+        V, theta, classes = angle_columns(dec)
         V = V.copy()
         V[0, 0] = np.nan
-        return V, theta
+        return V, theta, classes
 
     monkeypatch.setattr(walk, "_angle_columns", poisoned)
     with pytest.raises(walk.WalkSpectrumError, match="gram=nan") as info:
@@ -130,8 +130,8 @@ def test_projection_ranks_on_k4():
     plus1, minus1 = sign_projections(b.ws)
     assert round(np.trace(plus1).real) == 1 + dim_anti
     assert round(np.trace(minus1).real) == 0 + dim_sym
-    assert len(b.ws.pairs) == 1
-    assert_allclose(b.ws.pairs[0].theta, np.arccos(-1 / 3), atol=1e-12)
+    assert b.ws.column_classes.tolist() == [1, 1, 1]
+    assert_allclose(b.ws.column_thetas, np.arccos(-1 / 3), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -299,56 +299,66 @@ def test_evolution_group_property(t, s):
     assert_allclose(two_step.amplitudes, one_shot.amplitudes, atol=1e-10)
 
 
-def test_spectrum_refusal_counts_the_verification_suite(monkeypatch):
-    """complement:rook:4 (m = 144, n = 16) stores a 144 x 15 complex factor
-    array, a fifth of one real m x m array. With room for one, the
-    unverified build (counted 0.81, traced 0.74) fits and the verified one
-    (counted 2.15, traced 1.89) is refused before it allocates; each
-    admitted build peaks within its limit."""
+def test_spectrum_refusal_comes_before_any_array(monkeypatch):
+    """complement:rook:4 (m = 144, n = 16) is refused one byte short of its
+    counted size before it allocates anything like W (a 144 x 15 complex
+    array); the count has no m^2 term, and the certified build fits in
+    0.81 of one real m x m array."""
     g = resolve_builtin("complement:rook:4")
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
-    unit = 8 * arcs.num_arcs**2
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", unit)
+    m, n, N = arcs.num_arcs, g.n, 15
+    counted = 8 * m * (2 * N + walk.WORKSPACE_ARRAYS * n) + 8192
+    assert counted < 0.82 * 8 * m * m
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", counted - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the limit"):
             walk_spectrum(dec, arcs)
         _, refused_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        walk_spectrum(dec, arcs, verify=False)
-        _, unverified_peak = tracemalloc.get_traced_memory()
-        monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", int(2.2 * unit))
-        tracemalloc.reset_peak()
-        walk_spectrum(dec, arcs)
-        _, verified_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert refused_peak < unit / 16
-    assert unverified_peak <= unit
-    assert verified_peak <= 2.2 * unit
+    assert refused_peak < 16 * m * N / 8
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", counted)
+    assert walk_spectrum(dec, arcs).factors.shape == (m, N)
 
 
-@pytest.mark.parametrize("name", ["cycle:8", "k4", "rook:4", "petersen", "rook:6"])
-@pytest.mark.parametrize("verify", [False, True])
-def test_spectrum_build_peaks_within_its_counted_size(name, verify, monkeypatch):
-    """With the limit set to the size the refusal counts, the build is
-    admitted and its traced peak stays within it."""
-    g = resolve_builtin(name)
+def test_one_runtime_limit_governs_every_refusal(monkeypatch):
+    """With spectra.MAX_SPECTRUM_BYTES at 1 byte, the walk spectrum, the
+    closed-form check and the idempotent stack on rook:6 are all refused,
+    each with its own message."""
+    g = resolve_builtin("rook:6")
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 1)
+    refusals = {
+        "walk spectrum on 360 arcs needs": lambda: walk_spectrum(dec, arcs),
+        "closed-form check of 4 columns on 360 arcs needs":
+            lambda: walk.check_closed_form(dec, arcs, walk.probe_block(g.n)),
+        "idempotents of 36 classes on 36 vertices need": lambda: spectra._idempotent_stack(36, 36),
+    }
+    for message, call in refusals.items():
+        with pytest.raises(ValueError, match=rf"^{message} \d+ MiB, over the limit of 0 MiB$"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["cycle:8", "k4", "rook:4", "petersen", "rook:6", "random-28-4"])
+def test_spectrum_build_peaks_within_its_counted_size(name, monkeypatch):
+    """With the limit set to the size the refusal counts, the certified
+    build is admitted and its traced peak stays within it."""
+    g = random_regular(28, 4) if name == "random-28-4" else resolve_builtin(name)
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     m, n = arcs.num_arcs, g.n
     # the complex m x N factor array, the real working arrays and 8 KiB
     N = int(dec.multiplicities[1 : dec.num_classes - dec.has_minus_k].sum())
-    square, columns = walk.WORKSPACE_ARRAYS[verify]
-    counted = 16 * m * N + 8 * (square * m * m + columns * m * n) + 8192
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", counted)
-    walk_spectrum(dec, arcs, verify=verify)  # first calls allocate caches
+    counted = 16 * m * N + 8 * walk.WORKSPACE_ARRAYS * m * n + 8192
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", counted)
+    walk_spectrum(dec, arcs)  # first calls allocate caches
     tracemalloc.start()
     try:
-        walk_spectrum(dec, arcs, verify=verify)
+        walk_spectrum(dec, arcs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= counted
-    monkeypatch.setattr(walk, "MAX_SPECTRUM_BYTES", counted - 1)
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", counted - 1)
     with pytest.raises(ValueError, match="over the limit"):
-        walk_spectrum(dec, arcs, verify=verify)
+        walk_spectrum(dec, arcs)
