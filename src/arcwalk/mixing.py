@@ -35,6 +35,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,10 +221,12 @@ class KroneckerVerdict:
     """Outcome of the integer-relation scan over walk angles.
 
     ``relations`` holds the primitive relations found, in lexicographic
-    order, as one read-only int64 array with a relation per row: in integer
-    mode a row is (l_1..l_d, l_0) with sum l_r theta_r + 2 pi l_0 = 0, so
-    the shape is (r, d + 1); in real mode it is (l_1..l_d) with
-    sum l_r theta_r = 0, shape (r, d). ``violating`` is the first relation
+    order, as one read-only int64 array with a relation per row (the
+    transpose of the table the scan writes, one row per coordinate): in
+    integer mode a row is (l_1..l_d, l_0) with
+    sum l_r theta_r + 2 pi l_0 = 0, so the shape is (r, d + 1); in real
+    mode it is (l_1..l_d) with sum l_r theta_r = 0, shape (r, d).
+    ``violating`` is the first relation
     of odd parity as a tuple of ints, or None. ``bound`` is the coefficient
     bound actually scanned; it is smaller than ``requested_bound`` only
     when the enumeration cap forced a reduction, in which case a clean scan
@@ -249,13 +252,14 @@ class KroneckerVerdict:
         }
 
 
-def _relation_residuals(block, angles, integer):
-    """|sum_j l_j theta_j| for each row l of ``block``, with 2 pi l_0 added
-    for the nearest integer l_0 when ``integer`` (else l_0 is None). The sum
-    runs column by column, so a row's residual is the same whatever rows
-    share its block."""
-    s = np.zeros(len(block))
-    for column, theta in zip(block.T, angles):
+def _relation_residuals(columns, angles, integer):
+    """|sum_j l_j theta_j| for each vector l given by its coordinates
+    ``columns`` (the j-th a 1-D array of every l_j, or a (d, r) array), with
+    2 pi l_0 added for the nearest integer l_0 when ``integer`` (else l_0 is
+    None). The sum runs coordinate by coordinate in order, so a vector's
+    residual is the same whatever vectors share its columns."""
+    s = np.zeros(len(columns[0]))
+    for column, theta in zip(columns, angles):
         s += column * theta
     if not integer:
         return np.abs(s), None
@@ -264,27 +268,30 @@ def _relation_residuals(block, angles, integer):
 
 
 @functools.lru_cache(maxsize=16)
-def _box_rows(start: int, stop: int, span: int, cols: int) -> np.ndarray:
-    """Rows start..stop-1, in C order, of the grid [-B, B]^cols with
-    span = 2B + 1, as a read-only int64 (stop - start, cols) table. Scans
-    of one size ask for the same tables, so the last few are kept."""
+def _box_columns(start: int, stop: int, span: int, cols: int) -> np.ndarray:
+    """Vectors start..stop-1, in C order, of the grid [-B, B]^cols with
+    span = 2B + 1, as a read-only int64 (cols, stop - start) table: row j
+    holds coordinate j of every vector, so that each coordinate is one
+    contiguous array. Scans of one size ask for the same tables, so the
+    last few are kept."""
     index = np.arange(start, stop, dtype=np.int64)
-    table = np.empty((stop - start, cols), dtype=np.int64)
+    table = np.empty((cols, stop - start), dtype=np.int64)
     for j in range(cols - 1, 0, -1):
-        np.divmod(index, span, out=(index, table[:, j]))
-    table[:, 1:] -= span // 2
+        np.divmod(index, span, out=(index, table[j]))
+    table[1:] -= span // 2
     if cols:
-        np.subtract(index, span // 2, out=table[:, 0])
+        np.subtract(index, span // 2, out=table[0])
     table.flags.writeable = False
     return table
 
 
 def _table_sums(table, angles, integer):
-    """sum_j table[:, j] theta_j for each row; in integer mode in turns
-    (theta_j / 2 pi) less their nearest integer."""
+    """sum_j table[j] theta_j for each vector of a :func:`_box_columns`
+    table; in integer mode in turns (theta_j / 2 pi) less their nearest
+    integer."""
     if not integer:
-        return table @ angles
-    sums = table @ (angles / (2 * np.pi))
+        return angles @ table
+    sums = (angles / (2 * np.pi)) @ table
     sums -= np.rint(sums)
     return sums
 
@@ -301,7 +308,8 @@ def _locate(lower, upper, targets, rows):
 
 
 def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows):
-    """The candidate rows of the canonical half box, in lexicographic order.
+    """The candidate vectors of the canonical half box, in lexicographic
+    order.
 
     A vector is a head (the leading ``len(head_angles)`` coordinates) and an
     inner row; ``sums`` are minus the inner sums, sorted, and ``order``
@@ -313,15 +321,22 @@ def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows):
     step, twice as many in each next one up to ``step_rows``. The all-zero
     head keeps only the rows after the middle row, and a step left with no
     row is skipped. Each step is (heads, local, row, reserve): the step's
-    head table, each candidate's index into it and its inner row, and the
-    candidate count of the whole batch on a batch's first step, else 0.
+    head table (:func:`_box_columns`), each candidate's index into it and
+    its inner row, and the candidate count of the whole batch on a batch's
+    first step, else 0.
     """
     rows, outer = len(order), len(head_angles)
     lower, upper = sums + width, sums - width
+    # the row of each entry of sums, which holds three copies in integer
+    # mode; a candidate's key is its head's index in the batch above its
+    # row's bits
+    if integer:
+        order = np.concatenate((order, order, order))
+    bits = rows.bit_length()
     total, batch = span**outer, max(1, SCAN_ROWS // 16)
     zero, size = total // 2, FIRST_ROWS
     for start in range(zero, total, batch):
-        heads = _box_rows(start, min(start + batch, total), span, outer)
+        heads = _box_columns(start, min(start + batch, total), span, outer)
         lo, count = _locate(lower, upper, _table_sums(heads, head_angles, integer), rows)
         if start == zero and count[0] == 1:
             count[0] = 0  # the zero vector alone; its sum 0 is always in the window
@@ -340,15 +355,13 @@ def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows):
             runs = count[first:last]
             pos = shift[first:last].repeat(runs)
             pos += np.arange(done, int(ends[last - 1]))
-            pos %= rows
-            keys = (np.arange(last - first) * rows).repeat(runs)
+            keys = (np.arange(last - first) << bits).repeat(runs)
             keys += order[pos]
             keys.sort()
             if start == zero and first == 0:
                 keys = keys[keys.searchsorted(rows // 2, side="right") :]
             if keys.size:
-                local, row = np.divmod(keys, rows)
-                yield heads[first:last], local, row, reserve
+                yield heads[:, first:last], keys >> bits, keys & ((1 << bits) - 1), reserve
                 reserve = 0
             done, size = int(ends[last - 1]), 2 * size
 
@@ -418,12 +431,15 @@ def phase_condition_check(
     head of leading coefficients then finds its candidate rows with two
     binary searches, in a window of ``tau_rel`` plus a margin of
     1e-12 (1 + B sum |theta_r|), far above the rounding of either sum. The
-    candidates, sorted by (head, row), are decided by the exact residual
-    (:func:`_relation_residuals`), then by parity, a stop at the first odd
-    relation, and primitivity from per-head and per-row gcds. The
-    relations are written into one int64 array, grown once per batch of
-    heads by that batch's candidate count, so the scan costs about its
-    output, (relations x d) entries, plus the inner grid.
+    candidates, sorted by (head, row), are gathered coordinate by
+    coordinate from the head and inner tables, and decided by the exact
+    residual over those columns (:func:`_relation_residuals`), then by
+    parity (skipped when every sigma is even), a stop at the first odd
+    relation, and primitivity from per-head and per-row gcds. Each
+    kept relation is written once, coordinate by coordinate, into an int64
+    array of one row per coordinate, grown once per batch of heads by that
+    batch's candidate count; ``relations`` is its transpose. So the scan
+    costs about its output, (relations x d) entries, plus the inner grid.
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     d = len(angles)
@@ -434,7 +450,7 @@ def phase_condition_check(
     integer = mode == MODE_INTEGER
     verdict = functools.partial(KroneckerVerdict, mode=mode, requested_bound=bound)
     if d == 0:
-        relations = np.empty((0, integer), dtype=np.int64)
+        relations = np.empty((0, int(integer)), dtype=np.int64)
         relations.flags.writeable = False
         return verdict(status=HOLDS, bound=bound, relations=relations, violating=None)
 
@@ -447,54 +463,58 @@ def phase_condition_check(
 
     span = 2 * effective + 1
     outer = d - d // 2
-    grid = _box_rows(0, span ** (d // 2), span, d // 2)
+    grid = _box_columns(0, span ** (d // 2), span, d // 2)
     inner_sums = _table_sums(grid, -angles[outer:], integer)
     order = inner_sums.argsort()
     sums = inner_sums[order]
     if integer:
         sums = np.add.outer((-1.0, 0.0, 1.0), sums).ravel()
-    row_parity = sigmas[outer:] @ grid.T
+    parity = sigmas % 2
+    row_parity = parity[outer:] @ grid if parity.any() else None  # None: no odd relation
     row_gcd = None  # formed at the first hit; violated scans rarely need it
     margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
     width = (tau_rel / (2 * np.pi) if integer else tau_rel) + margin
 
-    # candidates are built in place after the relations kept so far, and
-    # the kept ones are moved down over the rest
-    relations = np.empty((0, d + integer), dtype=np.int64)
+    # the relations are kept coordinate by coordinate, one row per
+    # coordinate, and each kept vector is written there once
+    relations = np.empty((d + integer, 0), dtype=np.int64)
     used, violating = 0, None
     steps = _candidate_steps(
         angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d)
     )
     for heads, local, row, reserve in steps:
-        if used + reserve > len(relations):
-            grown = np.empty((used + reserve, d + integer), dtype=np.int64)
-            grown[:used] = relations[:used]
+        if used + reserve > relations.shape[1]:
+            grown = np.empty((d + integer, used + reserve), dtype=np.int64)
+            grown[:, :used] = relations[:, :used]
             relations = grown
-        block = relations[used : used + len(row)]
-        block[:, :outer] = heads[local]
-        block[:, outer:d] = grid[row]
-        resid, l0 = _relation_residuals(block[:, :d], angles, integer)
+        # the candidates coordinate by coordinate, l_0 last in integer mode
+        columns = np.empty((d + integer, len(local)), dtype=np.int64)
+        np.take(heads, local, axis=1, out=columns[:outer], mode="clip")
+        np.take(grid, row, axis=1, out=columns[outer:d], mode="clip")
+        resid, l0 = _relation_residuals(columns[:d], angles, integer)
         hit = (resid <= tau_rel).nonzero()[0]
         if hit.size == 0:
             continue
-        local, row = local[hit], row[hit]
-        odd = (((heads @ sigmas[:outer])[local] + row_parity[row]) % 2).nonzero()[0]
-        end = odd[0] if odd.size else hit.size
-        if row_gcd is None:
-            row_gcd = np.gcd.reduce(np.abs(grid), axis=1)
-        common = np.gcd(np.gcd.reduce(np.abs(heads), axis=1)[local[:end]], row_gcd[row[:end]])
         if integer:
-            block[:, d] = l0
+            columns[d] = l0
+        local, row = local[hit], row[hit]
+        end = hit.size
+        if row_parity is not None:
+            odd = (((parity[:outer] @ heads)[local] + row_parity[row]) % 2).nonzero()[0]
+            if odd.size:
+                end = odd[0]
+                violating = tuple(columns[:, hit[end]].tolist())
+        if row_gcd is None:
+            row_gcd = np.gcd.reduce(np.abs(grid), axis=0)
+        common = np.gcd(np.gcd.reduce(np.abs(heads), axis=0)[local[:end]], row_gcd[row[:end]])
+        if integer:
             common = np.gcd(common, l0[hit[:end]])
         keep = hit[:end][common == 1]
-        if odd.size:
-            violating = tuple(block[hit[odd[0]]].tolist())
-        if keep.size < len(block):
-            block[: keep.size] = block[keep]
+        np.take(columns, keep, axis=1, out=relations[:, used : used + keep.size], mode="clip")
         used += keep.size
         if violating is not None:
             break
-    relations.resize((used, d + integer), refcheck=False)
+    relations = relations[:, :used].T
     relations.flags.writeable = False
     if violating is not None:
         status = VIOLATED
@@ -588,12 +608,12 @@ def _half_sines(phases) -> np.ndarray:
     return np.abs(phases, out=phases)
 
 
-def _phases(angles, sigmas, ts, out=None) -> np.ndarray:
+def _phases(angles, sigmas, ts) -> np.ndarray:
     """The phases t theta_r + sigma_r pi at the points of the 1-D ``ts`` as
-    one (d, len(ts)) array, class first, written to ``out`` when given.
-    Every deficit of the time search is taken from phases built here, so
-    that its forms agree bit for bit."""
-    phases = np.multiply.outer(angles, ts, out=out)
+    one (d, len(ts)) array, class first. :func:`_candidate_deficits` takes
+    the same two elementwise steps class by class, so that the forms of
+    the time search agree bit for bit."""
+    phases = np.multiply.outer(angles, ts)
     phases += (np.pi * sigmas)[:, None]
     return phases
 
@@ -627,13 +647,30 @@ class TimeSearchResult:
 #: points in the first chunk of a time-search grid; later chunks double up
 #: to RUN_CHUNK, so an early hit costs little
 FIRST_CHUNK = 1024
-#: most points in a chunk taken along runs
+#: most points in a chunk taken along runs or pruned by blocks
 RUN_CHUNK = 2**19
 #: most points in a chunk screened at every point; its work rows stay in cache
 DENSE_CHUNK = 2**16
-#: a chunk is screened at every point when its misalignment bound is above
-#: this, since most points would survive the runs of the slowest class
+#: runs of the slowest class are taken only when the misalignment bound is
+#: at most this, since otherwise most points would survive them
 RUN_WIDTH = 0.3
+#: a chunk is screened by blocks only when the slowest class leaves room to
+#: prune blocks of at least this many points; see :func:`_block_size`
+MIN_BLOCK = 8
+#: most points in a block of the first level
+MAX_BLOCK = 2**10
+#: each block left at one level of the block screen is cut into this many
+BLOCK_SPLIT = 8
+#: least points in a chunk screened by blocks: on fewer, the calls of its
+#: levels cost more than screening every point
+BLOCK_CHUNK = 2**14
+#: a chunk that can take the runs of its slowest class takes them, and not
+#: blocks, when its misalignment bound is at most this: the runs then hold
+#: few points
+BLOCK_WIDTH = 0.1
+#: half a turn in the fixed-point form of the time search: a turn is 2^64
+#: units, held in uint64, whose arithmetic wraps modulo whole turns
+HALF_TURN = 1 << 63
 
 
 def _refine_real_time(
@@ -654,20 +691,73 @@ def _refine_real_time(
     return best_t, best_val
 
 
-def _misalignment(ts, turns, halves, work) -> np.ndarray:
-    """max_r dist(t turn_r + half_r, Z) at every t, one class at a time in
-    place. With turn_r = theta_r / 2 pi and half_r = sigma_r / 2 (mod 1),
-    the phase alignment deficit at t is 2 sin(pi w) of this value w, so no
-    sine is taken per point. ``work`` is scratch of shape (3, >= len(ts)),
-    reused across chunks; the result is a view of its first row."""
-    worst, x, nearest = work[:, : len(ts)]
-    worst.fill(0.0)
-    for turn, half in zip(turns, halves):
-        np.multiply(ts, turn, out=x)
-        x += half
-        np.rint(x, out=nearest)
-        x -= nearest
-        np.maximum(worst, np.abs(x, out=x), out=worst)
+class _FixedGrid(NamedTuple):
+    """The classes of a time-search grid of step ``step`` in fixed-point
+    turns: at grid index i class r sits at i steps[r] + halves[r] units of
+    2^-64 of a turn, modulo 2^64; halves[r] is 0 or HALF_TURN."""
+
+    step: float
+    steps: tuple[int, ...]
+    halves: tuple[int, ...]
+
+    @property
+    def moves(self) -> tuple[int, ...]:
+        """How far each class moves from one grid point to the next, in
+        units, at most HALF_TURN."""
+        return tuple(min(s, (1 << 64) - s) for s in self.steps)
+
+
+def _fixed_grid(turns, sigmas, step: float) -> _FixedGrid:
+    """The fixed-point form of the grid i step for the classes of the given
+    turns (theta_r / 2 pi) and sign bits.
+
+    steps[r] is step turn_r modulo 1 rounded to the nearest unit, so it is
+    exact when that value is at least 2^-12 (its last bit is then at least
+    2^-64) and within 2^-65 of it below; halves[r] is sigma_r / 2 modulo 1,
+    exact. The position at grid index i is then within i 2^-65 of a turn
+    of i step turn_r + sigma_r / 2, plus a few roundings of the float forms
+    of order 2^-53 of the phase in turns. The time search takes at most
+    MAX_GRID_POINTS + 1 points, so i 2^-65 stays under 1.4e-12, a third of
+    the least margin of :func:`_scan_times`, 1e-12 (1 + pi), which holds
+    because the search runs only when some sigma_r is nonzero.
+    """
+    steps = tuple(round(math.ldexp(x % 1.0, 64)) % (1 << 64) for x in (step * turns).tolist())
+    halves = tuple(HALF_TURN * (sigma % 2) for sigma in sigmas.tolist())
+    return _FixedGrid(step, steps, halves)
+
+
+def _fixed_width(width: float) -> int:
+    """The largest distance in units, at most HALF_TURN, that is at most
+    ``width`` turns: a point is within the width when its distance is at
+    most this."""
+    return min(math.floor(math.ldexp(width, 64)), HALF_TURN)
+
+
+def _distance(points, steps, halves, out=None) -> np.ndarray:
+    """dist(i steps + halves, Z) in units at each grid index i of the uint64
+    ``points``, as uint64: the position wraps modulo whole turns, and the
+    absolute value of its int64 view is its distance to the nearest
+    integer. Half a turn, -2^63 as int64, negates to itself and reads 2^63
+    as uint64. A step and a half as ints give one class; (d, 1) uint64
+    arrays of them give (d, len(points)), class first."""
+    x = np.multiply(points, steps, out=out)
+    if isinstance(halves, np.ndarray) or halves:
+        x += halves
+    signed = x.view(np.int64)
+    np.abs(signed, out=signed)
+    return x
+
+
+def _misalignment(points, grid, work) -> np.ndarray:
+    """max_r of :func:`_distance` at every grid index of ``points``, one
+    class at a time in place. With w = this value / 2^64, the phase
+    alignment deficit at the point is 2 sin(pi w), so no sine is taken per
+    point. ``work`` is uint64 scratch of shape (2, >= len(points)), reused
+    across chunks; the result is a view of its first row."""
+    worst, x = work[:, : len(points)]
+    _distance(points, grid.steps[0], grid.halves[0], out=worst)
+    for steps, halves in zip(grid.steps[1:], grid.halves[1:]):
+        np.maximum(worst, _distance(points, steps, halves, out=x), out=worst)
     return worst
 
 
@@ -686,9 +776,7 @@ def _run_offsets(lo, n, step, turn, half, width) -> np.ndarray:
     offsets [(j - width - a) / delta, (j + width - a) / delta]. Each run is
     widened by one offset on each side, clipped to the chunk (in floats
     first, so a slow class cannot overflow the integers) and cut where it
-    overlaps the one before. The widening also covers the last grid point,
-    clamped to the horizon: it lies less than one step, so less than delta,
-    before its place on the line.
+    overlaps the one before.
     """
     delta = step * turn
     a = float(lo) * step * turn + half
@@ -703,23 +791,67 @@ def _run_offsets(lo, n, step, turn, half, width) -> np.ndarray:
     return offsets
 
 
-def _screened(turns, halves, ts) -> np.ndarray:
-    """dist(t turn_r + half_r, Z) at every t, the steps of
-    :func:`_misalignment` taken at once: class first, (d, len(ts)) for
-    arrays of turns and halves, len(ts) for one class."""
-    x = np.multiply.outer(turns, ts)
-    x += np.reshape(halves, np.shape(turns) + (1,))
-    x -= np.rint(x)
-    return np.abs(x, out=x)
-
-
-def _within(ts, turns, halves, classes, width) -> np.ndarray:
-    """The points of ``ts`` at which every one of ``classes`` lies within
-    ``width`` of an integer, as :func:`_misalignment` takes it; the points
-    past it are dropped one class at a time, so later classes see fewer."""
+def _within(points, grid, classes, reach) -> np.ndarray:
+    """The grid indices of ``points`` at which every one of ``classes`` lies
+    within ``reach`` units of an integer; the points past it are dropped
+    one class at a time, so later classes see fewer."""
     for r in classes:
-        ts = ts[_screened(turns[r], halves[r], ts) <= width]
-    return ts
+        points = points[_distance(points, grid.steps[r], grid.halves[r]) <= reach]
+    return points
+
+
+def _block_size(grid, reach: int) -> int:
+    """The largest power of two up to MAX_BLOCK whose blocks the slowest
+    class crosses by at most HALF_TURN - reach, so that it prunes the first
+    level of :func:`_block_screen`; 0 when ``reach`` is half a turn and
+    nothing can be pruned."""
+    room, slow = HALF_TURN - reach, min(grid.moves)
+    if room <= 0:
+        return 0
+    size = MAX_BLOCK
+    while size and size * slow > room:
+        size //= 2
+    return size
+
+
+def _block_screen(lo, n, grid, reach, size) -> tuple[np.ndarray, np.ndarray]:
+    """The grid indices in [lo, lo + n), ascending, at which every class
+    lies within ``reach`` units of an integer, found by pruning blocks, and
+    their misalignment (:func:`_misalignment`).
+
+    Blocks of ``size`` points, a power of two, start every ``size`` points
+    from lo. A block starting at s holds the indices c + k with centre
+    c = s + size // 2 and -size // 2 <= k < size // 2, and class r lies
+    within |k| moves[r] of where it lies at c. So when the centre is
+    farther than reach + (size // 2) moves[r] from an integer, no index of
+    the block is within reach on class r, and the block goes. A level tests
+    every class at once, each against that bound when it moves by at most
+    half the room left, (HALF_TURN - reach) / 2, from the centre, and
+    against half a turn, which keeps every block, when it moves more. The
+    blocks left are cut into BLOCK_SPLIT blocks each, down to single
+    points, which are kept when their misalignment is within reach. Every
+    step is exact in units, so the points left are those
+    :func:`_misalignment` puts within reach.
+    """
+    end, moves = lo + n, grid.moves
+    room = (HALF_TURN - reach) // 2
+    steps = np.array(grid.steps, dtype=np.uint64)[:, None]
+    halves = np.array(grid.halves, dtype=np.uint64)[:, None]
+    starts = np.arange(lo, end, size, dtype=np.uint64)
+    while size > 1:
+        half = size // 2
+        bounds = [reach + half * m if half * m <= room else HALF_TURN for m in moves]
+        centres = starts + np.uint64(half)
+        near = _distance(centres, steps, halves) <= np.array(bounds, dtype=np.uint64)[:, None]
+        part = max(size // BLOCK_SPLIT, 1)
+        starts = np.add.outer(
+            centres[near.all(axis=0)] - np.uint64(half), np.arange(0, size, part, dtype=np.uint64)
+        ).ravel()
+        size = part
+    points = starts[starts < end]
+    worst = _distance(points, steps, halves).max(axis=0, initial=0)
+    near = worst <= reach
+    return points[near], worst[near]
 
 
 #: a candidate set that would take fewer sines than this takes them all:
@@ -732,65 +864,71 @@ RESTRICT_SINES = 4096
 FLAT_TOP = 0.499
 
 
-def _candidate_deficits(angles, sigmas, turns, halves, ts, margin) -> np.ndarray:
-    """:func:`phase_alignment_deficit` at the points ``ts``, bit for bit,
-    with sines taken only for the classes that screen within 4 margins of
-    the point's worst class.
+def _candidate_deficits(angles, sigmas, grid, points, worst, margin) -> np.ndarray:
+    """:func:`phase_alignment_deficit` at the grid indices ``points``, bit
+    for bit, with phases and sines taken only for the classes that screen
+    within 4 margins of the point's worst class; ``worst`` is each point's
+    screened misalignment (:func:`_misalignment`).
 
     Why that is exact. At one point let s_r be the screened misalignment
-    of class r, W = max_r s_r (at class q), w_r the misalignment of the
-    phase the exact form takes and E_r = 2 |sin(phase_r / 2)| as computed.
-    The margin m >= 1e-12 bounds |s_r - w_r|, and libm's sine puts E_r
-    within rho of 2 sin(pi w_r), rho a few units of 1e-16. Take a class
-    with s_r < W - 4 m and set a = s_r + m, b = W - m: then w_r <= a,
-    b <= w_q, b <= 1/2 and b - a > 2 m. 2 sin(pi x) rises and is concave
-    on [0, 1/2], and cos(pi x) >= 1 - 2 x there, so
+    of class r (:func:`_distance` over 2^64), W = max_r s_r (at class q),
+    w_r the misalignment of the phase the exact form takes and
+    E_r = 2 |sin(phase_r / 2)| as computed. The margin m >= 1e-12 bounds
+    |s_r - w_r| (:func:`_fixed_grid`), and libm's sine puts E_r within rho
+    of 2 sin(pi w_r), rho a few units of 1e-16. Take a class with
+    s_r < W - 4 m and set a = s_r + m, b = W - m: then w_r <= a, b <= w_q,
+    b <= 1/2 and b - a > 2 m. 2 sin(pi x) rises and is concave on [0, 1/2],
+    and cos(pi x) >= 1 - 2 x there, so
         2 sin(pi b) - 2 sin(pi a) >= (b - a) 2 pi cos(pi b) > 4 pi m (1 - 2 W).
     Hence E_r <= 2 sin(pi a) + rho < E_q + 2 rho - 4 pi m (1 - 2 W). While
     W <= FLAT_TOP = 0.499 the last term is at least 2.5e-14, far above
     2 rho, so E_r < E_q: class r is not where the max sits, and the max
     over the kept classes is the same element with the same bits. Past
-    FLAT_TOP the sine flattens out and every class is kept. A set of
-    points that would take fewer than RESTRICT_SINES sines takes them all.
+    FLAT_TOP the sine flattens out and every class is kept. Each class
+    takes its phases and sines at the points where it is kept, so the
+    work is one sine per kept (point, class) pair. A set of points that
+    would take fewer than RESTRICT_SINES sines takes them all.
     """
+    ts = points * grid.step
     if len(ts) * len(angles) < RESTRICT_SINES:
         return phase_alignment_deficit(angles, sigmas, ts)
-    x = _screened(turns, halves, ts)
-    worst = x.max(axis=0)
-    floor = worst - 4.0 * margin
-    floor[worst > FLAT_TOP] = -1.0
-    kept = np.flatnonzero(x >= floor)
-    # the phases of phase_alignment_deficit, in the same (d, len(ts)) array;
-    # the classes left out read 0, below the max
-    phases = _phases(angles, sigmas, ts, out=x)
-    deficits = _half_sines(phases.ravel()[kept])
-    phases.fill(0.0)
-    phases.ravel()[kept] = deficits
-    return 2.0 * phases.max(axis=0)
+    gap = min(math.ceil(math.ldexp(4.0 * margin, 64)), HALF_TURN)
+    floor = np.maximum(worst, gap)
+    floor -= np.uint64(gap)
+    floor[worst > _fixed_width(FLAT_TOP)] = 0
+    # the phases of phase_alignment_deficit (:func:`_phases`), class by
+    # class at the points where the class is kept; the others read 0
+    deficits, x = np.zeros(len(ts)), np.empty_like(points)
+    for angle, pi_sigma, steps, halves in zip(angles, np.pi * sigmas, grid.steps, grid.halves):
+        at = np.flatnonzero(_distance(points, steps, halves, out=x) >= floor)
+        phases = ts[at] * angle
+        phases += pi_sigma
+        deficits[at] = np.maximum(deficits[at], _half_sines(phases))
+    deficits *= 2.0
+    return deficits
 
 
-def _chunk_best(
-    angles, sigmas, turns, halves, epsilon, ts, worst, margin
-) -> tuple[float, float, bool] | None:
-    """Among the points ``ts`` with screened misalignment ``worst``: the
-    first with deficit below epsilon and True, else the first of least
-    deficit and False, or None when there are no points. Only the points
-    that screen within the margin of epsilon, or of the least screened
-    value, are passed to the exact form (:func:`_candidate_deficits`)."""
-    near = np.flatnonzero(worst <= _misalignment_at_most(epsilon + margin) + margin)
+def _chunk_best(angles, sigmas, grid, epsilon, points, worst, margin):
+    """Among the grid indices ``points`` with screened misalignment
+    ``worst`` (:func:`_misalignment`): the time of the first with deficit
+    below epsilon and True, else of the first of least deficit and False,
+    or None when there are no points. Only the points that screen within
+    the margin of epsilon, or of the least screened value, are passed to
+    the exact form (:func:`_candidate_deficits`)."""
+    near = np.flatnonzero(worst <= _fixed_width(_misalignment_at_most(epsilon + margin) + margin))
     if near.size:
-        deficits = _candidate_deficits(angles, sigmas, turns, halves, ts[near], margin)
+        deficits = _candidate_deficits(angles, sigmas, grid, points[near], worst[near], margin)
         below = np.flatnonzero(deficits < epsilon)
         if below.size:
             j = int(below[0])
-            return float(ts[near[j]]), float(deficits[j]), True
+            return float(points[near[j]]) * grid.step, float(deficits[j]), True
     if not worst.size:
         return None
-    least = 2.0 * math.sin(math.pi * float(worst.min()))
-    near = np.flatnonzero(worst <= _misalignment_at_most(least + margin) + margin)
-    deficits = _candidate_deficits(angles, sigmas, turns, halves, ts[near], margin)
+    least = 2.0 * math.sin(math.pi * math.ldexp(float(worst.min()), -64))
+    near = np.flatnonzero(worst <= _fixed_width(_misalignment_at_most(least + margin) + margin))
+    deficits = _candidate_deficits(angles, sigmas, grid, points[near], worst[near], margin)
     j = int(np.argmin(deficits))
-    return float(ts[near[j]]), float(deficits[j]), False
+    return float(points[near[j]]) * grid.step, float(deficits[j]), False
 
 
 def _scan_times(
@@ -801,60 +939,72 @@ def _scan_times(
     point of least deficit (t = 0 included) and False.
 
     A point can matter only if its deficit is below max(epsilon, best so
-    far), that is if its misalignment (see :func:`_misalignment`) is within
-    the bound w of that deficit on every class. When w <= RUN_WIDTH and the
-    slowest class moves at most w / 4 per step, a chunk takes only the runs
-    along which the slowest class is within w (:func:`_run_offsets`) and
-    drops the points past w on each other class in turn (:func:`_within`).
-    Otherwise every point of the chunk is screened; a full DENSE_CHUNK
-    chunk with w below 1/2 is first filtered class by class the same way,
-    when even its fastest class moves at most w / 4 per step. Its drops then
-    come in runs, which are cheap to gather; scattered drops, or the fixed
-    cost of seven array passes per class on a small chunk, would cost more
-    than screening the points. Either way :func:`_chunk_best` decides among
-    the points left, so every returned deficit comes from the exact form.
-    Chunks start at FIRST_CHUNK points and double up to RUN_CHUNK; a chunk
-    screened at every point stops at DENSE_CHUNK. The margin, 1e-12 times
-    the largest phase the chunk can reach, is far above the rounding gap
-    between the two forms; it is added on both sides of the conversion
-    between deficit and w, and once more to the run width, against the
-    rounding of the line along which the runs are laid.
+    far), that is if its misalignment is within the bound w of that deficit
+    on every class. The grid points are screened by grid index in the
+    exact fixed-point turns of :func:`_fixed_grid`, in one of three ways:
+
+    - a chunk of BLOCK_CHUNK points or more, whose slowest class leaves
+      room for blocks of MIN_BLOCK points (:func:`_block_size`), is pruned
+      by blocks (:func:`_block_screen`), unless it can take runs (below)
+      with w <= BLOCK_WIDTH, which then hold few points;
+    - else, when w <= RUN_WIDTH and the slowest class moves at most w / 4
+      per step, the chunk takes only the runs along which the slowest class
+      is within w (:func:`_run_offsets`) and drops the points past w on
+      each other class in turn (:func:`_within`); past w = 0.1 the runs
+      hold a fifth of the points or more, and a large chunk is cheaper by
+      blocks;
+    - else every point is screened (:func:`_misalignment`); the first chunk
+      always is, since the deficit 2 at t = 0 puts w at half a turn.
+
+    Either way :func:`_chunk_best` decides among the points left, so every
+    returned deficit comes from the exact form. Chunks start at
+    FIRST_CHUNK points and double up to RUN_CHUNK; a chunk screened at
+    every point stops at DENSE_CHUNK. The margin, 1e-12 times
+    the largest phase the chunk can reach, is far above the gap between
+    the screen and the exact form; it is added on both sides of the
+    conversion between deficit and w, and once more to the run width,
+    against the rounding of the line along which the runs are laid. The
+    last point, when the horizon clamps it short of its place on the grid,
+    is decided on the exact form alone, after the rest.
     """
     turns = angles / (2.0 * np.pi)
-    halves = (sigmas % 2) / 2.0
+    grid = _fixed_grid(turns, sigmas, step)
     top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
     slow = int(np.argmin(turns))
     others = [r for r in range(len(turns)) if r != slow]
-    delta, fast = step * float(turns[slow]), step * (top / (2.0 * np.pi))
+    delta = step * float(turns[slow])
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
-    index, work = np.empty(0), np.empty((4, 0))
+    clamped = stop > start and float(stop - 1) * step > horizon
+    stop -= clamped
+    index, work = np.empty(0, dtype=np.uint64), np.empty((2, 0), dtype=np.uint64)
     lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
     while lo < stop:
         n = min(size, stop - lo)
         margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + reach)
         width = _misalignment_at_most(max(epsilon, best_val) + margin) + margin
-        if width > RUN_WIDTH or not 0.0 < 4.0 * delta <= width:
-            n = min(n, DENSE_CHUNK)
-            if len(index) < n:
-                # the times and _misalignment's three rows of work; the old
-                # buffers (ts and worst are views of work) go first
-                index = work = ts = worst = None
-                index, work = np.arange(n, dtype=float), np.empty((4, n))
-            ts = np.add(index[:n], lo, out=work[0, :n])
-            ts *= step
-            np.minimum(ts, horizon, out=ts)
-            if n == DENSE_CHUNK and 4.0 * fast <= width < 0.5:
-                ts = _within(ts, turns, halves, range(len(turns)), width)
-            worst = _misalignment(ts, turns, halves, work[1:])
-        else:
+        limit = _fixed_width(width)
+        runs = width <= RUN_WIDTH and 0.0 < 4.0 * delta <= width
+        if (
+            not (runs and (n < BLOCK_CHUNK or width <= BLOCK_WIDTH))
+            and n >= BLOCK_CHUNK
+            and (block := _block_size(grid, limit)) >= MIN_BLOCK
+        ):
+            points, worst = _block_screen(lo, n, grid, limit, block)
+        elif runs:
             offsets = _run_offsets(
-                lo, n, step, float(turns[slow]), float(halves[slow]), width + margin
+                lo, n, step, float(turns[slow]), float(sigmas[slow] % 2) / 2.0, width + margin
             )
-            # the times go in as a temporary, so that the filter can free
-            # each array it has dropped points from
-            ts = _within(np.minimum((offsets + lo) * step, horizon), turns, halves, others, width)
-            worst = _misalignment(ts, turns, halves, np.empty((3, len(ts))))
-        found = _chunk_best(angles, sigmas, turns, halves, epsilon, ts, worst, margin)
+            points = _within(offsets.astype(np.uint64) + np.uint64(lo), grid, others, limit)
+            worst = _misalignment(points, grid, np.empty((2, len(points)), dtype=np.uint64))
+        else:
+            n = min(n, DENSE_CHUNK)
+            if work.shape[1] < n:
+                # the old buffers (points and worst are views of work) go first
+                index = work = points = worst = None
+                index, work = np.arange(n, dtype=np.uint64), np.empty((3, n), dtype=np.uint64)
+            points = np.add(index[:n], np.uint64(lo), out=work[2, :n])
+            worst = _misalignment(points, grid, work[:2])
+        found = _chunk_best(angles, sigmas, grid, epsilon, points, worst, margin)
         if found is not None:
             t, val, hit = found
             if hit:
@@ -862,6 +1012,12 @@ def _scan_times(
             if val < best_val:
                 best_t, best_val = t, val
         lo, size = lo + n, min(2 * size, RUN_CHUNK)
+    if clamped:
+        val = float(phase_alignment_deficit(angles, sigmas, horizon))
+        if val < epsilon:
+            return horizon, val, True
+        if val < best_val:
+            best_t, best_val = horizon, val
     return best_t, best_val, False
 
 

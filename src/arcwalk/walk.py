@@ -198,12 +198,22 @@ def walk_spectrum_residuals(
     U from ``eigen``. The correspondences T F T^T = (k/2) E_r, k E_0 and,
     on bipartite graphs, k E_{-k} follow from ``correspondence``, the exact
     identity T U T^T = A and the adjacency completeness. ``gram`` costs
-    O(m N^2), every other key O(m N); nothing m x m is formed.
+    one real product of W's m x 2N real view with itself, O(m N^2); every
+    other key costs O(m N), and nothing m x m is formed.
     """
     k, m = arc_space.k, arc_space.num_arcs
     W, theta, classes = ws.factors, ws.column_thetas, ws.column_classes
-    gram = max(float(np.abs(W.conj().T @ W - np.eye(W.shape[1])).max(initial=0.0)),
-               float(np.abs(W.T @ W).max(initial=0.0)))
+    # one real product gives both Gram matrices: W's real view S holds
+    # X = Re W and Y = Im W in alternate columns, and with the blocks of
+    # S^T S, W^H W = X^T X + Y^T Y + i (X^T Y - Y^T X) and
+    # W^T W = X^T X - Y^T Y + i (X^T Y + Y^T X); a built W is C-contiguous,
+    # so the view copies nothing
+    S = np.ascontiguousarray(W).view(float)
+    G = S.T @ S
+    XX, XY, YY = G[0::2, 0::2], G[0::2, 1::2], G[1::2, 1::2]
+    gram = max(float(np.hypot(XX + YY - np.eye(W.shape[1]), XY - XY.T).max(initial=0.0)),
+               float(np.hypot(XX - YY, XY + XY.T).max(initial=0.0)))
+    del S, G, XX, XY, YY
     # R (U W - W diag(e^{i theta})) has the column norms of the drift (R
     # permutes rows); they are summed over a real view, with no second array
     drift = _eigen_defect(arc_space, W, np.exp(1j * theta)).view(float).reshape(m, -1, 2)

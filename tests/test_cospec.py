@@ -138,6 +138,32 @@ def test_routes_agree_on_a_class_that_barely_touches_the_start():
         assert check_strong_cospectrality_direct(ws, x, target) != NOT_COSPECTRAL, t
 
 
+#: the random 16-vertex 3-regular graph of evolve-sweep seed 73
+RANDOM_16_3_SEED_73_EDGES = [
+    (0, 2), (0, 8), (0, 14), (1, 6), (1, 7), (1, 15), (2, 8), (2, 9), (3, 5), (3, 13),
+    (3, 14), (4, 6), (4, 10), (4, 13), (5, 7), (5, 15), (6, 11), (7, 8), (9, 10), (9, 12),
+    (10, 12), (11, 12), (11, 13), (14, 15),
+]
+
+
+def test_both_routes_find_x13_and_x6_cospectral_on_the_seed_73_graph():
+    """x_13 and x_6 on this graph are strongly cospectral, with deltas of 0
+    and pi that sit where the sign choice of delta once split the two
+    routes; both return a witness, with the same phase per class."""
+    g = from_edge_list(RANDOM_16_3_SEED_73_EDGES, 16)
+    dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    ws = walk_spectrum(dec, arcs)
+    x, y = initial_state(arcs, 13), initial_state(arcs, 6)
+    adj = check_strong_cospectrality(dec, arcs, 13, y)
+    direct = check_strong_cospectrality_direct(ws, x, y)
+    assert isinstance(adj, CospectralityWitness)
+    assert isinstance(direct, DirectWitness)
+    for r, delta in adj.deltas.items():
+        if delta is not None:
+            assert np.cos(direct.phases[f"pair{r}+"]) == pytest.approx(np.cos(delta), abs=1e-6)
+    assert np.cos(direct.phases["plus1"]) == pytest.approx(adj.sign_e0, abs=1e-6)
+
+
 def test_accepted_flat_targets_are_real_up_to_phase():
     for name in ("k4", "rook4"):
         b = get_bundle(name)

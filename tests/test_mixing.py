@@ -112,6 +112,19 @@ def test_phase_condition_finds_rook4_relation():
     assert 2 * angles[0] + 2 * angles[1] == pytest.approx(2 * np.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode, width", [("integer", 1), ("real", 0)])
+def test_phase_condition_with_no_angles_holds(mode, width):
+    """With no angles there is no relation to violate: the scan holds at
+    the requested bound with an empty relation array of d + 1 columns in
+    integer mode (l_0 alone) and d in real mode."""
+    verdict = phase_condition_check([], [], mode, bound=7)
+    assert verdict.status == HOLDS and verdict.violating is None
+    assert verdict.bound == verdict.requested_bound == 7
+    assert verdict.relations.shape == (0, width) and verdict.relations.dtype == np.int64
+    assert not verdict.relations.flags.writeable
+    assert verdict.to_json_dict()["relations"] == []
+
+
 def test_phase_condition_real_mode_has_no_rook4_relations():
     b = get_bundle("rook4")
     verdict = phase_condition_check(b.dec.angles[1:], [1, 0], "real", bound=20)
@@ -190,9 +203,9 @@ def test_relation_scan_blocks_are_the_lexicographic_half_box(rows, monkeypatch):
         located.append(len(targets))
         return locate(lower, upper, targets, *args)
 
-    def counted_residuals(block, *args):
-        decided.append(len(block))
-        return residuals(block, *args)
+    def counted_residuals(columns, *args):
+        decided.append(len(columns[0]))
+        return residuals(columns, *args)
 
     monkeypatch.setattr(mixing, "_locate", counted_locate)
     monkeypatch.setattr(mixing, "_relation_residuals", counted_residuals)
@@ -213,7 +226,7 @@ def test_relation_scan_blocks_are_the_lexicographic_half_box(rows, monkeypatch):
                 canonical = np.array(
                     [v for v in box if any(v) and next(x for x in v if x) > 0], dtype=np.int64
                 )
-                _, l0 = residuals(canonical, np.array(angles[:d]), mode == "integer")
+                _, l0 = residuals(canonical.T, np.array(angles[:d]), mode == "integer")
                 if l0 is not None:
                     canonical = np.column_stack([canonical, l0])
                 expected = [v for v in canonical.tolist() if math.gcd(*v) == 1]
@@ -239,7 +252,7 @@ def test_screen_keeps_a_row_at_exactly_the_tolerance(mode, rows, monkeypatch):
             if not vec.any() or np.gcd.reduce(vec) != 1:
                 continue
             vec = vec if vec[np.flatnonzero(vec)[0]] > 0 else -vec
-            resid, l0 = mixing._relation_residuals(vec[None, :], angles, mode == "integer")
+            resid, l0 = mixing._relation_residuals(vec[:, None], angles, mode == "integer")
             resid = float(resid[0])
             want = vec.tolist() + ([] if l0 is None else [int(l0[0])])
             for tau in (resid, np.nextafter(resid, np.inf)):

@@ -298,8 +298,8 @@ def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
 
 def scan_calls(monkeypatch):
     """Patch the relation scan to record the targets of every batch of
-    heads it locates, and (rows, hits at TAU_REL) of every block it hands
-    to the exact residual."""
+    heads it locates, and (rows, hits at TAU_REL) of every set of candidate
+    columns it hands to the exact residual, the columns stacked into rows."""
     located, decided = [], []
     locate, residuals = mixing._locate, mixing._relation_residuals
 
@@ -307,9 +307,9 @@ def scan_calls(monkeypatch):
         located.append(targets.copy())
         return locate(lower, upper, targets, rows)
 
-    def counted_residuals(block, angles, integer):
-        resid, l0 = residuals(block, angles, integer)
-        decided.append((block.copy(), int((resid <= mixing.TAU_REL).sum())))
+    def counted_residuals(columns, angles, integer):
+        resid, l0 = residuals(columns, angles, integer)
+        decided.append((np.column_stack(columns), int((resid <= mixing.TAU_REL).sum())))
         return resid, l0
 
     monkeypatch.setattr(mixing, "_locate", counted_locate)
@@ -386,9 +386,9 @@ def sine_calls(monkeypatch):
         sines.append(phases.size)
         return half_sines(phases)
 
-    def counted_candidates(angles, sigmas, turns, halves, ts, margin):
-        candidates.append(len(ts))
-        return exact(angles, sigmas, turns, halves, ts, margin=margin)
+    def counted_candidates(angles, sigmas, grid, points, worst, margin):
+        candidates.append(len(points))
+        return exact(angles, sigmas, grid, points, worst, margin)
 
     monkeypatch.setattr(mixing, "_half_sines", counted_sines)
     monkeypatch.setattr(mixing, "_candidate_deficits", counted_candidates)
@@ -468,57 +468,168 @@ def test_integer_cycle_search_at_the_benchmark_budget_matches_the_dense_grid(bit
 
 
 def test_candidate_deficits_are_the_exact_form_near_the_flat_top():
-    """Points where several classes sit near half a turn, with deficits
+    """Grid points where several classes sit near half a turn, with deficits
     within 1e-9 of 2 where the sine is flattest, and points on cycle
     orbits: the restricted form gives the exact form's bits."""
     rng = np.random.default_rng(23)
-    cases = [(np.array([1e-9, 3e-9, 2.0, 2.5e-9]), np.ones(4, dtype=np.int64),
-              rng.uniform(0.0, 10.0, 3000)),
-             (cycle_angles(17, 8), rng.integers(0, 2, 8), np.arange(0.0, 4000.0)),
-             (rng.uniform(0.05, 3.1, 12), rng.integers(-2, 3, 12), rng.uniform(0.0, 1e6, 500))]
-    for angles, sigmas, ts in cases:
-        assert len(ts) * len(angles) >= mixing.RESTRICT_SINES
-        turns, halves = angles / (2.0 * np.pi), (sigmas % 2) / 2.0
+    cases = [(np.array([1e-9, 3e-9, 2.0, 2.5e-9]), np.ones(4, dtype=np.int64), 1e-3,
+              rng.integers(0, 10**4, 3000)),
+             (cycle_angles(17, 8), rng.integers(0, 2, 8), 1.0, np.arange(4000)),
+             (rng.uniform(0.05, 3.1, 12), rng.integers(-2, 3, 12), 1.0,
+              rng.integers(0, 10**6, 500))]
+    for angles, sigmas, step, points in cases:
+        assert len(points) * len(angles) >= mixing.RESTRICT_SINES
+        grid = mixing._fixed_grid(angles / (2.0 * np.pi), sigmas, step)
+        points = points.astype(np.uint64)
+        ts = points * step
         margin = 1e-12 * (1.0 + ts.max() * angles.max() + np.pi * np.abs(sigmas).max())
-        got = mixing._candidate_deficits(angles, sigmas, turns, halves, ts, margin=margin)
+        worst = mixing._misalignment(points, grid, np.empty((2, len(points)), dtype=np.uint64))
+        got = mixing._candidate_deficits(angles, sigmas, grid, points, worst, margin)
         want = dense_phase_alignment_deficit(angles, sigmas, ts)
         assert got.tobytes() == want.tobytes()
 
 
+def fixed_point_cases():
+    """(angles, sigmas, step, grid indices) with the indices up to
+    MAX_GRID_POINTS: random angles on real-mode and integer grids, turns per
+    step below 2^-11 (where the fixed-point step is rounded), and a
+    subnormal angle."""
+    rng = np.random.default_rng(29)
+    top = mixing.MAX_GRID_POINTS
+    indices = np.concatenate([rng.integers(0, top + 1, 4000), [0, 1, top - 1, top]])
+    cases = []
+    for _ in range(6):
+        angles = rng.uniform(0.05, 3.1, 5)
+        cases.append((angles, rng.integers(0, 2, 5), 0.1 / (4.0 * angles.max()), indices))
+        cases.append((angles, rng.integers(-3, 4, 5), 1.0, indices))
+    slow = np.array([2.0 * np.pi * 2.0**-12, 1e-4, 1e-9, 3e-7, 1.7])
+    cases.append((slow, np.array([1, 0, 1, 1, 0]), 1.0, indices))
+    cases.append((slow, np.array([0, 1, 1, 0, 1]), 0.013, indices))
+    cases.append((np.array([5e-324, 2.9]), np.array([1, 1]), 1.0, indices))
+    return cases
+
+
+def test_fixed_point_screen_is_within_the_margin_of_the_float_misalignment():
+    """The screened misalignment of every class, in fixed-point turns, against
+    the misalignment of the phase the exact form takes, in floats: within
+    i 2^-65 plus the rounding of the float forms, and so within a third of
+    the margin the time search allows it."""
+    for angles, sigmas, step, indices in fixed_point_cases():
+        turns = angles / (2.0 * np.pi)
+        grid = mixing._fixed_grid(turns, sigmas, step)
+        points = indices.astype(np.uint64)
+        ts = points * step
+        margin = 1e-12 * (1.0 + ts.max() * angles.max() + np.pi * np.abs(sigmas).max())
+        for r in range(len(angles)):
+            screened = mixing._distance(points, grid.steps[r], grid.halves[r])
+            s = np.ldexp(screened.astype(float), -64)
+            x = (ts * angles[r] + np.pi * sigmas[r]) / (2.0 * np.pi)
+            w = np.abs(x - np.rint(x))
+            error = np.abs(s - w)
+            assert (error <= ts / step * 2.0**-65 + 1e-15 * (1.0 + np.abs(x))).all(), r
+            assert (error <= margin / 3.0).all(), r
+
+
+def test_fixed_point_steps_are_exact_from_a_turn_of_2_to_the_minus_12():
+    """A turn per step of at least 2^-12 has its last bit at 2^-64 or above,
+    so the fixed-point step is exact; below, it is rounded to the nearest
+    2^-64."""
+    for x in (0.5, 0.1, 2.0**-12, 2.0**-12 + 2.0**-64, 1.0 - 2.0**-53, 3.25):
+        grid = mixing._fixed_grid(np.array([x]), np.array([0]), 1.0)
+        assert int(grid.steps[0]) == math.ldexp(x % 1.0, 64)
+    for x in (2.0**-13 + 2.0**-66, 1e-9, 5e-324):
+        grid = mixing._fixed_grid(np.array([x]), np.array([1]), 1.0)
+        assert abs(int(grid.steps[0]) - math.ldexp(x, 64)) <= 0.5
+        assert grid.halves == (mixing.HALF_TURN,)
+
+
+def test_half_a_turn_reads_half_a_turn():
+    """-2^63 as int64 negates to itself; as uint64 it is 2^63, the largest
+    distance there is."""
+    points = np.array([0, 1, 2, 3], dtype=np.uint64)
+    got = mixing._distance(points, np.uint64(mixing.HALF_TURN), 0)
+    assert got.tolist() == [0, 2**63, 0, 2**63]
+    got = mixing._distance(points, np.uint64(2**62), mixing.HALF_TURN)
+    assert got.tolist() == [2**63, 2**62, 0, 2**62]
+
+
+def test_block_screen_keeps_exactly_the_points_within_reach():
+    """Brute force over random grids: the blocks keep exactly the points
+    that the point-by-point screen puts within reach, with the same
+    misalignment, at every first block size and at the edges of reach
+    (0, and just under half a turn)."""
+    rng = np.random.default_rng(31)
+    for case in range(300):
+        d = int(rng.integers(1, 7))
+        angles = rng.uniform(0.01, 3.1, d)
+        step = float(rng.choice([1.0, 0.1 / (4.0 * angles.max()), 1e-4]))
+        grid = mixing._fixed_grid(angles / (2.0 * np.pi), rng.integers(0, 2, d), step)
+        lo, n = int(rng.integers(0, 10**7)), int(rng.integers(1, 5000))
+        points = np.arange(lo, lo + n, dtype=np.uint64)
+        worst = mixing._misalignment(points, grid, np.empty((2, n), dtype=np.uint64))
+        reach = int(rng.choice([0, int(worst.min()), int(np.median(worst)),
+                                mixing.HALF_TURN - 1, int(rng.integers(0, mixing.HALF_TURN))]))
+        size = 2 ** int(rng.integers(0, 12))
+        got, got_worst = mixing._block_screen(lo, n, grid, reach, size)
+        keep = worst <= reach
+        assert got.tolist() == points[keep].tolist(), case
+        assert got_worst.tolist() == worst[keep].tolist(), case
+
+
+def pruned_chunks(monkeypatch):
+    """Patch the time search to record (route, lo, n) for every chunk it
+    takes along runs or prunes by blocks."""
+    calls = []
+    runs, blocks = mixing._run_offsets, mixing._block_screen
+
+    def counted_runs(lo, n, *args):
+        calls.append(("runs", lo, n))
+        return runs(lo, n, *args)
+
+    def counted_blocks(lo, n, *args):
+        calls.append(("blocks", lo, n))
+        return blocks(lo, n, *args)
+
+    monkeypatch.setattr(mixing, "_run_offsets", counted_runs)
+    monkeypatch.setattr(mixing, "_block_screen", counted_blocks)
+    return calls
+
+
 @pytest.mark.parametrize("c, bits", [(13, "001000"), (17, "00010000"), (17, "01010101")])
-def test_full_dense_chunks_filtered_class_by_class_match_the_dense_grid(c, bits, monkeypatch):
+def test_wide_bound_chunks_are_pruned_by_blocks_and_match_the_dense_grid(c, bits, monkeypatch):
     """Failing real cycle searches whose best misalignment stays between
-    the run width and 1/2 (1/3, 1/3 and 7/18 over [0, 1500]): their full
-    DENSE_CHUNK chunks are filtered on every class in turn, and the answer
-    is the dense grid's."""
-    filtered = []
-    within = mixing._within
-
-    def recorded(ts, turns, halves, classes, width):
-        if len(classes) == len(turns):
-            filtered.append(len(ts))
-        return within(ts, turns, halves, classes, width)
-
-    monkeypatch.setattr(mixing, "_within", recorded)
+    the run width and 1/2 (1/3, 1/3 and 7/18 over [0, 1500]): every chunk
+    of BLOCK_CHUNK points or more is pruned by blocks, and the answer is
+    the dense grid's."""
+    calls = pruned_chunks(monkeypatch)
     angles, bits = cycle_angles(c, len(bits)), [int(b) for b in bits]
     want = dense_time_search(angles, bits, 0.1, "real", 0, 1500.0)
     got = time_search(angles, bits, 0.1, "real", t_max=1500.0)
     assert got == want and not got.success
-    assert filtered and set(filtered) == {mixing.DENSE_CHUNK}
+    blocks = [n for route, _, n in calls if route == "blocks"]
+    assert blocks and min(blocks) >= mixing.BLOCK_CHUNK
+    assert not [n for route, _, n in calls if route == "runs" and n >= mixing.BLOCK_CHUNK]
 
 
-def run_chunks(monkeypatch):
-    """Patch the run route of the time search to record (lo, n) for every
-    chunk it takes along runs."""
-    calls = []
-    runs = mixing._run_offsets
-
-    def counted(lo, n, *args):
-        calls.append((lo, n))
-        return runs(lo, n, *args)
-
-    monkeypatch.setattr(mixing, "_run_offsets", counted)
-    return calls
+@pytest.mark.parametrize("c", [13, 17])
+def test_benchmark_failing_real_searches_match_the_dense_grid(c):
+    """The benchmark's failing real searches: violated sign bits at epsilon
+    0.1 over the default horizon T_MAX_FACTOR / min theta, 2.4 and 3.2
+    million grid points, against the dense grid, with best deficits on
+    both sides of the run width."""
+    d = (c - 1) // 2
+    angles = cycle_angles(c, d)
+    horizon = mixing.T_MAX_FACTOR / angles.min()
+    patterns = {13: ["001000", "001011"], 17: ["00010000", "00000110"]}[c]
+    widths = []
+    for bits in patterns:
+        bits = [int(b) for b in bits]
+        assert not lattice_parity_holds(bits, "real")
+        want = dense_time_search(angles, bits, 0.1, "real", 0, horizon)
+        got = time_search(angles, bits, 0.1, "real")
+        assert got == want and not got.success, bits
+        widths.append(math.asin(got.deficit / 2.0) / math.pi)
+    assert min(widths) < mixing.RUN_WIDTH < max(widths)
 
 
 def grid_results(monkeypatch):
@@ -551,15 +662,15 @@ def aligned_angles(rng, d, t_align):
 @pytest.mark.parametrize("epsilon", [1e-3, 3e-3, 1e-2])
 def test_real_hits_several_chunks_in_match_the_dense_grid(epsilon, first, monkeypatch):
     """Real-mode hits past the first two chunks, in a chunk taken along
-    runs: angles that align exactly at a time in [10, 40], with t_max a
-    little past it."""
+    runs or pruned by blocks: angles that align exactly at a time in
+    [10, 40], with t_max a little past it."""
     monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
     rng = np.random.default_rng(round(1 / epsilon) + first)
     for case in range(4):
         t_align = float(rng.uniform(10.0, 40.0))
         angles, sigmas = aligned_angles(rng, 2 + case % 3, t_align)
         t_max = t_align + float(rng.uniform(0.5, 1.0))
-        calls, scanned = run_chunks(monkeypatch), grid_results(monkeypatch)
+        calls, scanned = pruned_chunks(monkeypatch), grid_results(monkeypatch)
         want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
         got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
         assert got == want and got.success, case
@@ -567,16 +678,24 @@ def test_real_hits_several_chunks_in_match_the_dense_grid(epsilon, first, monkey
         step = epsilon / (4.0 * angles.max())
         i = round(t / step)
         assert hit and i * step == t and i >= 3 * first, case
-        assert any(lo <= i < lo + n for lo, n in calls), case
+        assert any(lo <= i < lo + n for _, lo, n in calls), case
 
 
 @pytest.mark.parametrize("first", [1, 5, 1024])
-def test_clamped_last_point_is_found_along_runs(first, monkeypatch):
+def test_clamped_last_point_is_decided_on_the_exact_form(first, monkeypatch):
     """t_max falls between grid points, and the deficit falls all the way to
-    it, so the answer is the last grid point clamped to t = t_max; the chunk
-    holding it is taken along runs."""
+    it, so the answer is the last grid point clamped to t = t_max. The
+    screen stops one point short of it: the last point it hands on is the
+    one before, and the clamped point is decided on the exact form alone."""
     monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
-    calls = run_chunks(monkeypatch)
+    handed = []
+    best = mixing._chunk_best
+
+    def recorded(angles, sigmas, grid, epsilon, points, *args):
+        handed.append(int(points.max()) if len(points) else -1)
+        return best(angles, sigmas, grid, epsilon, points, *args)
+
+    monkeypatch.setattr(mixing, "_chunk_best", recorded)
     angles, sigmas, epsilon, t_max = [1.0, 0.9], [1, 1], 0.01, 3.0001234
     step = epsilon / (4.0 * max(angles))
     points = math.ceil(t_max / step) + 1
@@ -585,15 +704,16 @@ def test_clamped_last_point_is_found_along_runs(first, monkeypatch):
     got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
     assert got == want
     assert not got.success and got.t == t_max
-    assert any(lo + n == points for lo, n in calls)
+    assert max(handed) == points - 2
 
 
 @pytest.mark.parametrize("first", [1, 5, 1024])
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-3])
 def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
     """Failing scans start screening every point, while the deficit 2 at
-    t = 0 puts the bound above RUN_WIDTH, and go on along runs once the
-    best deficit falls: the first chunk is not a run chunk, later ones are.
+    t = 0 puts the bound at half a turn, and go on along runs or by blocks
+    once the best deficit falls: the first chunk is screened at every
+    point, later ones are pruned.
     Two angles in (1.2, 3) get both phases within 0.3 of a turn of
     alignment (deficit 1.62) early on; t_max keeps the dense oracle under
     5e5 points."""
@@ -603,18 +723,19 @@ def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
         angles = rng.uniform(1.2, 3.0, 2)
         sigmas = np.ones(2, dtype=np.int64)
         t_max = float(rng.uniform(2.5, 4.0)) * epsilon / 1e-4
-        calls = run_chunks(monkeypatch)
+        calls = pruned_chunks(monkeypatch)
         want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
         got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
         assert got == want and not got.success, case
-        assert calls and calls[0][0] > 0, case
+        assert calls and calls[0][1] > 0, case
 
 
 def test_integer_scans_on_coarse_grids_screen_every_point(monkeypatch):
     """In integer mode the slowest cycle:17 class moves 1/17 of a turn per
-    step, more than a quarter of the bound at epsilon 0.1, so every chunk
-    is screened point by point, and the result is the dense grid's."""
-    calls = run_chunks(monkeypatch)
+    step, more than a quarter of the bound at epsilon 0.1 and more than
+    the room blocks of MIN_BLOCK points need, so every chunk is screened
+    point by point, and the result is the dense grid's."""
+    calls = pruned_chunks(monkeypatch)
     angles = cycle_angles(17, 8)
     sigmas = [1, 0, 0, 1, 0, 0, 0, 0]
     want = dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
@@ -649,11 +770,11 @@ def test_a_class_too_slow_to_leave_its_run_matches_the_dense_grid(slow, monkeypa
     it, however far the run's ends lie outside the chunk; at 5e-324 its
     turn per step underflows to zero and every chunk is screened point by
     point."""
-    calls = run_chunks(monkeypatch)
+    calls = pruned_chunks(monkeypatch)
     angles, sigmas = [slow, 2.1, 2.9], [0, 1, 1]
     want = dense_time_search(angles, sigmas, 1e-3, "real", 0, 30.0)
     assert time_search(angles, sigmas, 1e-3, "real", t_max=30.0) == want
-    assert bool(calls) == (slow > 1e-300)
+    assert bool([lo for route, lo, _ in calls if route == "runs"]) == (slow > 1e-300)
 
 
 def test_runs_cover_every_point_within_the_width():

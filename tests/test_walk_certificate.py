@@ -11,6 +11,7 @@ and no library path, the certified build included, forms an m x m array.
 import dataclasses
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from arcwalk import (
     evolve,
     evolve_by_projections,
     evolve_operator,
+    from_edge_list,
     initial_state,
     spectra,
     walk_spectrum,
@@ -67,6 +69,34 @@ def test_both_accept_the_clean_eigenvectors(name):
 def test_both_accept_the_clean_eigenvectors_on_random_regular_graphs(g):
     dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
     assert_both_accept(dec, arcs, walk_spectrum(dec, arcs))
+
+
+def complex_gram(W):
+    """``gram`` from two complex products: max |W^H W - I| and max |W^T W|."""
+    return max(float(np.abs(W.conj().T @ W - np.eye(W.shape[1])).max(initial=0.0)),
+               float(np.abs(W.T @ W).max(initial=0.0)))
+
+
+def seeded_random_regular():
+    g = nx.random_regular_graph(3, 24, seed=5)
+    return from_edge_list(g.edges(), 24)
+
+
+@pytest.mark.parametrize("name", ["rook:6", "seeded random 3-regular on 24 vertices"])
+def test_gram_from_one_real_product_is_the_two_complex_products(name):
+    """``gram`` is read off the blocks of one real product of W's real view
+    with itself; it is the max norm of the two complex products, to 1e-14,
+    on the clean W and on one with a column scaled off unit length."""
+    if name == "rook:6":
+        dec, arcs = build(name)
+    else:
+        g = seeded_random_regular()
+        dec, arcs = eigendecompose_symmetric(g), build_arc_space(g)
+    ws = walk_spectrum(dec, arcs)
+    for spoiled in (ws, scale_a_column(ws)):
+        got = walk_spectrum_residuals(dec, arcs, spoiled)["gram"]
+        assert abs(got - complex_gram(spoiled.factors)) <= 1e-14
+    assert walk_spectrum_residuals(dec, arcs, scale_a_column(ws))["gram"] > TAU_WALK
 
 
 def spectrum(ws, W, classes, thetas):
