@@ -69,9 +69,10 @@ T_MAX_FACTOR = 1e4
 MAX_ENUMERATION = 5_000_000
 #: about the most array entries the relation scan works on at once: it
 #: locates heads in batches of SCAN_ROWS // 16, whose work arrays stay in
-#: cache, and builds at most about SCAN_ROWS // d candidate rows of d
-#: entries a step
-SCAN_ROWS = 2**18
+#: cache, and gathers at most about SCAN_ROWS // d candidates of d
+#: coordinates a step, apart from the relations it keeps, so this also
+#: bounds what the scan holds beyond its output
+SCAN_ROWS = 2**17
 #: candidate rows in the first step of a relation scan; later steps double,
 #: so that a scan that stops at an early odd relation costs little
 FIRST_ROWS = 1024
