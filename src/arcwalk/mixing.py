@@ -722,9 +722,9 @@ def _fixed_grid(turns, sigmas, step: float) -> _FixedGrid:
     the least margin of :func:`_scan_times`, 1e-12 (1 + pi), which holds
     because the search runs only when some sigma_r is nonzero.
     """
-    steps = tuple(round(math.ldexp(x % 1.0, 64)) % (1 << 64) for x in (step * turns).tolist())
-    halves = tuple(HALF_TURN * (sigma % 2) for sigma in sigmas.tolist())
-    return _FixedGrid(step, steps, halves)
+    steps = [round(math.ldexp(x % 1.0, 64)) % (1 << 64) for x in (step * turns).tolist()]
+    halves = [HALF_TURN * (sigma % 2) for sigma in sigmas.tolist()]
+    return _FixedGrid(step, tuple(steps), tuple(halves))
 
 
 def _fixed_width(width: float) -> int:
@@ -951,9 +951,9 @@ def _scan_times(
     - else, when w <= RUN_WIDTH and the slowest class moves at most w / 4
       per step, the chunk takes only the runs along which the slowest class
       is within w (:func:`_run_offsets`) and drops the points past w on
-      each other class in turn (:func:`_within`); past w = 0.1 the runs
-      hold a fifth of the points or more, and a large chunk is cheaper by
-      blocks;
+      each other class in turn (:func:`_within`); past BLOCK_WIDTH the
+      runs hold a fifth of the points or more, and a large chunk is
+      cheaper by blocks;
     - else every point is screened (:func:`_misalignment`); the first chunk
       always is, since the deficit 2 at t = 0 puts w at half a turn.
 
@@ -983,19 +983,17 @@ def _scan_times(
         n = min(size, stop - lo)
         margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + reach)
         width = _misalignment_at_most(max(epsilon, best_val) + margin) + margin
-        limit = _fixed_width(width)
         runs = width <= RUN_WIDTH and 0.0 < 4.0 * delta <= width
-        if (
-            not (runs and (n < BLOCK_CHUNK or width <= BLOCK_WIDTH))
-            and n >= BLOCK_CHUNK
-            and (block := _block_size(grid, limit)) >= MIN_BLOCK
-        ):
-            points, worst = _block_screen(lo, n, grid, limit, block)
+        large = n >= BLOCK_CHUNK and not (runs and width <= BLOCK_WIDTH)
+        if large and (block := _block_size(grid, _fixed_width(width))) >= MIN_BLOCK:
+            points, worst = _block_screen(lo, n, grid, _fixed_width(width), block)
         elif runs:
             offsets = _run_offsets(
                 lo, n, step, float(turns[slow]), float(sigmas[slow] % 2) / 2.0, width + margin
             )
-            points = _within(offsets.astype(np.uint64) + np.uint64(lo), grid, others, limit)
+            points = _within(
+                offsets.astype(np.uint64) + np.uint64(lo), grid, others, _fixed_width(width)
+            )
             worst = _misalignment(points, grid, np.empty((2, len(points)), dtype=np.uint64))
         else:
             n = min(n, DENSE_CHUNK)
