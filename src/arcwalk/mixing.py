@@ -291,8 +291,8 @@ def _table_sums(table, angles, integer):
     table; in integer mode in turns (theta_j / 2 pi) less their nearest
     integer."""
     if not integer:
-        return angles @ table
-    sums = (angles / (2 * np.pi)) @ table
+        return np.dot(angles, table)
+    sums = np.dot(angles / (2 * np.pi), table)
     sums -= np.rint(sums)
     return sums
 
