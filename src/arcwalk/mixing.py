@@ -722,7 +722,7 @@ def _fixed_grid(turns, sigmas, step: float) -> _FixedGrid:
     the least margin of :func:`_scan_times`, 1e-12 (1 + pi), which holds
     because the search runs only when some sigma_r is nonzero.
     """
-    steps = [round(math.ldexp(x % 1.0, 64)) % (1 << 64) for x in (step * turns).tolist()]
+    steps = [round(x % 1.0 * 2.0**64) % (1 << 64) for x in (step * turns).tolist()]
     halves = [HALF_TURN * (sigma % 2) for sigma in sigmas.tolist()]
     return _FixedGrid(step, tuple(steps), tuple(halves))
 
@@ -972,7 +972,6 @@ def _scan_times(
     grid = _fixed_grid(turns, sigmas, step)
     top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
     slow = int(np.argmin(turns))
-    others = [r for r in range(len(turns)) if r != slow]
     delta = step * float(turns[slow])
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
     clamped = stop > start and float(stop - 1) * step > horizon
@@ -991,6 +990,7 @@ def _scan_times(
             offsets = _run_offsets(
                 lo, n, step, float(turns[slow]), float(sigmas[slow] % 2) / 2.0, width + margin
             )
+            others = [r for r in range(len(turns)) if r != slow]
             points = _within(
                 offsets.astype(np.uint64) + np.uint64(lo), grid, others, _fixed_width(width)
             )
