@@ -471,7 +471,8 @@ def phase_condition_check(
     if integer:
         sums = np.add.outer((-1.0, 0.0, 1.0), sums).ravel()
     parity = sigmas % 2
-    row_parity = parity[outer:] @ grid if parity.any() else None  # None: no odd relation
+    # None when every sigma is even, so that no relation can be odd
+    row_parity = parity[outer:] @ grid if parity.any() else None
     row_gcd = None  # formed at the first hit; violated scans rarely need it
     margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
     width = (tau_rel / (2 * np.pi) if integer else tau_rel) + margin
@@ -488,7 +489,9 @@ def phase_condition_check(
             grown = np.empty((d + integer, used + reserve), dtype=np.int64)
             grown[:, :used] = relations[:, :used]
             relations = grown
-        # the candidates coordinate by coordinate, l_0 last in integer mode
+        # the candidates coordinate by coordinate, l_0 last in integer mode;
+        # the takes clip, as their indices are in range and a take into out=
+        # in the default mode goes through a buffer
         columns = np.empty((d + integer, len(local)), dtype=np.int64)
         np.take(heads, local, axis=1, out=columns[:outer], mode="clip")
         np.take(grid, row, axis=1, out=columns[outer:d], mode="clip")
