@@ -437,10 +437,10 @@ def phase_condition_check(
     residual over those columns (:func:`_relation_residuals`), then by
     parity (skipped when every sigma is even), a stop at the first odd
     relation, and primitivity from per-head and per-row gcds. Each
-    kept relation is written once, coordinate by coordinate, into an int64
-    array of one row per coordinate, grown once per batch of heads by that
-    batch's candidate count; ``relations`` is its transpose. So the scan
-    costs about its output, (relations x d) entries, plus the inner grid.
+    kept relation is written once, as one row of an int64 array grown once
+    per batch of heads by that batch's candidate count and cut to the kept
+    rows in place at the end. So the scan costs about its output,
+    (relations x d) entries, plus the inner grid.
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     d = len(angles)
@@ -477,17 +477,16 @@ def phase_condition_check(
     margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
     width = (tau_rel / (2 * np.pi) if integer else tau_rel) + margin
 
-    # the relations are kept coordinate by coordinate, one row per
-    # coordinate, and each kept vector is written there once
-    relations = np.empty((d + integer, 0), dtype=np.int64)
+    # one row per kept relation, each written there once
+    relations = np.empty((0, d + integer), dtype=np.int64)
     used, violating = 0, None
     steps = _candidate_steps(
         angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d)
     )
     for heads, local, row, reserve in steps:
-        if used + reserve > relations.shape[1]:
-            grown = np.empty((d + integer, used + reserve), dtype=np.int64)
-            grown[:, :used] = relations[:, :used]
+        if used + reserve > len(relations):
+            grown = np.empty((used + reserve, d + integer), dtype=np.int64)
+            grown[:used] = relations[:used]
             relations = grown
         # the candidates coordinate by coordinate, l_0 last in integer mode;
         # the takes clip, as their indices are in range and a take into out=
@@ -514,11 +513,11 @@ def phase_condition_check(
         if integer:
             common = np.gcd(common, l0[hit[:end]])
         keep = hit[:end][common == 1]
-        np.take(columns, keep, axis=1, out=relations[:, used : used + keep.size], mode="clip")
+        relations[used : used + keep.size] = np.take(columns, keep, axis=1, mode="clip").T
         used += keep.size
         if violating is not None:
             break
-    relations = relations[:, :used].T
+    relations.resize((used, d + integer), refcheck=False)
     relations.flags.writeable = False
     if violating is not None:
         status = VIOLATED
@@ -659,19 +658,22 @@ DENSE_CHUNK = 2**16
 #: at most this, since otherwise most points would survive them
 RUN_WIDTH = 0.3
 #: a chunk is screened by blocks only when the slowest class leaves room to
-#: prune blocks of at least this many points; see :func:`_block_size`
+#: prune blocks of at least this many points (see :func:`_block_size`): at
+#: 2 the failing integer searches of the search-real benchmark took 1.7x as
+#: long, and 4 to 16 read the same
 MIN_BLOCK = 8
-#: most points in a block of the first level
-MAX_BLOCK = 2**10
-#: each block left at one level of the block screen is cut into this many
+#: most points in a block of the first level: 256 and 512 read the same on
+#: the benchmark's real searches, 1024 and 2048 took 8% longer on those
+#: whose bound is below 0.1
+MAX_BLOCK = 2**9
+#: each block left at one level of the block screen is cut into this many:
+#: 2 and 4 took 45% and 7% longer on the benchmark's real searches, 16 the
+#: same
 BLOCK_SPLIT = 8
-#: least points in a chunk screened by blocks: on fewer, the calls of its
-#: levels cost more than screening every point
+#: least points in a chunk screened by blocks: with 2^10 and 2^12 the
+#: alternating-bit early hits took 1.2-1.9x and 1.1-1.4x as long, as the
+#: calls of the levels cost more than the points they spare
 BLOCK_CHUNK = 2**14
-#: a chunk that can take the runs of its slowest class takes them, and not
-#: blocks, when its misalignment bound is at most this: the runs then hold
-#: few points
-BLOCK_WIDTH = 0.1
 #: half a turn in the fixed-point form of the time search: a turn is 2^64
 #: units, held in uint64, whose arithmetic wraps modulo whole turns
 HALF_TURN = 1 << 63
@@ -770,26 +772,38 @@ def _misalignment_at_most(deficit: float) -> float:
     return math.asin(min(deficit / 2.0, 1.0)) / math.pi
 
 
-def _run_offsets(lo, n, step, turn, half, width) -> np.ndarray:
-    """Offsets i in [0, n), ascending, at which the class of the given turn
-    and half can lie within ``width`` of an integer on the grid points
-    lo + i.
+def _run_offsets(lo, n, steps, halves, reach) -> np.ndarray:
+    """Offsets i in [0, n), ascending, at which the class of grid step
+    ``steps`` and half ``halves`` (:class:`_FixedGrid`) lies within
+    ``reach`` units of an integer at grid index lo + i, for
+    0 < 4 steps <= reach <= 0.4 turns: the points of :func:`_distance`
+    within reach, found along runs.
 
-    At offset i the class sits at a + i delta with a = lo step turn + half
-    and delta = step turn, so it is near the integer j on the run of
-    offsets [(j - width - a) / delta, (j + width - a) / delta]. Each run is
-    widened by one offset on each side, clipped to the chunk (in floats
-    first, so a slow class cannot overflow the integers) and cut where it
-    overlaps the one before.
+    Shifted up by reach, the class is within reach exactly when it lies in
+    [0, 2 reach] modulo a turn. It starts at b = lo steps + halves + reach
+    and moves up by steps a point, so it lies there from offset 0 when
+    b <= 2 reach, and from each offset i_j = ceil((j 2^64 - b) / steps) at
+    which it passes the turn j, for (2 reach - p_j) // steps offsets more,
+    p_j < steps its position there. i_j lies in [1, n), so its estimate in
+    floats is within 1e-9 of it, and two exact steps settle it: the
+    position at i, taken in (-1/2, 1/2] of a turn around the turn j, is
+    below it just when i < i_j.
     """
-    delta = step * turn
-    a = float(lo) * step * turn + half
-    near = np.arange(math.ceil(a - width), math.floor(a + (n - 1) * delta + width) + 1)
-    first = np.ceil(np.clip((near - width - a) / delta, -1, n)).astype(np.int64) - 1
-    last = np.floor(np.clip((near + width - a) / delta, -1, n)).astype(np.int64) + 1
-    first, last = np.maximum(first, 0), np.minimum(last, n - 1)
-    first[1:] = np.maximum(first[1:], last[:-1] + 1)
-    counts = np.maximum(last - first + 1, 0)
+    turn = 1 << 64
+    b = (lo * steps + halves + reach) % turn
+    passes = (b + (n - 1) * steps) // turn
+    guess = np.ceil((turn - b) / steps + np.arange(passes) * (turn / steps))
+    first = guess.astype(np.int64) - 1
+    steps_u, b_u = np.uint64(steps), np.uint64(b)
+    for _ in range(2):
+        first += (first.astype(np.uint64) * steps_u + b_u).view(np.int64) < 0
+    extra = (np.uint64(2 * reach) - (first.astype(np.uint64) * steps_u + b_u)) // steps_u
+    last = first + np.minimum(extra, np.uint64(n)).astype(np.int64)
+    if b <= 2 * reach:
+        first = np.concatenate(([0], first))
+        last = np.concatenate(([min((2 * reach - b) // steps, n - 1)], last))
+    last = np.minimum(last, n - 1)
+    counts = last - first + 1
     offsets = np.repeat(first - np.cumsum(counts) + counts, counts)
     offsets += np.arange(len(offsets))
     return offsets
@@ -949,14 +963,11 @@ def _scan_times(
 
     - a chunk of BLOCK_CHUNK points or more, whose slowest class leaves
       room for blocks of MIN_BLOCK points (:func:`_block_size`), is pruned
-      by blocks (:func:`_block_screen`), unless it can take runs (below)
-      with w <= BLOCK_WIDTH, which then hold few points;
+      by blocks (:func:`_block_screen`);
     - else, when w <= RUN_WIDTH and the slowest class moves at most w / 4
       per step, the chunk takes only the runs along which the slowest class
       is within w (:func:`_run_offsets`) and drops the points past w on
-      each other class in turn (:func:`_within`); past BLOCK_WIDTH the
-      runs hold a fifth of the points or more, and a large chunk is
-      cheaper by blocks;
+      each other class in turn (:func:`_within`);
     - else every point is screened (:func:`_misalignment`); the first chunk
       always is, since the deficit 2 at t = 0 puts w at half a turn.
 
@@ -966,16 +977,14 @@ def _scan_times(
     every point stops at DENSE_CHUNK. The margin, 1e-12 times
     the largest phase the chunk can reach, is far above the gap between
     the screen and the exact form; it is added on both sides of the
-    conversion between deficit and w, and once more to the run width,
-    against the rounding of the line along which the runs are laid. The
-    last point, when the horizon clamps it short of its place on the grid,
+    conversion between deficit and w. Each route keeps exactly the points
+    within w on every class, so the route changes the work and not the
+    answer. The last point, when the horizon clamps it short of its place on the grid,
     is decided on the exact form alone, after the rest.
     """
-    turns = angles / (2.0 * np.pi)
-    grid = _fixed_grid(turns, sigmas, step)
-    top, reach = float(angles.max()), np.pi * float(np.abs(sigmas).max())
-    slow = int(np.argmin(turns))
-    delta = step * float(turns[slow])
+    grid = _fixed_grid(angles / (2.0 * np.pi), sigmas, step)
+    top, shift = float(angles.max()), np.pi * float(np.abs(sigmas).max())
+    slow = min(range(len(angles)), key=grid.steps.__getitem__)
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
     clamped = stop > start and float(stop - 1) * step > horizon
     stop -= clamped
@@ -983,20 +992,15 @@ def _scan_times(
     lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
     while lo < stop:
         n = min(size, stop - lo)
-        margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + reach)
+        margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + shift)
         width = _misalignment_at_most(max(epsilon, best_val) + margin) + margin
-        runs = width <= RUN_WIDTH and 0.0 < 4.0 * delta <= width
-        large = n >= BLOCK_CHUNK and not (runs and width <= BLOCK_WIDTH)
-        if large and (block := _block_size(grid, _fixed_width(width))) >= MIN_BLOCK:
-            points, worst = _block_screen(lo, n, grid, _fixed_width(width), block)
-        elif runs:
-            offsets = _run_offsets(
-                lo, n, step, float(turns[slow]), float(sigmas[slow] % 2) / 2.0, width + margin
-            )
-            others = [r for r in range(len(turns)) if r != slow]
-            points = _within(
-                offsets.astype(np.uint64) + np.uint64(lo), grid, others, _fixed_width(width)
-            )
+        reach = _fixed_width(width)
+        if n >= BLOCK_CHUNK and (block := _block_size(grid, reach)) >= MIN_BLOCK:
+            points, worst = _block_screen(lo, n, grid, reach, block)
+        elif width <= RUN_WIDTH and 0 < 4 * grid.steps[slow] <= reach:
+            offsets = _run_offsets(lo, n, grid.steps[slow], grid.halves[slow], reach)
+            others = [r for r in range(len(angles)) if r != slow]
+            points = _within(offsets.astype(np.uint64) + np.uint64(lo), grid, others, reach)
             worst = _misalignment(points, grid, np.empty((2, len(points)), dtype=np.uint64))
         else:
             n = min(n, DENSE_CHUNK)

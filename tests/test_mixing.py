@@ -121,7 +121,7 @@ def test_phase_condition_with_no_angles_holds(mode, width):
     assert verdict.status == HOLDS and verdict.violating is None
     assert verdict.bound == verdict.requested_bound == 7
     assert verdict.relations.shape == (0, width) and verdict.relations.dtype == np.int64
-    assert not verdict.relations.flags.writeable
+    assert not verdict.relations.flags.writeable and verdict.relations.flags.c_contiguous
     assert verdict.to_json_dict()["relations"] == []
 
 

@@ -77,6 +77,8 @@ def test_relation_scan_matches_exact_integer_oracle(d, mode):
                 assert verdict.bound == bound
                 assert verdict.relations.dtype == np.int64
                 assert not verdict.relations.flags.writeable
+                # row-major and holding no buffer beyond the kept relations
+                assert verdict.relations.flags.c_contiguous and verdict.relations.base is None
                 assert all(type(v) is int for v in verdict.violating or ())
 
 
@@ -611,6 +613,28 @@ def test_wide_bound_chunks_are_pruned_by_blocks_and_match_the_dense_grid(c, bits
     assert not [n for route, _, n in calls if route == "runs" and n >= mixing.BLOCK_CHUNK]
 
 
+def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
+    """Angles 11 pi / 25 and 20 pi / 25 with bits (1, 0) align exactly at
+    t = 25, some 72,000 grid points in at epsilon 0.003. Their bound falls
+    below 0.1 of a turn early, where the slowest class could take runs,
+    and every later chunk, all of BLOCK_CHUNK points or more, is pruned by
+    blocks all the same; the answer is the dense grid's."""
+    reaches = []
+    blocks = mixing._block_screen
+
+    def recorded(lo, n, grid, reach, size):
+        reaches.append((n, reach))
+        return blocks(lo, n, grid, reach, size)
+
+    monkeypatch.setattr(mixing, "_block_screen", recorded)
+    angles, sigmas = [11 * np.pi / 25, 20 * np.pi / 25], [1, 0]
+    want = dense_time_search(angles, sigmas, 0.003, "real", 0, 25.5)
+    got = time_search(angles, sigmas, 0.003, "real", t_max=25.5)
+    assert got == want and got.success and abs(got.t - 25.0) < 0.01
+    assert len(reaches) >= 2 and min(n for n, _ in reaches) >= mixing.BLOCK_CHUNK
+    assert max(reach for _, reach in reaches) < mixing._fixed_width(0.1)
+
+
 @pytest.mark.parametrize("c", [13, 17])
 def test_benchmark_failing_real_searches_match_the_dense_grid(c):
     """The benchmark's failing real searches: violated sign bits at epsilon
@@ -767,33 +791,56 @@ def test_time_search_hit_in_the_first_chunk_allocates_little(mode, angles, sigma
 @pytest.mark.parametrize("slow", [1e-9, 1e-15, 1e-250, 5e-324])
 def test_a_class_too_slow_to_leave_its_run_matches_the_dense_grid(slow, monkeypatch):
     """A slowest class that barely moves over a chunk lays one run across
-    it, however far the run's ends lie outside the chunk; at 5e-324 its
-    turn per step underflows to zero and every chunk is screened point by
-    point."""
+    it. From 1e-15 down its step per grid point rounds to zero units, so
+    it never moves in the fixed-point form, no runs are laid, and every
+    chunk is pruned by blocks or screened point by point."""
     calls = pruned_chunks(monkeypatch)
     angles, sigmas = [slow, 2.1, 2.9], [0, 1, 1]
     want = dense_time_search(angles, sigmas, 1e-3, "real", 0, 30.0)
     assert time_search(angles, sigmas, 1e-3, "real", t_max=30.0) == want
-    assert bool([lo for route, lo, _ in calls if route == "runs"]) == (slow > 1e-300)
+    step = 1e-3 / (4.0 * max(angles))
+    grid = mixing._fixed_grid(np.array(angles) / (2.0 * np.pi), np.array(sigmas), step)
+    assert (grid.steps[0] > 0) == (slow > 1e-12)
+    assert bool([lo for route, lo, _ in calls if route == "runs"]) == (grid.steps[0] > 0)
 
 
 def test_runs_cover_every_point_within_the_width():
-    """Brute force over small chunks: every offset at which the class, taken
-    as the screen takes it, is within the width of an integer lies on the
-    runs, the last grid point included when it is clamped to a horizon
-    between grid points. Runs come back ascending, without repeats, inside
-    the chunk."""
+    """Brute force: the runs hold exactly the offsets at which the class
+    lies within reach of an integer on the fixed-point screen
+    (:func:`mixing._distance`), ascending, for steps from one unit up to a
+    quarter of the reach, reaches up to 0.4 turns, grid indices up to
+    MAX_GRID_POINTS and chunks up to 2^16 points."""
+    # edges: a step that divides the turn puts points exactly at the reach
+    # on both sides, and a reach just short of (i - 1) steps below the next
+    # turn passes it a hair after an index, where a float estimate rounds
+    # a whole index low
+    turn = 1 << 64
+    for e in (20, 40, 56, 58):
+        for k in (4, 5, 9):
+            for lo, halves in ((0, 0), (3, mixing.HALF_TURN), (10**7 + 1, 0)):
+                points = np.arange(lo, lo + 5000, dtype=np.uint64)
+                want = np.flatnonzero(mixing._distance(points, 1 << e, halves) <= k << e)
+                assert mixing._run_offsets(lo, 5000, 1 << e, halves, k << e).tolist() == want.tolist()
+        for i in (31, 40):
+            for gap in (0, 1, 2):
+                reach = turn // 2 - (i - 1) * (1 << e) - gap
+                if not 4 << e <= reach <= 0.4 * turn:
+                    continue
+                points = np.arange(0, 100, dtype=np.uint64)
+                want = np.flatnonzero(mixing._distance(points, 1 << e, mixing.HALF_TURN) <= reach)
+                got = mixing._run_offsets(0, 100, 1 << e, mixing.HALF_TURN, reach)
+                assert got.tolist() == want.tolist(), (e, i, gap)
     rng = np.random.default_rng(17)
     for case in range(3000):
-        n, lo = int(rng.integers(1, 300)), int(rng.integers(0, 10**6))
-        width = float(rng.uniform(1e-3, mixing.RUN_WIDTH))
-        turn = float(rng.uniform(1e-3, 0.5))
-        step = float(rng.uniform(0.01, 0.25)) * width / turn
-        half = float(rng.integers(0, 2)) / 2.0
-        horizon = (lo + n - 1 - float(rng.uniform(0.0, 1.0))) * step
-        ts = np.minimum((np.arange(n, dtype=float) + lo) * step, horizon)
-        x = ts * turn + half
-        want = np.flatnonzero(np.abs(x - np.rint(x)) <= width)
-        got = mixing._run_offsets(lo, n, step, turn, half, width)
-        assert np.isin(want, got).all(), case
-        assert (np.diff(got) > 0).all() and (got >= 0).all() and (got < n).all(), case
+        reach = int(rng.uniform(0.0, 0.4) * 2.0**64) if case % 4 else int(rng.integers(4, 10**4))
+        steps = int(rng.choice([
+            rng.integers(1, 20), max(reach // 4 - int(rng.integers(0, 3)), 1),
+            rng.integers(1, reach // 4 + 1), int(rng.integers(1, reach // 4 + 1)) >> 40,
+        ])) or 1
+        halves = int(rng.integers(0, 2)) * mixing.HALF_TURN
+        n = int(rng.integers(1, 300)) if case % 100 else 2**16
+        lo = int(rng.integers(0, mixing.MAX_GRID_POINTS + 2 - n)) if case % 3 else case % 7
+        points = np.arange(lo, lo + n, dtype=np.uint64)
+        want = np.flatnonzero(mixing._distance(points, steps, halves) <= reach)
+        got = mixing._run_offsets(lo, n, steps, halves, reach)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), case
