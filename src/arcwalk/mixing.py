@@ -659,20 +659,20 @@ DENSE_CHUNK = 2**16
 RUN_WIDTH = 0.3
 #: a chunk is screened by blocks only when the slowest class leaves room to
 #: prune blocks of at least this many points (see :func:`_block_size`): at
-#: 2 the failing integer searches of the search-real benchmark took 1.7x as
+#: 2 the integer searches of the search-real benchmark took 1.7x as
 #: long, and 4 to 16 read the same
 MIN_BLOCK = 8
 #: most points in a block of the first level: 256 and 512 read the same on
-#: the benchmark's real searches, 1024 and 2048 took 8% longer on those
+#: the benchmark's real searches, 1024 and 2048 took 8-10% longer on those
 #: whose bound is below 0.1
 MAX_BLOCK = 2**9
 #: each block left at one level of the block screen is cut into this many:
-#: 2 and 4 took 45% and 7% longer on the benchmark's real searches, 16 the
+#: 2 and 4 took 45% and 6% longer on the benchmark's real searches, 16 the
 #: same
 BLOCK_SPLIT = 8
-#: least points in a chunk screened by blocks: with 2^10 and 2^12 the
-#: alternating-bit early hits took 1.2-1.9x and 1.1-1.4x as long, as the
-#: calls of the levels cost more than the points they spare
+#: least points in a chunk screened by blocks: with 2^10 the benchmark's
+#: alternating-bit early hits took 1.15-1.9x as long, and with 2^12 up to
+#: 1.4x, as the calls of the levels cost more than the points they spare
 BLOCK_CHUNK = 2**14
 #: half a turn in the fixed-point form of the time search: a turn is 2^64
 #: units, held in uint64, whose arithmetic wraps modulo whole turns
@@ -781,13 +781,15 @@ def _run_offsets(lo, n, steps, halves, reach) -> np.ndarray:
 
     Shifted up by reach, the class is within reach exactly when it lies in
     [0, 2 reach] modulo a turn. It starts at b = lo steps + halves + reach
-    and moves up by steps a point, so it lies there from offset 0 when
-    b <= 2 reach, and from each offset i_j = ceil((j 2^64 - b) / steps) at
-    which it passes the turn j, for (2 reach - p_j) // steps offsets more,
-    p_j < steps its position there. i_j lies in [1, n), so its estimate in
-    floats is within 1e-9 of it, and two exact steps settle it: the
-    position at i, taken in (-1/2, 1/2] of a turn around the turn j, is
-    below it just when i < i_j.
+    (modulo a turn) and moves up by steps a point, so it lies there from
+    offset 0 when b <= 2 reach, and from the offset i_j = ceil((j 2^64 - b)
+    / steps) at which it passes the turn j, for (2 reach - p_j) // steps
+    offsets more, where p_j < steps is its position at i_j. Each i_j lies
+    in [1, n), so its float estimate, a sum of two correctly rounded
+    quotients of at most n, is within 1e-9 of it, and the estimate rounded
+    up, less one, is i_j - 2, i_j - 1 or i_j. Two exact steps settle it:
+    near i_j the position's int64 view is its signed offset from the turn
+    j, which is negative just when i < i_j.
     """
     turn = 1 << 64
     b = (lo * steps + halves + reach) % turn
@@ -979,8 +981,8 @@ def _scan_times(
     the screen and the exact form; it is added on both sides of the
     conversion between deficit and w. Each route keeps exactly the points
     within w on every class, so the route changes the work and not the
-    answer. The last point, when the horizon clamps it short of its place on the grid,
-    is decided on the exact form alone, after the rest.
+    answer. The last point, when the horizon clamps it short of its place
+    on the grid, is decided on the exact form alone, after the rest.
     """
     grid = _fixed_grid(angles / (2.0 * np.pi), sigmas, step)
     top, shift = float(angles.max()), np.pi * float(np.abs(sigmas).max())
