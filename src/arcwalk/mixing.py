@@ -10,7 +10,8 @@ keeps the ones whose combination is entrywise +-1.
 Reaching the target needs the walk phases e^{i(t theta_r + sigma_r pi)}
 to align near 1 for every eigenvalue class in the vertex support. An
 integer-relation scan over the angles decides whether alignment to any
-precision is possible (the phase condition); a grid or integer scan then
+precision is possible (the phase condition); a scan of a grid of times,
+screened in exact fixed-point turns by blocks or point by point, then
 finds an explicit time within the requested epsilon.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
@@ -33,6 +34,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -389,9 +391,17 @@ def relation_scan_bound(bound: int, d: int, max_enumeration: int) -> int:
     return max(1, min(bound, fits))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError naming ``value`` unless it is an integer (a bool or numpy
+    integer too) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _phase_inputs(angles, sigmas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Check the inputs shared by the relation scan and the time search:
-    a known mode, and 1-D finite angles and sigmas of equal length."""
+    a known mode, 1-D finite angles and sigmas of equal length, and
+    integral sigmas (integral floats and bools included)."""
     if mode not in (MODE_INTEGER, MODE_REAL):
         raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
     angles, sigmas = np.asarray(angles, dtype=float), np.asarray(sigmas, dtype=float)
@@ -402,6 +412,8 @@ def _phase_inputs(angles, sigmas, mode: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{name} must be finite, got {value.tolist()}")
     if len(angles) != len(sigmas):
         raise ValueError("angles and sigmas must have matching length")
+    if not (np.abs(sigmas) < 2.0**63).all() or (sigmas % 1).any():
+        raise ValueError(f"sigmas must be integers of int64 size, got {sigmas.tolist()}")
     return angles, sigmas.astype(np.int64)
 
 
@@ -421,8 +433,9 @@ def phase_condition_check(
     makes alignment impossible at any precision; no violation up to the
     scanned bound reports ``holds`` (or ``inconclusive`` when the
     enumeration cap forced a smaller bound than requested). Angles and
-    sigmas must be 1-D, finite and of equal length, and ``tau_rel`` must be
-    non-negative (inf is allowed); otherwise ValueError.
+    sigmas must be 1-D, finite and of equal length, sigmas integral,
+    ``bound`` an integer and ``tau_rel`` non-negative (inf is allowed);
+    otherwise ValueError.
 
     The scan covers the canonical half of the box [-B, B]^d (first nonzero
     coefficient positive) in lexicographic order, and meets in the middle:
@@ -444,8 +457,7 @@ def phase_condition_check(
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     d = len(angles)
-    if bound < 1:
-        raise ValueError(f"relation bound must be >= 1, got {bound}")
+    _check_count("relation bound", bound, 1)
     if not tau_rel >= 0:  # NaN too: a tolerance that accepts nothing says `holds`
         raise ValueError(f"tau_rel must be non-negative, got {tau_rel}")
     integer = mode == MODE_INTEGER
@@ -650,17 +662,14 @@ class TimeSearchResult:
 #: points in the first chunk of a time-search grid; later chunks double up
 #: to RUN_CHUNK, so an early hit costs little
 FIRST_CHUNK = 1024
-#: most points in a chunk taken along runs or pruned by blocks
+#: most points in a chunk pruned by blocks
 RUN_CHUNK = 2**19
 #: most points in a chunk screened at every point; its work rows stay in cache
 DENSE_CHUNK = 2**16
-#: runs of the slowest class are taken only when the misalignment bound is
-#: at most this, since otherwise most points would survive them
-RUN_WIDTH = 0.3
 #: a chunk is screened by blocks only when the slowest class leaves room to
-#: prune blocks of at least this many points (see :func:`_block_size`): at
-#: 2 the integer searches of the search-real benchmark took 1.7x as
-#: long, and 4 to 16 read the same
+#: prune blocks of at least this many points (see :func:`_block_size`),
+#: and else at every point: at 2 the integer searches of the search-real
+#: benchmark took 1.5-3.2x as long, and 4 to 16 read the same
 MIN_BLOCK = 8
 #: most points in a block of the first level: 256 and 512 read the same on
 #: the benchmark's real searches, 1024 and 2048 took 8-10% longer on those
@@ -670,9 +679,11 @@ MAX_BLOCK = 2**9
 #: 2 and 4 took 45% and 6% longer on the benchmark's real searches, 16 the
 #: same
 BLOCK_SPLIT = 8
-#: least points in a chunk screened by blocks: with 2^10 the benchmark's
-#: alternating-bit early hits took 1.15-1.9x as long, and with 2^12 up to
-#: 1.4x, as the calls of the levels cost more than the points they spare
+#: least points in a chunk screened by blocks; smaller chunks are screened
+#: at every point. With blocks on every chunk, or from 2^10 or 2^12 points
+#: on, the benchmark's alternating-bit early hits took up to 1.6x, 1.8x
+#: and 1.4x as long, as the calls of the levels cost more than the points
+#: they spare; from 2^16 on, its failing real searches took 1.2-1.5x
 BLOCK_CHUNK = 2**14
 #: half a turn in the fixed-point form of the time search: a turn is 2^64
 #: units, held in uint64, whose arithmetic wraps modulo whole turns
@@ -770,54 +781,6 @@ def _misalignment(points, grid, work) -> np.ndarray:
 def _misalignment_at_most(deficit: float) -> float:
     """Largest w in [0, 1/2] with 2 sin(pi w) <= deficit."""
     return math.asin(min(deficit / 2.0, 1.0)) / math.pi
-
-
-def _run_offsets(lo, n, steps, halves, reach) -> np.ndarray:
-    """Offsets i in [0, n), ascending, at which the class of grid step
-    ``steps`` and half ``halves`` (:class:`_FixedGrid`) lies within
-    ``reach`` units of an integer at grid index lo + i, for
-    0 < 4 steps <= reach <= 0.4 turns: the points of :func:`_distance`
-    within reach, found along runs.
-
-    Shifted up by reach, the class is within reach exactly when it lies in
-    [0, 2 reach] modulo a turn. It starts at b = lo steps + halves + reach
-    (modulo a turn) and moves up by steps a point, so it lies there from
-    offset 0 when b <= 2 reach, and from the offset i_j = ceil((j 2^64 - b)
-    / steps) at which it passes the turn j, for (2 reach - p_j) // steps
-    offsets more, where p_j < steps is its position at i_j. Each i_j lies
-    in [1, n), so its float estimate, a sum of two correctly rounded
-    quotients of at most n, is within 1e-9 of it, and the estimate rounded
-    up, less one, is i_j - 2, i_j - 1 or i_j. Two exact steps settle it:
-    near i_j the position's int64 view is its signed offset from the turn
-    j, which is negative just when i < i_j.
-    """
-    turn = 1 << 64
-    b = (lo * steps + halves + reach) % turn
-    passes = (b + (n - 1) * steps) // turn
-    guess = np.ceil((turn - b) / steps + np.arange(passes) * (turn / steps))
-    first = guess.astype(np.int64) - 1
-    steps_u, b_u = np.uint64(steps), np.uint64(b)
-    for _ in range(2):
-        first += (first.astype(np.uint64) * steps_u + b_u).view(np.int64) < 0
-    extra = (np.uint64(2 * reach) - (first.astype(np.uint64) * steps_u + b_u)) // steps_u
-    last = first + np.minimum(extra, np.uint64(n)).astype(np.int64)
-    if b <= 2 * reach:
-        first = np.concatenate(([0], first))
-        last = np.concatenate(([min((2 * reach - b) // steps, n - 1)], last))
-    last = np.minimum(last, n - 1)
-    counts = last - first + 1
-    offsets = np.repeat(first - np.cumsum(counts) + counts, counts)
-    offsets += np.arange(len(offsets))
-    return offsets
-
-
-def _within(points, grid, classes, reach) -> np.ndarray:
-    """The grid indices of ``points`` at which every one of ``classes`` lies
-    within ``reach`` units of an integer; the points past it are dropped
-    one class at a time, so later classes see fewer."""
-    for r in classes:
-        points = points[_distance(points, grid.steps[r], grid.halves[r]) <= reach]
-    return points
 
 
 def _block_size(grid, reach: int) -> int:
@@ -961,17 +924,12 @@ def _scan_times(
     A point can matter only if its deficit is below max(epsilon, best so
     far), that is if its misalignment is within the bound w of that deficit
     on every class. The grid points are screened by grid index in the
-    exact fixed-point turns of :func:`_fixed_grid`, in one of three ways:
-
-    - a chunk of BLOCK_CHUNK points or more, whose slowest class leaves
-      room for blocks of MIN_BLOCK points (:func:`_block_size`), is pruned
-      by blocks (:func:`_block_screen`);
-    - else, when w <= RUN_WIDTH and the slowest class moves at most w / 4
-      per step, the chunk takes only the runs along which the slowest class
-      is within w (:func:`_run_offsets`) and drops the points past w on
-      each other class in turn (:func:`_within`);
-    - else every point is screened (:func:`_misalignment`); the first chunk
-      always is, since the deficit 2 at t = 0 puts w at half a turn.
+    exact fixed-point turns of :func:`_fixed_grid`, in one of two ways: a
+    chunk of BLOCK_CHUNK points or more, whose slowest class leaves room
+    for blocks of MIN_BLOCK points (:func:`_block_size`), is pruned by
+    blocks (:func:`_block_screen`); every other chunk is screened at every
+    point (:func:`_misalignment`). The first chunk always is, since the
+    deficit 2 at t = 0 puts w at half a turn.
 
     Either way :func:`_chunk_best` decides among the points left, so every
     returned deficit comes from the exact form. Chunks start at
@@ -979,14 +937,13 @@ def _scan_times(
     every point stops at DENSE_CHUNK. The margin, 1e-12 times
     the largest phase the chunk can reach, is far above the gap between
     the screen and the exact form; it is added on both sides of the
-    conversion between deficit and w. Each route keeps exactly the points
-    within w on every class, so the route changes the work and not the
+    conversion between deficit and w. Both screens keep exactly the points
+    within w on every class, so the screen changes the work and not the
     answer. The last point, when the horizon clamps it short of its place
     on the grid, is decided on the exact form alone, after the rest.
     """
     grid = _fixed_grid(angles / (2.0 * np.pi), sigmas, step)
     top, shift = float(angles.max()), np.pi * float(np.abs(sigmas).max())
-    slow = min(range(len(angles)), key=grid.steps.__getitem__)
     best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
     clamped = stop > start and float(stop - 1) * step > horizon
     stop -= clamped
@@ -995,15 +952,9 @@ def _scan_times(
     while lo < stop:
         n = min(size, stop - lo)
         margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + shift)
-        width = _misalignment_at_most(max(epsilon, best_val) + margin) + margin
-        reach = _fixed_width(width)
+        reach = _fixed_width(_misalignment_at_most(max(epsilon, best_val) + margin) + margin)
         if n >= BLOCK_CHUNK and (block := _block_size(grid, reach)) >= MIN_BLOCK:
             points, worst = _block_screen(lo, n, grid, reach, block)
-        elif width <= RUN_WIDTH and 0 < 4 * grid.steps[slow] <= reach:
-            offsets = _run_offsets(lo, n, grid.steps[slow], grid.halves[slow], reach)
-            others = [r for r in range(len(angles)) if r != slow]
-            points = _within(offsets.astype(np.uint64) + np.uint64(lo), grid, others, reach)
-            worst = _misalignment(points, grid, np.empty((2, len(points)), dtype=np.uint64))
         else:
             n = min(n, DENSE_CHUNK)
             if work.shape[1] < n:
@@ -1073,9 +1024,9 @@ def time_search(
     T_MAX_FACTOR / min theta). The smallest acceptable t wins. On failure
     the best time seen and its deficit are returned with ``success=False``.
 
-    Angles must be positive and finite, epsilon positive and finite,
-    ``budget`` >= 0 and ``t_max`` positive and finite; a bad value raises
-    ValueError naming it. The scan is well defined whatever the phase
+    Angles must be positive and finite, sigmas integral, epsilon positive
+    and finite, ``budget`` an integer >= 0 and ``t_max`` positive and
+    finite; a bad value raises ValueError naming it. The scan is well defined whatever the phase
     condition says; a caller that searches after an ``inconclusive`` scan
     says so in its own report.
     """
@@ -1084,8 +1035,7 @@ def time_search(
         raise ValueError(f"angles must be positive, got {angles.tolist()}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    _check_count("budget", budget, 0)
     if t_max is not None and not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
@@ -1220,12 +1170,12 @@ def _distance_to_target(dec, H, starts, t) -> tuple[complex, float]:
 
 
 def _mixing_report(
-    g, a, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel, graph_name
+    g, a, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel
 ) -> MixingReport:
     """The one pipeline behind :func:`local_mixing_report` (start vertex a)
     and :func:`simultaneous_mixing_check` (a is None: every vertex starts)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if mode not in (MODE_INTEGER, MODE_REAL):
         raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
     if g.degree is None:
@@ -1268,7 +1218,7 @@ def _mixing_report(
     classes = [r for r in support if r != 0]
     report = functools.partial(
         MixingReport,
-        graph=graph_name if graph_name is not None else (g.name or f"n{g.n}-k{g.degree}"),
+        graph=g.name or f"n{g.n}-k{g.degree}",
         vertex=a, mode=mode, epsilon=epsilon, support=support,
         route=ROUTE_SCHEME if dec.vectors is None else ROUTE_DENSE,
     )
@@ -1333,7 +1283,6 @@ def local_mixing_report(
     t_max: float | None = None,
     tau_flat: float = TAU_FLAT,
     tau_rel: float = TAU_REL,
-    graph_name: str | None = None,
 ) -> MixingReport:
     """Decide epsilon-uniform mixing from vertex a and assemble the report.
 
@@ -1348,7 +1297,7 @@ def local_mixing_report(
     reported.
     """
     return _mixing_report(
-        g, a, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel, graph_name
+        g, a, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel
     )
 
 
@@ -1361,7 +1310,6 @@ def simultaneous_mixing_check(
     t_max: float | None = None,
     tau_flat: float = TAU_FLAT,
     tau_rel: float = TAU_REL,
-    graph_name: str | None = None,
 ) -> MixingReport:
     """Decide epsilon-uniform mixing simultaneously from every vertex.
 
@@ -1373,5 +1321,5 @@ def simultaneous_mixing_check(
     with Y = T^T H / sqrt(nk).
     """
     return _mixing_report(
-        g, None, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel, graph_name
+        g, None, epsilon, mode, relation_bound, budget, t_max, tau_flat, tau_rel
     )

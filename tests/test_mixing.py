@@ -344,6 +344,45 @@ def test_time_search_input_checks(args, kwargs, match):
         time_search(*args, **kwargs)
 
 
+@pytest.mark.parametrize("mode", ["integer", "real"])
+def test_non_integral_sigmas_are_refused(mode):
+    """A sign bit of 0.5 is refused, not truncated to 0, which would report
+    an alignment at t = 0 that the deficit of the same bits contradicts."""
+    angles = [math.acos(1 / 3), math.acos(-1 / 3)]
+    assert phase_alignment_deficit(angles, [0.5, 0], 0.0) > 1.4
+    with pytest.raises(ValueError, match=r"sigmas must be integers.*0\.5"):
+        time_search(angles, [0.5, 0], 0.01, mode)
+    with pytest.raises(ValueError, match=r"sigmas must be integers.*1\.5"):
+        phase_condition_check([1.0, 2.0], [1.5, 0], mode)
+    with pytest.raises(ValueError, match="sigmas must be integers"):
+        time_search(angles, [1e300, 1], 0.01, mode)
+
+
+def test_integral_float_and_bool_sigmas_are_accepted():
+    angles = [math.acos(1 / 3), math.acos(-1 / 3)]
+    want = time_search(angles, [1, 0], 0.1, "integer")
+    assert time_search(angles, [1.0, 0.0], 0.1, "integer") == want
+    assert time_search(angles, [True, False], 0.1, "integer") == want
+    verdicts = [phase_condition_check(angles, bits, "integer")
+                for bits in ([1, 0], [1.0, 0.0], np.array([True, False]))]
+    assert len({(v.status, str(v.relations.tolist())) for v in verdicts}) == 1
+
+
+@pytest.mark.parametrize("bound", [3.0, 2.5, "3", None])
+def test_phase_condition_refuses_a_bound_that_is_no_integer(bound):
+    with pytest.raises(ValueError, match="bound must be an integer"):
+        phase_condition_check([1.0, 2.0], [1, 0], "integer", bound=bound)
+    assert phase_condition_check([1.0, 2.0], [1, 0], "integer", bound=np.int64(3)).bound == 3
+
+
+@pytest.mark.parametrize("budget", [100.0, 1e3, "100", None])
+def test_time_search_refuses_a_budget_that_is_no_integer(budget):
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        time_search([0.5, 1.0], [1, 1], 0.1, "integer", budget=budget)
+    want = time_search([0.5, 1.0], [1, 1], 0.1, "integer", budget=100)
+    assert time_search([0.5, 1.0], [1, 1], 0.1, "integer", budget=np.int64(100)) == want
+
+
 @pytest.mark.parametrize("family", ["+", "-"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_family_parity_holds(family, m):
@@ -498,6 +537,25 @@ def test_local_mixing_input_checks():
         local_mixing_report(g, 7, 0.1, "integer")
     with pytest.raises(ValueError, match="non-bipartite"):
         local_mixing_report(GRAPH_BUILDERS["c4"](), 0, 0.1, "integer")
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["petersen", "rook4"])
+@pytest.mark.parametrize("simultaneous", [False, True])
+def test_mixing_refuses_a_non_finite_epsilon_before_any_verdict(
+    epsilon, name, simultaneous, monkeypatch
+):
+    """A non-finite epsilon is refused before the Hadamard search, also on
+    petersen, whose missing flat target needs no time search to refuse
+    it, and on rook:4, whose time search would refuse it only at the end."""
+    searched = []
+    monkeypatch.setattr(mixing, "hadamard_search", lambda *args, **kw: searched.append(args))
+    g = GRAPH_BUILDERS[name]()
+    run = (lambda: simultaneous_mixing_check(g, epsilon, "integer")) if simultaneous else (
+        lambda: local_mixing_report(g, 0, epsilon, "integer"))
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        run()
+    assert not searched
 
 
 def test_simultaneous_mixing_k4_and_rook4():

@@ -204,19 +204,28 @@ def dense_refine(angles, sigmas, t0, val0, radius, horizon):
 
 def dense_time_search(angles, sigmas, epsilon, mode, budget, t_max):
     """The time search as one dense pass with d sines per grid point, in
-    blocks of ORACLE_BLOCK points: the first point below epsilon, else the
-    first point of least deficit; real mode clamps its grid to t_max and
-    then refines."""
+    blocks of ORACLE_BLOCK points made from their indices: the first point
+    below epsilon, else the first point of least deficit. Integer mode
+    scans t = 1..budget, the budget cut to MAX_GRID_POINTS. Real mode
+    scans i step, i = 0, 1, .., clamped to the horizon t_max (by default
+    T_MAX_FACTOR / min theta), with step epsilon / (4 max theta), or
+    horizon / MAX_GRID_POINTS when that grid would have more than
+    MAX_GRID_POINTS points; then it refines."""
     angles, sigmas = np.asarray(angles, float), np.asarray(sigmas)
     best_t, best_val = 0.0, dense_phase_alignment_deficit(angles, sigmas, 0.0)
     if mode == "integer":
-        ts = np.arange(1, budget + 1, dtype=float)
+        first, total = 1, min(budget, mixing.MAX_GRID_POINTS) + 1
     else:
+        if t_max is None:
+            t_max = mixing.T_MAX_FACTOR / float(angles.min())
         step = epsilon / (4.0 * float(angles.max()))
-        total = int(np.ceil(t_max / step)) + 1
-        ts = np.minimum(np.arange(total, dtype=float) * step, t_max)
-    for lo in range(0, len(ts), ORACLE_BLOCK):
-        block = ts[lo : lo + ORACLE_BLOCK]
+        first, total = 0, int(np.ceil(t_max / step)) + 1
+        if total > mixing.MAX_GRID_POINTS:
+            step, total = t_max / mixing.MAX_GRID_POINTS, mixing.MAX_GRID_POINTS + 1
+    for lo in range(first, total, ORACLE_BLOCK):
+        block = np.arange(lo, min(lo + ORACLE_BLOCK, total), dtype=float)
+        if mode == "real":
+            block = np.minimum(block * step, t_max)
         vals = dense_phase_alignment_deficit(angles, sigmas, block)
         hits = np.flatnonzero(vals < epsilon)
         if hits.size:
@@ -578,47 +587,47 @@ def test_block_screen_keeps_exactly_the_points_within_reach():
         assert got_worst.tolist() == worst[keep].tolist(), case
 
 
-def pruned_chunks(monkeypatch):
-    """Patch the time search to record (route, lo, n) for every chunk it
-    takes along runs or prunes by blocks."""
+def screened_chunks(monkeypatch):
+    """Patch the time search to record (screen, lo, n) for every chunk, in
+    order: "blocks" for a chunk pruned by blocks, "dense" for one screened
+    at every point."""
     calls = []
-    runs, blocks = mixing._run_offsets, mixing._block_screen
-
-    def counted_runs(lo, n, *args):
-        calls.append(("runs", lo, n))
-        return runs(lo, n, *args)
+    blocks, dense = mixing._block_screen, mixing._misalignment
 
     def counted_blocks(lo, n, *args):
         calls.append(("blocks", lo, n))
         return blocks(lo, n, *args)
 
-    monkeypatch.setattr(mixing, "_run_offsets", counted_runs)
+    def counted_dense(points, *args):
+        calls.append(("dense", int(points[0]), len(points)))
+        return dense(points, *args)
+
     monkeypatch.setattr(mixing, "_block_screen", counted_blocks)
+    monkeypatch.setattr(mixing, "_misalignment", counted_dense)
     return calls
 
 
 @pytest.mark.parametrize("c, bits", [(13, "001000"), (17, "00010000"), (17, "01010101")])
 def test_wide_bound_chunks_are_pruned_by_blocks_and_match_the_dense_grid(c, bits, monkeypatch):
     """Failing real cycle searches whose best misalignment stays between
-    the run width and 1/2 (1/3, 1/3 and 7/18 over [0, 1500]): every chunk
-    of BLOCK_CHUNK points or more is pruned by blocks, and the answer is
-    the dense grid's."""
-    calls = pruned_chunks(monkeypatch)
+    0.3 and 1/2 (1/3, 1/3 and 7/18 over [0, 1500]): every chunk of
+    BLOCK_CHUNK points or more is pruned by blocks, and the answer is the
+    dense grid's."""
+    calls = screened_chunks(monkeypatch)
     angles, bits = cycle_angles(c, len(bits)), [int(b) for b in bits]
     want = dense_time_search(angles, bits, 0.1, "real", 0, 1500.0)
     got = time_search(angles, bits, 0.1, "real", t_max=1500.0)
     assert got == want and not got.success
     blocks = [n for route, _, n in calls if route == "blocks"]
     assert blocks and min(blocks) >= mixing.BLOCK_CHUNK
-    assert not [n for route, _, n in calls if route == "runs" and n >= mixing.BLOCK_CHUNK]
+    assert not [n for route, _, n in calls if route == "dense" and n >= mixing.BLOCK_CHUNK]
 
 
 def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
     """Angles 11 pi / 25 and 20 pi / 25 with bits (1, 0) align exactly at
     t = 25, some 72,000 grid points in at epsilon 0.003. Their bound falls
-    below 0.1 of a turn early, where the slowest class could take runs,
-    and every later chunk, all of BLOCK_CHUNK points or more, is pruned by
-    blocks all the same; the answer is the dense grid's."""
+    below 0.1 of a turn early, and every later chunk, all of BLOCK_CHUNK
+    points or more, is pruned by blocks; the answer is the dense grid's."""
     reaches = []
     blocks = mixing._block_screen
 
@@ -635,12 +644,26 @@ def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
     assert max(reach for _, reach in reaches) < mixing._fixed_width(0.1)
 
 
+def test_default_horizon_hit_on_a_coarsened_grid_matches_the_dense_grid():
+    """cycle:9 with bits (1, 0, 1, 0) at epsilon 0.003 over the default
+    horizon: the fine grid would pass MAX_GRID_POINTS, so both searches
+    coarsen it to MAX_GRID_POINTS + 1 points, and the hit near t = 4.4994
+    is the dense grid's."""
+    angles, bits = cycle_angles(9, 4), [1, 0, 1, 0]
+    horizon, step, points = mixing._real_grid(angles, 0.003, None)
+    assert points == mixing.MAX_GRID_POINTS + 1
+    assert step == horizon / mixing.MAX_GRID_POINTS > 0.003 / (4.0 * angles.max())
+    want = dense_time_search(angles, bits, 0.003, "real", 0, None)
+    got = time_search(angles, bits, 0.003, "real")
+    assert got == want and got.success and abs(got.t - 4.4994) < 1e-3
+
+
 @pytest.mark.parametrize("c", [13, 17])
 def test_benchmark_failing_real_searches_match_the_dense_grid(c):
     """The benchmark's failing real searches: violated sign bits at epsilon
     0.1 over the default horizon T_MAX_FACTOR / min theta, 2.4 and 3.2
-    million grid points, against the dense grid, with best deficits on
-    both sides of the run width."""
+    million grid points, against the dense grid, with best misalignments
+    on both sides of 0.3 of a turn."""
     d = (c - 1) // 2
     angles = cycle_angles(c, d)
     horizon = mixing.T_MAX_FACTOR / angles.min()
@@ -653,7 +676,7 @@ def test_benchmark_failing_real_searches_match_the_dense_grid(c):
         got = time_search(angles, bits, 0.1, "real")
         assert got == want and not got.success, bits
         widths.append(math.asin(got.deficit / 2.0) / math.pi)
-    assert min(widths) < mixing.RUN_WIDTH < max(widths)
+    assert min(widths) < 0.3 < max(widths)
 
 
 def grid_results(monkeypatch):
@@ -685,16 +708,16 @@ def aligned_angles(rng, d, t_align):
 @pytest.mark.parametrize("first", [1, 5, 1024])
 @pytest.mark.parametrize("epsilon", [1e-3, 3e-3, 1e-2])
 def test_real_hits_several_chunks_in_match_the_dense_grid(epsilon, first, monkeypatch):
-    """Real-mode hits past the first two chunks, in a chunk taken along
-    runs or pruned by blocks: angles that align exactly at a time in
-    [10, 40], with t_max a little past it."""
+    """Real-mode hits past the first two chunks: angles that align exactly
+    at a time in [10, 40], with t_max a little past it. The chunks tile
+    the grid from 0 up to the hit, and exactly one of them holds it."""
     monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
     rng = np.random.default_rng(round(1 / epsilon) + first)
     for case in range(4):
         t_align = float(rng.uniform(10.0, 40.0))
         angles, sigmas = aligned_angles(rng, 2 + case % 3, t_align)
         t_max = t_align + float(rng.uniform(0.5, 1.0))
-        calls, scanned = pruned_chunks(monkeypatch), grid_results(monkeypatch)
+        calls, scanned = screened_chunks(monkeypatch), grid_results(monkeypatch)
         want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
         got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
         assert got == want and got.success, case
@@ -702,7 +725,9 @@ def test_real_hits_several_chunks_in_match_the_dense_grid(epsilon, first, monkey
         step = epsilon / (4.0 * angles.max())
         i = round(t / step)
         assert hit and i * step == t and i >= 3 * first, case
-        assert any(lo <= i < lo + n for _, lo, n in calls), case
+        assert [lo for _, lo, _ in calls] == [0] + list(itertools.accumulate(
+            n for _, _, n in calls[:-1])), case
+        assert [lo <= i < lo + n for _, lo, n in calls].count(True) == 1, case
 
 
 @pytest.mark.parametrize("first", [1, 5, 1024])
@@ -735,9 +760,9 @@ def test_clamped_last_point_is_decided_on_the_exact_form(first, monkeypatch):
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-3])
 def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
     """Failing scans start screening every point, while the deficit 2 at
-    t = 0 puts the bound at half a turn, and go on along runs or by blocks
-    once the best deficit falls: the first chunk is screened at every
-    point, later ones are pruned.
+    t = 0 puts the bound at half a turn, and go on by blocks once the best
+    deficit falls: the first chunk is screened at every point, later large
+    ones are pruned.
     Two angles in (1.2, 3) get both phases within 0.3 of a turn of
     alignment (deficit 1.62) early on; t_max keeps the dense oracle under
     5e5 points."""
@@ -747,24 +772,24 @@ def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
         angles = rng.uniform(1.2, 3.0, 2)
         sigmas = np.ones(2, dtype=np.int64)
         t_max = float(rng.uniform(2.5, 4.0)) * epsilon / 1e-4
-        calls = pruned_chunks(monkeypatch)
+        calls = screened_chunks(monkeypatch)
         want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
         got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
         assert got == want and not got.success, case
-        assert calls and calls[0][1] > 0, case
+        assert calls[0][:2] == ("dense", 0), case
+        assert "blocks" in [route for route, _, _ in calls], case
 
 
 def test_integer_scans_on_coarse_grids_screen_every_point(monkeypatch):
     """In integer mode the slowest cycle:17 class moves 1/17 of a turn per
-    step, more than a quarter of the bound at epsilon 0.1 and more than
-    the room blocks of MIN_BLOCK points need, so every chunk is screened
-    point by point, and the result is the dense grid's."""
-    calls = pruned_chunks(monkeypatch)
+    step, more than the room blocks of MIN_BLOCK points need, so every
+    chunk is screened point by point, and the result is the dense grid's."""
+    calls = screened_chunks(monkeypatch)
     angles = cycle_angles(17, 8)
     sigmas = [1, 0, 0, 1, 0, 0, 0, 0]
     want = dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
     assert time_search(angles, sigmas, 0.1, "integer", budget=20_000) == want
-    assert not calls
+    assert calls and {route for route, _, _ in calls} == {"dense"}
 
 
 @pytest.mark.parametrize("mode, angles, sigmas", [
@@ -790,57 +815,18 @@ def test_time_search_hit_in_the_first_chunk_allocates_little(mode, angles, sigma
 
 @pytest.mark.parametrize("slow", [1e-9, 1e-15, 1e-250, 5e-324])
 def test_a_class_too_slow_to_leave_its_run_matches_the_dense_grid(slow, monkeypatch):
-    """A slowest class that barely moves over a chunk lays one run across
-    it. From 1e-15 down its step per grid point rounds to zero units, so
-    it never moves in the fixed-point form, no runs are laid, and every
-    chunk is pruned by blocks or screened point by point."""
-    calls = pruned_chunks(monkeypatch)
+    """A slowest class that barely moves over a chunk leaves room for the
+    largest blocks, so after the first chunk, screened at every point,
+    every chunk of BLOCK_CHUNK points or more is pruned by blocks. From
+    1e-15 down its step per grid point rounds to zero units, so it never
+    moves in the fixed-point form."""
+    calls = screened_chunks(monkeypatch)
     angles, sigmas = [slow, 2.1, 2.9], [0, 1, 1]
     want = dense_time_search(angles, sigmas, 1e-3, "real", 0, 30.0)
     assert time_search(angles, sigmas, 1e-3, "real", t_max=30.0) == want
     step = 1e-3 / (4.0 * max(angles))
     grid = mixing._fixed_grid(np.array(angles) / (2.0 * np.pi), np.array(sigmas), step)
     assert (grid.steps[0] > 0) == (slow > 1e-12)
-    assert bool([lo for route, lo, _ in calls if route == "runs"]) == (grid.steps[0] > 0)
-
-
-def test_runs_cover_every_point_within_the_width():
-    """Brute force: the runs hold exactly the offsets at which the class
-    lies within reach of an integer on the fixed-point screen
-    (:func:`mixing._distance`), ascending, for steps from one unit up to a
-    quarter of the reach, reaches up to 0.4 turns, grid indices up to
-    MAX_GRID_POINTS and chunks up to 2^16 points."""
-    # edges: a step that divides the turn puts points exactly at the reach
-    # on both sides, and a reach just short of (i - 1) steps below the next
-    # turn passes it a hair after an index, where a float estimate rounds
-    # a whole index low
-    turn = 1 << 64
-    for e in (20, 40, 56, 58):
-        for k in (4, 5, 9):
-            for lo, halves in ((0, 0), (3, mixing.HALF_TURN), (10**7 + 1, 0)):
-                points = np.arange(lo, lo + 5000, dtype=np.uint64)
-                want = np.flatnonzero(mixing._distance(points, 1 << e, halves) <= k << e)
-                assert mixing._run_offsets(lo, 5000, 1 << e, halves, k << e).tolist() == want.tolist()
-        for i in (31, 40):
-            for gap in (0, 1, 2):
-                reach = turn // 2 - (i - 1) * (1 << e) - gap
-                if not 4 << e <= reach <= 0.4 * turn:
-                    continue
-                points = np.arange(0, 100, dtype=np.uint64)
-                want = np.flatnonzero(mixing._distance(points, 1 << e, mixing.HALF_TURN) <= reach)
-                got = mixing._run_offsets(0, 100, 1 << e, mixing.HALF_TURN, reach)
-                assert got.tolist() == want.tolist(), (e, i, gap)
-    rng = np.random.default_rng(17)
-    for case in range(3000):
-        reach = int(rng.uniform(0.0, 0.4) * 2.0**64) if case % 4 else int(rng.integers(4, 10**4))
-        steps = int(rng.choice([
-            rng.integers(1, 20), max(reach // 4 - int(rng.integers(0, 3)), 1),
-            rng.integers(1, reach // 4 + 1), int(rng.integers(1, reach // 4 + 1)) >> 40,
-        ])) or 1
-        halves = int(rng.integers(0, 2)) * mixing.HALF_TURN
-        n = int(rng.integers(1, 300)) if case % 100 else 2**16
-        lo = int(rng.integers(0, mixing.MAX_GRID_POINTS + 2 - n)) if case % 3 else case % 7
-        points = np.arange(lo, lo + n, dtype=np.uint64)
-        want = np.flatnonzero(mixing._distance(points, steps, halves) <= reach)
-        got = mixing._run_offsets(lo, n, steps, halves, reach)
-        assert got.dtype == np.int64 and got.tolist() == want.tolist(), case
+    assert calls[0][:2] == ("dense", 0)
+    large = [route for route, _, n in calls[1:] if n >= mixing.BLOCK_CHUNK]
+    assert large and set(large) == {"blocks"}
