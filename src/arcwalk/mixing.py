@@ -12,7 +12,9 @@ to align near 1 for every eigenvalue class in the vertex support. An
 integer-relation scan over the angles decides whether alignment to any
 precision is possible (the phase condition); a scan of a grid of times,
 screened in exact fixed-point turns by blocks or point by point, then
-finds an explicit time within the requested epsilon.
+finds an explicit time within the requested epsilon, or fails with the
+first time of least misalignment in those turns, so that the points of a
+periodic orbit, tied up to rounding, take no sine.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
 pattern is refused before any arc is enumerated. A strongly regular or
@@ -401,10 +403,13 @@ def _check_count(name: str, value, least: int) -> None:
 def _phase_inputs(angles, sigmas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Check the inputs shared by the relation scan and the time search:
     a known mode, 1-D finite angles and sigmas of equal length, and
-    integral sigmas (integral floats and bools included)."""
+    integral sigmas (integral floats and bools included). Only sigma mod 2
+    enters a phase, so the sigmas come back as int64 bits 0 and 1, reduced
+    exactly: integer input is never read through float64."""
     if mode not in (MODE_INTEGER, MODE_REAL):
         raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
-    angles, sigmas = np.asarray(angles, dtype=float), np.asarray(sigmas, dtype=float)
+    given = np.asarray(sigmas)
+    angles, sigmas = np.asarray(angles, dtype=float), given.astype(float)
     for name, value in (("angles", angles), ("sigmas", sigmas)):
         if value.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {value.shape}")
@@ -414,7 +419,8 @@ def _phase_inputs(angles, sigmas, mode: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("angles and sigmas must have matching length")
     if not (np.abs(sigmas) < 2.0**63).all() or (sigmas % 1).any():
         raise ValueError(f"sigmas must be integers of int64 size, got {sigmas.tolist()}")
-    return angles, sigmas.astype(np.int64)
+    exact = given if given.dtype.kind in "biu" else sigmas
+    return angles, (exact % 2).astype(np.int64)
 
 
 def phase_condition_check(
@@ -482,9 +488,8 @@ def phase_condition_check(
     sums = inner_sums[order]
     if integer:
         sums = np.add.outer((-1.0, 0.0, 1.0), sums).ravel()
-    parity = sigmas % 2
     # None when every sigma is even, so that no relation can be odd
-    row_parity = parity[outer:] @ grid if parity.any() else None
+    row_parity = sigmas[outer:] @ grid if sigmas.any() else None
     row_gcd = None  # formed at the first hit; violated scans rarely need it
     margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
     width = (tau_rel / (2 * np.pi) if integer else tau_rel) + margin
@@ -515,7 +520,7 @@ def phase_condition_check(
         local, row = local[hit], row[hit]
         end = hit.size
         if row_parity is not None:
-            odd = (((parity[:outer] @ heads)[local] + row_parity[row]) % 2).nonzero()[0]
+            odd = (((sigmas[:outer] @ heads)[local] + row_parity[row]) % 2).nonzero()[0]
             if odd.size:
                 end = odd[0]
                 violating = tuple(columns[:, hit[end]].tolist())
@@ -625,9 +630,10 @@ def _half_sines(phases) -> np.ndarray:
 
 def _phases(angles, sigmas, ts) -> np.ndarray:
     """The phases t theta_r + sigma_r pi at the points of the 1-D ``ts`` as
-    one (d, len(ts)) array, class first. :func:`_candidate_deficits` takes
-    the same two elementwise steps class by class, so that the forms of
-    the time search agree bit for bit."""
+    one (d, len(ts)) array, class first. This is the exact form of the
+    time search, taken at the points within a margin of epsilon and at a
+    failure's one reported point; the screen and the choice of that point
+    work in fixed-point turns (:func:`_scan_times`)."""
     phases = np.multiply.outer(angles, ts)
     phases += (np.pi * sigmas)[:, None]
     return phases
@@ -837,122 +843,81 @@ def _block_screen(lo, n, grid, reach, size) -> tuple[np.ndarray, np.ndarray]:
     return points[near], worst[near]
 
 
-#: a candidate set that would take fewer sines than this takes them all:
-#: picking the classes costs about 10 us more per set, which the sines it
-#: saves repay only from about 3,000-4,000 sines on (d = 4, 8 and 12)
-RESTRICT_SINES = 4096
-#: a point whose screened misalignment exceeds this (deficit above
-#: 2 sin(0.499 pi), within 2e-5 of 2) takes the sine of every class; see
-#: :func:`_candidate_deficits`
-FLAT_TOP = 0.499
-
-
-def _candidate_deficits(angles, sigmas, grid, points, worst, margin) -> np.ndarray:
-    """:func:`phase_alignment_deficit` at the grid indices ``points``, bit
-    for bit, with phases and sines taken only for the classes that screen
-    within 4 margins of the point's worst class; ``worst`` is each point's
-    screened misalignment (:func:`_misalignment`).
-
-    Why that is exact. At one point let s_r be the screened misalignment
-    of class r (:func:`_distance` over 2^64), W = max_r s_r (at class q),
-    w_r the misalignment of the phase the exact form takes and
-    E_r = 2 |sin(phase_r / 2)| as computed. The margin m >= 1e-12 bounds
-    |s_r - w_r| (:func:`_fixed_grid`), and libm's sine puts E_r within rho
-    of 2 sin(pi w_r), rho a few units of 1e-16. Take a class with
-    s_r < W - 4 m and set a = s_r + m, b = W - m: then w_r <= a, b <= w_q,
-    b <= 1/2 and b - a > 2 m. 2 sin(pi x) rises and is concave on [0, 1/2],
-    and cos(pi x) >= 1 - 2 x there, so
-        2 sin(pi b) - 2 sin(pi a) >= (b - a) 2 pi cos(pi b) > 4 pi m (1 - 2 W).
-    Hence E_r <= 2 sin(pi a) + rho < E_q + 2 rho - 4 pi m (1 - 2 W). While
-    W <= FLAT_TOP = 0.499 the last term is at least 2.5e-14, far above
-    2 rho, so E_r < E_q: class r is not where the max sits, and the max
-    over the kept classes is the same element with the same bits. Past
-    FLAT_TOP the sine flattens out and every class is kept. Each class
-    takes its phases and sines at the points where it is kept, so the
-    work is one sine per kept (point, class) pair. A set of points that
-    would take fewer than RESTRICT_SINES sines takes them all.
-    """
-    ts = points * grid.step
-    if len(ts) * len(angles) < RESTRICT_SINES:
-        return phase_alignment_deficit(angles, sigmas, ts)
-    gap = min(math.ceil(math.ldexp(4.0 * margin, 64)), HALF_TURN)
-    floor = np.maximum(worst, gap)
-    floor -= np.uint64(gap)
-    floor[worst > _fixed_width(FLAT_TOP)] = 0
-    # the phases of phase_alignment_deficit (:func:`_phases`), class by
-    # class at the points where the class is kept; the others read 0
-    deficits, x = np.zeros(len(ts)), np.empty_like(points)
-    for angle, pi_sigma, steps, halves in zip(angles, np.pi * sigmas, grid.steps, grid.halves):
-        at = np.flatnonzero(_distance(points, steps, halves, out=x) >= floor)
-        phases = ts[at] * angle
-        phases += pi_sigma
-        deficits[at] = np.maximum(deficits[at], _half_sines(phases))
-    deficits *= 2.0
-    return deficits
-
-
-def _chunk_best(angles, sigmas, grid, epsilon, points, worst, margin):
+def _chunk_best(angles, sigmas, grid, epsilon, points, worst, close):
     """Among the grid indices ``points`` with screened misalignment
-    ``worst`` (:func:`_misalignment`): the time of the first with deficit
-    below epsilon and True, else of the first of least deficit and False,
-    or None when there are no points. Only the points that screen within
-    the margin of epsilon, or of the least screened value, are passed to
-    the exact form (:func:`_candidate_deficits`)."""
-    near = np.flatnonzero(worst <= _fixed_width(_misalignment_at_most(epsilon + margin) + margin))
+    ``worst`` (:func:`_misalignment`): (i, deficit, True) at the first
+    index i with deficit below epsilon, else (i, w, False) at the first
+    index i of least screened misalignment w, or None when there are no
+    points. Only the points within ``close`` units, the margin of epsilon,
+    take the exact form (:func:`phase_alignment_deficit`). The least is
+    taken on ``worst`` itself, in fixed-point turns, so a failing chunk
+    takes no sine."""
+    near = np.flatnonzero(worst <= close)
     if near.size:
-        deficits = _candidate_deficits(angles, sigmas, grid, points[near], worst[near], margin)
+        deficits = phase_alignment_deficit(angles, sigmas, points[near] * grid.step)
         below = np.flatnonzero(deficits < epsilon)
         if below.size:
             j = int(below[0])
-            return float(points[near[j]]) * grid.step, float(deficits[j]), True
+            return int(points[near[j]]), float(deficits[j]), True
     if not worst.size:
         return None
-    least = 2.0 * math.sin(math.pi * math.ldexp(float(worst.min()), -64))
-    near = np.flatnonzero(worst <= _fixed_width(_misalignment_at_most(least + margin) + margin))
-    deficits = _candidate_deficits(angles, sigmas, grid, points[near], worst[near], margin)
-    j = int(np.argmin(deficits))
-    return float(points[near[j]]) * grid.step, float(deficits[j]), False
+    j = int(np.argmin(worst))
+    return int(points[j]), int(worst[j]), False
 
 
 def _scan_times(
     angles, sigmas, epsilon, step, horizon, start, stop
 ) -> tuple[float, float, bool]:
-    """Scan the grid t_i = min(i step, horizon), i in [start, stop): return
-    the first point with deficit below epsilon and True, or else the first
-    point of least deficit (t = 0 included) and False.
+    """Scan the grid t_i = min(i step, horizon), i in [start, stop), for
+    0/1 sigmas, some of them 1: return the first point with deficit below
+    epsilon and True, or else the first point of least misalignment
+    (t = 0 included) with its deficit, and False.
 
-    A point can matter only if its deficit is below max(epsilon, best so
-    far), that is if its misalignment is within the bound w of that deficit
-    on every class. The grid points are screened by grid index in the
-    exact fixed-point turns of :func:`_fixed_grid`, in one of two ways: a
-    chunk of BLOCK_CHUNK points or more, whose slowest class leaves room
-    for blocks of MIN_BLOCK points (:func:`_block_size`), is pruned by
-    blocks (:func:`_block_screen`); every other chunk is screened at every
-    point (:func:`_misalignment`). The first chunk always is, since the
-    deficit 2 at t = 0 puts w at half a turn.
+    The grid points are screened by grid index in the exact fixed-point
+    turns of :func:`_fixed_grid`, in one of two ways: a chunk of
+    BLOCK_CHUNK points or more, whose slowest class leaves room for blocks
+    of MIN_BLOCK points (:func:`_block_size`), is pruned by blocks
+    (:func:`_block_screen`); every other chunk is screened at every point
+    (:func:`_misalignment`). The first chunk always is, since t = 0, where
+    the odd classes sit half a turn out, is the first best.
 
-    Either way :func:`_chunk_best` decides among the points left, so every
-    returned deficit comes from the exact form. Chunks start at
-    FIRST_CHUNK points and double up to RUN_CHUNK; a chunk screened at
-    every point stops at DENSE_CHUNK. The margin, 1e-12 times
+    A point can matter only if its misalignment is within the bound w of
+    epsilon on every class, or at most the least so far, best_w; the
+    screen keeps exactly the points within max(w, best_w). Of those,
+    :func:`_chunk_best` passes the ones within w to the exact form, so
+    every hit and its deficit come from the exact form. A failure is
+    decided in the fixed-point turns: the first point of least
+    misalignment, carried across chunks as the integer best_w and
+    replaced only by a strictly smaller one, so neither the chunk sizes
+    nor the screen can move it. Its deficit, 2 sin(pi best_w) up to the
+    margin, is taken once, on the exact form, after the scan. On a
+    periodic orbit thousands of points tie up to rounding: the float form
+    ranks them by the rounding of its phases, the fixed-point form by the
+    rounding of its steps, within a third of the margin, so the deficit
+    reported exceeds the float form's least by less than 2 pi margins,
+    and none of the tied points needs a sine.
+
+    Chunks start at FIRST_CHUNK points and double up to RUN_CHUNK; a chunk
+    screened at every point stops at DENSE_CHUNK. The margin, 1e-12 times
     the largest phase the chunk can reach, is far above the gap between
     the screen and the exact form; it is added on both sides of the
-    conversion between deficit and w. Both screens keep exactly the points
-    within w on every class, so the screen changes the work and not the
-    answer. The last point, when the horizon clamps it short of its place
-    on the grid, is decided on the exact form alone, after the rest.
+    conversion between epsilon and w. The last point, when the horizon
+    clamps it short of its place on the grid, is decided on the exact form
+    alone, after the rest.
     """
     grid = _fixed_grid(angles / (2.0 * np.pi), sigmas, step)
-    top, shift = float(angles.max()), np.pi * float(np.abs(sigmas).max())
-    best_t, best_val = 0.0, float(phase_alignment_deficit(angles, sigmas, 0.0))
+    top = float(angles.max())
+    # grid index 0 is t = 0, where each class sits at its half turn
+    best_i, best_w = 0, max(grid.halves)
     clamped = stop > start and float(stop - 1) * step > horizon
     stop -= clamped
     index, work = np.empty(0, dtype=np.uint64), np.empty((2, 0), dtype=np.uint64)
     lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
     while lo < stop:
         n = min(size, stop - lo)
-        margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + shift)
-        reach = _fixed_width(_misalignment_at_most(max(epsilon, best_val) + margin) + margin)
+        margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + np.pi)
+        close = _fixed_width(_misalignment_at_most(epsilon + margin) + margin)
+        reach = max(close, best_w)
         if n >= BLOCK_CHUNK and (block := _block_size(grid, reach)) >= MIN_BLOCK:
             points, worst = _block_screen(lo, n, grid, reach, block)
         else:
@@ -963,20 +928,22 @@ def _scan_times(
                 index, work = np.arange(n, dtype=np.uint64), np.empty((3, n), dtype=np.uint64)
             points = np.add(index[:n], np.uint64(lo), out=work[2, :n])
             worst = _misalignment(points, grid, work[:2])
-        found = _chunk_best(angles, sigmas, grid, epsilon, points, worst, margin)
+        found = _chunk_best(angles, sigmas, grid, epsilon, points, worst, close)
         if found is not None:
-            t, val, hit = found
+            i, value, hit = found
             if hit:
-                return t, val, True
-            if val < best_val:
-                best_t, best_val = t, val
+                return float(i) * step, value, True
+            if value < best_w:
+                best_i, best_w = i, value
         lo, size = lo + n, min(2 * size, RUN_CHUNK)
+    best_t = float(best_i) * step
+    best_val = float(phase_alignment_deficit(angles, sigmas, best_t))
     if clamped:
         val = float(phase_alignment_deficit(angles, sigmas, horizon))
         if val < epsilon:
             return horizon, val, True
         if val < best_val:
-            best_t, best_val = horizon, val
+            return horizon, val, False
     return best_t, best_val, False
 
 
@@ -995,12 +962,12 @@ def _real_grid(angles, epsilon: float, t_max: float | None) -> tuple[float, floa
 
 
 def _single_angle_time(angles, sigmas, horizon: float) -> float | None:
-    """t = pi (sigma mod 2) / theta, the least time >= 0 that aligns a
-    single angle, when there is one angle and that time is within the
-    horizon; else None."""
+    """t = pi sigma / theta, the least time >= 0 that aligns a single
+    angle with its bit sigma, when there is one angle and that time is
+    within the horizon; else None."""
     if angles.size != 1:
         return None
-    t = float(np.pi * (sigmas[0] % 2) / angles[0])
+    t = float(np.pi * sigmas[0] / angles[0])
     return t if t <= horizon else None
 
 
@@ -1022,9 +989,15 @@ def time_search(
     otherwise the grid of :func:`_real_grid` over [0, t_max] with local
     refinement; the result never lies past t_max (by default
     T_MAX_FACTOR / min theta). The smallest acceptable t wins. On failure
-    the best time seen and its deficit are returned with ``success=False``.
+    the first grid point of least misalignment, measured in exact
+    fixed-point turns, is returned with its exact deficit and
+    ``success=False``, after refinement in real mode. Points that tie up
+    to rounding, as on periodic orbits, differ in their deficits by a few
+    rounding margins at most, so no sine is taken to rank them
+    (:func:`_scan_times`).
 
-    Angles must be positive and finite, sigmas integral, epsilon positive
+    Angles must be positive and finite, sigmas integral (only sigma mod 2
+    counts: t = 0 aligns when every sigma is even), epsilon positive
     and finite, ``budget`` an integer >= 0 and ``t_max`` positive and
     finite; a bad value raises ValueError naming it. The scan is well defined whatever the phase
     condition says; a caller that searches after an ``inconclusive`` scan

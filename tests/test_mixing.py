@@ -436,9 +436,10 @@ def test_time_search_single_angle_closed_form():
 
 @pytest.mark.parametrize("sigma, t", [(-1, np.pi), (0, 0.0), (1, np.pi), (2, 0.0), (3, np.pi)])
 def test_single_angle_real_time_is_the_least_nonnegative_one(sigma, t):
+    """The search reads the sign count as its bit, sigma mod 2."""
     result = time_search([1.0], [sigma], 0.1, "real")
     assert result.success and result.t == t
-    assert result.deficit == phase_alignment_deficit([1.0], [sigma], t) < 1e-15
+    assert result.deficit == phase_alignment_deficit([1.0], [sigma % 2], t) < 1e-15
 
 
 @pytest.mark.parametrize("sigma", [-1, 1, 3])

@@ -9,8 +9,8 @@ search is compared with a dense grid that evaluates d sines at every
 point in one pass, through its own (..., d) form of the deficit
 (``conftest.dense_phase_alignment_deficit``). Work-count guards check
 that the scan locates each canonical head once, passes only its hits to
-the exact residual on clean cycle scans, and that the time search takes
-sines at only a small share of its grid, about one per tied point.
+the exact residual on clean cycle scans, and that a failing time search
+takes sines at only a small share of its grid and none at its tied points.
 """
 
 import functools
@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcwalk import mixing, phase_condition_check, time_search
+from arcwalk.cli import resolve_builtin
 from arcwalk.mixing import HOLDS, VIOLATED, TimeSearchResult, relation_scan_bound
+from arcwalk.spectra import srg_decomposition
 
 from conftest import block_relation_scan, dense_phase_alignment_deficit
 
@@ -202,19 +204,37 @@ def dense_refine(angles, sigmas, t0, val0, radius, horizon):
     return best_t, best_val
 
 
-def dense_time_search(angles, sigmas, epsilon, mode, budget, t_max):
+def fixed_misalignment(indices, grid):
+    """max_r dist(i steps_r + halves_r, 2^64 Z) at each uint64 grid index i,
+    with the steps and halves of ``mixing._fixed_grid``: the position
+    modulo 2^64 and its negation, the nearer way round, in wrapping uint64
+    arithmetic."""
+    worst = np.zeros(len(indices), dtype=np.uint64)
+    for step, half in zip(grid.steps, grid.halves):
+        x = indices * np.uint64(step) + np.uint64(half)
+        np.maximum(worst, np.minimum(x, np.uint64(0) - x), out=worst)
+    return worst
+
+
+def dense_time_search(angles, sigmas, epsilon, mode, budget, t_max, least="fixed"):
     """The time search as one dense pass with d sines per grid point, in
     blocks of ORACLE_BLOCK points made from their indices: the first point
-    below epsilon, else the first point of least deficit. Integer mode
-    scans t = 1..budget, the budget cut to MAX_GRID_POINTS. Real mode
-    scans i step, i = 0, 1, .., clamped to the horizon t_max (by default
+    below epsilon, else the first point of least misalignment in the
+    fixed-point turns of ``mixing._fixed_grid`` (``least="fixed"``, t = 0
+    included, a horizon-clamped last point decided after the rest on its
+    deficit) or of least deficit (``least="float"``, which picks the same
+    point where no two points tie up to rounding). Sigmas count mod 2,
+    and all-even ones align at t = 0. Integer mode scans t = 1..budget,
+    the budget cut to MAX_GRID_POINTS. Real mode scans i step,
+    i = 0, 1, .., clamped to the horizon t_max (by default
     T_MAX_FACTOR / min theta), with step epsilon / (4 max theta), or
     horizon / MAX_GRID_POINTS when that grid would have more than
     MAX_GRID_POINTS points; then it refines."""
-    angles, sigmas = np.asarray(angles, float), np.asarray(sigmas)
-    best_t, best_val = 0.0, dense_phase_alignment_deficit(angles, sigmas, 0.0)
+    angles, sigmas = np.asarray(angles, float), np.asarray(sigmas) % 2
+    if not sigmas.any():
+        return TimeSearchResult(success=True, t=0.0, deficit=0.0, mode=mode)
     if mode == "integer":
-        first, total = 1, min(budget, mixing.MAX_GRID_POINTS) + 1
+        first, total, step, t_max = 1, min(budget, mixing.MAX_GRID_POINTS) + 1, 1.0, budget
     else:
         if t_max is None:
             t_max = mixing.T_MAX_FACTOR / float(angles.min())
@@ -222,23 +242,67 @@ def dense_time_search(angles, sigmas, epsilon, mode, budget, t_max):
         first, total = 0, int(np.ceil(t_max / step)) + 1
         if total > mixing.MAX_GRID_POINTS:
             step, total = t_max / mixing.MAX_GRID_POINTS, mixing.MAX_GRID_POINTS + 1
+    clamped = (total - 1) * step > t_max
+    grid = mixing._fixed_grid(angles / (2.0 * np.pi), sigmas, step)
+    best_i, best_w = 0, int(fixed_misalignment(np.zeros(1, dtype=np.uint64), grid)[0])
+    best_t, best_val = 0.0, dense_phase_alignment_deficit(angles, sigmas, 0.0)
+    hit = None
     for lo in range(first, total, ORACLE_BLOCK):
-        block = np.arange(lo, min(lo + ORACLE_BLOCK, total), dtype=float)
+        indices = np.arange(lo, min(lo + ORACLE_BLOCK, total), dtype=np.uint64)
+        block = indices.astype(float)
         if mode == "real":
             block = np.minimum(block * step, t_max)
         vals = dense_phase_alignment_deficit(angles, sigmas, block)
         hits = np.flatnonzero(vals < epsilon)
         if hits.size:
-            best_t, best_val = float(block[hits[0]]), float(vals[hits[0]])
+            hit = float(block[hits[0]]), float(vals[hits[0]])
             break
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_t, best_val = float(block[j]), float(vals[j])
+        if least == "float":
+            j = int(np.argmin(vals))
+            if vals[j] < best_val:
+                best_t, best_val = float(block[j]), float(vals[j])
+            continue
+        if clamped and indices[-1] == total - 1:
+            indices = indices[:-1]
+        worst = fixed_misalignment(indices, grid)
+        j = int(np.argmin(worst)) if worst.size else None
+        if j is not None and worst[j] < best_w:
+            best_i, best_w = int(indices[j]), int(worst[j])
+    if hit is not None:
+        best_t, best_val = hit
+    elif least == "fixed":
+        best_t = float(best_i) * step
+        best_val = dense_phase_alignment_deficit(angles, sigmas, best_t)
+        if clamped and (val := dense_phase_alignment_deficit(angles, sigmas, t_max)) < best_val:
+            best_t, best_val = t_max, val
     if mode == "real":
         best_t, best_val = dense_refine(angles, sigmas, best_t, best_val, step, t_max)
     return TimeSearchResult(
         success=best_val < epsilon, t=best_t, deficit=best_val, mode=mode
     )
+
+
+def test_odd_sigmas_past_2_to_the_53_stay_odd():
+    """Sigmas count mod 2, read exactly: 2^53 + 1 is odd, though float64
+    reads it as 2^53, and -1 and 3 are the bits 1 and 1."""
+    angles = [1.0, 2.0]
+    got = time_search(angles, [2**53 + 1, 0], 0.1, "real")
+    assert got == time_search(angles, [1, 0], 0.1, "real")
+    assert got.success and abs(got.t - 3.113) < 1e-3
+    assert got == dense_time_search(angles, [2**53 + 1, 0], 0.1, "real", 0, None)
+    for mode in ("integer", "real"):
+        got = time_search(angles, [-1, 3], 0.1, mode, budget=1000)
+        assert got == time_search(angles, [1, 1], 0.1, mode, budget=1000)
+        assert got == dense_time_search(angles, [-1, 3], 0.1, mode, 1000, None)
+
+
+@pytest.mark.parametrize("mode", ["integer", "real"])
+def test_even_sigmas_align_at_t_0(mode):
+    """Sigmas (2, 0) are the bits (0, 0), which align at t = 0, in integer
+    mode too, where the scan itself starts at t = 1."""
+    got = time_search([1.0, 2.0], [2, 0], 0.1, mode)
+    assert got == TimeSearchResult(success=True, t=0.0, deficit=0.0, mode=mode)
+    assert got == dense_time_search([1.0, 2.0], [2, 0], 0.1, mode, mixing.INTEGER_BUDGET, None)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -269,6 +333,9 @@ def test_phase_alignment_deficit_is_the_dense_form_bit_for_bit(d):
     first=st.sampled_from([1, 5, 1024]),
 )
 def test_time_search_matches_dense_grid(angles, bits, epsilon, mode, budget, t_max, first):
+    """Random angles have no ties, so the float form's first point of least
+    deficit is the fixed-point turns' first point of least misalignment,
+    and both oracles give the search's result."""
     sigmas = bits[: len(angles)]
     want = dense_time_search(angles, sigmas, epsilon, mode, budget, t_max)
     with pytest.MonkeyPatch.context() as patch:
@@ -276,6 +343,7 @@ def test_time_search_matches_dense_grid(angles, bits, epsilon, mode, budget, t_m
         got = time_search(angles, sigmas, epsilon, mode, budget=budget, t_max=t_max)
     if any(sigmas):
         assert got == want
+        assert got == dense_time_search(angles, sigmas, epsilon, mode, budget, t_max, "float")
     else:
         assert got == TimeSearchResult(success=True, t=0.0, deficit=0.0, mode=mode)
 
@@ -293,7 +361,9 @@ def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
                 (cycle_angles(9, 4), [1, 0, 1, 0], 0.01, "real", {}),
                 (cycle_angles(13, 6), [1, 1, 0, 0, 0, 0], 0.1, "real", {"t_max": 300.0}),
                 ([0.7, 1.9, 2.3], [1, 0, 1], 0.05, "integer", {"budget": 50_000}),
-                ([0.7, 1.9, 2.3], [1, 0, 1], 0.02, "real", {"t_max": 500.0})]
+                ([0.7, 1.9, 2.3], [1, 0, 1], 0.02, "real", {"t_max": 500.0}),
+                (cycle_angles(9, 4), [1, 1, 0, 1], 0.1, "integer", {}),
+                (cycle_angles(9, 4), [1, 0, 1, 0], 0.1, "integer", {})]
 
     def run():
         verdicts = [phase_condition_check(a, s, m, bound=b) for a, s, m, b in scans]
@@ -301,7 +371,7 @@ def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
         return [(scan_result(v), v.bound, v.requested_bound) for v in verdicts], results
 
     reference = run()
-    for rows, first in [(1, 1), (7, 3), (300, 10**6)]:
+    for rows, first in [(1, 1), (7, 3), (300, 5), (300, 10**6)]:
         monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
         monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
         assert run() == reference, (rows, first)
@@ -388,22 +458,22 @@ def test_clean_scan_passes_only_its_hits_to_the_exact_residual(c, bound, mode, m
 
 def sine_calls(monkeypatch):
     """Patch the time search to record the number of sines of every call
-    that takes them, and the size of every candidate set handed to the
-    exact form."""
-    sines, candidates = [], []
-    half_sines, exact = mixing._half_sines, mixing._candidate_deficits
+    that takes them, and the number of times of every call of the exact
+    form."""
+    sines, exact = [], []
+    half_sines, deficit = mixing._half_sines, mixing.phase_alignment_deficit
 
     def counted_sines(phases):
         sines.append(phases.size)
         return half_sines(phases)
 
-    def counted_candidates(angles, sigmas, grid, points, worst, margin):
-        candidates.append(len(points))
-        return exact(angles, sigmas, grid, points, worst, margin)
+    def counted_deficit(angles, sigmas, t):
+        exact.append(np.size(t))
+        return deficit(angles, sigmas, t)
 
     monkeypatch.setattr(mixing, "_half_sines", counted_sines)
-    monkeypatch.setattr(mixing, "_candidate_deficits", counted_candidates)
-    return sines, candidates
+    monkeypatch.setattr(mixing, "phase_alignment_deficit", counted_deficit)
+    return sines, exact
 
 
 def test_failing_real_search_confirms_few_grid_points(monkeypatch):
@@ -417,19 +487,19 @@ def test_failing_real_search_confirms_few_grid_points(monkeypatch):
     assert sum(sines) < points / 100
 
 
-def test_tied_candidates_take_about_one_sine_each(monkeypatch):
-    """A failing integer cycle:9 search ties at thousands of points of its
-    periodic orbit, and each tied point is handed to the exact form; the
-    sine is taken only for the classes where the max can sit, about one
-    per point against d = 4 for the whole form. The result is the dense
-    grid's."""
-    sines, candidates = sine_calls(monkeypatch)
-    angles, sigmas = cycle_angles(9, 4), [1, 1, 1, 1]
-    result = time_search(angles, sigmas, 0.1, "integer", budget=20_000)
-    assert result == dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
+@pytest.mark.parametrize("bits, budget", [("1111", 20_000), ("1101", 10**6), ("1010", 10**6)])
+def test_tied_points_take_no_sine(bits, budget, monkeypatch):
+    """A failing integer cycle:9 search ties, up to rounding, at thousands
+    of points of its periodic orbit (over 100,000 at the benchmark's
+    budget of 10^6). The failure is decided in fixed-point turns, so the
+    only sines are the d = 4 of one exact form, at the reported point. The
+    result is the dense grid's."""
+    sines, exact = sine_calls(monkeypatch)
+    angles, bits = cycle_angles(9, 4), [int(b) for b in bits]
+    result = time_search(angles, bits, 0.1, "integer", budget=budget)
     assert not result.success
-    assert sum(candidates) > 10_000
-    assert sum(sines) < 2 * sum(candidates)
+    assert exact == [1] and sines == [4]
+    assert result == dense_time_search(angles, bits, 0.1, "integer", budget, None)
 
 
 def violated_bits(rng, d, mode):
@@ -458,9 +528,10 @@ def tie_shapes(c):
 @pytest.mark.parametrize("first", [1, 5, 1024])
 @pytest.mark.parametrize("c", [9, 13, 17])
 def test_cycle_searches_full_of_exact_ties_match_the_dense_grid(c, first, monkeypatch):
-    """Periodic cycle orbits tie at thousands of grid points, and rounding
-    decides which is the first of least: a sine left out where the max
-    sits would show here as another t or deficit."""
+    """Periodic cycle orbits tie at thousands of grid points, and the
+    rounding of the fixed-point steps decides which is the first of least:
+    a point ranked by anything else, or a chunk that lost it, would show
+    here as another t or deficit."""
     monkeypatch.setattr(mixing, "FIRST_CHUNK", first)
     angles = cycle_angles(c, (c - 1) // 2)
     for bits, epsilon, mode, want in tie_shapes(c):
@@ -475,29 +546,49 @@ def test_integer_cycle_search_at_the_benchmark_budget_matches_the_dense_grid(bit
     most, and ties of the least deficit run through the whole orbit."""
     angles, bits = cycle_angles(9, 4), [int(b) for b in bits]
     want = dense_time_search(angles, bits, 0.1, "integer", 10**6, None)
-    assert time_search(angles, bits, 0.1, "integer", budget=10**6) == want
+    got = time_search(angles, bits, 0.1, "integer", budget=10**6)
+    assert got == want
+    assert_within_margins_of_the_float_least(got, angles, bits, 10**6)
 
 
-def test_candidate_deficits_are_the_exact_form_near_the_flat_top():
-    """Grid points where several classes sit near half a turn, with deficits
-    within 1e-9 of 2 where the sine is flattest, and points on cycle
-    orbits: the restricted form gives the exact form's bits."""
-    rng = np.random.default_rng(23)
-    cases = [(np.array([1e-9, 3e-9, 2.0, 2.5e-9]), np.ones(4, dtype=np.int64), 1e-3,
-              rng.integers(0, 10**4, 3000)),
-             (cycle_angles(17, 8), rng.integers(0, 2, 8), 1.0, np.arange(4000)),
-             (rng.uniform(0.05, 3.1, 12), rng.integers(-2, 3, 12), 1.0,
-              rng.integers(0, 10**6, 500))]
-    for angles, sigmas, step, points in cases:
-        assert len(points) * len(angles) >= mixing.RESTRICT_SINES
-        grid = mixing._fixed_grid(angles / (2.0 * np.pi), sigmas, step)
-        points = points.astype(np.uint64)
-        ts = points * step
-        margin = 1e-12 * (1.0 + ts.max() * angles.max() + np.pi * np.abs(sigmas).max())
-        worst = mixing._misalignment(points, grid, np.empty((2, len(points)), dtype=np.uint64))
-        got = mixing._candidate_deficits(angles, sigmas, grid, points, worst, margin)
-        want = dense_phase_alignment_deficit(angles, sigmas, ts)
-        assert got.tobytes() == want.tobytes()
+def assert_within_margins_of_the_float_least(got, angles, bits, budget):
+    """A failing integer search at epsilon 0.1: its deficit is at least the
+    float form's least over its grid and exceeds it by less than 2 pi
+    margins, the margin at its last point; t = 0 is the float least
+    nowhere here."""
+    floats = dense_time_search(angles, bits, 0.1, "integer", budget, None, "float")
+    assert not got.success and not floats.success and floats.t > 0
+    margin = 1e-12 * (1.0 + budget * float(np.max(angles)) + np.pi)
+    assert 0.0 <= got.deficit - floats.deficit < 2.0 * np.pi * margin
+
+
+@pytest.mark.parametrize("c", [9, 13, 17])
+def test_tied_failures_are_within_margins_of_the_float_least(c):
+    """The fixed-point turns and the float form may rank the tied points of
+    a failing integer cycle search differently; the deficits of their
+    choices differ by less than 2 pi margins."""
+    angles = cycle_angles(c, (c - 1) // 2)
+    (bits, epsilon, mode, want), = [shape for shape in tie_shapes(c) if shape[2] == "integer"]
+    got = time_search(angles, bits, epsilon, mode, budget=20_000)
+    assert got == want
+    assert_within_margins_of_the_float_least(got, angles, bits, 20_000)
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
+def test_complement_rook_4_integer_searches_match_both_oracles(epsilon):
+    """The benchmark's tight integer searches on complement:rook:4 fail over
+    the whole budget of 10^6 without ties, so the float form's least and
+    the fixed-point turns' least are the same point."""
+    g = resolve_builtin("complement:rook:4")
+    dec = srg_decomposition(g)
+    (cert,) = mixing.hadamard_search(dec)
+    angles, bits = dec.angles[1:], cert.pattern.sigmas
+    got = time_search(angles, bits, epsilon, "integer")
+    assert not got.success
+    assert got == dense_time_search(angles, bits, epsilon, "integer", mixing.INTEGER_BUDGET, None)
+    assert got == dense_time_search(
+        angles, bits, epsilon, "integer", mixing.INTEGER_BUDGET, None, "float"
+    )
 
 
 def fixed_point_cases():
