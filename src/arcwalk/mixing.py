@@ -878,8 +878,9 @@ def _scan_times(
     BLOCK_CHUNK points or more, whose slowest class leaves room for blocks
     of MIN_BLOCK points (:func:`_block_size`), is pruned by blocks
     (:func:`_block_screen`); every other chunk is screened at every point
-    (:func:`_misalignment`). The first chunk always is, since t = 0, where
-    the odd classes sit half a turn out, is the first best.
+    (:func:`_misalignment`). The first chunk always is: its least so far
+    is t = 0, where the odd classes sit half a turn out, and that leaves
+    blocks no room.
 
     A point can matter only if its misalignment is within the bound w of
     epsilon on every class, or at most the least so far, best_w; the
