@@ -24,6 +24,7 @@ projection, so (-1)^t means e^{i pi t}.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,16 @@ TAU_WALK = 1e-9
 STATE_NORM_TOL = 1e-12
 #: real m x n arrays a build of :func:`walk_spectrum` and its certificate
 #: hold beyond W at their peak, plus 8 KiB of Python objects. Traced with
-#: tracemalloc on 40 graphs, k4 to rook:12, cycle:300 and random regular
-#: graphs of order 6 to 100: 1.7 to 4.8 m x n arrays. From rook:8 up it is
-#: 2.1 to 2.4, one complex m x N drift and the vertex sums; on a few
-#: hundred arcs the ufunc buffers (up to 128 KiB) weigh as much as W.
+#: tracemalloc on k4, petersen, cycle:8, cycle:300, rook:4-8, hadamard-srg:2-8
+#: and random regular graphs of order 16 to 100: 1.8 to 4.7. From rook:8 up
+#: it is 2.0 to 2.4, one complex m x N drift and the vertex sums; below, the
+#: ufunc buffers of its two broadcasts (up to 128 KiB) weigh as much as W.
 WORKSPACE_ARRAYS = 5
+#: bytes of the complex m x c blocks, one a class, in a batch of
+#: :func:`check_closed_form`. On random-28-4, one class a batch took 353, 413
+#: and 796 us on one start, the four probes and all 28; 2^17 bytes took 68,
+#: 155 and 631 us, and 2^18 or 2^19 at most 10% less for twice the memory.
+CLASS_BATCH_BYTES = 2**17
 
 
 class WalkSpectrumError(ValueError):
@@ -132,10 +138,11 @@ def tail_sum(arc_space: ArcSpace, x: np.ndarray) -> np.ndarray:
 
 def apply_walk(arc_space: ArcSpace, x: np.ndarray) -> np.ndarray:
     """U x = R (2/k T^T T - I) x in O(m) per column: Grover coin on each
-    tail block, then arc reversal."""
+    tail block (its sum broadcast over the block), then arc reversal."""
     x = np.asarray(x)
-    spread = np.repeat(tail_sum(arc_space, x), arc_space.k, axis=0)
-    return ((2.0 / arc_space.k) * spread - x)[arc_space.reversal_perm]
+    blocks = x.reshape(arc_space.n, arc_space.k, *x.shape[1:])
+    coin = (2.0 / arc_space.k) * tail_sum(arc_space, x)[:, None] - blocks
+    return coin.reshape(x.shape)[arc_space.reversal_perm]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +250,16 @@ def walk_spectrum_residuals(
 def _eigen_defect(
     arc_space: ArcSpace, P: np.ndarray, mu, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """R (U P - mu P) = C P - mu R P, with C = 2/k T^T T - I the coin and mu
-    one eigenvalue or one per column of P, in one array shaped like P
-    (written into ``out`` if given): it has the Frobenius norm of
-    U P - mu P."""
+    """R (U P - mu P) = C P - mu R P, with C = 2/k T^T T - I the coin, for
+    arc columns P (m, c) or a stack (b, m, c) of them and mu one eigenvalue,
+    one per column or one per block, in one array shaped like P (written
+    into ``out`` if given): it has the Frobenius norm of U P - mu P."""
     # mode='clip' (the indices are in range) lets take write into out unbuffered
-    E = np.take(P, arc_space.reversal_perm, axis=0, out=out, mode="clip")
+    E = np.take(P, arc_space.reversal_perm, axis=-2, out=out, mode="clip")
     E *= -mu
     E -= P
-    blocks = E.reshape(arc_space.n, arc_space.k, -1)
-    blocks += (2.0 / arc_space.k) * tail_sum(arc_space, P)[:, None]
+    blocks = E.reshape(*P.shape[:-2], arc_space.n, arc_space.k, P.shape[-1])
+    blocks += (2.0 / arc_space.k) * P.reshape(blocks.shape).sum(axis=-2, keepdims=True)
     return E
 
 
@@ -315,18 +322,18 @@ def walk_spectrum(dec: SpectralDecomposition, arc_space: ArcSpace) -> WalkSpectr
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Unit vector over arcs, stored as a read-only complex array."""
+    """Unit vector over arcs, stored as a read-only complex copy; ValueError
+    for another shape or a norm off 1 by more than STATE_NORM_TOL (or NaN)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)
         if amp.ndim != 1:
             raise ValueError(f"state must be a vector, got shape {amp.shape}")
-        norm = float(np.linalg.norm(amp))
+        norm = math.sqrt(np.vdot(amp, amp).real)
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {STATE_NORM_TOL}")
-        amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -340,7 +347,7 @@ def initial_state(arc_space: ArcSpace, a: int) -> State:
         raise ValueError(f"vertex {a} out of range [0, {arc_space.n})")
     k = arc_space.k
     amp = np.zeros(arc_space.num_arcs, dtype=complex)
-    amp[a * k : (a + 1) * k] = 1.0 / np.sqrt(k)
+    amp[a * k : (a + 1) * k] = 1.0 / math.sqrt(k)
     return State(amp)
 
 
@@ -353,6 +360,14 @@ def flat_arc_state(arc_space: ArcSpace, w: np.ndarray) -> State:
         raise ValueError("sign vector entries must be +1 or -1")
     amp = w[arc_space.tails].astype(complex)
     return State(amp / np.sqrt(arc_space.n * arc_space.k))
+
+
+def _time_phases(t: float, angles: np.ndarray) -> np.ndarray:
+    """e^{i t theta} for the angles theta, where every read of U^t starts: a
+    ValueError naming t, before any product, when t is not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t={t} is not finite")
+    return np.exp(1j * t * angles)
 
 
 def _minus_one_power(t: float) -> complex:
@@ -383,20 +398,24 @@ def evolve_operator(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
     M = np.asarray(M)
     if np.iscomplexobj(M) and M.imag.any():
         return evolve_operator(ws, M.real, t) + 1j * evolve_operator(ws, M.imag, t)
+    phases = _time_phases(t, ws.column_thetas)
     V, W = M.real, ws.factors
     coeffs = (W.T @ V).conj()  # W^H V for a real V, without a conjugate copy of W
-    turned = W @ (coeffs.T * np.exp(1j * t * ws.column_thetas)).T
+    turned = W @ (coeffs.T * phases).T
     plus1, minus1 = _sign_parts(ws.arc_space, V - 2.0 * (W @ coeffs).real)
-    return 2.0 * turned.real + plus1 + _minus_one_power(t) * minus1
+    result = _minus_one_power(t) * minus1
+    result += 2.0 * turned.real + plus1
+    return result
 
 
 def _sign_parts(arc_space: ArcSpace, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F_{+1} x and F_{-1} x from the part rest = x - sum_r (F_{+theta_r} +
     F_{-theta_r}) x of x (a vector or the columns of a matrix), which lies
     in the +-1 eigenspace of U: F_{+1} x = (rest + U rest) / 2 and
-    F_{-1} x = rest - F_{+1} x. For a real x, rest = x - 2 Re W W^H x."""
-    plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
-    return plus1, rest - plus1
+    F_{-1} x = rest - F_{+1} x, written over ``rest`` (x - 2 Re W W^H x for a real x)."""
+    plus1 = rest + apply_walk(arc_space, rest)
+    plus1 /= 2.0
+    return plus1, np.subtract(rest, plus1, out=rest)
 
 
 def evolve_by_projections(
@@ -422,11 +441,12 @@ def evolve_by_projections(
                 + 1j * evolve_by_projections(dec, arc_space, x.imag, t))
     x = np.asarray(x.real, dtype=float)
     V, theta, _ = _angle_columns(dec)
+    at_t = _time_phases(t, theta)
     phase = np.exp(1j * theta)
     tail_c = V.T @ tail_sum(arc_space, x)
     head_c = V.T @ tail_sum(arc_space, x[arc_space.reversal_perm])  # H x = T R x
     c = (tail_c - phase.conj() * head_c) / (2.0 * arc_space.k * np.sin(theta) ** 2)
-    turned = np.exp(1j * t * theta) * c
+    turned = at_t * c
     # only real parts reach 2 Re F_{+theta} x, so the four vertex arrays are real
     tail, head, tail_t, head_t = np.stack([c, phase * c, turned, phase * turned]).real @ V.T
     tails, heads = arc_space.tails, arc_space.heads
@@ -474,19 +494,20 @@ def entry_parts(
     contracted with the rows E_r[starts] (E_r is symmetric) over all
     classes in one product. Real t uses the principal branch, like
     :func:`evolve`. An array of all n starts in order is read as
-    ``slice(None)``, so the rows are a view, not a gathered (d, n, n) copy.
+    ``slice(None)``, so the rows are a view, not a gathered (d, n, n) copy,
+    and tail and head are (n, c) views of the (2, c, n) class sums.
     """
     if isinstance(starts, np.ndarray) and starts.dtype.kind in "iu":
         if starts.shape == (dec.n,) and np.array_equal(starts, np.arange(dec.n)):
             starts = slice(None)
     live = dec.num_classes - dec.has_minus_k
     angles = dec.angles[:live]
-    phase = np.exp(1j * t * angles)
+    phase = _time_phases(t, angles)
     phase *= 2.0 if scale is None else 2.0 * scale[:live]
     weights = (phase * _class_weights(angles)[::-1]).real
     rows = dec.idempotents[:live, starts]
     parts = (weights @ rows.reshape(live, -1)).reshape((2,) + rows.shape[1:])
-    tail, head = np.moveaxis(parts, -1, 1)
+    tail, head = parts.swapaxes(1, -1)
     if dec.has_minus_k:
         factor = _minus_one_power(t) * (1.0 if scale is None else scale[-1])
         tail = tail + factor * dec.idempotents[-1][:, starts]
@@ -502,7 +523,7 @@ def entry_block(
     raises ValueError."""
     _check_vertices(starts, dec.n)
     tail, head = entry_parts(dec, starts, t)
-    return (tail[arc_space.tails] + head[arc_space.heads]) / np.sqrt(arc_space.k)
+    return (tail[arc_space.tails] + head[arc_space.heads]) / math.sqrt(arc_space.k)
 
 
 def entry_formula(
@@ -530,9 +551,9 @@ def check_closed_form(
     """Frobenius-norm defects of the eigen-components p_r behind
     :func:`entry_block` on the arc states x = T^T v / sqrt(k) of the vertex
     vectors v in ``columns`` (an n x c block, or a 1-D list of start
-    vertices standing for their one-hot columns), built one class at a time
-    and checked with the O(m) :func:`apply_walk`; WalkSpectrumError when one
-    exceeds TAU_WALK.
+    vertices standing for their one-hot columns), built in batches of
+    classes and checked with the O(m) walk of :func:`_eigen_defect`;
+    WalkSpectrumError when one exceeds TAU_WALK.
 
     - ``eigen``: the largest ||U p_r - mu_r p_r|| over the classes, with
       mu_r = e^{i theta_r}, and mu = -1 for the bipartite class -k, whose
@@ -542,12 +563,14 @@ def check_closed_form(
     At integer t >= 0, U^t x then differs from :func:`entry_block` by at
     most start + (2d + 1) t eigen, for d angle classes. Both identities are
     linear in v, so on the seeded random columns of :func:`probe_block`
-    they check the whole start block at once (Freivalds' check). Each p_r
-    and its drift are built in place in two complex m x c arrays that every
-    class reuses, so the check holds about three at its peak (traced with
-    tracemalloc: 2.6 to 3.3 on all start columns of rook:6, rook:8 and
-    hadamard-srg:4, 3.4 to 3.8 on their four probes); a block where four
-    would pass MAX_SPECTRUM_BYTES raises ValueError before any is allocated.
+    they check the whole start block at once (Freivalds' check). The
+    classes go in batches, as many as fit CLASS_BATCH_BYTES at one complex
+    m x c block each, or one: each numpy call but E_r v and the norm of each
+    drift takes a batch, with the bits of one class at a time. A batch of
+    one holds about three blocks at its peak (tracemalloc: 2.6 to 3.3 on
+    all start columns of rook:6, rook:8 and hadamard-srg:4, 3.4 to 3.8 on
+    their four probes), a batch of b about 3b, under 0.5 MiB; ValueError,
+    before any is allocated, if four blocks a class pass MAX_SPECTRUM_BYTES.
     """
     n, m = arc_space.n, arc_space.num_arcs
     columns = np.asarray(columns)
@@ -556,32 +579,39 @@ def check_closed_form(
         columns = (np.arange(n)[:, None] == columns).astype(float)
     if columns.shape[0] != n:
         raise ValueError(f"vertex block has {columns.shape[0]} rows, expected {n}")
-    _within_limit(16 * 4 * m * columns.shape[1],
-                  f"closed-form check of {columns.shape[1]} columns on {m} arcs needs")
-    tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
+    c = columns.shape[1]
     live = dec.num_classes - dec.has_minus_k
+    batch = min(live, max(1, CLASS_BATCH_BYTES // (16 * m * max(c, 1))))
+    _within_limit(16 * 4 * m * c * batch, f"closed-form check of {c} columns on {m} arcs needs")
+    tails, heads, root_k = arc_space.tails, arc_space.heads, np.sqrt(arc_space.k)
     head_weights, tail_weights = _class_weights(dec.angles[:live])
     eigen = np.zeros(dec.num_classes)
     total = columns[tails] / -root_k
-    # p and its drift are built in place, in two arrays reused by every class
-    p = np.empty((m, columns.shape[1]), dtype=complex)
+    # p_r and its drift are built in place, in two stacks reused by every batch
+    p = np.empty((batch, m, c), dtype=complex)
     drift = np.empty_like(p)
-    for r in range(dec.num_classes):
-        X = dec.idempotents[r] @ columns
-        if r < live:
-            # (head X)[heads] + (tail X)[tails], weighted on the vertices
-            np.take(head_weights[r] * X, heads, axis=0, out=p, mode="clip")
-            p += np.take(tail_weights[r] * X, tails, axis=0, out=drift, mode="clip")
-            p /= root_k
-            mu = np.exp(1j * dec.angles[r])
-            total += p.real
-            total += p.real
-        else:
-            np.take((X / root_k).astype(complex), tails, axis=0, out=p, mode="clip")
-            mu = -1.0
-            total += p.real
-        _eigen_defect(arc_space, p, mu, out=drift)
-        eigen[r] = np.vdot(drift, drift).real
+    for lo in range(0, live, batch):
+        hi = min(lo + batch, live)
+        X = np.stack([dec.idempotents[r] @ columns for r in range(lo, hi)])
+        pb, db = p[: hi - lo], drift[: hi - lo]
+        # (head X)[heads] + (tail X)[tails], weighted on the vertices
+        np.take(head_weights[lo:hi, None, None] * X, heads, axis=1, out=pb, mode="clip")
+        pb += np.take(tail_weights[lo:hi, None, None] * X, tails, axis=1, out=db, mode="clip")
+        pb /= root_k
+        # total += 2 Re p_r class by class: numpy sums an outer axis in order, over
+        # total + Re p_lo, Re p_lo, Re p_lo+1, Re p_lo+1, ... set in the drifts' memory
+        terms = db.reshape(-1).view(float).reshape(2 * (hi - lo), m, c)
+        np.add(total, pb[0].real, out=terms[0])
+        terms[1::2], terms[2::2] = pb.real, pb.real[1:]
+        np.add.reduce(terms, axis=0, out=total)
+        _eigen_defect(arc_space, pb, np.exp(1j * dec.angles[lo:hi])[:, None, None], out=db)
+        eigen[lo:hi] = [np.vdot(d, d).real for d in db]
+    if dec.has_minus_k:
+        pb, db = p[0], drift[0]
+        np.take((dec.idempotents[-1] @ columns / root_k).astype(complex), tails, axis=0,
+                out=pb, mode="clip")
+        total += pb.real
+        eigen[-1] = np.vdot(_eigen_defect(arc_space, pb, -1.0, out=db), db).real
     residuals = {"eigen": float(np.sqrt(eigen.max())), "start": float(np.linalg.norm(total))}
     bad = {name: val for name, val in residuals.items() if not val <= TAU_WALK}
     if bad:

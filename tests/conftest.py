@@ -27,6 +27,7 @@ from arcwalk.spectra import eigenvalue_support
 from arcwalk.walk import (
     TAU_WALK,
     ArcSpace,
+    _class_weights,
     _eigen_defect,
     _minus_one_power,
     apply_walk,
@@ -432,6 +433,92 @@ def per_class_evolve_by_projections(dec, arc_space, x, t):
         out += 2.0 * (np.exp(1j * theta * t) * plus).real
     plus1 = (rest + apply_walk(arc_space, rest)) / 2.0
     return out + plus1 + _minus_one_power(t) * (rest - plus1)
+
+
+def apply_walk_repeat(arcs: ArcSpace, x: np.ndarray) -> np.ndarray:
+    """Oracle for ``apply_walk``: the block sums T x repeated onto the arcs
+    (T^T T x) before the coin and the reversal."""
+    x = np.asarray(x)
+    spread = np.repeat(tail_sum(arcs, x), arcs.k, axis=0)
+    return ((2.0 / arcs.k) * spread - x)[arcs.reversal_perm]
+
+
+def evolve_operator_oracle(ws: WalkSpectrum, M: np.ndarray, t: float) -> np.ndarray:
+    """Oracle for ``evolve_operator``: the same product of W, with each
+    intermediate array made afresh and F_{+-1} from ``apply_walk_repeat``."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M) and M.imag.any():
+        return evolve_operator_oracle(ws, M.real, t) + 1j * evolve_operator_oracle(ws, M.imag, t)
+    V, W = M.real, ws.factors
+    coeffs = (W.T @ V).conj()
+    turned = W @ (coeffs.T * np.exp(1j * t * ws.column_thetas)).T
+    rest = V - 2.0 * (W @ coeffs).real
+    plus1 = (rest + apply_walk_repeat(ws.arc_space, rest)) / 2.0
+    return 2.0 * turned.real + plus1 + _minus_one_power(t) * (rest - plus1)
+
+
+def entry_parts_moveaxis(dec: SpectralDecomposition, starts, t: float, scale=None):
+    """Oracle for ``entry_parts``: the (2, n) or (2, c, n) class sums with
+    their vertex axis moved to the front by ``np.moveaxis``."""
+    if isinstance(starts, np.ndarray) and starts.dtype.kind in "iu":
+        if starts.shape == (dec.n,) and np.array_equal(starts, np.arange(dec.n)):
+            starts = slice(None)
+    live = dec.num_classes - dec.has_minus_k
+    angles = dec.angles[:live]
+    phase = np.exp(1j * t * angles)
+    phase *= 2.0 if scale is None else 2.0 * scale[:live]
+    weights = (phase * _class_weights(angles)[::-1]).real
+    rows = dec.idempotents[:live, starts]
+    parts = (weights @ rows.reshape(live, -1)).reshape((2,) + rows.shape[1:])
+    tail, head = np.moveaxis(parts, -1, 1)
+    if dec.has_minus_k:
+        factor = _minus_one_power(t) * (1.0 if scale is None else scale[-1])
+        tail = tail + factor * dec.idempotents[-1][:, starts]
+    return tail, head
+
+
+def entry_block_oracle(dec: SpectralDecomposition, arcs: ArcSpace, starts, t: float):
+    """Oracle for ``entry_block``: ``entry_parts_moveaxis`` on the arcs."""
+    tail, head = entry_parts_moveaxis(dec, starts, t)
+    return (tail[arcs.tails] + head[arcs.heads]) / np.sqrt(arcs.k)
+
+
+def check_closed_form_loop(dec: SpectralDecomposition, arcs: ArcSpace, columns) -> dict:
+    """Oracle for the residuals of ``check_closed_form``, raising nothing:
+    one class at a time, each p_r and its drift made in two m x c arrays,
+    ``total`` summed class by class."""
+    n, m, k = arcs.n, arcs.num_arcs, arcs.k
+    columns = np.asarray(columns)
+    if columns.ndim == 1:
+        columns = (np.arange(n)[:, None] == columns).astype(float)
+    tails, heads, root_k = arcs.tails, arcs.heads, np.sqrt(k)
+    live = dec.num_classes - dec.has_minus_k
+    head_weights, tail_weights = _class_weights(dec.angles[:live])
+    eigen = np.zeros(dec.num_classes)
+    total = columns[tails] / -root_k
+    p = np.empty((m, columns.shape[1]), dtype=complex)
+    drift = np.empty_like(p)
+    for r in range(dec.num_classes):
+        X = dec.idempotents[r] @ columns
+        if r < live:
+            np.take(head_weights[r] * X, heads, axis=0, out=p, mode="clip")
+            p += np.take(tail_weights[r] * X, tails, axis=0, out=drift, mode="clip")
+            p /= root_k
+            mu = np.exp(1j * dec.angles[r])
+            total += p.real
+            total += p.real
+        else:
+            np.take((X / root_k).astype(complex), tails, axis=0, out=p, mode="clip")
+            mu = -1.0
+            total += p.real
+        # R (U p - mu p), written into drift
+        np.take(p, arcs.reversal_perm, axis=0, out=drift, mode="clip")
+        drift *= -mu
+        drift -= p
+        blocks = drift.reshape(n, k, -1)
+        blocks += (2.0 / k) * tail_sum(arcs, p)[:, None]
+        eigen[r] = np.vdot(drift, drift).real
+    return {"eigen": float(np.sqrt(eigen.max())), "start": float(np.linalg.norm(total))}
 
 
 def loop_rook_adjacency(q: int) -> np.ndarray:

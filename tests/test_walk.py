@@ -235,7 +235,7 @@ def test_state_validation_and_freezing():
     with pytest.raises(ValueError, match="norm nan"):
         State(np.full(4, np.nan))
     b = get_bundle("petersen")
-    with pytest.raises(ValueError, match="norm nan"):
+    with pytest.raises(ValueError, match="t=nan is not finite"):
         entry_formula(b.dec, b.arcs, 0, float("nan"))
 
 
