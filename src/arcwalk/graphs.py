@@ -9,7 +9,7 @@ a bipartition (when one exists) are computed at construction time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -42,6 +42,10 @@ class Graph:
         A +-1 vector describing a proper 2-coloring when bipartite.
     name : str
         Identifier used in reports; empty for anonymous graphs.
+    certified_srg : SRGParams or None
+        The parameters :func:`srg_identity` has certified exactly, kept so
+        that the screen and the O(n^3) identity run once per graph; None
+        until then.
     """
 
     n: int
@@ -51,6 +55,7 @@ class Graph:
     is_bipartite: bool
     color_class: np.ndarray | None = None
     name: str = ""
+    certified_srg: SRGParams | None = field(default=None, repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -286,7 +291,8 @@ def validate_srg(g: Graph):
     so c is undefined), and ``"not SRG"`` otherwise.
 
     The O(n^2) :func:`srg_screen` runs first; only a graph that passes it
-    pays the exact full product (:func:`srg_identity`).
+    pays the exact full product (:func:`srg_identity`), and only once: the
+    graph keeps the parameters it certifies.
     """
     params = srg_screen(g)
     if isinstance(params, SRGParams) and not srg_identity(g, params):
@@ -300,12 +306,15 @@ def srg_screen(g: Graph):
     non-neighbours.
 
     Returns ``"complete"``, ``"not SRG"``, or the ``SRGParams`` that column
-    reads, which only :func:`srg_identity` confirms.
+    reads, which only :func:`srg_identity` confirms; the certified
+    parameters of a graph that has passed it, with no column read.
     """
     if g.degree is None:
         raise ValueError("validate_srg requires a regular graph")
     if not g.is_connected:
         raise ValueError("validate_srg requires a connected graph")
+    if g.certified_srg is not None:
+        return g.certified_srg
     n, k = g.n, g.degree
     if k == n - 1:
         return COMPLETE
@@ -325,14 +334,20 @@ def srg_screen(g: Graph):
 def srg_identity(g: Graph, params: SRGParams) -> bool:
     """Whether A^2 = kI + aA + c(J - I - A) holds exactly, by one O(n^3)
     product: float64 (BLAS) is exact, every entry being an integer of size
-    at most n."""
+    at most n. A graph that holds it keeps ``params`` as its
+    ``certified_srg``, and is not asked again for them."""
+    if g.certified_srg == params:
+        return True
     k, a, c = params.k, params.a, params.c
     F = g.adjacency.astype(float)
     defect = F @ F
     defect -= (a - c) * F
     defect -= c
     defect.flat[:: g.n + 1] -= k - c
-    return not defect.any()
+    if defect.any():
+        return False
+    object.__setattr__(g, "certified_srg", params)
+    return True
 
 
 def complement(g: Graph, name: str = "") -> Graph:

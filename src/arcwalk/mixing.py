@@ -19,12 +19,16 @@ periodic orbit, tied up to rounding, take no sine.
 The search runs on the n x n adjacency layer, so a graph with no flat
 pattern is refused before any arc is enumerated. A strongly regular or
 complete graph with integer eigenvalues takes the scheme route: its
-decomposition comes from its parameters
-(:func:`arcwalk.spectra.srg_decomposition`), with no eigh. Every other
-graph takes the dense route over eigh; the rest of the pipeline is
-shared. U^t on the start block
-and its distance to the flat target are taken in n x n form from
-:func:`arcwalk.walk.entry_parts`. Its eigen-components are checked once,
+decomposition is a record of its relations and eigenmatrix P
+(:func:`arcwalk.spectra.srg_decomposition`), with no eigh and no
+idempotent, so the search and the distance to the target are sums over
+the d + 1 relations, and each flat pattern is certified by P h exactly.
+Every other graph takes the dense route over eigh, where U^t on the start
+block and its distance to the flat target are taken in n x n form from
+:func:`arcwalk.walk.entry_parts`; the rest of the pipeline is shared. A
+graph whose decomposition is refused for its size is answered from the
+order of regular Hadamard matrices alone when that order rules a flat
+target out. U^t's eigen-components are checked once,
 for every t, against the O(m) walk by :func:`arcwalk.walk.check_closed_form`:
 on the start column of a local run, on the seeded probes of
 :func:`arcwalk.walk.probe_block` for a simultaneous one.
@@ -45,6 +49,7 @@ import numpy as np
 
 from .graphs import Graph, check_regular_hadamard
 from .spectra import (
+    SizeLimitError,
     SpectralDecomposition,
     eigendecompose_symmetric,
     eigenvalue_support,
@@ -52,7 +57,7 @@ from .spectra import (
     srg_decomposition,
     walk_regular,
 )
-from .walk import build_arc_space, check_closed_form, entry_parts, probe_block
+from .walk import build_arc_space, check_closed_form, entry_parts, probe_block, relation_parts
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +180,13 @@ def _regular_hadamard_order(n: int) -> bool:
     return n == 1 or (root * root == n and root % 2 == 0)
 
 
+def _order_note(n: int) -> str:
+    return (
+        f"order {n} is not 1 or an even square 4u^2, the orders of "
+        "regular Hadamard matrices, so no flat sign combination can exist"
+    )
+
+
 def hadamard_search(
     dec: SpectralDecomposition, tau_flat: float = TAU_FLAT
 ) -> list[HadamardCertificate]:
@@ -185,13 +197,16 @@ def hadamard_search(
     class count and before any combination is formed. Otherwise more than
     MAX_CLASSES non-valency classes raise ValueError.
 
-    Each pattern with valency sign +1 (its negated twin is the same
-    certificate) is tested by forming M = sqrt(n) sum_r c_r E_r in one
-    contraction and accepting iff every entry is within ``tau_flat`` of
-    +-1. Accepted matrices are rounded to integers and certified exactly by
-    :func:`arcwalk.graphs.check_regular_hadamard`; a rounded matrix that
-    fails is logged with the failed condition and skipped. Certificates
-    come back in pattern encoding order, the order of the enumeration.
+    Each pattern c with valency sign +1 (its negated twin is the same
+    certificate) stands for M = sqrt(n) sum_r c_r E_r, which is accepted
+    iff every entry is within ``tau_flat`` of +-1. A record of eigh forms M
+    in one contraction, rounds an accepted one to integers and certifies it
+    exactly by :func:`arcwalk.graphs.check_regular_hadamard`. A scheme
+    record reads M on its relations, h = sqrt(n) Q c / n, and certifies the
+    rounded h exactly in int64 (:func:`_scheme_search`), with no n x n
+    combination. A rounded matrix that fails is logged with the failed
+    condition and skipped. Certificates come back in pattern encoding
+    order, the order of the enumeration.
     """
     n = dec.n
     d = dec.num_classes - 1
@@ -201,12 +216,13 @@ def hadamard_search(
         raise ValueError(
             f"{d} non-valency eigenvalue classes exceed the search limit {MAX_CLASSES}"
         )
+    if dec.idempotents is None:
+        return _scheme_search(dec, tau_flat)
     sqrt_n = np.sqrt(n)
     idempotents = dec.idempotents.reshape(d + 1, n * n)
     certificates: list[HadamardCertificate] = []
-    for bits in itertools.product((0, 1), repeat=d):
-        pattern = SignPattern(sign_e0=1, sigmas=bits)
-        M = sqrt_n * (pattern.signs() @ idempotents).reshape(n, n)
+    for pattern, signs in zip(*_sign_patterns(d)):
+        M = sqrt_n * (signs @ idempotents).reshape(n, n)
         if float(np.abs(np.abs(M) - 1.0).max()) > tau_flat:
             continue
         try:
@@ -217,6 +233,57 @@ def hadamard_search(
         certificates.append(HadamardCertificate(
             matrix=H, order=n, row_sum=row_sum,
             symmetric=bool(np.array_equal(H, H.T)), pattern=pattern,
+        ))
+    return certificates
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_patterns(d: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
+    """The sign patterns with valency sign +1 over d non-valency classes,
+    in encoding order, and their coefficients as one read-only int64
+    (2^d, d + 1) array; each d is enumerated once."""
+    patterns = tuple(SignPattern(sign_e0=1, sigmas=bits)
+                     for bits in itertools.product((0, 1), repeat=d))
+    signs = np.array([pattern.signs() for pattern in patterns], dtype=np.int64)
+    signs.setflags(write=False)
+    return patterns, signs
+
+
+def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[HadamardCertificate]:
+    """:func:`hadamard_search` on a scheme record, every pattern at once.
+
+    M = sqrt(n) sum_r c_r E_r = sum_i h_i A_i with h = sqrt(n) Q c / n, so M
+    is flat iff h is within ``tau_flat`` of {+-1}^{d+1}. The rounded h is
+    certified exactly in int64: every entry is +-1 and P h lies in
+    {+-sqrt(n)}^{d+1}. As the record passed its orthogonality relations
+    and the SRG identity holds, H = sum_i h_i A_i then has
+    H H^T = sum_r (P h)_r^2 E_r = nI and row sum (P h)_0, a regular
+    Hadamard matrix, symmetric as every A_i is; H = h[R] is formed only for
+    the report. Each pattern's h, P h and verdict are logged at debug level.
+    """
+    n, d = dec.n, dec.num_classes - 1
+    root = math.isqrt(n)  # n is 1 or 4u^2: _regular_hadamard_order passed
+    patterns, signs = _sign_patterns(d)
+    h = signs @ dec.dual_eigenmatrix.T
+    h /= root
+    flat = np.abs(np.abs(h) - 1.0).max(axis=1) <= tau_flat
+    rounded = np.rint(h).astype(np.int64)
+    Ph = rounded @ dec.eigenmatrix.T
+    certified = flat & (np.abs(rounded) == 1).all(axis=1) & (np.abs(Ph) == root).all(axis=1)
+    if logger.isEnabledFor(logging.DEBUG):
+        for pattern, *row in zip(patterns, h, Ph, certified):
+            logger.debug("pattern %s: h = %s, P h = %s, %s", pattern.label(), *row[:2],
+                         "accepted" if row[2] else "rejected")
+    certificates: list[HadamardCertificate] = []
+    for j in np.flatnonzero(flat).tolist():
+        if not certified[j]:
+            logger.warning("pattern %s skipped: rounded h = %s, P h = %s is not in {+-%d}^%d",
+                           patterns[j].label(), rounded[j], Ph[j], root, d + 1)
+            continue
+        H = rounded[j][dec.relations]
+        H.setflags(write=False)
+        certificates.append(HadamardCertificate(
+            matrix=H, order=n, row_sum=int(Ph[j, 0]), symmetric=True, pattern=patterns[j],
         ))
     return certificates
 
@@ -1131,8 +1198,26 @@ def _distance_to_target(dec, H, starts, t) -> tuple[complex, float]:
     U^t X = a[tails] + b[heads] (:func:`entry_parts` over sqrt(k)) and
     Y = y[tails], y = H E_S / sqrt(nk): <Y, U^t X> = k <y, a> + <y, A b> and
     ||U^t X - gamma Y||^2 = k ||a - gamma y||^2 + k ||b||^2 + 2 Re <a - gamma y, A b>,
-    clamped at 0, since an exact hit leaves rounding noise of either sign."""
+    clamped at 0, since an exact hit leaves rounding noise of either sign.
+
+    On a scheme record a, b, A b and y are constant on each relation
+    (:func:`arcwalk.walk.relation_parts`; y read off row 0 of H = h[R]),
+    and relation i holds v_i entries of each of the |S| columns, so every
+    inner product is an O(d) sum over the relations weighted by |S| v_i
+    (n v_i when every vertex starts), and no n x n array is formed."""
     root_k = np.sqrt(dec.k)
+    if dec.idempotents is None:
+        a, b, Ab = (relation_parts(dec, t) / root_k).tolist()
+        y = np.empty(dec.num_classes)
+        y[dec.relations[0]] = H[0]
+        y = (y / np.sqrt(dec.n * dec.k)).tolist()
+        w = ((dec.n if isinstance(starts, slice) else len(starts)) * dec.valencies).tolist()
+        inner = complex(sum(wi * yi * (dec.k * ai + abi) for wi, yi, ai, abi in zip(w, y, a, Ab)))
+        gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
+        c = [ai - gamma * yi for ai, yi in zip(a, y)]
+        square = sum(wi * (dec.k * (abs(ci) ** 2 + bi * bi) + 2.0 * (ci.conjugate() * abi).real)
+                     for wi, ci, bi, abi in zip(w, c, b, Ab))
+        return gamma, math.sqrt(max(square, 0.0))
     a, b = (part / root_k for part in entry_parts(dec, starts, t))
     Ab = entry_parts(dec, starts, t, scale=dec.eigenvalues)[1] / root_k
     y = H[:, starts] / np.sqrt(dec.n * dec.k)
@@ -1163,7 +1248,19 @@ def _mixing_report(
         )
     if a is not None and not 0 <= a < g.n:
         raise ValueError(f"vertex {a} out of range [0, {g.n})")
-    dec = srg_decomposition(g) or eigendecompose_symmetric(g)
+    graph = g.name or f"n{g.n}-k{g.degree}"
+    try:
+        dec = srg_decomposition(g) or eigendecompose_symmetric(g)
+    except SizeLimitError as exc:
+        if _regular_hadamard_order(g.n):
+            raise
+        return MixingReport(
+            graph=graph, vertex=a, mode=mode, epsilon=epsilon, certificate=None,
+            kronecker=None, t=None, gamma=None, residual=None, walk_residual=None,
+            verdict=NO_FLAT_TARGET, support=None, route=ROUTE_DENSE,
+            notes=(f"the spectral decomposition was refused for its size: {exc}",
+                   _order_note(g.n)),
+        )
     notes = []
     if walk_regular(dec):
         notes.append(
@@ -1192,18 +1289,14 @@ def _mixing_report(
     classes = [r for r in support if r != 0]
     report = functools.partial(
         MixingReport,
-        graph=g.name or f"n{g.n}-k{g.degree}",
-        vertex=a, mode=mode, epsilon=epsilon, support=support,
+        graph=graph, vertex=a, mode=mode, epsilon=epsilon, support=support,
         route=ROUTE_SCHEME if dec.vectors is None else ROUTE_DENSE,
     )
 
     certificates = hadamard_search(dec, tau_flat=tau_flat)
     if not certificates:
         if not _regular_hadamard_order(g.n):
-            notes.append(
-                f"order {g.n} is not 1 or an even square 4u^2, the orders of "
-                "regular Hadamard matrices, so no flat sign combination can exist"
-            )
+            notes.append(_order_note(g.n))
         return report(
             certificate=None, kronecker=None, t=None, gamma=None, residual=None,
             walk_residual=None, verdict=NO_FLAT_TARGET, notes=tuple(notes),

@@ -7,21 +7,27 @@ eigenvalue carries an angle theta_r = arccos(lambda_r / k) in [0, pi];
 theta = pi is present exactly when the graph is bipartite.
 
 Two routes build the decomposition. :func:`eigendecompose_symmetric` runs
-a dense eigh on any connected regular graph. :func:`srg_decomposition`
-takes a strongly regular or complete graph from its parameters alone:
-its idempotents are fixed by the eigenmatrix of the association scheme
-(Delsarte, Philips Res. Rep. Suppl. 10, 1973; Brouwer, Cohen and
-Neumaier, *Distance-Regular Graphs*, 1989), and no eigenvector is formed.
+a dense eigh on any connected regular graph and stores the idempotents.
+:func:`srg_decomposition` takes a strongly regular or complete graph from
+its parameters alone: its idempotents are fixed by the eigenmatrix P of
+the association scheme (Delsarte, Philips Res. Rep. Suppl. 10, 1973;
+Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989), so the
+record holds the relation matrix and P, and neither an eigenvector nor an
+idempotent is formed. :func:`class_sums` reads the idempotents of either.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import COMPLETE, NOT_SRG, Graph, srg_identity, srg_screen
+
+logger = logging.getLogger(__name__)
 
 #: default tolerance for the idempotent suite (idempotency, orthogonality,
 #: reconstruction of A)
@@ -48,21 +54,41 @@ class DecompositionError(ValueError):
         self.residuals = dict(residuals or {})
 
 
+class SizeLimitError(ValueError):
+    """An allocation over MAX_SPECTRUM_BYTES, refused before it is made."""
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues, multiplicities, angles, and idempotents of A.
 
     Index 0 always refers to the valency eigenvalue k. ``has_minus_k``
     marks a bipartite graph, in which case the last index carries
-    eigenvalue -k and angle pi. ``vectors`` is the read-only n x n array of
-    orthonormal eigenvectors, its columns grouped by class in index order
-    (``multiplicities[r]`` columns from ``class_starts[r]`` on, V_r), and
-    ``idempotents`` is one read-only (d, n, n) array, E_r = ``idempotents[r]``
-    = V_r V_r^T (a sequence of n x n arrays is stacked into one).
-    ``residuals`` is the idempotent suite it passed.
+    eigenvalue -k and angle pi. ``residuals`` is the idempotent suite it
+    passed. The idempotents are read through :func:`class_sums`, which
+    serves both kinds of record.
 
-    A record built from SRG parameters (:func:`srg_decomposition`) has no
-    ``vectors`` (None).
+    A record of eigh (:func:`eigendecompose_symmetric`) holds ``vectors``,
+    the read-only n x n array of orthonormal eigenvectors, its columns
+    grouped by class in index order (``multiplicities[r]`` columns from
+    ``class_starts[r]`` on, V_r), and ``idempotents``, one read-only
+    (d, n, n) array, E_r = ``idempotents[r]`` = V_r V_r^T (a sequence of
+    n x n arrays is stacked into one).
+
+    A record of an association scheme (:func:`srg_decomposition`) holds
+    neither (both None). It holds the read-only int8 n x n ``relations``
+    R, R[x, y] = i when (x, y) lies in relation i of the scheme, whose 0/1
+    matrix is A_i (on a strongly regular graph 0, 1, 2 for equal, adjacent
+    and non-adjacent, the distance), and the read-only int64
+    (d + 1) x (d + 1) eigenmatrix P, ``eigenmatrix[r, i]`` the eigenvalue
+    of A_i on E_r, and its float dual ``dual_eigenmatrix`` Q,
+    Q[i, r] = m_r P[r, i] / v_i (P Q = nI). Then
+
+        E_r = (1/n) sum_i Q[i, r] A_i,   E_r[x, y] = Q[R[x, y], r] / n,
+
+    so (E_r)_aa = m_r / n at every vertex. Another scheme whose relations
+    are the distances of its graph supplies only R and P
+    (:func:`_scheme_record`).
     """
 
     n: int
@@ -71,17 +97,21 @@ class SpectralDecomposition:
     multiplicities: np.ndarray
     angles: np.ndarray
     vectors: np.ndarray | None
-    idempotents: np.ndarray
+    idempotents: np.ndarray | None
     has_minus_k: bool
     residuals: dict[str, float] = field(default_factory=dict)
+    relations: np.ndarray | None = None
+    eigenmatrix: np.ndarray | None = None
+    dual_eigenmatrix: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("vectors", "idempotents"):
+        for name, dtype in (("vectors", float), ("idempotents", float), ("relations", np.int8),
+                            ("eigenmatrix", np.int64), ("dual_eigenmatrix", float)):
             X = getattr(self, name)
             if X is None:
                 continue
-            if not (isinstance(X, np.ndarray) and X.dtype == float and not X.flags.writeable):
-                X = np.array(X, dtype=float)
+            if not (isinstance(X, np.ndarray) and X.dtype == dtype and not X.flags.writeable):
+                X = np.array(X, dtype=dtype)
                 X.setflags(write=False)
                 object.__setattr__(self, name, X)
 
@@ -93,6 +123,11 @@ class SpectralDecomposition:
     def class_starts(self) -> np.ndarray:
         """First column of each class in ``vectors``."""
         return np.cumsum(self.multiplicities) - self.multiplicities
+
+    @property
+    def valencies(self) -> np.ndarray:
+        """v_i = P[0, i], the entries of relation i in each row of R."""
+        return self.eigenmatrix[0]
 
 
 def eigenvectors(dec: SpectralDecomposition, what: str) -> np.ndarray:
@@ -152,17 +187,17 @@ def decomposition_residuals(dec: SpectralDecomposition, adjacency: np.ndarray) -
 
 
 def _within_limit(size: int, what: str) -> None:
-    """A ValueError "<what> <size> MiB, over the limit of ..." when ``size``
-    bytes would pass MAX_SPECTRUM_BYTES, read at call time so that one
-    setting governs every allocation it bounds."""
+    """A SizeLimitError "<what> <size> MiB, over the limit of ..." when
+    ``size`` bytes would pass MAX_SPECTRUM_BYTES, read at call time so that
+    one setting governs every allocation it bounds."""
     if size > MAX_SPECTRUM_BYTES:
-        raise ValueError(
+        raise SizeLimitError(
             f"{what} {size >> 20} MiB, over the limit of {MAX_SPECTRUM_BYTES >> 20} MiB"
         )
 
 
 def _idempotent_stack(classes: int, n: int) -> np.ndarray:
-    """An empty (classes, n, n) stack, or a ValueError before it is
+    """An empty (classes, n, n) stack, or a SizeLimitError before it is
     allocated when it would pass MAX_SPECTRUM_BYTES."""
     _within_limit(8 * classes * n**2, f"idempotents of {classes} classes on {n} vertices need")
     return np.empty((classes, n, n))
@@ -181,8 +216,9 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
     Raises
     ------
     ValueError
-        For non-regular, disconnected or edgeless input, and before a
-        (classes, n, n) idempotent stack over MAX_SPECTRUM_BYTES is allocated.
+        For non-regular, disconnected or edgeless input, and (as
+        SizeLimitError) before a (classes, n, n) idempotent stack over
+        MAX_SPECTRUM_BYTES is allocated.
     DecompositionError
         When the verification suite fails, with residual diagnostics.
     """
@@ -264,33 +300,25 @@ def eigendecompose_symmetric(g: Graph, tau_group: float | None = None) -> Spectr
 
 
 def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
-    """The decomposition of a strongly regular or complete graph from its
+    """The scheme record of a strongly regular or complete graph, from its
     parameters (n, k, lambda, mu), with no eigh; None for any other graph.
 
     The graph must be connected, regular and non-bipartite, and pass the
-    exact SRG check of :func:`arcwalk.graphs.validate_srg`. Its eigenvalues
-    are then k > r > s, the roots of x^2 - (lambda - mu) x - (k - mu)
-    beside k, or n - 1 > -1 for K_n. When the discriminant
-    (lambda - mu)^2 + 4 (k - mu) is not a square (a conference graph such as
-    Paley(13)) they are irrational and the answer is None too, so the caller
-    takes the dense route. The discriminant is read from the O(n^2)
+    exact SRG check of :func:`arcwalk.graphs.validate_srg`, which a graph
+    runs once (it keeps the parameters it certified). Its eigenvalues are
+    then k > r > s, the roots of x^2 - (lambda - mu) x - (k - mu) beside k,
+    or n - 1 > -1 for K_n. When the discriminant (lambda - mu)^2 +
+    4 (k - mu) is not a square (a conference graph such as Paley(13)) they
+    are irrational and the answer is None too, so the caller takes the
+    dense route. The discriminant is read from the O(n^2)
     :func:`arcwalk.graphs.srg_screen` before the exact O(n^3) product.
 
-    The eigenmatrix P of the scheme has rows (1, lambda_r,
-    [r = 0] n - 1 - lambda_r), the eigenvalues of the relations A_0 = I,
-    A_1 = A and A_2 = J - I - A on E_r (the last column only for an SRG).
-    The multiplicities m_r follow from sum_r m_r = n and
-    trace A = sum_r m_r lambda_r = 0, and by the orthogonality relations of
-    the scheme
-
-        E_r = (1/n) sum_i Q[i, r] A_i,   Q[i, r] = m_r P[r, i] / v_i,
-
-    with v_i = P[0, i] the valencies: each E_r is formed in O(n^2) from A.
-    ``residuals`` holds ``completeness`` (sum E_r - I) and
-    ``reconstruction`` (sum lambda_r E_r - A), each O(d n^2), and a value
-    above the tolerances of :func:`eigendecompose_symmetric` raises
-    DecompositionError. A (d + 1, n, n) stack over MAX_SPECTRUM_BYTES is
-    refused with ValueError before it is allocated.
+    The relations are equal, adjacent and non-adjacent, R = 2 - A off the
+    diagonal (the last only for an SRG), and the eigenmatrix P has rows
+    (1, lambda_r, [r = 0] n - 1 - lambda_r), the eigenvalues of A_0 = I,
+    A_1 = A and A_2 = J - I - A on E_r. :func:`_scheme_spectrum` derives the
+    multiplicities from P and certifies them exactly; beside the product of
+    the SRG identity, no n x n float array is formed.
     """
     if g.degree is None or not g.is_connected or g.is_bipartite:
         return None
@@ -299,59 +327,133 @@ def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
         return None
     n, k = g.n, g.degree
     if params == COMPLETE:
-        values, multiplicities = [k, -1], [1, n - 1]
+        values, a, c = [k, -1], n - 2, None
     else:
-        gap = params.a - params.c
-        disc = gap * gap + 4 * (k - params.c)
+        a, c = params.a, params.c
+        disc = (a - c) ** 2 + 4 * (k - c)
         root = math.isqrt(disc)
         if root * root != disc or not srg_identity(g, params):
             return None
-        r, s = (gap + root) // 2, (gap - root) // 2
-        # 1 + f + g = n and k + f r + g s = trace A = 0
-        values = [k, r, s]
-        multiplicities = [1, (-k - (n - 1) * s) // (r - s), (k + (n - 1) * r) // (r - s)]
-    d = len(values) - 1
-    P = np.array([[1, lam, (n if j == 0 else 0) - 1 - lam] for j, lam in enumerate(values)],
-                 dtype=np.int64)[:, : d + 1]
-    m = np.array(multiplicities, dtype=np.int64)
-    # row r: Q[i, r] / n, the entry of E_r at relation i (0 past the relations)
-    coefficients = np.zeros((d + 1, 3))
-    coefficients[:, : d + 1] = m[:, None] * P / (n * P[0])
+        values = [k, (a - c + root) // 2, (a - c - root) // 2]
+    P = tuple((1, lam, (n if r == 0 else 0) - 1 - lam)[: len(values)]
+              for r, lam in enumerate(values))
+    R = np.subtract(2, g.adjacency.astype(np.int8))
+    R.flat[:: n + 1] = 0
+    dec = _scheme_record(n, k, R, P)
+    logger.debug("scheme record of %s: n=%d k=%d lambda=%s mu=%s P=%s multiplicities=%s",
+                 g.name or "the graph", n, k, a, c, dec.eigenmatrix.tolist(),
+                 dec.multiplicities.tolist())
+    return dec
 
-    F = g.adjacency.astype(float)
-    idempotents = _idempotent_stack(d + 1, n)
-    for E, (identity, adjacent, other) in zip(idempotents, coefficients):
-        np.multiply(F, adjacent - other, out=E)
-        E += other
-        E.flat[:: n + 1] = identity
-    idempotents.setflags(write=False)
-    eigenvalues = np.array(values, dtype=float)
+
+def _scheme_record(n: int, k: int, R: np.ndarray, P) -> SpectralDecomposition:
+    """The record of a symmetric association scheme on n vertices from its
+    relation matrix R, made read-only, and its integer eigenmatrix P, rows
+    in decreasing order of the eigenvalue P[r, 1] of the graph A_1 of
+    valency k; P is certified by :func:`_scheme_spectrum`."""
+    R.setflags(write=False)
+    eigenvalues, multiplicities, angles, P, Q = _scheme_spectrum(n, k, tuple(map(tuple, P)))
+    return SpectralDecomposition(
+        n=n, k=k, eigenvalues=eigenvalues, multiplicities=multiplicities, angles=angles,
+        vectors=None, idempotents=None, has_minus_k=False,
+        residuals=dict.fromkeys(("completeness", "reconstruction"), 0.0),
+        relations=R, eigenmatrix=P, dual_eigenmatrix=Q,
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _scheme_spectrum(n: int, k: int, rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """Eigenvalues, multiplicities, angles, P and Q of the eigenmatrix P
+    with the given rows, as read-only arrays, certified once for each P.
+
+    The multiplicities come from P alone, m_r = n / sum_i P[r, i]^2 / v_i,
+    in exact integer arithmetic, and must be integers. The orthogonality
+    relations P^T diag(m) P = n diag(v), that is Q P = nI with
+    Q[i, r] = m_r P[r, i] / v_i, must then hold exactly, else
+    DecompositionError. Column 0 says sum_r E_r = I and column 1
+    sum_r P[r, 1] E_r = A; their largest entry defects in the n x n sums
+    are the residuals ``completeness`` and ``reconstruction``, 0.0 on a
+    record that passes.
+    """
+    P = np.array(rows, dtype=np.int64)
+    v = P[0].tolist()
+    # the norms times the least common multiple of the valencies, as exact integers
+    scale = math.lcm(*v)
+    norms = [sum(x * x * (scale // vi) for x, vi in zip(row, v)) for row in rows]
+    if any(n * scale % norm for norm in norms):
+        raise DecompositionError(f"eigenmatrix {list(rows)} gives fractional multiplicities")
+    m = np.array([n * scale // norm for norm in norms], dtype=np.int64)
+    # entries up to n^3: exact in int64
+    defect = P.T @ (m[:, None] * P)
+    defect.flat[:: len(v) + 1] -= n * P[0]
+    if defect.any():
+        entry = (np.abs(defect[:, :2]) / (n * P[0, :, None])).max(axis=0)
+        raise DecompositionError(
+            f"scheme eigenmatrix {list(rows)} fails the orthogonality relations by "
+            f"{defect.tolist()}", dict(zip(("completeness", "reconstruction"), entry.tolist())),
+        )
+    eigenvalues = P[:, 1].astype(float)
     angles = np.arccos(eigenvalues / k)
     angles[0] = 0.0
-    angles.setflags(write=False)
+    Q = P.T * m / P[0, :, None]
+    for x in (eigenvalues, m, angles, P, Q):
+        x.setflags(write=False)
+    return eigenvalues, m, angles, P, Q
 
-    total = idempotents.sum(axis=0)
-    total.flat[:: n + 1] -= 1.0
-    recon = (eigenvalues @ idempotents.reshape(d + 1, -1)).reshape(n, n)
-    recon -= F
-    residuals = {
-        "completeness": float(np.abs(total).max()),
-        "reconstruction": float(np.abs(recon).max()),
-    }
-    if residuals["completeness"] > COMPLETENESS_TOL or residuals["reconstruction"] > TAU_SPEC:
-        raise DecompositionError(
-            "SRG idempotents failed: "
-            + ", ".join(f"{key}={val:.3e}" for key, val in residuals.items()),
-            residuals,
-        )
-    return SpectralDecomposition(
-        n=n, k=k, eigenvalues=eigenvalues, multiplicities=m, angles=angles, vectors=None,
-        idempotents=idempotents, has_minus_k=False, residuals=residuals,
-    )
+
+def class_sums(dec: SpectralDecomposition, classes: range, weights=None, starts=None,
+               X=None) -> np.ndarray:
+    """sum_{r in classes} w_r E_r for each row w of ``weights`` (one column
+    per class of ``classes``; None stands for the identity, one row per
+    class), in one of three forms:
+
+    - ``starts`` (a vertex, a 1-D int array of them or ``slice(None)``):
+      the sums read on those rows, shape (rows of w,) + E_r[starts].shape;
+      E_r is symmetric, so these are the columns too;
+    - ``X``, an n x c block, with no weights: E_r X for each class, shape
+      (classes, n, c);
+    - neither, on a scheme record only: the value of the sums on each
+      relation, shape (rows of w, d + 1), as sum_r w_r E_r = sum_i value_i A_i.
+
+    A record of eigh reads its stack: the rows of ``classes`` as a view (a
+    gather for an array of starts) in one product with the weights, and
+    E_r X one class at a time. A scheme record forms none: with the values
+    C = w Q[:, classes]^T / n, the rows are C gathered at R[starts], and
+    sum_i C_i A_i X takes A_0 X = X, each A_i X from R for 0 < i < d (on an
+    SRG, A X alone) and A_d X as the column sums of X less the rest, as
+    sum_i A_i = J.
+    """
+    if dec.idempotents is not None:
+        if X is not None:
+            return np.stack([dec.idempotents[r] @ X for r in classes])
+        if starts is None:
+            raise ValueError("values per relation need a scheme record")
+        rows = dec.idempotents[classes.start : classes.stop, starts]
+        if weights is None:
+            return rows
+        return (weights @ rows.reshape(len(classes), -1)).reshape((len(weights),) + rows.shape[1:])
+    Q = dec.dual_eigenmatrix[:, classes.start : classes.stop] / dec.n
+    values = Q.T if weights is None else weights @ Q.T
+    if X is not None:
+        d = len(Q) - 1
+        terms = np.empty((d + 1,) + X.shape)
+        terms[0] = X
+        for i in range(1, d):
+            np.matmul(dec.relations == i, X, out=terms[i])
+        np.subtract(X.sum(axis=0), terms[:d].sum(axis=0), out=terms[d])
+        return (values @ terms.reshape(d + 1, -1)).reshape((len(values),) + X.shape)
+    if starts is not None:
+        return values[:, dec.relations[starts]]
+    return values
 
 
 def _supports(dec: SpectralDecomposition, columns) -> list[tuple[int, ...]]:
     tau_support = TAU_SUPPORT_FACTOR * np.sqrt(dec.n)
+    if dec.idempotents is None:
+        # ||E_r e_a|| = sqrt((E_r)_aa) = sqrt(m_r / n) at every vertex of a scheme
+        inside = np.sqrt(dec.multiplicities / dec.n) > tau_support
+        count = dec.n if isinstance(columns, slice) else len(columns)
+        return [tuple(np.flatnonzero(inside).tolist())] * count
     norms = np.linalg.norm(dec.idempotents[:, :, columns], axis=1)
     return [tuple(np.flatnonzero(inside).tolist()) for inside in (norms > tau_support).T]
 
@@ -369,12 +471,16 @@ def eigenvalue_support(dec: SpectralDecomposition, a: int) -> tuple[int, ...]:
 
 def eigenvalue_supports(dec: SpectralDecomposition) -> list[tuple[int, ...]]:
     """:func:`eigenvalue_support` of every vertex, in one vectorised pass
-    of column norms per idempotent."""
+    of column norms per idempotent, or from the multiplicities of a scheme
+    record."""
     return _supports(dec, slice(None))
 
 
 def walk_regular(dec: SpectralDecomposition) -> bool:
     """Whether the graph is walk-regular: every E_r has a constant diagonal
-    (E_r)_aa = ||E_r e_a||^2, the norms equal within the support cutoff."""
+    (E_r)_aa = ||E_r e_a||^2, the norms equal within the support cutoff.
+    A scheme record is: (E_r)_aa = m_r / n at every vertex."""
+    if dec.idempotents is None:
+        return True
     norms = np.sqrt(np.clip(np.diagonal(dec.idempotents, axis1=1, axis2=2), 0.0, None))
     return bool(np.ptp(norms, axis=1).max() <= TAU_SUPPORT_FACTOR * np.sqrt(dec.n))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectra import SpectralDecomposition, _within_limit, eigenvectors
+from .spectra import SpectralDecomposition, _within_limit, class_sums, eigenvectors
 
 #: tolerance for the walk spectrum certificate and the closed-form check
 TAU_WALK = 1e-9
@@ -477,6 +477,18 @@ def _weights_of(angles: bytes) -> np.ndarray:
     return weights
 
 
+def _entry_weights(dec: SpectralDecomposition, t: float, scale) -> np.ndarray:
+    """The (2, live) real class weights of the head and tail parts of U^t
+    x_a over the classes below -k: 2 Re(e^{i t theta_r} p) for the weights
+    p of :func:`_class_weights`, each class also scaled by ``scale[r]`` if
+    given."""
+    live = dec.num_classes - dec.has_minus_k
+    angles = dec.angles[:live]
+    phase = _time_phases(t, angles)
+    phase *= 2.0 if scale is None else 2.0 * scale[:live]
+    return (phase * _class_weights(angles)[::-1]).real
+
+
 def entry_parts(
     dec: SpectralDecomposition, starts, t: float, scale=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -489,29 +501,33 @@ def entry_parts(
                       + (E_0)_{ua} + (-1)^t (E_{-k})_{ua} )
 
     with the bipartite term present only when -k is an eigenvalue: the
-    class weights of :func:`_class_weights`, each class also scaled by
-    ``scale[r]`` if given (``dec.eigenvalues`` gives (A tail, A head)),
-    contracted with the rows E_r[starts] (E_r is symmetric) over all
-    classes in one product. Real t uses the principal branch, like
-    :func:`evolve`. An array of all n starts in order is read as
-    ``slice(None)``, so the rows are a view, not a gathered (d, n, n) copy,
-    and tail and head are (n, c) views of the (2, c, n) class sums.
+    class weights of :func:`_entry_weights` (``scale=dec.eigenvalues``
+    gives (A tail, A head)), contracted with the rows E_r[starts] (E_r is
+    symmetric) over all classes in one :func:`arcwalk.spectra.class_sums`.
+    Real t uses the principal branch, like :func:`evolve`. An array of all
+    n starts in order is read as ``slice(None)``, so a record of eigh reads
+    its rows as a view, not a gathered (d, n, n) copy, and tail and head
+    are (n, c) views of the (2, c, n) class sums.
     """
     if isinstance(starts, np.ndarray) and starts.dtype.kind in "iu":
         if starts.shape == (dec.n,) and np.array_equal(starts, np.arange(dec.n)):
             starts = slice(None)
     live = dec.num_classes - dec.has_minus_k
-    angles = dec.angles[:live]
-    phase = _time_phases(t, angles)
-    phase *= 2.0 if scale is None else 2.0 * scale[:live]
-    weights = (phase * _class_weights(angles)[::-1]).real
-    rows = dec.idempotents[:live, starts]
-    parts = (weights @ rows.reshape(live, -1)).reshape((2,) + rows.shape[1:])
+    parts = class_sums(dec, range(live), _entry_weights(dec, t, scale), starts=starts)
     tail, head = parts.swapaxes(1, -1)
     if dec.has_minus_k:
         factor = _minus_one_power(t) * (1.0 if scale is None else scale[-1])
-        tail = tail + factor * dec.idempotents[-1][:, starts]
+        tail = tail + factor * class_sums(dec, range(live, live + 1), starts=starts)[0].T
     return tail, head
+
+
+def relation_parts(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """:func:`entry_parts` on a scheme record as one value per relation: a
+    (3, d + 1) array of tail, head and A head (A E_r = lambda_r E_r), whose
+    arrays on the starts S are these values gathered at R[:, S]."""
+    weights = _entry_weights(dec, t, None)
+    weights = np.vstack([weights, weights[1] * dec.eigenvalues])
+    return class_sums(dec, range(dec.num_classes), weights)
 
 
 def entry_block(
@@ -565,8 +581,10 @@ def check_closed_form(
     linear in v, so on the seeded random columns of :func:`probe_block`
     they check the whole start block at once (Freivalds' check). The
     classes go in batches, as many as fit CLASS_BATCH_BYTES at one complex
-    m x c block each, or one: each numpy call but E_r v and the norm of each
-    drift takes a batch, with the bits of one class at a time. A batch of
+    m x c block each, or one: each numpy call but the norm of each drift
+    takes a batch, with the bits of one class at a time, and the batch's
+    E_r v come from one :func:`arcwalk.spectra.class_sums` (on a scheme
+    record, from A v, formed from R once a batch). A batch of
     one holds about three blocks at its peak (tracemalloc: 2.6 to 3.3 on
     all start columns of rook:6, rook:8 and hadamard-srg:4, 3.4 to 3.8 on
     their four probes), a batch of b about 3b, under 0.5 MiB; ValueError,
@@ -592,7 +610,7 @@ def check_closed_form(
     drift = np.empty_like(p)
     for lo in range(0, live, batch):
         hi = min(lo + batch, live)
-        X = np.stack([dec.idempotents[r] @ columns for r in range(lo, hi)])
+        X = class_sums(dec, range(lo, hi), X=columns)
         pb, db = p[: hi - lo], drift[: hi - lo]
         # (head X)[heads] + (tail X)[tails], weighted on the vertices
         np.take(head_weights[lo:hi, None, None] * X, heads, axis=1, out=pb, mode="clip")
@@ -608,8 +626,8 @@ def check_closed_form(
         eigen[lo:hi] = [np.vdot(d, d).real for d in db]
     if dec.has_minus_k:
         pb, db = p[0], drift[0]
-        np.take((dec.idempotents[-1] @ columns / root_k).astype(complex), tails, axis=0,
-                out=pb, mode="clip")
+        X = class_sums(dec, range(live, live + 1), X=columns)[0]
+        np.take((X / root_k).astype(complex), tails, axis=0, out=pb, mode="clip")
         total += pb.real
         eigen[-1] = np.vdot(_eigen_defect(arc_space, pb, -1.0, out=db), db).real
     residuals = {"eigen": float(np.sqrt(eigen.max())), "start": float(np.linalg.norm(total))}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -569,3 +570,25 @@ def full_srg_check(g: Graph):
     if not np.array_equal(A2, g.degree * eye + a * A + c * (J - eye - A)):
         return NOT_SRG
     return SRGParams(n=g.n, k=g.degree, a=a, c=c)
+
+
+def scheme_stack(dec: SpectralDecomposition) -> np.ndarray:
+    """Oracle for the idempotents of a scheme record: the (d + 1, n, n) stack
+    E_r = (1/n) sum_i Q[i, r] A_i, built from the record's relation matrix
+    R and eigenmatrix P alone, with Q[i, r] = m_r P[r, i] / P[0, i] and
+    A_i = [R == i], one relation at a time."""
+    P, m, R = dec.eigenmatrix, dec.multiplicities, dec.relations
+    stack = np.zeros((len(P), dec.n, dec.n))
+    for i in range(len(P)):
+        A_i = (R == i).astype(float)
+        for r in range(len(P)):
+            stack[r] += (m[r] * P[r, i] / P[0, i] / dec.n) * A_i
+    return stack
+
+
+def stack_record(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """A scheme record turned into one that holds the ``scheme_stack``
+    oracle as its idempotents and no relations, so that every reader takes
+    the branch of a record of eigh."""
+    return dataclasses.replace(dec, idempotents=scheme_stack(dec), relations=None,
+                               eigenmatrix=None)

@@ -35,6 +35,7 @@ from arcwalk.cli import main, resolve_builtin
 from arcwalk.cospec import check_strong_cospectrality
 from arcwalk.spectra import COMPLETENESS_TOL, TAU_SPEC, srg_decomposition
 from arcwalk.walk import evolve_by_projections
+from conftest import scheme_stack
 from test_mix_output_parity import FROZEN, mix_argvs, split_route
 
 #: how far the scheme route's residuals and gamma may lie from the dense route's
@@ -140,16 +141,18 @@ def scheme_graphs(tmp_path):
 
 
 def test_scheme_search_matches_the_dense_search(tmp_path):
-    """On every scheme graph the record agrees with eigh's, and
-    hadamard_search over its idempotents gives the same patterns and the
-    same H as over the dense idempotents."""
+    """On every scheme graph the record agrees with eigh's: the idempotent
+    stack built from its R and P (``scheme_stack``) is eigh's stack, and
+    hadamard_search on the record gives the same patterns and the same H
+    as over the dense idempotents."""
     certified = 0
     for g in scheme_graphs(tmp_path):
         scheme, dense = srg_decomposition(g), eigendecompose_symmetric(g)
         assert scheme is not None and scheme.vectors is None, g.name
+        assert scheme.idempotents is None, g.name
         assert np.array_equal(scheme.multiplicities, dense.multiplicities), g.name
         assert np.allclose(scheme.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-9)
-        assert np.allclose(scheme.idempotents, dense.idempotents, rtol=0.0, atol=1e-12)
+        assert np.allclose(scheme_stack(scheme), dense.idempotents, rtol=0.0, atol=1e-12)
         assert scheme.residuals["completeness"] <= COMPLETENESS_TOL
         assert scheme.residuals["reconstruction"] <= TAU_SPEC
         got, want = hadamard_search(scheme), hadamard_search(dense)

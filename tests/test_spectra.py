@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -16,7 +17,8 @@ from arcwalk import (
     validate_srg,
 )
 
-from arcwalk import spectra
+from arcwalk import mixing, spectra
+from arcwalk.cli import resolve_builtin
 from arcwalk.spectra import TAU_SPEC, srg_decomposition
 
 from conftest import ALL_GRAPHS, GRAPH_BUILDERS, dense_decomposition_residuals, get_bundle
@@ -186,15 +188,24 @@ def test_idempotent_stack_over_the_limit_is_refused(monkeypatch):
     assert eigendecompose_symmetric(g).idempotents.nbytes == 2400
 
 
-def test_scheme_idempotent_stack_over_the_limit_is_refused(monkeypatch):
-    """The scheme route keeps the same limit: rook:4 has 3 classes on 16
-    vertices, a stack of 6144 bytes."""
-    g = GRAPH_BUILDERS["rook4"]()
-    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 16 * 16 * 8 - 1)
-    with pytest.raises(ValueError, match="3 classes on 16 vertices"):
-        srg_decomposition(g)
-    monkeypatch.setattr(spectra, "MAX_SPECTRUM_BYTES", 3 * 16 * 16 * 8)
-    assert srg_decomposition(g).idempotents.nbytes == 6144
+def test_scheme_route_peaks_below_two_dense_arrays():
+    """On hadamard-srg:16 (n = 1024) the scheme record, the Hadamard search
+    and the residual for every start together peak below two n x n float64
+    arrays, 16 MiB: the record holds an int8 R and the certificate its
+    int64 H, where the idempotent stack alone took 24 MiB."""
+    g = resolve_builtin("hadamard-srg:16")
+    n = g.n
+    tracemalloc.start()
+    try:
+        dec = srg_decomposition(g)
+        certificates = mixing.hadamard_search(dec)
+        for cert in certificates:
+            mixing._distance_to_target(dec, cert.matrix, slice(None), 7.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.idempotents is None and certificates
+    assert peak < 2 * 8 * n * n
 
 
 def test_oversized_grouping_tolerance_fails_loudly():
