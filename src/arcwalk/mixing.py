@@ -237,15 +237,13 @@ def hadamard_search(
     return certificates
 
 
-@functools.lru_cache(maxsize=None)
 def _sign_patterns(d: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
     """The sign patterns with valency sign +1 over d non-valency classes,
-    in encoding order, and their coefficients as one read-only int64
-    (2^d, d + 1) array; each d is enumerated once."""
+    in encoding order, and their coefficients as one int64 (2^d, d + 1)
+    array."""
     patterns = tuple(SignPattern(sign_e0=1, sigmas=bits)
                      for bits in itertools.product((0, 1), repeat=d))
     signs = np.array([pattern.signs() for pattern in patterns], dtype=np.int64)
-    signs.setflags(write=False)
     return patterns, signs
 
 

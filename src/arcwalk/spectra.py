@@ -18,7 +18,6 @@ idempotent is formed. :func:`class_sums` reads the idempotents of either.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -316,7 +315,7 @@ def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
     The relations are equal, adjacent and non-adjacent, R = 2 - A off the
     diagonal (the last only for an SRG), and the eigenmatrix P has rows
     (1, lambda_r, [r = 0] n - 1 - lambda_r), the eigenvalues of A_0 = I,
-    A_1 = A and A_2 = J - I - A on E_r. :func:`_scheme_spectrum` derives the
+    A_1 = A and A_2 = J - I - A on E_r. :func:`_scheme_record` derives the
     multiplicities from P and certifies them exactly; beside the product of
     the SRG identity, no n x n float array is formed.
     """
@@ -350,21 +349,7 @@ def _scheme_record(n: int, k: int, R: np.ndarray, P) -> SpectralDecomposition:
     """The record of a symmetric association scheme on n vertices from its
     relation matrix R, made read-only, and its integer eigenmatrix P, rows
     in decreasing order of the eigenvalue P[r, 1] of the graph A_1 of
-    valency k; P is certified by :func:`_scheme_spectrum`."""
-    R.setflags(write=False)
-    eigenvalues, multiplicities, angles, P, Q = _scheme_spectrum(n, k, tuple(map(tuple, P)))
-    return SpectralDecomposition(
-        n=n, k=k, eigenvalues=eigenvalues, multiplicities=multiplicities, angles=angles,
-        vectors=None, idempotents=None, has_minus_k=False,
-        residuals=dict.fromkeys(("completeness", "reconstruction"), 0.0),
-        relations=R, eigenmatrix=P, dual_eigenmatrix=Q,
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _scheme_spectrum(n: int, k: int, rows: tuple[tuple[int, ...], ...]) -> tuple:
-    """Eigenvalues, multiplicities, angles, P and Q of the eigenmatrix P
-    with the given rows, as read-only arrays, certified once for each P.
+    valency k.
 
     The multiplicities come from P alone, m_r = n / sum_i P[r, i]^2 / v_i,
     in exact integer arithmetic, and must be integers. The orthogonality
@@ -375,76 +360,85 @@ def _scheme_spectrum(n: int, k: int, rows: tuple[tuple[int, ...], ...]) -> tuple
     are the residuals ``completeness`` and ``reconstruction``, 0.0 on a
     record that passes.
     """
-    P = np.array(rows, dtype=np.int64)
-    v = P[0].tolist()
+    rows = [list(map(int, row)) for row in P]
+    v = rows[0]
     # the norms times the least common multiple of the valencies, as exact integers
     scale = math.lcm(*v)
     norms = [sum(x * x * (scale // vi) for x, vi in zip(row, v)) for row in rows]
     if any(n * scale % norm for norm in norms):
-        raise DecompositionError(f"eigenmatrix {list(rows)} gives fractional multiplicities")
+        raise DecompositionError(f"eigenmatrix {rows} gives fractional multiplicities")
     m = np.array([n * scale // norm for norm in norms], dtype=np.int64)
+    P = np.array(rows, dtype=np.int64)
     # entries up to n^3: exact in int64
     defect = P.T @ (m[:, None] * P)
     defect.flat[:: len(v) + 1] -= n * P[0]
     if defect.any():
         entry = (np.abs(defect[:, :2]) / (n * P[0, :, None])).max(axis=0)
         raise DecompositionError(
-            f"scheme eigenmatrix {list(rows)} fails the orthogonality relations by "
+            f"scheme eigenmatrix {rows} fails the orthogonality relations by "
             f"{defect.tolist()}", dict(zip(("completeness", "reconstruction"), entry.tolist())),
         )
     eigenvalues = P[:, 1].astype(float)
     angles = np.arccos(eigenvalues / k)
     angles[0] = 0.0
     Q = P.T * m / P[0, :, None]
-    for x in (eigenvalues, m, angles, P, Q):
+    for x in (R, eigenvalues, m, angles, P, Q):
         x.setflags(write=False)
-    return eigenvalues, m, angles, P, Q
+    return SpectralDecomposition(
+        n=n, k=k, eigenvalues=eigenvalues, multiplicities=m, angles=angles,
+        vectors=None, idempotents=None, has_minus_k=False,
+        residuals=dict.fromkeys(("completeness", "reconstruction"), 0.0),
+        relations=R, eigenmatrix=P, dual_eigenmatrix=Q,
+    )
+
+
+#: most bytes of the float copy of a block of 0/1 relation rows that
+#: :func:`class_sums` multiplies at once: 2^20 is 128 rows at n = 1024
+RELATION_BLOCK_BYTES = 2**20
 
 
 def class_sums(dec: SpectralDecomposition, classes: range, weights=None, starts=None,
                X=None) -> np.ndarray:
     """sum_{r in classes} w_r E_r for each row w of ``weights`` (one column
     per class of ``classes``; None stands for the identity, one row per
-    class), in one of three forms:
+    class), in one of two forms:
 
     - ``starts`` (a vertex, a 1-D int array of them or ``slice(None)``):
       the sums read on those rows, shape (rows of w,) + E_r[starts].shape;
       E_r is symmetric, so these are the columns too;
-    - ``X``, an n x c block, with no weights: E_r X for each class, shape
-      (classes, n, c);
-    - neither, on a scheme record only: the value of the sums on each
-      relation, shape (rows of w, d + 1), as sum_r w_r E_r = sum_i value_i A_i.
+    - ``X``, an n x c block, with no weights and no starts: E_r X for each
+      class, shape (classes, n, c).
 
     A record of eigh reads its stack: the rows of ``classes`` as a view (a
     gather for an array of starts) in one product with the weights, and
     E_r X one class at a time. A scheme record forms none: with the values
     C = w Q[:, classes]^T / n, the rows are C gathered at R[starts], and
     sum_i C_i A_i X takes A_0 X = X, each A_i X from R for 0 < i < d (on an
-    SRG, A X alone) and A_d X as the column sums of X less the rest, as
-    sum_i A_i = J.
+    SRG, A X alone) in blocks of rows of at most RELATION_BLOCK_BYTES as
+    floats, and A_d X as the column sums of X less the rest, as
+    sum_i A_i = J. Beside the output it holds d + 1 n x c blocks and one
+    block of rows.
     """
     if dec.idempotents is not None:
         if X is not None:
             return np.stack([dec.idempotents[r] @ X for r in classes])
-        if starts is None:
-            raise ValueError("values per relation need a scheme record")
         rows = dec.idempotents[classes.start : classes.stop, starts]
         if weights is None:
             return rows
         return (weights @ rows.reshape(len(classes), -1)).reshape((len(weights),) + rows.shape[1:])
     Q = dec.dual_eigenmatrix[:, classes.start : classes.stop] / dec.n
     values = Q.T if weights is None else weights @ Q.T
-    if X is not None:
-        d = len(Q) - 1
-        terms = np.empty((d + 1,) + X.shape)
-        terms[0] = X
-        for i in range(1, d):
-            np.matmul(dec.relations == i, X, out=terms[i])
-        np.subtract(X.sum(axis=0), terms[:d].sum(axis=0), out=terms[d])
-        return (values @ terms.reshape(d + 1, -1)).reshape((len(values),) + X.shape)
-    if starts is not None:
+    if X is None:
         return values[:, dec.relations[starts]]
-    return values
+    n, d = dec.n, len(Q) - 1
+    terms = np.empty((d + 1,) + X.shape)
+    terms[0] = X
+    block = max(1, RELATION_BLOCK_BYTES // (8 * n))
+    for i in range(1, d):
+        for lo in range(0, n, block):
+            np.matmul(dec.relations[lo : lo + block] == i, X, out=terms[i, lo : lo + block])
+    np.subtract(X.sum(axis=0), terms[:d].sum(axis=0), out=terms[d])
+    return (values @ terms.reshape(d + 1, -1)).reshape((len(values),) + X.shape)
 
 
 def _supports(dec: SpectralDecomposition, columns) -> list[tuple[int, ...]]:

@@ -524,10 +524,11 @@ def entry_parts(
 def relation_parts(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """:func:`entry_parts` on a scheme record as one value per relation: a
     (3, d + 1) array of tail, head and A head (A E_r = lambda_r E_r), whose
-    arrays on the starts S are these values gathered at R[:, S]."""
+    arrays on the starts S are these values gathered at R[:, S], as
+    sum_r w_r E_r = sum_i (w Q^T / n)_i A_i."""
     weights = _entry_weights(dec, t, None)
     weights = np.vstack([weights, weights[1] * dec.eigenvalues])
-    return class_sums(dec, range(dec.num_classes), weights)
+    return weights @ (dec.dual_eigenmatrix.T / dec.n)
 
 
 def entry_block(
@@ -589,6 +590,8 @@ def check_closed_form(
     all start columns of rook:6, rook:8 and hadamard-srg:4, 3.4 to 3.8 on
     their four probes), a batch of b about 3b, under 0.5 MiB; ValueError,
     before any is allocated, if four blocks a class pass MAX_SPECTRUM_BYTES.
+    A scheme record's A v adds a block of relation rows and its float copy,
+    at most 9/8 RELATION_BLOCK_BYTES (1.1 MiB), and d + 1 n x c arrays.
     """
     n, m = arc_space.n, arc_space.num_arcs
     columns = np.asarray(columns)

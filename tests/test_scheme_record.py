@@ -10,7 +10,8 @@ same reader on the (d + 1, n, n) stack built from R and P
   give the dense search's patterns, H and row sums;
 - the O(d) gamma and residual match the n x n ones within 1e-12, from
   vertex 0, from vertex n // 2 and from every vertex at once;
-- ``entry_parts`` and ``check_closed_form`` match within 1e-12.
+- ``entry_parts``, ``relation_parts`` and ``check_closed_form`` match
+  within 1e-12.
 
 Also pinned: ``mix`` answers from the order of regular Hadamard matrices
 when the decomposition is refused for its size, and the scheme route's
@@ -38,7 +39,7 @@ from arcwalk import (
 from arcwalk.cli import configure_logging, main, resolve_builtin
 from arcwalk.graphs import check_regular_hadamard
 from arcwalk.spectra import class_sums, srg_decomposition
-from arcwalk.walk import entry_parts
+from arcwalk.walk import entry_parts, relation_parts
 
 from conftest import stack_record
 from test_scheme_route import scheme_graphs
@@ -107,21 +108,35 @@ def test_closed_form_check_matches_the_stack(tmp_path):
 
 
 def test_class_sums_match_the_stack(tmp_path):
-    """Relation values, rows and products of a record against the stack;
-    values per relation need a record that has them."""
+    """Rows and products of a record against the stack, and the values of
+    ``relation_parts`` gathered at R against ``entry_parts`` on the stack."""
     for g, dec, oracle in list(records(tmp_path))[:8]:
         classes = range(dec.num_classes)
         stack = oracle.idempotents
-        values = class_sums(dec, classes)
-        for r in classes:
-            assert np.abs(values[r][dec.relations] - stack[r]).max() < TOL
+        assert np.abs(class_sums(dec, classes, starts=slice(None)) - stack).max() < TOL
         X = np.random.default_rng(2).standard_normal((g.n, 3))
         assert np.abs(class_sums(dec, classes, X=X) - stack @ X).max() < TOL
         weights = np.arange(2 * len(classes), dtype=float).reshape(2, -1)
         want = np.tensordot(weights, stack[:, [0, 2]], axes=1)
         assert np.abs(class_sums(dec, classes, weights, starts=[0, 2]) - want).max() < TOL
-        with pytest.raises(ValueError, match="need a scheme record"):
-            class_sums(oracle, classes)
+        for t in TIMES:
+            tail, head, a_head = relation_parts(dec, t)[:, dec.relations]
+            want_tail, want_head = entry_parts(oracle, slice(None), t)
+            _, want_a_head = entry_parts(oracle, slice(None), t, dec.eigenvalues)
+            for x, y in ((tail, want_tail), (head, want_head), (a_head, want_a_head)):
+                assert np.abs(x - y).max() < TOL, (g.name, t)
+
+
+def test_relation_products_come_in_blocks_of_rows(monkeypatch):
+    """E_r X on a record forms A X from R a block of rows at a time; every
+    block size matches the stack."""
+    dec = srg_decomposition(resolve_builtin("rook:4"))
+    n, classes = dec.n, range(dec.num_classes)
+    X = np.random.default_rng(3).standard_normal((n, 2))
+    want = stack_record(dec).idempotents @ X
+    for rows in (1, 3, n - 1):
+        monkeypatch.setattr(spectra, "RELATION_BLOCK_BYTES", 8 * n * rows)
+        assert np.abs(class_sums(dec, classes, X=X) - want).max() < TOL
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -14,6 +14,7 @@ from arcwalk import (
     eigenvalue_supports,
     from_edge_list,
     graph_from_adjacency,
+    probe_block,
     validate_srg,
 )
 
@@ -192,7 +193,9 @@ def test_scheme_route_peaks_below_two_dense_arrays():
     """On hadamard-srg:16 (n = 1024) the scheme record, the Hadamard search
     and the residual for every start together peak below two n x n float64
     arrays, 16 MiB: the record holds an int8 R and the certificate its
-    int64 H, where the idempotent stack alone took 24 MiB."""
+    int64 H, where the idempotent stack alone took 24 MiB. The E_r v of the
+    closed-form check on the probes, all classes at once, then peak below
+    a quarter of one such array: A v is formed from R in blocks of rows."""
     g = resolve_builtin("hadamard-srg:16")
     n = g.n
     tracemalloc.start()
@@ -202,10 +205,16 @@ def test_scheme_route_peaks_below_two_dense_arrays():
         for cert in certificates:
             mixing._distance_to_target(dec, cert.matrix, slice(None), 7.0)
         peak = tracemalloc.get_traced_memory()[1]
+        probes = probe_block(n)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        spectra.class_sums(dec, range(dec.num_classes), X=probes)
+        products = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert dec.idempotents is None and certificates
     assert peak < 2 * 8 * n * n
+    assert products < 8 * n * n / 4
 
 
 def test_oversized_grouping_tolerance_fails_loudly():
