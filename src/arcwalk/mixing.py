@@ -221,8 +221,9 @@ def hadamard_search(
     sqrt_n = np.sqrt(n)
     idempotents = dec.idempotents.reshape(d + 1, n * n)
     certificates: list[HadamardCertificate] = []
-    for pattern, signs in zip(*_sign_patterns(d)):
-        M = sqrt_n * (signs @ idempotents).reshape(n, n)
+    for bits in itertools.product((0, 1), repeat=d):
+        pattern = SignPattern(sign_e0=1, sigmas=bits)
+        M = sqrt_n * (pattern.signs() @ idempotents).reshape(n, n)
         if float(np.abs(np.abs(M) - 1.0).max()) > tau_flat:
             continue
         try:
@@ -235,16 +236,6 @@ def hadamard_search(
             symmetric=bool(np.array_equal(H, H.T)), pattern=pattern,
         ))
     return certificates
-
-
-def _sign_patterns(d: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
-    """The sign patterns with valency sign +1 over d non-valency classes,
-    in encoding order, and their coefficients as one int64 (2^d, d + 1)
-    array."""
-    patterns = tuple(SignPattern(sign_e0=1, sigmas=bits)
-                     for bits in itertools.product((0, 1), repeat=d))
-    signs = np.array([pattern.signs() for pattern in patterns], dtype=np.int64)
-    return patterns, signs
 
 
 def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[HadamardCertificate]:
@@ -261,7 +252,8 @@ def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[Hadamard
     """
     n, d = dec.n, dec.num_classes - 1
     root = math.isqrt(n)  # n is 1 or 4u^2: _regular_hadamard_order passed
-    patterns, signs = _sign_patterns(d)
+    bits = list(itertools.product((0, 1), repeat=d))  # encoding order
+    signs = 1 - 2 * np.array([(0, *row) for row in bits], dtype=np.int64)
     h = signs @ dec.dual_eigenmatrix.T
     h /= root
     flat = np.abs(np.abs(h) - 1.0).max(axis=1) <= tau_flat
@@ -269,19 +261,21 @@ def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[Hadamard
     Ph = rounded @ dec.eigenmatrix.T
     certified = flat & (np.abs(rounded) == 1).all(axis=1) & (np.abs(Ph) == root).all(axis=1)
     if logger.isEnabledFor(logging.DEBUG):
-        for pattern, *row in zip(patterns, h, Ph, certified):
-            logger.debug("pattern %s: h = %s, P h = %s, %s", pattern.label(), *row[:2],
-                         "accepted" if row[2] else "rejected")
+        for row, *values in zip(bits, h, Ph, certified):
+            logger.debug("pattern %s: h = %s, P h = %s, %s",
+                         SignPattern(sign_e0=1, sigmas=row).label(), *values[:2],
+                         "accepted" if values[2] else "rejected")
     certificates: list[HadamardCertificate] = []
     for j in np.flatnonzero(flat).tolist():
+        pattern = SignPattern(sign_e0=1, sigmas=bits[j])
         if not certified[j]:
             logger.warning("pattern %s skipped: rounded h = %s, P h = %s is not in {+-%d}^%d",
-                           patterns[j].label(), rounded[j], Ph[j], root, d + 1)
+                           pattern.label(), rounded[j], Ph[j], root, d + 1)
             continue
         H = rounded[j][dec.relations]
         H.setflags(write=False)
         certificates.append(HadamardCertificate(
-            matrix=H, order=n, row_sum=int(Ph[j, 0]), symmetric=True, pattern=patterns[j],
+            matrix=H, order=n, row_sum=int(Ph[j, 0]), symmetric=True, pattern=pattern,
         ))
     return certificates
 

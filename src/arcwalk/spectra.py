@@ -339,9 +339,10 @@ def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
     R = np.subtract(2, g.adjacency.astype(np.int8))
     R.flat[:: n + 1] = 0
     dec = _scheme_record(n, k, R, P)
-    logger.debug("scheme record of %s: n=%d k=%d lambda=%s mu=%s P=%s multiplicities=%s",
-                 g.name or "the graph", n, k, a, c, dec.eigenmatrix.tolist(),
-                 dec.multiplicities.tolist())
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("scheme record of %s: n=%d k=%d lambda=%s mu=%s P=%s multiplicities=%s",
+                     g.name or "the graph", n, k, a, c, dec.eigenmatrix.tolist(),
+                     dec.multiplicities.tolist())
     return dec
 
 
