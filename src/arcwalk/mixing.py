@@ -11,10 +11,11 @@ Reaching the target needs the walk phases e^{i(t theta_r + sigma_r pi)}
 to align near 1 for every eigenvalue class in the vertex support. An
 integer-relation scan over the angles decides whether alignment to any
 precision is possible (the phase condition); a scan of a grid of times,
-screened in exact fixed-point turns by blocks or point by point, then
-finds an explicit time within the requested epsilon, or fails with the
-first time of least misalignment in those turns, so that the points of a
-periodic orbit, tied up to rounding, take no sine.
+screened in exact fixed-point turns point by point or by blocks, of
+consecutive points or along a stride over which every class nearly
+returns, then finds an explicit time within the requested epsilon, or
+fails with the first time of least misalignment in those turns, so that
+the points of a periodic orbit, tied up to rounding, take no sine.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
 pattern is refused before any arc is enumerated. A strongly regular or
@@ -732,9 +733,11 @@ RUN_CHUNK = 2**19
 #: most points in a chunk screened at every point; its work rows stay in cache
 DENSE_CHUNK = 2**16
 #: a chunk is screened by blocks only when the slowest class leaves room to
-#: prune blocks of at least this many points (see :func:`_block_size`),
-#: and else at every point: at 2 the integer searches of the search-real
-#: benchmark took 1.5-3.2x as long, and 4 to 16 read the same
+#: prune blocks of at least this many points, consecutive or along a
+#: stride (see :func:`_block_size`), and else at every point: at 2 the
+#: failing integer searches of the search-real benchmark took 5x as long,
+#: as blocks of two consecutive steps stood in for their strides, and 4 to
+#: 32 read the same
 MIN_BLOCK = 8
 #: most points in a block of the first level: 256 and 512 read the same on
 #: the benchmark's real searches, 1024 and 2048 took 8-10% longer on those
@@ -748,8 +751,13 @@ BLOCK_SPLIT = 8
 #: at every point. With blocks on every chunk, or from 2^10 or 2^12 points
 #: on, the benchmark's alternating-bit early hits took up to 1.6x, 1.8x
 #: and 1.4x as long, as the calls of the levels cost more than the points
-#: they spare; from 2^16 on, its failing real searches took 1.2-1.5x
+#: they spare; from 2^16 on, its failing real searches took 1.2-1.5x. Its
+#: failing integer searches, pruned along their strides, read the same
+#: from 2^12 to 2^14 and took 1.2x and 1.5x from 2^15 and 2^16
 BLOCK_CHUNK = 2**14
+#: largest stride along which a chunk is pruned by blocks when blocks of
+#: consecutive points cannot be (see :func:`_stride`)
+MAX_STRIDE = 2**12
 #: half a turn in the fixed-point form of the time search: a turn is 2^64
 #: units, held in uint64, whose arithmetic wraps modulo whole turns
 HALF_TURN = 1 << 63
@@ -782,11 +790,10 @@ class _FixedGrid(NamedTuple):
     steps: tuple[int, ...]
     halves: tuple[int, ...]
 
-    @property
-    def moves(self) -> tuple[int, ...]:
-        """How far each class moves from one grid point to the next, in
-        units, at most HALF_TURN."""
-        return tuple(min(s, (1 << 64) - s) for s in self.steps)
+    def moves(self, stride: int = 1) -> tuple[int, ...]:
+        """How far each class moves over ``stride`` grid points, in units,
+        at most HALF_TURN."""
+        return tuple(min(x, (1 << 64) - x) for x in (s * stride % (1 << 64) for s in self.steps))
 
 
 def _fixed_grid(turns, sigmas, step: float) -> _FixedGrid:
@@ -848,12 +855,13 @@ def _misalignment_at_most(deficit: float) -> float:
     return math.asin(min(deficit / 2.0, 1.0)) / math.pi
 
 
-def _block_size(grid, reach: int) -> int:
+def _block_size(moves, reach: int) -> int:
     """The largest power of two up to MAX_BLOCK whose blocks the slowest
-    class crosses by at most HALF_TURN - reach, so that it prunes the first
-    level of :func:`_block_screen`; 0 when ``reach`` is half a turn and
-    nothing can be pruned."""
-    room, slow = HALF_TURN - reach, min(grid.moves)
+    class, moving ``moves`` units per point of a block, crosses by at most
+    HALF_TURN - reach, so that it prunes the first level of
+    :func:`_block_screen`; 0 when ``reach`` is half a turn and nothing can
+    be pruned."""
+    room, slow = HALF_TURN - reach, min(moves)
     if room <= 0:
         return 0
     size = MAX_BLOCK
@@ -862,41 +870,62 @@ def _block_size(grid, reach: int) -> int:
     return size
 
 
-def _block_screen(lo, n, grid, reach, size) -> tuple[np.ndarray, np.ndarray]:
-    """The grid indices in [lo, lo + n), ascending, at which every class
-    lies within ``reach`` units of an integer, found by pruning blocks, and
-    their misalignment (:func:`_misalignment`).
+def _stride(grid) -> int:
+    """The least stride L in [1, MAX_STRIDE] of least max_r dist(L steps[r]),
+    a simultaneous Diophantine approximation of the turns per step: on the
+    angles 2 pi j / c of a cycle it is c, over which every class comes back
+    to within the rounding of its turns, 2^-50 of a turn. The
+    (d, MAX_STRIDE) products are laid out class first."""
+    strides = np.arange(1, MAX_STRIDE + 1, dtype=np.uint64)
+    steps = np.array(grid.steps, dtype=np.uint64)[:, None]
+    return int(np.argmin(_distance(strides, steps, 0).max(axis=0))) + 1
 
-    Blocks of ``size`` points, a power of two, start every ``size`` points
-    from lo. A block starting at s holds the indices c + k with centre
-    c = s + size // 2 and -size // 2 <= k < size // 2, and class r lies
-    within |k| moves[r] of where it lies at c. So when the centre is
-    farther than reach + (size // 2) moves[r] from an integer, no index of
-    the block is within reach on class r, and the block goes. A level tests
-    every class at once, each against that bound when it moves by at most
-    half the room left, (HALF_TURN - reach) / 2, from the centre, and
-    against half a turn, which keeps every block, when it moves more. The
-    blocks left are cut into BLOCK_SPLIT blocks each, down to single
-    points, which are kept when their misalignment is within reach. Every
-    step is exact in units, so the points left are those
-    :func:`_misalignment` puts within reach.
+
+def _block_screen(lo, n, grid, reach, size, stride) -> tuple[np.ndarray, np.ndarray]:
+    """The grid indices in [lo, lo + n), ascending, at which every class
+    lies within ``reach`` units of an integer, found by pruning blocks
+    along ``stride``, and their misalignment (:func:`_misalignment`).
+
+    Each residue of the chunk modulo the stride L is cut into blocks of
+    ``size`` points, a power of two, or of the least power of two that
+    holds the ceil(n / L) points of a residue when that is less. A block
+    starting at s holds the indices c + k L with centre
+    c = s + (size // 2) L and -size // 2 <= k < size // 2, and class r lies
+    within |k| moves[r] of where it lies at c, moves[r] = dist(L steps[r])
+    (:meth:`_FixedGrid.moves`). So when the centre is farther than
+    reach + (size // 2) moves[r] from an integer, no index of the block is
+    within reach on class r, and the block goes. A level tests every class
+    at once, each against that bound when it moves by at most half the room
+    left, (HALF_TURN - reach) / 2, from the centre, and against half a
+    turn, which keeps every block, when it moves more. The blocks left are
+    cut into BLOCK_SPLIT blocks each, down to single points, which are kept
+    when they lie in the chunk and their misalignment is within reach.
+    Every step is exact in units, so the points left are those
+    :func:`_misalignment` puts within reach. Along a stride longer than 1
+    they come out residue by residue, in ascending runs, which a stable
+    sort merges.
     """
-    end, moves = lo + n, grid.moves
+    end, moves = lo + n, grid.moves(stride)
+    size = min(size, 1 << (-(-n // stride) - 1).bit_length())
     room = (HALF_TURN - reach) // 2
     steps = np.array(grid.steps, dtype=np.uint64)[:, None]
     halves = np.array(grid.halves, dtype=np.uint64)[:, None]
-    starts = np.arange(lo, end, size, dtype=np.uint64)
+    starts = np.add.outer(np.arange(lo, end, size * stride, dtype=np.uint64),
+                          np.arange(min(stride, n), dtype=np.uint64)).ravel()
     while size > 1:
         half = size // 2
         bounds = [reach + half * m if half * m <= room else HALF_TURN for m in moves]
-        centres = starts + np.uint64(half)
+        centres = starts + np.uint64(half * stride)
         near = _distance(centres, steps, halves) <= np.array(bounds, dtype=np.uint64)[:, None]
         part = max(size // BLOCK_SPLIT, 1)
         starts = np.add.outer(
-            centres[near.all(axis=0)] - np.uint64(half), np.arange(0, size, part, dtype=np.uint64)
+            centres[near.all(axis=0)] - np.uint64(half * stride),
+            np.arange(0, size * stride, part * stride, dtype=np.uint64),
         ).ravel()
         size = part
     points = starts[starts < end]
+    if stride > 1:
+        points.sort(kind="stable")
     worst = _distance(points, steps, halves).max(axis=0, initial=0)
     near = worst <= reach
     return points[near], worst[near]
@@ -937,8 +966,11 @@ def _scan_times(
     BLOCK_CHUNK points or more, whose slowest class leaves room for blocks
     of MIN_BLOCK points (:func:`_block_size`), is pruned by blocks
     (:func:`_block_screen`); every other chunk is screened at every point
-    (:func:`_misalignment`). The first chunk always is: its least so far
-    is t = 0, where the odd classes sit half a turn out, and that leaves
+    (:func:`_misalignment`). Blocks run over consecutive points, or else
+    along the stride of :func:`_stride`, chosen once per search when a
+    chunk first needs it: c on the integer grids of cycle angles 2 pi j / c.
+    The first chunk is always screened at every point: its least so far is
+    t = 0, where the odd classes sit half a turn out, and that leaves
     blocks no room.
 
     A point can matter only if its misalignment is within the bound w of
@@ -972,14 +1004,25 @@ def _scan_times(
     clamped = stop > start and float(stop - 1) * step > horizon
     stop -= clamped
     index, work = np.empty(0, dtype=np.uint64), np.empty((2, 0), dtype=np.uint64)
-    lo, size = start, min(FIRST_CHUNK, RUN_CHUNK)
+    lo, size, stride = start, min(FIRST_CHUNK, RUN_CHUNK), None
     while lo < stop:
         n = min(size, stop - lo)
         margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + np.pi)
         close = _fixed_width(_misalignment_at_most(epsilon + margin) + margin)
         reach = max(close, best_w)
-        if n >= BLOCK_CHUNK and (block := _block_size(grid, reach)) >= MIN_BLOCK:
-            points, worst = _block_screen(lo, n, grid, reach, block)
+        by, block = 1, _block_size(grid.moves(), reach) if n >= BLOCK_CHUNK else 0
+        if n >= BLOCK_CHUNK and block < MIN_BLOCK:
+            if stride is None:
+                stride = _stride(grid)
+                if logger.isEnabledFor(logging.DEBUG):
+                    logger.debug("time search strides by %d: classes move at most %d units "
+                                 "a stride", stride, max(grid.moves(stride)))
+            by, block = stride, _block_size(grid.moves(stride), reach)
+        if block >= MIN_BLOCK:
+            points, worst = _block_screen(lo, n, grid, reach, block, by)
+            if by > 1 and logger.isEnabledFor(logging.DEBUG):
+                logger.debug("stride-block chunk of %d points from %d: %d kept",
+                             n, lo, len(points))
         else:
             n = min(n, DENSE_CHUNK)
             if work.shape[1] < n:

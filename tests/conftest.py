@@ -33,6 +33,7 @@ from arcwalk.walk import (
     _minus_one_power,
     apply_walk,
     coin_unitarity,
+    entry_parts,
     tail_sum,
 )
 
@@ -592,3 +593,28 @@ def stack_record(dec: SpectralDecomposition) -> SpectralDecomposition:
     the branch of a record of eigh."""
     return dataclasses.replace(dec, idempotents=scheme_stack(dec), relations=None,
                                eigenmatrix=None)
+
+
+def _fsum_vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    """<x, y> = sum conj(x) y, its terms summed exactly by ``math.fsum``."""
+    terms = (np.conj(x) * y).ravel()
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def stack_distance_to_target(dec: SpectralDecomposition, H, starts, t) -> tuple[complex, float]:
+    """Oracle for ``mixing._distance_to_target`` on a record of eigh: the
+    same gamma and ||U^t X - gamma Y||_F from the same n x |S| arrays a, b,
+    A b and y, with every inner product and the square summed term by term
+    in ``math.fsum``. ``np.vdot`` over the (n, |S|) arrays rounds
+    differently with the BLAS thread count, by 2e-12 of a residual near 22
+    on hadamard-srg:8; the exact sums do not move with it."""
+    root_k = math.sqrt(dec.k)
+    a, b = (part / root_k for part in entry_parts(dec, starts, t))
+    Ab = entry_parts(dec, starts, t, scale=dec.eigenvalues)[1] / root_k
+    y = H[:, starts] / math.sqrt(dec.n * dec.k)
+    inner = dec.k * _fsum_vdot(y, a) + _fsum_vdot(y, Ab)
+    gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
+    c = a - gamma * y
+    terms = [dec.k * np.abs(c) ** 2, dec.k * np.abs(b) ** 2, 2.0 * (np.conj(c) * Ab).real]
+    square = math.fsum(np.concatenate([x.ravel() for x in terms]).tolist())
+    return gamma, math.sqrt(max(square, 0.0))

@@ -15,6 +15,7 @@ takes sines at only a small share of its grid and none at its tied points.
 
 import functools
 import itertools
+import logging
 import math
 import tracemalloc
 
@@ -655,11 +656,26 @@ def test_half_a_turn_reads_half_a_turn():
     assert got.tolist() == [2**63, 2**62, 0, 2**62]
 
 
+def assert_block_screen_keeps_the_points_within_reach(rng, grid, lo, n, stride, case):
+    """The blocks along ``stride`` keep exactly the points that the
+    point-by-point screen puts within reach, in ascending order, with the
+    same misalignment, at a random first block size and at the edges of
+    reach (0, and just under half a turn)."""
+    points = np.arange(lo, lo + n, dtype=np.uint64)
+    worst = mixing._misalignment(points, grid, np.empty((2, n), dtype=np.uint64))
+    reach = int(rng.choice([0, int(worst.min()), int(np.median(worst)),
+                            mixing.HALF_TURN - 1, int(rng.integers(0, mixing.HALF_TURN))]))
+    size = 2 ** int(rng.integers(0, 12))
+    got, got_worst = mixing._block_screen(lo, n, grid, reach, size, stride)
+    keep = worst <= reach
+    assert got.tolist() == points[keep].tolist(), case
+    assert got_worst.tolist() == worst[keep].tolist(), case
+
+
 def test_block_screen_keeps_exactly_the_points_within_reach():
-    """Brute force over random grids: the blocks keep exactly the points
-    that the point-by-point screen puts within reach, with the same
-    misalignment, at every first block size and at the edges of reach
-    (0, and just under half a turn)."""
+    """Brute force over random grids, at stride 1 and along random strides
+    up to MAX_STRIDE, on chunks of up to 5000 points, mostly shorter than a
+    block of the stride and not a multiple of it."""
     rng = np.random.default_rng(31)
     for case in range(300):
         d = int(rng.integers(1, 7))
@@ -667,27 +683,40 @@ def test_block_screen_keeps_exactly_the_points_within_reach():
         step = float(rng.choice([1.0, 0.1 / (4.0 * angles.max()), 1e-4]))
         grid = mixing._fixed_grid(angles / (2.0 * np.pi), rng.integers(0, 2, d), step)
         lo, n = int(rng.integers(0, 10**7)), int(rng.integers(1, 5000))
-        points = np.arange(lo, lo + n, dtype=np.uint64)
-        worst = mixing._misalignment(points, grid, np.empty((2, n), dtype=np.uint64))
-        reach = int(rng.choice([0, int(worst.min()), int(np.median(worst)),
-                                mixing.HALF_TURN - 1, int(rng.integers(0, mixing.HALF_TURN))]))
-        size = 2 ** int(rng.integers(0, 12))
-        got, got_worst = mixing._block_screen(lo, n, grid, reach, size)
-        keep = worst <= reach
-        assert got.tolist() == points[keep].tolist(), case
-        assert got_worst.tolist() == worst[keep].tolist(), case
+        stride = int(rng.choice([1, int(rng.integers(2, 64)),
+                                 int(rng.integers(64, mixing.MAX_STRIDE + 1))]))
+        assert_block_screen_keeps_the_points_within_reach(rng, grid, lo, n, stride, case)
+
+
+@pytest.mark.parametrize("c", range(5, 24))
+def test_stride_block_screen_keeps_exactly_the_points_within_reach_on_cycles(c):
+    """The integer grids of the cycle angles 2 pi j / c, where every class
+    comes back to within 2^-50 of a turn after c steps, so the stride
+    chosen is c: along it, along 2c and c + 1, on chunks whose length is a
+    multiple of the stride, one point off it, or random."""
+    rng = np.random.default_rng(c)
+    d = (c - 1) // 2
+    for case in range(12):
+        grid = mixing._fixed_grid(cycle_angles(c, d) / (2.0 * np.pi), rng.integers(0, 2, d), 1.0)
+        assert mixing._stride(grid) == c
+        stride = [c, 2 * c, c + 1][case % 3]
+        k = int(rng.integers(1, 200))
+        n = [k * stride, k * stride + 1, k * stride - 1, int(rng.integers(1, 5000))][case % 4]
+        lo = int(rng.integers(0, mixing.MAX_GRID_POINTS))
+        assert_block_screen_keeps_the_points_within_reach(rng, grid, lo, n, stride, case)
 
 
 def screened_chunks(monkeypatch):
     """Patch the time search to record (screen, lo, n) for every chunk, in
-    order: "blocks" for a chunk pruned by blocks, "dense" for one screened
-    at every point."""
+    order: "blocks" for a chunk pruned by blocks of consecutive points,
+    "stride L" for one pruned by blocks along the stride L > 1, "dense" for
+    one screened at every point."""
     calls = []
     blocks, dense = mixing._block_screen, mixing._misalignment
 
-    def counted_blocks(lo, n, *args):
-        calls.append(("blocks", lo, n))
-        return blocks(lo, n, *args)
+    def counted_blocks(lo, n, grid, reach, size, stride):
+        calls.append(("blocks" if stride == 1 else f"stride {stride}", lo, n))
+        return blocks(lo, n, grid, reach, size, stride)
 
     def counted_dense(points, *args):
         calls.append(("dense", int(points[0]), len(points)))
@@ -722,9 +751,9 @@ def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
     reaches = []
     blocks = mixing._block_screen
 
-    def recorded(lo, n, grid, reach, size):
+    def recorded(lo, n, grid, reach, size, stride):
         reaches.append((n, reach))
-        return blocks(lo, n, grid, reach, size)
+        return blocks(lo, n, grid, reach, size, stride)
 
     monkeypatch.setattr(mixing, "_block_screen", recorded)
     angles, sigmas = [11 * np.pi / 25, 20 * np.pi / 25], [1, 0]
@@ -873,14 +902,68 @@ def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
 
 def test_integer_scans_on_coarse_grids_screen_every_point(monkeypatch):
     """In integer mode the slowest cycle:17 class moves 1/17 of a turn per
-    step, more than the room blocks of MIN_BLOCK points need, so every
-    chunk is screened point by point, and the result is the dense grid's."""
+    step, more than the room blocks of MIN_BLOCK consecutive points need,
+    and the chunks of a budget of 20,000 steps are all below BLOCK_CHUNK,
+    so every chunk is screened point by point, and the result is the dense
+    grid's."""
     calls = screened_chunks(monkeypatch)
     angles = cycle_angles(17, 8)
     sigmas = [1, 0, 0, 1, 0, 0, 0, 0]
     want = dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
     assert time_search(angles, sigmas, 0.1, "integer", budget=20_000) == want
     assert calls and {route for route, _, _ in calls} == {"dense"}
+
+
+@pytest.mark.parametrize("c, bits", [(13, "001000"), (17, "00010000"), (17, "00000110")])
+def test_failing_integer_cycle_searches_prune_along_the_cycle(c, bits, monkeypatch):
+    """Failing integer cycle searches over the default budget of 10^6
+    steps: every class comes back to within 2^-50 of a turn after c steps,
+    so every chunk of BLOCK_CHUNK points or more is pruned by blocks along
+    the stride c, and the answer is the dense grid's."""
+    calls = screened_chunks(monkeypatch)
+    angles, bits = cycle_angles(c, (c - 1) // 2), [int(b) for b in bits]
+    assert not lattice_parity_holds(bits, "integer")
+    want = dense_time_search(angles, bits, 0.1, "integer", mixing.INTEGER_BUDGET, None)
+    got = time_search(angles, bits, 0.1, "integer")
+    assert got == want and not got.success
+    assert sum(n for _, _, n in calls) == mixing.INTEGER_BUDGET
+    large = [route for route, _, n in calls if n >= mixing.BLOCK_CHUNK]
+    assert large == [f"stride {c}"] * 6
+    assert {route for route, _, n in calls if n < mixing.BLOCK_CHUNK} == {"dense"}
+
+
+def test_debug_log_shows_the_stride_and_the_points_kept(monkeypatch, caplog):
+    """At debug level a search logs its stride and the most any class moves
+    along it once, and the points kept by each chunk pruned along it; at
+    info level it logs nothing."""
+    kept = []
+    blocks = mixing._block_screen
+
+    def recorded(*args):
+        points, worst = blocks(*args)
+        kept.append(len(points))
+        return points, worst
+
+    monkeypatch.setattr(mixing, "_block_screen", recorded)
+    angles, bits = cycle_angles(13, 6), [0, 0, 1, 0, 0, 0]
+    grid = mixing._fixed_grid(angles / (2.0 * np.pi), np.array(bits), 1.0)
+    caplog.set_level(logging.INFO, logger="arcwalk.mixing")
+    quiet = time_search(angles, bits, 0.1, "integer", budget=100_000)
+    assert not caplog.records
+    kept.clear()
+    caplog.set_level(logging.DEBUG, logger="arcwalk.mixing")
+    assert time_search(angles, bits, 0.1, "integer", budget=100_000) == quiet
+    lines = [record.getMessage() for record in caplog.records]
+    assert lines[0] == (f"time search strides by 13: classes move at most "
+                        f"{max(grid.moves(13))} units a stride")
+    assert 0 < max(grid.moves(13)) < 2**14
+    chunks = [(1 << k) * mixing.FIRST_CHUNK for k in range(4, 6)]
+    chunks.append(100_000 - sum((1 << k) * mixing.FIRST_CHUNK for k in range(6)))
+    assert len(kept) == 3 and lines[1:] == [
+        f"stride-block chunk of {n} points from {lo}: {k} kept"
+        for n, lo, k in zip(chunks, itertools.accumulate([1 + 15 * mixing.FIRST_CHUNK, *chunks]),
+                            kept)
+    ]
 
 
 @pytest.mark.parametrize("mode, angles, sigmas", [
