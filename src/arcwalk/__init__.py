@@ -42,6 +42,7 @@ from .walk import (
     arc_distribution,
     build_arc_space,
     check_closed_form,
+    check_type_closed_form,
     coin_unitarity,
     entry_formula,
     evolve,

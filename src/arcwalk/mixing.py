@@ -29,10 +29,13 @@ block and its distance to the flat target are taken in n x n form from
 :func:`arcwalk.walk.entry_parts`; the rest of the pipeline is shared. A
 graph whose decomposition is refused for its size is answered from the
 order of regular Hadamard matrices alone when that order rules a flat
-target out. U^t's eigen-components are checked once,
-for every t, against the O(m) walk by :func:`arcwalk.walk.check_closed_form`:
-on the start column of a local run, on the seeded probes of
-:func:`arcwalk.walk.probe_block` for a simultaneous one.
+target out. U^t's eigen-components are checked once, for every t. On the
+dense route :func:`arcwalk.walk.check_closed_form` checks them against the
+O(m) walk on the start column of a local run, on the seeded probes of
+:func:`arcwalk.walk.probe_block` for a simultaneous one. On the scheme
+route :func:`arcwalk.walk.check_type_closed_form` takes the same residuals
+from the arc types of a start and the intersection numbers, which every
+start shares, so it checks every start at once and builds no arc space.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from .spectra import (
     srg_decomposition,
     walk_regular,
 )
-from .walk import build_arc_space, check_closed_form, entry_parts, probe_block, relation_parts
+from .walk import (build_arc_space, check_closed_form, check_type_closed_form, entry_parts,
+                   probe_block, relation_parts)
 
 logger = logging.getLogger(__name__)
 
@@ -1182,11 +1186,12 @@ class MixingReport:
     ``vertex`` is None for simultaneous checks. ``support`` lists the
     eigenvalue classes of the start vertex (all classes when simultaneous).
     ``verdict`` is one of success, no-flat-target, phase-obstruction,
-    budget-exhausted. ``walk_residual`` is the largest closed-form defect
-    (:func:`arcwalk.walk.check_closed_form`) on the start column, or on the
-    seeded probes of every start column when simultaneous; None without a
-    certificate. ``route`` is ``"scheme"`` when the decomposition came from
-    the SRG parameters, ``"dense"`` when from eigh.
+    budget-exhausted. ``walk_residual`` is the largest closed-form defect,
+    on the dense route on the start column, or on the seeded probes of
+    every start column when simultaneous, and on the scheme route on the
+    arc types, the same at every start; None without a certificate.
+    ``route`` is ``"scheme"`` when the decomposition came from the SRG
+    parameters, ``"dense"`` when from eigh.
     """
 
     graph: str
@@ -1337,9 +1342,18 @@ def _mixing_report(
             walk_residual=None, verdict=NO_FLAT_TARGET, notes=tuple(notes),
         )
 
-    arcs = build_arc_space(g)
-    columns = starts if a is not None else probe_block(g.n)
-    walk_residual = max(check_closed_form(dec, arcs, columns).values())
+    if dec.intersections is None:
+        columns = starts if a is not None else probe_block(g.n)
+        walk_residual = max(check_closed_form(dec, build_arc_space(g), columns).values())
+    else:
+        checked = check_type_closed_form(dec)
+        walk_residual = max(checked.values())
+        if logger.isEnabledFor(logging.DEBUG):
+            arcs = dec.valencies[:, None] * dec.intersections
+            logger.debug("closed form of %s on the arc types (i, j) of every start, with their "
+                         "arcs: %s; eigen=%.3e start=%.3e", graph,
+                         ", ".join(f"({i}, {j}): {c}" for (i, j), c in np.ndenumerate(arcs) if c),
+                         checked["eigen"], checked["start"])
     angles = np.array([float(dec.angles[r]) for r in classes])
     fallback: MixingReport | None = None
     for cert in certificates:
@@ -1390,7 +1404,8 @@ def local_mixing_report(
 
     Pipeline: enumerate Hadamard certificates (none: ``no-flat-target``,
     before any arc work); build U^t x_a in closed form over the support of
-    a and check its eigen-components against the O(m) walk; then per
+    a and check its eigen-components, against the O(m) walk on the dense
+    route and on the arc types on the scheme route; then per
     certificate, restrict the sign bits to the support, run the
     integer-relation phase check, search for an alignment time, and
     require || U^t x_a - gamma y || <= C_SLACK * epsilon for the lifted

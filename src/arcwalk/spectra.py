@@ -85,8 +85,11 @@ class SpectralDecomposition:
 
         E_r = (1/n) sum_i Q[i, r] A_i,   E_r[x, y] = Q[R[x, y], r] / n,
 
-    so (E_r)_aa = m_r / n at every vertex. Another scheme whose relations
-    are the distances of its graph supplies only R and P
+    so (E_r)_aa = m_r / n at every vertex. Its read-only int64
+    ``intersections`` L holds the intersection numbers of the graph
+    relation, L[i, j] = p^i_1j: a vertex in relation i to any vertex a
+    has L[i, j] neighbours in relation j to a. Another scheme whose
+    relations are the distances of its graph supplies only R and P
     (:func:`_scheme_record`).
     """
 
@@ -102,10 +105,12 @@ class SpectralDecomposition:
     relations: np.ndarray | None = None
     eigenmatrix: np.ndarray | None = None
     dual_eigenmatrix: np.ndarray | None = None
+    intersections: np.ndarray | None = None
 
     def __post_init__(self):
         for name, dtype in (("vectors", float), ("idempotents", float), ("relations", np.int8),
-                            ("eigenmatrix", np.int64), ("dual_eigenmatrix", float)):
+                            ("eigenmatrix", np.int64), ("dual_eigenmatrix", float),
+                            ("intersections", np.int64)):
             X = getattr(self, name)
             if X is None:
                 continue
@@ -359,7 +364,11 @@ def _scheme_record(n: int, k: int, R: np.ndarray, P) -> SpectralDecomposition:
     DecompositionError. Column 0 says sum_r E_r = I and column 1
     sum_r P[r, 1] E_r = A; their largest entry defects in the n x n sums
     are the residuals ``completeness`` and ``reconstruction``, 0.0 on a
-    record that passes.
+    record that passes. The intersection numbers p^i_1j (Brouwer, Cohen
+    and Neumaier, ch. 2) must then divide out exactly into counts, not
+    negative and rows summing to k, else DecompositionError; the arcs
+    v_i p^i_1j from relation i to relation j are a symmetric sum over n,
+    so they equal the v_j p^j_1i back.
     """
     rows = [list(map(int, row)) for row in P]
     v = rows[0]
@@ -379,17 +388,29 @@ def _scheme_record(n: int, k: int, R: np.ndarray, P) -> SpectralDecomposition:
             f"scheme eigenmatrix {rows} fails the orthogonality relations by "
             f"{defect.tolist()}", dict(zip(("completeness", "reconstruction"), entry.tolist())),
         )
+    # p^i_1j = sum_r m_r P[r, 1] P[r, i] P[r, j] / (n v_i); the sums are below
+    # n k v_i v_j < n^4 <= 2^48 at the largest graph order: exact in int64
+    sums = (P.T * (m * P[:, 1])) @ P
+    divisors = n * P[0, :, None]
+    if (sums % divisors).any():
+        raise DecompositionError(f"eigenmatrix {rows} gives fractional intersection numbers")
+    L = sums // divisors
+    if any(min(line) < 0 or sum(line) != k for line in L.tolist()):
+        raise DecompositionError(
+            f"eigenmatrix {rows} gives intersection numbers {L.tolist()}, which are not "
+            f"counts of a graph of valency {k}"
+        )
     eigenvalues = P[:, 1].astype(float)
     angles = np.arccos(eigenvalues / k)
     angles[0] = 0.0
     Q = P.T * m / P[0, :, None]
-    for x in (R, eigenvalues, m, angles, P, Q):
+    for x in (R, eigenvalues, m, angles, P, Q, L):
         x.setflags(write=False)
     return SpectralDecomposition(
         n=n, k=k, eigenvalues=eigenvalues, multiplicities=m, angles=angles,
         vectors=None, idempotents=None, has_minus_k=False,
         residuals=dict.fromkeys(("completeness", "reconstruction"), 0.0),
-        relations=R, eigenmatrix=P, dual_eigenmatrix=Q,
+        relations=R, eigenmatrix=P, dual_eigenmatrix=Q, intersections=L,
     )
 
 

@@ -184,9 +184,9 @@ def test_simultaneous_check_catches_a_flipped_weight(name, monkeypatch):
 
 
 def test_simultaneous_run_holds_no_arc_block():
-    """A simultaneous run checks four probe columns and measures its
-    distance in n x n form, so it peaks below a quarter of the m x n start
-    block."""
+    """A simultaneous run checks its closed form on the arc types (on the
+    dense route, on four probe columns) and measures its distance with no
+    arc array, so it peaks below a quarter of the m x n start block."""
     g = resolve_builtin("hadamard-srg:8")
     full_block = g.n * g.degree * g.n * np.dtype(complex).itemsize
     tracemalloc.start()
