@@ -11,11 +11,12 @@ Reaching the target needs the walk phases e^{i(t theta_r + sigma_r pi)}
 to align near 1 for every eigenvalue class in the vertex support. An
 integer-relation scan over the angles decides whether alignment to any
 precision is possible (the phase condition); a scan of a grid of times,
-screened in exact fixed-point turns point by point or by blocks, of
-consecutive points or along a stride over which every class nearly
-returns, then finds an explicit time within the requested epsilon, or
-fails with the first time of least misalignment in those turns, so that
-the points of a periodic orbit, tied up to rounding, take no sine.
+screened in exact fixed-point turns point by point or by blocks resolved
+in closed form, of consecutive points or along a stride over which every
+class nearly returns, then finds an explicit time within the requested
+epsilon, or fails with the first time of least misalignment in those
+turns, so that the points of a periodic orbit, tied up to rounding, take
+no sine.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
 pattern is refused before any arc is enumerated. A strongly regular or
@@ -729,38 +730,31 @@ class TimeSearchResult:
         return self.success
 
 
-#: points in the first chunk of a time-search grid; later chunks double up
-#: to RUN_CHUNK, so an early hit costs little
+#: points in the first chunk of a time-search grid; later chunks double, so
+#: an early hit costs little
 FIRST_CHUNK = 1024
-#: most points in a chunk pruned by blocks
-RUN_CHUNK = 2**19
+#: blocks in the first chunk screened by blocks; later ones double. 2^9
+#: took the real searches of rook:4 at epsilon 0.003 1.3x as long, 2^12
+#: the cycles' alternating-bit hits at 0.003 1.5x
+FIRST_BLOCKS = 2**10
+#: most blocks times classes in a chunk screened by blocks, beside one
+#: block per residue of its stride: it bounds the chunk's work arrays and
+#: so the search's peak memory; 2^13 blocks at every d took complement:rook:4's
+#: failing integer searches 1.15x as long
+CHUNK_WORK = 2**16
 #: most points in a chunk screened at every point; its work rows stay in cache
 DENSE_CHUNK = 2**16
-#: a chunk is screened by blocks only when the slowest class leaves room to
-#: prune blocks of at least this many points, consecutive or along a
-#: stride (see :func:`_block_size`), and else at every point: at 2 the
-#: failing integer searches of the search-real benchmark took 5x as long,
-#: as blocks of two consecutive steps stood in for their strides, and 4 to
-#: 32 read the same
+#: a chunk is screened by blocks only when its fastest class leaves room
+#: for blocks of at least this many points (see :func:`_block_size`); at
+#: 64 complement:rook:4's failing integer searches took 3x as long
 MIN_BLOCK = 8
-#: most points in a block of the first level: 256 and 512 read the same on
-#: the benchmark's real searches, 1024 and 2048 took 8-10% longer on those
-#: whose bound is below 0.1
-MAX_BLOCK = 2**9
-#: each block left at one level of the block screen is cut into this many:
-#: 2 and 4 took 45% and 6% longer on the benchmark's real searches, 16 the
-#: same
-BLOCK_SPLIT = 8
 #: least points in a chunk screened by blocks; smaller chunks are screened
-#: at every point. With blocks on every chunk, or from 2^10 or 2^12 points
-#: on, the benchmark's alternating-bit early hits took up to 1.6x, 1.8x
-#: and 1.4x as long, as the calls of the levels cost more than the points
-#: they spare; from 2^16 on, its failing real searches took 1.2-1.5x. Its
-#: failing integer searches, pruned along their strides, read the same
-#: from 2^12 to 2^14 and took 1.2x and 1.5x from 2^15 and 2^16
+#: at every point. At 2^11 the hits in the second to fourth chunks took
+#: 2-2.6x as long; at 2^15 the alternating-bit hits at epsilon 0.003 took
+#: 0.6x, the other searches of the search-real benchmark 1.07x in all
 BLOCK_CHUNK = 2**14
-#: largest stride along which a chunk is pruned by blocks when blocks of
-#: consecutive points cannot be (see :func:`_stride`)
+#: largest stride along which a chunk is screened by blocks (see
+#: :func:`_stride`)
 MAX_STRIDE = 2**12
 #: half a turn in the fixed-point form of the time search: a turn is 2^64
 #: units, held in uint64, whose arithmetic wraps modulo whole turns
@@ -860,18 +854,10 @@ def _misalignment_at_most(deficit: float) -> float:
 
 
 def _block_size(moves, reach: int) -> int:
-    """The largest power of two up to MAX_BLOCK whose blocks the slowest
-    class, moving ``moves`` units per point of a block, crosses by at most
-    HALF_TURN - reach, so that it prunes the first level of
-    :func:`_block_screen`; 0 when ``reach`` is half a turn and nothing can
-    be pruned."""
-    room, slow = HALF_TURN - reach, min(moves)
-    if room <= 0:
-        return 0
-    size = MAX_BLOCK
-    while size and size * slow > room:
-        size //= 2
-    return size
+    """The most points of a block over which the fastest class, moving
+    ``moves`` units a point, crosses at most HALF_TURN - reach, so that
+    :func:`_block_screen` resolves every block its centre does not prune."""
+    return (HALF_TURN - reach) // max(max(moves), 1)
 
 
 def _stride(grid) -> int:
@@ -885,66 +871,119 @@ def _stride(grid) -> int:
     return int(np.argmin(_distance(strides, steps, 0).max(axis=0))) + 1
 
 
-def _block_screen(lo, n, grid, reach, size, stride) -> tuple[np.ndarray, np.ndarray]:
-    """The grid indices in [lo, lo + n), ascending, at which every class
-    lies within ``reach`` units of an integer, found by pruning blocks
-    along ``stride``, and their misalignment (:func:`_misalignment`).
+def _parts(x) -> tuple:
+    """An int64 array or an int x below 2^63 as two exact float64 parts,
+    x - x mod 2^32 and x mod 2^32: sums of the parts of two such numbers
+    are exact, and their total rounds once."""
+    return (x & -(1 << 32)) * 1.0, (x & (1 << 32) - 1) * 1.0
 
-    Each residue of the chunk modulo the stride L is cut into blocks of
-    ``size`` points, a power of two, or of the least power of two that
-    holds the ceil(n / L) points of a residue when that is less. A block
-    starting at s holds the indices c + k L with centre
-    c = s + (size // 2) L and -size // 2 <= k < size // 2, and class r lies
-    within |k| moves[r] of where it lies at c, moves[r] = dist(L steps[r])
-    (:meth:`_FixedGrid.moves`). So when the centre is farther than
-    reach + (size // 2) moves[r] from an integer, no index of the block is
-    within reach on class r, and the block goes. A level tests every class
-    at once, each against that bound when it moves by at most half the room
-    left, (HALF_TURN - reach) / 2, from the centre, and against half a
-    turn, which keeps every block, when it moves more. The blocks left are
-    cut into BLOCK_SPLIT blocks each, down to single points, which are kept
-    when they lie in the chunk and their misalignment is within reach.
-    Every step is exact in units, so the points left are those
-    :func:`_misalignment` puts within reach. Along a stride longer than 1
-    they come out residue by residue, in ascending runs, which a stable
-    sort merges.
+
+def _block_screen(lo, n, grid, close, reach, size, stride, tally) -> tuple[np.ndarray, np.ndarray]:
+    """The grid indices in [lo, lo + n) whose misalignment
+    (:func:`_misalignment`) is within ``close`` units and, when some index
+    is within ``reach`` >= close, the first index of least misalignment,
+    ascending, with their misalignments; ``tally`` counts the blocks.
+
+    Each residue modulo the stride L is cut into blocks of ``size``
+    points (or of all its points when fewer), size moves[r] <= HALF_TURN -
+    reach (:func:`_block_size`). In the block c + j L, -h <= j < size - h,
+    h = size // 2, class r lies at D_r + j M_r modulo a turn, D_r its
+    signed position at c and M_r its signed move (:meth:`_FixedGrid.moves`).
+    If |D_r| > reach + h |M_r| no index is within reach and the block goes;
+    else |D_r + j M_r| <= HALF_TURN, no class crosses half a turn, and each
+    distance is the greater of the lines a_r + j |M_r| and -a_r - j |M_r|,
+    a_r = D_r sign(M_r): the block is resolved in closed form. Its indices
+    within w lie between max_r (-w - a_r) / |M_r| and min_r (w - a_r) /
+    |M_r|, and its misalignment is convex in j, with its first least over
+    the reals at max_s min_r -(a_r + a_s) / (|M_r| + |M_s|), r and s over
+    the moving classes, r also over the line max |D_r| of the still ones.
+    In floats with one rounding per sum (:func:`_parts`) these are within
+    2^-19 of a point, so exact distances at four indices from one below the
+    floor of the least (or from the first bound, when the bounds at reach
+    are at most three apart) settle the first least, and from the floor of
+    the first bound at ``close`` to the ceiling of the second the indices
+    within it.
     """
-    end, moves = lo + n, grid.moves(stride)
-    size = min(size, 1 << (-(-n // stride) - 1).bit_length())
-    room = (HALF_TURN - reach) // 2
+    end, size = lo + n, min(size, -(-n // stride))
+    h, L, offset = size // 2, np.uint64(stride), np.uint64(size // 2 * stride)
     steps = np.array(grid.steps, dtype=np.uint64)[:, None]
     halves = np.array(grid.halves, dtype=np.uint64)[:, None]
     starts = np.add.outer(np.arange(lo, end, size * stride, dtype=np.uint64),
                           np.arange(min(stride, n), dtype=np.uint64)).ravel()
-    while size > 1:
-        half = size // 2
-        bounds = [reach + half * m if half * m <= room else HALF_TURN for m in moves]
-        centres = starts + np.uint64(half * stride)
-        near = _distance(centres, steps, halves) <= np.array(bounds, dtype=np.uint64)[:, None]
-        part = max(size // BLOCK_SPLIT, 1)
-        starts = np.add.outer(
-            centres[near.all(axis=0)] - np.uint64(half * stride),
-            np.arange(0, size * stride, part * stride, dtype=np.uint64),
-        ).ravel()
-        size = part
-    points = starts[starts < end]
-    if stride > 1:
-        points.sort(kind="stable")
-    worst = _distance(points, steps, halves).max(axis=0, initial=0)
-    near = worst <= reach
-    return points[near], worst[near]
+    centres = starts[starts < end] + offset
+    keep = np.ones(len(centres), dtype=bool)
+    for step, half, move in zip(grid.steps, grid.halves, grid.moves(stride)):
+        # a signed position x is within the bound u when x + u, wrapped, is at most 2 u
+        if (bound := reach + h * move) < HALF_TURN:
+            keep &= np.multiply(centres, step) + np.uint64((half + bound) % (1 << 64)) <= 2 * bound
+    tally["blocks"] += len(keep)
+    tally["block"], centres = max(tally["block"], size), centres[keep]
+    tally["pruned"] += len(keep) - len(centres)
+    moves = (steps * L).view(np.int64)[:, 0]
+    moving = moves != 0
+    signed = (centres * steps + halves).view(np.int64)
+    heights, slopes = signed[moving] * np.sign(moves[moving])[:, None], moves[moving]
+    if not moving.all():
+        heights = np.vstack([heights, np.abs(signed[~moving]).max(axis=0)])
+        slopes = np.append(slopes, 0)
+    high, low = _parts(heights)
+    slopes, m = np.abs(slopes).astype(float)[:, None], moving.sum()
+    fall = -slopes[:m]
+    last = np.minimum(((end - 1 - centres + offset) // L).astype(np.int64) - h, size - 1 - h)
+
+    def span(width):
+        up, down = _parts(width), _parts(-width)
+        a = ((high[:m] + up[0]) + (low[:m] + up[1])) / fall
+        b = ((high[:m] + down[0]) + (low[:m] + down[1])) / fall
+        a = np.floor(np.minimum(a.max(axis=0, initial=-h), size)).astype(np.int64)
+        b = np.ceil(np.maximum(b.min(axis=0, initial=size), -h - 1)).astype(np.int64)
+        return a, np.minimum(b, last)
+
+    def worst(points):
+        return _distance(points, steps, halves).max(axis=0, initial=0)
+
+    a, b = span(reach)
+    live = a <= b
+    centres, high, low, last, a, b = (
+        x.compress(live, -1) for x in (centres, high, low, last, a, b))
+    wide = np.flatnonzero(b - a > 3)
+    if wide.size:
+        up, down, top = high.take(wide, 1), low.take(wide, 1), np.full(wide.size, np.inf)
+        for s in range(m):
+            met = ((up + up[s]) + (down + down[s])) / (slopes + slopes[s])
+            np.minimum(top, met.max(axis=0), out=top)
+        a[wide] = np.floor(np.minimum(np.maximum(-top, -h - 2), size)).astype(np.int64) - 1
+    tries = np.minimum(np.maximum(a + np.arange(4)[:, None], -h), last).astype(np.uint64)
+    tries = centres + tries * L
+    values = worst(tries.ravel()).reshape(tries.shape)
+    least, first = values.min(axis=0), tries[values.argmin(axis=0), np.arange(len(centres))]
+    if not least.size or least.min() > reach:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
+    if least.min() > close:
+        points = first[least == least.min()].min(keepdims=True)
+        return points, worst(points)
+    near = least <= close
+    centres, high, low, last = (x.compress(near, -1) for x in (centres, high, low, last))
+    a, b = span(close)
+    counts = np.maximum(b - a + 1, 0)
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    points = np.sort(np.repeat(centres, counts)
+                     + (np.repeat(a, counts) + offsets).astype(np.uint64) * L)
+    values = worst(points)
+    return points[values <= close], values[values <= close]
 
 
-def _chunk_best(angles, sigmas, grid, epsilon, points, worst, close):
+def _chunk_best(angles, sigmas, grid, epsilon, points, worst, close, tally):
     """Among the grid indices ``points`` with screened misalignment
     ``worst`` (:func:`_misalignment`): (i, deficit, True) at the first
     index i with deficit below epsilon, else (i, w, False) at the first
     index i of least screened misalignment w, or None when there are no
     points. Only the points within ``close`` units, the margin of epsilon,
-    take the exact form (:func:`phase_alignment_deficit`). The least is
-    taken on ``worst`` itself, in fixed-point turns, so a failing chunk
-    takes no sine."""
+    take the exact form (:func:`phase_alignment_deficit`); ``tally``
+    counts them. The least is taken on ``worst`` itself, in fixed-point
+    turns, so a failing chunk takes no sine."""
     near = np.flatnonzero(worst <= close)
+    tally["exact"] += near.size
     if near.size:
         deficits = phase_alignment_deficit(angles, sigmas, points[near] * grid.step)
         below = np.flatnonzero(deficits < epsilon)
@@ -963,70 +1002,75 @@ def _scan_times(
     """Scan the grid t_i = min(i step, horizon), i in [start, stop), for
     0/1 sigmas, some of them 1: return the first point with deficit below
     epsilon and True, or else the first point of least misalignment
-    (t = 0 included) with its deficit, and False.
+    (t = 0 included) with its deficit, and False. The integer grid starts
+    at t = 1, the real one at t = 0.
 
     The grid points are screened by grid index in the exact fixed-point
     turns of :func:`_fixed_grid`, in one of two ways: a chunk of
-    BLOCK_CHUNK points or more, whose slowest class leaves room for blocks
-    of MIN_BLOCK points (:func:`_block_size`), is pruned by blocks
+    BLOCK_CHUNK points or more, whose fastest class leaves room for blocks
+    of MIN_BLOCK points (:func:`_block_size`), is cut into blocks, each
+    pruned by its centre or resolved in closed form
     (:func:`_block_screen`); every other chunk is screened at every point
-    (:func:`_misalignment`). Blocks run over consecutive points, or else
-    along the stride of :func:`_stride`, chosen once per search when a
-    chunk first needs it: c on the integer grids of cycle angles 2 pi j / c.
-    The first chunk is always screened at every point: its least so far is
-    t = 0, where the odd classes sit half a turn out, and that leaves
-    blocks no room.
+    (:func:`_misalignment`). Blocks run over consecutive points, or along
+    the stride of :func:`_stride` (c on the integer grids of cycle angles
+    2 pi j / c) when consecutive blocks would be too short, or when the
+    chunk holds one block per residue anyway and the stride's blocks are
+    longer. The first chunk is always screened at every point: its least
+    so far is t = 0, where the odd classes sit half a turn out, and that
+    leaves blocks no room.
 
     A point can matter only if its misalignment is within the bound w of
-    epsilon on every class, or at most the least so far, best_w; the
-    screen keeps exactly the points within max(w, best_w). Of those,
-    :func:`_chunk_best` passes the ones within w to the exact form, so
-    every hit and its deficit come from the exact form. A failure is
-    decided in the fixed-point turns: the first point of least
-    misalignment, carried across chunks as the integer best_w and
-    replaced only by a strictly smaller one, so neither the chunk sizes
-    nor the screen can move it. Its deficit, 2 sin(pi best_w) up to the
-    margin, is taken once, on the exact form, after the scan. On a
-    periodic orbit thousands of points tie up to rounding: the float form
-    ranks them by the rounding of its phases, the fixed-point form by the
-    rounding of its steps, within a third of the margin, so the deficit
-    reported exceeds the float form's least by less than 2 pi margins,
-    and none of the tied points needs a sine.
+    epsilon on every class, or below the least so far, best_w; blocks
+    with no point within max(w, best_w - 1) are pruned. The points within
+    w go to the exact form in :func:`_chunk_best`, so every hit and its
+    deficit come from the exact form. A failure is decided in the
+    fixed-point turns: the first point of least misalignment, carried
+    across chunks as the integer best_w and replaced only by a strictly
+    smaller one, so neither the chunk sizes nor the screen can move it.
+    Its deficit, 2 sin(pi best_w) up to the margin, is taken once, on the
+    exact form, after the scan. On a periodic orbit thousands of points
+    tie up to rounding: the float form ranks them by the rounding of its
+    phases, the fixed-point form by the rounding of its steps, within a
+    third of the margin, so the deficit reported exceeds the float form's
+    least by less than 2 pi margins, and none of the tied points needs a
+    sine.
 
-    Chunks start at FIRST_CHUNK points and double up to RUN_CHUNK; a chunk
-    screened at every point stops at DENSE_CHUNK. The margin, 1e-12 times
-    the largest phase the chunk can reach, is far above the gap between
-    the screen and the exact form; it is added on both sides of the
+    Chunks start at FIRST_CHUNK points and double; a chunk screened at
+    every point stops at DENSE_CHUNK, and chunks screened by blocks are
+    sized in blocks, FIRST_BLOCKS doubling up to CHUNK_WORK / d, and at
+    least one per residue of the stride. The margin, 1e-12 times the
+    largest phase the grid reaches, is far above the gap between the
+    screen and the exact form; it is added on both sides of the
     conversion between epsilon and w. The last point, when the horizon
     clamps it short of its place on the grid, is decided on the exact form
-    alone, after the rest.
+    alone, after the rest. At debug level each search logs one record of
+    its stride, blocks, exact forms and chunks.
     """
     grid = _fixed_grid(angles / (2.0 * np.pi), sigmas, step)
-    top = float(angles.max())
     # grid index 0 is t = 0, where each class sits at its half turn
     best_i, best_w = 0, max(grid.halves)
-    clamped = stop > start and float(stop - 1) * step > horizon
+    clamped = int(stop > start and float(stop - 1) * step > horizon)
     stop -= clamped
+    margin = 1e-12 * (1.0 + min(float(stop - 1) * step, horizon) * float(angles.max()) + np.pi)
+    close = _fixed_width(_misalignment_at_most(epsilon + margin) + margin)
     index, work = np.empty(0, dtype=np.uint64), np.empty((2, 0), dtype=np.uint64)
-    lo, size, stride = start, min(FIRST_CHUNK, RUN_CHUNK), None
+    tally = dict.fromkeys(("blocks", "pruned", "block", "exact", "chunks"), 0)
+    lo, size, blocks, stride, found = start, FIRST_CHUNK, FIRST_BLOCKS, None, None
     while lo < stop:
         n = min(size, stop - lo)
-        margin = 1e-12 * (1.0 + min(float(lo + n - 1) * step, horizon) * top + np.pi)
-        close = _fixed_width(_misalignment_at_most(epsilon + margin) + margin)
-        reach = max(close, best_w)
+        reach = max(close, best_w - 1)
         by, block = 1, _block_size(grid.moves(), reach) if n >= BLOCK_CHUNK else 0
-        if n >= BLOCK_CHUNK and block < MIN_BLOCK:
-            if stride is None:
-                stride = _stride(grid)
-                if logger.isEnabledFor(logging.DEBUG):
-                    logger.debug("time search strides by %d: classes move at most %d units "
-                                 "a stride", stride, max(grid.moves(stride)))
-            by, block = stride, _block_size(grid.moves(stride), reach)
+        # the stride is sought when consecutive blocks are too short, or once
+        # a chunk may hold a block per residue of it
+        if n >= BLOCK_CHUNK and (block < MIN_BLOCK or blocks > FIRST_BLOCKS):
+            stride = stride or _stride(grid)
+            along = _block_size(grid.moves(stride), reach)
+            if along > block and (block < MIN_BLOCK or blocks >= stride):
+                by, block = stride, along
         if block >= MIN_BLOCK:
-            points, worst = _block_screen(lo, n, grid, reach, block, by)
-            if by > 1 and logger.isEnabledFor(logging.DEBUG):
-                logger.debug("stride-block chunk of %d points from %d: %d kept",
-                             n, lo, len(points))
+            n = min(stop - lo, max(blocks, by) * block)
+            blocks = min(2 * max(blocks, by), CHUNK_WORK // len(angles))
+            points, worst = _block_screen(lo, n, grid, close, reach, block, by, tally)
         else:
             n = min(n, DENSE_CHUNK)
             if work.shape[1] < n:
@@ -1035,14 +1079,23 @@ def _scan_times(
                 index, work = np.arange(n, dtype=np.uint64), np.empty((3, n), dtype=np.uint64)
             points = np.add(index[:n], np.uint64(lo), out=work[2, :n])
             worst = _misalignment(points, grid, work[:2])
-        found = _chunk_best(angles, sigmas, grid, epsilon, points, worst, close)
-        if found is not None:
-            i, value, hit = found
-            if hit:
-                return float(i) * step, value, True
-            if value < best_w:
-                best_i, best_w = i, value
-        lo, size = lo + n, min(2 * size, RUN_CHUNK)
+        tally["chunks"] += 1
+        found = _chunk_best(angles, sigmas, grid, epsilon, points, worst, close, tally)
+        if found is not None and found[2]:
+            break
+        if found is not None and found[1] < best_w:
+            best_i, best_w = found[:2]
+        lo, size = lo + n, 2 * size
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("time search (%s, d=%d, %d grid points): stride %d, classes move at most %d "
+                     "units a stride, blocks of up to %d points; %d blocks screened, %d pruned, "
+                     "%d resolved in closed form; %d points took the exact form in %d chunks",
+                     "integer" if start else "real", len(angles), stop + clamped - start,
+                     stride or 1, max(grid.moves(stride or 1)), tally["block"], tally["blocks"],
+                     tally["pruned"], tally["blocks"] - tally["pruned"], tally["exact"],
+                     tally["chunks"])
+    if found is not None and found[2]:
+        return float(found[0]) * step, found[1], True
     best_t = float(best_i) * step
     best_val = float(phase_alignment_deficit(angles, sigmas, best_t))
     if clamped:

@@ -7,7 +7,9 @@ at the benchmark's sizes. On random angles, up to d = 12, it is compared
 with the block scan it replaced (``conftest.block_relation_scan``). The time
 search is compared with a dense grid that evaluates d sines at every
 point in one pass, through its own (..., d) form of the deficit
-(``conftest.dense_phase_alignment_deficit``). Work-count guards check
+(``conftest.dense_phase_alignment_deficit``), and its closed-form block
+screen with the point-by-point screen on seeded strides, moves and
+reaches. Work-count guards check
 that the scan locates each canonical head once, passes only its hits to
 the exact residual on clean cycle scans, and that a failing time search
 takes sines at only a small share of its grid and none at its tied points.
@@ -656,44 +658,124 @@ def test_half_a_turn_reads_half_a_turn():
     assert got.tolist() == [2**63, 2**62, 0, 2**62]
 
 
-def assert_block_screen_keeps_the_points_within_reach(rng, grid, lo, n, stride, case):
-    """The blocks along ``stride`` keep exactly the points that the
-    point-by-point screen puts within reach, in ascending order, with the
-    same misalignment, at a random first block size and at the edges of
-    reach (0, and just under half a turn)."""
+def assert_block_screen_matches_the_points(grid, lo, n, close, reach, size, stride, case):
+    """The closed-form block screen against the point-by-point screen
+    (``fixed_misalignment``) on [lo, lo + n): the same points within close,
+    ascending, and the same first point of least misalignment when that
+    least is within reach, with the same misalignments, and nothing else."""
     points = np.arange(lo, lo + n, dtype=np.uint64)
-    worst = mixing._misalignment(points, grid, np.empty((2, n), dtype=np.uint64))
-    reach = int(rng.choice([0, int(worst.min()), int(np.median(worst)),
-                            mixing.HALF_TURN - 1, int(rng.integers(0, mixing.HALF_TURN))]))
-    size = 2 ** int(rng.integers(0, 12))
-    got, got_worst = mixing._block_screen(lo, n, grid, reach, size, stride)
-    keep = worst <= reach
+    worst = fixed_misalignment(points, grid)
+    keep = worst <= close
+    if worst.min() <= reach:
+        keep[int(np.argmin(worst))] = True
+    tally = dict.fromkeys(("blocks", "pruned", "block"), 0)
+    got, got_worst = mixing._block_screen(lo, n, grid, close, reach, size, stride, tally)
     assert got.tolist() == points[keep].tolist(), case
     assert got_worst.tolist() == worst[keep].tolist(), case
+    assert 0 <= tally["pruned"] <= tally["blocks"] <= n, case
 
 
-def test_block_screen_keeps_exactly_the_points_within_reach():
-    """Brute force over random grids, at stride 1 and along random strides
-    up to MAX_STRIDE, on chunks of up to 5000 points, mostly shorter than a
-    block of the stride and not a multiple of it."""
+def pick(rng, options):
+    """One of ``options`` at random, as it is: Python ints past int64 too."""
+    return options[int(rng.integers(0, len(options)))]
+
+
+def moving_steps(rng, stride, kind):
+    """A fixed-point step whose move along ``stride`` is of the given kind:
+    any, none (0), one unit, or within 2^20 units of half a turn; the last
+    two need an odd stride, whose inverse modulo 2^64 they use."""
+    turn = 1 << 64
+    if kind == "none":
+        return int(rng.integers(0, stride)) * turn // stride if stride & (stride - 1) == 0 else 0
+    if kind in ("unit", "half") and stride % 2:
+        move = 1 if kind == "unit" else mixing.HALF_TURN - int(rng.integers(0, 1 << 20))
+        return pick(rng, [-1, 1]) * move * pow(stride, -1, turn) % turn
+    return int(rng.integers(0, turn, dtype=np.uint64))
+
+
+def test_closed_form_block_screen_matches_the_points():
+    """Seeded cases against the point-by-point screen: strides from 1 to
+    MAX_STRIDE; classes that move along the stride by any amount, not at
+    all, by one unit or by nearly half a turn; reaches from close to half
+    a turn; the largest blocks the reach allows, or smaller; and blocks
+    whose centre sits exactly at the pruning bound, so that their far end
+    reaches the half turn."""
+    rng = np.random.default_rng(47)
+    kinds = ["any", "none", "unit", "half"]
+    for case in range(400):
+        d = int(rng.integers(1, 7))
+        stride = pick(rng, [1, mixing.MAX_STRIDE, int(rng.integers(2, 64)) | 1,
+                            int(rng.integers(2, mixing.MAX_STRIDE + 1))])
+        steps = [moving_steps(rng, stride, pick(rng, kinds)) for _ in range(d)]
+        grid = mixing._FixedGrid(1.0, tuple(steps), (0,) * d)
+        fastest = max(grid.moves(stride))
+        size = pick(rng, [1, 2, 3, int(rng.integers(1, 300)), 1 << 62])
+        size = min(size, mixing.HALF_TURN // max(fastest, 1))
+        room = mixing.HALF_TURN - size * fastest
+        reach = pick(rng, [room, 0, int(rng.integers(0, room + 1, dtype=np.uint64))])
+        close = pick(rng, [reach, 0, int(rng.integers(0, reach + 1, dtype=np.uint64))])
+        n = int(rng.integers(1, 3000))
+        lo = int(rng.integers(0, mixing.MAX_GRID_POINTS))
+        h = min(size, -(-n // stride)) // 2
+        centre = lo + h * stride
+        bounds = [reach + h * move for move in grid.moves(stride)]
+        halves = [int(rng.integers(0, 1 << 64, dtype=np.uint64)) for _ in range(d)]
+        if case % 2:
+            halves = [(pick(rng, [-1, 1]) * bound - centre * step) % (1 << 64)
+                      for bound, step in zip(bounds, steps)]
+        grid = grid._replace(halves=tuple(halves))
+        assert size * fastest <= mixing.HALF_TURN - reach, case
+        assert_block_screen_matches_the_points(grid, lo, n, close, reach, size, stride, case)
+
+
+def test_block_screen_matches_the_points_on_real_and_integer_grids():
+    """Random angles on integer grids and real grids of the kind the search
+    scans, at stride 1 and along the stride of ``_stride``, at the largest
+    block the reach allows, on chunks of up to 5000 points."""
     rng = np.random.default_rng(31)
-    for case in range(300):
+    for case in range(200):
         d = int(rng.integers(1, 7))
         angles = rng.uniform(0.01, 3.1, d)
         step = float(rng.choice([1.0, 0.1 / (4.0 * angles.max()), 1e-4]))
         grid = mixing._fixed_grid(angles / (2.0 * np.pi), rng.integers(0, 2, d), step)
         lo, n = int(rng.integers(0, 10**7)), int(rng.integers(1, 5000))
-        stride = int(rng.choice([1, int(rng.integers(2, 64)),
-                                 int(rng.integers(64, mixing.MAX_STRIDE + 1))]))
-        assert_block_screen_keeps_the_points_within_reach(rng, grid, lo, n, stride, case)
+        stride = int(rng.choice([1, mixing._stride(grid)]))
+        worst = fixed_misalignment(np.arange(lo, lo + n, dtype=np.uint64), grid)
+        reach = int(rng.choice([0, int(worst.min()), int(np.median(worst)),
+                                int(rng.integers(0, mixing.HALF_TURN))]))
+        close = int(rng.choice([0, reach, int(rng.integers(0, reach + 1))]))
+        size = mixing._block_size(grid.moves(stride), reach)
+        if size:
+            assert_block_screen_matches_the_points(grid, lo, n, close, reach, size, stride, case)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("cross", [-3000, -40, 0, 700, 2500, 5000])
+def test_a_class_that_stands_still_is_a_floor_under_the_least(stride, cross):
+    """A class that does not move along the stride keeps every point at
+    least 2^57 units out; a moving class comes within that of an integer
+    512 strides either side of where it crosses one. The first point of
+    least misalignment is where that plateau begins, not where the moving
+    class crosses, in the middle of a block, at its edge or past the
+    chunk."""
+    lo, n, move, floor = 1000, 6000 * stride, 1 << 48, 1 << 57
+    centre = lo + (3000 + cross) * stride
+    step = move * pow(stride, -1, 1 << 64) % (1 << 64)
+    grid = mixing._FixedGrid(1.0, (0, step), (floor, -centre * step % (1 << 64)))
+    for size in (1000, 4096, 6000):
+        reach = mixing._fixed_width(0.4)
+        assert mixing._block_size(grid.moves(stride), reach) >= size
+        assert_block_screen_matches_the_points(grid, lo, n, 0, reach, size, stride, size)
+        assert_block_screen_matches_the_points(grid, lo, n, floor, reach, size, stride, size)
 
 
 @pytest.mark.parametrize("c", range(5, 24))
-def test_stride_block_screen_keeps_exactly_the_points_within_reach_on_cycles(c):
+def test_block_screen_matches_the_points_along_cycles(c):
     """The integer grids of the cycle angles 2 pi j / c, where every class
     comes back to within 2^-50 of a turn after c steps, so the stride
-    chosen is c: along it, along 2c and c + 1, on chunks whose length is a
-    multiple of the stride, one point off it, or random."""
+    chosen is c, and a block of a residue can hold all of it: along c, 2c
+    and c + 1, on chunks whose length is a multiple of the stride, one
+    point off it, or random."""
     rng = np.random.default_rng(c)
     d = (c - 1) // 2
     for case in range(12):
@@ -703,7 +785,12 @@ def test_stride_block_screen_keeps_exactly_the_points_within_reach_on_cycles(c):
         k = int(rng.integers(1, 200))
         n = [k * stride, k * stride + 1, k * stride - 1, int(rng.integers(1, 5000))][case % 4]
         lo = int(rng.integers(0, mixing.MAX_GRID_POINTS))
-        assert_block_screen_keeps_the_points_within_reach(rng, grid, lo, n, stride, case)
+        worst = fixed_misalignment(np.arange(lo, lo + n, dtype=np.uint64), grid)
+        reach = pick(rng, [int(worst.min()), int(np.median(worst)), mixing._fixed_width(0.4)])
+        close = int(rng.choice([0, reach, int(worst.min())]))
+        size = mixing._block_size(grid.moves(stride), reach)
+        if size:
+            assert_block_screen_matches_the_points(grid, lo, n, close, reach, size, stride, case)
 
 
 def screened_chunks(monkeypatch):
@@ -714,9 +801,9 @@ def screened_chunks(monkeypatch):
     calls = []
     blocks, dense = mixing._block_screen, mixing._misalignment
 
-    def counted_blocks(lo, n, grid, reach, size, stride):
+    def counted_blocks(lo, n, grid, close, reach, size, stride, tally):
         calls.append(("blocks" if stride == 1 else f"stride {stride}", lo, n))
-        return blocks(lo, n, grid, reach, size, stride)
+        return blocks(lo, n, grid, close, reach, size, stride, tally)
 
     def counted_dense(points, *args):
         calls.append(("dense", int(points[0]), len(points)))
@@ -746,22 +833,27 @@ def test_wide_bound_chunks_are_pruned_by_blocks_and_match_the_dense_grid(c, bits
 def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
     """Angles 11 pi / 25 and 20 pi / 25 with bits (1, 0) align exactly at
     t = 25, some 72,000 grid points in at epsilon 0.003. Their bound falls
-    below 0.1 of a turn early, and every later chunk, all of BLOCK_CHUNK
-    points or more, is pruned by blocks; the answer is the dense grid's."""
+    below 0.1 of a turn early, and the grid past the chunks screened at
+    every point, 70,000 points, is one chunk pruned by blocks: chunks are
+    sized in blocks, and FIRST_BLOCKS blocks of this bound hold it all.
+    The answer is the dense grid's."""
     reaches = []
     blocks = mixing._block_screen
 
-    def recorded(lo, n, grid, reach, size, stride):
-        reaches.append((n, reach))
-        return blocks(lo, n, grid, reach, size, stride)
+    def recorded(lo, n, grid, close, reach, size, stride, tally):
+        reaches.append((lo, n, reach, size))
+        return blocks(lo, n, grid, close, reach, size, stride, tally)
 
     monkeypatch.setattr(mixing, "_block_screen", recorded)
     angles, sigmas = [11 * np.pi / 25, 20 * np.pi / 25], [1, 0]
     want = dense_time_search(angles, sigmas, 0.003, "real", 0, 25.5)
     got = time_search(angles, sigmas, 0.003, "real", t_max=25.5)
     assert got == want and got.success and abs(got.t - 25.0) < 0.01
-    assert len(reaches) >= 2 and min(n for n, _ in reaches) >= mixing.BLOCK_CHUNK
-    assert max(reach for _, reach in reaches) < mixing._fixed_width(0.1)
+    (lo, n, reach, size), = reaches
+    step = 0.003 / (4.0 * max(angles))
+    assert lo == 15 * mixing.FIRST_CHUNK and lo + n == math.floor(25.5 / step) + 1
+    assert mixing.BLOCK_CHUNK <= n < mixing.FIRST_BLOCKS * size
+    assert reach < mixing._fixed_width(0.1)
 
 
 def test_default_horizon_hit_on_a_coarsened_grid_matches_the_dense_grid():
@@ -918,8 +1010,9 @@ def test_integer_scans_on_coarse_grids_screen_every_point(monkeypatch):
 def test_failing_integer_cycle_searches_prune_along_the_cycle(c, bits, monkeypatch):
     """Failing integer cycle searches over the default budget of 10^6
     steps: every class comes back to within 2^-50 of a turn after c steps,
-    so every chunk of BLOCK_CHUNK points or more is pruned by blocks along
-    the stride c, and the answer is the dense grid's."""
+    so a block along the stride c holds a whole residue of the grid, and
+    everything past the chunks screened at every point is one chunk
+    pruned along c. The answer is the dense grid's."""
     calls = screened_chunks(monkeypatch)
     angles, bits = cycle_angles(c, (c - 1) // 2), [int(b) for b in bits]
     assert not lattice_parity_holds(bits, "integer")
@@ -927,43 +1020,70 @@ def test_failing_integer_cycle_searches_prune_along_the_cycle(c, bits, monkeypat
     got = time_search(angles, bits, 0.1, "integer")
     assert got == want and not got.success
     assert sum(n for _, _, n in calls) == mixing.INTEGER_BUDGET
-    large = [route for route, _, n in calls if n >= mixing.BLOCK_CHUNK]
-    assert large == [f"stride {c}"] * 6
-    assert {route for route, _, n in calls if n < mixing.BLOCK_CHUNK} == {"dense"}
+    dense = 15 * mixing.FIRST_CHUNK
+    assert calls[-1] == (f"stride {c}", 1 + dense, mixing.INTEGER_BUDGET - dense)
+    assert {route for route, _, _ in calls[:-1]} == {"dense"}
 
 
-def test_debug_log_shows_the_stride_and_the_points_kept(monkeypatch, caplog):
-    """At debug level a search logs its stride and the most any class moves
-    along it once, and the points kept by each chunk pruned along it; at
-    info level it logs nothing."""
-    kept = []
-    blocks = mixing._block_screen
+@pytest.mark.parametrize("c, bits", [(9, "0110"), (9, "1010"), (13, "100001"), (17, "01010011")])
+def test_failing_integer_cycle_searches_take_few_points_one_by_one(c, bits, monkeypatch):
+    """The benchmark's failing integer cycle searches, over 10^6 steps: the
+    block screen takes the distance at under 1% of the grid's points, its
+    block centres and the few points it tries included (a ninth of every
+    chunk for cycle:9 before blocks were resolved in closed form), and the
+    answer is the dense grid's."""
+    taken, inside = [], []
+    blocks, distance = mixing._block_screen, mixing._distance
 
-    def recorded(*args):
-        points, worst = blocks(*args)
-        kept.append(len(points))
-        return points, worst
+    def counted_blocks(*args):
+        inside.append(True)
+        try:
+            return blocks(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(mixing, "_block_screen", recorded)
+    def counted_distance(points, *args, **kwargs):
+        if inside:
+            taken.append(len(points))
+        return distance(points, *args, **kwargs)
+
+    monkeypatch.setattr(mixing, "_block_screen", counted_blocks)
+    monkeypatch.setattr(mixing, "_distance", counted_distance)
+    angles, bits = cycle_angles(c, (c - 1) // 2), [int(b) for b in bits]
+    assert not lattice_parity_holds(bits, "integer")
+    got = time_search(angles, bits, 0.1, "integer")
+    assert got == dense_time_search(angles, bits, 0.1, "integer", mixing.INTEGER_BUDGET, None)
+    assert not got.success and 0 < sum(taken) < mixing.INTEGER_BUDGET / 100
+
+
+def test_debug_log_has_one_record_per_search(monkeypatch, caplog):
+    """At debug level a search logs one record: its mode, classes and grid
+    points, its stride and the most any class moves along it, its largest
+    block, the blocks screened, pruned and resolved in closed form, the
+    points that took the exact form and the chunks; at info level it logs
+    nothing. Along the stride 13 a block holds a whole residue."""
+    calls = screened_chunks(monkeypatch)
+    _, exact = sine_calls(monkeypatch)
     angles, bits = cycle_angles(13, 6), [0, 0, 1, 0, 0, 0]
     grid = mixing._fixed_grid(angles / (2.0 * np.pi), np.array(bits), 1.0)
     caplog.set_level(logging.INFO, logger="arcwalk.mixing")
     quiet = time_search(angles, bits, 0.1, "integer", budget=100_000)
     assert not caplog.records
-    kept.clear()
+    calls.clear()
+    exact.clear()
     caplog.set_level(logging.DEBUG, logger="arcwalk.mixing")
     assert time_search(angles, bits, 0.1, "integer", budget=100_000) == quiet
-    lines = [record.getMessage() for record in caplog.records]
-    assert lines[0] == (f"time search strides by 13: classes move at most "
-                        f"{max(grid.moves(13))} units a stride")
-    assert 0 < max(grid.moves(13)) < 2**14
-    chunks = [(1 << k) * mixing.FIRST_CHUNK for k in range(4, 6)]
-    chunks.append(100_000 - sum((1 << k) * mixing.FIRST_CHUNK for k in range(6)))
-    assert len(kept) == 3 and lines[1:] == [
-        f"stride-block chunk of {n} points from {lo}: {k} kept"
-        for n, lo, k in zip(chunks, itertools.accumulate([1 + 15 * mixing.FIRST_CHUNK, *chunks]),
-                            kept)
-    ]
+    (line,) = [record.getMessage() for record in caplog.records]
+    (route, lo, n), = [call for call in calls if call[0] != "dense"]
+    assert route == "stride 13" and 0 < max(grid.moves(13)) < 2**14
+    head, counts = line.split(" blocks screened, ")
+    assert head == (f"time search (integer, d=6, 100000 grid points): stride 13, classes move "
+                    f"at most {max(grid.moves(13))} units a stride, blocks of up to "
+                    f"{-(-n // 13)} points; 13")
+    pruned = int(counts.split()[0])
+    assert counts == (f"{pruned} pruned, {13 - pruned} resolved in closed form; "
+                      f"{sum(exact) - 1} points took the exact form in {len(calls)} chunks")
+    assert 0 <= pruned < 13
 
 
 @pytest.mark.parametrize("mode, angles, sigmas", [
@@ -985,6 +1105,38 @@ def test_time_search_hit_in_the_first_chunk_allocates_little(mode, angles, sigma
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_failing_search_over_the_largest_grid_keeps_its_memory_bound():
+    """A failing real cycle:17 search whose grid has MAX_GRID_POINTS points:
+    chunks screened by blocks hold at most CHUNK_WORK / d blocks, so the
+    traced peak stays at or below the 1,449,158 bytes the same search
+    reached when those chunks held up to 2^19 points screened point by
+    point."""
+    angles, bits = cycle_angles(17, 8), [0, 0, 0, 1, 0, 0, 0, 0]
+    step = 0.1 / (4.0 * angles.max())
+    t_max = (mixing.MAX_GRID_POINTS - 1.5) * step
+    assert mixing._real_grid(angles, 0.1, t_max)[2] == mixing.MAX_GRID_POINTS
+    result = time_search(angles, bits, 0.1, "real", t_max=t_max)
+    assert not result.success
+    tracemalloc.start()
+    try:
+        assert time_search(angles, bits, 0.1, "real", t_max=t_max) == result
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_449_158
+
+
+def test_numpy_float_horizon_reads_as_its_float():
+    """A t_max given as a numpy float clamps the last grid point as the
+    same Python float does, and the chunks after it are screened by blocks
+    as before."""
+    angles, bits = cycle_angles(17, 8), [0, 0, 0, 1, 0, 0, 0, 0]
+    t_max = 1500.0 + 0.5 * 0.1 / (4.0 * angles.max())
+    want = time_search(angles, bits, 0.1, "real", t_max=t_max)
+    assert time_search(angles, bits, 0.1, "real", t_max=np.float64(t_max)) == want
+    assert want == dense_time_search(angles, bits, 0.1, "real", 0, t_max)
 
 
 @pytest.mark.parametrize("slow", [1e-9, 1e-15, 1e-250, 5e-324])
