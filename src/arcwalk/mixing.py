@@ -84,13 +84,18 @@ T_MAX_FACTOR = 1e4
 MAX_ENUMERATION = 5_000_000
 #: about the most array entries the relation scan works on at once: it
 #: locates heads in batches of SCAN_ROWS // 16, whose work arrays stay in
-#: cache, and gathers at most about SCAN_ROWS // d candidates of d
-#: coordinates a step, apart from the relations it keeps, so this also
-#: bounds what the scan holds beyond its output
+#: cache, and writes at most about SCAN_ROWS // d candidates of d
+#: coordinates a step into its work table (one head's window over, and
+#: twice that with the kept columns), apart from the relations it keeps,
+#: so this also bounds what the scan holds beyond its output
 SCAN_ROWS = 2**17
 #: candidate rows in the first step of a relation scan; later steps double,
 #: so that a scan that stops at an early odd relation costs little
 FIRST_ROWS = 1024
+#: a relation-scan step with at most this many hits takes np.gcd on every
+#: hit: for so few the per-head and per-row unit tests cost more calls than
+#: the gcds they save
+TINY_STEP = 64
 #: cap on time-search grid points: the real grid is coarsened and the
 #: integer budget cut to fit it
 MAX_GRID_POINTS = 50_000_000
@@ -324,17 +329,21 @@ class KroneckerVerdict:
 
 def _relation_residuals(columns, angles, integer):
     """|sum_j l_j theta_j| for each vector l given by its coordinates
-    ``columns`` (the j-th a 1-D array of every l_j, or a (d, r) array), with
-    2 pi l_0 added for the nearest integer l_0 when ``integer`` (else l_0 is
-    None). The sum runs coordinate by coordinate in order, so a vector's
-    residual is the same whatever vectors share its columns."""
-    s = np.zeros(len(columns[0]))
-    for column, theta in zip(columns, angles):
-        s += column * theta
+    ``columns`` (the j-th a 1-D array of every l_j, or a (d, r) array,
+    d >= 1), with 2 pi l_0 added for the nearest integer l_0 when
+    ``integer`` (else l_0 is None). The sum runs coordinate by coordinate in
+    order, in place in one sum and one term array, so a vector's residual is
+    the same whatever vectors share its columns."""
+    s = columns[0] * angles[0]
+    term = np.empty_like(s)
+    for column, theta in zip(columns[1:], angles[1:]):
+        s += np.multiply(column, theta, out=term)
     if not integer:
-        return np.abs(s), None
-    l0 = -np.rint(s / (2 * np.pi)).astype(np.int64)
-    return np.abs(s + 2 * np.pi * l0), l0
+        return np.abs(s, out=s), None
+    l0 = np.rint(np.divide(s, 2 * np.pi, out=term), out=term)
+    l0 = np.negative(l0, out=l0).astype(np.int64)
+    s += np.multiply(l0, 2 * np.pi, out=term)
+    return np.abs(s, out=s), l0
 
 
 @functools.lru_cache(maxsize=16)
@@ -377,7 +386,34 @@ def _locate(lower, upper, targets, rows):
     return lo, count
 
 
-def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows):
+def _sorted_windows(order, lo, count, bits):
+    """Each distinct non-empty window (lo, count) of ``order`` sorted once.
+
+    Returns the windows' rows in ascending order, one window after another,
+    and the number of windows; ``lo`` is overwritten with each head's start
+    in them (an empty window keeps its ``lo``). Heads are matched to their
+    window through the sorted keys lo (len(order) + 1) + count."""
+    heads = count.nonzero()[0]
+    key = lo[heads] * (len(order) + 1) + count[heads]
+    by_key = key.argsort()
+    key = key[by_key]
+    new = np.empty(len(key), dtype=bool)  # a window's first head in key order
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = heads[by_key[new]]
+    wlo, wcount = lo[first], count[first]
+    wstart = wcount.cumsum() - wcount
+    pos = (wlo - wstart).repeat(wcount)
+    pos += np.arange(len(pos))
+    rows = (np.arange(len(first)) << bits).repeat(wcount)
+    rows += order[pos]
+    rows.sort()
+    rows &= (1 << bits) - 1
+    lo[heads[by_key]] = wstart[new.cumsum() - 1]
+    return rows, len(first)
+
+
+def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows, tally):
     """The candidate vectors of the canonical half box, in lexicographic
     order.
 
@@ -385,59 +421,68 @@ def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows):
     inner row; ``sums`` are minus the inner sums, sorted, and ``order``
     their rows in C order. The canonical heads are the C-order heads from
     the all-zero head on, made in batches of SCAN_ROWS // 16, and each
-    head's candidates are the run of ``sums`` within ``width`` of its own
-    sum (:func:`_locate`). A batch's candidates are yielded in steps of
-    whole heads, sorted by (head, row): about FIRST_ROWS rows in the first
-    step, twice as many in each next one up to ``step_rows``. The all-zero
-    head keeps only the rows after the middle row, and a step left with no
-    row is skipped. Each step is (heads, local, row, reserve): the step's
-    head table (:func:`_box_columns`), each candidate's index into it and
-    its inner row, and the candidate count of the whole batch on a batch's
-    first step, else 0.
+    head's candidates are the rows of its window, the run of ``sums``
+    within ``width`` of its own sum (:func:`_locate`), in row order. A
+    batch sorts each distinct window once (:func:`_sorted_windows`) and
+    gives each head a slice of them; a batch where no window holds more
+    than one row is in (head, row) order as located and sorts nothing. The
+    all-zero head keeps only the rows after the middle row. A batch's
+    candidates are yielded in steps of whole heads: about FIRST_ROWS rows
+    in the first step, twice as many in each next one up to
+    ``step_rows``. Each step is (heads, runs, row, reserve): the step's
+    head table (:func:`_box_columns`), each head's candidate count, each
+    candidate's inner row, and the candidate count of the whole batch on a
+    batch's first step, else 0. ``tally`` counts the heads located and the
+    windows read.
     """
     rows, outer = len(order), len(head_angles)
     lower, upper = sums + width, sums - width
-    # the row of each entry of sums, which holds three copies in integer
-    # mode; a candidate's key is its head's index in the batch above its
-    # row's bits
+    # the row of each entry of sums, which holds three copies in integer mode
     if integer:
         order = np.concatenate((order, order, order))
-    bits = rows.bit_length()
     total, batch = span**outer, max(1, SCAN_ROWS // 16)
     zero, size = total // 2, FIRST_ROWS
     for start in range(zero, total, batch):
         heads = _box_columns(start, min(start + batch, total), span, outer)
         lo, count = _locate(lower, upper, _table_sums(heads, head_angles, integer), rows)
+        tally["heads"] += len(lo)
         if start == zero and count[0] == 1:
             count[0] = 0  # the zero vector alone; its sum 0 is always in the window
         ends = count.cumsum()
-        reserve = todo = int(ends[-1])
-        if not todo:
+        if not ends[-1]:
             continue
+        table = order
+        if count.max() > 1:
+            table, windows = _sorted_windows(order, lo, count, rows.bit_length())
+            tally["windows"] += windows
+            if start == zero:  # the zero head keeps the rows after the middle row
+                skip = table[lo[0] : lo[0] + count[0]].searchsorted(rows // 2, side="right")
+                lo[0] += skip
+                count[0] -= skip
+                ends = count.cumsum()
+        else:
+            tally["windows"] += int(ends[-1])
+        reserve = todo = int(ends[-1])
         # the batch's candidate j, counted over its heads in order, is
-        # entry j + shift of the sorted sums
+        # entry j + shift of the table
         shift = lo - ends + count
         done = 0
         while done < todo:
             first = int(ends.searchsorted(done, side="right"))
             cut = done + min(size, step_rows)
             last = max(first + 1, int(ends.searchsorted(cut, side="right")))
-            runs = count[first:last]
+            runs, end = count[first:last], int(ends[last - 1])
             pos = shift[first:last].repeat(runs)
-            pos += np.arange(done, int(ends[last - 1]))
-            keys = (np.arange(last - first) << bits).repeat(runs)
-            keys += order[pos]
-            keys.sort()
-            if start == zero and first == 0:
-                keys = keys[keys.searchsorted(rows // 2, side="right") :]
-            if keys.size:
-                yield heads[:, first:last], keys >> bits, keys & ((1 << bits) - 1), reserve
-                reserve = 0
-            done, size = int(ends[last - 1]), 2 * size
+            pos += np.arange(done, end)
+            yield heads[:, first:last], runs, table[pos], reserve
+            reserve = 0
+            done, size = end, 2 * size
 
 
+@functools.lru_cache(maxsize=16)
 def _integer_root(x: int, d: int) -> int:
-    """Largest r >= 0 with r**d <= x, exact for any integer size."""
+    """Largest r >= 0 with r**d <= x, exact for any integer size. Every scan
+    asks for the root of its cap, so the last few are kept."""
     lo, hi = 0, 1 << (x.bit_length() // d + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -513,22 +558,33 @@ def phase_condition_check(
     the trailing d // 2 coefficients form an inner grid whose sums are
     formed once and sorted, with copies shifted by -1 and +1 turn in
     integer mode so that a window that wraps is one run. Each canonical
-    head of leading coefficients then finds its candidate rows with two
-    binary searches, in a window of ``tau_rel`` plus a margin of
-    1e-12 (1 + B sum |theta_r|), far above the rounding of either sum. The
-    candidates, sorted by (head, row), are gathered coordinate by
-    coordinate from the head and inner tables, and decided by the exact
-    residual over those columns (:func:`_relation_residuals`), then by
-    parity (skipped when every sigma is even), a stop at the first odd
-    relation, and primitivity from per-head and per-row gcds. Each
-    kept relation is written once, as one row of an int64 array grown once
-    per batch of heads by that batch's candidate count and cut to the kept
-    rows in place at the end. So the scan costs about its output,
-    (relations x d) entries, plus the inner grid.
+    head of leading coefficients then finds its window of candidate rows
+    with two binary searches, in a width of ``tau_rel`` plus a margin of
+    1e-12 (1 + B sum |theta_r|), far above the rounding of either sum. Many
+    heads share a window (on cycle angles one per residue of the head sum),
+    so a batch of heads sorts the rows of each distinct window once and
+    gives each head its slice (:func:`_candidate_steps`). In steps of whole
+    heads, the candidates are written coordinate by coordinate into one
+    reused work table, each head's coordinates repeated over its slice, and
+    decided by the exact residual over those columns
+    (:func:`_relation_residuals`), then by parity (skipped when every sigma
+    is even) and a stop at the first odd relation. A vector is primitive
+    when its head's gcd or its row's gcd is 1; only vectors whose head and
+    row both share a factor take the gcd of the two (from a table of the
+    gcds up to B once a step holds more of them than the table has
+    entries), and np.gcd with l_0 only where those factors meet. The kept
+    relations of a step are written in one
+    transposed copy into an int64 array grown once per batch of heads by
+    that batch's candidate count and cut to the kept rows in place at the
+    end; a subset is taken first only where rows were dropped. So a clean
+    scan costs about its output, (relations x d) entries, plus the inner
+    grid. At debug level the scan logs one record of its counts.
+    ``bound`` is read as the Python int it equals.
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     d = len(angles)
     _check_count("relation bound", bound, 1)
+    bound = int(bound)  # a numpy integer or bool reads as the Python int it equals
     if not tau_rel >= 0:  # NaN too: a tolerance that accepts nothing says `holds`
         raise ValueError(f"tau_rel must be non-negative, got {tau_rel}")
     integer = mode == MODE_INTEGER
@@ -553,58 +609,117 @@ def phase_condition_check(
     sums = inner_sums[order]
     if integer:
         sums = np.add.outer((-1.0, 0.0, 1.0), sums).ravel()
-    # None when every sigma is even, so that no relation can be odd
-    row_parity = sigmas[outer:] @ grid if sigmas.any() else None
-    row_gcd = None  # formed at the first hit; violated scans rarely need it
     margin = 1e-12 * (1.0 + effective * float(np.abs(angles).sum()))
     width = (tau_rel / (2 * np.pi) if integer else tau_rel) + margin
 
     # one row per kept relation, each written there once
-    relations = np.empty((0, d + integer), dtype=np.int64)
+    cols = d + integer
+    relations = np.empty((0, cols), dtype=np.int64)
     used, violating = 0, None
+    # the candidate columns of a step, l_0 last in integer mode, held as
+    # exact float64 integers so that the residual's products cast nothing;
+    # one buffer, grown with the steps, viewed as a C-contiguous
+    # (d + integer, n) table, with room for the kept columns after it
+    work, inner = np.empty(0), grid.astype(float)
+    row_gcd = row_parity = pair_gcd = None  # formed at the first hit
+    tally = dict.fromkeys(("heads", "windows", "steps", "candidates", "hits", "dropped"), 0)
     steps = _candidate_steps(
-        angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d)
+        angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d), tally
     )
-    for heads, local, row, reserve in steps:
+    for heads, runs, row, reserve in steps:
+        n = len(row)
+        tally["steps"] += 1
+        tally["candidates"] += n
         if used + reserve > len(relations):
-            grown = np.empty((used + reserve, d + integer), dtype=np.int64)
-            grown[:used] = relations[:used]
+            grown = np.empty((used + reserve, cols), dtype=np.int64)
+            if used:
+                grown[:used] = relations[:used]
             relations = grown
-        # the candidates coordinate by coordinate, l_0 last in integer mode;
-        # the takes clip, as their indices are in range and a take into out=
-        # in the default mode goes through a buffer
-        columns = np.empty((d + integer, len(local)), dtype=np.int64)
-        np.take(heads, local, axis=1, out=columns[:outer], mode="clip")
-        np.take(grid, row, axis=1, out=columns[outer:d], mode="clip")
+        if work.size < 2 * cols * n:
+            work = np.empty(2 * cols * n)
+        columns = work[: cols * n].reshape(cols, n)
+        # a head's coordinates repeat over its run; the take clips, as its
+        # indices are in range and a take into out= in the default mode goes
+        # through a buffer
+        columns[:outer] = heads.repeat(runs, axis=1)
+        np.take(inner, row, axis=1, out=columns[outer:d], mode="clip")
         resid, l0 = _relation_residuals(columns[:d], angles, integer)
-        hit = (resid <= tau_rel).nonzero()[0]
-        if hit.size == 0:
+        ok = resid <= tau_rel
+        hits = np.count_nonzero(ok)
+        if not hits:
             continue
+        tally["hits"] += hits
+        # hit is None when every candidate is a hit; local is each hit's
+        # index into heads
+        hit = None if hits == n else ok.nonzero()[0]
+        local = np.arange(len(runs)).repeat(runs)
+        if hit is not None:
+            local, row = local[hit], row[hit]
         if integer:
             columns[d] = l0
-        local, row = local[hit], row[hit]
-        end = hit.size
+        if row_gcd is None:
+            row_gcd = np.gcd.reduce(np.abs(grid), axis=0)
+            # None when every sigma is even, so that no relation can be odd
+            row_parity = sigmas[outer:] @ grid if sigmas.any() else None
+        end = hits
         if row_parity is not None:
             odd = (((sigmas[:outer] @ heads)[local] + row_parity[row]) % 2).nonzero()[0]
             if odd.size:
-                end = odd[0]
-                violating = tuple(columns[:, hit[end]].tolist())
-        if row_gcd is None:
-            row_gcd = np.gcd.reduce(np.abs(grid), axis=0)
-        common = np.gcd(np.gcd.reduce(np.abs(heads), axis=0)[local[:end]], row_gcd[row[:end]])
-        if integer:
-            common = np.gcd(common, l0[hit[:end]])
-        keep = hit[:end][common == 1]
-        relations[used : used + keep.size] = np.take(columns, keep, axis=1, mode="clip").T
-        used += keep.size
+                end = int(odd[0])
+                violating = tuple(map(int, columns[:, end if hit is None else hit[end]]))
+        head_gcd = np.gcd.reduce(np.abs(heads), axis=0)
+        if end <= TINY_STEP:
+            # np.gcd on every hit before the stop costs a tiny step fewer calls
+            common = np.gcd(head_gcd[local[:end]], row_gcd[row[:end]])
+            if integer:
+                common = np.gcd(common, l0[:end] if hit is None else l0[hit[:end]])
+            keep = (common == 1).nonzero()[0] if hit is None else hit[:end][common == 1]
+            kept = len(keep)
+            relations[used : used + kept] = np.take(columns, keep, axis=1, mode="clip").T
+        else:
+            # a vector is primitive when its head's gcd or its row's gcd is
+            # 1, so only the others take np.gcd, and with l_0 in integer mode
+            # only those whose head and row share a factor
+            shared = (head_gcd != 1).repeat(runs)
+            shared = (shared if hit is None else shared[hit])[:end]
+            shared = (shared & (row_gcd != 1)[row[:end]]).nonzero()[0]
+            g_head, g_row = head_gcd[local[shared]], row_gcd[row[shared]]
+            if pair_gcd is None and len(shared) > (effective + 1) ** 2:
+                # head and row gcds are at most B: a table of their gcds
+                # costs no more than this step's np.gcd
+                pair_gcd = np.gcd.outer(*2 * [np.arange(effective + 1)]).ravel()
+            if pair_gcd is None:
+                common = np.gcd(g_head, g_row)
+            else:
+                common = pair_gcd[g_head * (effective + 1) + g_row]
+            drop = shared[common != 1]
+            if integer:
+                common = np.gcd(common[common != 1], l0[drop if hit is None else hit[drop]])
+                drop = drop[common != 1]
+            kept = end - drop.size
+            if kept == n:  # one transposed copy
+                relations[used : used + n] = columns.T
+            else:
+                ok[drop if hit is None else hit[drop]] = False
+                picked = work[cols * n : cols * (n + kept)].reshape(cols, kept)
+                np.take(columns, ok.nonzero()[0][:kept], axis=1, out=picked, mode="clip")
+                relations[used : used + kept] = picked.T
+        tally["dropped"] += end - kept
+        used += kept
         if violating is not None:
             break
-    relations.resize((used, d + integer), refcheck=False)
+    relations.resize((used, cols), refcheck=False)
     relations.flags.writeable = False
     if violating is not None:
         status = VIOLATED
     else:
         status = HOLDS if effective == bound else INCONCLUSIVE
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("relation scan (%s, d=%d, bound %d of %d requested): %d heads, %d windows, "
+                     "%d candidates in %d steps, %d hits, %d not primitive, %d relations kept; "
+                     "stopped %s", mode, d, effective, bound, tally["heads"], tally["windows"],
+                     tally["candidates"], tally["steps"], tally["hits"], tally["dropped"], used,
+                     "at an odd relation" if violating is not None else "at the end of the box")
     return verdict(status=status, bound=effective, relations=relations, violating=violating)
 
 

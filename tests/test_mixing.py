@@ -125,6 +125,18 @@ def test_phase_condition_with_no_angles_holds(mode, width):
     assert verdict.to_json_dict()["relations"] == []
 
 
+@pytest.mark.parametrize("bound", [np.int64(20), np.int32(20), True])
+@pytest.mark.parametrize("angles", [[math.acos(1 / 3), math.acos(-1 / 3)], []])
+def test_numpy_integer_and_bool_bounds_read_as_python_ints(bound, angles):
+    """A bound given as a numpy integer or a bool is the Python int it
+    equals in the verdict, so that the verdict encodes as JSON."""
+    verdict = phase_condition_check(angles, [1, 0][: len(angles)], "integer", bound=bound)
+    payload = json.loads(json.dumps(verdict.to_json_dict()))
+    assert type(verdict.bound) is int and type(verdict.requested_bound) is int
+    assert payload["requested_bound"] == verdict.requested_bound == int(bound)
+    assert payload["bound"] == verdict.bound
+
+
 def test_phase_condition_real_mode_has_no_rook4_relations():
     b = get_bundle("rook4")
     verdict = phase_condition_check(b.dec.angles[1:], [1, 0], "real", bound=20)

@@ -187,6 +187,126 @@ def test_relation_scan_matches_the_block_scan_past_six_angles(d):
             assert verdict.bound == bound
 
 
+#: SCAN_ROWS settings of the block-scan cross-checks: one head a batch and
+#: one candidate a step, a few heads a batch, and the default
+SCAN_ROW_SETTINGS = [1, 81, None]
+
+
+@pytest.mark.parametrize("rows", SCAN_ROW_SETTINGS)
+@pytest.mark.parametrize("mode", ["integer", "real"])
+def test_relation_scan_matches_the_block_scan_on_cycle_angles(mode, rows, monkeypatch):
+    """Cycle angles 2 pi j / c for c = 5..17 at bounds 1 to 4 (each box of at
+    most 2^18 vectors), with zero, chained (sigma_j = j mod 2) and random
+    bits, against the block scan. Here many heads share one window, and the
+    all-zero head's window holds more rows than the zero row."""
+    if rows is not None:
+        monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    rng = np.random.default_rng(29)
+    for c in range(5, 18):
+        d = (c - 1) // 2
+        angles = cycle_angles(c, d)
+        for bound in range(1, 5):
+            if (2 * bound + 1) ** d > 2**18:
+                break
+            for bits in (np.zeros(d, int), np.arange(1, d + 1) % 2, rng.integers(0, 2, d)):
+                verdict = phase_condition_check(angles, bits, mode, bound=bound)
+                want = block_relation_scan(angles, bits, mode, bound)
+                assert scan_result(verdict) == want, (c, bound, bits)
+
+
+@pytest.mark.parametrize("rows", SCAN_ROW_SETTINGS)
+def test_relation_scan_matches_the_block_scan_where_windows_differ(rows, monkeypatch):
+    """Random angles, each set with a planted relation, at tolerances wide
+    enough that a window often holds several rows, against the block scan.
+    Heads with distinct sums rarely share a window here, so most windows
+    are sorted for one head."""
+    if rows is not None:
+        monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    rng = np.random.default_rng(31)
+    for case in range(24):
+        d = 2 + case % 4
+        bound, mode = (10, 6, 4, 3)[d - 2], ("integer", "real")[case % 2]
+        angles = rng.uniform(0.05, 3.1, d)
+        total = rng.integers(-2, 3, d - 1) @ angles[:-1]
+        angles[-1] = (total % (2 * np.pi) if mode == "integer" else abs(total)) or 1.0
+        bits, tau = rng.integers(0, 2, d), (0.02, 0.1, 0.3)[case % 3]
+        verdict = phase_condition_check(angles, bits, mode, bound=bound, tau_rel=tau)
+        assert scan_result(verdict) == block_relation_scan(angles, bits, mode, bound, tau), case
+
+
+@pytest.mark.parametrize("rows", SCAN_ROW_SETTINGS)
+@pytest.mark.parametrize("mode", ["integer", "real"])
+def test_zero_head_keeps_the_canonical_rows_of_its_window(mode, rows, monkeypatch):
+    """With theta_3 = theta_4 every inner row (l, -l) sums to zero, so the
+    all-zero head's window holds those rows besides the zero row. Of the
+    vectors (0, 0, l, -l) only l = 1 is canonical and primitive."""
+    if rows is not None:
+        monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    angles, bits = [0.7, 1.3, 0.9, 0.9], [0, 0, 0, 0]
+    verdict = phase_condition_check(angles, bits, mode, bound=3)
+    assert scan_result(verdict) == block_relation_scan(angles, bits, mode, 3)
+    vectors = verdict.relations[:, :4].tolist()
+    assert [0, 0, 1, -1] in vectors
+    assert not [v for v in vectors if v[:2] == [0, 0] and v != [0, 0, 1, -1]]
+
+
+@pytest.mark.parametrize("rows", SCAN_ROW_SETTINGS)
+def test_primitivity_takes_l0_where_the_coordinates_share_a_factor(rows, monkeypatch):
+    """Four angles pi / 2: sum l_j = -4 l_0 on every relation. Vectors whose
+    head and inner row share a factor are decided with l_0: (0, 0, 2, 2)
+    and (2, 0, 0, 2) with l_0 = -1 are primitive and kept, (0, 0, 2, -2)
+    with l_0 = 0 and (4, 4, 0, 0) with l_0 = -2 are not. The default
+    SCAN_ROWS takes steps of more than TINY_STEP hits, SCAN_ROWS = 81 and 1
+    tiny ones."""
+    if rows is not None:
+        monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    angles, bits = [np.pi / 2] * 4, [0] * 4
+    verdict = phase_condition_check(angles, bits, "integer", bound=4)
+    assert scan_result(verdict) == block_relation_scan(angles, bits, "integer", 4)
+    relations = verdict.relations.tolist()
+    assert [0, 0, 2, 2, -1] in relations and [2, 0, 0, 2, -1] in relations
+    assert [0, 0, 2, -2, 0] not in relations and [4, 4, 0, 0, -2] not in relations
+
+
+def relation_scan_log(caplog, *args, **kwargs):
+    """The scan's verdict and the messages it logs at debug level."""
+    caplog.clear()
+    caplog.set_level(logging.DEBUG, logger="arcwalk.mixing")
+    verdict = phase_condition_check(*args, **kwargs)
+    return verdict, [record.getMessage() for record in caplog.records]
+
+
+def test_relation_scan_logs_one_debug_record_per_scan(caplog):
+    """At debug level a scan logs one record: its mode, d, effective and
+    requested bound, the heads located, the windows read, its candidates
+    and steps, hits, non-primitive hits, relations kept and where it
+    stopped; at info level a scan within the enumeration cap logs nothing.
+    Each of the 841 heads of the clean cycle:9 integer scan reads one of
+    only 9 distinct windows, one per residue of the head sum mod 9, each
+    sorted once."""
+    angles = cycle_angles(9, 4)
+    caplog.set_level(logging.INFO, logger="arcwalk.mixing")
+    quiet = phase_condition_check(angles, [0] * 4, "integer")
+    assert not caplog.records
+    verdict, (line,) = relation_scan_log(caplog, angles, [0] * 4, "integer")
+    assert scan_result(verdict) == scan_result(quiet)
+    hits = cycle_relation_rows(9, 4, 20, "integer")
+    kept = len(verdict.relations)
+    head, tail = line.split(" candidates in ")
+    assert head == f"relation scan (integer, d=4, bound 20 of 20 requested): 841 heads, 9 windows, {hits}"
+    steps = int(tail.split()[0])
+    assert tail == (f"{steps} steps, {hits} hits, {hits - kept} not primitive, {kept} "
+                    "relations kept; stopped at the end of the box")
+    assert 1 < steps < hits // mixing.FIRST_ROWS
+    verdict, (line,) = relation_scan_log(caplog, angles, [1, 0, 1, 0], "integer", bound=3)
+    assert verdict.status == VIOLATED and line.endswith("stopped at an odd relation")
+    # one row per window: k4's angle at the cap, in batches, locates every
+    # head and no row
+    verdict, (line,) = relation_scan_log(caplog, [2.0], [0], "integer", bound=60_000)
+    assert line.startswith("relation scan (integer, d=1, bound 60000 of 60000 requested): "
+                           "60001 heads, 0 windows, 0 candidates in 0 steps")
+
+
 #: grid points the dense oracle evaluates at once, which bounds its memory
 ORACLE_BLOCK = 2**16
 
