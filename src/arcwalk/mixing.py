@@ -93,9 +93,13 @@ SCAN_ROWS = 2**17
 #: so that a scan that stops at an early odd relation costs little
 FIRST_ROWS = 1024
 #: a relation-scan step with at most this many hits takes np.gcd on every
-#: hit: for so few the per-head and per-row unit tests cost more calls than
-#: the gcds they save
-TINY_STEP = 64
+#: hit, a larger one tests primitivity on its heads and rows first. Measured
+#: on the clean cycle:9/13/17 scans with steps held to k candidates (2-vCPU
+#: VM, median of 9 interleaved runs), np.gcd on every hit is 2-8 us a step
+#: faster up to about 1,000 hits, and the unit tests faster from about 1,500
+#: (integer) and 4,000 (real) hits on; mix's small scans have steps of at
+#: most 10 hits, search-real's clean scans of 840 or more
+SMALL_STEP = 1024
 #: cap on time-search grid points: the real grid is coarsened and the
 #: integer budget cut to fit it
 MAX_GRID_POINTS = 50_000_000
@@ -479,10 +483,8 @@ def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows, 
             done, size = end, 2 * size
 
 
-@functools.lru_cache(maxsize=16)
 def _integer_root(x: int, d: int) -> int:
-    """Largest r >= 0 with r**d <= x, exact for any integer size. Every scan
-    asks for the root of its cap, so the last few are kept."""
+    """Largest r >= 0 with r**d <= x, exact for any integer size."""
     lo, hi = 0, 1 << (x.bit_length() // d + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -570,11 +572,9 @@ def phase_condition_check(
     (:func:`_relation_residuals`), then by parity (skipped when every sigma
     is even) and a stop at the first odd relation. A vector is primitive
     when its head's gcd or its row's gcd is 1; only vectors whose head and
-    row both share a factor take the gcd of the two (from a table of the
-    gcds up to B once a step holds more of them than the table has
-    entries), and np.gcd with l_0 only where those factors meet. The kept
-    relations of a step are written in one
-    transposed copy into an int64 array grown once per batch of heads by
+    row both share a factor take np.gcd of the two, and np.gcd with l_0
+    only where those factors meet. The kept relations of a step are
+    written in one transposed copy into an int64 array grown once per batch of heads by
     that batch's candidate count and cut to the kept rows in place at the
     end; a subset is taken first only where rows were dropped. So a clean
     scan costs about its output, (relations x d) entries, plus the inner
@@ -621,7 +621,7 @@ def phase_condition_check(
     # one buffer, grown with the steps, viewed as a C-contiguous
     # (d + integer, n) table, with room for the kept columns after it
     work, inner = np.empty(0), grid.astype(float)
-    row_gcd = row_parity = pair_gcd = None  # formed at the first hit
+    row_gcd = row_parity = None  # formed at the first hit
     tally = dict.fromkeys(("heads", "windows", "steps", "candidates", "hits", "dropped"), 0)
     steps = _candidate_steps(
         angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d), tally
@@ -668,8 +668,8 @@ def phase_condition_check(
                 end = int(odd[0])
                 violating = tuple(map(int, columns[:, end if hit is None else hit[end]]))
         head_gcd = np.gcd.reduce(np.abs(heads), axis=0)
-        if end <= TINY_STEP:
-            # np.gcd on every hit before the stop costs a tiny step fewer calls
+        if end <= SMALL_STEP:
+            # np.gcd on every hit before the stop costs a small step less
             common = np.gcd(head_gcd[local[:end]], row_gcd[row[:end]])
             if integer:
                 common = np.gcd(common, l0[:end] if hit is None else l0[hit[:end]])
@@ -683,15 +683,7 @@ def phase_condition_check(
             shared = (head_gcd != 1).repeat(runs)
             shared = (shared if hit is None else shared[hit])[:end]
             shared = (shared & (row_gcd != 1)[row[:end]]).nonzero()[0]
-            g_head, g_row = head_gcd[local[shared]], row_gcd[row[shared]]
-            if pair_gcd is None and len(shared) > (effective + 1) ** 2:
-                # head and row gcds are at most B: a table of their gcds
-                # costs no more than this step's np.gcd
-                pair_gcd = np.gcd.outer(*2 * [np.arange(effective + 1)]).ravel()
-            if pair_gcd is None:
-                common = np.gcd(g_head, g_row)
-            else:
-                common = pair_gcd[g_head * (effective + 1) + g_row]
+            common = np.gcd(head_gcd[local[shared]], row_gcd[row[shared]])
             drop = shared[common != 1]
             if integer:
                 common = np.gcd(common[common != 1], l0[drop if hit is None else hit[drop]])

@@ -250,16 +250,19 @@ def test_zero_head_keeps_the_canonical_rows_of_its_window(mode, rows, monkeypatc
     assert not [v for v in vectors if v[:2] == [0, 0] and v != [0, 0, 1, -1]]
 
 
+@pytest.mark.parametrize("small_step", [0, None])
 @pytest.mark.parametrize("rows", SCAN_ROW_SETTINGS)
-def test_primitivity_takes_l0_where_the_coordinates_share_a_factor(rows, monkeypatch):
+def test_primitivity_takes_l0_where_the_coordinates_share_a_factor(rows, small_step, monkeypatch):
     """Four angles pi / 2: sum l_j = -4 l_0 on every relation. Vectors whose
     head and inner row share a factor are decided with l_0: (0, 0, 2, 2)
     and (2, 0, 0, 2) with l_0 = -1 are primitive and kept, (0, 0, 2, -2)
-    with l_0 = 0 and (4, 4, 0, 0) with l_0 = -2 are not. The default
-    SCAN_ROWS takes steps of more than TINY_STEP hits, SCAN_ROWS = 81 and 1
-    tiny ones."""
+    with l_0 = 0 and (4, 4, 0, 0) with l_0 = -2 are not. SMALL_STEP = 0
+    sends every step through the per-head and per-row unit tests; at the
+    default every step of this scan takes np.gcd on every hit."""
     if rows is not None:
         monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
+    if small_step is not None:
+        monkeypatch.setattr(mixing, "SMALL_STEP", small_step)
     angles, bits = [np.pi / 2] * 4, [0] * 4
     verdict = phase_condition_check(angles, bits, "integer", bound=4)
     assert scan_result(verdict) == block_relation_scan(angles, bits, "integer", 4)
