@@ -93,12 +93,14 @@ SCAN_ROWS = 2**17
 #: so that a scan that stops at an early odd relation costs little
 FIRST_ROWS = 1024
 #: a relation-scan step with at most this many hits takes np.gcd on every
-#: hit, a larger one tests primitivity on its heads and rows first. Measured
-#: on the clean cycle:9/13/17 scans with steps held to k candidates (2-vCPU
-#: VM, median of 9 interleaved runs), np.gcd on every hit is 2-8 us a step
-#: faster up to about 1,000 hits, and the unit tests faster from about 1,500
-#: (integer) and 4,000 (real) hits on; mix's small scans have steps of at
-#: most 10 hits, search-real's clean scans of 840 or more
+#: hit, a larger one tests primitivity on its heads and rows first. Timed
+#: on the clean cycle:9/13/17 scans in both modes with steps held to k
+#: candidates (2-vCPU VM, median of 9 interleaved runs): np.gcd on every
+#: hit was 2-9 us a step faster at each size measured below 1,000 hits
+#: (cycle:9, both modes); from 1,000 to 4,000 hits the faster route
+#: depended on the scan, by up to 12 us a step; from 4,000 on the unit
+#: tests won on 5 of the 6 scans. mix's small scans have steps of at most
+#: 10 hits, search-real's clean scans of 840 or more
 SMALL_STEP = 1024
 #: cap on time-search grid points: the real grid is coarsened and the
 #: integer budget cut to fit it
