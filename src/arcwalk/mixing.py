@@ -92,16 +92,6 @@ SCAN_ROWS = 2**17
 #: candidate rows in the first step of a relation scan; later steps double,
 #: so that a scan that stops at an early odd relation costs little
 FIRST_ROWS = 1024
-#: a relation-scan step with at most this many hits takes np.gcd on every
-#: hit, a larger one tests primitivity on its heads and rows first. Timed
-#: on the clean cycle:9/13/17 scans in both modes with steps held to k
-#: candidates (2-vCPU VM, median of 9 interleaved runs): np.gcd on every
-#: hit was 2-9 us a step faster at each size measured below 1,000 hits
-#: (cycle:9, both modes); from 1,000 to 4,000 hits the faster route
-#: depended on the scan, by up to 12 us a step; from 4,000 on the unit
-#: tests won on 5 of the 6 scans. mix's small scans have steps of at most
-#: 10 hits, search-real's clean scans of 840 or more
-SMALL_STEP = 1024
 #: cap on time-search grid points: the real grid is coarsened and the
 #: integer budget cut to fit it
 MAX_GRID_POINTS = 50_000_000
@@ -485,6 +475,14 @@ def _candidate_steps(head_angles, sums, order, span, width, integer, step_rows, 
             done, size = end, 2 * size
 
 
+def _pick(columns, index, out):
+    """Columns ``index`` of the (c, n) table ``columns``, taken into the
+    front of the flat buffer ``out`` as a C-contiguous (c, len(index))
+    table; the take clips, as ``index`` is in range."""
+    picked = out[: len(columns) * len(index)].reshape(len(columns), len(index))
+    return np.take(columns, index, axis=1, out=picked, mode="clip")
+
+
 def _integer_root(x: int, d: int) -> int:
     """Largest r >= 0 with r**d <= x, exact for any integer size."""
     lo, hi = 0, 1 << (x.bit_length() // d + 1)
@@ -497,13 +495,13 @@ def _integer_root(x: int, d: int) -> int:
     return lo
 
 
-def relation_scan_bound(bound: int, d: int, max_enumeration: int) -> int:
+def relation_scan_bound(bound: int, d: int, cap: int) -> int:
     """Largest B in [1, bound] whose half box ((2B+1)^d - 1) // 2 of
     relation vectors fits the enumeration cap, or 1 when none does.
 
     (2B+1)^d is odd, so the cap condition is (2B+1)^d <= 2 cap + 1.
     """
-    fits = (_integer_root(2 * max_enumeration + 1, d) - 1) // 2
+    fits = (_integer_root(2 * cap + 1, d) - 1) // 2
     return max(1, min(bound, fits))
 
 
@@ -543,7 +541,6 @@ def phase_condition_check(
     mode: str,
     bound: int = RELATION_BOUND,
     tau_rel: float = TAU_REL,
-    max_enumeration: int = MAX_ENUMERATION,
 ) -> KroneckerVerdict:
     """Scan integer relations among the angles and test their sign parity.
 
@@ -552,10 +549,10 @@ def phase_condition_check(
     with exact relations sum l_r theta_r = 0 (no 2 pi slack). One violation
     makes alignment impossible at any precision; no violation up to the
     scanned bound reports ``holds`` (or ``inconclusive`` when the
-    enumeration cap forced a smaller bound than requested). Angles and
-    sigmas must be 1-D, finite and of equal length, sigmas integral,
-    ``bound`` an integer and ``tau_rel`` non-negative (inf is allowed);
-    otherwise ValueError.
+    enumeration cap, MAX_ENUMERATION as read at the call, forced a smaller
+    bound than requested). Angles and sigmas must be 1-D, finite and of
+    equal length, sigmas integral, ``bound`` an integer and ``tau_rel``
+    non-negative (inf is allowed); otherwise ValueError.
 
     The scan covers the canonical half of the box [-B, B]^d (first nonzero
     coefficient positive) in lexicographic order, and meets in the middle:
@@ -571,12 +568,14 @@ def phase_condition_check(
     heads, the candidates are written coordinate by coordinate into one
     reused work table, each head's coordinates repeated over its slice, and
     decided by the exact residual over those columns
-    (:func:`_relation_residuals`), then by parity (skipped when every sigma
-    is even) and a stop at the first odd relation. A vector is primitive
-    when its head's gcd or its row's gcd is 1; only vectors whose head and
-    row both share a factor take np.gcd of the two, and np.gcd with l_0
-    only where those factors meet. The kept relations of a step are
-    written in one transposed copy into an int64 array grown once per batch of heads by
+    (:func:`_relation_residuals`). A step where some candidates miss is
+    compacted to its hits once (columns, rows, l_0 and each head's run),
+    so every step goes on down one path: parity (skipped when every sigma
+    is even), a stop at the first odd relation, and primitivity. A vector
+    is primitive when its head's gcd or its row's gcd is 1; only vectors
+    whose head and row both share a factor take np.gcd of the two, and of
+    l_0 in integer mode. The kept relations of a step are written in one
+    transposed copy into an int64 array grown once per batch of heads by
     that batch's candidate count and cut to the kept rows in place at the
     end; a subset is taken first only where rows were dropped. So a clean
     scan costs about its output, (relations x d) entries, plus the inner
@@ -596,7 +595,7 @@ def phase_condition_check(
         relations.flags.writeable = False
         return verdict(status=HOLDS, bound=bound, relations=relations, violating=None)
 
-    effective = relation_scan_bound(bound, d, max_enumeration)
+    effective = relation_scan_bound(bound, d, MAX_ENUMERATION)
     if effective < bound:
         logger.info(
             "relation scan bound reduced %d -> %d to respect enumeration cap",
@@ -620,10 +619,10 @@ def phase_condition_check(
     used, violating = 0, None
     # the candidate columns of a step, l_0 last in integer mode, held as
     # exact float64 integers so that the residual's products cast nothing;
-    # one buffer, grown with the steps, viewed as a C-contiguous
-    # (d + integer, n) table, with room for the kept columns after it
+    # one buffer, grown with the steps, of two halves: the C-contiguous
+    # (d + integer, n) table, and room for its hits or kept columns
     work, inner = np.empty(0), grid.astype(float)
-    row_gcd = row_parity = None  # formed at the first hit
+    row_gcd = row_shared = row_parity = None  # formed at the first hit
     tally = dict.fromkeys(("heads", "windows", "steps", "candidates", "hits", "dropped"), 0)
     steps = _candidate_steps(
         angles[:outer], sums, order, span, width, integer, max(1, SCAN_ROWS // d), tally
@@ -639,7 +638,7 @@ def phase_condition_check(
             relations = grown
         if work.size < 2 * cols * n:
             work = np.empty(2 * cols * n)
-        columns = work[: cols * n].reshape(cols, n)
+        columns, spare = work[: cols * n].reshape(cols, n), work[cols * n :]
         # a head's coordinates repeat over its run; the take clips, as its
         # indices are in range and a take into out= in the default mode goes
         # through a buffer
@@ -651,54 +650,44 @@ def phase_condition_check(
         if not hits:
             continue
         tally["hits"] += hits
-        # hit is None when every candidate is a hit; local is each hit's
-        # index into heads
-        hit = None if hits == n else ok.nonzero()[0]
-        local = np.arange(len(runs)).repeat(runs)
-        if hit is not None:
-            local, row = local[hit], row[hit]
         if integer:
             columns[d] = l0
+        if hits < n:
+            # the step becomes its hits, each head's run its hits; the first
+            # half is then free for the kept columns
+            hit = ok.nonzero()[0]
+            runs = np.bincount(np.arange(len(runs)).repeat(runs)[hit], minlength=len(runs))
+            columns, spare, row, n = _pick(columns, hit, spare), work, row[hit], hits
+            if integer:
+                l0 = l0[hit]
         if row_gcd is None:
             row_gcd = np.gcd.reduce(np.abs(grid), axis=0)
+            row_shared = row_gcd != 1
             # None when every sigma is even, so that no relation can be odd
             row_parity = sigmas[outer:] @ grid if sigmas.any() else None
-        end = hits
+        end = n
         if row_parity is not None:
-            odd = (((sigmas[:outer] @ heads)[local] + row_parity[row]) % 2).nonzero()[0]
+            odd = (((sigmas[:outer] @ heads).repeat(runs) + row_parity[row]) % 2).nonzero()[0]
             if odd.size:
                 end = int(odd[0])
-                violating = tuple(map(int, columns[:, end if hit is None else hit[end]]))
-        head_gcd = np.gcd.reduce(np.abs(heads), axis=0)
-        if end <= SMALL_STEP:
-            # np.gcd on every hit before the stop costs a small step less
-            common = np.gcd(head_gcd[local[:end]], row_gcd[row[:end]])
-            if integer:
-                common = np.gcd(common, l0[:end] if hit is None else l0[hit[:end]])
-            keep = (common == 1).nonzero()[0] if hit is None else hit[:end][common == 1]
-            kept = len(keep)
-            relations[used : used + kept] = np.take(columns, keep, axis=1, mode="clip").T
+                violating = tuple(map(int, columns[:, end]))
+        # a vector is primitive when its head's gcd or its row's gcd is 1,
+        # so only the others take np.gcd of the two, and of l_0 in integer
+        # mode
+        head_gcd = np.gcd.reduce(np.abs(heads), axis=0).repeat(runs)[:end]
+        shared = ((head_gcd != 1) & row_shared[row[:end]]).nonzero()[0]
+        common = np.gcd(head_gcd[shared], row_gcd[row[shared]])
+        if integer:
+            common = np.gcd(common, l0[shared])
+        drop = shared[common != 1]
+        kept = end - drop.size
+        if kept == n:  # one transposed copy
+            relations[used : used + n] = columns.T
         else:
-            # a vector is primitive when its head's gcd or its row's gcd is
-            # 1, so only the others take np.gcd, and with l_0 in integer mode
-            # only those whose head and row share a factor
-            shared = (head_gcd != 1).repeat(runs)
-            shared = (shared if hit is None else shared[hit])[:end]
-            shared = (shared & (row_gcd != 1)[row[:end]]).nonzero()[0]
-            common = np.gcd(head_gcd[local[shared]], row_gcd[row[shared]])
-            drop = shared[common != 1]
-            if integer:
-                common = np.gcd(common[common != 1], l0[drop if hit is None else hit[drop]])
-                drop = drop[common != 1]
-            kept = end - drop.size
-            if kept == n:  # one transposed copy
-                relations[used : used + n] = columns.T
-            else:
-                ok[drop if hit is None else hit[drop]] = False
-                picked = work[cols * n : cols * (n + kept)].reshape(cols, kept)
-                np.take(columns, ok.nonzero()[0][:kept], axis=1, out=picked, mode="clip")
-                relations[used : used + kept] = picked.T
-        tally["dropped"] += end - kept
+            keep = np.ones(end, dtype=bool)
+            keep[drop] = False
+            relations[used : used + kept] = _pick(columns, keep.nonzero()[0], spare).T
+        tally["dropped"] += drop.size
         used += kept
         if violating is not None:
             break
@@ -1492,7 +1481,7 @@ def _mixing_report(
     report = functools.partial(
         MixingReport,
         graph=graph, vertex=a, mode=mode, epsilon=epsilon, support=support,
-        route=ROUTE_SCHEME if dec.vectors is None else ROUTE_DENSE,
+        route=ROUTE_SCHEME if dec.idempotents is None else ROUTE_DENSE,
     )
 
     certificates = hadamard_search(dec, tau_flat=tau_flat)
@@ -1504,10 +1493,7 @@ def _mixing_report(
             walk_residual=None, verdict=NO_FLAT_TARGET, notes=tuple(notes),
         )
 
-    if dec.intersections is None:
-        columns = starts if a is not None else probe_block(g.n)
-        walk_residual = max(check_closed_form(dec, build_arc_space(g), columns).values())
-    else:
+    if dec.idempotents is None:
         checked = check_type_closed_form(dec)
         walk_residual = max(checked.values())
         if logger.isEnabledFor(logging.DEBUG):
@@ -1516,6 +1502,9 @@ def _mixing_report(
                          "arcs: %s; eigen=%.3e start=%.3e", graph,
                          ", ".join(f"({i}, {j}): {c}" for (i, j), c in np.ndenumerate(arcs) if c),
                          checked["eigen"], checked["start"])
+    else:
+        columns = starts if a is not None else probe_block(g.n)
+        walk_residual = max(check_closed_form(dec, build_arc_space(g), columns).values())
     angles = np.array([float(dec.angles[r]) for r in classes])
     fallback: MixingReport | None = None
     for cert in certificates:

@@ -4,6 +4,7 @@ import logging
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
@@ -397,6 +398,83 @@ def test_mix_simultaneous_notes_non_square_order(capsys):
         "Hadamard matrices, so no flat sign combination can exist"
     ) in doc["notes"]
     assert doc["walk_residual"] is None
+
+
+def edge_file(tmp_path, name, edges):
+    n = 1 + max(max(e) for e in edges)
+    path = tmp_path / f"{name}.edges"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+#: Cay(Z_2^4, S), x ~ x XOR s for s in S: 6-regular on 16 vertices, with
+#: eigenvalues 6, 2, 0, -2, -4
+CAYLEY_EDGES = sorted({(min(x, x ^ s), max(x, x ^ s))
+                       for x in range(16) for s in (1, 2, 3, 5, 11, 15)})
+#: a 4-regular graph on 7 vertices whose vertices have two supports
+SPLIT_SUPPORT_EDGES = [tuple(map(int, e)) for e in
+                       "03 04 05 06 13 14 15 16 23 24 25 26 36 45".split()]
+
+
+@pytest.mark.parametrize("simultaneous", [False, True])
+@pytest.mark.parametrize("mode, relations, violating", [
+    ("real", [], (1, -2, 1, 0)),
+    ("integer", [(0, 4, 0, 0, -1)], (1, -18, 1, 0, 4)),
+])
+def test_mix_reports_a_phase_obstruction(tmp_path, mode, relations, violating, simultaneous,
+                                         capsys):
+    """On the Cayley graph the flat pattern +-++- exists, but
+    theta_1 + theta_3 = pi (eigenvalues 2 and -2) and theta_2 = pi / 2
+    (eigenvalue 0) give relations of odd parity: the walk cannot align at
+    any precision, and mix exits 1 naming the relation. Each relation is
+    checked exactly on those two identities, l_1 = l_3 and l_4 = 0 with
+    l_1 + l_2 / 2 + 2 l_0 = 0, and its parity on the sign bits 1001."""
+    path = edge_file(tmp_path, "cayley", CAYLEY_EDGES)
+    code, out, _ = run_cli(["analyze", "--edges", path, "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and np.rint(doc["eigenvalues"]).tolist() == [6, 2, 0, -2, -4]
+    code, out, _ = run_cli(["mix", "--edges", path, "--mode", mode]
+                           + ["--simultaneous"] * simultaneous, capsys)
+    lines = out.splitlines()
+    assert code == 1 and lines[0].endswith("verdict phase-obstruction")
+    assert "route: dense" in lines
+    assert lines[3].startswith("certificate: order 16, pattern +-++-,")
+    assert f"phase condition [{mode}]: violated up to bound 20" in lines
+    assert [line for line in lines if line.startswith("  relation ")] == [
+        f"  relation {r}" for r in relations]
+    assert f"  violating relation {violating}" in lines
+    for rel in relations + [violating]:
+        l0 = rel[4] if mode == "integer" else 0
+        assert rel[0] == rel[2] and rel[3] == 0
+        assert Fraction(rel[0]) + Fraction(rel[1], 2) + 2 * l0 == 0
+        assert (rel[0] + rel[3]) % 2 == (rel == violating)
+
+
+def test_split_supports_are_reported(tmp_path, capsys):
+    """Vertices 0-2 have support [0, 2, 4] and 3-6 [0, 1, 3, 4]: analyze
+    lists each vertex's support, a local mix names the classes outside it,
+    and a simultaneous mix notes that the supports are not uniform."""
+    path = edge_file(tmp_path, "split", SPLIT_SUPPORT_EDGES)
+    code, out, _ = run_cli(["analyze", "--edges", path], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("support[")] == [
+        f"support[{a}]: {[0, 2, 4] if a < 3 else [0, 1, 3, 4]}" for a in range(7)]
+    code, out, _ = run_cli(["mix", "--edges", path, "--vertex", "4"], capsys)
+    assert code == 1 and "verdict no-flat-target" in out
+    assert ("note: classes [2] lie outside the support of vertex 4; their sign bits are "
+            "unconstrained") in out.splitlines()
+    code, out, _ = run_cli(["mix", "--edges", path, "--simultaneous"], capsys)
+    assert code == 1 and ("note: per-vertex supports are not uniform: 0: [0, 2, 4], "
+                          "1: [0, 2, 4], 2: [0, 2, 4], 3: [0, 1, 3, 4], 4: [0, 1, 3, 4], "
+                          "5: [0, 1, 3, 4], 6: [0, 1, 3, 4]") in out.splitlines()
+
+
+def test_evolve_text_on_a_bipartite_graph_reads_the_imaginary_flatness(capsys):
+    code, out, _ = run_cli(["evolve", "--builtin", "cycle:8"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "graph cycle:8: U^t x_0 at t=1.0"
+    (line,) = [line for line in lines if line.startswith("imaginary flatness deficit:")]
+    assert float(line.split()[-1]) < 1e-12
 
 
 def load_expected():

@@ -165,20 +165,18 @@ def test_phase_condition_keeps_primitive_relations_only():
     assert verdict.relations.tolist() == [[4, -1]]  # (8, -2) etc. are multiples
 
 
-def test_phase_condition_inconclusive_when_bound_reduced():
+def test_phase_condition_inconclusive_when_bound_reduced(monkeypatch):
+    monkeypatch.setattr(mixing, "MAX_ENUMERATION", 100_000)
     angles = [1.0, np.sqrt(2), np.sqrt(3), np.sqrt(5), np.sqrt(7)]
-    verdict = phase_condition_check(
-        angles, [0] * 5, "integer", bound=20, max_enumeration=100_000
-    )
+    verdict = phase_condition_check(angles, [0] * 5, "integer", bound=20)
     assert verdict.status == INCONCLUSIVE
     assert verdict.bound < verdict.requested_bound == 20
 
 
-def test_phase_condition_huge_bound_returns_at_once():
+def test_phase_condition_huge_bound_returns_at_once(monkeypatch):
+    monkeypatch.setattr(mixing, "MAX_ENUMERATION", 100_000)
     angles = [1.0, np.sqrt(2), np.sqrt(3), np.sqrt(5), np.sqrt(7)]
-    verdict = phase_condition_check(
-        angles, [0] * 5, "integer", bound=10**9, max_enumeration=100_000
-    )
+    verdict = phase_condition_check(angles, [0] * 5, "integer", bound=10**9)
     assert verdict.status == INCONCLUSIVE
     assert verdict.requested_bound == 10**9
     assert verdict.bound == relation_scan_bound(20, 5, 100_000)

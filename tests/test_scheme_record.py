@@ -15,8 +15,8 @@ same reader on the (d + 1, n, n) stack built from R and P
   within 1e-12.
 
 Also pinned: ``mix`` answers from the order of regular Hadamard matrices
-when the decomposition is refused for its size, and the scheme route's
-debug log.
+when the decomposition is refused for its size, the scheme route's debug
+log, and that ``idempotents`` alone decides the route of a record.
 """
 
 import json
@@ -207,3 +207,36 @@ def test_debug_log_shows_the_record_and_each_pattern(fmt, capsys):
     assert len(patterns) == 4
     assert sum(line.endswith(", accepted") for line in patterns) == 1
     assert all("h = [" in line and "P h = [" in line for line in patterns)
+
+
+@pytest.mark.parametrize("simultaneous", [False, True])
+def test_a_record_with_idempotents_takes_the_dense_route_throughout(simultaneous, monkeypatch):
+    """Whether a record holds idempotents alone decides its route. The stack
+    oracle's record keeps the scheme's intersection numbers and has no
+    eigenvectors, and mix reads it as a record of eigh at every step: the
+    dense route, with the closed form checked on the arc space, and the
+    scheme record's certificate, time and verdict."""
+    g = resolve_builtin("rook:4")
+
+    def run():
+        if simultaneous:
+            return mixing.simultaneous_mixing_check(g, 0.1, "integer")
+        return mixing.local_mixing_report(g, 0, 0.1, "integer")
+
+    want = run()
+    oracle = stack_record(srg_decomposition(g))
+    assert oracle.vectors is None and oracle.intersections is not None
+    monkeypatch.setattr(mixing, "srg_decomposition", lambda _: oracle)
+    calls = []
+    for name in ("check_closed_form", "check_type_closed_form"):
+        def counted(*args, _name=name, _original=getattr(mixing, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(mixing, name, counted)
+    got = run()
+    assert (want.route, got.route) == ("scheme", "dense")
+    assert calls == ["check_closed_form"]
+    assert got.certificate.pattern == want.certificate.pattern
+    assert (got.verdict, got.t) == (want.verdict, want.t) == ("success", 23.0)
+    assert abs(got.residual - want.residual) < TOL

@@ -19,6 +19,7 @@ import functools
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,19 +251,14 @@ def test_zero_head_keeps_the_canonical_rows_of_its_window(mode, rows, monkeypatc
     assert not [v for v in vectors if v[:2] == [0, 0] and v != [0, 0, 1, -1]]
 
 
-@pytest.mark.parametrize("small_step", [0, None])
 @pytest.mark.parametrize("rows", SCAN_ROW_SETTINGS)
-def test_primitivity_takes_l0_where_the_coordinates_share_a_factor(rows, small_step, monkeypatch):
+def test_primitivity_takes_l0_where_the_coordinates_share_a_factor(rows, monkeypatch):
     """Four angles pi / 2: sum l_j = -4 l_0 on every relation. Vectors whose
     head and inner row share a factor are decided with l_0: (0, 0, 2, 2)
     and (2, 0, 0, 2) with l_0 = -1 are primitive and kept, (0, 0, 2, -2)
-    with l_0 = 0 and (4, 4, 0, 0) with l_0 = -2 are not. SMALL_STEP = 0
-    sends every step through the per-head and per-row unit tests; at the
-    default every step of this scan takes np.gcd on every hit."""
+    with l_0 = 0 and (4, 4, 0, 0) with l_0 = -2 are not."""
     if rows is not None:
         monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
-    if small_step is not None:
-        monkeypatch.setattr(mixing, "SMALL_STEP", small_step)
     angles, bits = [np.pi / 2] * 4, [0] * 4
     verdict = phase_condition_check(angles, bits, "integer", bound=4)
     assert scan_result(verdict) == block_relation_scan(angles, bits, "integer", 4)
@@ -308,6 +304,27 @@ def test_relation_scan_logs_one_debug_record_per_scan(caplog):
     verdict, (line,) = relation_scan_log(caplog, [2.0], [0], "integer", bound=60_000)
     assert line.startswith("relation scan (integer, d=1, bound 60000 of 60000 requested): "
                            "60001 heads, 0 windows, 0 candidates in 0 steps")
+
+
+@pytest.mark.parametrize("mode, turn", [("integer", 0), ("real", 0), ("integer", 1)])
+@pytest.mark.parametrize("bits", [(0, 0, 0), (0, 0, 1), (1, 1, 0)])
+def test_a_step_with_some_hits_keeps_exactly_its_hits(mode, turn, bits, caplog):
+    """Angles (1, 1 + 1.04e-9, 2): the near relations (a, +-1, c) miss by
+    1.04e-9 > tau_rel but fall inside the window, tau_rel plus its margin,
+    so they share the scan's one step with the exact (2, 0, -1) and its
+    non-primitive multiples. The step keeps the hits alone, with the parity
+    and the gcd of each hit's own head and, with theta_3 a turn larger, of
+    its own l_0 = -l_3."""
+    angles = [1.0, 1.0 + 1.04e-9, 2.0 + 2 * np.pi * turn]
+    verdict, (line,) = relation_scan_log(caplog, angles, bits, mode, bound=20)
+    assert scan_result(verdict) == block_relation_scan(angles, bits, mode, 20)
+    candidates, steps, hits = map(int, re.search(r"(\d+) candidates in (\d+) steps, (\d+) hits",
+                                                 line).groups())
+    assert steps == 1 and 0 < hits < candidates, line
+    if bits[2]:
+        assert verdict.status == VIOLATED and verdict.violating[:3] == (2, 0, -1)
+    else:
+        assert verdict.relations[:, :3].tolist() == [[2, 0, -1]]
 
 
 #: grid points the dense oracle evaluates at once, which bounds its memory
@@ -1089,6 +1106,20 @@ def test_clamped_last_point_is_decided_on_the_exact_form(first, monkeypatch):
     assert got == want
     assert not got.success and got.t == t_max
     assert max(handed) == points - 2
+
+
+def test_clamped_horizon_is_the_first_aligned_time():
+    """cycle:9's angles with bits 1010 at epsilon 0.01: no grid point up to
+    5022 aligns, and t_max lies strictly between points 5022 and 5023, where
+    the deficit has fallen below epsilon, so the search succeeds at the
+    clamped horizon, t = t_max."""
+    angles, sigmas, epsilon = cycle_angles(9, 4), [1, 0, 1, 0], 0.01
+    step = epsilon / (4.0 * angles.max())
+    t_max = 5022.75 * step
+    assert dense_phase_alignment_deficit(angles, sigmas, np.arange(5023) * step).min() >= epsilon
+    got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
+    assert got.success and got.t == t_max and got.deficit < epsilon
+    assert got == dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
 
 
 @pytest.mark.parametrize("first", [1, 5, 1024])
