@@ -46,6 +46,7 @@ import itertools
 import logging
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, check_regular_hadamard
+from .lattice import gap_rank, lll
 from .spectra import (
     SizeLimitError,
     SpectralDecomposition,
@@ -289,20 +291,25 @@ def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[Hadamard
 
 @dataclass(frozen=True, eq=False)
 class KroneckerVerdict:
-    """Outcome of the integer-relation scan over walk angles.
+    """Outcome of the phase condition over walk angles.
 
-    ``relations`` holds the primitive relations found, in lexicographic
-    order, as one read-only int64 array with a relation per row (the
-    transpose of the table the scan writes, one row per coordinate): in
-    integer mode a row is (l_1..l_d, l_0) with
+    ``relations`` holds box relations, each inside the box and within
+    ``tau_rel``, whose integer span holds every box relation (see
+    :func:`phase_condition_check`), first nonzero entry positive and in
+    lexicographic order, as one read-only int64 array with a relation per
+    row: in integer mode a row is (l_1..l_d, l_0) with
     sum l_r theta_r + 2 pi l_0 = 0, so the shape is (r, d + 1); in real
-    mode it is (l_1..l_d) with sum l_r theta_r = 0, shape (r, d).
-    ``violating`` is the first relation
-    of odd parity as a tuple of ints, or None. ``bound`` is the coefficient
-    bound actually scanned; it is smaller than ``requested_bound`` only
-    when the enumeration cap forced a reduction, in which case a clean scan
-    reports ``inconclusive`` rather than ``holds``. Verdicts compare by
-    identity; compare ``relations.tolist()`` for their contents.
+    mode it is (l_1..l_d) with sum l_r theta_r = 0, shape (r, d). The
+    lattice route gives a reduced basis, the scan every primitive relation,
+    which spans as well; with every sigma even and no certificate the list
+    is empty, as no relation can be odd. On ``violated`` only the relations
+    before ``violating`` are listed. ``violating`` is an odd box relation
+    as a tuple of ints, or None. ``bound`` is the coefficient bound
+    decided; it is smaller than ``requested_bound`` only when the scan's
+    enumeration cap forced a reduction, in which case a clean scan reports
+    ``inconclusive`` rather than ``holds``: ``inconclusive`` comes from the
+    scan alone. Verdicts compare by identity; compare
+    ``relations.tolist()`` for their contents.
     """
 
     mode: str
@@ -520,19 +527,37 @@ def _phase_inputs(angles, sigmas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     exactly: integer input is never read through float64."""
     if mode not in (MODE_INTEGER, MODE_REAL):
         raise ValueError(f"mode must be '{MODE_INTEGER}' or '{MODE_REAL}', got {mode!r}")
-    given = np.asarray(sigmas)
-    angles, sigmas = np.asarray(angles, dtype=float), given.astype(float)
-    for name, value in (("angles", angles), ("sigmas", sigmas)):
+    angles, given = np.asarray(angles, dtype=float), np.asarray(sigmas)
+    for name, value in (("angles", angles), ("sigmas", given)):
         if value.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {value.shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value.tolist()}")
-    if len(angles) != len(sigmas):
+    d = len(angles)
+    if d != len(given):
         raise ValueError("angles and sigmas must have matching length")
+    # one float table of both, checked once for finiteness
+    values = np.concatenate((angles, given), dtype=float)
+    if not np.isfinite(values).all():
+        bad = ("angles", angles) if not np.isfinite(angles).all() else ("sigmas", values[d:])
+        raise ValueError(f"{bad[0]} must be finite, got {bad[1].tolist()}")
+    if given.dtype.kind in "bi":  # integral and of int64 size as given
+        return angles, (given % 2).astype(np.int64)
+    sigmas = values[d:]
     if not (np.abs(sigmas) < 2.0**63).all() or (sigmas % 1).any():
         raise ValueError(f"sigmas must be integers of int64 size, got {sigmas.tolist()}")
-    exact = given if given.dtype.kind in "biu" else sigmas
+    exact = given if given.dtype.kind == "u" else sigmas
     return angles, (exact % 2).astype(np.int64)
+
+
+def _relation_inputs(angles, sigmas, mode: str, bound, tau_rel):
+    """The checked inputs of the phase condition: the angles and sigma bits
+    of :func:`_phase_inputs`, ``bound`` as the Python int it equals (a numpy
+    integer or bool too), at least 1, and ``tau_rel`` non-negative (inf is
+    allowed); otherwise ValueError."""
+    angles, sigmas = _phase_inputs(angles, sigmas, mode)
+    _check_count("relation bound", bound, 1)
+    if not tau_rel >= 0:  # NaN too: a tolerance that accepts nothing says `holds`
+        raise ValueError(f"tau_rel must be non-negative, got {tau_rel}")
+    return angles, sigmas, int(bound)
 
 
 def phase_condition_check(
@@ -542,7 +567,187 @@ def phase_condition_check(
     bound: int = RELATION_BOUND,
     tau_rel: float = TAU_REL,
 ) -> KroneckerVerdict:
-    """Scan integer relations among the angles and test their sign parity.
+    """Decide whether some integer relation among the angles has odd sign
+    parity.
+
+    Integer mode: every (l_1..l_d, l_0) with sum l_r theta_r + 2 pi l_0 = 0
+    within ``tau_rel`` must have sum l_r sigma_r even. Real mode: the same
+    with exact relations sum l_r theta_r = 0 (no 2 pi slack). A box
+    relation is such a vector with every |l_r| <= ``bound`` whose residual
+    :func:`_relation_residuals` accepts, l_0 its nearest integer. One odd
+    box relation makes alignment impossible at any precision (``violated``);
+    none reports ``holds``. Angles and sigmas must be 1-D, finite and of
+    equal length, sigmas integral, ``bound`` an integer and ``tau_rel``
+    non-negative (inf is allowed); otherwise ValueError.
+
+    The relation lattice is reduced first (:func:`_lattice_verdict`): when
+    its gap certificate holds, the box relations are the integer span of a
+    few reduced rows, and their parities decide at the requested bound with
+    no enumeration. Otherwise, when every sigma is even, no relation can be
+    odd and the verdict ``holds`` at the requested bound, listing no
+    relations; else the call runs the meet-in-the-middle scan
+    (:func:`_relation_scan`), which may cut the bound to the enumeration
+    cap and then reads ``inconclusive``.
+    """
+    angles, sigmas, bound = _relation_inputs(angles, sigmas, mode, bound, tau_rel)
+    verdict = _lattice_verdict(angles, sigmas, mode, bound, tau_rel)
+    if verdict is not None:
+        return verdict
+    if not sigmas.any():
+        relations = np.empty((0, len(angles) + (mode == MODE_INTEGER)), dtype=np.int64)
+        relations.flags.writeable = False
+        return KroneckerVerdict(mode=mode, status=HOLDS, bound=bound, requested_bound=bound,
+                                relations=relations, violating=None)
+    return _relation_scan(angles, sigmas, mode, bound, tau_rel)
+
+
+#: binary digits of the fixed-point pi of the lattice route
+PI_BITS = 256
+
+
+def _arctan_inverse(x: int, one: int) -> int:
+    """atan(1 / x) in units of 1 / ``one``, by its alternating series in
+    integers: each term is cut down twice, so the sum errs by at most twice
+    the number of terms."""
+    total = term = one // x
+    k, sign = 1, 1
+    while term:
+        term //= x * x
+        k, sign = k + 2, -sign
+        total += sign * (term // k)
+    return total
+
+
+#: pi in units of 2^-PI_BITS by Machin's formula, 16 atan(1/5) -
+#: 4 atan(1/239), with 16 guard bits: within 2 units of pi
+FIXED_PI = (16 * _arctan_inverse(5, 1 << PI_BITS + 16)
+            - 4 * _arctan_inverse(239, 1 << PI_BITS + 16)) >> 16
+#: relative slack on the float bounds of the lattice route, far above the
+#: few roundings of each
+SLACK = 1.0 + 2.0**-40
+
+
+def _lattice_verdict(angles, sigmas, mode: str, bound: int, tau_rel: float):
+    """The verdict of :func:`phase_condition_check` at the requested bound
+    from the rows of :func:`_lattice_relations`, or None where its gap
+    certificate falls short. Every box relation is in the integer span of
+    those rows, each itself a box relation, so an odd box relation exists
+    iff an odd row does: ``violated`` at the first odd row in lexicographic
+    order, with the rows before it as ``relations``, else ``holds`` with
+    all of them. At debug level each call logs one record: the route, N
+    (the lattice rows), s, k, the least |b*_j|^2 / R^2 over j > k, and the
+    reason for a fallback.
+    """
+    found, record = _lattice_relations(tuple(angles.tolist()), mode, bound, tau_rel)
+    if found is None:
+        logger.debug("%s", record)
+        return None
+    bits = sigmas.tolist()
+    odd = next((i for i, row in enumerate(found) if sum(map(operator.mul, row, bits)) % 2), None)
+    kept, integer = found[:odd], mode == MODE_INTEGER
+    relations = np.array(kept, dtype=np.int64).reshape(len(kept), len(bits) + integer)
+    relations.flags.writeable = False
+    status = HOLDS if odd is None else VIOLATED
+    logger.debug("%s; lattice: %s", record, status)
+    return KroneckerVerdict(mode=mode, status=status, bound=bound, requested_bound=bound,
+                            relations=relations,
+                            violating=None if odd is None else found[odd])
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_relations(angles: tuple, mode: str, bound: int, tau_rel: float):
+    """Box relations, first nonzero entry positive and in lexicographic
+    order, whose integer span holds every box relation of
+    :func:`phase_condition_check`, with the call's debug record; None for
+    the rows where the gap certificate falls short. The rows do not depend
+    on the sigmas, so the verdicts of one set of angles share them: a mix
+    run asks for the same angles once per sign pattern.
+
+    Coordinate r gets the row e_r | a_r with a_r = round(C theta_r / 2 pi)
+    in integer mode, which adds the row e_0 | C for l_0, and
+    a_r = round(C theta_r) in real mode; C = 2^s, theta_r is read as the
+    rational it is and pi in fixed point (FIXED_PI), so a_r is within
+    1/2 + 2^-50 of its target. The vector (l, l_0) maps to (l, l_0, t),
+    t = sum l_r a_r + C l_0, and |t| <= C rho / 2 pi + d B / 2 (C rho +
+    d B / 2 in real mode) when its exact residual is at most rho. A box
+    relation's exact residual is at most rho = tau_rel plus the rounding of
+    :func:`_relation_residuals`, u ((d + 1) sum_r |l_r theta_r| + 9 |l_0| +
+    tau_rel) with u = 2^-53, which covers the products, the d - 1 adds,
+    2 pi in float64 and its product by l_0. So every box relation has
+    squared norm at most the integer R^2 = d B^2 + L_0^2 + T^2, L_0 and T
+    bounding |l_0| and |t|; these bounds are formed in floats, each raised
+    by the relative SLACK, and rounded up. C is the least power of two with
+    C rho / 2 pi >= B (C rho >= B in real mode), which balances t against
+    l. (The scan's window margin, 1e-12 (1 + B sum |theta_r|), bounds the
+    rounding too, but it is about 10^3 times larger, and with it no bound
+    past about 2 10^6 could be certified even for a single angle.)
+
+    :func:`arcwalk.lattice.lll` reduces the rows, and
+    :func:`arcwalk.lattice.gap_rank` finds the least k with
+    |b*_j|^2 > R^2, that is D_j > R^2 D_{j-1} in integers, for every j > k,
+    so every box relation is in the integer span of b_1..b_k. Those are the
+    answer when each is inside the box and is itself a box relation (within
+    ``tau_rel``, with the same l_0). When k = 1 and b_1 is not, every box
+    relation is a multiple c b_1, and when none of the at most FIRST_ROWS
+    multiples inside the box is one, there is none: the answer is no rows.
+    Otherwise it is None: at a bound past 2^52, where float64 coordinates
+    stop being exact, for a residual bound that is not finite and positive,
+    and for a row below the gap that is no box relation.
+    """
+    integer = mode == MODE_INTEGER
+    d = len(angles)
+    rows = d + integer
+    reach = bound * math.fsum(map(abs, angles)) * SLACK  # >= sum |l_r theta_r| in the box
+    l0_max = math.floor(reach * SLACK / (2 * np.pi)) + 1 if integer else 0
+    rho = (tau_rel + 2.0**-53 * ((d + 1) * reach + 9 * l0_max + tau_rel)) * SLACK
+    turn = 2 * np.pi if integer else 1.0
+    record = f"phase condition ({mode}, d={d}, bound {bound}): N={rows}"
+    if not (bound <= 2**52 and 0 < rho < math.inf and bound * turn / rho < 2.0**200):
+        return None, f"{record}; scan: no exact lattice for the residual bound {rho:.3g}"
+    s = max(0, math.frexp(bound * turn / rho)[1])
+    T = math.ceil((2.0**s * rho / turn + d * bound / 2) * SLACK)
+    radius2 = d * bound**2 + l0_max**2 + T**2
+    ends = [(p << (s + PI_BITS), 2 * q * FIXED_PI) if integer else (p << s, q)
+            for p, q in map(float.as_integer_ratio, angles)]
+    table = [[0] * r + [1] + [0] * (rows - r - 1) + [(2 * num + den) // (2 * den)]
+             for r, (num, den) in enumerate(ends)]
+    if integer:
+        table.append([0] * d + [1, 1 << s])
+    basis, D = lll(table)
+    k = gap_rank(D, radius2)
+    gaps = [D[j] / (radius2 * D[j - 1]) for j in range(k + 1, rows + 1)]
+    record += f", s={s}, k={k}, least |b*_j|^2 / R^2 over j > k {min(gaps, default=math.inf):.3g}"
+    found = [row[:rows] if next(x for x in row if x) > 0 else [-x for x in row[:rows]]
+             for row in basis[:k]]
+    theta = np.array(angles)
+    related = all(abs(x) <= bound for row in found for x in row[:d])
+    if related and found:
+        columns = np.array(found, dtype=float).T
+        resid, l0 = _relation_residuals(columns[:d], theta, integer)
+        related = (resid <= tau_rel).all() and (l0 is None or (l0 == columns[d]).all())
+    if not related:
+        top = max(map(abs, found[0][:d]))
+        if k > 1 or not top or bound // top > FIRST_ROWS:
+            return None, f"{record}; scan: a row below the gap is no box relation"
+        # every box relation is c b_1 for an integer 0 < c <= bound // top
+        multiples = np.multiply.outer(np.array(found[0][:d], dtype=float),
+                                      np.arange(1, bound // top + 1))
+        if (_relation_residuals(multiples, theta, integer)[0] <= tau_rel).any():
+            return None, f"{record}; scan: b_1 is no box relation, but a multiple is"
+        found = []
+    return tuple(sorted(map(tuple, found))), record
+
+
+def _relation_scan(
+    angles,
+    sigmas,
+    mode: str,
+    bound: int = RELATION_BOUND,
+    tau_rel: float = TAU_REL,
+) -> KroneckerVerdict:
+    """Scan integer relations among the angles and test their sign parity:
+    :func:`phase_condition_check` where the lattice certificate falls short
+    and some sigma is odd, and the oracle of the lattice route in tests.
 
     Integer mode: every (l_1..l_d, l_0) with sum l_r theta_r + 2 pi l_0 = 0
     within ``tau_rel`` must have sum l_r sigma_r even. Real mode: the same
@@ -582,12 +787,8 @@ def phase_condition_check(
     grid. At debug level the scan logs one record of its counts.
     ``bound`` is read as the Python int it equals.
     """
-    angles, sigmas = _phase_inputs(angles, sigmas, mode)
+    angles, sigmas, bound = _relation_inputs(angles, sigmas, mode, bound, tau_rel)
     d = len(angles)
-    _check_count("relation bound", bound, 1)
-    bound = int(bound)  # a numpy integer or bool reads as the Python int it equals
-    if not tau_rel >= 0:  # NaN too: a tolerance that accepts nothing says `holds`
-        raise ValueError(f"tau_rel must be non-negative, got {tau_rel}")
     integer = mode == MODE_INTEGER
     verdict = functools.partial(KroneckerVerdict, mode=mode, requested_bound=bound)
     if d == 0:

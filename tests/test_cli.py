@@ -419,7 +419,7 @@ SPLIT_SUPPORT_EDGES = [tuple(map(int, e)) for e in
 @pytest.mark.parametrize("simultaneous", [False, True])
 @pytest.mark.parametrize("mode, relations, violating", [
     ("real", [], (1, -2, 1, 0)),
-    ("integer", [(0, 4, 0, 0, -1)], (1, -18, 1, 0, 4)),
+    ("integer", [], (1, -2, 1, 0, 0)),
 ])
 def test_mix_reports_a_phase_obstruction(tmp_path, mode, relations, violating, simultaneous,
                                          capsys):
@@ -448,6 +448,23 @@ def test_mix_reports_a_phase_obstruction(tmp_path, mode, relations, violating, s
         assert rel[0] == rel[2] and rel[3] == 0
         assert Fraction(rel[0]) + Fraction(rel[1], 2) + 2 * l0 == 0
         assert (rel[0] + rel[3]) % 2 == (rel == violating)
+
+
+@pytest.mark.parametrize("mode, relations, violating", [
+    ("real", [], (1, -2, 1, 0)),
+    ("integer", [(0, 4, 0, 0, -1)], (1, -18, 1, 0, 4)),
+])
+def test_scan_finds_the_first_odd_cayley_relation(mode, relations, violating):
+    """mix decides the Cayley graph from a reduced basis of its relation
+    lattice; the meet-in-the-middle scan of the same angles and sign bits
+    1001 still reports every primitive relation before the lexicographically
+    first odd one, and that one."""
+    g = graph_from_adjacency(nx.to_numpy_array(nx.Graph(CAYLEY_EDGES), nodelist=range(16)))
+    angles = np.array([float(a) for a in spectra.eigendecompose_symmetric(g).angles[1:]])
+    verdict = mixing._relation_scan(angles, [1, 0, 0, 1], mode)
+    assert verdict.status == "violated"
+    assert list(map(tuple, verdict.relations.tolist())) == relations
+    assert verdict.violating == violating
 
 
 def test_split_supports_are_reported(tmp_path, capsys):
@@ -606,13 +623,14 @@ def test_log_notices_reach_stderr_at_info_only(tmp_path, capsys):
     path = tmp_path / "triangle.edges"
     path.write_text("3 4\n0 1\n1 2\n2 0\n0 1\n")
     analyze = ["analyze", "--edges", str(path), "--format", "json"]
-    mix = ["mix", "--builtin", "rook:4", "--relation-bound", "1600", "--format", "json"]
+    # past 2^52 no lattice certificate is tried, and the scan is cut to its cap
+    mix = ["mix", "--builtin", "rook:4", "--relation-bound", str(2**53 + 1), "--format", "json"]
     for _ in range(2):
         code, _, err = run_cli([*analyze, "--log-level", "info"], capsys)
         assert code == 0
         assert err.splitlines() == ["INFO arcwalk.graphs: from_edge_list: collapsed 1 duplicate edge(s)"]
     code, _, err = run_cli([*mix, "--log-level", "info"], capsys)
-    assert err.count("relation scan bound reduced 1600 -> 1580") == 1
+    assert err.count(f"relation scan bound reduced {2**53 + 1} -> 1580") == 1
     code, _, err = run_cli(analyze, capsys)
     assert code == 0 and err == ""
     code, _, err = run_cli(mix, capsys)

@@ -229,11 +229,11 @@ def test_relation_scan_screens_a_long_coordinate_in_slices(angles, sigmas, mode,
     batches of heads: the verdict, bound, relations and violating vector are
     those of the scan at the default SCAN_ROWS, and a one-angle scan peaks
     far below one array of the whole span."""
-    whole = mixing.phase_condition_check(angles, sigmas, mode, bound=bound)
+    whole = mixing._relation_scan(angles, sigmas, mode, bound=bound)
     monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
     tracemalloc.start()
     try:
-        sliced = mixing.phase_condition_check(angles, sigmas, mode, bound=bound)
+        sliced = mixing._relation_scan(angles, sigmas, mode, bound=bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -251,7 +251,7 @@ def test_single_angle_scan_at_the_enumeration_cap_stays_small():
     six int64 arrays of SCAN_ROWS."""
     tracemalloc.start()
     try:
-        verdict = mixing.phase_condition_check([2.0], [0], "integer", bound=10**7)
+        verdict = mixing._relation_scan([2.0], [0], "integer", bound=10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -168,7 +168,7 @@ def test_phase_condition_keeps_primitive_relations_only():
 def test_phase_condition_inconclusive_when_bound_reduced(monkeypatch):
     monkeypatch.setattr(mixing, "MAX_ENUMERATION", 100_000)
     angles = [1.0, np.sqrt(2), np.sqrt(3), np.sqrt(5), np.sqrt(7)]
-    verdict = phase_condition_check(angles, [0] * 5, "integer", bound=20)
+    verdict = mixing._relation_scan(angles, [0] * 5, "integer", bound=20)
     assert verdict.status == INCONCLUSIVE
     assert verdict.bound < verdict.requested_bound == 20
 
@@ -176,7 +176,7 @@ def test_phase_condition_inconclusive_when_bound_reduced(monkeypatch):
 def test_phase_condition_huge_bound_returns_at_once(monkeypatch):
     monkeypatch.setattr(mixing, "MAX_ENUMERATION", 100_000)
     angles = [1.0, np.sqrt(2), np.sqrt(3), np.sqrt(5), np.sqrt(7)]
-    verdict = phase_condition_check(angles, [0] * 5, "integer", bound=10**9)
+    verdict = mixing._relation_scan(angles, [0] * 5, "integer", bound=10**9)
     assert verdict.status == INCONCLUSIVE
     assert verdict.requested_bound == 10**9
     assert verdict.bound == relation_scan_bound(20, 5, 100_000)
@@ -225,7 +225,7 @@ def test_relation_scan_blocks_are_the_lexicographic_half_box(rows, monkeypatch):
             for bound in range(1, 4):
                 located.clear()
                 decided.clear()
-                verdict = phase_condition_check(
+                verdict = mixing._relation_scan(
                     angles[:d], [0] * d, mode, bound=bound, tau_rel=np.inf
                 )
                 heads = (2 * bound + 1) ** (d - d // 2)
@@ -266,7 +266,7 @@ def test_screen_keeps_a_row_at_exactly_the_tolerance(mode, rows, monkeypatch):
             resid = float(resid[0])
             want = vec.tolist() + ([] if l0 is None else [int(l0[0])])
             for tau in (resid, np.nextafter(resid, np.inf)):
-                verdict = phase_condition_check(angles, [0] * d, mode, bound=4, tau_rel=tau)
+                verdict = mixing._relation_scan(angles, [0] * d, mode, bound=4, tau_rel=tau)
                 assert want in verdict.relations.tolist(), (want, tau)
             tried += 1
 
@@ -274,7 +274,7 @@ def test_screen_keeps_a_row_at_exactly_the_tolerance(mode, rows, monkeypatch):
 def test_relation_scan_at_the_enumeration_cap_stays_small():
     tracemalloc.start()
     try:
-        verdict = phase_condition_check([1.0, np.sqrt(2)], [0, 0], "real", bound=10**9)
+        verdict = mixing._relation_scan([1.0, np.sqrt(2)], [0, 0], "real", bound=10**9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -290,7 +290,7 @@ def test_clean_integer_scan_holds_little_beyond_its_relations():
     angles = 2 * np.pi * np.arange(1, 9) / 17
     tracemalloc.start()
     try:
-        verdict = phase_condition_check(angles, [0] * 8, "integer")
+        verdict = mixing._relation_scan(angles, [0] * 8, "integer")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

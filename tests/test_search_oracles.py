@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcwalk import mixing, phase_condition_check, time_search
+from arcwalk import mixing, time_search
 from arcwalk.cli import resolve_builtin
 from arcwalk.mixing import HOLDS, VIOLATED, TimeSearchResult, relation_scan_bound
 from arcwalk.spectra import srg_decomposition
@@ -77,7 +77,7 @@ def test_relation_scan_matches_exact_integer_oracle(d, mode):
         angles = cycle_angles(c, d)
         for bits in patterns:
             for bound in range(1, 5):
-                verdict = phase_condition_check(angles, bits, mode, bound=bound)
+                verdict = mixing._relation_scan(angles, bits, mode, bound=bound)
                 want = exact_relation_scan(c, bits.tolist(), mode, bound)
                 assert scan_result(verdict) == want, (c, bits, mode, bound)
                 assert verdict.bound == bound
@@ -142,7 +142,7 @@ def test_relation_scan_matches_exact_oracle_at_benchmark_sizes(c, bound, mode):
             violated.append(bits)
     assert relation_scan_bound(bound, d, mixing.MAX_ENUMERATION) == bound
     for bits in [np.zeros(d, dtype=np.int64), *violated]:
-        verdict = phase_condition_check(cycle_angles(c, d), bits, mode, bound=bound)
+        verdict = mixing._relation_scan(cycle_angles(c, d), bits, mode, bound=bound)
         want = exact_cycle_scan(c, bits, mode, bound)
         assert want[0] == (VIOLATED if bits.any() else HOLDS)
         assert scan_result(verdict) == want, (bits, mode)
@@ -163,7 +163,7 @@ def test_relation_scan_matches_the_block_scan_on_random_angles():
             angles[-1] = (total % (2 * np.pi) if mode == "integer" else abs(total)) or 1.0
         bits = rng.integers(0, 2, d)
         tau = (1e-9, 1e-3, 0.05, 0.3)[case % 5 % 4]
-        verdict = phase_condition_check(angles, bits, mode, bound=bound, tau_rel=tau)
+        verdict = mixing._relation_scan(angles, bits, mode, bound=bound, tau_rel=tau)
         want = block_relation_scan(angles, bits, mode, bound, tau)
         assert scan_result(verdict) == want, case
 
@@ -182,7 +182,7 @@ def test_relation_scan_matches_the_block_scan_past_six_angles(d):
         cases = [(cap, 1e-9, np.zeros(d, int)), (cap, 1e-9, rng.integers(0, 2, d)),
                  (1, 0.05, rng.integers(0, 2, d)), (1, 0.3, np.zeros(d, int))]
         for bound, tau, bits in cases:
-            verdict = phase_condition_check(angles, bits, mode, bound=bound, tau_rel=tau)
+            verdict = mixing._relation_scan(angles, bits, mode, bound=bound, tau_rel=tau)
             want = block_relation_scan(angles, bits, mode, bound, tau)
             assert scan_result(verdict) == want, (mode, bound, tau, bits)
             assert verdict.bound == bound
@@ -210,7 +210,7 @@ def test_relation_scan_matches_the_block_scan_on_cycle_angles(mode, rows, monkey
             if (2 * bound + 1) ** d > 2**18:
                 break
             for bits in (np.zeros(d, int), np.arange(1, d + 1) % 2, rng.integers(0, 2, d)):
-                verdict = phase_condition_check(angles, bits, mode, bound=bound)
+                verdict = mixing._relation_scan(angles, bits, mode, bound=bound)
                 want = block_relation_scan(angles, bits, mode, bound)
                 assert scan_result(verdict) == want, (c, bound, bits)
 
@@ -231,7 +231,7 @@ def test_relation_scan_matches_the_block_scan_where_windows_differ(rows, monkeyp
         total = rng.integers(-2, 3, d - 1) @ angles[:-1]
         angles[-1] = (total % (2 * np.pi) if mode == "integer" else abs(total)) or 1.0
         bits, tau = rng.integers(0, 2, d), (0.02, 0.1, 0.3)[case % 3]
-        verdict = phase_condition_check(angles, bits, mode, bound=bound, tau_rel=tau)
+        verdict = mixing._relation_scan(angles, bits, mode, bound=bound, tau_rel=tau)
         assert scan_result(verdict) == block_relation_scan(angles, bits, mode, bound, tau), case
 
 
@@ -244,7 +244,7 @@ def test_zero_head_keeps_the_canonical_rows_of_its_window(mode, rows, monkeypatc
     if rows is not None:
         monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
     angles, bits = [0.7, 1.3, 0.9, 0.9], [0, 0, 0, 0]
-    verdict = phase_condition_check(angles, bits, mode, bound=3)
+    verdict = mixing._relation_scan(angles, bits, mode, bound=3)
     assert scan_result(verdict) == block_relation_scan(angles, bits, mode, 3)
     vectors = verdict.relations[:, :4].tolist()
     assert [0, 0, 1, -1] in vectors
@@ -260,7 +260,7 @@ def test_primitivity_takes_l0_where_the_coordinates_share_a_factor(rows, monkeyp
     if rows is not None:
         monkeypatch.setattr(mixing, "SCAN_ROWS", rows)
     angles, bits = [np.pi / 2] * 4, [0] * 4
-    verdict = phase_condition_check(angles, bits, "integer", bound=4)
+    verdict = mixing._relation_scan(angles, bits, "integer", bound=4)
     assert scan_result(verdict) == block_relation_scan(angles, bits, "integer", 4)
     relations = verdict.relations.tolist()
     assert [0, 0, 2, 2, -1] in relations and [2, 0, 0, 2, -1] in relations
@@ -271,7 +271,7 @@ def relation_scan_log(caplog, *args, **kwargs):
     """The scan's verdict and the messages it logs at debug level."""
     caplog.clear()
     caplog.set_level(logging.DEBUG, logger="arcwalk.mixing")
-    verdict = phase_condition_check(*args, **kwargs)
+    verdict = mixing._relation_scan(*args, **kwargs)
     return verdict, [record.getMessage() for record in caplog.records]
 
 
@@ -285,7 +285,7 @@ def test_relation_scan_logs_one_debug_record_per_scan(caplog):
     sorted once."""
     angles = cycle_angles(9, 4)
     caplog.set_level(logging.INFO, logger="arcwalk.mixing")
-    quiet = phase_condition_check(angles, [0] * 4, "integer")
+    quiet = mixing._relation_scan(angles, [0] * 4, "integer")
     assert not caplog.records
     verdict, (line,) = relation_scan_log(caplog, angles, [0] * 4, "integer")
     assert scan_result(verdict) == scan_result(quiet)
@@ -509,7 +509,7 @@ def test_search_results_do_not_depend_on_block_or_chunk_sizes(monkeypatch):
                 (cycle_angles(9, 4), [1, 0, 1, 0], 0.1, "integer", {})]
 
     def run():
-        verdicts = [phase_condition_check(a, s, m, bound=b) for a, s, m, b in scans]
+        verdicts = [mixing._relation_scan(a, s, m, bound=b) for a, s, m, b in scans]
         results = [time_search(a, s, e, m, **kw) for a, s, e, m, kw in searches]
         return [(scan_result(v), v.bound, v.requested_bound) for v in verdicts], results
 
@@ -552,7 +552,7 @@ def test_relation_scan_hands_each_half_box_row_over_once(c, bound, monkeypatch):
     located, decided = scan_calls(monkeypatch)
     d = (c - 1) // 2
     angles = cycle_angles(c, d)
-    verdict = phase_condition_check(angles, np.zeros(d, int), "real", bound=bound)
+    verdict = mixing._relation_scan(angles, np.zeros(d, int), "real", bound=bound)
     assert verdict.status != VIOLATED
     outer = d - d // 2
     heads = [h for h in itertools.product(range(-verdict.bound, verdict.bound + 1), repeat=outer)
@@ -592,7 +592,7 @@ def test_clean_scan_passes_only_its_hits_to_the_exact_residual(c, bound, mode, m
     built for the exact residual in vain."""
     _, decided = scan_calls(monkeypatch)
     d = (c - 1) // 2
-    verdict = phase_condition_check(cycle_angles(c, d), np.zeros(d, int), mode, bound=bound)
+    verdict = mixing._relation_scan(cycle_angles(c, d), np.zeros(d, int), mode, bound=bound)
     assert verdict.status == HOLDS
     hits = sum(found for _, found in decided)
     assert hits == cycle_relation_rows(c, d, bound, mode)
