@@ -16,7 +16,9 @@ in closed form, of consecutive points or along a stride over which every
 class nearly returns, then finds an explicit time within the requested
 epsilon, or fails with the first time of least misalignment in those
 turns, so that the points of a periodic orbit, tied up to rounding, take
-no sine.
+no sine. In real mode the first success on that grid is sought first
+around the whole-turn crossings of one pivot class, and the grid is
+scanned only where none is found there.
 
 The search runs on the n x n adjacency layer, so a graph with no flat
 pattern is refused before any arc is enumerated. A strongly regular or
@@ -1032,10 +1034,12 @@ class TimeSearchResult:
 #: points in the first chunk of a time-search grid; later chunks double, so
 #: an early hit costs little
 FIRST_CHUNK = 1024
-#: blocks in the first chunk screened by blocks; later ones double. 2^9
-#: took the real searches of rook:4 at epsilon 0.003 1.3x as long, 2^12
-#: the cycles' alternating-bit hits at 0.003 1.5x
-FIRST_BLOCKS = 2**10
+#: blocks in the first chunk screened by blocks; later ones double. The
+#: grid serves integer searches and real failures, real hits coming from
+#: :func:`_crossing_search`: over six drawn failing searches a mode of each
+#: of cycle:9, 13 and 17 at epsilon 0.1, 2^10 took the real ones 1.08x as
+#: long, 2^9 1.25x and 2^12 1.01x, and the integer ones moved by 1.4% at most
+FIRST_BLOCKS = 2**11
 #: most blocks times classes in a chunk screened by blocks, beside one
 #: block per residue of its stride: it bounds the chunk's work arrays and
 #: so the search's peak memory; 2^13 blocks at every d took complement:rook:4's
@@ -1048,9 +1052,9 @@ DENSE_CHUNK = 2**16
 #: 64 complement:rook:4's failing integer searches took 3x as long
 MIN_BLOCK = 8
 #: least points in a chunk screened by blocks; smaller chunks are screened
-#: at every point. At 2^11 the hits in the second to fourth chunks took
-#: 2-2.6x as long; at 2^15 the alternating-bit hits at epsilon 0.003 took
-#: 0.6x, the other searches of the search-real benchmark 1.07x in all
+#: at every point. On the grid's share of one cycle of the search-real and
+#: mix-srg benchmarks (the integer searches and the failing real ones),
+#: 2^13 took 0.85-0.94x as long and 2^15 1.12-1.15x
 BLOCK_CHUNK = 2**14
 #: largest stride along which a chunk is screened by blocks (see
 #: :func:`_stride`)
@@ -1115,8 +1119,8 @@ def _fixed_grid(turns, sigmas, step: float) -> _FixedGrid:
 def _fixed_width(width: float) -> int:
     """The largest distance in units, at most HALF_TURN, that is at most
     ``width`` turns: a point is within the width when its distance is at
-    most this."""
-    return min(math.floor(math.ldexp(width, 64)), HALF_TURN)
+    most this. A width of half a turn or more is HALF_TURN, however large."""
+    return math.floor(math.ldexp(min(width, 0.5), 64))
 
 
 def _distance(points, steps, halves, out=None) -> np.ndarray:
@@ -1296,7 +1300,7 @@ def _chunk_best(angles, sigmas, grid, epsilon, points, worst, close, tally):
 
 
 def _scan_times(
-    angles, sigmas, epsilon, step, horizon, start, stop
+    angles, sigmas, epsilon, step, horizon, start, stop, crossings: bool = True
 ) -> tuple[float, float, bool]:
     """Scan the grid t_i = min(i step, horizon), i in [start, stop), for
     0/1 sigmas, some of them 1: return the first point with deficit below
@@ -1344,6 +1348,11 @@ def _scan_times(
     clamps it short of its place on the grid, is decided on the exact form
     alone, after the rest. At debug level each search logs one record of
     its stride, blocks, exact forms and chunks.
+
+    On the real grid (start 0) the first success is sought first by
+    :func:`_crossing_search`, on the same grid and width, and the chunks
+    are scanned only when it finds none; ``crossings=False`` scans the
+    chunks alone.
     """
     grid = _fixed_grid(angles / (2.0 * np.pi), sigmas, step)
     # grid index 0 is t = 0, where each class sits at its half turn
@@ -1352,6 +1361,10 @@ def _scan_times(
     stop -= clamped
     margin = 1e-12 * (1.0 + min(float(stop - 1) * step, horizon) * float(angles.max()) + np.pi)
     close = _fixed_width(_misalignment_at_most(epsilon + margin) + margin)
+    if crossings and not start:
+        hit = _crossing_search(angles, sigmas, epsilon, grid, stop, close)
+        if hit is not None:
+            return (*hit, True)
     index, work = np.empty(0, dtype=np.uint64), np.empty((2, 0), dtype=np.uint64)
     tally = dict.fromkeys(("blocks", "pruned", "block", "exact", "chunks"), 0)
     lo, size, blocks, stride, found = start, FIRST_CHUNK, FIRST_BLOCKS, None, None
@@ -1406,13 +1419,152 @@ def _scan_times(
     return best_t, best_val, False
 
 
+def _crossing_pivot(moves, close: int) -> int | None:
+    """The class whose whole-turn crossings :func:`_crossing_search` walks:
+    among the classes that move between 1 unit and a quarter turn a point,
+    with runs of 2 H + 1 points, H = close // move + 1, and (2 H + 1) d at
+    most CHUNK_WORK, the one of least estimated work per grid point. That
+    is its crossings per point, move / 2^64, times the d - 1 screens of
+    each and the (2 H + 1) d distances of the fraction of them that would
+    survive if the other classes sat anywhere at a centre. The classes are
+    tried slowest first, and a class whose crossings alone cost more than
+    the least work so far ends the search; None when no class qualifies."""
+    d, width = len(moves), close / HALF_TURN
+    turns = [move / HALF_TURN for move in moves]
+    pivot, least = None, math.inf
+    for p in sorted(range(d), key=moves.__getitem__):
+        if moves[p] > HALF_TURN // 2 or (d - 1) * turns[p] >= least:
+            break
+        runs = 2 * (close // moves[p]) + 3 if moves[p] else CHUNK_WORK + 1
+        if runs * d > CHUNK_WORK:
+            continue
+        survive = 1.0
+        for r, x in enumerate(turns):
+            if r != p and (share := width + (runs // 2) * x) < 1.0:
+                survive *= share
+        if (work := turns[p] * (d - 1 + survive * runs * d)) < least:
+            pivot, least = p, work
+    return pivot
+
+
+def _crossing_search(angles, sigmas, epsilon, grid, stop, close) -> tuple[float, float] | None:
+    """The first success of :func:`_scan_times` on the real grid ``grid``
+    among the indices [0, stop), bit for bit, as (t, deficit): the first
+    index whose misalignment is within the width ``close`` of epsilon and
+    whose exact deficit is below epsilon. The clamped last point, left out
+    of ``stop``, is the scan's to decide. None when there is none, and when
+    the route does not serve: when the width is a quarter turn or more,
+    since then the pivot is within it most of the time, or when no class
+    can pivot (:func:`_crossing_pivot`).
+
+    The pivot p moves M = moves[p] units a point, and its distance is that
+    of i M + halves[p] (a class stepping backwards is its mirror image).
+    Its points within ``close`` lie in runs around its crossings of whole
+    turns, x_k = (k - halves[p] / 2^64) 2^64 / M, one run to a crossing:
+    |i - x_k| <= close / M. Taken in floats as (k - halves[p] / 2^64)
+    times the rounded 2^64 / M, with k below 2^52, x_k is off by at most
+    3 2^-53 x_k, under 1e-7 on a grid of at most MAX_GRID_POINTS + 1
+    points, so its nearest integer c_k is within 1/2 + 1e-7 of it, and
+    every run point lies in c_k + j, |j| <= H = close // M + 1. So where
+    such a point is a success, every other class r is within
+    close + H moves[r] of a whole turn at c_k, and a crossing whose centre
+    fails that on some class is dropped, the classes of least bound first.
+    Crossings are screened in batches of FIRST_CHUNK doubling up to
+    CHUNK_WORK / d, the last taking what is left when that is under two
+    batches, and the survivors' runs are measured, ascending, in
+    groups of 1 survivor doubling up to CHUNK_WORK / ((2 H + 1) d), with
+    :func:`_distance` and then the exact form on the points within close,
+    as the grid does; the least index below epsilon in a group ends the
+    search. Runs of neighbouring crossings may overlap when H is large
+    against 2^64 / M, so a point may be measured twice, never missed. At
+    debug level each search logs one record of its pivot, crossings,
+    survivors and points, or of why it hands over to the grid.
+    """
+    d, found, pivot, moves = len(angles), None, None, grid.moves()
+    crossings = survivors = measured = exact = 0
+    if close >= HALF_TURN // 2:
+        reason = "the width of epsilon is a quarter turn or more"
+    elif (pivot := _crossing_pivot(moves, close)) is None:
+        reason = ("no class moves between 1 unit and a quarter turn a point with runs of "
+                  "at most CHUNK_WORK / d points")
+    else:
+        reason = "no success"
+    if pivot is not None:
+        move, half = moves[pivot], grid.halves[pivot]
+        reach = close // move + 1
+        # a signed position x is within the bound u when x + u, wrapped, is at
+        # most 2 u; a class whose bound reaches half a turn screens nothing
+        screens = [(grid.steps[r], (grid.halves[r] + bound) % (1 << 64), 2 * bound)
+                   for r in sorted(range(d), key=moves.__getitem__)
+                   if r != pivot and (bound := close + reach * moves[r]) < HALF_TURN]
+        period, offset = 2.0**64 / move, half / 2.0**64
+        k, end = half >> 63, -(-((stop + reach) * move + half) >> 64)
+        batch, group, shifts = FIRST_CHUNK, 1, None
+        while k < end and found is None:
+            n = end - k if end - k < 2 * batch else batch
+            centres = np.arange(k - offset, k + n - offset)
+            centres *= period
+            centres = np.rint(centres, out=centres).astype(np.uint64)
+            for step_r, shift, width in screens:
+                if not len(centres):
+                    break
+                centres = centres[centres * step_r + shift <= width]
+            crossings, survivors = crossings + n, survivors + len(centres)
+            if len(centres) and shifts is None:
+                shifts = np.arange(-reach, reach + 1).astype(np.uint64)
+                steps = np.array(grid.steps, dtype=np.uint64)[:, None]
+                halves = np.array(grid.halves, dtype=np.uint64)[:, None]
+            at = 0
+            while at < len(centres) and found is None:
+                runs = np.add.outer(centres[at:at + group], shifts).ravel()
+                runs = runs[runs < stop]
+                near = runs[_distance(runs, steps, halves).max(axis=0, initial=0) <= close]
+                measured, exact = measured + len(runs), exact + len(near)
+                if near.size:
+                    deficits = phase_alignment_deficit(angles, sigmas, near * grid.step)
+                    hits = np.flatnonzero(deficits < epsilon)
+                    if hits.size:
+                        j = hits[np.argmin(near[hits])]
+                        found = float(int(near[j])) * grid.step, float(deficits[j])
+                at += group
+                group = min(2 * group, CHUNK_WORK // (len(shifts) * d))
+            k += n
+            batch = min(2 * batch, max(CHUNK_WORK // d, 1))
+    if logger.isEnabledFor(logging.DEBUG):
+        head = f"time search by crossings (real, d={d}, {stop} grid points): "
+        if pivot is not None:
+            head += (f"pivot class {pivot} moves {moves[pivot]} units a point, runs of "
+                     f"{2 * reach + 1} points; {crossings} crossings screened, {survivors} "
+                     f"survived, {measured} points measured, {exact} took the exact form; ")
+        logger.debug(head + ("success" if found else f"handed over to the grid: {reason}"))
+    return found
+
+
+def _real_horizon(angles, t_max: float | None) -> float:
+    """The horizon of a real time search: t_max, by default
+    T_MAX_FACTOR / min theta."""
+    return t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
+
+
 def _real_grid(angles, epsilon: float, t_max: float | None) -> tuple[float, float, int]:
-    """(horizon, step, points) of the real-mode time grid. The horizon is
-    t_max, by default T_MAX_FACTOR / min theta. The step epsilon /
-    (4 max theta) resolves the deficit to epsilon / 8; when that needs more
-    than MAX_GRID_POINTS points, the step is coarsened to horizon /
-    MAX_GRID_POINTS and the grid has MAX_GRID_POINTS + 1 points."""
-    horizon = t_max if t_max is not None else T_MAX_FACTOR / float(angles.min())
+    """(horizon, step, points) of the real-mode time grid over
+    [0, :func:`_real_horizon`]. The step epsilon / (4 max theta) resolves
+    the deficit to epsilon / 8; when that needs more than MAX_GRID_POINTS
+    points, the step is coarsened to horizon / MAX_GRID_POINTS and the grid
+    has MAX_GRID_POINTS + 1 points.
+
+    A float phase t theta near the horizon is resolved to horizon max theta
+    2^-52 at best; a horizon where that reaches epsilon / 8 raises
+    ValueError naming t_max, or the least angle when it sets the default
+    horizon, since phases there say nothing at the scale of epsilon."""
+    horizon = _real_horizon(angles, t_max)
+    if (blur := horizon * float(angles.max()) * 2.0**-52) >= epsilon / 8.0:
+        cause = (f"t_max {t_max:g}" if t_max is not None else
+                 f"the default horizon T_MAX_FACTOR / min theta = {horizon:g} of angle "
+                 f"{float(angles.min()):g}")
+        raise ValueError(f"{cause} is past float phase resolution at epsilon {epsilon:g}: "
+                         f"horizon * max theta * 2^-52 = {blur:.3g} >= epsilon / 8; "
+                         "give a smaller t_max")
     step = epsilon / (4.0 * float(angles.max()))
     points = int(np.ceil(horizon / step)) + 1
     if points > MAX_GRID_POINTS:
@@ -1447,7 +1599,11 @@ def time_search(
     time >= 0 that aligns a single angle, when it lies within t_max, and
     otherwise the grid of :func:`_real_grid` over [0, t_max] with local
     refinement; the result never lies past t_max (by default
-    T_MAX_FACTOR / min theta). The smallest acceptable t wins. On failure
+    T_MAX_FACTOR / min theta). The smallest acceptable t wins. On that
+    grid the first success comes from the whole-turn crossings of one
+    pivot class (:func:`_crossing_search`), bit for bit the grid's; the
+    grid itself is scanned only where that finds none or does not serve,
+    to rank a failure and to decide a clamped last point. On failure
     the first grid point of least misalignment, measured in exact
     fixed-point turns, is returned with its exact deficit and
     ``success=False``, after refinement in real mode. Points that tie up
@@ -1458,9 +1614,12 @@ def time_search(
     Angles must be positive and finite, sigmas integral (only sigma mod 2
     counts: t = 0 aligns when every sigma is even), epsilon positive
     and finite, ``budget`` an integer >= 0 and ``t_max`` positive and
-    finite; a bad value raises ValueError naming it. The scan is well defined whatever the phase
-    condition says; a caller that searches after an ``inconclusive`` scan
-    says so in its own report.
+    finite; a bad value raises ValueError naming it. So does a real
+    horizon past float phase resolution where the grid is needed
+    (:func:`_real_grid`), naming t_max or, for the default horizon, the
+    least angle; a single angle's closed form needs no grid. The scan is well defined
+    whatever the phase condition says; a caller that searches after an
+    ``inconclusive`` scan says so in its own report.
     """
     angles, sigmas = _phase_inputs(angles, sigmas, mode)
     if not (angles > 0).all():
@@ -1486,11 +1645,11 @@ def time_search(
         return TimeSearchResult(success=hit, t=t, deficit=deficit, mode=mode)
 
     # real mode
-    horizon, step, points = _real_grid(angles, epsilon, t_max)
-    t = _single_angle_time(angles, sigmas, horizon)
+    t = _single_angle_time(angles, sigmas, _real_horizon(angles, t_max))
     if t is not None:
         deficit = float(phase_alignment_deficit(angles, sigmas, t))
         return TimeSearchResult(success=deficit < epsilon, t=t, deficit=deficit, mode=mode)
+    horizon, step, points = _real_grid(angles, epsilon, t_max)
     if points > MAX_GRID_POINTS:
         logger.info("real-time grid coarsened to %d points over [0, %g]", points, horizon)
 
@@ -1516,9 +1675,9 @@ def _exhausted_note(
                 f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
         return note
-    horizon, step, points = _real_grid(angles, epsilon, t_max)
-    if _single_angle_time(angles, sigmas, horizon) is not None:
+    if _single_angle_time(angles, sigmas, _real_horizon(angles, t_max)) is not None:
         return note
+    horizon, step, points = _real_grid(angles, epsilon, t_max)
     fine = epsilon / (4.0 * float(angles.max()))
     if points > MAX_GRID_POINTS:
         return note + (

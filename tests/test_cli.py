@@ -318,6 +318,27 @@ def test_bad_numbers_exit_two(command, flag, value, capsys):
     assert err.startswith("error:") and flag in err
 
 
+@pytest.mark.parametrize("t_max", ["1e300", "1e305", "1e308"])
+def test_horizon_past_float_phase_resolution_exits_two(t_max, capsys):
+    """A real horizon past float phase resolution is refused with exit 2 and
+    one error line, no traceback and no verdict on phases that carry
+    nothing at the scale of epsilon."""
+    code, out, err = run_cli(["mix", "--builtin", "rook:4", "--mode", "real", "--epsilon", "0.1",
+                              "--t-max", t_max], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: t_max {float(t_max):g} is past float phase resolution")
+    assert err.count("\n") == 1
+
+
+def test_a_single_class_past_float_phase_resolution_is_still_answered(capsys):
+    """k4's time search has a single angle, acos(-1/3), which aligns in
+    closed form with no grid, so a horizon past float phase resolution
+    still succeeds, as before the refusal."""
+    code, out, _ = run_cli(["mix", "--builtin", "k4", "--mode", "real", "--epsilon", "0.1",
+                            "--t-max", "1e300"], capsys)
+    assert code == 0 and "verdict success" in out
+
+
 @pytest.mark.parametrize(
     "spec, n, k",
     [

@@ -354,6 +354,56 @@ def test_time_search_input_checks(args, kwargs, match):
         time_search(*args, **kwargs)
 
 
+@pytest.mark.parametrize("angles, t_max, cause", [
+    ([1e-300, 1.0], None, "of angle 1e-300"),
+    ([5e-324, 1.0], None, "of angle 4.94066e-324"),
+    ([0.5, 1.0], 1e300, "t_max 1e+300"),
+    ([0.5, 1.0], 1e305, "t_max 1e+305"),
+    ([0.5, 1.0], 1e308, "t_max 1e+308"),
+])
+def test_horizon_past_float_phase_resolution_is_refused(angles, t_max, cause):
+    """A float phase t theta at the horizon is resolved to horizon max theta
+    2^-52 at best; where that reaches epsilon / 8 the search would report
+    deficits that say nothing at the scale of epsilon (t_max 1e300 gave a
+    "best" deficit below epsilon, 1e305 and a default horizon of 1e304 an
+    OverflowError, 1e308 a float infinity), so it raises ValueError naming
+    t_max, or the least angle that set the default horizon."""
+    with pytest.raises(ValueError) as info:
+        time_search(angles, [1, 1], 0.1, "real", t_max=t_max)
+    message = str(info.value)
+    assert cause in message and "past float phase resolution at epsilon 0.1" in message
+
+
+@pytest.mark.parametrize("angle, t_max", [(1.0, 1e300), (0.3, 1e308), (1e-300, None)])
+def test_a_single_angle_past_float_phase_resolution_takes_its_closed_form(angle, t_max):
+    """A single angle aligns at t = pi / theta in closed form, with no grid
+    whose phases float resolution could blur, so a horizon past that
+    resolution still answers it, as before the refusal."""
+    got = time_search([angle], [1], 0.1, "real", t_max=t_max)
+    assert got.success and got.t == float(np.pi / angle)
+
+
+def test_a_huge_epsilon_over_a_long_horizon_does_not_overflow():
+    """At epsilon 1e300 a horizon of 5e307 is within float phase
+    resolution, and the rounding margin of the width, 1e-12 times the
+    largest phase, is some 1e296 turns: the width is half a turn however
+    large (an OverflowError before), and t = 0, of deficit 2, succeeds."""
+    got = time_search([1.0, 2.0], [1, 0], 1e300, "real", t_max=5e307)
+    assert got.success and got.deficit <= 2.0
+    assert mixing._fixed_width(1e296) == mixing._fixed_width(0.5) == mixing.HALF_TURN
+
+
+def test_horizon_just_inside_float_phase_resolution_is_searched():
+    """The bound horizon max theta 2^-52 < epsilon / 8 is strict: just
+    inside it the grid is laid out as before, just past it refused."""
+    angles, epsilon = np.array([0.5, 1.0]), 0.1
+    bound = epsilon / 8.0 * 2.0**52 / angles.max()
+    horizon, step, points = mixing._real_grid(angles, epsilon, bound * (1 - 1e-9))
+    assert horizon < bound and points == mixing.MAX_GRID_POINTS + 1
+    with pytest.raises(ValueError, match="t_max"):
+        mixing._real_grid(angles, epsilon, bound)
+
+
 @pytest.mark.parametrize("mode", ["integer", "real"])
 def test_non_integral_sigmas_are_refused(mode):
     """A sign bit of 0.5 is refused, not truncated to 0, which would report

@@ -984,11 +984,12 @@ def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
         reaches.append((lo, n, reach, size))
         return blocks(lo, n, grid, close, reach, size, stride, tally)
 
-    monkeypatch.setattr(mixing, "_block_screen", recorded)
     angles, sigmas = [11 * np.pi / 25, 20 * np.pi / 25], [1, 0]
     want = dense_time_search(angles, sigmas, 0.003, "real", 0, 25.5)
     got = time_search(angles, sigmas, 0.003, "real", t_max=25.5)
     assert got == want and got.success and abs(got.t - 25.0) < 0.01
+    monkeypatch.setattr(mixing, "_block_screen", recorded)
+    assert real_grid_scan(angles, sigmas, 0.003, 25.5)[2]
     (lo, n, reach, size), = reaches
     step = 0.003 / (4.0 * max(angles))
     assert lo == 15 * mixing.FIRST_CHUNK and lo + n == math.floor(25.5 / step) + 1
@@ -1031,17 +1032,14 @@ def test_benchmark_failing_real_searches_match_the_dense_grid(c):
     assert min(widths) < 0.3 < max(widths)
 
 
-def grid_results(monkeypatch):
-    """Patch the grid scan to record what it returns, before refinement."""
-    results = []
-    scan = mixing._scan_times
-
-    def recorded(*args):
-        results.append(scan(*args))
-        return results[-1]
-
-    monkeypatch.setattr(mixing, "_scan_times", recorded)
-    return results
+def real_grid_scan(angles, sigmas, epsilon, t_max):
+    """The grid scan of a real time search called directly, on the grid of
+    ``mixing._real_grid``, without the crossing route: (t, deficit, hit)
+    before refinement. A real search takes its first success by crossings,
+    so this is how a test reaches the grid's own chunks on a hit."""
+    angles, sigmas = mixing._phase_inputs(angles, sigmas, "real")
+    horizon, step, points = mixing._real_grid(angles, epsilon, t_max)
+    return mixing._scan_times(angles, sigmas, epsilon, step, horizon, 0, points, crossings=False)
 
 
 
@@ -1069,11 +1067,11 @@ def test_real_hits_several_chunks_in_match_the_dense_grid(epsilon, first, monkey
         t_align = float(rng.uniform(10.0, 40.0))
         angles, sigmas = aligned_angles(rng, 2 + case % 3, t_align)
         t_max = t_align + float(rng.uniform(0.5, 1.0))
-        calls, scanned = screened_chunks(monkeypatch), grid_results(monkeypatch)
         want = dense_time_search(angles, sigmas, epsilon, "real", 0, t_max)
         got = time_search(angles, sigmas, epsilon, "real", t_max=t_max)
         assert got == want and got.success, case
-        (t, _, hit), = scanned
+        calls = screened_chunks(monkeypatch)
+        t, _, hit = real_grid_scan(angles, sigmas, epsilon, t_max)
         step = epsilon / (4.0 * angles.max())
         i = round(t / step)
         assert hit and i * step == t and i >= 3 * first, case
