@@ -9,6 +9,7 @@ import logging
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 
@@ -58,6 +59,25 @@ LOG_LEVELS = ("debug", "info", "warning", "error")
 _HADAMARD_4 = np.ones((4, 4), dtype=np.int64) - 2 * np.eye(4, dtype=np.int64)
 
 
+#: most bytes the graphs kept by :func:`resolve_builtin` may hold alive,
+#: with their scheme records and what those keep: 64 MiB holds every
+#: strongly regular builtin up to hadamard-srg:16, whose int64 adjacency is 8 MiB
+BUILTIN_BYTES = 64 << 20
+
+#: the graphs :func:`resolve_builtin` keeps, by normalized label, least
+#: recently used first, and the lock under which they are read and trimmed
+_builtins: dict[str, G.Graph] = {}
+_builtins_lock = threading.Lock()
+
+
+def _kept_bytes(g: G.Graph) -> int:
+    """Bytes of the arrays graph g holds alive: its own, and its scheme
+    record's with what the record keeps."""
+    size = g.adjacency.nbytes + (0 if g.color_class is None else g.color_class.nbytes)
+    record = g.scheme_record and g.scheme_record[0]
+    return size + (record.nbytes if record is not None else 0)
+
+
 def resolve_builtin(label: str) -> G.Graph:
     """Map a builtin name to a graph.
 
@@ -65,8 +85,29 @@ def resolve_builtin(label: str) -> G.Graph:
     petersen, hadamard-srg:<m> for m in 1, 2, 4, 8, 16 (order 4 m^2, from
     Kronecker powers of the order-4 Hadamard matrix J - 2I), and
     complement:<builtin>.
+
+    A graph is immutable and keeps what is certified about it, so one
+    graph serves every call with the same normalized label: the graphs are
+    kept least recently used first, and each call first drops the oldest
+    until what they hold alive (:func:`_kept_bytes`, measured anew, as a
+    graph's records grow after it is handed out) is at most BUILTIN_BYTES.
+    A graph over that budget is built afresh at every call.
     """
     s = label.strip().lower()
+    with _builtins_lock:
+        g = _builtins.pop(s, None)
+    if g is None:
+        g = _build_builtin(s, label)
+    with _builtins_lock:
+        _builtins[s] = g
+        total = sum(map(_kept_bytes, _builtins.values()))
+        while total > BUILTIN_BYTES:
+            total -= _kept_bytes(_builtins.pop(next(iter(_builtins))))
+    return g
+
+
+def _build_builtin(s: str, label: str) -> G.Graph:
+    """The builtin graph of ``label``, normalized to ``s``, built."""
     if s == "petersen":
         return G.petersen_graph()
     if s.startswith("complement:"):

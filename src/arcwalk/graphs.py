@@ -46,6 +46,12 @@ class Graph:
         The parameters :func:`srg_identity` has certified exactly, kept so
         that the screen and the O(n^3) identity run once per graph; None
         until then.
+    scheme_record : tuple or None
+        ``(record,)`` once :func:`arcwalk.spectra.srg_decomposition` has
+        answered for this graph, ``record`` its scheme record or None, so
+        that the graph is analysed once; None until then. It is not an
+        ``__init__`` argument, so a copy made by ``dataclasses.replace``
+        starts without it.
     """
 
     n: int
@@ -56,6 +62,7 @@ class Graph:
     color_class: np.ndarray | None = None
     name: str = ""
     certified_srg: SRGParams | None = field(default=None, repr=False)
+    scheme_record: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def num_edges(self) -> int:

@@ -39,6 +39,10 @@ O(m) walk on the start column of a local run, on the seeded probes of
 route :func:`arcwalk.walk.check_type_closed_form` takes the same residuals
 from the arc types of a start and the intersection numbers, which every
 start shares, so it checks every start at once and builds no arc space.
+The scheme record, its certificates and that closed form depend on the
+graph alone: the graph keeps the record and the record keeps the rest, so
+queries on one graph at other vertices, epsilons and modes certify them
+once.
 """
 
 from __future__ import annotations
@@ -217,8 +221,11 @@ def hadamard_search(
     rounded h exactly in int64 (:func:`_scheme_search`), with no n x n
     combination. A rounded matrix that fails is logged with the failed
     condition and skipped. Certificates come back in pattern encoding
-    order, the order of the enumeration.
+    order, the order of the enumeration. A NaN ``tau_flat`` raises
+    ValueError.
     """
+    if math.isnan(tau_flat):
+        raise ValueError("tau_flat must be a number, got nan")
     n = dec.n
     d = dec.num_classes - 1
     if not _regular_hadamard_order(n):
@@ -249,6 +256,39 @@ def hadamard_search(
     return certificates
 
 
+class _SchemePatterns(NamedTuple):
+    """:func:`_scheme_search` on one scheme record at one tau_flat: the
+    patterns' bits, h, rounded h and P h, one row each in encoding order,
+    which rows are certified, the flat rows that failed the exact check,
+    and the certificates."""
+
+    bits: list
+    h: np.ndarray
+    rounded: np.ndarray
+    Ph: np.ndarray
+    certified: np.ndarray
+    skipped: list
+    certificates: tuple
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.h, self.rounded, self.Ph, self.certified)
+        return sum(x.nbytes for x in arrays) + sum(c.matrix.nbytes for c in self.certificates)
+
+    def log(self, root: int) -> None:
+        """Each pattern's h, P h and verdict at debug level, then a warning
+        for each flat pattern that failed its exact check."""
+        if logger.isEnabledFor(logging.DEBUG):
+            for row, *values in zip(self.bits, self.h, self.Ph, self.certified):
+                logger.debug("pattern %s: h = %s, P h = %s, %s",
+                             SignPattern(sign_e0=1, sigmas=row).label(), *values[:2],
+                             "accepted" if values[2] else "rejected")
+        for j in self.skipped:
+            logger.warning("pattern %s skipped: rounded h = %s, P h = %s is not in {+-%d}^%d",
+                           SignPattern(sign_e0=1, sigmas=self.bits[j]).label(),
+                           self.rounded[j], self.Ph[j], root, len(self.bits[j]) + 1)
+
+
 def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[HadamardCertificate]:
     """:func:`hadamard_search` on a scheme record, every pattern at once.
 
@@ -260,7 +300,25 @@ def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[Hadamard
     H H^T = sum_r (P h)_r^2 E_r = nI and row sum (P h)_0, a regular
     Hadamard matrix, symmetric as every A_i is; H = h[R] is formed only for
     the report. Each pattern's h, P h and verdict are logged at debug level.
+
+    The outcome depends on the record and ``tau_flat`` alone, so the record
+    keeps it per ``tau_flat`` (:meth:`SpectralDecomposition.keep`). A later
+    call at the same ``tau_flat`` says at debug level that it reused it,
+    then writes the same records from the kept values.
     """
+    key = ("hadamard_search", tau_flat)
+    found = dec.certified.get(key)
+    if found is None:
+        found = _scheme_patterns(dec, tau_flat)
+        dec.keep(key, found, found.nbytes)
+    else:
+        logger.debug("reused the certificates kept on the scheme record at tau_flat %g", tau_flat)
+    found.log(math.isqrt(dec.n))
+    return list(found.certificates)
+
+
+def _scheme_patterns(dec: SpectralDecomposition, tau_flat: float) -> _SchemePatterns:
+    """:func:`_scheme_search`'s outcome, formed."""
     n, d = dec.n, dec.num_classes - 1
     root = math.isqrt(n)  # n is 1 or 4u^2: _regular_hadamard_order passed
     bits = list(itertools.product((0, 1), repeat=d))  # encoding order
@@ -271,24 +329,18 @@ def _scheme_search(dec: SpectralDecomposition, tau_flat: float) -> list[Hadamard
     rounded = np.rint(h).astype(np.int64)
     Ph = rounded @ dec.eigenmatrix.T
     certified = flat & (np.abs(rounded) == 1).all(axis=1) & (np.abs(Ph) == root).all(axis=1)
-    if logger.isEnabledFor(logging.DEBUG):
-        for row, *values in zip(bits, h, Ph, certified):
-            logger.debug("pattern %s: h = %s, P h = %s, %s",
-                         SignPattern(sign_e0=1, sigmas=row).label(), *values[:2],
-                         "accepted" if values[2] else "rejected")
-    certificates: list[HadamardCertificate] = []
-    for j in np.flatnonzero(flat).tolist():
-        pattern = SignPattern(sign_e0=1, sigmas=bits[j])
-        if not certified[j]:
-            logger.warning("pattern %s skipped: rounded h = %s, P h = %s is not in {+-%d}^%d",
-                           pattern.label(), rounded[j], Ph[j], root, d + 1)
-            continue
+    certificates = []
+    for j in np.flatnonzero(certified).tolist():
         H = rounded[j][dec.relations]
         H.setflags(write=False)
         certificates.append(HadamardCertificate(
-            matrix=H, order=n, row_sum=int(Ph[j, 0]), symmetric=True, pattern=pattern,
+            matrix=H, order=n, row_sum=int(Ph[j, 0]), symmetric=True,
+            pattern=SignPattern(sign_e0=1, sigmas=bits[j]),
         ))
-    return certificates
+    for x in (h, rounded, Ph, certified):
+        x.setflags(write=False)
+    skipped = np.flatnonzero(flat & ~certified).tolist()
+    return _SchemePatterns(bits, h, rounded, Ph, certified, skipped, tuple(certificates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1054,8 +1106,8 @@ MIN_BLOCK = 8
 #: least points in a chunk screened by blocks; smaller chunks are screened
 #: at every point. On the grid's share of one cycle of the search-real and
 #: mix-srg benchmarks (the integer searches and the failing real ones),
-#: 2^13 took 0.85-0.94x as long and 2^15 1.12-1.15x
-BLOCK_CHUNK = 2**14
+#: 2^13 took 0.85-0.94x as long as 2^14 and 2^15 1.12-1.15x
+BLOCK_CHUNK = 2**13
 #: largest stride along which a chunk is screened by blocks (see
 #: :func:`_stride`)
 MAX_STRIDE = 2**12

@@ -91,6 +91,14 @@ class SpectralDecomposition:
     has L[i, j] neighbours in relation j to a. Another scheme whose
     relations are the distances of its graph supplies only R and P
     (:func:`_scheme_record`).
+
+    A scheme record is a fact about its graph, which keeps it (see
+    :func:`srg_decomposition`), so later stages keep on it what they
+    certify from it alone: :meth:`keep` stores a result that passed its
+    check in the dict ``certified``, by stage, and ``nbytes`` counts the
+    bytes of the record's arrays and of what it keeps. Neither is an
+    ``__init__`` argument, so a copy made by ``dataclasses.replace`` keeps
+    nothing.
     """
 
     n: int
@@ -106,6 +114,8 @@ class SpectralDecomposition:
     eigenmatrix: np.ndarray | None = None
     dual_eigenmatrix: np.ndarray | None = None
     intersections: np.ndarray | None = None
+    certified: dict = field(default_factory=dict, init=False, repr=False)
+    nbytes: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("vectors", float), ("idempotents", float), ("relations", np.int8),
@@ -118,6 +128,16 @@ class SpectralDecomposition:
                 X = np.array(X, dtype=dtype)
                 X.setflags(write=False)
                 object.__setattr__(self, name, X)
+        arrays = ("eigenvalues", "multiplicities", "angles", "vectors", "idempotents",
+                  "relations", "eigenmatrix", "dual_eigenmatrix", "intersections")
+        object.__setattr__(self, "nbytes", sum(getattr(getattr(self, name), "nbytes", 0)
+                                               for name in arrays))
+
+    def keep(self, key, value, nbytes: int) -> None:
+        """Keep ``value``, a result certified from this record that holds
+        ``nbytes`` bytes of arrays, in ``certified`` under ``key``."""
+        self.certified[key] = value
+        object.__setattr__(self, "nbytes", self.nbytes + nbytes)
 
     @property
     def num_classes(self) -> int:
@@ -323,7 +343,31 @@ def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
     A_1 = A and A_2 = J - I - A on E_r. :func:`_scheme_record` derives the
     multiplicities from P and certifies them exactly; beside the product of
     the SRG identity, no n x n float array is formed.
+
+    The answer, a record or None, is a fact about the graph, which keeps
+    it as its ``scheme_record``: a later call returns it, and at debug
+    level says that it reused it before the record's own line, which every
+    call writes. A call that raises keeps nothing.
     """
+    name = g.name or "the graph"
+    if g.scheme_record is None:
+        dec = _srg_record(g)
+        object.__setattr__(g, "scheme_record", (dec,))
+    else:
+        (dec,) = g.scheme_record
+        if dec is not None:
+            logger.debug("reused the scheme record of %s kept on the graph", name)
+    if dec is not None and logger.isEnabledFor(logging.DEBUG):
+        params = g.certified_srg  # None for K_n, which passes no SRG identity
+        a, c = (g.n - 2, None) if params is None else (params.a, params.c)
+        logger.debug("scheme record of %s: n=%d k=%d lambda=%s mu=%s P=%s multiplicities=%s",
+                     name, dec.n, dec.k, a, c, dec.eigenmatrix.tolist(),
+                     dec.multiplicities.tolist())
+    return dec
+
+
+def _srg_record(g: Graph) -> SpectralDecomposition | None:
+    """:func:`srg_decomposition`'s answer, formed."""
     if g.degree is None or not g.is_connected or g.is_bipartite:
         return None
     params = srg_screen(g)
@@ -331,7 +375,7 @@ def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
         return None
     n, k = g.n, g.degree
     if params == COMPLETE:
-        values, a, c = [k, -1], n - 2, None
+        values = [k, -1]
     else:
         a, c = params.a, params.c
         disc = (a - c) ** 2 + 4 * (k - c)
@@ -343,12 +387,7 @@ def srg_decomposition(g: Graph) -> SpectralDecomposition | None:
               for r, lam in enumerate(values))
     R = np.subtract(2, g.adjacency.astype(np.int8))
     R.flat[:: n + 1] = 0
-    dec = _scheme_record(n, k, R, P)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("scheme record of %s: n=%d k=%d lambda=%s mu=%s P=%s multiplicities=%s",
-                     g.name or "the graph", n, k, a, c, dec.eigenmatrix.tolist(),
-                     dec.multiplicities.tolist())
-    return dec
+    return _scheme_record(n, k, R, P)
 
 
 def _scheme_record(n: int, k: int, R: np.ndarray, P) -> SpectralDecomposition:

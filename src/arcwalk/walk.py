@@ -24,6 +24,7 @@ projection, so (-1)^t means e^{i pi t}.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +32,8 @@ import numpy as np
 
 from .graphs import Graph
 from .spectra import SpectralDecomposition, _within_limit, class_sums, eigenvectors
+
+logger = logging.getLogger(__name__)
 
 #: tolerance for the walk spectrum certificate and the closed-form check
 TAU_WALK = 1e-9
@@ -655,7 +658,15 @@ def check_type_closed_form(dec: SpectralDecomposition) -> dict[str, float]:
     mu_r p_r(j, i). ``eigen`` and ``start`` (against [i = 0] / sqrt(k))
     are sums over the (d + 1)^2 types weighted by their arc counts;
     WalkSpectrumError above TAU_WALK.
+
+    The residuals depend on the record alone, so the record keeps them
+    once they pass (:meth:`SpectralDecomposition.keep`), and a later call
+    returns them with a debug record saying that it reused them.
     """
+    checked = dec.certified.get("type_closed_form")
+    if checked is not None:
+        logger.debug("reused the arc-type closed form kept on the scheme record")
+        return dict(checked)
     root_k, L = math.sqrt(dec.k), dec.intersections
     X = dec.dual_eigenmatrix.T / (dec.n * root_k)  # X[r, i]: X_r on relation i, over sqrt(k)
     head, tail = _class_weights(dec.angles)
@@ -666,8 +677,10 @@ def check_type_closed_form(dec: SpectralDecomposition) -> dict[str, float]:
     total[0] -= 1.0 / root_k
     arcs = dec.valencies[:, None] * L
     eigen = (arcs * np.abs(drift) ** 2).sum(axis=(1, 2))
-    return _certified("closed-form", {"eigen": float(np.sqrt(eigen.max())),
-                                      "start": float(np.sqrt((arcs * total**2).sum()))})
+    checked = _certified("closed-form", {"eigen": float(np.sqrt(eigen.max())),
+                                         "start": float(np.sqrt((arcs * total**2).sum()))})
+    dec.keep("type_closed_form", checked, 0)
+    return dict(checked)
 
 
 #: seeded random vertex vectors on which ``analyze`` checks the closed form

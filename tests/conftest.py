@@ -22,6 +22,7 @@ from arcwalk import (
     rook_graph,
     walk_spectrum,
 )
+from arcwalk import cli
 from arcwalk.cli import resolve_builtin
 from arcwalk.cospec import NOT_COSPECTRAL, SIN_SNAP, TAU_COSP, CospectralityWitness
 from arcwalk.spectra import eigenvalue_support
@@ -103,6 +104,14 @@ def get_bundle(name: str) -> Bundle:
 @pytest.fixture(scope="session")
 def bundle():
     return get_bundle
+
+
+@pytest.fixture(autouse=True)
+def fresh_builtins():
+    """Every test starts with no builtin graph kept, so what one test's
+    runs certified and kept on a graph (its scheme record, certificates and
+    closed form) is not what the next test reads, whatever it patches."""
+    cli._builtins.clear()
 
 
 def dense_decomposition_residuals(

@@ -933,6 +933,15 @@ def test_block_screen_matches_the_points_along_cycles(c):
             assert_block_screen_matches_the_points(grid, lo, n, close, reach, size, stride, case)
 
 
+def dense_prefix() -> int:
+    """Points of the doubling chunks from FIRST_CHUNK up to BLOCK_CHUNK: the
+    prefix of a grid that is screened at every point."""
+    size, total = mixing.FIRST_CHUNK, 0
+    while size < mixing.BLOCK_CHUNK:
+        total, size = total + size, 2 * size
+    return total
+
+
 def screened_chunks(monkeypatch):
     """Patch the time search to record (screen, lo, n) for every chunk, in
     order: "blocks" for a chunk pruned by blocks of consecutive points,
@@ -972,10 +981,10 @@ def test_wide_bound_chunks_are_pruned_by_blocks_and_match_the_dense_grid(c, bits
 
 def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
     """Angles 11 pi / 25 and 20 pi / 25 with bits (1, 0) align exactly at
-    t = 25, some 72,000 grid points in at epsilon 0.003. Their bound falls
-    below 0.1 of a turn early, and the grid past the chunks screened at
-    every point, 70,000 points, is one chunk pruned by blocks: chunks are
-    sized in blocks, and FIRST_BLOCKS blocks of this bound hold it all.
+    t = 25, some 63,000 grid points in at epsilon 0.004. Their bound falls
+    below 0.1 of a turn within the chunks screened at every point, and the
+    grid past them, 57,000 points, is one chunk pruned by blocks: chunks
+    are sized in blocks, and FIRST_BLOCKS blocks of this bound hold it all.
     The answer is the dense grid's."""
     reaches = []
     blocks = mixing._block_screen
@@ -985,14 +994,14 @@ def test_large_chunks_are_pruned_by_blocks_under_a_narrow_bound(monkeypatch):
         return blocks(lo, n, grid, close, reach, size, stride, tally)
 
     angles, sigmas = [11 * np.pi / 25, 20 * np.pi / 25], [1, 0]
-    want = dense_time_search(angles, sigmas, 0.003, "real", 0, 25.5)
-    got = time_search(angles, sigmas, 0.003, "real", t_max=25.5)
+    want = dense_time_search(angles, sigmas, 0.004, "real", 0, 25.5)
+    got = time_search(angles, sigmas, 0.004, "real", t_max=25.5)
     assert got == want and got.success and abs(got.t - 25.0) < 0.01
     monkeypatch.setattr(mixing, "_block_screen", recorded)
-    assert real_grid_scan(angles, sigmas, 0.003, 25.5)[2]
+    assert real_grid_scan(angles, sigmas, 0.004, 25.5)[2]
     (lo, n, reach, size), = reaches
-    step = 0.003 / (4.0 * max(angles))
-    assert lo == 15 * mixing.FIRST_CHUNK and lo + n == math.floor(25.5 / step) + 1
+    step = 0.004 / (4.0 * max(angles))
+    assert lo == dense_prefix() and lo + n == math.floor(25.5 / step) + 1
     assert mixing.BLOCK_CHUNK <= n < mixing.FIRST_BLOCKS * size
     assert reach < mixing._fixed_width(0.1)
 
@@ -1144,17 +1153,37 @@ def test_failing_scans_cross_the_route_switch(epsilon, first, monkeypatch):
         assert "blocks" in [route for route, _, _ in calls], case
 
 
+def test_where_blocks_start_moves_no_answer(monkeypatch):
+    """BLOCK_CHUNK decides only which chunks are screened by blocks: on
+    seeded failing and succeeding cycle searches in both modes and on the
+    angles of the mix graphs, its value and twice it give the same time,
+    deficit and verdict."""
+    rng = np.random.default_rng(34)
+    cases = [(cycle_angles(c, (c - 1) // 2), rng.integers(0, 2, (c - 1) // 2), epsilon, mode)
+             for c in (9, 13, 17) for mode in ("integer", "real") for epsilon in (0.1, 0.01)
+             for _ in range(3)]
+    for name in ("rook:4", "complement:rook:4", "rook:5"):
+        angles = np.array(srg_decomposition(resolve_builtin(name)).angles[1:])
+        cases += [(angles, np.array(bits), epsilon, mode) for bits in ((0, 1), (1, 0))
+                  for mode in ("integer", "real") for epsilon in (0.01, 1e-4)]
+    want = [time_search(*case) for case in cases]
+    assert 0 < sum(result.success for result in want) < len(want)
+    monkeypatch.setattr(mixing, "BLOCK_CHUNK", 2 * mixing.BLOCK_CHUNK)
+    assert [time_search(*case) for case in cases] == want
+
+
 def test_integer_scans_on_coarse_grids_screen_every_point(monkeypatch):
     """In integer mode the slowest cycle:17 class moves 1/17 of a turn per
     step, more than the room blocks of MIN_BLOCK consecutive points need,
-    and the chunks of a budget of 20,000 steps are all below BLOCK_CHUNK,
-    so every chunk is screened point by point, and the result is the dense
-    grid's."""
+    and the chunks of a budget of one step less than the dense prefix and
+    BLOCK_CHUNK are all below BLOCK_CHUNK, so every chunk is screened point
+    by point, and the result is the dense grid's."""
     calls = screened_chunks(monkeypatch)
     angles = cycle_angles(17, 8)
     sigmas = [1, 0, 0, 1, 0, 0, 0, 0]
-    want = dense_time_search(angles, sigmas, 0.1, "integer", 20_000, None)
-    assert time_search(angles, sigmas, 0.1, "integer", budget=20_000) == want
+    budget = dense_prefix() + mixing.BLOCK_CHUNK - 1
+    want = dense_time_search(angles, sigmas, 0.1, "integer", budget, None)
+    assert time_search(angles, sigmas, 0.1, "integer", budget=budget) == want
     assert calls and {route for route, _, _ in calls} == {"dense"}
 
 
@@ -1172,7 +1201,7 @@ def test_failing_integer_cycle_searches_prune_along_the_cycle(c, bits, monkeypat
     got = time_search(angles, bits, 0.1, "integer")
     assert got == want and not got.success
     assert sum(n for _, _, n in calls) == mixing.INTEGER_BUDGET
-    dense = 15 * mixing.FIRST_CHUNK
+    dense = dense_prefix()
     assert calls[-1] == (f"stride {c}", 1 + dense, mixing.INTEGER_BUDGET - dense)
     assert {route for route, _, _ in calls[:-1]} == {"dense"}
 
